@@ -13,8 +13,6 @@ from .matcore import (
     MatrixFormatError,
     apply_symmetric_permutation,
     frobenius_norm,
-    identity_permutation,
-    matmul,
     nonneg_matrix,
     one_norm_mat,
     one_norm_vec,
@@ -62,8 +60,6 @@ __all__ = [
     "MatrixFormatError",
     "apply_symmetric_permutation",
     "frobenius_norm",
-    "identity_permutation",
-    "matmul",
     "nonneg_matrix",
     "one_norm_mat",
     "one_norm_vec",

@@ -94,11 +94,11 @@ def _emit_pairs(pairs, fmt: str) -> None:
 def cmd_analyze(args) -> int:
     a = matcore.read_matrix_file(args.matrix, nonneg=True)
     fnf = structure.frobenius_normal_form(a)
-    index = structure.nilpotency_index(a)
-    cert = solver.perron_root(a, tol=args.tol, max_iter=args.max_iter)
+    index = fnf.nilpotency_index
+    cert = solver.perron_root(fnf, tol=args.tol, max_iter=args.max_iter)
     pairs = [
-        ("n", str(a.shape[0])),
-        ("irreducible", _yesno(structure.is_irreducible(a))),
+        ("n", str(fnf.n)),
+        ("irreducible", _yesno(fnf.irreducible)),
         ("nilpotent", _yesno(index is not None)),
     ]
     if index is not None:
@@ -171,9 +171,9 @@ def cmd_converge(args) -> int:
         count=args.count,
         clamp=args.clamp,
     )
-    if structure.is_nilpotent(base):
+    if spec.normal_form.nilpotency_index is not None:
         trace = harness.run_nilpotent_trace(spec, tol=args.tol, max_iter=args.max_iter)
-    elif structure.is_irreducible(base):
+    elif spec.normal_form.irreducible:
         trace = harness.run_irreducible_trace(
             spec, tol=args.tol, max_iter=args.max_iter
         )

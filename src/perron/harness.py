@@ -17,7 +17,7 @@ uniformly over the nonnegative cone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class SequenceSpec:
     gives coeff/k^2, "geom" gives coeff * gamma^k (0 < gamma < 1).  All
     three decrease strictly to zero.  Terms must stay entrywise
     nonnegative; by default an offending term raises, with ``clamp``
-    negative entries are set to zero instead.
+    negative entries are set to zero instead.  ``normal_form`` is the
+    base's structure, computed once here for every trace of the spec.
     """
 
     base: np.ndarray
@@ -69,18 +70,19 @@ class SequenceSpec:
     gamma: float = 0.5
     count: int = 20
     clamp: bool = False
+    normal_form: structure.FrobeniusNormalForm = field(init=False, repr=False)
 
     def __post_init__(self):
-        base = matcore.nonneg_matrix(self.base)
+        fnf = structure.frobenius_normal_form(self.base)
         direction = matcore.square_matrix(self.direction)
-        if direction.shape != base.shape:
+        if direction.shape != fnf.matrix.shape:
             raise ValueError(
-                f"shape mismatch: base {base.shape}, direction {direction.shape}"
+                f"shape mismatch: base {fnf.matrix.shape}, direction {direction.shape}"
             )
-        base.flags.writeable = False
         direction.flags.writeable = False
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "base", fnf.matrix)
         object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "normal_form", fnf)
         if self.rule not in _RULES:
             raise ValueError(f"unknown schedule rule {self.rule!r}; choose from {_RULES}")
         object.__setattr__(self, "coeff", float(self.coeff))
@@ -162,9 +164,9 @@ def run_irreducible_trace(
     and is marked ok when the observed midpoint shift stays within the
     bound plus both certificate widths.
     """
-    if not structure.is_irreducible(spec.base):
+    if not spec.normal_form.irreducible:
         raise ValueError("base matrix is reducible; use run_reducible_trace")
-    base_cert = solver.perron_irreducible(spec.base, tol=tol, max_iter=max_iter)
+    base_cert = solver.perron_root(spec.normal_form, tol=tol, max_iter=max_iter)
     qs = solver.q_star(base_cert)
     per_scale = matcore.frobenius_norm(spec.direction) / qs
     rows = []
@@ -185,22 +187,22 @@ def run_reducible_trace(
 ) -> ConvergenceTrace:
     """Trace a sequence whose limit is reducible with positive radius.
 
-    The block decomposition of the base is computed once; every term is
-    permuted by that same permutation and the spectral block's positions
+    The blocks of the base are certified once, which both picks the
+    spectral block and gives the base certificate; every term is
+    permuted by the base's permutation and the spectral block's positions
     are read off, giving block radii b_k.  Rows are ok when
     lo(b_k) <= hi(r_k); the trace additionally requires the last b_k to
     land near the base radius (threshold 2 * s_count * ||direction||_F * n
     plus certificate widths).
     """
-    base = spec.base
-    if structure.is_irreducible(base):
+    fnf = spec.normal_form
+    if fnf.irreducible:
         raise ValueError("base matrix is irreducible; use run_irreducible_trace")
-    if structure.is_nilpotent(base):
+    if fnf.nilpotency_index is not None:
         raise ValueError("base matrix is nilpotent; use run_nilpotent_trace")
-    fnf = structure.frobenius_normal_form(base)
-    block_index = structure.spectral_block(base, tol=tol, max_iter=max_iter)
+    block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
     start, end = fnf.blocks[block_index]
-    base_cert = solver.perron_root(base, tol=tol, max_iter=max_iter)
+    base_cert = solver._combine(block_certs)
     rows = []
     for k in range(1, spec.count + 1):
         s = spec.scale(k)
@@ -219,7 +221,7 @@ def run_reducible_trace(
             )
         )
     last = rows[-1]
-    n = base.shape[0]
+    n = fnf.n
     final_deviation = abs(last.block_cert.mid - base_cert.mid)
     final_threshold = (
         2.0 * spec.scale(spec.count) * matcore.frobenius_norm(spec.direction) * n
@@ -246,13 +248,13 @@ def run_nilpotent_trace(
     hold up to round-off slack.  Both columns decay to zero as the terms
     approach the nilpotent base.
     """
-    p = structure.nilpotency_index(spec.base)
+    p = spec.normal_form.nilpotency_index
     if p is None:
         raise ValueError(
             "base matrix is not nilpotent; use run_irreducible_trace or "
             "run_reducible_trace"
         )
-    base_cert = solver.perron_root(spec.base, tol=tol, max_iter=max_iter)
+    base_cert = solver.perron_root(spec.normal_form, tol=tol, max_iter=max_iter)
     rows = []
     for k in range(1, spec.count + 1):
         s = spec.scale(k)

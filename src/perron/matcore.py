@@ -14,11 +14,9 @@ __all__ = [
     "square_matrix",
     "nonneg_matrix",
     "permutation",
-    "identity_permutation",
     "one_norm_vec",
     "one_norm_mat",
     "frobenius_norm",
-    "matmul",
     "apply_symmetric_permutation",
     "parse_matrix",
     "render_matrix",
@@ -86,10 +84,6 @@ def permutation(mapping) -> np.ndarray:
     return p
 
 
-def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.intp)
-
-
 def one_norm_vec(v) -> float:
     """Sum of absolute entries of a vector."""
     v = np.asarray(v, dtype=np.float64)
@@ -112,14 +106,6 @@ def frobenius_norm(e) -> float:
     spectral norm, which is what the perturbation certificates need."""
     a = square_matrix(e)
     return float(np.linalg.norm(a, "fro"))
-
-
-def matmul(x, y) -> np.ndarray:
-    a = square_matrix(x)
-    b = square_matrix(y)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def apply_symmetric_permutation(a, perm) -> np.ndarray:
@@ -157,6 +143,29 @@ def parse_matrix(text: str, nonneg: bool = False) -> np.ndarray:
     ``nonneg=True`` a negative entry is a format error as well.
     Errors report 1-based line numbers and token columns.
     """
+    a = _parse_bulk(text, nonneg)
+    return a if a is not None else _parse_tokens(text, nonneg)
+
+
+def _parse_bulk(text: str, nonneg: bool) -> np.ndarray | None:
+    # numpy's C reader on the data lines; None sends anything but n rows
+    # of n finite (nonnegative if asked) entries to the token loop, which
+    # alone words the errors and also takes what float() takes (1_000)
+    lines = [s for s in (raw.strip() for raw in text.splitlines())
+             if s and not s.startswith("#")]
+    try:
+        n = int(lines[0]) if lines else 0
+        if n < 1 or len(lines) != n + 1:
+            return None
+        a = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if a.shape != (n, n) or not np.isfinite(a).all() or (nonneg and (a < 0.0).any()):
+        return None
+    return a
+
+
+def _parse_tokens(text: str, nonneg: bool) -> np.ndarray:
     rows = []
     n = None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -87,6 +87,12 @@ def perron_irreducible(b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronC
     tol, max_iter = _validate_iteration_params(tol, max_iter)
     if not structure.is_irreducible(m):
         raise ValueError("matrix is reducible; use perron_root")
+    return _certify_irreducible(m, tol, max_iter)
+
+
+def _certify_irreducible(m, tol, max_iter) -> PerronCertificate:
+    # perron_irreducible minus its checks: m is a validated irreducible
+    # matrix (a normal-form block, say) and the parameters are validated
     n = m.shape[0]
     if n == 1:
         val = float(m[0, 0])
@@ -113,14 +119,24 @@ def perron_irreducible(b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronC
     )
 
 
-def _certify_block(mat, tol, max_iter) -> PerronCertificate:
-    if mat.shape[0] == 1:
-        val = float(mat[0, 0])
-        return PerronCertificate(
-            lo=val, hi=val, right_vector=None, left_vector=None,
-            residual=None, iterations=0, converged=True,
-        )
-    return perron_irreducible(mat, tol=tol, max_iter=max_iter)
+def _combine(certs) -> PerronCertificate:
+    # certificates of the diagonal blocks: the radius is the largest block
+    # radius, so [max lo, max hi] holds it; block vectors are dropped
+    return PerronCertificate(
+        lo=max(0.0, *(c.lo for c in certs)),
+        hi=max(0.0, *(c.hi for c in certs)),
+        right_vector=None, left_vector=None, residual=None,
+        iterations=sum(c.iterations for c in certs),
+        converged=all(c.converged for c in certs),
+    )
+
+
+def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
+    """Index of the block whose certificate has the greatest midpoint
+    (ties go to the lowest index), and the certificates of all blocks."""
+    tol, max_iter = _validate_iteration_params(tol, max_iter)
+    certs = [_certify_irreducible(mat, tol, max_iter) for mat in fnf.block_matrices]
+    return max(range(len(certs)), key=lambda i: certs[i].mid), certs
 
 
 def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertificate:
@@ -131,27 +147,16 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
     [max of lows, max of highs] encloses it.  Perron vectors are carried
     only when the whole matrix is irreducible (reducible matrices need
     not have a strictly positive eigenvector; certify the spectral block
-    directly if a vector is wanted).
+    directly if a vector is wanted).  ``a`` may also be the matrix's
+    :class:`~perron.structure.FrobeniusNormalForm`, which is then not
+    recomputed.
     """
-    m = matcore.nonneg_matrix(a)
+    given = isinstance(a, structure.FrobeniusNormalForm)
+    fnf = a if given else structure.frobenius_normal_form(a)
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    fnf = structure.frobenius_normal_form(m)
-    if len(fnf.blocks) == 1:
-        return perron_irreducible(m, tol=tol, max_iter=max_iter)
-    lo = 0.0
-    hi = 0.0
-    iterations = 0
-    converged = True
-    for mat in fnf.block_matrices:
-        cert = _certify_block(mat, tol, max_iter)
-        lo = max(lo, cert.lo)
-        hi = max(hi, cert.hi)
-        iterations += cert.iterations
-        converged = converged and cert.converged
-    return PerronCertificate(
-        lo=lo, hi=hi, right_vector=None, left_vector=None,
-        residual=None, iterations=iterations, converged=converged,
-    )
+    if fnf.irreducible:
+        return _certify_irreducible(fnf.matrix, tol, max_iter)
+    return _combine([_certify_irreducible(b, tol, max_iter) for b in fnf.block_matrices])
 
 
 def q_star(cert: PerronCertificate) -> float:

@@ -9,6 +9,7 @@ Convention: every 1x1 matrix counts as irreducible, including ``[[0]]``,
 which keeps the block decomposition total.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +27,12 @@ __all__ = [
 ]
 
 
-def _adjacency(a: np.ndarray):
-    """Neighbor lists in ascending index order (fixes iteration order)."""
-    return [np.nonzero(a[i] > 0.0)[0] for i in range(a.shape[0])]
+def _adjacency(m: np.ndarray) -> list[list[int]]:
+    """Out-neighbor lists in ascending index order (fixes iteration order)."""
+    rows, cols = np.nonzero(m > 0.0)
+    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+    cols = cols.tolist()
+    return [cols[s:e] for s, e in zip(bounds, bounds[1:])]
 
 
 def strongly_connected_components(a) -> list[list[int]]:
@@ -43,9 +47,9 @@ def strongly_connected_components(a) -> list[list[int]]:
     n = m.shape[0]
     adj = _adjacency(m)
 
-    index = np.full(n, -1, dtype=np.intp)
-    lowlink = np.zeros(n, dtype=np.intp)
-    on_stack = np.zeros(n, dtype=bool)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
@@ -65,7 +69,7 @@ def strongly_connected_components(a) -> list[list[int]]:
             advanced = False
             neighbors = adj[v]
             while pos < len(neighbors):
-                w = int(neighbors[pos])
+                w = neighbors[pos]
                 pos += 1
                 if index[w] == -1:
                     work.append((v, pos))
@@ -96,30 +100,24 @@ def strongly_connected_components(a) -> list[list[int]]:
     return sccs
 
 
-def is_irreducible(a) -> bool:
-    """True iff the positivity digraph is strongly connected.
-
-    A 1x1 matrix is irreducible by convention, zero entry included.
-    """
-    m = matcore.nonneg_matrix(a)
-    if m.shape[0] == 1:
-        return True
-    return len(strongly_connected_components(m)) == 1
-
-
 @dataclass(frozen=True)
 class FrobeniusNormalForm:
     """Permutation and block partition with PtAP block upper triangular.
 
     ``perm`` maps new index -> old index, so the permuted matrix is
-    ``apply_symmetric_permutation(a, perm)``.  ``blocks`` are half-open
+    ``apply_symmetric_permutation(matrix, perm)``.  ``blocks`` are half-open
     ``(start, end)`` ranges in permuted coordinates; ``block_matrices``
-    are the corresponding irreducible diagonal blocks.
+    are the corresponding irreducible diagonal blocks.  ``irreducible``
+    and ``nilpotency_index`` (None unless nilpotent) are read off the
+    blocks.  All arrays are read-only.
     """
 
+    matrix: np.ndarray
     perm: np.ndarray
     blocks: tuple[tuple[int, int], ...]
     block_matrices: tuple[np.ndarray, ...]
+    irreducible: bool
+    nilpotency_index: int | None
 
     @property
     def n(self) -> int:
@@ -129,55 +127,53 @@ class FrobeniusNormalForm:
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(end - start for start, end in self.blocks)
 
-    def block_positions(self, i: int) -> np.ndarray:
-        """Original row/column indices occupied by block ``i``."""
-        start, end = self.blocks[i]
-        return self.perm[start:end]
-
 
 def frobenius_normal_form(a) -> FrobeniusNormalForm:
     """Decompose into irreducible diagonal blocks in topological order.
 
     Entries of the permuted matrix below the block diagonal are exactly
     zero; each diagonal block is irreducible (1x1 blocks by convention).
+
+    The matrix is nilpotent iff every block is a 1x1 zero.  Entry (i, j)
+    of a^k is positive iff a walk of k edges leads from i to j (products
+    of nonnegative entries cannot cancel), so the index is the vertex
+    count of the longest path: exact where float powers underflow.
     """
     m = matcore.nonneg_matrix(a)
+    m.flags.writeable = False
     comps = strongly_connected_components(m)
     perm = np.array([v for comp in comps for v in comp], dtype=np.intp)
-    blocks = []
-    start = 0
-    for comp in comps:
-        blocks.append((start, start + len(comp)))
-        start += len(comp)
-    permuted = m[np.ix_(perm, perm)]
+    perm.flags.writeable = False
+    ends = list(itertools.accumulate(len(comp) for comp in comps))
+    blocks = tuple(zip([0] + ends[:-1], ends))
+    permuted = m[np.ix_(perm, perm)] if len(comps) > 1 else m  # else perm is 0..n-1
     mats = tuple(permuted[s:e, s:e].copy() for s, e in blocks)
     for mat in mats:
         mat.flags.writeable = False
-    perm.flags.writeable = False
-    return FrobeniusNormalForm(perm=perm, blocks=tuple(blocks), block_matrices=mats)
+    index = None
+    if len(comps) == m.shape[0] and not m.diagonal().any():
+        # acyclic: longest path by depth, in reverse topological order
+        adj, depth = _adjacency(m), [0] * m.shape[0]
+        for v in reversed(perm.tolist()):
+            depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
+        index = max(depth)
+    return FrobeniusNormalForm(
+        matrix=m, perm=perm, blocks=blocks, block_matrices=mats,
+        irreducible=len(comps) == 1, nilpotency_index=index,
+    )
+
+
+def is_irreducible(a) -> bool:
+    """True iff the positivity digraph is strongly connected.
+
+    A 1x1 matrix is irreducible by convention, zero entry included.
+    """
+    return frobenius_normal_form(a).irreducible
 
 
 def nilpotency_index(a) -> int | None:
-    """Smallest p with a^p = 0, or None if the matrix is not nilpotent.
-
-    Nilpotency is decided structurally (every normal-form block is a 1x1
-    zero); the index is then found by repeated multiplication, which is
-    exact here because nonnegative products cannot cancel.
-    """
-    m = matcore.nonneg_matrix(a)
-    fnf = frobenius_normal_form(m)
-    for mat in fnf.block_matrices:
-        if mat.shape[0] != 1 or mat[0, 0] != 0.0:
-            return None
-    n = m.shape[0]
-    power = m.copy()
-    p = 1
-    while power.any():
-        power = power @ m
-        p += 1
-        if p > n:  # unreachable for a truly nilpotent matrix
-            raise AssertionError("nilpotency index exceeded dimension")
-    return p
+    """Smallest p with a^p = 0, or None if the matrix is not nilpotent."""
+    return frobenius_normal_form(a).nilpotency_index
 
 
 def is_nilpotent(a) -> bool:
@@ -194,12 +190,4 @@ def spectral_block(a, tol=None, max_iter=None) -> int:
         tol = solver.DEFAULT_TOL
     if max_iter is None:
         max_iter = solver.DEFAULT_MAX_ITER
-    fnf = frobenius_normal_form(a)
-    best = 0
-    best_mid = -1.0
-    for i, mat in enumerate(fnf.block_matrices):
-        cert = solver.perron_irreducible(mat, tol=tol, max_iter=max_iter)
-        if cert.mid > best_mid:
-            best = i
-            best_mid = cert.mid
-    return best
+    return solver._spectral_block(frobenius_normal_form(a), tol, max_iter)[0]

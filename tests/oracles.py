@@ -131,14 +131,16 @@ def strongly_connected_bool(a) -> bool:
 def nilpotency_oracle(a):
     """Smallest p <= n with a^p exactly zero, or None.
 
-    Exact for nonnegative matrices: products of nonnegative entries
-    cannot cancel, so a floating power is zero iff the real one is.
+    Boolean powers of the positivity pattern: products of nonnegative
+    entries cannot cancel, so an entry of the real a^p is nonzero iff
+    the same entry of the pattern's p-th power is.  Floating powers do
+    not qualify: a tiny positive entry of a^p underflows to zero.
     """
-    m = np.asarray(a, dtype=np.float64)
-    n = m.shape[0]
-    power = m.copy()
+    pattern = np.asarray(a, dtype=np.float64) > 0.0
+    n = pattern.shape[0]
+    power = pattern.copy()
     for p in range(1, n + 1):
         if not power.any():
             return p
-        power = power @ m
+        power = power @ pattern
     return None

@@ -5,6 +5,7 @@ prints one pass/fail line per criterion.  Seeds are fixed; every run
 checks the same matrices.
 """
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from generators import (
 from oracles import closed_form_root, cw_midpoint, det_bisect_root, strongly_connected_bool
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_c1_oracle_enclosure():
@@ -164,10 +166,14 @@ def test_c8_power_identity():
 
 
 def _run_cli(args):
+    # the child runs in the fixtures directory, where a relative
+    # PYTHONPATH no longer points at the sources
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "perron.cli", *args],
         capture_output=True,
         cwd=FIXTURES,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 

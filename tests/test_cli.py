@@ -53,6 +53,15 @@ class TestAnalyze:
         assert _value(out, "nilpotency_index") == "2"
         assert _value(out, "rho_hi") == "0"
 
+    def test_nilpotency_index_survives_underflow(self, run, tmp_path):
+        # A^2 holds the real entry 1e-400, which float64 rounds to zero
+        path = tmp_path / "tiny_chain3.txt"
+        path.write_text("3\n0 1e-200 0\n0 0 1e-200\n0 0 0\n")
+        code, out, _ = run("analyze", str(path))
+        assert code == 0
+        assert _value(out, "nilpotent") == "yes"
+        assert _value(out, "nilpotency_index") == "3"
+
     def test_csv_format(self, run):
         code, out, _ = run("analyze", "triangular2.txt", "--format", "csv")
         assert code == 0

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from perron import harness, solver
-from generators import random_nonneg
+from perron import harness, solver, structure
+from generators import random_nonneg, reducible_base
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -132,6 +132,18 @@ class TestReducibleTrace:
         assert trace.ok
         assert trace.spectral_block_index is not None
         assert trace.final_deviation <= trace.final_threshold
+
+    def test_base_certified_once_matches_direct_calls(self, rng):
+        # one round of block certificates picks the block and certifies
+        # the base, exactly as the standalone calls do
+        for _ in range(10):
+            base = reducible_base(rng)
+            spec = harness.SequenceSpec(base=base, direction=np.ones(base.shape), count=2)
+            trace = harness.run_reducible_trace(spec)
+            direct = solver.perron_root(base)
+            assert (trace.base_cert.lo, trace.base_cert.hi) == (direct.lo, direct.hi)
+            assert trace.base_cert.iterations == direct.iterations
+            assert trace.spectral_block_index == structure.spectral_block(base)
 
     def test_rejects_irreducible_base(self):
         spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perron import matcore
@@ -36,33 +36,15 @@ class TestNorms:
             n = int(rng.integers(1, 7))
             x = rng.normal(size=(n, n))
             y = rng.normal(size=(n, n))
-            lhs = matcore.one_norm_mat(matcore.matmul(x, y))
+            lhs = matcore.one_norm_mat(x @ y)
             rhs = matcore.one_norm_mat(x) * matcore.one_norm_mat(y)
             assert lhs <= rhs * (1.0 + 1e-12)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        x = rng.normal(size=(4, 4))
-        assert np.array_equal(matcore.matmul(np.eye(4), x), x)
-
-    def test_nilpotent_square_is_zero(self):
-        n = [[0.0, 1.0], [0.0, 0.0]]
-        assert np.array_equal(matcore.matmul(n, n), np.zeros((2, 2)))
-
-    def test_ones_squared(self):
-        x = [[1.0, 1.0], [1.0, 1.0]]
-        assert np.array_equal(matcore.matmul(x, x), np.full((2, 2), 2.0))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matcore.matmul(np.eye(2), np.eye(3))
 
 
 class TestPermutations:
     def test_identity_permutation_is_noop(self, rng):
         a = rng.uniform(size=(5, 5))
-        p = matcore.identity_permutation(5)
+        p = np.arange(5)
         assert np.array_equal(matcore.apply_symmetric_permutation(a, p), a)
 
     def test_swap_example(self):
@@ -119,6 +101,69 @@ class TestValidation:
         out = matcore.nonneg_matrix(src)
         src[0, 0] = 7.0
         assert out[0, 0] == 1.0
+
+
+# Tokens the C reader and float() may disagree on, or that must be refused
+_ODD_TOKENS = ["nan", "inf", "-inf", "1e999", "-1e999", "1e-400", "-0", "-2.5",
+               "1_000", "0x10", "0x1p3", "oops", "1,5", "+.5", "\uff11\uff12", "#"]
+_SEPARATORS = [" ", "  ", "\t", "\xa0", " \xa0 "]
+_FILLER_LINES = ["# comment", "   # indented", "", "   ", "\t"]
+_DECIMAL = st.from_regex(r"\A[+-]?[0-9]{1,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,3})?\Z")
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _matrix_text(draw):
+    """Matrix text, mostly well formed, with every kind of defect mixed in."""
+    n = draw(st.integers(1, 4))
+    odd = st.integers(0, 19).map(lambda k: k == 0)  # one draw in twenty
+    dim = draw(st.sampled_from(["x", "0", "-1", "2.5", "1_0"])) if draw(odd) else str(n)
+    valid = st.one_of(_FINITE.map(repr), _DECIMAL, st.integers(-999, 999).map(str))
+    token = odd.flatmap(lambda bad: st.sampled_from(_ODD_TOKENS) if bad else valid)
+    near_n = odd.flatmap(lambda bad: st.sampled_from([n - 1, n + 1]) if bad else st.just(n))
+    lines = [dim]
+    for _ in range(draw(near_n)):
+        count = draw(near_n)
+        tokens = draw(st.lists(token, min_size=count, max_size=count))
+        lines.append(draw(st.sampled_from(_SEPARATORS)).join(tokens))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        lines.insert(at, draw(st.sampled_from(_FILLER_LINES)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _outcome(parse, text, nonneg):
+    try:
+        a = parse(text, nonneg)
+    except matcore.MatrixFormatError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("array", a.dtype, a.shape, a.tobytes())
+
+
+class TestBulkParse:
+    @settings(max_examples=400, deadline=None)
+    @given(_matrix_text(), st.booleans())
+    def test_agrees_with_token_loop(self, text, nonneg):
+        reference = _outcome(matcore._parse_tokens, text, nonneg)
+        bulk = matcore._parse_bulk(text, nonneg)
+        if bulk is not None:
+            assert ("array", bulk.dtype, bulk.shape, bulk.tobytes()) == reference
+        assert _outcome(matcore.parse_matrix, text, nonneg) == reference
+
+    def test_well_formed_text_takes_the_bulk_path(self, rng):
+        for n in (1, 3, 40):
+            a = rng.uniform(0.0, 10.0, (n, n))
+            text = "# generated\n" + matcore.render_matrix(a)
+            bulk = matcore._parse_bulk(text, nonneg=True)
+            assert bulk is not None and bulk.tobytes() == a.tobytes()
+
+    def test_defects_fall_back_to_the_token_loop(self):
+        for text in ("2\n1 2\n3 1_000\n", "2\n1 2\n3 nan\n", "2\n1 2\n",
+                     "2\n1 2 # note\n3 4\n", "2\n1\xa02\n3 4\n5 6\n"):
+            assert matcore._parse_bulk(text, nonneg=False) is None
+        assert matcore._parse_bulk("2\n1 2\n-3 4\n", nonneg=True) is None
+        assert matcore.parse_matrix("2\n1 2\n3 1_000\n")[1, 1] == 1000.0
 
 
 class TestTextFormat:

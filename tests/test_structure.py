@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from perron import matcore, structure
-from generators import planted_block_matrix, random_irreducible, random_nonneg
+from perron import cli, matcore, solver, structure
+from generators import (
+    planted_block_matrix,
+    random_irreducible,
+    random_nonneg,
+    reducible_base,
+)
 from oracles import nilpotency_oracle, strongly_connected_bool
 
 
@@ -113,6 +118,18 @@ class TestFrobeniusNormalForm:
             sb = sorted(structure.frobenius_normal_form(b).block_sizes)
             assert sa == sb
 
+    def test_carries_irreducibility_and_nilpotency(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 8))
+            a = random_nonneg(rng, n, scale=1.0, density=0.3)
+            if rng.random() < 0.5:
+                a = np.triu(a, k=1)
+            fnf = structure.frobenius_normal_form(a)
+            assert fnf.irreducible == (n == 1 or strongly_connected_bool(a))
+            assert fnf.nilpotency_index == nilpotency_oracle(a)
+            assert np.array_equal(fnf.matrix, a)
+            assert not fnf.matrix.flags.writeable
+
     def test_deterministic(self, rng):
         a = random_nonneg(rng, 8, scale=1.0, density=0.3)
         f1 = structure.frobenius_normal_form(a)
@@ -144,6 +161,20 @@ class TestNilpotency:
             a = matcore.apply_symmetric_permutation(base, p)
             assert structure.nilpotency_index(a) == nilpotency_oracle(a)
 
+    def test_index_is_exact_when_float_powers_underflow(self):
+        # the real a^2 has the entry 1e-400, which is 0.0 in float64
+        a = np.array([[0.0, 1e-200, 0.0], [0.0, 0.0, 1e-200], [0.0, 0.0, 0.0]])
+        assert not (a @ a).any()
+        assert structure.nilpotency_index(a) == 3
+        assert nilpotency_oracle(a) == 3
+
+    def test_tiny_weights_agree_with_oracle(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 8))
+            base = 1e-120 * np.triu(random_nonneg(rng, n, scale=1.0, density=0.6), k=1)
+            a = matcore.apply_symmetric_permutation(base, rng.permutation(n))
+            assert structure.nilpotency_index(a) == nilpotency_oracle(a)
+
 
 class TestSpectralBlock:
     def test_diagonal_matrix_picks_the_max(self):
@@ -166,3 +197,44 @@ class TestSpectralBlock:
 
     def test_tie_breaks_to_lowest_index(self):
         assert structure.spectral_block(np.diag([2.0, 2.0])) == 0
+
+
+class TestOneAnalysisPerMatrix:
+    """Every consumer reuses one normal form: one SCC run per matrix."""
+
+    @pytest.fixture
+    def scc_calls(self, monkeypatch):
+        calls = []
+        original = structure.strongly_connected_components
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(structure, "strongly_connected_components", counting)
+        return calls
+
+    def test_perron_root_irreducible(self, scc_calls, rng):
+        solver.perron_root(random_irreducible(rng, 6))
+        assert len(scc_calls) == 1
+
+    def test_perron_root_reducible(self, scc_calls, rng):
+        a = reducible_base(rng)
+        solver.perron_root(a)
+        assert len(scc_calls) == 1
+
+    def test_perron_root_reuses_a_given_normal_form(self, scc_calls, rng):
+        for a in (random_irreducible(rng, 5), reducible_base(rng)):
+            fnf = structure.frobenius_normal_form(a)
+            scc_calls.clear()
+            from_fnf = solver.perron_root(fnf)
+            assert scc_calls == []
+            direct = solver.perron_root(a)
+            assert (from_fnf.lo, from_fnf.hi) == (direct.lo, direct.hi)
+            assert from_fnf.iterations == direct.iterations
+
+    @pytest.mark.parametrize("name", ["cycle3.txt", "blocks4.txt"])
+    def test_cli_analyze(self, scc_calls, fixtures_dir, capsys, name):
+        assert cli.main(["analyze", str(fixtures_dir / name)]) == 0
+        capsys.readouterr()
+        assert len(scc_calls) == 1
