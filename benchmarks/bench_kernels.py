@@ -1,10 +1,11 @@
-"""Time the jitted iteration kernel against its pure numpy twin.
+"""Time the certifying kernel on three matrices.
 
-Both implementations share one contract (see perron._kernels), so the
-comparison is apples to apples: same matrices, same tolerance, same
-iteration counts.  The interesting regime is a small matrix with a tiny
-spectral gap, where hundreds of thousands of cheap sweeps make per-sweep
-overhead the whole story.
+For each case, prints the iterations the kernel took (power sweeps and
+Noda steps), the best wall time over the repeats, and the certified
+width hi - lo.  The slow 2x2 has a spectral gap of about 2e-4, which
+power sweeps alone would need some 10^5 iterations for; the dense 8x8
+is the easy case, where per-call overhead is the cost; the ring is a
+sparse 32x32 with a cycle backbone.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -22,7 +23,6 @@ MAX_ITER = 10**6
 
 def workloads():
     rng = np.random.default_rng(7)
-    # near-defective 2x2: eigenvalue gap ~2e-4, ~3e5 sweeps to converge
     slow = np.array([[1.0, 1.0], [1e-8, 1.0]])
     dense8 = rng.uniform(0.1, 1.0, (8, 8))
     ring32 = np.zeros((32, 32))
@@ -36,12 +36,12 @@ def workloads():
     ]
 
 
-def best_time(fn, b, repeats):
+def best_time(b, repeats):
     best = np.inf
     result = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        result = fn(b, TOL, MAX_ITER)
+        result = _kernels.collatz_wielandt(b, TOL, MAX_ITER)
         best = min(best, time.perf_counter() - t0)
     return best, result
 
@@ -51,27 +51,14 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per case")
     args = parser.parse_args()
 
-    if not _kernels.NUMBA_ENABLED:
-        print("numba path unavailable (PERRON_NO_NUMBA set or numba missing);")
-        print("timing the numpy path only")
-
-    rows = [("case", "iterations", "numpy [ms]", "numba [ms]", "speedup")]
+    rows = [("case", "iterations", "ms", "width", "converged")]
     for name, b in workloads():
-        b = np.ascontiguousarray(b, dtype=np.float64)
-        if _kernels.NUMBA_ENABLED:
-            _kernels.collatz_wielandt_numba(b, TOL, MAX_ITER)  # compile outside timing
-        t_np, res = best_time(_kernels.collatz_wielandt_numpy, b, args.repeats)
-        if _kernels.NUMBA_ENABLED:
-            t_nb, res_nb = best_time(_kernels.collatz_wielandt_numba, b, args.repeats)
-            # summation order differs between the paths, so the bounds can
-            # sit a few ulps apart; both intervals enclose the radius
-            assert max(res[0], res_nb[0]) <= min(res[1], res_nb[1]), "kernels disagree"
-            rows.append((name, str(res[3]), f"{t_np * 1e3:.2f}",
-                         f"{t_nb * 1e3:.2f}", f"{t_np / t_nb:.1f}x"))
-        else:
-            rows.append((name, str(res[3]), f"{t_np * 1e3:.2f}", "-", "-"))
+        t, (lo, hi, _, iterations, converged) = best_time(
+            np.ascontiguousarray(b, dtype=np.float64), args.repeats)
+        rows.append((name, str(iterations), f"{t * 1e3:.3f}", f"{hi - lo:.3g}",
+                     "yes" if converged else "no"))
 
-    widths = [max(len(r[i]) for r in rows) for i in range(5)]
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
     return 0

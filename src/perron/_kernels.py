@@ -1,100 +1,214 @@
-"""Hot loop of the solver: shifted power iteration with ratio bounds.
+"""The solver's kernel: propose a Perron vector, then certify it.
 
-Iterates x <- (B + I)x / ||(B + I)x||_1 from the uniform positive start.
-For every strictly positive x the ratios of ((B + I)x) to x, minus the
-shift, enclose the spectral radius of B, so each sweep yields a certified
-interval; the shift makes the iteration converge even for periodic
-patterns such as cycles.
+``collatz_wielandt(b, tol, max_iter) -> (lo, hi, x, iterations, converged)``
+for a nonnegative irreducible ``b`` with n >= 2.  For every x > 0 the
+Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
+their minimum and their maximum.  ``lo`` and ``hi`` are those extremes
+widened outward for every rounding error their float computation can
+carry, so they hold the radius of the stored floats whatever method
+proposed x.
 
-Two interchangeable implementations of the same contract live here: a
-numba-jitted kernel and a pure numpy twin.  The jitted kernel is used by
-default; set ``PERRON_NO_NUMBA=1`` in the environment (before import) to
-select the numpy path, e.g. where numba is unavailable or for timing
-comparisons (see benchmarks/bench_kernels.py).
+1. Prescaling: an input whose largest row sum lies outside
+   [2^-400, 2^400] is scaled by an exact power of two, which keeps the
+   products clear of overflow and underflow; the bounds are scaled back
+   outward.
+2. Proposal: power sweeps x <- bx, while they contract well.  Once the
+   sweeps still needed, extrapolated from the contraction seen over the
+   last two, exceed what the Noda phase costs (about four steps, each a
+   solve and a sweep), or a sweep stalls or underflows (a cycle, a tiny
+   spectral gap), the kernel switches to Noda steps
+   x <- (hi I - b)^-1 x, with hi the current upper bound (Noda, Numer.
+   Math. 16, 1971; Elsner, LAA 15, 1976).  They converge superlinearly
+   whatever the spectral gap, and need no shift for periodic patterns.
+3. Certification (``_certify``): a ratio over a row with k nonzeros
+   carries k + 1 roundings, so the exact ratio is within a relative
+   gamma_{k+1} = (k+1)u / (1 - (k+1)u) of it, or slightly more (Higham,
+   Accuracy and Stability of Numerical Algorithms, ch. 3; sums of
+   nonnegative terms cannot cancel), plus an absolute term for results
+   that underflow.  k is taken as n until that bound would use most of
+   ``tol``, then counted.  Where it still exceeds ``tol`` once the ratios
+   agree to rounding, the final vector is certified once more in
+   np.longdouble, in row blocks; where longdouble is float64 that gains
+   nothing but stays sound.
+
+The kernel stops when the certified width, underflow slack aside (it
+does not shrink with iteration), meets ``tol``, at
+``max_iter``, or at the floor of floating point: the ratio spread is
+down to what rounding alone makes, or three Noda steps in a row shrink
+it by less than an eighth.
 """
 
-import os
+import math
 
 import numpy as np
 
-__all__ = ["collatz_wielandt", "collatz_wielandt_numpy", "collatz_wielandt_numba",
-           "NUMBA_ENABLED"]
+__all__ = ["collatz_wielandt"]
+
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
+_LOW, _HIGH = 2.0**-400, 2.0**400  # row sums left unscaled
+_LD_BLOCK = 1 << 16  # entries per row block of the longdouble pass
+_NODA_STEPS = 4  # Noda steps the switch rule expects to need
+_STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
+# the ufunc reductions skip ndarray.min/max's Python-level wrapper, which
+# costs as much as the rest of a sweep at small n
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
-def collatz_wielandt_numpy(b, tol, max_iter):
-    """Pure numpy path.  Returns (lo, hi, x, iterations, converged)."""
-    n = b.shape[0]
-    x = np.full(n, 1.0 / n)
-    lo = 0.0
-    hi = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        y = b @ x + x
-        r = y / x
-        lo = float(r.min()) - 1.0
-        hi = float(r.max()) - 1.0
-        x = y / y.sum()
-        if hi - lo <= tol:
-            return lo, hi, x, it, True
-    return lo, hi, x, it, False
+def _gamma(k, u):
+    """Relative bound g for a ratio over a row with k nonzeros.
+
+    The computed ratio is within a factor 1 +- gamma_{k+1} of the exact
+    one, so the exact one is within r / (1 -+ gamma_{k+1}), and
+    1 / (1 - gamma_m) = 1 + mu / (1 - 2mu).  The extra 4u covers the
+    roundings of ``_widen``'s scalar arithmetic, done in the type of u;
+    1 - 2mu is exact there.
+    """
+    return (k + 1) * u / (1 - 2 * (k + 1) * u) + 4 * u
 
 
-def _cw_loop(b, tol, max_iter):
-    # same contract as collatz_wielandt_numpy; written with explicit loops
-    # so numba compiles it to straight-line code (n is tiny, BLAS dispatch
-    # per iteration would dominate)
-    n = b.shape[0]
-    x = np.full(n, 1.0 / n)
-    y = np.empty(n)
-    lo = 0.0
-    hi = np.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        for i in range(n):
-            acc = x[i]
-            row = b[i]
-            for j in range(n):
-                acc += row[j] * x[j]
-            y[i] = acc
-        rmin = np.inf
-        rmax = 0.0
-        total = 0.0
-        for i in range(n):
-            r = y[i] / x[i]
-            if r < rmin:
-                rmin = r
-            if r > rmax:
-                rmax = r
-            total += y[i]
-        lo = rmin - 1.0
-        hi = rmax - 1.0
-        for i in range(n):
-            x[i] = y[i] / total
-        if hi - lo <= tol:
-            return lo, hi, x, it, True
-    return lo, hi, x, it, False
+def _widen(rmin, rmax, g, slack):
+    """Bounds on the exact ratios from the computed extremes: each exact
+    ratio is within a relative g and an absolute ``slack`` of its
+    computed value.  lo is clamped at 0, the radius being nonnegative."""
+    lo = rmin - (rmin * g + slack)
+    return max(lo, 0.0), rmax + rmax * g + slack
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("PERRON_NO_NUMBA", "").strip().lower()
-    return flag not in ("1", "true", "yes", "on")
+def _longdouble_bounds(b, x, k, slack):
+    """Widened ratio extremes of x, computed in np.longdouble row blocks."""
+    xl = x.astype(np.longdouble)
+    rows = max(1, _LD_BLOCK // b.shape[1])
+    rmin, rmax = np.longdouble(np.inf), np.longdouble(0)
+    for s in range(0, b.shape[0], rows):
+        r = np.einsum("ij,j->i", b[s:s + rows].astype(np.longdouble), xl)
+        r /= xl[s:s + rows]
+        rmin, rmax = min(rmin, r.min()), max(rmax, r.max())
+    # np.finfo is looked up here, not at import: it costs a millisecond
+    g = _gamma(k, np.finfo(np.longdouble).eps / 2)
+    lo, hi = _widen(rmin, rmax, g, np.longdouble(slack))
+    flo, fhi = float(lo), float(hi)  # rounded to nearest, so step outward
+    return (math.nextafter(flo, 0.0) if flo > lo else flo,
+            math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
-collatz_wielandt_numba = None
-NUMBA_ENABLED = False
+def _certify(b, x, rmin, rmax, g, k, tol_s):
+    """Outward bounds on the radius from x's computed ratio extremes."""
+    # absolute slack per ratio: k + 1 roundings in the product and the
+    # ratio that may underflow, and up to n entries that prescaling pushed
+    # below the normal range, each off by at most _TINY / 2 relative to
+    # x_i >= min x (max x = 1)
+    slack = (b.shape[0] + 2) * _TINY / float(_min(x))
+    lo, hi = _widen(rmin, rmax, g, slack)
+    if hi - lo > tol_s and rmax - rmin <= 2.0 * g * rmax:
+        # at the floor of float64: certify x once more in longdouble
+        l_lo, l_hi = _longdouble_bounds(b, x, k or b.shape[0], slack)
+        lo, hi = max(lo, l_lo), min(hi, l_hi)
+    return lo, hi
 
-if _want_numba():
+
+def _unscale(v, e, toward):
+    """v * 2^e, rounded toward ``toward`` where that is not exact."""
+    if not e:
+        return v
     try:
-        import numba
-    except ImportError:
-        numba = None
-    if numba is not None:
-        collatz_wielandt_numba = numba.njit(cache=True)(_cw_loop)
-        NUMBA_ENABLED = True
+        w = math.ldexp(v, e)
+    except OverflowError:
+        return math.inf if toward > v else np.finfo(np.float64).max
+    return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
 
-if NUMBA_ENABLED:
-    collatz_wielandt = collatz_wielandt_numba
-else:
-    collatz_wielandt = collatz_wielandt_numpy
+
+def collatz_wielandt(b, tol, max_iter):
+    """Certified Collatz-Wielandt interval of nonnegative irreducible b.
+
+    Returns (lo, hi, x, iterations, converged): the certified interval,
+    the final iterate (1-norm one), the number of vectors tried (the
+    start vector, sweeps and Noda steps), and whether hi - lo <= tol.
+    """
+    # overflow, zero division and the NaN it makes are detected and
+    # handled below, not warned about
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _collatz_wielandt(b, tol, max_iter)
+
+
+def _collatz_wielandt(b, tol, max_iter):
+    n = b.shape[0]
+    z = b.sum(axis=1)  # b times the start vector, all ones
+    rsum = float(_max(z))
+    e = 0
+    if not _LOW <= rsum <= _HIGH and rsum > 0.0:
+        e = math.frexp(rsum)[1] if math.isfinite(rsum) else (
+            math.frexp(float(_max(b, axis=None)))[1] + n.bit_length())
+        b = np.ldexp(b, -e)
+        z = b.sum(axis=1)
+    try:
+        tol_s = math.ldexp(tol, -e)
+    except OverflowError:
+        tol_s = math.inf
+    # sweeps the Noda phase costs, each step a solve and a sweep.  Timed
+    # with numpy and one BLAS thread, a solve costs about n^2 / 1200
+    # sweeps up to n = 300 and n / 4 beyond (an n^3 / 3 factorization
+    # against an n^2 product), and one sweep at n <= 16
+    noda_cost = _NODA_STEPS * (2.0 + min(n * n / 1200, n / 4))
+
+    k, g = None, _gamma(n, _U)  # the row length bounds the nonzero count
+    x = np.ones(n)
+    rmin, rmax = float(_min(z)), float(_max(z))
+    raws = []
+    noda = False
+    stalls = 0
+    it = 1
+    while True:
+        raw = rmax - rmin
+        floor = 2.0 * g * rmax  # the spread rounding alone can produce
+        if k is None and (floor > 0.75 * tol_s or raw <= floor):
+            # rounding would take most of tol: count the nonzeros per row
+            k = int(_max(np.count_nonzero(b, axis=1)))
+            g = _gamma(k, _U)
+            floor = 2.0 * g * rmax
+        # raw + floor is the certified width but for the underflow slack,
+        # which depends on x's spread and does not shrink with iteration
+        if raw + floor <= tol_s or raw <= floor or it >= max_iter:
+            break
+        if noda:
+            stalls = stalls + 1 if raw > 0.875 * raws[-1] else 0
+            if stalls >= _STALLS:
+                break
+        elif len(raws) >= 2 and raws[-2] > 0.0:
+            # switch once the sweeps still needed, at the contraction seen
+            # over the last two, exceed the cost of the Noda phase
+            q = math.sqrt(raw / raws[-2])
+            target = max(0.5 * tol_s, floor)
+            noda = q >= 1.0 or math.log(target / raw) < noda_cost * math.log(q)
+        raws.append(raw)
+        it += 1
+        if noda:
+            # the step in the basis where x is all ones: D^-1 b D with
+            # D = diag(x) has row sums r_i <= rmax, so hi I - D^-1 b D is
+            # diagonally dominant, and the solve keeps every component of
+            # a vector spanning hundreds of orders of magnitude
+            m = b * x
+            m /= -x[:, None]
+            m.flat[::n + 1] += rmax + rmax * g
+            try:
+                y = np.linalg.solve(m, np.ones(n))
+            except np.linalg.LinAlgError:
+                break
+            y *= x
+            y /= _max(y)
+            if not _min(y) > 0.0:  # also catches NaN
+                break
+        else:
+            y = z / _max(z)
+        z_new = b @ y
+        r = z_new / y
+        r_lo, r_hi = float(_min(r)), float(_max(r))
+        if not r_hi < math.inf:  # an entry of y underflowed to zero
+            if noda:
+                break
+            noda = True  # hand over to Noda from x
+            continue
+        x, z, rmin, rmax = y, z_new, r_lo, r_hi
+    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s)
+    lo, hi = _unscale(lo, e, 0.0), _unscale(hi, e, math.inf)
+    return lo, hi, x / x.sum(), it, hi - lo <= tol

@@ -117,8 +117,9 @@ def cmd_analyze(args) -> int:
             ("right_vector", [_f(v) for v in cert.right_vector]),
             ("left_vector", [_f(v) for v in cert.left_vector]),
             ("q_star", _f(solver.q_star(cert))),
-            ("residual", _f(cert.residual)),
         ]
+    if cert.residual is not None:  # None also when it overflows
+        pairs.append(("residual", _f(cert.residual)))
     _emit_pairs(pairs, args.format)
     return 0
 

@@ -40,13 +40,20 @@ def continuity_certificate(
     a_prime only needs nonnegativity, it may be reducible or even zero;
     a itself must be irreducible, since that is what makes its left
     Perron vector strictly positive.  The bound is
-    ||a_prime - a||_F / q_star.
+    ||a_prime - a||_F / q_star.  q_star is read off the left vector, so a
+    base certificate that did not converge within ``max_iter`` raises
+    ValueError: its left vector can be far from the Perron vector.
     """
     m = matcore.nonneg_matrix(a)
     mp = matcore.nonneg_matrix(a_prime)
     if mp.shape != m.shape:
         raise ValueError(f"shape mismatch: matrix {m.shape}, perturbed {mp.shape}")
     cert = solver.perron_irreducible(m, tol=tol, max_iter=max_iter)
+    if not cert.converged:
+        raise ValueError(
+            f"base certificate did not converge within max_iter={max_iter}, "
+            "so q_star is not reliable; raise max_iter or tol"
+        )
     qs = solver.q_star(cert)
     e_norm = matcore.frobenius_norm(mp - m)
     bound = e_norm / qs

@@ -1,10 +1,13 @@
 """Certified Perron root and Perron vector computation.
 
-Irreducible matrices get a Collatz-Wielandt interval from a shifted power
-iteration; reducible matrices are split into irreducible diagonal blocks
-first and the block intervals are combined.  Certificates report closed
-intervals [lo, hi] that always contain the spectral radius, converged or
-not; ``converged`` says whether the requested width was reached.
+Irreducible matrices get a Collatz-Wielandt interval from the kernel
+(``_kernels.collatz_wielandt``: power sweeps handing over to Noda steps,
+bounds rounded outward), run on the matrix and on its transpose; the two
+intervals both hold the radius, so their intersection is reported.
+Reducible matrices are split into irreducible diagonal blocks first and
+the block intervals are combined.  Certificates report closed intervals
+[lo, hi] that always contain the spectral radius, converged or not;
+``converged`` says whether both passes reached the requested width.
 """
 
 import math
@@ -36,7 +39,9 @@ class PerronCertificate:
     ``right_vector`` and ``left_vector`` are 1-norm-normalized nonnegative
     eigenvector approximations, present only when the certified matrix is
     irreducible (strictly positive then, for n >= 2).  ``residual`` is
-    ||A v - mid v||_1 for the right vector, None when no vector is carried.
+    ||A v - mid v||_1 for the right vector, None when no vector is carried
+    or the residual overflows.  ``hi`` is infinite when the radius
+    exceeds the largest float.
     """
 
     lo: float
@@ -77,9 +82,9 @@ def _validate_iteration_params(tol, max_iter):
 def perron_irreducible(b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertificate:
     """Certify the Perron root and both Perron vectors of an irreducible matrix.
 
-    The interval comes from the final ratio bounds of the shifted power
-    iteration; the left vector is obtained by running the same iteration
-    on the transpose.  A 1x1 matrix is certified exactly.  Raises
+    The kernel certifies the matrix, giving the right vector, and its
+    transpose, giving the left vector; the interval is the intersection
+    of the two certified intervals.  A 1x1 matrix is certified exactly.  Raises
     ValueError for reducible input; running out of iterations is not an
     error, the certificate is returned wide with ``converged=False``.
     """
@@ -102,12 +107,14 @@ def _certify_irreducible(m, tol, max_iter) -> PerronCertificate:
             residual=0.0, iterations=0, converged=True,
         )
     lo, hi, x, iters, conv = collatz_wielandt(m, tol, max_iter)
-    lo = max(lo, 0.0)
     lt_lo, lt_hi, y, lt_iters, lt_conv = collatz_wielandt(
         np.ascontiguousarray(m.T), tol, max_iter
     )
-    mid = 0.5 * (lo + hi)
-    residual = matcore.one_norm_vec(m @ x - mid * x)
+    # rho(A) = rho(A^T): both intervals hold it
+    lo, hi = max(lo, lt_lo), min(hi, lt_hi)
+    with np.errstate(over="ignore", invalid="ignore"):  # hi may be inf
+        res = m @ x - 0.5 * (lo + hi) * x
+    residual = matcore.one_norm_vec(res) if np.isfinite(res).all() else None
     return PerronCertificate(
         lo=lo,
         hi=hi,

@@ -13,12 +13,3 @@ def rng():
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return pathlib.Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernel():
-    # the first jitted call pays the compile cost; take it once up front
-    # so no individual test looks slow
-    import perron
-
-    perron.perron_irreducible([[0.0, 1.0], [1.0, 0.0]])

@@ -2,11 +2,12 @@
 
 Nothing here calls the package's solver; these are separate code paths
 (dense eigenvalues, determinant bisection, closed-form characteristic
-roots, boolean reachability) so that agreement with the library is
-evidence and not circularity.
+roots, exact rational M-matrix tests, boolean reachability) so that
+agreement with the library is evidence and not circularity.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,6 +36,42 @@ def cw_midpoint(a, max_iter=10**6, stop=1e-13) -> float:
             break
         x = y / y.sum()
     return 0.5 * (lo + hi)
+
+
+def _leading_minors_positive(t, a) -> bool:
+    """Whether every leading principal minor of t*I - a is positive, in
+    exact rational arithmetic on the stored floats."""
+    n = a.shape[0]
+    m = [[Fraction(t) * (i == j) - Fraction(float(a[i, j])) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):  # Gaussian elimination: the k-th pivot is minor_k / minor_k-1
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def encloses_radius(a, lo: float, hi: float) -> bool:
+    """Whether [lo, hi] holds the spectral radius of the stored floats.
+
+    For nonnegative a and t >= 0, t*I - a is a nonsingular M-matrix
+    exactly when t > rho(a), and a Z-matrix is one exactly when all its
+    leading principal minors are positive.  So lo <= rho iff those minors
+    are not all positive at lo, and hi >= rho iff they are all positive
+    just above hi: at hi + 2^-200 hi + 2^-1200, which is past a rational
+    radius equal to hi and far short of the next float.  Exact, so it
+    sees a bound that is one ulp off.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if _leading_minors_positive(lo, a):
+        return False  # lo > rho
+    if hi == math.inf:
+        return True
+    above = Fraction(hi) * (1 + Fraction(1, 2**200)) + Fraction(1, 2**1200)
+    return _leading_minors_positive(above, a)
 
 
 def _charpoly_at(a: np.ndarray, x: float) -> float:

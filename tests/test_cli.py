@@ -37,6 +37,17 @@ class TestAnalyze:
         assert len(vec) == 3 and abs(sum(vec) - 1.0) <= 1e-12
         assert abs(float(_value(out, "q_star")) - 1.0 / 3.0) <= 1e-12
 
+    def test_radius_above_largest_float(self, run, tmp_path):
+        # rho = 2e308: a finite lo, hi infinite, no residual line
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e308 1e308\n1e308 1e308\n")
+        code, out, err = run("analyze", str(path))
+        assert code == 0 and err == ""
+        assert float(_value(out, "rho_lo")) == 1.7976931348623157e308
+        assert _value(out, "rho_hi") == "inf"
+        assert _value(out, "converged") == "no"
+        assert "residual" not in out
+
     def test_reducible_matrix(self, run):
         code, out, err = run("analyze", "triangular2.txt")
         assert code == 0
@@ -102,6 +113,14 @@ class TestCertify:
         code, out, err = run("certify", "triangular2.txt", "triangular2.txt")
         assert code == 3 and out == ""
         assert "analyze" in err
+
+    def test_unconverged_base_refused(self, run, tmp_path):
+        base = tmp_path / "slow2.txt"
+        base.write_text("2\n1 1\n1e-8 1\n")
+        code, out, err = run("certify", str(base), "cycle2_perturbed.txt",
+                             "--max-iter", "1")
+        assert code == 3 and out == ""
+        assert "did not converge" in err
 
     def test_shape_mismatch(self, run):
         code, _, err = run("certify", "cycle2.txt", "cycle3.txt")

@@ -73,6 +73,17 @@ class TestContinuityCertificate:
         with pytest.raises(ValueError, match="shape"):
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[1.0]])
 
+    def test_rejects_unconverged_base(self):
+        # one sweep leaves the left vector far from the Perron vector:
+        # its min entry is 0.4 where the true q_star is 1e-4, which made
+        # the bound 2.5e-6 fall below the real shift 9.05e-4
+        a = [[1.0, 1.0], [1e-8, 1.0]]
+        a_prime = [[1.0, 1.0], [1e-8 + 1e-6, 1.0]]
+        with pytest.raises(ValueError, match="did not converge"):
+            perturb.continuity_certificate(a, a_prime, max_iter=1)
+        res = perturb.continuity_certificate(a, a_prime)
+        assert res.enclosure[0] <= eig_radius(a_prime) <= res.enclosure[1]
+
     def test_rejects_negative_perturbed_entry(self):
         with pytest.raises(ValueError):
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.01]])

@@ -1,12 +1,15 @@
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from perron import matcore, solver, structure
+from perron import _kernels, matcore, solver, structure
 from generators import random_irreducible, random_nonneg
-from oracles import eig_radius
+from oracles import eig_radius, encloses_radius
 
 
 class TestPerronIrreducible:
@@ -64,6 +67,151 @@ class TestPerronIrreducible:
             solver.perron_irreducible([[2.0]], tol=0.0)
         with pytest.raises(ValueError):
             solver.perron_irreducible([[2.0]], max_iter=0)
+
+
+def _near_reducible(eps):
+    """Two 3x3 positive blocks joined both ways by couplings of size eps,
+    drawn from a fixed stream in a fixed order (two matrices per size)."""
+    fixed = np.random.default_rng(1407)
+    out = {}
+    for size in (1e-3, 1e-6, 1e-9, 1e-12):
+        for c in range(2):
+            a = np.zeros((6, 6))
+            a[:3, :3] = fixed.uniform(0.5, 1.5, (3, 3))
+            a[3:, 3:] = fixed.uniform(0.5, 1.5, (3, 3))
+            a[:3, 3:] = size * fixed.uniform(0.5, 1.5, (3, 3))
+            a[3:, :3] = size * fixed.uniform(0.5, 1.5, (3, 3))
+            out[size, c] = a
+    return [out[eps, c] for c in range(2)]
+
+
+_BASE_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
+
+
+class TestCertifiedBounds:
+    """Bounds rounded outward hold the radius of the stored floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=-1074, max_value=1020))
+    @example(-1074)
+    @example(-1022)
+    @example(1020)
+    def test_scaled_2x2_at_every_scale(self, k):
+        # 2^k * [[1,2],[3,4]] is exact for every k here, subnormal to near
+        # overflow; its radius is 2^k * (5 + sqrt(33)) / 2
+        cert = solver.perron_root(np.ldexp(_BASE_2X2, k))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            rho = (5 + decimal.Decimal(33).sqrt()) / 2
+            # scaling a float by 2^-k back to O(1) is exact
+            assert decimal.Decimal(math.ldexp(cert.lo, -k)) <= rho
+            assert rho <= decimal.Decimal(math.ldexp(cert.hi, -k))
+
+    @pytest.mark.parametrize("k", [-1074, -1073, -1072, -1060, -1030])
+    def test_subnormal_radius_at_smallest_tol(self, k):
+        # iterating to the float floor puts the scaled bounds within an ulp
+        # of the radius; scaling them back into the subnormal range rounds,
+        # and must round outward
+        cert = solver.perron_root(np.ldexp(_BASE_2X2, k), tol=5e-324)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            rho = (5 + decimal.Decimal(33).sqrt()) / 2
+            assert decimal.Decimal(math.ldexp(cert.lo, -k)) <= rho
+            assert rho <= decimal.Decimal(math.ldexp(cert.hi, -k))
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_near_reducible_coupling(self, c):
+        # Perron vector entries differ by ~1e-9: the unrounded bound fell
+        # one ulp short of the radius
+        a = _near_reducible(1e-9)[c]
+        cert = solver.perron_root(a)
+        assert encloses_radius(a, cert.lo, cert.hi)
+
+    def test_easy_dense_one_ulp_case(self):
+        # uniform(0, 10) draw whose unrounded hi was one ulp below the radius
+        a = np.array([[6.667037720610733, 1.725115609166944],
+                      [5.4850194618379335, 0.2012541969169379]])
+        cert = solver.perron_root(a)
+        assert encloses_radius(a, cert.lo, cert.hi)
+        assert cert.converged
+
+    def test_random_matrices_exact_enclosure(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            a = random_nonneg(rng, n, scale=10.0 ** float(rng.uniform(-30, 30)))
+            cert = solver.perron_root(a)
+            assert encloses_radius(a, cert.lo, cert.hi)
+
+    def test_entries_spanning_the_exponent_range(self):
+        # prescaled by 2^-988: entries below 2^-34 land under the normal
+        # range and products underflow, which the absolute slack covers
+        # (the interval is sound, if wide)
+        a = np.array([
+            [3.8836278624133076e+134, 3.544293627177226e-43, 4.642800716908912e+260,
+             1.6278330345500606e+221],
+            [5.215527635766868e-283, 0.0, 4.5985254435802855e-42, 0.03871381652509045],
+            [3.763944288425527e+35, 1.6375648347570546e+222, 2.8610590525129236e-09,
+             2.355421776031062e+57],
+            [0.0, 2.3518241449067493e+297, 2.7435119332909727e-220,
+             1.6535490684945394e-193],
+        ])
+        cert = solver.perron_root(a)
+        assert encloses_radius(a, cert.lo, cert.hi)
+
+    def test_weak_cycle(self):
+        # every eigenvalue has modulus w^(1/6): power sweeps make no
+        # progress and the Perron vector spans 250 orders of magnitude
+        w = 1e-300
+        a = np.zeros((6, 6))
+        a[np.arange(6), (np.arange(6) + 1) % 6] = 1.0
+        a[2, 3] = w
+        cert = solver.perron_root(a)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            rho = decimal.Decimal(w) ** (decimal.Decimal(1) / 6)
+            assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+        assert cert.converged
+
+    def test_radius_above_largest_float(self):
+        # rho = 2e308 exceeds DBL_MAX: a finite certified lo, hi infinite
+        a = [[1e308, 1e308], [1e308, 1e308]]
+        cert = solver.perron_root(a)
+        assert encloses_radius(a, cert.lo, cert.hi)
+        assert cert.lo == np.finfo(np.float64).max
+        assert cert.hi == math.inf
+        assert cert.residual is None
+        assert not cert.converged
+
+    def test_stops_at_the_float_floor(self):
+        # rho ~ 5.8e301: an absolute tol of 1e-12 is far below one ulp, so
+        # the kernel stops once the ratios agree to rounding, not at max_iter
+        cert = solver.perron_root(np.ldexp(_BASE_2X2, 1000), tol=1e-12)
+        assert not cert.converged
+        assert cert.iterations < 100
+        assert cert.width <= 1e-14 * cert.hi
+
+    def test_longdouble_recertification_meets_tol(self, rng):
+        # rho ~ 100 over rows of 100 nonzeros: the float64 rounding bound
+        # alone, 2 * gamma_101 * rho, is wider than tol
+        a = rng.uniform(0.5, 1.5, (100, 100))
+        assert 2 * 101 * 2.0**-53 * eig_radius(a) > solver.DEFAULT_TOL
+        cert = solver.perron_root(a)
+        assert cert.converged and cert.width <= solver.DEFAULT_TOL
+        assert cert.lo <= eig_radius(a) * (1 + 1e-12)
+        assert eig_radius(a) * (1 - 1e-12) <= cert.hi
+
+    def test_intersects_both_passes(self, rng):
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            a = random_irreducible(rng, n)
+            m = matcore.nonneg_matrix(a)
+            r_lo, r_hi = _kernels.collatz_wielandt(m, solver.DEFAULT_TOL, 5)[:2]
+            l_lo, l_hi = _kernels.collatz_wielandt(
+                np.ascontiguousarray(m.T), solver.DEFAULT_TOL, 5)[:2]
+            cert = solver.perron_irreducible(a, max_iter=5)
+            assert (cert.lo, cert.hi) == (max(r_lo, l_lo), min(r_hi, l_hi))
+            assert r_lo <= cert.lo <= cert.hi <= r_hi
+            assert l_lo <= cert.lo <= cert.hi <= l_hi
 
 
 class TestPerronRoot:
