@@ -1,11 +1,14 @@
-"""Time the certifying kernel on three matrices.
+"""Time the certifying kernel on five matrices.
 
-For each case, prints the iterations the kernel took (power sweeps and
-Noda steps), the best wall time over the repeats, and the certified
-width hi - lo.  The slow 2x2 has a spectral gap of about 2e-4, which
-power sweeps alone would need some 10^5 iterations for; the dense 8x8
-is the easy case, where per-call overhead is the cost; the ring is a
-sparse 32x32 with a cycle backbone.
+For each case, prints the vectors the kernel tried (the ones vector, an
+eig proposal, power sweeps and Noda steps), the best wall time over the
+repeats, and the certified width hi - lo.  The slow 2x2 has a spectral
+gap of about 2e-4, which power sweeps alone would need some 10^5
+iterations for; the dense 8x8 is the easy case at the largest size that
+gets an eig proposal, and the dense 12x12 the same just above it, where
+per-call overhead is the cost; the weak 6-cycle, one weight 1e-300, has
+every eigenvalue on one circle and a Perron vector spanning 250 orders
+of magnitude; the ring is a sparse 32x32 with a cycle backbone.
 
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
@@ -25,6 +28,10 @@ def workloads():
     rng = np.random.default_rng(7)
     slow = np.array([[1.0, 1.0], [1e-8, 1.0]])
     dense8 = rng.uniform(0.1, 1.0, (8, 8))
+    dense12 = rng.uniform(0.1, 1.0, (12, 12))
+    cycle6 = np.zeros((6, 6))
+    cycle6[np.arange(6), (np.arange(6) + 1) % 6] = 1.0
+    cycle6[2, 3] = 1e-300
     ring32 = np.zeros((32, 32))
     for i in range(32):
         ring32[i, (i + 1) % 32] = 1.0
@@ -32,6 +39,8 @@ def workloads():
     return [
         ("slow 2x2 (gap 2e-4)", slow),
         ("dense 8x8", dense8),
+        ("dense 12x12", dense12),
+        ("weak 6-cycle (1e-300)", cycle6),
         ("ring+noise 32x32", ring32),
     ]
 

@@ -12,7 +12,15 @@ proposed x.
    [2^-400, 2^400] is scaled by an exact power of two, which keeps the
    products clear of overflow and underflow; the bounds are scaled back
    outward.
-2. Proposal: power sweeps x <- bx, while they contract well.  Once the
+2. Proposal: from the all-ones vector.  For n <= 8 and max_iter >= 2,
+   the eigenvector LAPACK's dgeev gives for the eigenvalue of largest
+   real part (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide,
+   1999), sign flipped and scaled to max 1, is tried next, as one
+   iteration.  It is kept only when it is positive, its ratios spread
+   less than the ones vector's, and its underflow slack stays under half
+   of ``tol``; it usually lands at the floor of floating point at once.
+   From there, or from the ones vector, power sweeps x <- bx run while
+   they contract well.  Once the
    sweeps still needed, extrapolated from the contraction seen over the
    last two, exceed what the Noda phase costs (about four steps, each a
    solve and a sweep), or a sweep stalls or underflows (a cycle, a tiny
@@ -50,6 +58,11 @@ _LOW, _HIGH = 2.0**-400, 2.0**400  # row sums left unscaled
 _LD_BLOCK = 1 << 16  # entries per row block of the longdouble pass
 _NODA_STEPS = 4  # Noda steps the switch rule expects to need
 _STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
+# largest n that gets an eig proposal.  Timed with numpy 2.4 and one
+# BLAS thread on a 2-core x86_64 host, np.linalg.eig costs 25 us at
+# n = 2 and 50 us at n = 8, about one or two sweeps' overhead, but
+# 135 us at n = 16, a whole kernel call there, and 1.4 ms at n = 48
+_EIG_N = 8
 # the ufunc reductions skip ndarray.min/max's Python-level wrapper, which
 # costs as much as the rest of a sweep at small n
 _min, _max = np.minimum.reduce, np.maximum.reduce
@@ -92,6 +105,30 @@ def _longdouble_bounds(b, x, k, slack):
             math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
+def _eig_proposal(b, spread, tol_s):
+    """LAPACK's Perron vector y of b, with by and the extremes of by / y.
+
+    None when eig fails or y is not a better start than the ones vector:
+    an entry not positive, a ratio spread not below ``spread``, or an
+    underflow slack (see ``_certify``) of half of ``tol_s`` or more.
+    """
+    try:
+        w, v = np.linalg.eig(b)
+    except np.linalg.LinAlgError:
+        return None
+    y = v[:, np.argmax(w.real)].real
+    y = y / y[np.argmax(np.abs(y))]  # the sign flipped, max 1
+    if not _min(y) > 0.0:  # also catches NaN
+        return None
+    z = b @ y
+    r = z / y
+    r_lo, r_hi = float(_min(r)), float(_max(r))
+    if not (r_hi - r_lo < spread
+            and (b.shape[0] + 2) * _TINY / float(_min(y)) < 0.5 * tol_s):
+        return None
+    return y, z, r_lo, r_hi
+
+
 def _certify(b, x, rmin, rmax, g, k, tol_s):
     """Outward bounds on the radius from x's computed ratio extremes."""
     # absolute slack per ratio: k + 1 roundings in the product and the
@@ -123,7 +160,8 @@ def collatz_wielandt(b, tol, max_iter):
 
     Returns (lo, hi, x, iterations, converged): the certified interval,
     the final iterate (1-norm one), the number of vectors tried (the
-    start vector, sweeps and Noda steps), and whether hi - lo <= tol.
+    start vector, a kept eig proposal, sweeps and Noda steps), and
+    whether hi - lo <= tol.
     """
     # overflow, zero division and the NaN it makes are detected and
     # handled below, not warned about
@@ -154,10 +192,15 @@ def _collatz_wielandt(b, tol, max_iter):
     k, g = None, _gamma(n, _U)  # the row length bounds the nonzero count
     x = np.ones(n)
     rmin, rmax = float(_min(z)), float(_max(z))
+    it = 1
+    if n <= _EIG_N and max_iter >= 2:
+        proposal = _eig_proposal(b, rmax - rmin, tol_s)
+        if proposal is not None:
+            x, z, rmin, rmax = proposal
+            it = 2
     raws = []
     noda = False
     stalls = 0
-    it = 1
     while True:
         raw = rmax - rmin
         floor = 2.0 * g * rmax  # the spread rounding alone can produce

@@ -49,6 +49,8 @@ NILPOTENT_SLACK = 1e-10
 GELFAND_RTOL = 4e-14
 # scaling rows must reproduce alpha * residual to this relative error
 HOMOGENEITY_RTOL = 1e-12
+# _gelfand_values prescales a matrix whose 1-norm exceeds this
+_GELFAND_MAX_NORM = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -162,11 +164,18 @@ def run_irreducible_trace(
 
     Each row carries the a-priori bound s_k * ||direction||_F / q_star
     and is marked ok when the observed midpoint shift stays within the
-    bound plus both certificate widths.
+    bound plus both certificate widths.  q_star is read off the base's
+    left vector, so a base certificate that did not converge within
+    ``max_iter`` raises ValueError, as in ``continuity_certificate``.
     """
     if not spec.normal_form.irreducible:
         raise ValueError("base matrix is reducible; use run_reducible_trace")
     base_cert = solver.perron_root(spec.normal_form, tol=tol, max_iter=max_iter)
+    if not base_cert.converged:
+        raise ValueError(
+            f"base certificate did not converge within max_iter={max_iter}, "
+            "so q_star is not reliable; raise max_iter or tol"
+        )
     qs = solver.q_star(base_cert)
     per_scale = matcore.frobenius_norm(spec.direction) / qs
     rows = []
@@ -292,10 +301,27 @@ class GelfandTrace:
         return all(row.ok for row in self.rows)
 
 
+def _times_pow2(v: float, e: int) -> float:
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.inf
+
+
 def _gelfand_values(x: np.ndarray, m_max: int) -> list[float]:
     # f_m = ||x^m||_1^(1/m) for m = 1..m_max.  The running power is
     # renormalized every step and only log-norms accumulate, so large
-    # m cannot overflow.  m = 1 is returned exactly (no exp/log trip).
+    # m cannot overflow: every norm taken is at most about ||x||_1.  A
+    # matrix whose norm is near or above the largest float is first
+    # scaled by an exact power of two 2^-e, just below it; f_m is
+    # homogeneous, so f_m(x) = 2^e f_m(2^-e x), inf above the largest
+    # float.  m = 1 is returned exactly (no exp/log trip).
+    e = 0
+    with np.errstate(over="ignore"):
+        big = not x.sum(axis=0).max() <= _GELFAND_MAX_NORM
+    if big:
+        e = math.frexp(float(x.max()))[1] + x.shape[0].bit_length() - 1020
+        x = np.ldexp(x, -e)
     vals = []
     cur = x.copy()
     log_acc = 0.0
@@ -311,10 +337,21 @@ def _gelfand_values(x: np.ndarray, m_max: int) -> list[float]:
             dead = True
             vals.append(0.0)
             continue
-        vals.append(nrm if m == 1 else math.exp((log_acc + math.log(nrm)) / m))
+        f = nrm if m == 1 else math.exp((log_acc + math.log(nrm)) / m)
+        vals.append(_times_pow2(f, e))
         cur = cur / nrm
         log_acc += math.log(nrm)
     return vals
+
+
+def _finite_radius(m, tol, max_iter) -> solver.PerronCertificate:
+    cert = solver.perron_root(m, tol=tol, max_iter=max_iter)
+    if cert.hi == math.inf:
+        raise ValueError(
+            "the spectral radius exceeds the largest float, so f_m - rho is "
+            "not representable; scale the matrix down"
+        )
+    return cert
 
 
 def gelfand_trace(
@@ -324,13 +361,14 @@ def gelfand_trace(
 
     Every f_m dominates the radius, so rows are checked against lo of
     the certificate (with a tiny relative allowance for the log-space
-    round-off in f_m).
+    round-off in f_m).  A radius above the largest float raises
+    ValueError: f_m - rho cannot be formed.
     """
     m = matcore.nonneg_matrix(x)
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    cert = solver.perron_root(m, tol=tol, max_iter=max_iter)
+    cert = _finite_radius(m, tol, max_iter)
     floor = cert.lo * (1.0 - GELFAND_RTOL)
     rows = tuple(
         GelfandRow(m=i + 1, f_m=v, residual=v - cert.mid, ok=v >= floor)
@@ -383,13 +421,14 @@ def nonuniformity_demo(
     The reference radius of alpha X is taken as alpha * mid(X): exact by
     homogeneity, and it keeps the comparison free of a second iteration's
     noise.  Each row must reproduce alpha * residual(X) to relative
-    1e-12; residuals grow without bound as alpha grows.
+    1e-12; residuals grow without bound as alpha grows.  A radius above
+    the largest float, or an alpha X that overflows, raises ValueError.
     """
     mat = matcore.nonneg_matrix(x)
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    cert = solver.perron_root(mat, tol=tol, max_iter=max_iter)
+    cert = _finite_radius(mat, tol, max_iter)
     f = _gelfand_values(mat, m)[-1]
     residual = f - cert.mid
     # below certificate width (or eps-level noise) the gap is not
@@ -401,7 +440,11 @@ def nonuniformity_demo(
             alpha = float(alpha)
             if not (alpha > 0.0 and math.isfinite(alpha)):
                 raise ValueError(f"alphas must be positive and finite, got {alpha}")
-            f_scaled = _gelfand_values(alpha * mat, m)[-1]
+            with np.errstate(over="ignore"):
+                scaled = alpha * mat
+            if not np.isfinite(scaled).all():
+                raise ValueError(f"alpha {alpha} times the matrix overflows")
+            f_scaled = _gelfand_values(scaled, m)[-1]
             row_residual = f_scaled - alpha * cert.mid
             expected = alpha * residual
             rel_err = abs(row_residual - expected) / abs(expected)

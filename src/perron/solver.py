@@ -1,9 +1,10 @@
 """Certified Perron root and Perron vector computation.
 
 Irreducible matrices get a Collatz-Wielandt interval from the kernel
-(``_kernels.collatz_wielandt``: power sweeps handing over to Noda steps,
-bounds rounded outward), run on the matrix and on its transpose; the two
-intervals both hold the radius, so their intersection is reported.
+(``_kernels.collatz_wielandt``: an eig proposal for n <= 8, power sweeps
+handing over to Noda steps, bounds rounded outward), run on the matrix
+and on its transpose; the two intervals both hold the radius, so their
+intersection is reported.
 Reducible matrices are split into irreducible diagonal blocks first and
 the block intervals are combined.  Certificates report closed intervals
 [lo, hi] that always contain the spectral radius, converged or not;
@@ -54,7 +55,9 @@ class PerronCertificate:
 
     @property
     def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
+        mid = 0.5 * (self.lo + self.hi)
+        # lo + hi overflows for radii near the largest float
+        return mid if mid < math.inf else 0.5 * self.lo + 0.5 * self.hi
 
     @property
     def width(self) -> float:

@@ -134,6 +134,12 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     Entries of the permuted matrix below the block diagonal are exactly
     zero; each diagonal block is irreducible (1x1 blocks by convention).
 
+    When every off-diagonal entry is positive the digraph is complete,
+    so the matrix is one block and Tarjan is skipped (``perm`` is
+    0..n-1).  The check rejects a zero in row 0 first, which makes it
+    O(n) on a sparse matrix, and counts nonzeros without an n x n
+    temporary.
+
     The matrix is nilpotent iff every block is a 1x1 zero.  Entry (i, j)
     of a^k is positive iff a walk of k edges leads from i to j (products
     of nonnegative entries cannot cancel), so the index is the vertex
@@ -141,7 +147,12 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     """
     m = matcore.nonneg_matrix(a)
     m.flags.writeable = False
-    comps = strongly_connected_components(m)
+    n = m.shape[0]
+    complete = (
+        np.count_nonzero(m[0]) - (m[0, 0] != 0.0) == n - 1
+        and np.count_nonzero(m) - np.count_nonzero(m.diagonal()) == n * (n - 1)
+    )
+    comps = [list(range(n))] if complete else strongly_connected_components(m)
     perm = np.array([v for comp in comps for v in comp], dtype=np.intp)
     perm.flags.writeable = False
     ends = list(itertools.accumulate(len(comp) for comp in comps))
@@ -151,9 +162,9 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     for mat in mats:
         mat.flags.writeable = False
     index = None
-    if len(comps) == m.shape[0] and not m.diagonal().any():
+    if len(comps) == n and not m.diagonal().any():
         # acyclic: longest path by depth, in reverse topological order
-        adj, depth = _adjacency(m), [0] * m.shape[0]
+        adj, depth = _adjacency(m), [0] * n
         for v in reversed(perm.tolist()):
             depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
         index = max(depth)

@@ -197,6 +197,15 @@ class TestConverge:
         assert code == 0
         assert _value(out, "result") == "PASS"
 
+    def test_unconverged_base_refused(self, run, tmp_path):
+        base = tmp_path / "slow2.txt"
+        base.write_text("2\n1 1\n1e-8 1\n")
+        direction = tmp_path / "dir.txt"
+        direction.write_text("2\n0 0\n1e-6 0\n")
+        code, out, err = run("converge", str(base), str(direction), "--max-iter", "1")
+        assert code == 3 and out == ""
+        assert "did not converge" in err
+
 
 class TestGelfand:
     def test_positive_gap_demo(self, run):
@@ -235,10 +244,54 @@ class TestGelfand:
         assert code == 0
         assert len([l for l in out.splitlines() if l.endswith("pass")]) >= 3
 
+    def test_radius_above_largest_float(self, run, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("2\n1e308 1e308\n1e308 1e308\n")
+        code, out, err = run("gelfand", str(path))
+        assert code == 3 and out == ""
+        assert "exceeds the largest float" in err
+
+    def test_norm_above_largest_float_prints_inf(self, run, tmp_path):
+        path = tmp_path / "column.txt"
+        path.write_text("2\n1e308 0\n1e308 0\n")
+        code, out, _ = run("gelfand", str(path), "--alphas", "0.5")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[3:13]]
+        assert rows[0][:2] == ["1", "inf"]
+        assert all(float(r[1]) > 1e308 for r in rows[1:])
+        assert _value(out, "result") == "PASS"
+
+    def test_output_at_1e200_is_pinned(self, run, tmp_path):
+        # norms below 2^1020 are not prescaled: these bytes predate it
+        path = tmp_path / "big.txt"
+        path.write_text("2\n1e200 1e200\n1e200 1e200\n")
+        code, out, _ = run("gelfand", str(path))
+        assert code == 0
+        assert out == _GELFAND_1E200
+
     def test_bad_alphas_rejected(self, run):
         for value in ("0", "x", ""):
             code, _, err = run("gelfand", "shift2.txt", "--alphas", value)
             assert code == 2
+
+
+_GELFAND_1E200 = """\
+rho_lo: 1.9999999999999996e+200
+rho_hi: 2.0000000000000003e+200
+ m                      f_m                  residual  status
+ 1  1.9999999999999999e+200                         0    pass
+ 2  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 3  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 4  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 5  1.9999999999999343e+200  -6.5606164872727072e+186    pass
+ 6  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 7  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 8  2.0000000000000479e+200   4.7929892471785063e+186    pass
+ 9  1.9999999999999343e+200  -6.5606164872727072e+186    pass
+10  1.9999999999999343e+200  -6.5606164872727072e+186    pass
+note: scaling demo skipped: f_m matches the certified radius at m=10 (gap -6.5606164872727072e+186)
+result: PASS
+"""
 
 
 class TestParserPlumbing:

@@ -102,6 +102,17 @@ class TestIrreducibleTrace:
         with pytest.raises(ValueError, match="reducible"):
             harness.run_irreducible_trace(spec)
 
+    def test_rejects_unconverged_base(self):
+        # one vector per pass leaves q_star at 0.4 where the true one is
+        # 1e-4: the k=1 bound read 2e-6 against a real shift of 9.05e-4
+        spec = harness.SequenceSpec(
+            base=[[1.0, 1.0], [1e-8, 1.0]], direction=[[0.0, 0.0], [1e-6, 0.0]]
+        )
+        with pytest.raises(ValueError, match="did not converge"):
+            harness.run_irreducible_trace(spec, max_iter=1)
+        row = harness.run_irreducible_trace(spec).rows[0]
+        assert 9.0e-4 < row.deviation <= row.bound
+
 
 class TestReducibleTrace:
     def test_triangular_block_extraction(self):
@@ -238,6 +249,25 @@ class TestGelfandTrace:
         with pytest.raises(ValueError, match="m_max"):
             harness.gelfand_trace(np.eye(2), 0)
 
+    def test_norm_above_largest_float(self):
+        # rho = 1e308 but ||X^m||_1 = 2e308^m: f_1 overflows to inf, and
+        # f_m = 1e308 * 2^(1/m) from m = 2 on, not 0
+        x = [[1e308, 0.0], [1e308, 0.0]]
+        trace = harness.gelfand_trace(x, 6)
+        assert trace.ok
+        assert trace.rows[0].f_m == math.inf
+        for row in trace.rows[1:]:
+            exact = 1e308 * 2.0 ** (1.0 / row.m)
+            assert abs(row.f_m - exact) <= 1e-13 * exact
+
+    def test_radius_above_largest_float_refused(self):
+        x = [[1e308, 1e308], [1e308, 1e308]]
+        assert harness._gelfand_values(np.array(x), 4) == [math.inf] * 4
+        with pytest.raises(ValueError, match="largest float"):
+            harness.gelfand_trace(x, 4)
+        with pytest.raises(ValueError, match="largest float"):
+            harness.nonuniformity_demo(x, 4, [2.0])
+
 
 class TestNonuniformityDemo:
     def test_nilpotent_gap_scales_exactly(self):
@@ -272,6 +302,10 @@ class TestNonuniformityDemo:
                 for row in demo.rows:
                     assert row.rel_err <= harness.HOMOGENEITY_RTOL
         assert nonvacuous >= 10
+
+    def test_overflowing_alpha_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            harness.nonuniformity_demo([[1e300, 0.0], [1e300, 0.0]], 2, [1e10])
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="m must be"):

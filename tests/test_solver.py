@@ -57,9 +57,10 @@ class TestPerronIrreducible:
 
     def test_unconverged_interval_is_still_sound(self):
         a = np.array([[1.0, 1.0], [1e-9, 1.0]])
-        cert = solver.perron_irreducible(a, max_iter=10)
+        # from max_iter=2 on, the eig proposal converges at once
+        cert = solver.perron_irreducible(a, max_iter=1)
         assert not cert.converged
-        assert cert.iterations >= 10
+        assert cert.iterations == 2  # each pass stopped at its cap
         assert cert.lo <= eig_radius(a) <= cert.hi
 
     def test_iteration_parameters_validated(self):
@@ -214,6 +215,99 @@ class TestCertifiedBounds:
             assert l_lo <= cert.lo <= cert.hi <= l_hi
 
 
+def _cycle(weights):
+    n = len(weights)
+    a = np.zeros((n, n))
+    a[np.arange(n), (np.arange(n) + 1) % n] = weights
+    return a
+
+
+def _small_input(family, n, seed):
+    """One n x n irreducible input of a hard family, from a seed."""
+    rng = np.random.default_rng(seed)
+    if family == "dense":
+        return rng.uniform(0.0, 10.0, (n, n)) + 1e-3
+    if family == "sparse":
+        return random_irreducible(rng, n, density=0.3)
+    if family == "weak_cycle":
+        # weights down to 1e-300 (e^-690): the vector spans hundreds of
+        # orders of magnitude, and entries may be subnormal
+        return _cycle(np.exp(rng.uniform(-690.0, 0.0, n)))
+    if family == "near_reducible":
+        a = rng.uniform(0.5, 1.5, (n, n))
+        h = n // 2
+        eps = 10.0 ** rng.uniform(-12.0, -3.0)
+        a[:h, h:] *= eps
+        a[h:, :h] *= eps
+        return a
+    # an exact power-of-two scale, subnormal to near overflow
+    return np.ldexp(rng.uniform(0.5, 1.5, (n, n)), int(rng.integers(-1000, 1000)))
+
+
+class TestEigProposal:
+    """n <= 8 starts from LAPACK's eigenvector; soundness rests on the
+    certification alone, whatever eig proposes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["dense", "sparse", "weak_cycle", "near_reducible", "scaled"]),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_encloses_the_radius(self, family, n, seed):
+        a = _small_input(family, n, seed)
+        cert = solver.perron_root(a)
+        assert encloses_radius(a, cert.lo, cert.hi)
+
+    def test_kept_on_easy_inputs(self, rng):
+        # ones vector, then eig's vector at the float floor: two per pass
+        for n in range(2, 9):
+            cert = solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
+            assert cert.converged and cert.iterations == 4
+
+    def test_size_limit(self, monkeypatch, rng):
+        calls = []
+        eig = np.linalg.eig
+
+        def counting(b):
+            calls.append(b.shape[0])
+            return eig(b)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        for n in (8, 9):
+            solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
+        assert calls == [8, 8]
+
+    def test_weak_cycles_with_subnormal_vector_entries(self):
+        # without the slack guard, draws 24 and 29 of this stream took
+        # eig's vector with a subnormal entry and stopped unconverged at
+        # the float floor, 5e-10 and 4e-11 wide
+        rng = np.random.default_rng(690)
+        for _ in range(30):
+            n = int(rng.integers(6, 9))
+            a = _cycle(np.exp(rng.uniform(-690.0, 0.0, n)))
+            cert = solver.perron_root(a)
+            assert cert.converged
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                prod = math.prod(decimal.Decimal(w) for w in a[a > 0.0])
+                rho = prod ** (decimal.Decimal(1) / n)
+                assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+
+    def test_eig_failure_falls_back_to_iteration(self, monkeypatch, rng):
+        def failing(b):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", failing)
+        for family in ("dense", "sparse", "weak_cycle", "near_reducible", "scaled"):
+            for n in (2, 5, 8):
+                a = _small_input(family, n, int(rng.integers(2**32)))
+                cert = solver.perron_root(a)
+                assert encloses_radius(a, cert.lo, cert.hi)
+                if family != "scaled":  # rho ~ 2^1000 stops at the float floor
+                    assert cert.converged
+
+
 class TestPerronRoot:
     def test_zero_matrix(self):
         cert = solver.perron_root(np.zeros((3, 3)))
@@ -326,6 +420,14 @@ class TestCertificate:
             residual=None, iterations=5, converged=False,
         )
         assert cert.mid == 2.0 and cert.width == 2.0
+
+    def test_mid_near_the_largest_float(self):
+        # lo + hi overflows; the midpoint does not
+        cert = solver.PerronCertificate(
+            lo=1e308, hi=1.5e308, right_vector=None, left_vector=None,
+            residual=None, iterations=2, converged=False,
+        )
+        assert cert.mid == 1.25e308
 
 
 class TestQStar:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,43 @@ class TestFrobeniusNormalForm:
             assert np.array_equal(fnf.matrix, a)
             assert not fnf.matrix.flags.writeable
 
+    @staticmethod
+    def _tarjan_form(a):
+        # the normal form as built from Tarjan's components
+        m = matcore.nonneg_matrix(a)
+        comps = structure.strongly_connected_components(m)
+        perm = np.array([v for comp in comps for v in comp], dtype=np.intp)
+        ends = np.cumsum([len(comp) for comp in comps]).tolist()
+        blocks = tuple(zip([0] + ends[:-1], ends))
+        permuted = matcore.apply_symmetric_permutation(m, perm)
+        return structure.FrobeniusNormalForm(
+            matrix=m, perm=perm, blocks=blocks,
+            block_matrices=tuple(permuted[s:e, s:e] for s, e in blocks),
+            irreducible=len(comps) == 1, nilpotency_index=nilpotency_oracle(m),
+        )
+
+    def test_positive_shortcut_matches_tarjan(self, rng):
+        cases = [np.zeros((1, 1)), np.full((1, 1), 3.0), np.ones((2, 2))]
+        for n in range(2, 9):
+            a = rng.uniform(0.1, 1.0, (n, n))
+            cases.append(a)
+            cases.append(a - np.diag(np.diag(a)))  # zero diagonal
+        cases.append(np.full((3, 3), 5e-324))
+        for a in cases:
+            fnf = structure.frobenius_normal_form(a)
+            ref = self._tarjan_form(a)
+            for f in dataclasses.fields(fnf):
+                got, want = getattr(fnf, f.name), getattr(ref, f.name)
+                if f.name == "block_matrices":
+                    assert len(got) == len(want)
+                    for g, w in zip(got, want):
+                        assert np.array_equal(g, w) and not g.flags.writeable
+                elif isinstance(got, np.ndarray):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                    assert not got.flags.writeable
+                else:
+                    assert got == want, f.name
+
     def test_deterministic(self, rng):
         a = random_nonneg(rng, 8, scale=1.0, density=0.3)
         f1 = structure.frobenius_normal_form(a)
@@ -200,7 +239,9 @@ class TestSpectralBlock:
 
 
 class TestOneAnalysisPerMatrix:
-    """Every consumer reuses one normal form: one SCC run per matrix."""
+    """Every consumer reuses one normal form: at most one SCC run per
+    matrix, and none for a matrix whose off-diagonal entries are all
+    positive, which is irreducible on sight."""
 
     @pytest.fixture
     def scc_calls(self, monkeypatch):
@@ -217,6 +258,22 @@ class TestOneAnalysisPerMatrix:
     def test_perron_root_irreducible(self, scc_calls, rng):
         solver.perron_root(random_irreducible(rng, 6))
         assert len(scc_calls) == 1
+
+    def test_positive_matrix_skips_tarjan(self, scc_calls, rng):
+        a = rng.uniform(0.1, 1.0, (6, 6))
+        a[np.diag_indices(6)] = 0.0
+        assert structure.frobenius_normal_form(a).irreducible
+        solver.perron_root(a)
+        assert scc_calls == []
+
+    @pytest.mark.parametrize("zero", [(0, 5), (4, 2)])
+    def test_one_zero_off_diagonal_runs_tarjan(self, scc_calls, rng, zero):
+        # a zero in row 0 fails the first check, one elsewhere the count
+        a = rng.uniform(0.1, 1.0, (6, 6))
+        a[zero] = 0.0
+        fnf = structure.frobenius_normal_form(a)
+        assert len(scc_calls) == 1
+        assert fnf.irreducible and fnf.block_sizes == (6,)
 
     def test_perron_root_reducible(self, scc_calls, rng):
         a = reducible_base(rng)
