@@ -41,7 +41,7 @@ from .solver import (
     power_radius_identity_check,
     q_star,
 )
-from .perturb import PerturbationBound, continuity_certificate, sharpness_probe
+from .perturb import PerturbationBound, continuity_certificate
 from .harness import (
     ConvergenceTrace,
     GelfandTrace,
@@ -49,9 +49,7 @@ from .harness import (
     SequenceSpec,
     gelfand_trace,
     nonuniformity_demo,
-    run_irreducible_trace,
-    run_nilpotent_trace,
-    run_reducible_trace,
+    run_trace,
 )
 
 __version__ = "0.1.0"
@@ -85,15 +83,12 @@ __all__ = [
     "q_star",
     "PerturbationBound",
     "continuity_certificate",
-    "sharpness_probe",
     "ConvergenceTrace",
     "GelfandTrace",
     "NonuniformityDemo",
     "SequenceSpec",
     "gelfand_trace",
     "nonuniformity_demo",
-    "run_irreducible_trace",
-    "run_nilpotent_trace",
-    "run_reducible_trace",
+    "run_trace",
     "__version__",
 ]

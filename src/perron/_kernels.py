@@ -56,13 +56,21 @@ _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
 _LOW, _HIGH = 2.0**-400, 2.0**400  # row sums left unscaled
 _LD_BLOCK = 1 << 16  # entries per row block of the longdouble pass
-_NODA_STEPS = 4  # Noda steps the switch rule expects to need
 _STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
-# largest n that gets an eig proposal.  Timed with numpy 2.4 and one
-# BLAS thread on a 2-core x86_64 host, np.linalg.eig costs 25 us at
+
+# Host-timed cost model: numpy 2.4, one BLAS thread, a 2-core x86_64
+# host.  Other hosts move where each method pays off, never a bound.
+# Largest n that gets an eig proposal: np.linalg.eig costs 25 us at
 # n = 2 and 50 us at n = 8, about one or two sweeps' overhead, but
 # 135 us at n = 16, a whole kernel call there, and 1.4 ms at n = 48
 _EIG_N = 8
+# the Noda phase costs _NODA_STEPS steps, each a solve and a sweep; a
+# solve costs about n^2 / _SOLVE_N2 sweeps up to n = 300 and n / _SOLVE_N
+# beyond (an n^3 / 3 factorization against an n^2 product), and one
+# sweep at n <= 16
+_NODA_STEPS = 4
+_SOLVE_N2 = 1200
+_SOLVE_N = 4
 # the ufunc reductions skip ndarray.min/max's Python-level wrapper, which
 # costs as much as the rest of a sweep at small n
 _min, _max = np.minimum.reduce, np.maximum.reduce
@@ -183,11 +191,8 @@ def _collatz_wielandt(b, tol, max_iter):
         tol_s = math.ldexp(tol, -e)
     except OverflowError:
         tol_s = math.inf
-    # sweeps the Noda phase costs, each step a solve and a sweep.  Timed
-    # with numpy and one BLAS thread, a solve costs about n^2 / 1200
-    # sweeps up to n = 300 and n / 4 beyond (an n^3 / 3 factorization
-    # against an n^2 product), and one sweep at n <= 16
-    noda_cost = _NODA_STEPS * (2.0 + min(n * n / 1200, n / 4))
+    # sweeps the Noda phase costs
+    noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
 
     k, g = None, _gamma(n, _U)  # the row length bounds the nonzero count
     x = np.ones(n)

@@ -127,7 +127,8 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     a = matcore.read_matrix_file(args.matrix, nonneg=True)
     a_prime = matcore.read_matrix_file(args.perturbed, nonneg=True)
-    if not structure.is_irreducible(a):
+    fnf = structure.frobenius_normal_form(a)
+    if not fnf.irreducible:
         print(
             "error: base matrix is reducible, so the continuity bound does not "
             "apply; run `perron analyze` to see its block structure",
@@ -135,7 +136,7 @@ def cmd_certify(args) -> int:
         )
         return 3
     pb = perturb.continuity_certificate(
-        a, a_prime, tol=args.tol, max_iter=args.max_iter
+        fnf, a_prime, tol=args.tol, max_iter=args.max_iter
     )
     prime_cert = solver.perron_root(a_prime, tol=args.tol, max_iter=args.max_iter)
     # the perturbed radius lies in prime_cert and must lie in the
@@ -172,14 +173,7 @@ def cmd_converge(args) -> int:
         count=args.count,
         clamp=args.clamp,
     )
-    if spec.normal_form.nilpotency_index is not None:
-        trace = harness.run_nilpotent_trace(spec, tol=args.tol, max_iter=args.max_iter)
-    elif spec.normal_form.irreducible:
-        trace = harness.run_irreducible_trace(
-            spec, tol=args.tol, max_iter=args.max_iter
-        )
-    else:
-        trace = harness.run_reducible_trace(spec, tol=args.tol, max_iter=args.max_iter)
+    trace = harness.run_trace(spec, tol=args.tol, max_iter=args.max_iter)
     print(harness.format_convergence_trace(trace, args.format))
     if args.format == "table":
         print(f"kind: {trace.kind}")

@@ -1,14 +1,11 @@
 """Convergence traces over matrix sequences A_k = base + s_k * direction.
 
-Three trace kinds, selected by the structure of the base matrix:
-
- * irreducible base: per-term certified roots r_k with the perturbation
-   bound s_k * ||direction||_F / q_star, checked row by row;
- * reducible base (positive radius): the spectral block of the base is
-   fixed once, the same submatrix positions are read from every term, and
-   the block radii b_k are checked against lo(b_k) <= hi(r_k);
- * nilpotent base with index p: r_k is checked against the norm bound
-   hi(r_k)^p <= ||A_k^p||_1 plus a small absolute slack.
+``run_trace`` checks each certified root r_k with the inequality the
+base's structure calls for: the norm bound hi(r_k)^p <= ||A_k^p||_1 for
+a nilpotent base of index p, the perturbation bound
+s_k * ||direction||_F / q_star for an irreducible one, and
+lo(b_k) <= hi(r_k) for a reducible one, b_k the radius of the base's
+spectral block read from the same positions of every term.
 
 Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
@@ -31,9 +28,7 @@ __all__ = [
     "GelfandTrace",
     "HomogeneityRow",
     "NonuniformityDemo",
-    "run_irreducible_trace",
-    "run_reducible_trace",
-    "run_nilpotent_trace",
+    "run_trace",
     "gelfand_trace",
     "nonuniformity_demo",
     "format_convergence_trace",
@@ -121,11 +116,12 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One sequence term: certificate for A_k plus the kind's extra column.
+    """One sequence term: certificate for A_k plus the kind's extra values.
 
     ``deviation`` is |mid r_k - mid r| against the base certificate.
-    ``bound`` is set on irreducible traces, ``block_cert`` on reducible
-    ones, ``power_bound`` (= ||A_k^p||_1^(1/p)) on nilpotent ones.
+    ``extra`` holds the values the trace's ``columns`` name: the bound
+    s_k * ||direction||_F / q_star (irreducible), the spectral block's
+    interval (b_lo, b_hi) (reducible) or ||A_k^p||_1^(1/p) (nilpotent).
     """
 
     k: int
@@ -133,14 +129,13 @@ class TraceRow:
     cert: solver.PerronCertificate
     deviation: float
     ok: bool
-    bound: float | None = None
-    block_cert: solver.PerronCertificate | None = None
-    power_bound: float | None = None
+    extra: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class ConvergenceTrace:
     kind: str
+    columns: tuple[str, ...]
     base_cert: solver.PerronCertificate
     rows: tuple[TraceRow, ...]
     nilpotency: int | None = None
@@ -157,129 +152,93 @@ class ConvergenceTrace:
         return good
 
 
-def run_irreducible_trace(
+def run_trace(
     spec: SequenceSpec, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER
 ) -> ConvergenceTrace:
-    """Trace a sequence with an irreducible limit.
+    """Trace the sequence with the check its base's structure calls for.
 
-    Each row carries the a-priori bound s_k * ||direction||_F / q_star
-    and is marked ok when the observed midpoint shift stays within the
-    bound plus both certificate widths.  q_star is read off the base's
-    left vector, so a base certificate that did not converge within
-    ``max_iter`` raises ValueError, as in ``continuity_certificate``.
-    """
-    if not spec.normal_form.irreducible:
-        raise ValueError("base matrix is reducible; use run_reducible_trace")
-    base_cert = solver.perron_root(spec.normal_form, tol=tol, max_iter=max_iter)
-    if not base_cert.converged:
-        raise ValueError(
-            f"base certificate did not converge within max_iter={max_iter}, "
-            "so q_star is not reliable; raise max_iter or tol"
-        )
-    qs = solver.q_star(base_cert)
-    per_scale = matcore.frobenius_norm(spec.direction) / qs
-    rows = []
-    for k in range(1, spec.count + 1):
-        s = spec.scale(k)
-        cert = solver.perron_root(spec.term(k), tol=tol, max_iter=max_iter)
-        deviation = abs(cert.mid - base_cert.mid)
-        bound = s * per_scale
-        ok = deviation <= bound + cert.width + base_cert.width
-        rows.append(
-            TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, bound=bound)
-        )
-    return ConvergenceTrace(kind="irreducible", base_cert=base_cert, rows=tuple(rows))
-
-
-def run_reducible_trace(
-    spec: SequenceSpec, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER
-) -> ConvergenceTrace:
-    """Trace a sequence whose limit is reducible with positive radius.
-
-    The blocks of the base are certified once, which both picks the
-    spectral block and gives the base certificate; every term is
-    permuted by the base's permutation and the spectral block's positions
-    are read off, giving block radii b_k.  Rows are ok when
-    lo(b_k) <= hi(r_k); the trace additionally requires the last b_k to
-    land near the base radius (threshold 2 * s_count * ||direction||_F * n
-    plus certificate widths).
+    * Nilpotent base of index p: the radius of any matrix is at most any
+      consistent norm of it, and rho(A)^p = rho(A^p), so hi(r_k)^p <=
+      ||A_k^p||_1 must hold up to round-off slack.  This case is tested
+      first: [[0]] is irreducible by convention, and nilpotent too.
+    * Irreducible base: each row carries the a-priori bound
+      s_k * ||direction||_F / q_star and passes when the observed
+      midpoint shift stays within the bound plus both certificate widths.
+      q_star is read off the base's left vector, so a base certificate
+      that did not converge within ``max_iter`` raises ValueError, as in
+      ``continuity_certificate``.
+    * Reducible base: the blocks of the base are certified once, which
+      picks the spectral block and gives the base certificate; every
+      term is permuted by the base's permutation and the spectral
+      block's positions are read off, giving block radii b_k.  Rows pass
+      when lo(b_k) <= hi(r_k); the trace also requires the last b_k to
+      land near the base radius (threshold 2 * s_count * ||direction||_F
+      * n plus certificate widths).
     """
     fnf = spec.normal_form
-    if fnf.irreducible:
-        raise ValueError("base matrix is irreducible; use run_irreducible_trace")
-    if fnf.nilpotency_index is not None:
-        raise ValueError("base matrix is nilpotent; use run_nilpotent_trace")
-    block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
-    start, end = fnf.blocks[block_index]
-    base_cert = solver._combine(block_certs)
+    p = fnf.nilpotency_index
+    d_norm = matcore.frobenius_norm(spec.direction)
+    summary = {}
+    last_block = None
+    if p is not None:
+        kind, columns = "nilpotent", ("power_bound",)
+        summary["nilpotency"] = p
+        base_cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
+
+        def check(term, cert, s, deviation):
+            norm_p = matcore.one_norm_mat(np.linalg.matrix_power(term, p))
+            return cert.hi**p <= norm_p + NILPOTENT_SLACK, (norm_p ** (1.0 / p),)
+
+    elif fnf.irreducible:
+        kind, columns = "irreducible", ("bound",)
+        base_cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
+        if not base_cert.converged:
+            raise ValueError(
+                f"base certificate did not converge within max_iter={max_iter}, "
+                "so q_star is not reliable; raise max_iter or tol"
+            )
+        per_scale = d_norm / solver.q_star(base_cert)
+
+        def check(term, cert, s, deviation):
+            bound = s * per_scale
+            return deviation <= bound + cert.width + base_cert.width, (bound,)
+
+    else:
+        kind, columns = "reducible", ("b_lo", "b_hi")
+        block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
+        summary["spectral_block_index"] = block_index
+        start, end = fnf.blocks[block_index]
+        base_cert = solver._combine(block_certs)
+
+        def check(term, cert, s, deviation):
+            nonlocal last_block
+            permuted = matcore.apply_symmetric_permutation(term, fnf.perm)
+            last_block = solver.perron_root(
+                permuted[start:end, start:end], tol=tol, max_iter=max_iter
+            )
+            return last_block.lo <= cert.hi, (last_block.lo, last_block.hi)
+
     rows = []
     for k in range(1, spec.count + 1):
         s = spec.scale(k)
         term = spec.term(k)
         cert = solver.perron_root(term, tol=tol, max_iter=max_iter)
-        permuted = matcore.apply_symmetric_permutation(term, fnf.perm)
-        block_cert = solver.perron_root(
-            permuted[start:end, start:end], tol=tol, max_iter=max_iter
-        )
         deviation = abs(cert.mid - base_cert.mid)
-        ok = block_cert.lo <= cert.hi
+        ok, extra = check(term, cert, s, deviation)
         rows.append(
-            TraceRow(
-                k=k, scale=s, cert=cert, deviation=deviation, ok=ok,
-                block_cert=block_cert,
-            )
+            TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, extra=extra)
         )
-    last = rows[-1]
-    n = fnf.n
-    final_deviation = abs(last.block_cert.mid - base_cert.mid)
-    final_threshold = (
-        2.0 * spec.scale(spec.count) * matcore.frobenius_norm(spec.direction) * n
-        + last.block_cert.width
-        + base_cert.width
-    )
-    return ConvergenceTrace(
-        kind="reducible",
-        base_cert=base_cert,
-        rows=tuple(rows),
-        spectral_block_index=block_index,
-        final_deviation=final_deviation,
-        final_threshold=final_threshold,
-    )
-
-
-def run_nilpotent_trace(
-    spec: SequenceSpec, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER
-) -> ConvergenceTrace:
-    """Trace a sequence with a nilpotent limit of index p.
-
-    The radius of any matrix is at most any consistent norm of it, and
-    powers obey rho(A)^p = rho(A^p), so hi(r_k)^p <= ||A_k^p||_1 must
-    hold up to round-off slack.  Both columns decay to zero as the terms
-    approach the nilpotent base.
-    """
-    p = spec.normal_form.nilpotency_index
-    if p is None:
-        raise ValueError(
-            "base matrix is not nilpotent; use run_irreducible_trace or "
-            "run_reducible_trace"
-        )
-    base_cert = solver.perron_root(spec.normal_form, tol=tol, max_iter=max_iter)
-    rows = []
-    for k in range(1, spec.count + 1):
-        s = spec.scale(k)
-        term = spec.term(k)
-        cert = solver.perron_root(term, tol=tol, max_iter=max_iter)
-        norm_p = matcore.one_norm_mat(np.linalg.matrix_power(term, p))
-        deviation = abs(cert.mid - base_cert.mid)
-        ok = cert.hi**p <= norm_p + NILPOTENT_SLACK
-        rows.append(
-            TraceRow(
-                k=k, scale=s, cert=cert, deviation=deviation, ok=ok,
-                power_bound=norm_p ** (1.0 / p),
-            )
+    if last_block is not None:
+        # the block's own mid, not one rebuilt from (b_lo, b_hi): mid
+        # guards against overflow of lo + hi
+        summary["final_deviation"] = abs(last_block.mid - base_cert.mid)
+        summary["final_threshold"] = (
+            2.0 * spec.scale(spec.count) * d_norm * fnf.n
+            + last_block.width
+            + base_cert.width
         )
     return ConvergenceTrace(
-        kind="nilpotent", base_cert=base_cert, rows=tuple(rows), nilpotency=p
+        kind=kind, columns=columns, base_cert=base_cert, rows=tuple(rows), **summary
     )
 
 
@@ -487,32 +446,15 @@ def _status(ok: bool) -> str:
 def format_convergence_trace(trace: ConvergenceTrace, fmt: str = "table") -> str:
     """Render a trace as an aligned table or comma-separated rows.
 
-    The column set is fixed by the trace kind; floats are rendered with
-    17 significant digits so the csv form round-trips exactly.
+    The trace's ``columns`` follow the common ones; floats are rendered
+    with 17 significant digits so the csv form round-trips exactly.
     """
-    if trace.kind == "irreducible":
-        header = ["k", "s_k", "r_lo", "r_hi", "deviation", "bound", "status"]
-        rows = [
-            [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi),
-             _f(r.deviation), _f(r.bound), _status(r.ok)]
-            for r in trace.rows
-        ]
-    elif trace.kind == "reducible":
-        header = ["k", "s_k", "r_lo", "r_hi", "deviation", "b_lo", "b_hi", "status"]
-        rows = [
-            [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi), _f(r.deviation),
-             _f(r.block_cert.lo), _f(r.block_cert.hi), _status(r.ok)]
-            for r in trace.rows
-        ]
-    elif trace.kind == "nilpotent":
-        header = ["k", "s_k", "r_lo", "r_hi", "deviation", "power_bound", "status"]
-        rows = [
-            [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi),
-             _f(r.deviation), _f(r.power_bound), _status(r.ok)]
-            for r in trace.rows
-        ]
-    else:
-        raise ValueError(f"unknown trace kind {trace.kind!r}")
+    header = ["k", "s_k", "r_lo", "r_hi", "deviation", *trace.columns, "status"]
+    rows = [
+        [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi), _f(r.deviation),
+         *map(_f, r.extra), _status(r.ok)]
+        for r in trace.rows
+    ]
     return _grid(header, rows, fmt)
 
 

@@ -8,11 +8,9 @@ above, so it can stand in for it without weakening soundness.
 
 from dataclasses import dataclass
 
-import numpy as np
+from . import matcore, solver, structure
 
-from . import matcore, solver
-
-__all__ = ["PerturbationBound", "continuity_certificate", "sharpness_probe"]
+__all__ = ["PerturbationBound", "continuity_certificate"]
 
 
 @dataclass(frozen=True)
@@ -39,16 +37,22 @@ def continuity_certificate(
 
     a_prime only needs nonnegativity, it may be reducible or even zero;
     a itself must be irreducible, since that is what makes its left
-    Perron vector strictly positive.  The bound is
-    ||a_prime - a||_F / q_star.  q_star is read off the left vector, so a
-    base certificate that did not converge within ``max_iter`` raises
-    ValueError: its left vector can be far from the Perron vector.
+    Perron vector strictly positive.  ``a`` may also be its
+    :class:`~perron.structure.FrobeniusNormalForm`, which is then not
+    recomputed.  The bound is ||a_prime - a||_F / q_star.  q_star is read
+    off the left vector, so a base certificate that did not converge
+    within ``max_iter`` raises ValueError: its left vector can be far
+    from the Perron vector.
     """
-    m = matcore.nonneg_matrix(a)
+    given = isinstance(a, structure.FrobeniusNormalForm)
+    fnf = a if given else structure.frobenius_normal_form(a)
+    m = fnf.matrix
     mp = matcore.nonneg_matrix(a_prime)
     if mp.shape != m.shape:
         raise ValueError(f"shape mismatch: matrix {m.shape}, perturbed {mp.shape}")
-    cert = solver.perron_irreducible(m, tol=tol, max_iter=max_iter)
+    if not fnf.irreducible:
+        raise ValueError("base matrix is reducible; the continuity bound does not apply")
+    cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
     if not cert.converged:
         raise ValueError(
             f"base certificate did not converge within max_iter={max_iter}, "
@@ -62,41 +66,3 @@ def continuity_certificate(
         base=cert, q_star=qs, e_norm=e_norm, bound=bound, enclosure=enclosure
     )
 
-
-def sharpness_probe(
-    a,
-    direction,
-    scales,
-    tol=solver.DEFAULT_TOL,
-    max_iter=solver.DEFAULT_MAX_ITER,
-) -> list[tuple[float, float, float]]:
-    """Compare the certified bound with the observed shift along one direction.
-
-    For each scale s the perturbation is s * direction.  Returns rows
-    (scale, bound, observed) where bound is s * ||direction||_F / q_star
-    and observed is the distance between the certificate midpoints of the
-    base and perturbed matrices.  The bound must dominate the observed
-    shift up to certificate widths; the ratio shows how much slack the
-    worst-case constant leaves on this particular direction.
-    """
-    m = matcore.nonneg_matrix(a)
-    d = matcore.square_matrix(direction)
-    if d.shape != m.shape:
-        raise ValueError(f"shape mismatch: matrix {m.shape}, direction {d.shape}")
-    cert = solver.perron_irreducible(m, tol=tol, max_iter=max_iter)
-    qs = solver.q_star(cert)
-    base_bound = matcore.frobenius_norm(d) / qs
-    rows = []
-    for s in scales:
-        s = float(s)
-        if s < 0.0:
-            raise ValueError(f"scales must be nonnegative, got {s}")
-        pert = m + s * d
-        if np.any(pert < 0.0):
-            raise ValueError(
-                f"scale {s} drives the perturbed matrix out of the nonnegative cone"
-            )
-        shifted = solver.perron_root(pert, tol=tol, max_iter=max_iter)
-        observed = abs(shifted.mid - cert.mid)
-        rows.append((s, s * base_bound, observed))
-    return rows

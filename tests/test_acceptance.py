@@ -108,10 +108,11 @@ def test_c5_reducible_traces():
         spec = harness.SequenceSpec(
             base=base, direction=direction, rule="inv-k", coeff=1.0, count=20
         )
-        trace = harness.run_reducible_trace(spec)
+        trace = harness.run_trace(spec)
+        assert trace.kind == "reducible"
         for row in trace.rows:
-            assert row.block_cert.lo <= row.cert.hi
-        final = abs(trace.rows[-1].block_cert.mid - trace.base_cert.mid)
+            assert row.extra[0] <= row.cert.hi  # lo(b_k) <= hi(r_k)
+        final = trace.final_deviation
         limit = 2.0 * spec.scale(20) * matcore.frobenius_norm(direction) * n
         assert final <= limit
     print("C5 reducible traces: 100 traces x 20 rows, zero violations")
@@ -126,7 +127,8 @@ def test_c6_nilpotent_branch():
         coeff=1.0,
         count=20,
     )
-    trace = harness.run_nilpotent_trace(spec)
+    trace = harness.run_trace(spec)
+    assert trace.kind == "nilpotent"
     assert trace.nilpotency == 2
     for row in trace.rows:
         exact = row.k ** -0.5

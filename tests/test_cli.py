@@ -160,6 +160,22 @@ class TestConverge:
         assert _value(out, "nilpotency_index") == "2"
         assert "power_bound" in out.splitlines()[0]
 
+    def test_one_by_one_zero_base_is_nilpotent(self, run, tmp_path):
+        # [[0]] is irreducible by convention too; the nilpotent check wins
+        base = tmp_path / "zero1.txt"
+        base.write_text("1\n0\n")
+        direction = tmp_path / "one1.txt"
+        direction.write_text("1\n1\n")
+        code, out, err = run("converge", str(base), str(direction), "--count", "4")
+        assert code == 0 and err == ""
+        assert _value(out, "kind") == "nilpotent"
+        assert _value(out, "nilpotency_index") == "1"
+        lines = out.splitlines()
+        assert lines[0].split()[5] == "power_bound"
+        for line in lines[1:5]:
+            cells = line.split()
+            assert cells[5] == cells[1]  # power_bound equals s_k
+
     def test_schedule_and_count_flags(self, run):
         code, out, _ = run(
             "converge", "cycle2.txt", "dir_lowerleft2.txt",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perron import harness, solver, structure
-from generators import random_nonneg, reducible_base
+from generators import random_irreducible, random_nonneg, reducible_base
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -66,17 +66,18 @@ class TestSequenceSpec:
 class TestIrreducibleTrace:
     def test_zero_direction_is_flat(self):
         spec = harness.SequenceSpec(base=TWO_CYCLE, direction=np.zeros((2, 2)), count=5)
-        trace = harness.run_irreducible_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.kind == "irreducible"
+        assert trace.columns == ("bound",)
         assert trace.ok
         for row in trace.rows:
             assert row.deviation == 0.0
-            assert row.bound == 0.0
+            assert row.extra == (0.0,)
 
     def test_corner_direction_matches_closed_form(self):
         # rho([[0,1],[1,s]]) is the larger root of x^2 - s x - 1
         spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER, count=12)
-        trace = harness.run_irreducible_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.ok
         assert [row.k for row in trace.rows] == list(range(1, 13))
         for row in trace.rows:
@@ -84,23 +85,37 @@ class TestIrreducibleTrace:
             exact = 0.5 * (s + math.sqrt(s * s + 4.0))
             assert abs(row.cert.mid - exact) <= 1e-9
             # q_star = 1/2 and ||D||_F = 1, so the bound is exactly 2 s_k
-            assert abs(row.bound - 2.0 * s) <= 1e-12
-            assert row.deviation <= row.bound
+            (bound,) = row.extra
+            assert abs(bound - 2.0 * s) <= 1e-12
+            assert row.deviation <= bound
 
     def test_geometric_schedule(self):
         spec = harness.SequenceSpec(
             base=TWO_CYCLE, direction=CORNER, rule="geom", gamma=0.25, count=8
         )
-        trace = harness.run_irreducible_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.ok
         assert trace.rows[-1].scale == 0.25**8
+        # s_k shrinks by a power of two, so the bounds do so exactly
+        for row, next_row in zip(trace.rows, trace.rows[1:]):
+            assert row.extra[0] == 4.0 * next_row.extra[0]
 
-    def test_rejects_reducible_base(self):
-        spec = harness.SequenceSpec(
-            base=[[1.0, 1.0], [0.0, 2.0]], direction=np.zeros((2, 2))
-        )
-        with pytest.raises(ValueError, match="reducible"):
-            harness.run_irreducible_trace(spec)
+    def test_bound_dominates_observed(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            spec = harness.SequenceSpec(
+                base=random_irreducible(rng, n),
+                direction=random_nonneg(rng, n, scale=1.0),
+                coeff=0.05,
+                count=4,
+            )
+            trace = harness.run_trace(spec)
+            assert trace.kind == "irreducible"
+            assert trace.ok
+            for row in trace.rows:
+                (bound,) = row.extra
+                widths = row.cert.width + trace.base_cert.width
+                assert row.deviation <= bound + widths
 
     def test_rejects_unconverged_base(self):
         # one vector per pass leaves q_star at 0.4 where the true one is
@@ -109,9 +124,9 @@ class TestIrreducibleTrace:
             base=[[1.0, 1.0], [1e-8, 1.0]], direction=[[0.0, 0.0], [1e-6, 0.0]]
         )
         with pytest.raises(ValueError, match="did not converge"):
-            harness.run_irreducible_trace(spec, max_iter=1)
-        row = harness.run_irreducible_trace(spec).rows[0]
-        assert 9.0e-4 < row.deviation <= row.bound
+            harness.run_trace(spec, max_iter=1)
+        row = harness.run_trace(spec).rows[0]
+        assert 9.0e-4 < row.deviation <= row.extra[0]
 
 
 class TestReducibleTrace:
@@ -123,23 +138,24 @@ class TestReducibleTrace:
             direction=[[0.0, 0.0], [1.0, 0.0]],
             count=10,
         )
-        trace = harness.run_reducible_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.kind == "reducible"
+        assert trace.columns == ("b_lo", "b_hi")
         assert trace.ok
         assert trace.final_deviation == 0.0
         for row in trace.rows:
-            assert row.block_cert.lo == row.block_cert.hi == 2.0
+            assert row.extra == (2.0, 2.0)
             s = row.scale
             exact = 0.5 * (3.0 + math.sqrt(1.0 + 4.0 * s))
             assert abs(row.cert.mid - exact) <= 1e-9
-            assert row.block_cert.lo <= row.cert.hi
+            assert row.extra[0] <= row.cert.hi
 
     def test_block_diagonal_base(self):
         base = np.zeros((3, 3))
         base[0, 1] = base[1, 0] = 1.0
         base[2, 2] = 2.0
         spec = harness.SequenceSpec(base=base, direction=np.ones((3, 3)), count=20)
-        trace = harness.run_reducible_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.ok
         assert trace.spectral_block_index is not None
         assert trace.final_deviation <= trace.final_threshold
@@ -150,23 +166,11 @@ class TestReducibleTrace:
         for _ in range(10):
             base = reducible_base(rng)
             spec = harness.SequenceSpec(base=base, direction=np.ones(base.shape), count=2)
-            trace = harness.run_reducible_trace(spec)
+            trace = harness.run_trace(spec)
             direct = solver.perron_root(base)
             assert (trace.base_cert.lo, trace.base_cert.hi) == (direct.lo, direct.hi)
             assert trace.base_cert.iterations == direct.iterations
             assert trace.spectral_block_index == structure.spectral_block(base)
-
-    def test_rejects_irreducible_base(self):
-        spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER)
-        with pytest.raises(ValueError, match="irreducible"):
-            harness.run_reducible_trace(spec)
-
-    def test_rejects_nilpotent_base(self):
-        spec = harness.SequenceSpec(
-            base=[[0.0, 1.0], [0.0, 0.0]], direction=np.zeros((2, 2))
-        )
-        with pytest.raises(ValueError, match="nilpotent"):
-            harness.run_reducible_trace(spec)
 
 
 class TestNilpotentTrace:
@@ -177,25 +181,26 @@ class TestNilpotentTrace:
             direction=[[0.0, 0.0], [1.0, 0.0]],
             count=20,
         )
-        trace = harness.run_nilpotent_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.kind == "nilpotent"
+        assert trace.columns == ("power_bound",)
         assert trace.nilpotency == 2
         assert trace.ok
         for row in trace.rows:
             exact = row.k ** -0.5
             assert abs(row.cert.mid - exact) <= 1e-8 * exact
-            assert abs(row.power_bound - exact) <= 1e-12
+            assert abs(row.extra[0] - exact) <= 1e-12
             assert row.cert.hi ** 2 <= 1.0 / row.k + harness.NILPOTENT_SLACK
 
     def test_zero_direction(self):
         spec = harness.SequenceSpec(
             base=[[0.0, 1.0], [0.0, 0.0]], direction=np.zeros((2, 2)), count=4
         )
-        trace = harness.run_nilpotent_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.ok
         for row in trace.rows:
             assert row.cert.lo == row.cert.hi == 0.0
-            assert row.power_bound == 0.0
+            assert row.extra == (0.0,)
 
     def test_index_three_base(self):
         base = np.zeros((3, 3))
@@ -203,16 +208,21 @@ class TestNilpotentTrace:
         direction = np.zeros((3, 3))
         direction[2, 0] = 1.0
         spec = harness.SequenceSpec(base=base, direction=direction, count=15)
-        trace = harness.run_nilpotent_trace(spec)
+        trace = harness.run_trace(spec)
         assert trace.nilpotency == 3
         assert trace.ok
         mids = [row.cert.mid for row in trace.rows]
         assert all(a > b for a, b in zip(mids, mids[1:]))
 
-    def test_rejects_non_nilpotent_base(self):
-        spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER)
-        with pytest.raises(ValueError, match="not nilpotent"):
-            harness.run_nilpotent_trace(spec)
+    def test_one_by_one_zero_base_is_nilpotent(self):
+        # [[0]] is irreducible by convention too; the nilpotent check wins
+        spec = harness.SequenceSpec(base=[[0.0]], direction=[[1.0]], count=4)
+        trace = harness.run_trace(spec)
+        assert trace.kind == "nilpotent"
+        assert trace.nilpotency == 1
+        assert trace.ok
+        for row in trace.rows:
+            assert row.extra == (row.scale,)
 
 
 class TestGelfandTrace:
@@ -317,7 +327,7 @@ class TestNonuniformityDemo:
 class TestFormatters:
     def _trace(self):
         spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER, count=3)
-        return harness.run_irreducible_trace(spec)
+        return harness.run_trace(spec)
 
     def test_table_layout(self):
         text = harness.format_convergence_trace(self._trace(), "table")
@@ -337,18 +347,18 @@ class TestFormatters:
             assert float(cells[1]) == row.scale
             assert float(cells[2]) == row.cert.lo
             assert float(cells[3]) == row.cert.hi
-            assert float(cells[5]) == row.bound
+            assert float(cells[5]) == row.extra[0]
             assert cells[6] == "pass"
 
     def test_kind_specific_columns(self):
-        red = harness.run_reducible_trace(
+        red = harness.run_trace(
             harness.SequenceSpec(
                 base=[[1.0, 1.0], [0.0, 2.0]],
                 direction=[[0.0, 0.0], [1.0, 0.0]],
                 count=2,
             )
         )
-        nil = harness.run_nilpotent_trace(
+        nil = harness.run_trace(
             harness.SequenceSpec(
                 base=[[0.0, 1.0], [0.0, 0.0]],
                 direction=[[0.0, 0.0], [1.0, 0.0]],
@@ -371,9 +381,3 @@ class TestFormatters:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             harness.format_convergence_trace(self._trace(), "json")
-
-    def test_unknown_kind_rejected(self):
-        cert = solver.perron_root([[1.0]])
-        bogus = harness.ConvergenceTrace(kind="weird", base_cert=cert, rows=())
-        with pytest.raises(ValueError, match="kind"):
-            harness.format_convergence_trace(bogus)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from perron import matcore, perturb, solver
-from generators import flip_to_cone, random_irreducible, random_nonneg
+from perron import harness, matcore, perturb, solver, structure
+from generators import flip_to_cone, random_irreducible
 from oracles import eig_radius
 
 
@@ -69,6 +69,16 @@ class TestContinuityCertificate:
         with pytest.raises(ValueError, match="reducible"):
             perturb.continuity_certificate([[1.0, 1.0], [0.0, 2.0]], [[1.0, 1.0], [0.0, 2.0]])
 
+    def test_accepts_a_normal_form(self, rng):
+        a = random_irreducible(rng, 4)
+        ap = a + 0.01
+        from_fnf = perturb.continuity_certificate(structure.frobenius_normal_form(a), ap)
+        direct = perturb.continuity_certificate(a, ap)
+        assert (from_fnf.bound, from_fnf.enclosure) == (direct.bound, direct.enclosure)
+        b = [[1.0, 1.0], [0.0, 2.0]]
+        with pytest.raises(ValueError, match="reducible"):
+            perturb.continuity_certificate(structure.frobenius_normal_form(b), b)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[1.0]])
@@ -89,11 +99,24 @@ class TestContinuityCertificate:
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.01]])
 
 
+
 class TestSharpnessProbe:
+    """The bound s * ||D||_F / q_star against the observed shift along A + s*D.
+
+    The irreducible trace rows of :func:`perron.harness.run_trace` hold
+    both: ``extra`` is the bound and ``deviation`` the midpoint shift.
+    ``rule="inv-k"`` with ``coeff=c`` gives the scales c, c/2, ...
+    """
+
+    @staticmethod
+    def probe(a, d, coeff, count=1):
+        spec = harness.SequenceSpec(base=a, direction=d, coeff=coeff, count=count)
+        trace = harness.run_trace(spec)
+        assert trace.kind == "irreducible"
+        return [(row.scale, row.extra[0], row.deviation) for row in trace.rows]
+
     def test_zero_direction(self):
-        rows = perturb.sharpness_probe(
-            [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 1.0]
-        )
+        rows = self.probe([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]], 1.0, 2)
         for s, bound, observed in rows:
             assert bound == 0.0
             assert observed <= 1e-12
@@ -103,8 +126,8 @@ class TestSharpnessProbe:
         # about s/2 while the bound is 2s: a slack factor of 4
         a = [[0.0, 1.0], [1.0, 0.0]]
         d = [[0.0, 0.0], [0.0, 1.0]]
-        rows = perturb.sharpness_probe(a, d, [0.01])
-        s, bound, observed = rows[0]
+        s, bound, observed = self.probe(a, d, 0.01)[0]
+        assert s == 0.01
         assert abs(bound - 0.02) <= 1e-12
         exact = 0.5 * (s + math.sqrt(s * s + 4.0)) - 1.0
         assert abs(observed - exact) <= 1e-9
@@ -113,33 +136,22 @@ class TestSharpnessProbe:
     def test_bounds_halve_exactly_with_scale(self):
         # 0.2 is exactly twice 0.1 in binary, so the certified bounds
         # inherit the exact factor of two
-        rows = perturb.sharpness_probe(
-            [[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], [0.2, 0.1]
-        )
+        rows = self.probe([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.2, 2)
+        assert [row[0] for row in rows] == [0.2, 0.1]
         assert rows[0][1] == 2.0 * rows[1][1]
-
-    def test_bound_dominates_observed(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(2, 6))
-            a = random_irreducible(rng, n)
-            d = random_nonneg(rng, n, scale=1.0)
-            for s, bound, observed in perturb.sharpness_probe(a, d, [0.01, 0.05]):
-                assert observed <= bound + 1e-9
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError, match="-1.0"):
-            perturb.sharpness_probe(
-                [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], [-1.0]
-            )
+            self.probe([[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], -1.0)
 
     def test_rejects_cone_violation(self):
         a = [[0.0, 1.0], [1.0, 0.0]]
         d = [[0.0, -1.0], [0.0, 0.0]]
-        rows = perturb.sharpness_probe(a, d, [0.5])
+        rows = self.probe(a, d, 0.5)
         assert rows[0][2] > 0.0
-        with pytest.raises(ValueError, match="2.0"):
-            perturb.sharpness_probe(a, d, [2.0])
+        with pytest.raises(ValueError, match="nonnegative cone"):
+            self.probe(a, d, 2.0)
 
     def test_rejects_direction_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            perturb.sharpness_probe([[0.0, 1.0], [1.0, 0.0]], [[1.0]], [0.1])
+            self.probe([[0.0, 1.0], [1.0, 0.0]], [[1.0]], 0.1)

@@ -295,3 +295,20 @@ class TestOneAnalysisPerMatrix:
         assert cli.main(["analyze", str(fixtures_dir / name)]) == 0
         capsys.readouterr()
         assert len(scc_calls) == 1
+
+    def test_cli_certify_one_normal_form_per_matrix(
+        self, monkeypatch, fixtures_dir, capsys
+    ):
+        calls = []
+        original = structure.frobenius_normal_form
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return original(a)
+
+        monkeypatch.setattr(structure, "frobenius_normal_form", counting)
+        argv = ["certify", str(fixtures_dir / "cycle2.txt"),
+                str(fixtures_dir / "cycle2_perturbed.txt")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
