@@ -1,7 +1,8 @@
 """The solver's kernel: propose a Perron vector, then certify it.
 
-``collatz_wielandt(b, tol, max_iter) -> (lo, hi, x, iterations, converged)``
-for a nonnegative irreducible ``b`` with n >= 2.  For every x > 0 the
+``collatz_wielandt(b, tol, max_iter, start=None)`` returns
+``(lo, hi, x, iterations, converged)`` for a nonnegative irreducible
+``b`` with n >= 2.  For every x > 0 the
 Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
 their minimum and their maximum.  ``lo`` and ``hi`` are those extremes
 widened outward for every rounding error their float computation can
@@ -12,13 +13,16 @@ proposed x.
    [2^-400, 2^400] is scaled by an exact power of two, which keeps the
    products clear of overflow and underflow; the bounds are scaled back
    outward.
-2. Proposal: from the all-ones vector.  For n <= 8 and max_iter >= 2,
-   the eigenvector LAPACK's dgeev gives for the eigenvalue of largest
-   real part (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide,
-   1999), sign flipped and scaled to max 1, is tried next, as one
-   iteration.  It is kept only when it is positive, its ratios spread
-   less than the ones vector's, and its underflow slack stays under half
-   of ``tol``; it usually lands at the floor of floating point at once.
+2. Proposal: from the all-ones vector.  A proposed vector ``start`` is
+   tried next, as one iteration.  For n <= 8 and max_iter >= 2, when no
+   ``start`` is given, that is the eigenvector LAPACK's dgeev gives for
+   the eigenvalue of largest real part (``np.linalg.eig``; Anderson et
+   al., LAPACK Users' Guide, 1999), sign flipped.  For 8 < n <= 64 the
+   solver passes the row or column sums of one power b^(2^j) built by
+   repeated squaring (``power_proposal``), one power for both passes.
+   Either is kept only when it is positive, its ratios spread less than
+   the ones vector's, and its underflow slack stays under half of
+   ``tol``; it usually lands at the floor of floating point at once.
    From there, or from the ones vector, power sweeps x <- bx run while
    they contract well.  Once the
    sweeps still needed, extrapolated from the contraction seen over the
@@ -34,10 +38,10 @@ proposed x.
    Accuracy and Stability of Numerical Algorithms, ch. 3; sums of
    nonnegative terms cannot cancel), plus an absolute term for results
    that underflow.  k is taken as n until that bound would use most of
-   ``tol``, then counted.  Where it still exceeds ``tol`` once the ratios
-   agree to rounding, the final vector is certified once more in
-   np.longdouble, in row blocks; where longdouble is float64 that gains
-   nothing but stays sound.
+   ``tol``, then counted, row by row only where some entry is zero.
+   Where it still exceeds ``tol`` once the ratios agree to rounding, the
+   final vector is certified once more in np.longdouble, in row blocks;
+   where longdouble is float64 that gains nothing but stays sound.
 
 The kernel stops when the certified width, underflow slack aside (it
 does not shrink with iteration), meets ``tol``, at
@@ -50,13 +54,14 @@ import math
 
 import numpy as np
 
-__all__ = ["collatz_wielandt"]
+__all__ = ["collatz_wielandt", "power_proposal"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
 _LOW, _HIGH = 2.0**-400, 2.0**400  # row sums left unscaled
 _LD_BLOCK = 1 << 16  # entries per row block of the longdouble pass
 _STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
+_SETTLED = 8 * _U  # power_proposal's row sums have settled: 4 ulps of 1
 
 # Host-timed cost model: numpy 2.4, one BLAS thread, a 2-core x86_64
 # host.  Other hosts move where each method pays off, never a bound.
@@ -64,6 +69,14 @@ _STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
 # n = 2 and 50 us at n = 8, about one or two sweeps' overhead, but
 # 135 us at n = 16, a whole kernel call there, and 1.4 ms at n = 48
 _EIG_N = 8
+# Largest n whose two passes start from power_proposal.  Both passes of
+# a dense matrix take 150 us at n = 16 and 48 and 230-290 us at n = 64
+# to 100; the four squarings it needs cost 30, 75, 110-170 and 250 us,
+# after which each pass stops at its second vector.  That wins at
+# n = 16, breaks even at n = 48 to 64 and loses at n = 80 (350 against
+# 230 us); patterns that need more sweeps (a ring, n = 48: 190 against
+# 500 us) gain more
+_SQUARE_N = 64
 # the Noda phase costs _NODA_STEPS steps, each a solve and a sweep; a
 # solve costs about n^2 / _SOLVE_N2 sweeps up to n = 300 and n / _SOLVE_N
 # beyond (an n^3 / 3 factorization against an n^2 product), and one
@@ -113,21 +126,16 @@ def _longdouble_bounds(b, x, k, slack):
             math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
-def _eig_proposal(b, spread, tol_s):
-    """LAPACK's Perron vector y of b, with by and the extremes of by / y.
+def _try_start(b, y, spread, tol_s):
+    """y scaled to max 1, with by and the extremes of by / y.
 
-    None when eig fails or y is not a better start than the ones vector:
-    an entry not positive, a ratio spread not below ``spread``, or an
-    underflow slack (see ``_certify``) of half of ``tol_s`` or more.
+    None when y is not a better start than the ones vector: an entry not
+    positive, a ratio spread not below ``spread``, or an underflow slack
+    (see ``_certify``) of half of ``tol_s`` or more.
     """
-    try:
-        w, v = np.linalg.eig(b)
-    except np.linalg.LinAlgError:
-        return None
-    y = v[:, np.argmax(w.real)].real
-    y = y / y[np.argmax(np.abs(y))]  # the sign flipped, max 1
     if not _min(y) > 0.0:  # also catches NaN
         return None
+    y = y / _max(y)
     z = b @ y
     r = z / y
     r_lo, r_hi = float(_min(r)), float(_max(r))
@@ -135,6 +143,65 @@ def _eig_proposal(b, spread, tol_s):
             and (b.shape[0] + 2) * _TINY / float(_min(y)) < 0.5 * tol_s):
         return None
     return y, z, r_lo, r_hi
+
+
+def _eig_vector(b):
+    """LAPACK's Perron vector of b, sign flipped and scaled to max 1, or
+    None when eig fails."""
+    try:
+        w, v = np.linalg.eig(b)
+    except np.linalg.LinAlgError:
+        return None
+    y = v[:, np.argmax(w.real)].real
+    return y / y[np.argmax(np.abs(y))]
+
+
+def power_proposal(b):
+    """Right and left Perron vectors of irreducible b from one power of b.
+
+    For primitive b, (b / rho)^k tends to the rank-one x y^T / (y^T x)
+    (Meyer, Matrix Analysis and Applied Linear Algebra, SIAM 2000, 8.3), so
+    the row sums of a high power give the right vector x and its column
+    sums the left vector y.  The power b^(2^j) is built by squaring, each
+    square renormalized to max row sum 1, until its row sums change by at
+    most a few ulps, or would at the next square.  The squaring gives up,
+    returning what it has, once two squares in a row fail to halve the
+    last change that did halve (an imprimitive or periodic pattern, a
+    small spectral gap, rounding), or a square's max row sum is not
+    finite and positive (underflow).  Either vector may have zero entries; the
+    kernel's ``start`` keeps it only when it helps.  None when not one
+    square succeeds.
+    """
+    p = b / _max(b, axis=None)  # no row sum of p or its square overflows
+    right = p.sum(axis=1)
+    right /= _max(right)
+    best = change = math.inf
+    misses = 0
+    # each reset of misses halves best, which stays above _SETTLED, so
+    # the loop ends
+    while misses < 2:
+        q = p @ p
+        r = q.sum(axis=1)
+        s = float(_max(r))
+        if not 0.0 < s < math.inf:
+            break
+        p = q
+        p /= s
+        r /= s
+        change = float(_max(np.abs(r - right)))
+        right = r
+        if change > 0.5 * best:
+            misses += 1
+            continue
+        # once they halve, the changes shrink quadratically: the next one
+        # would be about change * (change / best)^2
+        if change <= _SETTLED or (
+                best < math.inf and change**3 <= _SETTLED * best**2):
+            break
+        best, misses = change, 0
+    if change == math.inf:  # not one square: nothing beyond b's row sums
+        return None
+    return right, p.sum(axis=0)
 
 
 def _certify(b, x, rmin, rmax, g, k, tol_s):
@@ -163,21 +230,22 @@ def _unscale(v, e, toward):
     return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
 
 
-def collatz_wielandt(b, tol, max_iter):
+def collatz_wielandt(b, tol, max_iter, start=None):
     """Certified Collatz-Wielandt interval of nonnegative irreducible b.
 
     Returns (lo, hi, x, iterations, converged): the certified interval,
     the final iterate (1-norm one), the number of vectors tried (the
-    start vector, a kept eig proposal, sweeps and Noda steps), and
-    whether hi - lo <= tol.
+    start vector, a kept proposal, sweeps and Noda steps), and
+    whether hi - lo <= tol.  ``start``, a proposed Perron vector, is
+    tried after the ones vector as eig's is for n <= 8, in its place.
     """
     # overflow, zero division and the NaN it makes are detected and
     # handled below, not warned about
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _collatz_wielandt(b, tol, max_iter)
+        return _collatz_wielandt(b, tol, max_iter, start)
 
 
-def _collatz_wielandt(b, tol, max_iter):
+def _collatz_wielandt(b, tol, max_iter, start):
     n = b.shape[0]
     z = b.sum(axis=1)  # b times the start vector, all ones
     rsum = float(_max(z))
@@ -198,8 +266,10 @@ def _collatz_wielandt(b, tol, max_iter):
     x = np.ones(n)
     rmin, rmax = float(_min(z)), float(_max(z))
     it = 1
-    if n <= _EIG_N and max_iter >= 2:
-        proposal = _eig_proposal(b, rmax - rmin, tol_s)
+    if start is None and n <= _EIG_N and max_iter >= 2:
+        start = _eig_vector(b)
+    if start is not None and max_iter >= 2:
+        proposal = _try_start(b, start, rmax - rmin, tol_s)
         if proposal is not None:
             x, z, rmin, rmax = proposal
             it = 2
@@ -210,8 +280,11 @@ def _collatz_wielandt(b, tol, max_iter):
         raw = rmax - rmin
         floor = 2.0 * g * rmax  # the spread rounding alone can produce
         if k is None and (floor > 0.75 * tol_s or raw <= floor):
-            # rounding would take most of tol: count the nonzeros per row
-            k = int(_max(np.count_nonzero(b, axis=1)))
+            # rounding would take most of tol: count the nonzeros per row,
+            # where some entry is zero (the per-row count costs ten times
+            # the whole-matrix one)
+            k = n if np.count_nonzero(b) == b.size else int(
+                _max(np.count_nonzero(b, axis=1)))
             g = _gamma(k, _U)
             floor = 2.0 * g * rmax
         # raw + floor is the certified width but for the underflow slack,

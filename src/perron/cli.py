@@ -294,10 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first call of main, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,8 +1,10 @@
 """Certified Perron root and Perron vector computation.
 
 Irreducible matrices get a Collatz-Wielandt interval from the kernel
-(``_kernels.collatz_wielandt``: an eig proposal for n <= 8, power sweeps
-handing over to Noda steps, bounds rounded outward), run on the matrix
+(``_kernels.collatz_wielandt``: an eig proposal for n <= 8, for
+8 < n <= 64 both vectors proposed by one repeated-squaring power
+(``_kernels.power_proposal``), power sweeps handing over to Noda steps,
+bounds rounded outward), run on the matrix
 and on its transpose; the two intervals both hold the radius, so their
 intersection is reported.
 Reducible matrices are split into irreducible diagonal blocks first and
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import collatz_wielandt
+from ._kernels import _EIG_N, _SQUARE_N, collatz_wielandt, power_proposal
 
 __all__ = [
     "DEFAULT_TOL",
@@ -109,9 +111,14 @@ def _certify_irreducible(m, tol, max_iter) -> PerronCertificate:
             lo=val, hi=val, right_vector=one, left_vector=one,
             residual=0.0, iterations=0, converged=True,
         )
-    lo, hi, x, iters, conv = collatz_wielandt(m, tol, max_iter)
+    # both passes may start from one power of m; the kernel keeps a
+    # proposed vector only where it beats the ones vector
+    right = left = None
+    if _EIG_N < n <= _SQUARE_N:
+        right, left = power_proposal(m) or (None, None)
+    lo, hi, x, iters, conv = collatz_wielandt(m, tol, max_iter, start=right)
     lt_lo, lt_hi, y, lt_iters, lt_conv = collatz_wielandt(
-        np.ascontiguousarray(m.T), tol, max_iter
+        np.ascontiguousarray(m.T), tol, max_iter, start=left
     )
     # rho(A) = rho(A^T): both intervals hold it
     lo, hi = max(lo, lt_lo), min(hi, lt_hi)

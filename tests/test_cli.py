@@ -329,3 +329,19 @@ class TestParserPlumbing:
         first = run("analyze", "blocks4.txt", "--format", "csv")
         second = run("analyze", "blocks4.txt", "--format", "csv")
         assert first == second
+
+    def test_parser_built_once(self, run, monkeypatch):
+        # building the parser costs over ten times what parsing does
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.setattr(cli, "_parser", None)
+        first = run("analyze", "cycle2.txt")
+        assert run("analyze", "cycle2.txt", "--tol", "-1")[0] == 2
+        assert run("analyze", "cycle2.txt") == first
+        assert len(builds) == 1

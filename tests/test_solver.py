@@ -222,6 +222,14 @@ def _cycle(weights):
     return a
 
 
+def _cycle_radius(a):
+    # the geometric mean of the weights, to 60 digits
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        prod = math.prod(decimal.Decimal(w) for w in a[a > 0.0])
+        return prod ** (decimal.Decimal(1) / a.shape[0])
+
+
 def _small_input(family, n, seed):
     """One n x n irreducible input of a hard family, from a seed."""
     rng = np.random.default_rng(seed)
@@ -288,11 +296,8 @@ class TestEigProposal:
             a = _cycle(np.exp(rng.uniform(-690.0, 0.0, n)))
             cert = solver.perron_root(a)
             assert cert.converged
-            with decimal.localcontext() as ctx:
-                ctx.prec = 60
-                prod = math.prod(decimal.Decimal(w) for w in a[a > 0.0])
-                rho = prod ** (decimal.Decimal(1) / n)
-                assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+            rho = _cycle_radius(a)
+            assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
 
     def test_eig_failure_falls_back_to_iteration(self, monkeypatch, rng):
         def failing(b):
@@ -306,6 +311,91 @@ class TestEigProposal:
                 assert encloses_radius(a, cert.lo, cert.hi)
                 if family != "scaled":  # rho ~ 2^1000 stops at the float floor
                     assert cert.converged
+
+
+class _Squarings(np.ndarray):
+    """An array that counts the products taken of it and its views."""
+
+    count = 0
+
+    def __matmul__(self, other):
+        _Squarings.count += 1
+        return super().__matmul__(other)
+
+
+class TestPowerProposal:
+    """8 < n <= _SQUARE_N starts both passes from one power of the
+    matrix; soundness rests on the certification alone."""
+
+    def test_size_limit(self, monkeypatch, rng):
+        calls = []
+        propose = solver.power_proposal
+
+        def counting(b):
+            calls.append(b.shape[0])
+            return propose(b)
+
+        monkeypatch.setattr(solver, "power_proposal", counting)
+        for n in (8, 9, _kernels._SQUARE_N, _kernels._SQUARE_N + 1):
+            solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
+        assert calls == [9, _kernels._SQUARE_N]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["dense", "sparse", "weak_cycle", "near_reducible", "scaled"]),
+        st.integers(min_value=9, max_value=64),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_encloses_the_radius(self, family, n, seed):
+        a = _small_input(family, n, seed)
+        cert = solver.perron_root(a)
+        if n <= 12:  # exact elimination in Fractions is slow beyond
+            assert encloses_radius(a, cert.lo, cert.hi)
+        elif family == "weak_cycle":
+            rho = _cycle_radius(a)
+            assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+        elif family != "sparse":  # positive: eig is accurate to rounding
+            rho = eig_radius(a)
+            assert cert.lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= cert.hi
+
+    def test_kept_on_dense_inputs(self, rng):
+        # ones vector, then the proposal at the float floor: two per pass
+        for n in (9, 16, 48, 64):
+            cert = solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
+            assert cert.converged and cert.iterations == 4
+
+    def test_bad_start_is_ignored(self, rng):
+        n = 12
+        b = rng.uniform(0.1, 1.0, (n, n))
+        plain = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6)
+        x = _kernels.power_proposal(b)[0]
+        zero, negative, nan = x.copy(), x.copy(), x.copy()
+        zero[3], negative[5], nan[7] = 0.0, -x[5], math.nan
+        # its ratios spread by about 1e6, the ones vector's by under 10
+        worse = np.linspace(1.0, 1e6, n)
+        for start in (zero, negative, nan, -x, worse):
+            got = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6, start=start)
+            assert got[:2] == plain[:2] and got[3:] == plain[3:]
+            assert got[2].tobytes() == plain[2].tobytes()
+        kept = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6, start=x)
+        assert kept[3] == 2 < plain[3]
+
+    def test_weighted_cycles_give_up(self):
+        # every power of a cycle has one nonzero per row, so the row sums
+        # never settle: the squaring stops within a few steps, and the
+        # certificate stays converged
+        rng = np.random.default_rng(12)
+        for n in range(12, 25):
+            for weights in (np.exp(rng.uniform(-690.0, 0.0, n)),
+                            rng.uniform(0.5, 1.5, n)):
+                a = _cycle(weights)
+                _Squarings.count = 0
+                _kernels.power_proposal(a.view(_Squarings))
+                assert 1 <= _Squarings.count <= 4
+                cert = solver.perron_root(a)
+                assert cert.converged
+                rho = _cycle_radius(a)
+                assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
 
 
 class TestPerronRoot:
