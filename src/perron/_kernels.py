@@ -1,8 +1,14 @@
 """The solver's kernel: propose a Perron vector, then certify it.
 
-``collatz_wielandt(b, tol, max_iter, start=None)`` returns
-``(lo, hi, x, iterations, converged)`` for a nonnegative irreducible
-``b`` with n >= 2.  For every x > 0 the
+``collatz_wielandt_stack(bs, tol, max_iter)`` takes the first step for
+a stack of m same-size nonnegative irreducible matrices with
+2 <= n <= 64, and for both passes of each, the one on bs[j] and the one
+on its transpose, in one fixed set of numpy calls.  It finishes every
+pass that would stop at its proposal and hands each other one the
+proposal.  ``collatz_wielandt(b, tol, max_iter, start=None)`` runs
+one pass to the end: for the passes the first step leaves, and for
+n > 64.  It returns ``(lo, hi, x, iterations, converged)`` for a
+nonnegative irreducible ``b`` with n >= 2.  For every x > 0 the
 Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
 their minimum and their maximum.  ``lo`` and ``hi`` are those extremes
 widened outward for every rounding error their float computation can
@@ -13,18 +19,25 @@ proposed x.
    [2^-400, 2^400] is scaled by an exact power of two, which keeps the
    products clear of overflow and underflow; the bounds are scaled back
    outward.
-2. Proposal: from the all-ones vector.  A proposed vector ``start`` is
-   tried next, as one iteration.  For n <= 8 and max_iter >= 2, when no
-   ``start`` is given, that is the eigenvector LAPACK's dgeev gives for
-   the eigenvalue of largest real part (``np.linalg.eig``; Anderson et
-   al., LAPACK Users' Guide, 1999), sign flipped.  For 8 < n <= 64 the
-   solver passes the row or column sums of one power b^(2^j) built by
-   repeated squaring (``power_proposal``), one power for both passes.
-   Either is kept only when it is positive, its ratios spread less than
-   the ones vector's, and its underflow slack stays under half of
+2. Proposal (the first step): from the all-ones vector, then a proposed
+   vector, tried as one iteration.  For n <= 8 that is the eigenvector
+   LAPACK's dgeev gives for the eigenvalue of largest real part
+   (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide, 1999),
+   sign flipped, from one eig call on the whole stack of 2m matrices,
+   prescaled as in 1.  For 8 < n <= 64 it is the row or column sums of
+   one power b^(2^j) built by repeated squaring (``_power_vectors``),
+   one power for both passes, all m matrices squared together.  A
+   proposal is kept only when it is positive, its ratios spread less
+   than the ones vector's, and its underflow slack stays under half of
    ``tol``; it usually lands at the floor of floating point at once.
-   From there, or from the ones vector, power sweeps x <- bx run while
-   they contract well.  Once the
+   A pass that stops at its kept proposal, because it meets ``tol`` or
+   its ratios agree to rounding, is certified as in 4. and finished at
+   two iterations.  Every other pass (prescaled, proposal rejected, or
+   still contracting) goes on in ``collatz_wielandt`` with its proposal
+   as ``start``, which repeats the first step for that pass alone and
+   then iterates; either way a pass gets the same result.
+3. Iteration: from the kept proposal, or from the ones vector, power
+   sweeps x <- bx run while they contract well.  Once the
    sweeps still needed, extrapolated from the contraction seen over the
    last two, exceed what the Noda phase costs (about four steps, each a
    solve and a sweep), or a sweep stalls or underflows (a cycle, a tiny
@@ -32,7 +45,7 @@ proposed x.
    x <- (hi I - b)^-1 x, with hi the current upper bound (Noda, Numer.
    Math. 16, 1971; Elsner, LAA 15, 1976).  They converge superlinearly
    whatever the spectral gap, and need no shift for periodic patterns.
-3. Certification (``_certify``): a ratio over a row with k nonzeros
+4. Certification (``_certify``): a ratio over a row with k nonzeros
    carries k + 1 roundings, so the exact ratio is within a relative
    gamma_{k+1} = (k+1)u / (1 - (k+1)u) of it, or slightly more (Higham,
    Accuracy and Stability of Numerical Algorithms, ch. 3; sums of
@@ -54,14 +67,14 @@ import math
 
 import numpy as np
 
-__all__ = ["collatz_wielandt", "power_proposal"]
+__all__ = ["collatz_wielandt", "collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
 _LOW, _HIGH = 2.0**-400, 2.0**400  # row sums left unscaled
 _LD_BLOCK = 1 << 16  # entries per row block of the longdouble pass
 _STALLS = 3  # Noda steps in a row that shrink the spread by under 1/8
-_SETTLED = 8 * _U  # power_proposal's row sums have settled: 4 ulps of 1
+_SETTLED = 8 * _U  # _power_vectors' row sums have settled: 4 ulps of 1
 
 # Host-timed cost model: numpy 2.4, one BLAS thread, a 2-core x86_64
 # host.  Other hosts move where each method pays off, never a bound.
@@ -69,7 +82,7 @@ _SETTLED = 8 * _U  # power_proposal's row sums have settled: 4 ulps of 1
 # n = 2 and 50 us at n = 8, about one or two sweeps' overhead, but
 # 135 us at n = 16, a whole kernel call there, and 1.4 ms at n = 48
 _EIG_N = 8
-# Largest n whose two passes start from power_proposal.  Both passes of
+# Largest n whose two passes start from _power_vectors.  Both passes of
 # a dense matrix take 150 us at n = 16 and 48 and 230-290 us at n = 64
 # to 100; the four squarings it needs cost 30, 75, 110-170 and 250 us,
 # after which each pass stops at its second vector.  That wins at
@@ -131,33 +144,43 @@ def _try_start(b, y, spread, tol_s):
 
     None when y is not a better start than the ones vector: an entry not
     positive, a ratio spread not below ``spread``, or an underflow slack
-    (see ``_certify``) of half of ``tol_s`` or more.
+    (``_slack``) of half of ``tol_s`` or more.
     """
-    if not _min(y) > 0.0:  # also catches NaN
+    y_max = float(_max(y))
+    y = y / y_max
+    # y > 0 exactly when both hold; this also catches NaN, and entries
+    # lost to underflow in the division
+    if not (y_max > 0.0 and _min(y) > 0.0):
         return None
-    y = y / _max(y)
     z = b @ y
     r = z / y
     r_lo, r_hi = float(_min(r)), float(_max(r))
     if not (r_hi - r_lo < spread
-            and (b.shape[0] + 2) * _TINY / float(_min(y)) < 0.5 * tol_s):
+            and _slack(b.shape[0], float(_min(y))) < 0.5 * tol_s):
         return None
     return y, z, r_lo, r_hi
 
 
-def _eig_vector(b):
-    """LAPACK's Perron vector of b, sign flipped and scaled to max 1, or
-    None when eig fails."""
+def _eig_vectors(bs):
+    """LAPACK's Perron vector of each matrix of a stack, sign flipped and
+    scaled to max 1; a row of NaN where eig fails."""
     try:
-        w, v = np.linalg.eig(b)
+        w, v = np.linalg.eig(bs)
     except np.linalg.LinAlgError:
-        return None
-    y = v[:, np.argmax(w.real)].real
-    return y / y[np.argmax(np.abs(y))]
+        if len(bs) == 1:
+            return np.full(bs.shape[:2], math.nan)
+        # one failure fails the whole call: retry one by one, so that each
+        # matrix gets what it gets alone
+        return np.concatenate([_eig_vectors(b[None]) for b in bs])
+    rows = np.arange(len(bs))
+    y = v[rows, :, np.argmax(w.real, axis=1)].real
+    return y / y[rows, np.argmax(np.abs(y), axis=1)][:, None]
 
 
-def power_proposal(b):
-    """Right and left Perron vectors of irreducible b from one power of b.
+def _power_vectors(bs):
+    """Right and left Perron vectors of each irreducible matrix of a stack
+    from one power of it: a (2m, n) array, row j the right vector of
+    bs[j], row m + j its left vector.
 
     For primitive b, (b / rho)^k tends to the rank-one x y^T / (y^T x)
     (Meyer, Matrix Analysis and Applied Linear Algebra, SIAM 2000, 8.3), so
@@ -165,58 +188,95 @@ def power_proposal(b):
     sums the left vector y.  The power b^(2^j) is built by squaring, each
     square renormalized to max row sum 1, until its row sums change by at
     most a few ulps, or would at the next square.  The squaring gives up,
-    returning what it has, once two squares in a row fail to halve the
+    keeping what it has, once two squares in a row fail to halve the
     last change that did halve (an imprimitive or periodic pattern, a
     small spectral gap, rounding), or a square's max row sum is not
-    finite and positive (underflow).  Either vector may have zero entries; the
-    kernel's ``start`` keeps it only when it helps.  None when not one
-    square succeeds.
+    finite and positive (underflow).  Each matrix stops by these rules on
+    its own; the squares of those still going are taken together.
+    Either vector may have zero entries; the first step keeps it only
+    when it helps.  Rows are NaN where not one square succeeds.
     """
-    p = b / _max(b, axis=None)  # no row sum of p or its square overflows
-    right = p.sum(axis=1)
-    right /= _max(right)
-    best = change = math.inf
-    misses = 0
+    m = bs.shape[0]
+    # no row sum of p or its square overflows
+    p = bs / _max(bs, axis=(1, 2))[:, None, None]
+    right = p.sum(axis=2)
+    right /= _max(right, axis=1)[:, None]
+    best, change, misses = [math.inf] * m, [math.inf] * m, [0] * m
+    live = list(range(m))
     # each reset of misses halves best, which stays above _SETTLED, so
     # the loop ends
-    while misses < 2:
-        q = p @ p
-        r = q.sum(axis=1)
-        s = float(_max(r))
-        if not 0.0 < s < math.inf:
-            break
-        p = q
-        p /= s
-        r /= s
-        change = float(_max(np.abs(r - right)))
-        right = r
-        if change > 0.5 * best:
-            misses += 1
-            continue
-        # once they halve, the changes shrink quadratically: the next one
-        # would be about change * (change / best)^2
-        if change <= _SETTLED or (
-                best < math.inf and change**3 <= _SETTLED * best**2):
-            break
-        best, misses = change, 0
-    if change == math.inf:  # not one square: nothing beyond b's row sums
-        return None
-    return right, p.sum(axis=0)
+    while live:
+        every = len(live) == m
+        q = p if every else p[live]
+        q = q @ q
+        r = q.sum(axis=2)
+        s = _max(r, axis=1)
+        q /= s[:, None, None]
+        r /= s[:, None]
+        c = _max(np.abs(r - (right if every else right[live])), axis=1)
+        # the numpy calls above serve the whole stack, the rules below
+        # are each matrix's own, in scalars
+        kept, going = [], []
+        for i, (j, sj, cj) in enumerate(zip(live, s.tolist(), c.tolist())):
+            if not 0.0 < sj < math.inf:  # stop with the power it has
+                continue
+            kept.append(i)
+            change[j] = cj
+            if cj > 0.5 * best[j]:
+                misses[j] += 1
+                if misses[j] < 2:
+                    going.append(j)
+            # once they halve, the changes shrink quadratically: the next
+            # one would be about cj * (cj / best)^2
+            elif not (cj <= _SETTLED or (
+                    best[j] < math.inf and cj**3 <= _SETTLED * best[j]**2)):
+                best[j], misses[j] = cj, 0
+                going.append(j)
+        if len(kept) == m:
+            p, right = q, r
+        elif kept:
+            p[[live[i] for i in kept]] = q[kept]
+            right[[live[i] for i in kept]] = r[kept]
+        live = going
+    y = np.concatenate((right, p.sum(axis=1)))
+    # not one square: nothing beyond b's row sums
+    none = [j for j in range(m) if change[j] == math.inf]
+    if none:
+        y[none + [m + j for j in none]] = math.nan
+    return y
 
 
-def _certify(b, x, rmin, rmax, g, k, tol_s):
-    """Outward bounds on the radius from x's computed ratio extremes."""
-    # absolute slack per ratio: k + 1 roundings in the product and the
-    # ratio that may underflow, and up to n entries that prescaling pushed
-    # below the normal range, each off by at most _TINY / 2 relative to
-    # x_i >= min x (max x = 1)
-    slack = (b.shape[0] + 2) * _TINY / float(_min(x))
+def _slack(n, x_min):
+    """Absolute slack per ratio of an n-vector x with max 1 and min
+    x_min > 0: k + 1 roundings in the product and the ratio that may
+    underflow, and up to n entries that prescaling pushed below the
+    normal range, each off by at most _TINY / 2 relative to x_i >= x_min.
+    """
+    return (n + 2) * _TINY / x_min
+
+
+def _certify(b, x, rmin, rmax, g, k, tol_s, slack):
+    """Outward bounds on the radius from x's computed ratio extremes and
+    its ``_slack``."""
     lo, hi = _widen(rmin, rmax, g, slack)
     if hi - lo > tol_s and rmax - rmin <= 2.0 * g * rmax:
         # at the floor of float64: certify x once more in longdouble
         l_lo, l_hi = _longdouble_bounds(b, x, k or b.shape[0], slack)
         lo, hi = max(lo, l_lo), min(hi, l_hi)
     return lo, hi
+
+
+def _prescale(b, z):
+    """(b 2^-e, its row sums, e), e > 0 scaling b's largest row sum, the
+    largest entry of z = b 1, into [_LOW, _HIGH] where it lies outside;
+    (b, z, 0) where it does not."""
+    rsum = float(_max(z))
+    if _LOW <= rsum <= _HIGH or not rsum > 0.0:
+        return b, z, 0
+    e = math.frexp(rsum)[1] if math.isfinite(rsum) else (
+        math.frexp(float(_max(b, axis=None)))[1] + b.shape[0].bit_length())
+    b = np.ldexp(b, -e)
+    return b, b.sum(axis=1), e
 
 
 def _unscale(v, e, toward):
@@ -237,7 +297,8 @@ def collatz_wielandt(b, tol, max_iter, start=None):
     the final iterate (1-norm one), the number of vectors tried (the
     start vector, a kept proposal, sweeps and Noda steps), and
     whether hi - lo <= tol.  ``start``, a proposed Perron vector, is
-    tried after the ones vector as eig's is for n <= 8, in its place.
+    tried after the ones vector, as one iteration, and kept only where
+    it beats it (``_try_start``).
     """
     # overflow, zero division and the NaN it makes are detected and
     # handled below, not warned about
@@ -247,14 +308,8 @@ def collatz_wielandt(b, tol, max_iter, start=None):
 
 def _collatz_wielandt(b, tol, max_iter, start):
     n = b.shape[0]
-    z = b.sum(axis=1)  # b times the start vector, all ones
-    rsum = float(_max(z))
-    e = 0
-    if not _LOW <= rsum <= _HIGH and rsum > 0.0:
-        e = math.frexp(rsum)[1] if math.isfinite(rsum) else (
-            math.frexp(float(_max(b, axis=None)))[1] + n.bit_length())
-        b = np.ldexp(b, -e)
-        z = b.sum(axis=1)
+    # z is b times the start vector, all ones
+    b, z, e = _prescale(b, b.sum(axis=1))
     try:
         tol_s = math.ldexp(tol, -e)
     except OverflowError:
@@ -266,8 +321,6 @@ def _collatz_wielandt(b, tol, max_iter, start):
     x = np.ones(n)
     rmin, rmax = float(_min(z)), float(_max(z))
     it = 1
-    if start is None and n <= _EIG_N and max_iter >= 2:
-        start = _eig_vector(b)
     if start is not None and max_iter >= 2:
         proposal = _try_start(b, start, rmax - rmin, tol_s)
         if proposal is not None:
@@ -330,6 +383,76 @@ def _collatz_wielandt(b, tol, max_iter, start):
             noda = True  # hand over to Noda from x
             continue
         x, z, rmin, rmax = y, z_new, r_lo, r_hi
-    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s)
+    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s, _slack(n, float(_min(x))))
     lo, hi = _unscale(lo, e, 0.0), _unscale(hi, e, math.inf)
     return lo, hi, x / x.sum(), it, hi - lo <= tol
+
+
+def collatz_wielandt_stack(bs, tol, max_iter):
+    """The first step of ``collatz_wielandt`` for both passes of a stack.
+
+    ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
+    2 <= n <= _SQUARE_N.  Pass j < m is the one on bs[j], pass m + j the
+    one on bs[j].T.  Returns (done, starts), two lists of 2m entries.
+    done[j] is the pass's ``collatz_wielandt`` result where that stops at
+    the kept proposal, at two iterations, and None where the pass must
+    go on in ``collatz_wielandt(..., start=starts[j])``; starts[j] is None
+    where there is no proposal.  Each pass's entries depend on its own
+    matrix alone, not on the rest of the stack.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _collatz_wielandt_stack(bs, tol, max_iter)
+
+
+def _collatz_wielandt_stack(bs, tol, max_iter):
+    m, n = bs.shape[0], bs.shape[1]
+    if max_iter < 2:  # no room for a proposal
+        return [None] * (2 * m), [None] * (2 * m)
+    b = np.concatenate((bs, bs.transpose(0, 2, 1)))
+    z = b.sum(axis=2)  # b times the ones vector
+    zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    scaled = [not _LOW <= s <= _HIGH and s > 0.0 for s in zmax]
+    if n <= _EIG_N:
+        eb = b
+        if any(scaled):  # eig sees b prescaled, as collatz_wielandt does
+            eb = b.copy()
+            for j in np.flatnonzero(scaled):
+                eb[j] = _prescale(b[j], z[j])[0]
+        y = _eig_vectors(eb)
+    else:
+        y = _power_vectors(bs)
+    # each pass's proposal tried as _try_start does, the numpy calls
+    # shared by the stack, the rest per pass in scalars
+    y_max = _max(y, axis=1)
+    x = y / y_max[:, None]
+    r = np.matmul(b, x[:, :, None])[:, :, 0] / x
+    rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
+    x_min = _min(x, axis=1).tolist()
+    positive = (y_max > 0.0).tolist()
+    x_unit = x / x.sum(axis=1)[:, None]  # the 1-norm the result carries
+    k = None
+    done, starts = [], []
+    for j in range(2 * m):
+        result = None
+        raw = rmax[j] - rmin[j]
+        # y > 0 as _try_start tests it
+        slack = _slack(n, x_min[j]) if positive[j] and x_min[j] > 0.0 else math.inf
+        if not scaled[j] and raw < zmax[j] - zmin[j] and slack < 0.5 * tol:
+            # collatz_wielandt's stopping test at its second vector
+            g, kj = _gamma(n, _U), None
+            floor = 2.0 * g * rmax[j]
+            if floor > 0.75 * tol or raw <= floor:
+                if k is None:  # per row only where some entry is zero
+                    k = [n] * (2 * m) if _min(bs, axis=None) > 0.0 else (
+                        _max(np.count_nonzero(b, axis=2), axis=1).tolist())
+                kj = k[j]
+                g = _gamma(kj, _U)
+                floor = 2.0 * g * rmax[j]
+            if raw + floor <= tol or raw <= floor or max_iter <= 2:
+                # collatz_wielandt stops here too, with these bounds
+                lo, hi = _certify(b[j], x[j], rmin[j], rmax[j], g, kj, tol, slack)
+                result = lo, hi, x_unit[j], 2, hi - lo <= tol
+        done.append(result)
+        # x is NaN where there is no proposal
+        starts.append(y[j] if result is None and x_min[j] == x_min[j] else None)
+    return done, starts

@@ -42,10 +42,14 @@ _RULES = ("inv-k", "inv-k2", "geom")
 NILPOTENT_SLACK = 1e-10
 # allowance for log/exp round-off when checking f_m against lo(rho)
 GELFAND_RTOL = 4e-14
-# scaling rows must reproduce alpha * residual to this relative error
-HOMOGENEITY_RTOL = 1e-12
-# _gelfand_values prescales a matrix whose 1-norm exceeds this
-_GELFAND_MAX_NORM = 2.0**1020
+# _gelfand_steps prescales a matrix whose 1-norm lies outside these
+_GELFAND_MIN_NORM, _GELFAND_MAX_NORM = 2.0**-500, 2.0**1020
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = 2.0**-1074  # the smallest positive float
+# float64 entries of the terms run_trace certifies in one call (8 MiB):
+# stacking saves per-call overhead, which is spread thin long before
+# this, and the cap bounds the memory a long trace of large terms takes
+_CHUNK_ENTRIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -174,67 +178,75 @@ def run_trace(
       when lo(b_k) <= hi(r_k); the trace also requires the last b_k to
       land near the base radius (threshold 2 * s_count * ||direction||_F
       * n plus certificate widths).
+
+    The terms are built a chunk at a time and certified together, with
+    their spectral blocks and, in the first chunk, a base not yet
+    certified; every certificate is the one ``perron_root`` gives.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
     d_norm = matcore.frobenius_norm(spec.direction)
     summary = {}
-    last_block = None
+    base_cert = None
     if p is not None:
         kind, columns = "nilpotent", ("power_bound",)
         summary["nilpotency"] = p
-        base_cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
-
-        def check(term, cert, s, deviation):
-            norm_p = matcore.one_norm_mat(np.linalg.matrix_power(term, p))
-            return cert.hi**p <= norm_p + NILPOTENT_SLACK, (norm_p ** (1.0 / p),)
-
     elif fnf.irreducible:
         kind, columns = "irreducible", ("bound",)
-        base_cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
-        if not base_cert.converged:
-            raise ValueError(
-                f"base certificate did not converge within max_iter={max_iter}, "
-                "so q_star is not reliable; raise max_iter or tol"
-            )
-        per_scale = d_norm / solver.q_star(base_cert)
-
-        def check(term, cert, s, deviation):
-            bound = s * per_scale
-            return deviation <= bound + cert.width + base_cert.width, (bound,)
-
     else:
         kind, columns = "reducible", ("b_lo", "b_hi")
         block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
         summary["spectral_block_index"] = block_index
         start, end = fnf.blocks[block_index]
+        # the spectral block's positions in every term, read off unpermuted
+        block_at = np.ix_(fnf.perm[start:end], fnf.perm[start:end])
         base_cert = solver._combine(block_certs)
 
-        def check(term, cert, s, deviation):
-            nonlocal last_block
-            permuted = matcore.apply_symmetric_permutation(term, fnf.perm)
-            last_block = solver.perron_root(
-                permuted[start:end, start:end], tol=tol, max_iter=max_iter
-            )
-            return last_block.lo <= cert.hi, (last_block.lo, last_block.hi)
-
     rows = []
-    for k in range(1, spec.count + 1):
-        s = spec.scale(k)
-        term = spec.term(k)
-        cert = solver.perron_root(term, tol=tol, max_iter=max_iter)
-        deviation = abs(cert.mid - base_cert.mid)
-        ok, extra = check(term, cert, s, deviation)
-        rows.append(
-            TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, extra=extra)
-        )
-    if last_block is not None:
+    block = None
+    per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)
+    for first in range(1, spec.count + 1, per_chunk):
+        ks = range(first, min(first + per_chunk, spec.count + 1))
+        terms = [spec.term(k) for k in ks]
+        items = ([fnf] if base_cert is None else []) + terms
+        if kind == "reducible":
+            items += [t[block_at] for t in terms]
+        certs = solver._perron_roots(items, tol, max_iter)
+        if base_cert is None:
+            base_cert = certs.pop(0)
+            if kind == "irreducible":
+                if not base_cert.converged:
+                    raise ValueError(
+                        f"base certificate did not converge within "
+                        f"max_iter={max_iter}, so q_star is not reliable; "
+                        "raise max_iter or tol"
+                    )
+                per_scale = d_norm / solver.q_star(base_cert)
+        for i, (k, term) in enumerate(zip(ks, terms)):
+            s = spec.scale(k)
+            cert = certs[i]
+            deviation = abs(cert.mid - base_cert.mid)
+            if kind == "nilpotent":
+                norm_p = matcore.one_norm_mat(np.linalg.matrix_power(term, p))
+                ok = cert.hi**p <= norm_p + NILPOTENT_SLACK
+                extra = (norm_p ** (1.0 / p),)
+            elif kind == "irreducible":
+                bound = s * per_scale
+                ok = deviation <= bound + cert.width + base_cert.width
+                extra = (bound,)
+            else:
+                block = certs[len(terms) + i]
+                ok, extra = block.lo <= cert.hi, (block.lo, block.hi)
+            rows.append(
+                TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, extra=extra)
+            )
+    if block is not None:
         # the block's own mid, not one rebuilt from (b_lo, b_hi): mid
         # guards against overflow of lo + hi
-        summary["final_deviation"] = abs(last_block.mid - base_cert.mid)
+        summary["final_deviation"] = abs(block.mid - base_cert.mid)
         summary["final_threshold"] = (
             2.0 * spec.scale(spec.count) * d_norm * fnf.n
-            + last_block.width
+            + block.width
             + base_cert.width
         )
     return ConvergenceTrace(
@@ -267,40 +279,86 @@ def _times_pow2(v: float, e: int) -> float:
         return math.inf
 
 
-def _gelfand_values(x: np.ndarray, m_max: int) -> list[float]:
-    # f_m = ||x^m||_1^(1/m) for m = 1..m_max.  The running power is
-    # renormalized every step and only log-norms accumulate, so large
-    # m cannot overflow: every norm taken is at most about ||x||_1.  A
-    # matrix whose norm is near or above the largest float is first
-    # scaled by an exact power of two 2^-e, just below it; f_m is
-    # homogeneous, so f_m(x) = 2^e f_m(2^-e x), inf above the largest
-    # float.  m = 1 is returned exactly (no exp/log trip).
+def _gelfand_steps(x: np.ndarray, m_max: int):
+    """Yield (f_m, d_m) for m = 1..m_max: f_m = ||x^m||_1^(1/m) as
+    computed, and d_m, a bound on its relative error.
+
+    The running power is renormalized every step and only log-norms
+    accumulate, so large m cannot overflow: every norm taken is at most
+    about ||x||_1.  A matrix whose norm is near or above the largest
+    float is first scaled by an exact power of two 2^-e, just below it,
+    and one whose norm is below 2^-500 up to norm about 1, clear of
+    underflow; f_m is homogeneous, so f_m(x) = 2^e f_m(2^-e x), inf
+    above the largest float.  m = 1 is returned exactly (no exp/log
+    trip); f_m is 0.0 from the first m with x^m exactly zero.
+
+    Error bound, for products that stay in the normal range (entries
+    within a few hundred orders of magnitude of the norm).  With
+    gamma_k = ku / (1 - ku): each step's product of nonnegative factors
+    is within a relative gamma_n of exact entrywise, its norm nu_j
+    within gamma_(n-1), the renormalization within u, and none of these
+    can cancel, so prod_j nu_j is ||x^m||_1 up to a relative
+    phi = gamma_(m(n+1)) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3).  f_m = exp(L / m) with L = sum_j log nu_j; each
+    log is within 1 ulp, 2u |log nu_j|, each addition within u of its
+    partial sum s_k, the division within u.  So the computed exponent
+    is off by at most Delta = (2u sum_j |log nu_j| + u sum_k |s_k|) / m
+    + u |L / m| + phi / (m (1 - phi)), and exp adds one ulp:
+    d_m = expm1(Delta + 2u), times 1.01 for the rounding of this sum.
+    The error grows with |log f_m|, the size of the logs.  Where
+    2^e f_m lands below the normal range it rounds once more, by at most
+    half the smallest float; callers add that absolutely.
+    """
+    n = x.shape[0]
     e = 0
     with np.errstate(over="ignore"):
-        big = not x.sum(axis=0).max() <= _GELFAND_MAX_NORM
-    if big:
-        e = math.frexp(float(x.max()))[1] + x.shape[0].bit_length() - 1020
+        norm = float(x.sum(axis=0).max())
+    if not norm <= _GELFAND_MAX_NORM:
+        e = math.frexp(float(x.max()))[1] + n.bit_length() - 1020
+    elif 0.0 < norm < _GELFAND_MIN_NORM:
+        e = math.frexp(norm)[1]
+    if e:
         x = np.ldexp(x, -e)
-    vals = []
     cur = x.copy()
     log_acc = 0.0
+    # sums of |log nu_j| and of the partial sums |s_k|
+    abs_logs = abs_sums = 0.0
     dead = False  # set once x^m is exactly zero; it stays zero after
     for m in range(1, m_max + 1):
         if dead:
-            vals.append(0.0)
+            yield 0.0, 0.0
             continue
         if m > 1:
             cur = cur @ x
         nrm = matcore.one_norm_mat(cur)
         if nrm == 0.0:
             dead = True
-            vals.append(0.0)
+            yield 0.0, 0.0
             continue
-        f = nrm if m == 1 else math.exp((log_acc + math.log(nrm)) / m)
-        vals.append(_times_pow2(f, e))
+        k = m * (n + 1)
+        phi = k * _U / (1.0 - k * _U)
+        if m == 1:
+            f, d = nrm, phi
+        else:
+            log_nrm = math.log(nrm)
+            total = log_acc + log_nrm
+            f = math.exp(total / m)
+            delta = (
+                (2.0 * _U * (abs_logs + abs(log_nrm)) + _U * (abs_sums + abs(total))) / m
+                + _U * abs(total / m) + phi / (m * (1.0 - phi))
+            )
+            d = 1.01 * math.expm1(delta + 2.0 * _U)
+        yield _times_pow2(f, e), d
         cur = cur / nrm
-        log_acc += math.log(nrm)
-    return vals
+        log_nrm = math.log(nrm)
+        log_acc += log_nrm
+        abs_logs += abs(log_nrm)
+        abs_sums += abs(log_acc)
+
+
+def _gelfand_values(x: np.ndarray, m_max: int) -> list[float]:
+    """f_m = ||x^m||_1^(1/m) for m = 1..m_max (see ``_gelfand_steps``)."""
+    return [f for f, _ in _gelfand_steps(x, m_max)]
 
 
 def _finite_radius(m, tol, max_iter) -> solver.PerronCertificate:
@@ -342,6 +400,7 @@ class HomogeneityRow:
     residual: float  # f_m(alpha X) - alpha * mid, freshly computed
     expected: float  # alpha * residual(X)
     rel_err: float
+    bound: float  # what round-off alone can make rel_err
     ok: bool
 
 
@@ -379,22 +438,47 @@ def nonuniformity_demo(
 
     The reference radius of alpha X is taken as alpha * mid(X): exact by
     homogeneity, and it keeps the comparison free of a second iteration's
-    noise.  Each row must reproduce alpha * residual(X) to relative
-    1e-12; residuals grow without bound as alpha grows.  A radius above
-    the largest float, or an alpha X that overflows, raises ValueError.
+    noise.  Each row must reproduce alpha * residual(X) up to the
+    round-off bound derived below; residuals grow without bound as alpha
+    grows.  A radius above the largest float, or an alpha X that
+    overflows, raises ValueError.
+
+    Write F, F' for the computed f_m(X), f_m(Y) with Y = fl(alpha X),
+    d, d' for their bounds from ``_gelfand_steps``, and M for mid(X).
+    Each of F, F' is within d f + t of its exact value, t = 2^-1075
+    covering a final rounding below the normal range.  Y is alpha X up
+    to a relative eps per entry: u where its nonzero entries are normal,
+    up to t over its smallest one where not, and 1 where an entry
+    rounded to zero; f_m is monotone and homogeneous, so f_m(Y) is
+    alpha f_m(X) up to eps.  Hence
+    |F' - alpha F| <= alpha f (d' (1 + eps) + eps + d) + (alpha + 1) t,
+    f <= (F + t) / (1 - d).  The row residual F' - fl(alpha M) and
+    expected = fl(alpha fl(F - M)) add at most
+    u (alpha M + |residual| + 2 |expected|) + 2t, and their difference
+    is F' - alpha F; the t terms, (alpha + 3) t in all, are counted as
+    (alpha + 3) 2^-1074.  The bound is that sum over |expected|, times
+    1.01 for second-order terms and the rounding of rel_err (infinite
+    where expected underflows to zero).  It grows with
+    |log f_m| through d and d', and the gap ratio f / |F - M| amplifies
+    it; a homogeneity defect of 1e-9 stays far above it at any scale in
+    the normal range.
+
+    ``vacuous`` is set when |F - M| is within the certificate's width
+    plus F's own error bound: the gap is then indistinguishable from
+    zero, relative to the size of f_m at any scale.
     """
     mat = matcore.nonneg_matrix(x)
     m = int(m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     cert = _finite_radius(mat, tol, max_iter)
-    f = _gelfand_values(mat, m)[-1]
+    *_, (f, d) = _gelfand_steps(mat, m)
     residual = f - cert.mid
-    # below certificate width (or eps-level noise) the gap is not
-    # meaningfully nonzero and scaling it demonstrates nothing
-    vacuous = abs(residual) <= max(cert.width, 1e-12 * max(1.0, f))
+    vacuous = abs(residual) <= cert.width + d * f + _TINY
     rows = []
     if not vacuous:
+        f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
+        nonzero = np.count_nonzero(mat)
         for alpha in alphas:
             alpha = float(alpha)
             if not (alpha > 0.0 and math.isfinite(alpha)):
@@ -403,17 +487,35 @@ def nonuniformity_demo(
                 scaled = alpha * mat
             if not np.isfinite(scaled).all():
                 raise ValueError(f"alpha {alpha} times the matrix overflows")
-            f_scaled = _gelfand_values(scaled, m)[-1]
+            kept = scaled[scaled > 0.0]
+            smallest = float(kept.min()) if kept.size else 0.0
+            if kept.size < nonzero:
+                eps = 1.0
+            elif smallest < 2.0**-1022:
+                eps = max(_U, _TINY / smallest)
+            else:
+                eps = _U
+            *_, (f_scaled, d_scaled) = _gelfand_steps(scaled, m)
             row_residual = f_scaled - alpha * cert.mid
             expected = alpha * residual
-            rel_err = abs(row_residual - expected) / abs(expected)
+            slack = (
+                alpha * f_hi * (d_scaled * (1.0 + eps) + eps + d)
+                + (alpha + 3.0) * _TINY
+                + _U * (alpha * cert.mid + abs(row_residual) + 2.0 * abs(expected))
+            )
+            gap = abs(row_residual - expected)
+            if expected:
+                rel_err, bound = gap / abs(expected), 1.01 * slack / abs(expected)
+            else:  # alpha * residual underflows: round-off accounts for any gap
+                rel_err, bound = (math.inf if gap else 0.0), math.inf
             rows.append(
                 HomogeneityRow(
                     alpha=alpha,
                     residual=row_residual,
                     expected=expected,
                     rel_err=rel_err,
-                    ok=rel_err <= HOMOGENEITY_RTOL,
+                    bound=bound,
+                    ok=rel_err <= bound,
                 )
             )
     return NonuniformityDemo(

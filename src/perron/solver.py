@@ -1,12 +1,15 @@
 """Certified Perron root and Perron vector computation.
 
-Irreducible matrices get a Collatz-Wielandt interval from the kernel
-(``_kernels.collatz_wielandt``: an eig proposal for n <= 8, for
-8 < n <= 64 both vectors proposed by one repeated-squaring power
-(``_kernels.power_proposal``), power sweeps handing over to Noda steps,
-bounds rounded outward), run on the matrix
-and on its transpose; the two intervals both hold the radius, so their
-intersection is reported.
+Irreducible matrices get a Collatz-Wielandt interval from the kernel,
+run on the matrix and on its transpose; the two intervals both hold
+the radius, so their intersection is reported.  Irreducible matrices
+of one size are certified together: for n <= 64 one stacked first step
+(``_kernels.collatz_wielandt_stack``: an eig proposal for n <= 8, for
+8 < n <= 64 both vectors proposed by one repeated-squaring power,
+bounds rounded outward) finishes every pass it can, and the serial
+``_kernels.collatz_wielandt`` (power sweeps handing over to Noda steps)
+takes the others from their proposals, and every pass for n > 64.
+A matrix's certificate does not depend on what it is certified with.
 Reducible matrices are split into irreducible diagonal blocks first and
 the block intervals are combined.  Certificates report closed intervals
 [lo, hi] that always contain the spectral radius, converged or not;
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import _EIG_N, _SQUARE_N, collatz_wielandt, power_proposal
+from ._kernels import _SQUARE_N, collatz_wielandt, collatz_wielandt_stack
 
 __all__ = [
     "DEFAULT_TOL",
@@ -97,43 +100,74 @@ def perron_irreducible(b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronC
     tol, max_iter = _validate_iteration_params(tol, max_iter)
     if not structure.is_irreducible(m):
         raise ValueError("matrix is reducible; use perron_root")
-    return _certify_irreducible(m, tol, max_iter)
+    return _certify_irreducible(m[None], tol, max_iter)[0]
 
 
-def _certify_irreducible(m, tol, max_iter) -> PerronCertificate:
-    # perron_irreducible minus its checks: m is a validated irreducible
-    # matrix (a normal-form block, say) and the parameters are validated
-    n = m.shape[0]
+def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
+    # perron_irreducible minus its checks, for each matrix of an (m, n, n)
+    # stack: validated irreducible matrices (normal-form blocks, say)
+    # and validated parameters
+    m, n = ms.shape[0], ms.shape[1]
     if n == 1:
-        val = float(m[0, 0])
         one = _freeze(np.ones(1))
-        return PerronCertificate(
-            lo=val, hi=val, right_vector=one, left_vector=one,
-            residual=0.0, iterations=0, converged=True,
+        return [
+            PerronCertificate(
+                lo=val, hi=val, right_vector=one, left_vector=one,
+                residual=0.0, iterations=0, converged=True,
+            )
+            for val in ms[:, 0, 0].tolist()
+        ]
+    if n <= _SQUARE_N:
+        done, starts = collatz_wielandt_stack(ms, tol, max_iter)
+    else:
+        done = starts = [None] * (2 * m)
+    # pass j < m is on ms[j], pass m + j on its transpose
+    passes = [
+        d or collatz_wielandt(
+            np.ascontiguousarray(ms[j] if j < m else ms[j - m].T),
+            tol, max_iter, start=starts[j],
         )
-    # both passes may start from one power of m; the kernel keeps a
-    # proposed vector only where it beats the ones vector
-    right = left = None
-    if _EIG_N < n <= _SQUARE_N:
-        right, left = power_proposal(m) or (None, None)
-    lo, hi, x, iters, conv = collatz_wielandt(m, tol, max_iter, start=right)
-    lt_lo, lt_hi, y, lt_iters, lt_conv = collatz_wielandt(
-        np.ascontiguousarray(m.T), tol, max_iter, start=left
-    )
+        for j, d in enumerate(done)
+    ]
     # rho(A) = rho(A^T): both intervals hold it
-    lo, hi = max(lo, lt_lo), min(hi, lt_hi)
+    lo = [max(r[0], t[0]) for r, t in zip(passes, passes[m:])]
+    hi = [min(r[1], t[1]) for r, t in zip(passes, passes[m:])]
+    x = np.array([r[2] for r in passes[:m]])
+    mid = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
     with np.errstate(over="ignore", invalid="ignore"):  # hi may be inf
-        res = m @ x - 0.5 * (lo + hi) * x
-    residual = matcore.one_norm_vec(res) if np.isfinite(res).all() else None
-    return PerronCertificate(
-        lo=lo,
-        hi=hi,
-        right_vector=_freeze(x),
-        left_vector=_freeze(y),
-        residual=residual,
-        iterations=iters + lt_iters,
-        converged=conv and lt_conv,
-    )
+        res = np.matmul(ms, x[:, :, None])[:, :, 0] - mid[:, None] * x
+    finite = np.isfinite(res).all(axis=1).tolist()
+    norms = np.abs(res).sum(axis=1).tolist()
+    return [
+        PerronCertificate(
+            lo=lo[i],
+            hi=hi[i],
+            right_vector=_freeze(passes[i][2]),
+            left_vector=_freeze(passes[m + i][2]),
+            residual=norms[i] if finite[i] else None,
+            iterations=passes[i][3] + passes[m + i][3],
+            converged=passes[i][4] and passes[m + i][4],
+        )
+        for i in range(m)
+    ]
+
+
+def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
+    """Certificates of irreducible matrices, in order, with one call of
+    ``_certify_irreducible`` per size."""
+    sizes = {}
+    for i, a in enumerate(mats):
+        sizes.setdefault(a.shape[0], []).append(i)
+    certs = [None] * len(mats)
+    for idx in sizes.values():
+        # a lone matrix is certified from a view, not a copy
+        if len(idx) == 1:
+            stack = mats[idx[0]][None]
+        else:
+            stack = np.array([mats[i] for i in idx])
+        for i, cert in zip(idx, _certify_irreducible(stack, tol, max_iter)):
+            certs[i] = cert
+    return certs
 
 
 def _combine(certs) -> PerronCertificate:
@@ -152,8 +186,28 @@ def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
     """Index of the block whose certificate has the greatest midpoint
     (ties go to the lowest index), and the certificates of all blocks."""
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    certs = [_certify_irreducible(mat, tol, max_iter) for mat in fnf.block_matrices]
+    certs = _certify_blocks(fnf.block_matrices, tol, max_iter)
     return max(range(len(certs)), key=lambda i: certs[i].mid), certs
+
+
+def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
+    """``perron_root`` of each item, a matrix or its normal form, with the
+    irreducible blocks of all items certified together, one stacked call
+    per block size."""
+    fnfs = [
+        a if isinstance(a, structure.FrobeniusNormalForm)
+        else structure.frobenius_normal_form(a)
+        for a in items
+    ]
+    tol, max_iter = _validate_iteration_params(tol, max_iter)
+    # an irreducible matrix is its own single block
+    certs = iter(_certify_blocks(
+        [b for fnf in fnfs for b in fnf.block_matrices], tol, max_iter))
+    out = []
+    for fnf in fnfs:
+        blocks = [next(certs) for _ in fnf.block_matrices]
+        out.append(blocks[0] if fnf.irreducible else _combine(blocks))
+    return out
 
 
 def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertificate:
@@ -168,12 +222,7 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
     :class:`~perron.structure.FrobeniusNormalForm`, which is then not
     recomputed.
     """
-    given = isinstance(a, structure.FrobeniusNormalForm)
-    fnf = a if given else structure.frobenius_normal_form(a)
-    tol, max_iter = _validate_iteration_params(tol, max_iter)
-    if fnf.irreducible:
-        return _certify_irreducible(fnf.matrix, tol, max_iter)
-    return _combine([_certify_irreducible(b, tol, max_iter) for b in fnf.block_matrices])
+    return _perron_roots([a], tol, max_iter)[0]
 
 
 def q_star(cert: PerronCertificate) -> float:

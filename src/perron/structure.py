@@ -157,10 +157,13 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     perm.flags.writeable = False
     ends = list(itertools.accumulate(len(comp) for comp in comps))
     blocks = tuple(zip([0] + ends[:-1], ends))
-    permuted = m[np.ix_(perm, perm)] if len(comps) > 1 else m  # else perm is 0..n-1
-    mats = tuple(permuted[s:e, s:e].copy() for s, e in blocks)
-    for mat in mats:
-        mat.flags.writeable = False
+    if len(comps) == 1:  # perm is 0..n-1: the read-only m is the block
+        mats = (m,)
+    else:
+        permuted = m[np.ix_(perm, perm)]
+        mats = tuple(permuted[s:e, s:e].copy() for s, e in blocks)
+        for mat in mats:
+            mat.flags.writeable = False
     index = None
     if len(comps) == n and not m.diagonal().any():
         # acyclic: longest path by depth, in reverse topological order

@@ -285,6 +285,21 @@ class TestGelfand:
         assert code == 0
         assert out == _GELFAND_1E200
 
+    @pytest.mark.parametrize("scale", ["e200", "e-320"])
+    def test_extreme_scales_pass(self, run, tmp_path, scale):
+        # [[1,2],[3,4]] at 1e200 once failed the alpha = 10 and 100 rows
+        # against a fixed 1e-12; at 1e-320 (subnormal) its gap, 1% of
+        # f_m, was called a match by an absolute vacuity test
+        path = tmp_path / "scaled.txt"
+        path.write_text(f"2\n1{scale} 2{scale}\n3{scale} 4{scale}\n")
+        code, out, err = run("gelfand", str(path))
+        assert code == 0 and err == ""
+        assert "scaling demo skipped" not in out
+        table = out.split("alpha", 1)[1].splitlines()[1:4]
+        assert [line.split()[0] for line in table] == ["2", "10", "100"]
+        assert all(line.endswith("pass") for line in table)
+        assert _value(out, "result") == "PASS"
+
     def test_bad_alphas_rejected(self, run):
         for value in ("0", "x", ""):
             code, _, err = run("gelfand", "shift2.txt", "--alphas", value)

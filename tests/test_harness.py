@@ -1,13 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perron import harness, solver, structure
+from perron import harness, matcore, solver, structure
 from generators import random_irreducible, random_nonneg, reducible_base
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
+_BASE_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestSequenceSpec:
@@ -173,6 +177,88 @@ class TestReducibleTrace:
             assert trace.spectral_block_index == structure.spectral_block(base)
 
 
+def _same_cert(got, want):
+    """Field for field, vectors byte for byte."""
+    def raw(v):
+        return None if v is None else v.tobytes()
+
+    return (got.lo, got.hi, got.iterations, got.converged, got.residual,
+            raw(got.right_vector), raw(got.left_vector)) == (
+        want.lo, want.hi, want.iterations, want.converged, want.residual,
+        raw(want.right_vector), raw(want.left_vector))
+
+
+def _trace_family(family, n, rng):
+    """A base and a direction whose terms exercise one path of the kernel."""
+    if family == "dense":  # eig (n <= 8) or squaring (8 < n <= 64)
+        return rng.uniform(0.5, 1.5, (n, n)), rng.uniform(0.0, 0.1, (n, n))
+    if family == "ring":  # n > 64: the serial kernel alone
+        base = np.roll(np.eye(n), 1, axis=1) + rng.uniform(0.0, 0.05, (n, n))
+        return base, rng.uniform(0.0, 0.1, (n, n))
+    if family == "cycle":  # the proposal is rejected: the serial kernel
+        pattern = np.roll(np.eye(n), 1, axis=1)
+        return (pattern * np.exp(rng.uniform(-690.0, 0.0, n)),
+                pattern * rng.uniform(0.0, 1.0, n))
+    # reducible: block certificates, and spectral blocks of the terms
+    base = reducible_base(rng)
+    return base, rng.uniform(0.0, 0.1, base.shape)
+
+
+class TestBatchCertificates:
+    """run_trace certifies a chunk of terms in one stacked call; each
+    certificate must be the one perron_root gives the term alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("dense", 2, 8), ("dense", 9, 64), ("ring", 80, 80),
+                         ("cycle", 12, 24), ("reducible", 0, 0)]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_rows_match_single_certificates(self, family, seed, per_chunk):
+        (name, low, high), rng = family, np.random.default_rng(seed)
+        base, direction = _trace_family(name, int(rng.integers(low, high + 1)), rng)
+        spec = harness.SequenceSpec(base=base, direction=direction, count=7)
+        n = spec.base.shape[0]
+        # chunks of per_chunk terms, so that chunk boundaries are crossed
+        with mock.patch.object(harness, "_CHUNK_ENTRIES", per_chunk * n * n):
+            trace = harness.run_trace(spec)
+        assert _same_cert(trace.base_cert, solver.perron_root(spec.base))
+        fnf = spec.normal_form
+        for row in trace.rows:
+            term = spec.term(row.k)
+            assert _same_cert(row.cert, solver.perron_root(term))
+            if trace.kind == "reducible":
+                s, e = fnf.blocks[trace.spectral_block_index]
+                permuted = matcore.apply_symmetric_permutation(term, fnf.perm)
+                block = solver.perron_root(permuted[s:e, s:e])
+                assert row.extra == (block.lo, block.hi)
+
+    def test_dense_trace_is_one_stacked_call(self, monkeypatch, rng):
+        # the base and all 20 terms leave the first step finished
+        calls = {"stack": 0, "serial": 0}
+        stack, serial = solver.collatz_wielandt_stack, solver.collatz_wielandt
+
+        def counting_stack(*args, **kwargs):
+            calls["stack"] += 1
+            return stack(*args, **kwargs)
+
+        def counting_serial(*args, **kwargs):
+            calls["serial"] += 1
+            return serial(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "collatz_wielandt_stack", counting_stack)
+        monkeypatch.setattr(solver, "collatz_wielandt", counting_serial)
+        spec = harness.SequenceSpec(
+            base=rng.uniform(0.5, 1.5, (16, 16)),
+            direction=rng.uniform(0.0, 0.1, (16, 16)), count=20,
+        )
+        trace = harness.run_trace(spec)
+        assert trace.ok and len(trace.rows) == 20
+        assert calls == {"stack": 1, "serial": 0}
+        assert all(row.cert.iterations == 4 for row in trace.rows)
+
+
 class TestNilpotentTrace:
     def test_inverse_sqrt_decay(self):
         # A_k = [[0,1],[1/k,0]] has radius k^(-1/2) and A_k^2 = (1/k) I
@@ -310,8 +396,45 @@ class TestNonuniformityDemo:
                 nonvacuous += 1
                 assert len(demo.rows) == 3
                 for row in demo.rows:
-                    assert row.rel_err <= harness.HOMOGENEITY_RTOL
+                    assert row.rel_err <= row.bound
         assert nonvacuous >= 10
+
+    def test_vacuity_is_relative(self):
+        # the gap of [[1,2],[3,4]] at m = 10 is about 1% of f_m at every
+        # scale; that of a rank-one matrix is round-off at every scale
+        for scale in (1e-320, 1.0, 1e200):
+            demo = harness.nonuniformity_demo(scale * _BASE_2X2, 10, [2.0, 10.0, 100.0])
+            assert not demo.vacuous and len(demo.rows) == 3 and demo.ok
+            assert 0.005 < demo.residual / demo.f_m < 0.02
+            flat = harness.nonuniformity_demo(scale * np.ones((2, 2)), 10, [2.0])
+            assert flat.vacuous
+
+    def test_underflowing_expected_residual(self):
+        # alpha * residual rounds to zero: no relative error to speak of,
+        # and no division by it
+        demo = harness.nonuniformity_demo(1e-28 * _BASE_2X2, 10, [1e-300])
+        assert not demo.vacuous and demo.rows[0].expected == 0.0
+        assert demo.rows[0].bound == math.inf and demo.ok
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_homogeneity_defect_fails(self, monkeypatch, scale):
+        # the scaled copy's residual off by 1e-9 relative is a real
+        # mismatch, far above the round-off bound at either scale
+        x = scale * _BASE_2X2
+        clean = harness.nonuniformity_demo(x, 10, [10.0])
+        steps = harness._gelfand_steps
+
+        def skewed(a, m):
+            out = list(steps(a, m))
+            if a[0, 0] != x[0, 0]:
+                f, d = out[-1]
+                out[-1] = (f + 1e-9 * clean.rows[0].expected, d)
+            return iter(out)
+
+        monkeypatch.setattr(harness, "_gelfand_steps", skewed)
+        demo = harness.nonuniformity_demo(x, 10, [10.0])
+        assert clean.ok and not demo.ok
+        assert demo.rows[0].rel_err > 0.5e-9 > demo.rows[0].bound
 
     def test_overflowing_alpha_refused(self):
         with pytest.raises(ValueError, match="overflows"):

@@ -206,9 +206,13 @@ class TestCertifiedBounds:
             n = int(rng.integers(2, 8))
             a = random_irreducible(rng, n)
             m = matcore.nonneg_matrix(a)
-            r_lo, r_hi = _kernels.collatz_wielandt(m, solver.DEFAULT_TOL, 5)[:2]
+            mt = np.ascontiguousarray(m.T)
+            # each pass from eig's vector, as the first step proposes it
+            right, left = _kernels._eig_vectors(np.stack([m, mt]))
+            r_lo, r_hi = _kernels.collatz_wielandt(
+                m, solver.DEFAULT_TOL, 5, start=right)[:2]
             l_lo, l_hi = _kernels.collatz_wielandt(
-                np.ascontiguousarray(m.T), solver.DEFAULT_TOL, 5)[:2]
+                mt, solver.DEFAULT_TOL, 5, start=left)[:2]
             cert = solver.perron_irreducible(a, max_iter=5)
             assert (cert.lo, cert.hi) == (max(r_lo, l_lo), min(r_hi, l_hi))
             assert r_lo <= cert.lo <= cert.hi <= r_hi
@@ -278,13 +282,14 @@ class TestEigProposal:
         eig = np.linalg.eig
 
         def counting(b):
-            calls.append(b.shape[0])
+            calls.append(b.shape)
             return eig(b)
 
         monkeypatch.setattr(np.linalg, "eig", counting)
         for n in (8, 9):
             solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
-        assert calls == [8, 8]
+        # one call for the matrix and its transpose
+        assert calls == [(2, 8, 8)]
 
     def test_weak_cycles_with_subnormal_vector_entries(self):
         # without the slack guard, draws 24 and 29 of this stream took
@@ -298,6 +303,31 @@ class TestEigProposal:
             assert cert.converged
             rho = _cycle_radius(a)
             assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+
+    def test_eig_failure_in_a_stack_is_retried_alone(self, monkeypatch, rng):
+        # one failure fails the whole stacked call; each matrix is then
+        # retried alone, so the others keep eig's vector and every
+        # certificate is the one its matrix gets alone
+        bad = rng.uniform(0.1, 1.0, (5, 5))
+        eig = np.linalg.eig
+
+        def flaky(b):
+            if any(np.array_equal(m, bad) or np.array_equal(m, bad.T)
+                   for m in b.reshape(-1, 5, 5)):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(b)
+
+        monkeypatch.setattr(np.linalg, "eig", flaky)
+        mats = [rng.uniform(0.1, 1.0, (5, 5)), bad, rng.uniform(0.1, 1.0, (5, 5))]
+        batch = solver._certify_blocks(
+            mats, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+        for a, got in zip(mats, batch):
+            want = solver.perron_root(a)
+            assert (got.lo, got.hi, got.iterations, got.converged, got.residual) == (
+                want.lo, want.hi, want.iterations, want.converged, want.residual)
+            assert got.right_vector.tobytes() == want.right_vector.tobytes()
+            assert got.left_vector.tobytes() == want.left_vector.tobytes()
+        assert [c.iterations == 4 for c in batch] == [True, False, True]
 
     def test_eig_failure_falls_back_to_iteration(self, monkeypatch, rng):
         def failing(b):
@@ -329,16 +359,17 @@ class TestPowerProposal:
 
     def test_size_limit(self, monkeypatch, rng):
         calls = []
-        propose = solver.power_proposal
+        propose = _kernels._power_vectors
 
-        def counting(b):
-            calls.append(b.shape[0])
-            return propose(b)
+        def counting(bs):
+            calls.append(bs.shape)
+            return propose(bs)
 
-        monkeypatch.setattr(solver, "power_proposal", counting)
+        monkeypatch.setattr(_kernels, "_power_vectors", counting)
         for n in (8, 9, _kernels._SQUARE_N, _kernels._SQUARE_N + 1):
             solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
-        assert calls == [9, _kernels._SQUARE_N]
+        n = _kernels._SQUARE_N
+        assert calls == [(1, 9, 9), (1, n, n)]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -368,7 +399,7 @@ class TestPowerProposal:
         n = 12
         b = rng.uniform(0.1, 1.0, (n, n))
         plain = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6)
-        x = _kernels.power_proposal(b)[0]
+        x = _kernels._power_vectors(b[None])[0]
         zero, negative, nan = x.copy(), x.copy(), x.copy()
         zero[3], negative[5], nan[7] = 0.0, -x[5], math.nan
         # its ratios spread by about 1e6, the ones vector's by under 10
@@ -390,7 +421,7 @@ class TestPowerProposal:
                             rng.uniform(0.5, 1.5, n)):
                 a = _cycle(weights)
                 _Squarings.count = 0
-                _kernels.power_proposal(a.view(_Squarings))
+                _kernels._power_vectors(a[None].view(_Squarings))
                 assert 1 <= _Squarings.count <= 4
                 cert = solver.perron_root(a)
                 assert cert.converged

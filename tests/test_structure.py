@@ -58,11 +58,15 @@ class TestStronglyConnectedComponents:
 
 class TestFrobeniusNormalForm:
     def test_irreducible_matrix_is_a_single_block(self, rng):
-        a = random_irreducible(rng, 5)
-        fnf = structure.frobenius_normal_form(a)
-        assert fnf.block_sizes == (5,)
-        assert np.array_equal(fnf.perm, np.arange(5))
-        assert np.array_equal(fnf.block_matrices[0], a)
+        # through Tarjan and through the positive-pattern shortcut; the
+        # block is the read-only matrix itself, not a second copy
+        for a in (random_irreducible(rng, 5), rng.uniform(0.1, 1.0, (5, 5))):
+            fnf = structure.frobenius_normal_form(a)
+            assert fnf.block_sizes == (5,)
+            assert np.array_equal(fnf.perm, np.arange(5))
+            assert np.array_equal(fnf.block_matrices[0], a)
+            assert np.shares_memory(fnf.block_matrices[0], fnf.matrix)
+            assert not fnf.block_matrices[0].flags.writeable
 
     def test_already_triangular_example(self):
         fnf = structure.frobenius_normal_form([[1.0, 1.0], [0.0, 2.0]])
