@@ -21,15 +21,31 @@ the terms of a ``perron converge`` trace, certified (both passes,
 certificate assembly included) in one stacked call, and in 20 calls of
 one matrix each.  The iterations are summed, the width is the widest.
 
+Last, the structure section: ``structure.frobenius_normal_form`` on
+the ``analyze_large`` families at n = 300 and 800 (``perfbench/cases.py``:
+ring+noise at 1% and 10%, 6 and 20 planted blocks, a nilpotent DAG),
+dense matrices at n = 4, 16, 48, DAGs at n = 16, 48 and, around the
+cut-over ``structure._REACH_N``, a ring with 5% noise and a bare cycle.
+Each row gives the median time of the normal form and, on the boolean
+pattern, of the breadth-first search with its level budget (what it
+settled: yes, no, or "gave up") and of Tarjan's walk, so the cut-over
+can be re-timed on another host.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import pathlib
+import statistics
+import sys
 import time
 
 import numpy as np
 
-from perron import _kernels, solver
+from perron import _kernels, solver, structure
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+from perfbench import cases  # noqa: E402
 
 TOL = 1e-12
 MAX_ITER = 10**6
@@ -83,6 +99,52 @@ def _one_by_one(bs):
     return [c for b in bs for c in solver._certify_irreducible(b[None], TOL, MAX_ITER)]
 
 
+def structure_cases():
+    rng = np.random.default_rng(9)
+    out = []
+    for n in (300, 800):
+        out += [(f"ring 1% {n}", cases.ring_noise(rng, n, 0.01)),
+                (f"ring 10% {n}", cases.ring_noise(rng, n, 0.10))]
+        out += [(f"planted {k} {n}", cases.planted_reducible(rng, n, k, n // 50)[0])
+                for k in (6, 20)]
+        out.append((f"DAG {n}", cases.nilpotent_dag(rng, n, 0.01, depth=20)))
+    out += [(f"dense {n}", rng.uniform(0.5, 1.5, (n, n))) for n in (4, 16, 48)]
+    out += [(f"DAG {n}", cases.nilpotent_dag(rng, n, 0.3, depth=8)) for n in (16, 48)]
+    for n in sorted({structure._REACH_N // 2, structure._REACH_N, 2 * structure._REACH_N}):
+        cycle = np.zeros((n, n))
+        cycle[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        out += [(f"ring 5% {n}", cases.ring_noise(rng, n, 0.05)), (f"cycle {n}", cycle)]
+    return out
+
+
+def median_time(run, repeats):
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        result = run()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
+
+def structure_rows(repeats):
+    rows = [("structure case", "normal form ms", "search ms", "settled", "Tarjan ms")]
+    for name, a in structure_cases():
+        p = a > 0.0
+        fnf, _ = median_time(lambda: structure.frobenius_normal_form(a), repeats)
+        search, settled = median_time(lambda: structure._reaches_all(p), repeats)
+        tarjan, _ = median_time(lambda: structure.strongly_connected_components(p), repeats)
+        rows.append((name, f"{fnf * 1e3:.3f}", f"{search * 1e3:.3f}",
+                     "yes" if settled else "no",
+                     f"{tarjan * 1e3:.3f}"))
+    return rows
+
+
+def print_table(rows):
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+
+
 def best_time(run, b, repeats):
     best = np.inf
     result = None
@@ -113,10 +175,9 @@ def main() -> int:
             rows.append((label, str(sum(c.iterations for c in certs)), f"{t * 1e3:.3f}",
                          f"{max(c.width for c in certs):.3g}",
                          "yes" if all(c.converged for c in certs) else "no"))
-
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(c.rjust(w) for c, w in zip(r, widths)))
+    print_table(rows)
+    print()
+    print_table(structure_rows(args.repeats))
     return 0
 
 

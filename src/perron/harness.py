@@ -40,8 +40,6 @@ _RULES = ("inv-k", "inv-k2", "geom")
 
 # absolute slack for the nilpotent check, applied in the p-th power domain
 NILPOTENT_SLACK = 1e-10
-# allowance for log/exp round-off when checking f_m against lo(rho)
-GELFAND_RTOL = 4e-14
 # _gelfand_steps prescales a matrix whose 1-norm lies outside these
 _GELFAND_MIN_NORM, _GELFAND_MAX_NORM = 2.0**-500, 2.0**1020
 _U = 2.0**-53  # unit roundoff of float64
@@ -356,11 +354,6 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
         abs_sums += abs(log_acc)
 
 
-def _gelfand_values(x: np.ndarray, m_max: int) -> list[float]:
-    """f_m = ||x^m||_1^(1/m) for m = 1..m_max (see ``_gelfand_steps``)."""
-    return [f for f, _ in _gelfand_steps(x, m_max)]
-
-
 def _finite_radius(m, tol, max_iter) -> solver.PerronCertificate:
     cert = solver.perron_root(m, tol=tol, max_iter=max_iter)
     if cert.hi == math.inf:
@@ -376,20 +369,26 @@ def gelfand_trace(
 ) -> GelfandTrace:
     """Trace f_m = ||X^m||_1^(1/m) against the certified radius of X.
 
-    Every f_m dominates the radius, so rows are checked against lo of
-    the certificate (with a tiny relative allowance for the log-space
-    round-off in f_m).  A radius above the largest float raises
-    ValueError: f_m - rho cannot be formed.
+    Every f_m dominates the radius, so row m passes when the computed
+    F_m is at least lo (1 - d_m) less twice the smallest float, with
+    d_m F_m's own round-off bound from ``_gelfand_steps``: F_m is within
+    d_m f_m + 2^-1075 of the exact f_m >= rho >= lo.  The floor is
+    formed as fl(lo fl(1 - d_m - 2u)) - 2^-1073, which stays below
+    lo (1 - d_m) - 2^-1075 also where the product rounds below the
+    normal range.  A radius above the largest float raises ValueError:
+    f_m - rho cannot be formed.
     """
     m = matcore.nonneg_matrix(x)
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
     cert = _finite_radius(m, tol, max_iter)
-    floor = cert.lo * (1.0 - GELFAND_RTOL)
     rows = tuple(
-        GelfandRow(m=i + 1, f_m=v, residual=v - cert.mid, ok=v >= floor)
-        for i, v in enumerate(_gelfand_values(m, m_max))
+        GelfandRow(
+            m=i + 1, f_m=f, residual=f - cert.mid,
+            ok=f >= cert.lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY,
+        )
+        for i, (f, d) in enumerate(_gelfand_steps(m, m_max))
     )
     return GelfandTrace(cert=cert, rows=rows)
 

@@ -5,6 +5,14 @@ epsilon: pattern questions are combinatorial, tolerances belong to the
 solver).  Strongly connected components give the irreducibility test and
 the block-upper-triangular normal form with irreducible diagonal blocks.
 
+Only a reducible pattern pays for a Python graph walk.  Strong
+connectivity is first read off reachability from vertex 0: a matrix
+whose row 0 and column 0 are positive off the diagonal is irreducible
+on sight, and from ``_REACH_N`` vertices up a breadth-first search,
+one vectorized step per level, settles the rest.  Tarjan's algorithm
+runs only where that fails (or below ``_REACH_N``), and its components
+fix the normal form, so the result is the same whichever path settled it.
+
 Convention: every 1x1 matrix counts as irreducible, including ``[[0]]``,
 which keeps the block decomposition total.
 """
@@ -26,11 +34,27 @@ __all__ = [
     "spectral_block",
 ]
 
+# Host-timed cut-over: numpy 2.4, one BLAS thread, a 2-core x86_64 host;
+# other hosts move it, never a result (benchmarks/bench_kernels.py times
+# both sides).  From _REACH_N vertices up, strong connectivity goes by
+# breadth-first search and an acyclic pattern's nilpotency index by
+# peeling.  A vectorized level, a search step or a peeling round, costs
+# 5-20 us at any n besides its share of one pass over the pattern.  A
+# search that settles in few levels pays: a ring with 10% noise at
+# n = 800 takes 0.17 ms against Tarjan's 12, one with 5% noise 0.10
+# against 0.31 at n = 128 but 0.11 against 0.12 at n = 64.  One that
+# fails (a reducible pattern) adds to the walk: 0.04 ms to 0.12 on a DAG
+# at n = 48.  Long paths cost a level per vertex: a bare 200-cycle takes
+# 2n levels, several times Tarjan's walk
+_REACH_N = 64
 
-def _adjacency(m: np.ndarray) -> list[list[int]]:
-    """Out-neighbor lists in ascending index order (fixes iteration order)."""
-    rows, cols = np.nonzero(m > 0.0)
-    bounds = np.searchsorted(rows, np.arange(m.shape[0] + 1)).tolist()
+
+def _adjacency(p: np.ndarray) -> list[list[int]]:
+    """Out-neighbor lists of the boolean pattern p, ascending (fixes
+    iteration order)."""
+    n = p.shape[0]
+    rows, cols = divmod(np.flatnonzero(p), n)
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
     cols = cols.tolist()
     return [cols[s:e] for s, e in zip(bounds, bounds[1:])]
 
@@ -41,11 +65,16 @@ def strongly_connected_components(a) -> list[list[int]]:
     Components are returned in a topological order of the condensation
     (every edge between distinct components points from an earlier
     component to a later one), with each component's vertices ascending.
-    Output is deterministic for a fixed input.
+    Output is deterministic for a fixed input.  A square boolean array
+    is taken as the pattern itself, without a validating copy.
     """
-    m = matcore.square_matrix(a)
-    n = m.shape[0]
-    adj = _adjacency(m)
+    if not (
+        isinstance(a, np.ndarray) and a.dtype == np.bool_
+        and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
+    ):
+        a = matcore.square_matrix(a) > 0.0
+    n = a.shape[0]
+    adj = _adjacency(a)
 
     index = [-1] * n
     lowlink = [0] * n
@@ -57,42 +86,37 @@ def strongly_connected_components(a) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        # explicit call stack of (vertex, next neighbor position)
-        work = [(root, 0)]
+        # explicit call stack of (vertex, its neighbor iterator, its
+        # position on the component stack)
+        work = [(root, iter(adj[root]), 0)]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
         while work:
-            v, pos = work.pop()
-            if pos == 0:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            neighbors = adj[v]
-            while pos < len(neighbors):
-                w = neighbors[pos]
-                pos += 1
+            v, neighbors, at = work[-1]
+            for w in neighbors:
                 if index[w] == -1:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = lowlink[w] = counter
+                    counter += 1
+                    work.append((w, iter(adj[w]), len(stack)))
+                    stack.append(w)
+                    on_stack[w] = True
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if on_stack[w] and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if low == index[v]:
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        on_stack[w] = False
+                    comp.sort()
+                    sccs.append(comp)
+                elif low < lowlink[work[-1][0]]:
+                    lowlink[work[-1][0]] = low
 
     # Tarjan emits a component only after everything it reaches, i.e. in
     # reverse topological order; flip so edges point forward.
@@ -128,61 +152,127 @@ class FrobeniusNormalForm:
         return tuple(end - start for start, end in self.blocks)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _settle(m: np.ndarray) -> tuple[bool | None, np.ndarray | None]:
+    """Strong connectivity of m's digraph by reachability from vertex 0.
+
+    Returns the verdict, or None below ``_REACH_N`` vertices, where it
+    is left to Tarjan, and the boolean pattern once formed.  The first
+    level is row 0 and column 0: positive off the diagonal, they make
+    every vertex reach 0 and be reached from it, so the matrix is
+    irreducible, a 1x1 one included, whatever its size.
+    """
+    n = m.shape[0]
+    star = np.count_nonzero(m[0]) + np.count_nonzero(m[:, 0]) - 2 * (m[0, 0] != 0.0)
+    if star == 2 * n - 2:
+        return True, None
+    p = m > 0.0
+    if n < _REACH_N:
+        return None, p
+    return _reaches_all(p), p
+
+
+def _reaches_all(p: np.ndarray) -> bool:
+    """Whether breadth-first search from vertex 0, along p's edges and
+    against them, reaches every vertex."""
+    n = p.shape[0]
+    for out in (True, False):
+        seen = (p[0] if out else p[:, 0]).copy()
+        seen[0] = True
+        frontier, count = seen, np.count_nonzero(seen)
+        while count < n:
+            idx = np.flatnonzero(frontier)
+            frontier = (p[idx].any(axis=0) if out else p[:, idx].any(axis=1)) & ~seen
+            new = np.count_nonzero(frontier)
+            if not new:
+                return False
+            count += new
+            seen |= frontier
+    return True
+
+
+def _peeled_index(p: np.ndarray) -> int:
+    """Nilpotency index of an acyclic pattern: the rounds it takes to
+    remove every vertex, each round removing those with no in-edge from
+    the rest, which is the vertex count of the longest path."""
+    indegree = np.count_nonzero(p, axis=0)
+    left, rounds = p.shape[0], 0
+    while left:
+        sources = np.flatnonzero(indegree == 0)
+        indegree[sources] = -1
+        indegree -= np.count_nonzero(p[sources], axis=0)
+        left -= sources.size
+        rounds += 1
+    return rounds
+
+
 def frobenius_normal_form(a) -> FrobeniusNormalForm:
     """Decompose into irreducible diagonal blocks in topological order.
 
     Entries of the permuted matrix below the block diagonal are exactly
     zero; each diagonal block is irreducible (1x1 blocks by convention).
 
-    When every off-diagonal entry is positive the digraph is complete,
-    so the matrix is one block and Tarjan is skipped (``perm`` is
-    0..n-1).  The check rejects a zero in row 0 first, which makes it
-    O(n) on a sparse matrix, and counts nonzeros without an n x n
-    temporary.
+    Where reachability from vertex 0 settles irreducibility (see
+    ``_settle``) Tarjan is skipped: the matrix is one block, ``perm`` is
+    0..n-1 and the read-only matrix itself is the block.  Otherwise
+    Tarjan's components fix ``perm`` and the blocks, each gathered on
+    its own (a 1x1 one off the diagonal) without a permuted n x n copy.
 
     The matrix is nilpotent iff every block is a 1x1 zero.  Entry (i, j)
     of a^k is positive iff a walk of k edges leads from i to j (products
     of nonnegative entries cannot cancel), so the index is the vertex
-    count of the longest path: exact where float powers underflow.
+    count of the longest path: exact where float powers underflow.  From
+    ``_REACH_N`` vertices up it is counted by peeling sources, below by
+    a loop over the vertices in reverse topological order.
     """
-    m = matcore.nonneg_matrix(a)
-    m.flags.writeable = False
+    m = _frozen(matcore.nonneg_matrix(a))
     n = m.shape[0]
-    complete = (
-        np.count_nonzero(m[0]) - (m[0, 0] != 0.0) == n - 1
-        and np.count_nonzero(m) - np.count_nonzero(m.diagonal()) == n * (n - 1)
-    )
-    comps = [list(range(n))] if complete else strongly_connected_components(m)
-    perm = np.array([v for comp in comps for v in comp], dtype=np.intp)
-    perm.flags.writeable = False
+    irreducible, p = _settle(m)
+    comps = None if irreducible else strongly_connected_components(p)
+    if comps is None or len(comps) == 1:
+        return FrobeniusNormalForm(
+            matrix=m, perm=_frozen(np.arange(n, dtype=np.intp)), blocks=((0, n),),
+            block_matrices=(m,), irreducible=True,
+            nilpotency_index=1 if n == 1 and m[0, 0] == 0.0 else None,
+        )
+    perm = _frozen(np.array([v for comp in comps for v in comp], dtype=np.intp))
     ends = list(itertools.accumulate(len(comp) for comp in comps))
     blocks = tuple(zip([0] + ends[:-1], ends))
-    if len(comps) == 1:  # perm is 0..n-1: the read-only m is the block
-        mats = (m,)
-    else:
-        permuted = m[np.ix_(perm, perm)]
-        mats = tuple(permuted[s:e, s:e].copy() for s, e in blocks)
-        for mat in mats:
-            mat.flags.writeable = False
+    diagonal = _frozen(m.diagonal()[perm].reshape(n, 1, 1))
+    mats = tuple(
+        diagonal[s] if e - s == 1 else _frozen(m.take(comp, 0).take(comp, 1))
+        for (s, e), comp in zip(blocks, comps)
+    )
     index = None
-    if len(comps) == n and not m.diagonal().any():
-        # acyclic: longest path by depth, in reverse topological order
-        adj, depth = _adjacency(m), [0] * n
-        for v in reversed(perm.tolist()):
-            depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
-        index = max(depth)
+    if len(comps) == n and not diagonal.any():
+        if n >= _REACH_N:
+            index = _peeled_index(p)
+        else:  # longest path by depth, in reverse topological order
+            adj, depth = _adjacency(p), [0] * n
+            for v in reversed(perm.tolist()):
+                depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
+            index = max(depth)
     return FrobeniusNormalForm(
         matrix=m, perm=perm, blocks=blocks, block_matrices=mats,
-        irreducible=len(comps) == 1, nilpotency_index=index,
+        irreducible=False, nilpotency_index=index,
     )
 
 
 def is_irreducible(a) -> bool:
     """True iff the positivity digraph is strongly connected.
 
-    A 1x1 matrix is irreducible by convention, zero entry included.
+    Answered by reachability from vertex 0 where that settles it (see
+    ``_settle``), else by Tarjan; no blocks are built.  A 1x1 matrix is
+    irreducible by convention, zero entry included.
     """
-    return frobenius_normal_form(a).irreducible
+    irreducible, p = _settle(matcore.nonneg_matrix(a))
+    if irreducible is None:
+        irreducible = len(strongly_connected_components(p)) == 1
+    return irreducible
 
 
 def nilpotency_index(a) -> int | None:

@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through cli.main."""
 
+import numpy as np
 import pytest
 
 from perron import cli
@@ -299,6 +300,22 @@ class TestGelfand:
         assert [line.split()[0] for line in table] == ["2", "10", "100"]
         assert all(line.endswith("pass") for line in table)
         assert _value(out, "result") == "PASS"
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["ones", "uniform"])
+    def test_large_scales_pass_up_to_m_30(self, run, tmp_path, n, kind):
+        # a fixed 4e-14 allowance once failed rows 25-30 of 1e100 * ones:
+        # the round-off in f_m grows with |log f_m|, and so does d_m
+        rng = np.random.default_rng(n)
+        a = np.ones((n, n)) if kind == "ones" else rng.uniform(0.5, 1.5, (n, n))
+        path = tmp_path / "scaled.txt"
+        for e in range(100, 301, 20):
+            rows = (" ".join(repr(float(v) * 10.0**e) for v in row) for row in a)
+            path.write_text(f"{n}\n" + "\n".join(rows) + "\n")
+            code, out, err = run("gelfand", str(path), "--m-max", "30")
+            assert (code, err) == (0, ""), e
+            assert "FAIL" not in out
+            assert _value(out, "result") == "PASS", e
 
     def test_bad_alphas_rejected(self, run):
         for value in ("0", "x", ""):

@@ -339,7 +339,21 @@ class TestGelfandTrace:
             trace = harness.gelfand_trace(x, 12)
             assert trace.ok
             for row in trace.rows:
-                assert row.f_m >= trace.cert.lo * (1.0 - harness.GELFAND_RTOL)
+                assert row.f_m >= trace.cert.lo * (1.0 - 4e-14)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e300])
+    def test_row_below_lo_fails(self, monkeypatch, scale):
+        # f_m of a ones matrix is its radius: each row passes against its
+        # own bound, and fails once pushed a relative 1e-9 below lo
+        x = scale * np.ones((3, 3))
+        assert harness.gelfand_trace(x, 30).ok
+        steps = harness._gelfand_steps
+        monkeypatch.setattr(
+            harness, "_gelfand_steps",
+            lambda a, m: ((f * (1.0 - 1e-9), d) for f, d in steps(a, m)),
+        )
+        trace = harness.gelfand_trace(x, 30)
+        assert not any(row.ok for row in trace.rows)
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -358,7 +372,7 @@ class TestGelfandTrace:
 
     def test_radius_above_largest_float_refused(self):
         x = [[1e308, 1e308], [1e308, 1e308]]
-        assert harness._gelfand_values(np.array(x), 4) == [math.inf] * 4
+        assert [f for f, _ in harness._gelfand_steps(np.array(x), 4)] == [math.inf] * 4
         with pytest.raises(ValueError, match="largest float"):
             harness.gelfand_trace(x, 4)
         with pytest.raises(ValueError, match="largest float"):

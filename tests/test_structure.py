@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from perron import cli, matcore, solver, structure
 from generators import (
@@ -151,6 +153,23 @@ class TestFrobeniusNormalForm:
             irreducible=len(comps) == 1, nilpotency_index=nilpotency_oracle(m),
         )
 
+    def _assert_tarjan_form(self, a):
+        fnf = structure.frobenius_normal_form(a)
+        ref = self._tarjan_form(a)
+        for f in dataclasses.fields(fnf):
+            got, want = getattr(fnf, f.name), getattr(ref, f.name)
+            if f.name == "block_matrices":
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.shape == w.shape
+                    assert g.tobytes() == w.tobytes() and not g.flags.writeable
+            elif isinstance(got, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+            else:
+                assert got == want, f.name
+        return fnf
+
     def test_positive_shortcut_matches_tarjan(self, rng):
         cases = [np.zeros((1, 1)), np.full((1, 1), 3.0), np.ones((2, 2))]
         for n in range(2, 9):
@@ -159,19 +178,65 @@ class TestFrobeniusNormalForm:
             cases.append(a - np.diag(np.diag(a)))  # zero diagonal
         cases.append(np.full((3, 3), 5e-324))
         for a in cases:
-            fnf = structure.frobenius_normal_form(a)
-            ref = self._tarjan_form(a)
-            for f in dataclasses.fields(fnf):
-                got, want = getattr(fnf, f.name), getattr(ref, f.name)
-                if f.name == "block_matrices":
-                    assert len(got) == len(want)
-                    for g, w in zip(got, want):
-                        assert np.array_equal(g, w) and not g.flags.writeable
-                elif isinstance(got, np.ndarray):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
-                    assert not got.flags.writeable
-                else:
-                    assert got == want, f.name
+            self._assert_tarjan_form(a)
+
+    @staticmethod
+    def _pattern(kind, n, seed):
+        # a relabelled matrix of the kind; "cycle" and "chain" have long
+        # paths, which take the vectorized searches one level per vertex
+        rng = np.random.default_rng(seed)
+        if kind == "sparse":
+            a = random_nonneg(rng, n, scale=1.0, density=rng.uniform(0.0, 0.3))
+        elif kind in ("ring", "cycle"):
+            a = random_irreducible(
+                rng, n, density=rng.uniform(0.0, 0.1) if kind == "ring" else 0.0)
+        elif kind in ("star at 0", "star"):
+            a = random_nonneg(rng, n, scale=1.0, density=rng.uniform(0.0, 0.05))
+            v = 0 if kind == "star at 0" else int(rng.integers(n))
+            a[v, :] = rng.uniform(0.5, 1.5, n)
+            a[:, v] = rng.uniform(0.5, 1.5, n)
+            if rng.random() < 0.5:
+                a[v, v] = 0.0
+            return a  # not relabelled: the star's center stays put
+        elif kind == "planted":
+            # irreducible diagonal blocks, sparse coupling above them, and
+            # trailing vertices with no out-edge (zero rows)
+            zero = int(rng.integers(0, n // 4 + 1))
+            cuts = np.unique(rng.integers(0, n - zero + 1, int(rng.integers(1, 6))))
+            bounds = list(zip(np.r_[0, cuts], np.r_[cuts, n - zero]))
+            a = np.zeros((n, n))
+            for s, e in bounds:
+                if e > s:
+                    a[s:e, s:e] = random_irreducible(rng, e - s, density=0.05)
+                    a[s:e, e:] = random_nonneg(rng, n, 1.0, 0.02)[s:e, e:]
+        else:  # "dag", "chain": strictly upper triangular, relabelled
+            a = np.triu(random_nonneg(rng, n, scale=1.0, density=rng.uniform(0.0, 0.5)), 1)
+            if kind == "chain":
+                a[np.arange(n - 1), np.arange(1, n)] = 1.0
+        p = rng.permutation(n)
+        return a[np.ix_(p, p)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(["sparse", "ring", "cycle", "star at 0", "star", "planted",
+                         "dag", "chain"]),
+        st.integers(1, 8) | st.integers(structure._REACH_N - 4, 2 * structure._REACH_N),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example("dag", 1, 0)  # [[0]]
+    @example("star at 0", 1, 0)  # [[x]], x > 0
+    @example("cycle", 2 * structure._REACH_N, 0)
+    @example("chain", 2 * structure._REACH_N, 0)
+    def test_matches_tarjan_on_both_sides_of_the_cut_over(self, kind, n, seed):
+        # whichever path settles it (first level, breadth-first search,
+        # Tarjan; peeling or the longest-path loop), every field is what
+        # Tarjan's components give; nilpotency_index is the oracle's
+        a = self._pattern(kind, n, seed)
+        fnf = self._assert_tarjan_form(a)
+        if kind in ("dag", "chain"):
+            assert fnf.nilpotency_index == nilpotency_oracle(a) is not None
+        if kind in ("ring", "cycle", "star at 0", "star"):
+            assert fnf.irreducible
 
     def test_deterministic(self, rng):
         a = random_nonneg(rng, 8, scale=1.0, density=0.3)
@@ -244,8 +309,9 @@ class TestSpectralBlock:
 
 class TestOneAnalysisPerMatrix:
     """Every consumer reuses one normal form: at most one SCC run per
-    matrix, and none for a matrix whose off-diagonal entries are all
-    positive, which is irreducible on sight."""
+    matrix, and none where reachability from vertex 0 settles
+    irreducibility: a positive row 0 and column 0 at any size, and a
+    breadth-first search from ``_REACH_N`` vertices up."""
 
     @pytest.fixture
     def scc_calls(self, monkeypatch):
@@ -272,12 +338,42 @@ class TestOneAnalysisPerMatrix:
 
     @pytest.mark.parametrize("zero", [(0, 5), (4, 2)])
     def test_one_zero_off_diagonal_runs_tarjan(self, scc_calls, rng, zero):
-        # a zero in row 0 fails the first check, one elsewhere the count
+        # a zero in row 0 fails the first level of the search (Tarjan runs
+        # below _REACH_N); one elsewhere leaves row 0 and column 0 positive
+        # off the diagonal, which settles irreducibility
         a = rng.uniform(0.1, 1.0, (6, 6))
         a[zero] = 0.0
         fnf = structure.frobenius_normal_form(a)
-        assert len(scc_calls) == 1
+        assert len(scc_calls) <= (1 if zero[0] == 0 else 0)
         assert fnf.irreducible and fnf.block_sizes == (6,)
+        TestFrobeniusNormalForm()._assert_tarjan_form(a)
+
+    @pytest.mark.parametrize("reducible", [False, True])
+    def test_sparse_ring_at_scale(self, scc_calls, rng, reducible):
+        # n = 200: breadth-first search settles the irreducible ring, and
+        # one Tarjan run the ring whose vertex 0 has lost its in-edges
+        n = 200
+        a = np.zeros((n, n))
+        a[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+        a[rng.integers(0, n, 3 * n), rng.integers(0, n, 3 * n)] = 0.5
+        if reducible:
+            a[:, 0] = 0.0
+        fnf = structure.frobenius_normal_form(a)
+        assert len(scc_calls) == (1 if reducible else 0)
+        assert fnf.irreducible == (not reducible)
+        assert structure.is_irreducible(a) == (not reducible)
+        assert len(scc_calls) == (1 if reducible else 0)
+
+    def test_long_paths_at_scale(self, scc_calls):
+        # a 200-cycle takes 400 search levels and no Tarjan run; the
+        # 200-shift fails the backward search, runs Tarjan once, and is
+        # peeled in 200 rounds
+        cycle = np.roll(np.eye(200), 1, axis=1)
+        assert structure.frobenius_normal_form(cycle).irreducible
+        assert len(scc_calls) == 0
+        fnf = structure.frobenius_normal_form(np.eye(200, k=1))
+        assert len(scc_calls) == 1
+        assert not fnf.irreducible and fnf.nilpotency_index == 200
 
     def test_perron_root_reducible(self, scc_calls, rng):
         a = reducible_base(rng)
