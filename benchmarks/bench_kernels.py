@@ -20,6 +20,13 @@ Then the stacked first step: 20 dense matrices at n = 16 and n = 48,
 the terms of a ``perron converge`` trace, certified (both passes,
 certificate assembly included) in one stacked call, and in 20 calls of
 one matrix each.  The iterations are summed, the width is the widest.
+The stacked time is split into the square products of
+``_power_vectors`` (their count in the iterations column, each timed
+as a bare product of a stack of that many matrices) and the rest.
+
+Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
+matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
+and 48, through ``cli.main`` with stdout discarded.
 
 Last, the structure section: ``structure.frobenius_normal_form`` on
 the ``analyze_large`` families at n = 300 and 800 (``perfbench/cases.py``:
@@ -35,14 +42,17 @@ Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
+import contextlib
+import io
 import pathlib
 import statistics
 import sys
+import tempfile
 import time
 
 import numpy as np
 
-from perron import _kernels, solver, structure
+from perron import _kernels, cli, matcore, solver, structure
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from perfbench import cases  # noqa: E402
@@ -97,6 +107,76 @@ def _stacked(bs):
 
 def _one_by_one(bs):
     return [c for b in bs for c in solver._certify_irreducible(b[None], TOL, MAX_ITER)]
+
+
+class _Products(np.ndarray):
+    """Records the stack size of every square product (a stack times a
+    stack) taken of it and its views."""
+
+    sizes = []
+
+    def __matmul__(self, other):
+        if self.ndim == np.ndim(other) == 3:
+            _Products.sizes.append(self.shape[0])
+        return super().__matmul__(other)
+
+
+def square_products(bs):
+    """Stack sizes of the square products ``_power_vectors`` takes."""
+    _Products.sizes = []
+    _kernels._power_vectors(bs.view(_Products))
+    return _Products.sizes
+
+
+def _products(bs, sizes):
+    for k in sizes:
+        bs[:k] @ bs[:k]
+
+
+def stack_rows(repeats):
+    rows = []
+    for name, bs in stacks():
+        for label, run in ((f"{name}, stacked", _stacked),
+                           (f"{name}, one by one", _one_by_one)):
+            t, certs = best_time(run, bs, repeats)
+            rows.append((label, str(sum(c.iterations for c in certs)), f"{t * 1e3:.3f}",
+                         f"{max(c.width for c in certs):.3g}",
+                         "yes" if all(c.converged for c in certs) else "no"))
+            if run is _stacked:
+                sizes = square_products(bs)
+                t_sq, _ = best_time(lambda b: _products(b, sizes), bs, repeats)
+                rows += [(f"{name}, stacked: square products", str(len(sizes)),
+                          f"{t_sq * 1e3:.3f}", "-", "-"),
+                         (f"{name}, stacked: the rest", "-",
+                          f"{(t - t_sq) * 1e3:.3f}", "-", "-")]
+    return rows
+
+
+def command_rows(repeats):
+    """Median times of whole gelfand and converge commands, in process."""
+    rng = np.random.default_rng(10)
+    rows = [("command", "ms")]
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in (16, 48):
+            files = {}
+            for key, a in (("x", rng.uniform(0.0, 1.0, (n, n))),
+                           ("base", rng.uniform(0.5, 1.5, (n, n))),
+                           ("direction", rng.uniform(0.0, 0.1, (n, n)))):
+                files[key] = str(pathlib.Path(tmp) / f"{key}{n}.txt")
+                matcore.write_matrix_file(files[key], a)
+            for label, argv in (
+                (f"gelfand n={n}", ["gelfand", files["x"]]),
+                (f"converge n={n}, 20 terms",
+                 ["converge", files["base"], files["direction"], "--count", "20"]),
+            ):
+                def run():
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        return cli.main(argv)
+
+                t, code = median_time(run, repeats)
+                rows.append((label if code == 0 else f"{label} (exit {code})",
+                             f"{t * 1e3:.3f}"))
+    return rows
 
 
 def structure_cases():
@@ -168,14 +248,10 @@ def main() -> int:
             t, (lo, hi, _, iterations, converged) = best_time(run, b, args.repeats)
             rows.append((label, str(iterations), f"{t * 1e3:.3f}", f"{hi - lo:.3g}",
                          "yes" if converged else "no"))
-    for name, bs in stacks():
-        for label, run in ((f"{name}, stacked", _stacked),
-                           (f"{name}, one by one", _one_by_one)):
-            t, certs = best_time(run, bs, args.repeats)
-            rows.append((label, str(sum(c.iterations for c in certs)), f"{t * 1e3:.3f}",
-                         f"{max(c.width for c in certs):.3g}",
-                         "yes" if all(c.converged for c in certs) else "no"))
+    rows += stack_rows(args.repeats)
     print_table(rows)
+    print()
+    print_table(command_rows(args.repeats))
     print()
     print_table(structure_rows(args.repeats))
     return 0

@@ -26,16 +26,24 @@ proposed x.
    sign flipped, from one eig call on the whole stack of 2m matrices,
    prescaled as in 1.  For 8 < n <= 64 it is the row or column sums of
    one power b^(2^j) built by repeated squaring (``_power_vectors``),
-   one power for both passes, all m matrices squared together.  A
-   proposal is kept only when it is positive, its ratios spread less
-   than the ones vector's, and its underflow slack stays under half of
-   ``tol``; it usually lands at the floor of floating point at once.
-   A pass that stops at its kept proposal, because it meets ``tol`` or
-   its ratios agree to rounding, is certified as in 4. and finished at
-   two iterations.  Every other pass (prescaled, proposal rejected, or
-   still contracting) goes on in ``collatz_wielandt`` with its proposal
-   as ``start``, which repeats the first step for that pass alone and
-   then iterates; either way a pass gets the same result.
+   one power for both passes, all m matrices squared together; the
+   passes on the transposes use column sums and x^T b, with no
+   transposed copy of the stack.  A proposal is kept only when it is
+   positive, its ratios spread less than the ones vector's, and its
+   underflow slack stays under half of ``tol``; it usually lands at the
+   floor of floating point at once.  A pass that stops at its kept
+   proposal, because it meets ``tol`` or its ratios agree to rounding,
+   is certified as in 4. and finished at two iterations.  A pass still
+   contracting goes on in ``collatz_wielandt`` from the first step's
+   state (``Resume``: the kept vector, b x and the ratio extremes) as
+   its second iteration; a prescaled pass goes on with its proposal as
+   ``start``, which repeats the first step for that pass alone after
+   prescaling; a pass whose proposal was rejected starts over from the
+   ones vector.  A resumed pass gets what ``start`` with its proposal
+   would give, bit for bit, but for the passes on transposes at
+   8 < n <= 64, whose x^T b rounds differently from the serial
+   kernel's product with a transposed copy; either way each certificate
+   holds the radius, and a matrix gets the same one stacked or alone.
 3. Iteration: from the kept proposal, or from the ones vector, power
    sweeps x <- bx run while they contract well.  Once the
    sweeps still needed, extrapolated from the contraction seen over the
@@ -64,10 +72,11 @@ it by less than an eighth.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["collatz_wielandt", "collatz_wielandt_stack"]
+__all__ = ["Resume", "collatz_wielandt", "collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
@@ -185,22 +194,31 @@ def _power_vectors(bs):
     For primitive b, (b / rho)^k tends to the rank-one x y^T / (y^T x)
     (Meyer, Matrix Analysis and Applied Linear Algebra, SIAM 2000, 8.3), so
     the row sums of a high power give the right vector x and its column
-    sums the left vector y.  The power b^(2^j) is built by squaring, each
-    square renormalized to max row sum 1, until its row sums change by at
-    most a few ulps, or would at the next square.  The squaring gives up,
-    keeping what it has, once two squares in a row fail to halve the
-    last change that did halve (an imprimitive or periodic pattern, a
-    small spectral gap, rounding), or a square's max row sum is not
-    finite and positive (underflow).  Each matrix stops by these rules on
-    its own; the squares of those still going are taken together.
-    Either vector may have zero entries; the first step keeps it only
-    when it helps.  Rows are NaN where not one square succeeds.
+    sums the left vector y.  The power b^(2^j) is built by squaring until
+    its row sums, compared at max 1, change by at most a few ulps, or
+    would at the next square.  A square costs its product and one batched
+    matrix-vector product for the row sums: the power is not
+    renormalized, but scaled by an exact power of two, to max row sum
+    near 1, only where its largest row sum leaves [_LOW, _HIGH] (b itself
+    too).  Every power squared then has max row sum at most _HIGH, so no
+    square overflows.  The squaring gives up, keeping what it has, once
+    two squares in a row fail to halve the last change that did halve
+    (an imprimitive or periodic pattern, a small spectral gap, rounding),
+    or a square's max row sum is not positive (underflow).  Each matrix
+    stops by these rules on its own; the squares of those still going are
+    taken together.  Either vector may have zero entries; the first step
+    keeps it only when it helps.  Rows are NaN where not one square
+    succeeds.
     """
-    m = bs.shape[0]
-    # no row sum of p or its square overflows
-    p = bs / _max(bs, axis=(1, 2))[:, None, None]
-    right = p.sum(axis=2)
-    right /= _max(right, axis=1)[:, None]
+    m, n = bs.shape[0], bs.shape[1]
+    ones = np.ones(n)
+    p = bs
+    r = p @ ones
+    e = [_exponent(s, p[j]) for j, s in enumerate(_max(r, axis=1).tolist())]
+    if any(e):
+        p = np.ldexp(bs, -np.array(e)[:, None, None])
+        r = p @ ones
+    right = r / _max(r, axis=1)[:, None]
     best, change, misses = [math.inf] * m, [math.inf] * m, [0] * m
     live = list(range(m))
     # each reset of misses halves best, which stays above _SETTLED, so
@@ -209,9 +227,8 @@ def _power_vectors(bs):
         every = len(live) == m
         q = p if every else p[live]
         q = q @ q
-        r = q.sum(axis=2)
+        r = q @ ones
         s = _max(r, axis=1)
-        q /= s[:, None, None]
         r /= s[:, None]
         c = _max(np.abs(r - (right if every else right[live])), axis=1)
         # the numpy calls above serve the whole stack, the rules below
@@ -222,6 +239,8 @@ def _power_vectors(bs):
                 continue
             kept.append(i)
             change[j] = cj
+            if not _LOW <= sj <= _HIGH:
+                np.ldexp(q[i], -_exponent(sj, q[i]), out=q[i])
             if cj > 0.5 * best[j]:
                 misses[j] += 1
                 if misses[j] < 2:
@@ -235,10 +254,12 @@ def _power_vectors(bs):
         if len(kept) == m:
             p, right = q, r
         elif kept:
+            if p is bs:  # the caller's stack is not written to
+                p = bs.copy()
             p[[live[i] for i in kept]] = q[kept]
             right[[live[i] for i in kept]] = r[kept]
         live = going
-    y = np.concatenate((right, p.sum(axis=1)))
+    y = np.concatenate((right, ones @ p))
     # not one square: nothing beyond b's row sums
     none = [j for j in range(m) if change[j] == math.inf]
     if none:
@@ -266,15 +287,23 @@ def _certify(b, x, rmin, rmax, g, k, tol_s, slack):
     return lo, hi
 
 
+def _exponent(rsum, b):
+    """e scaling b's largest row sum rsum into [_LOW, _HIGH], to near 1,
+    as b 2^-e, where it lies outside; 0 where it lies inside or is not
+    positive.  An infinite rsum is bounded by b's largest entry times n."""
+    if _LOW <= rsum <= _HIGH or not rsum > 0.0:
+        return 0
+    return math.frexp(rsum)[1] if math.isfinite(rsum) else (
+        math.frexp(float(_max(b, axis=None)))[1] + b.shape[0].bit_length())
+
+
 def _prescale(b, z):
-    """(b 2^-e, its row sums, e), e > 0 scaling b's largest row sum, the
+    """(b 2^-e, its row sums, e), e scaling b's largest row sum, the
     largest entry of z = b 1, into [_LOW, _HIGH] where it lies outside;
     (b, z, 0) where it does not."""
-    rsum = float(_max(z))
-    if _LOW <= rsum <= _HIGH or not rsum > 0.0:
+    e = _exponent(float(_max(z)), b)
+    if not e:
         return b, z, 0
-    e = math.frexp(rsum)[1] if math.isfinite(rsum) else (
-        math.frexp(float(_max(b, axis=None)))[1] + b.shape[0].bit_length())
     b = np.ldexp(b, -e)
     return b, b.sum(axis=1), e
 
@@ -290,6 +319,16 @@ def _unscale(v, e, toward):
     return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
 
 
+class Resume(NamedTuple):
+    """Where the stacked first step leaves a pass it hands on: the kept
+    proposal x (max 1), b x, and the extremes of the ratios (b x) / x."""
+
+    x: np.ndarray
+    bx: np.ndarray
+    rmin: float
+    rmax: float
+
+
 def collatz_wielandt(b, tol, max_iter, start=None):
     """Certified Collatz-Wielandt interval of nonnegative irreducible b.
 
@@ -298,7 +337,10 @@ def collatz_wielandt(b, tol, max_iter, start=None):
     start vector, a kept proposal, sweeps and Noda steps), and
     whether hi - lo <= tol.  ``start``, a proposed Perron vector, is
     tried after the ones vector, as one iteration, and kept only where
-    it beats it (``_try_start``).
+    it beats it (``_try_start``).  ``start`` may instead be the
+    ``Resume`` state ``collatz_wielandt_stack`` hands on for an
+    unscaled b: the pass then goes on from that kept proposal, its
+    second iteration, without prescaling or a first step of its own.
     """
     # overflow, zero division and the NaN it makes are detected and
     # handled below, not warned about
@@ -308,24 +350,29 @@ def collatz_wielandt(b, tol, max_iter, start=None):
 
 def _collatz_wielandt(b, tol, max_iter, start):
     n = b.shape[0]
-    # z is b times the start vector, all ones
-    b, z, e = _prescale(b, b.sum(axis=1))
-    try:
-        tol_s = math.ldexp(tol, -e)
-    except OverflowError:
-        tol_s = math.inf
+    if isinstance(start, Resume):
+        e, tol_s = 0, tol
+        x, z, rmin, rmax = start
+        it = 2
+    else:
+        # z is b times the start vector, all ones
+        b, z, e = _prescale(b, b.sum(axis=1))
+        try:
+            tol_s = math.ldexp(tol, -e)
+        except OverflowError:
+            tol_s = math.inf
+        x = np.ones(n)
+        rmin, rmax = float(_min(z)), float(_max(z))
+        it = 1
+        if start is not None and max_iter >= 2:
+            proposal = _try_start(b, start, rmax - rmin, tol_s)
+            if proposal is not None:
+                x, z, rmin, rmax = proposal
+                it = 2
     # sweeps the Noda phase costs
     noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
 
     k, g = None, _gamma(n, _U)  # the row length bounds the nonzero count
-    x = np.ones(n)
-    rmin, rmax = float(_min(z)), float(_max(z))
-    it = 1
-    if start is not None and max_iter >= 2:
-        proposal = _try_start(b, start, rmax - rmin, tol_s)
-        if proposal is not None:
-            x, z, rmin, rmax = proposal
-            it = 2
     raws = []
     noda = False
     stalls = 0
@@ -396,8 +443,10 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     one on bs[j].T.  Returns (done, starts), two lists of 2m entries.
     done[j] is the pass's ``collatz_wielandt`` result where that stops at
     the kept proposal, at two iterations, and None where the pass must
-    go on in ``collatz_wielandt(..., start=starts[j])``; starts[j] is None
-    where there is no proposal.  Each pass's entries depend on its own
+    go on in ``collatz_wielandt(..., start=starts[j])``.  starts[j] is the
+    pass's ``Resume`` state where its proposal was kept, the proposal
+    itself where the pass is prescaled, and None where there is no
+    proposal or it was rejected.  Each pass's entries depend on its own
     matrix alone, not on the rest of the stack.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -408,11 +457,17 @@ def _collatz_wielandt_stack(bs, tol, max_iter):
     m, n = bs.shape[0], bs.shape[1]
     if max_iter < 2:  # no room for a proposal
         return [None] * (2 * m), [None] * (2 * m)
-    b = np.concatenate((bs, bs.transpose(0, 2, 1)))
-    z = b.sum(axis=2)  # b times the ones vector
+    if n <= _EIG_N:
+        # eig takes the transposes as matrices of their own
+        b = np.concatenate((bs, bs.transpose(0, 2, 1)))
+        z = b.sum(axis=2)  # b times the ones vector
+    else:
+        b = None
+        ones = np.ones(n)
+        z = np.concatenate((bs @ ones, ones @ bs))
     zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
     scaled = [not _LOW <= s <= _HIGH and s > 0.0 for s in zmax]
-    if n <= _EIG_N:
+    if b is not None:
         eb = b
         if any(scaled):  # eig sees b prescaled, as collatz_wielandt does
             eb = b.copy()
@@ -425,7 +480,12 @@ def _collatz_wielandt_stack(bs, tol, max_iter):
     # shared by the stack, the rest per pass in scalars
     y_max = _max(y, axis=1)
     x = y / y_max[:, None]
-    r = np.matmul(b, x[:, :, None])[:, :, 0] / x
+    if b is not None:
+        bx = np.matmul(b, x[:, :, None])[:, :, 0]
+    else:  # the left passes as x^T bs, without a transposed copy
+        bx = np.concatenate((np.matmul(bs, x[:m, :, None])[:, :, 0],
+                             np.matmul(x[m:, None, :], bs)[:, 0, :]))
+    r = bx / x
     rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
     x_min = _min(x, axis=1).tolist()
     positive = (y_max > 0.0).tolist()
@@ -433,26 +493,37 @@ def _collatz_wielandt_stack(bs, tol, max_iter):
     k = None
     done, starts = [], []
     for j in range(2 * m):
-        result = None
+        result = start = None
         raw = rmax[j] - rmin[j]
         # y > 0 as _try_start tests it
         slack = _slack(n, x_min[j]) if positive[j] and x_min[j] > 0.0 else math.inf
-        if not scaled[j] and raw < zmax[j] - zmin[j] and slack < 0.5 * tol:
+        if scaled[j]:
+            # collatz_wielandt prescales and tries it; x is NaN where
+            # there is no proposal
+            start = y[j] if x_min[j] == x_min[j] else None
+        elif raw < zmax[j] - zmin[j] and slack < 0.5 * tol:
             # collatz_wielandt's stopping test at its second vector
             g, kj = _gamma(n, _U), None
             floor = 2.0 * g * rmax[j]
             if floor > 0.75 * tol or raw <= floor:
                 if k is None:  # per row only where some entry is zero
-                    k = [n] * (2 * m) if _min(bs, axis=None) > 0.0 else (
-                        _max(np.count_nonzero(b, axis=2), axis=1).tolist())
+                    if _min(bs, axis=None) > 0.0:
+                        k = [n] * (2 * m)
+                    else:  # a transpose's rows are bs's columns
+                        nz = np.count_nonzero(b, axis=2) if b is not None else (
+                            np.concatenate((np.count_nonzero(bs, axis=2),
+                                            np.count_nonzero(bs, axis=1))))
+                        k = _max(nz, axis=1).tolist()
                 kj = k[j]
                 g = _gamma(kj, _U)
                 floor = 2.0 * g * rmax[j]
             if raw + floor <= tol or raw <= floor or max_iter <= 2:
                 # collatz_wielandt stops here too, with these bounds
-                lo, hi = _certify(b[j], x[j], rmin[j], rmax[j], g, kj, tol, slack)
+                bj = b[j] if b is not None else bs[j] if j < m else bs[j - m].T
+                lo, hi = _certify(bj, x[j], rmin[j], rmax[j], g, kj, tol, slack)
                 result = lo, hi, x_unit[j], 2, hi - lo <= tol
+            else:
+                start = Resume(x[j], bx[j], rmin[j], rmax[j])
         done.append(result)
-        # x is NaN where there is no proposal
-        starts.append(y[j] if result is None and x_min[j] == x_min[j] else None)
+        starts.append(start)
     return done, starts

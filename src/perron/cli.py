@@ -92,8 +92,8 @@ def _emit_pairs(pairs, fmt: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    a = matcore.read_matrix_file(args.matrix, nonneg=True)
-    fnf = structure.frobenius_normal_form(a)
+    # the parser's array is fresh and validated: the normal form keeps it
+    fnf = structure._normal_form(matcore.read_matrix_file(args.matrix, nonneg=True))
     index = fnf.nilpotency_index
     cert = solver.perron_root(fnf, tol=args.tol, max_iter=args.max_iter)
     pairs = [
@@ -127,7 +127,7 @@ def cmd_analyze(args) -> int:
 def cmd_certify(args) -> int:
     a = matcore.read_matrix_file(args.matrix, nonneg=True)
     a_prime = matcore.read_matrix_file(args.perturbed, nonneg=True)
-    fnf = structure.frobenius_normal_form(a)
+    fnf = structure._normal_form(a)
     if not fnf.irreducible:
         print(
             "error: base matrix is reducible, so the continuity bound does not "
@@ -138,7 +138,9 @@ def cmd_certify(args) -> int:
     pb = perturb.continuity_certificate(
         fnf, a_prime, tol=args.tol, max_iter=args.max_iter
     )
-    prime_cert = solver.perron_root(a_prime, tol=args.tol, max_iter=args.max_iter)
+    prime_cert = solver.perron_root(
+        structure._normal_form(a_prime), tol=args.tol, max_iter=args.max_iter
+    )
     # the perturbed radius lies in prime_cert and must lie in the
     # enclosure, so the two intervals have to intersect
     passed = prime_cert.lo <= pb.enclosure[1] and prime_cert.hi >= pb.enclosure[0]
@@ -193,8 +195,9 @@ def cmd_converge(args) -> int:
 def cmd_gelfand(args) -> int:
     x = matcore.read_matrix_file(args.matrix, nonneg=True)
     trace = harness.gelfand_trace(x, args.m_max, tol=args.tol, max_iter=args.max_iter)
+    # the demo reuses the trace's certificate and norm chain of X
     demo = harness.nonuniformity_demo(
-        x, args.m_max, args.alphas, tol=args.tol, max_iter=args.max_iter
+        trace, args.m_max, args.alphas, tol=args.tol, max_iter=args.max_iter
     )
     if args.format == "table":
         print(f"rho_lo: {_f(trace.cert.lo)}")

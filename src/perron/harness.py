@@ -48,6 +48,7 @@ _TINY = 2.0**-1074  # the smallest positive float
 # stacking saves per-call overhead, which is spread thin long before
 # this, and the cap bounds the memory a long trace of large terms takes
 _CHUNK_ENTRIES = 2**20
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 @dataclass(frozen=True)
@@ -56,9 +57,9 @@ class SequenceSpec:
 
     ``rule`` picks the scale schedule: "inv-k" gives coeff/k, "inv-k2"
     gives coeff/k^2, "geom" gives coeff * gamma^k (0 < gamma < 1).  All
-    three decrease strictly to zero.  Terms must stay entrywise
-    nonnegative; by default an offending term raises, with ``clamp``
-    negative entries are set to zero instead.  ``normal_form`` is the
+    three decrease strictly to zero.  Terms must stay finite, and
+    entrywise nonnegative: by default a negative entry raises, with
+    ``clamp`` it is set to zero instead.  ``normal_form`` is the
     base's structure, computed once here for every trace of the spec.
     """
 
@@ -104,11 +105,19 @@ class SequenceSpec:
         return self.coeff * self.gamma**k
 
     def term(self, k: int) -> np.ndarray:
-        """The k-th matrix of the sequence, guaranteed nonnegative."""
-        a = self.base + self.scale(k) * self.direction
+        """The k-th matrix of the sequence, a fresh array, guaranteed
+        finite and nonnegative; a term that overflows raises."""
+        with np.errstate(over="ignore"):
+            a = self.base + self.scale(k) * self.direction
+        # the ufunc reductions skip the Python-level wrappers of any/all;
+        # both comparisons fail on NaN
+        lo, hi = float(_min(a, axis=None)), float(_max(a, axis=None))
+        if not -math.inf < lo <= hi < math.inf:
+            i, j = np.argwhere(~np.isfinite(a))[0]
+            raise ValueError(f"term k={k} has a non-finite entry at ({i}, {j})")
         if self.clamp:
-            return np.maximum(a, 0.0)
-        if np.any(a < 0.0):
+            return np.maximum(a, 0.0, out=a)
+        if lo < 0.0:
             i, j = np.argwhere(a < 0.0)[0]
             raise ValueError(
                 f"term k={k} leaves the nonnegative cone at ({i}, {j})"
@@ -179,7 +188,9 @@ def run_trace(
 
     The terms are built a chunk at a time and certified together, with
     their spectral blocks and, in the first chunk, a base not yet
-    certified; every certificate is the one ``perron_root`` gives.
+    certified; every certificate is the one ``perron_root`` gives.  A
+    term, validated where it is built, and each block read off it are
+    their own normal forms' matrices, not copied again.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -206,9 +217,10 @@ def run_trace(
     for first in range(1, spec.count + 1, per_chunk):
         ks = range(first, min(first + per_chunk, spec.count + 1))
         terms = [spec.term(k) for k in ks]
-        items = ([fnf] if base_cert is None else []) + terms
+        items = ([fnf] if base_cert is None else []) + [
+            structure._normal_form(t) for t in terms]
         if kind == "reducible":
-            items += [t[block_at] for t in terms]
+            items += [structure._normal_form(t[block_at]) for t in terms]
         certs = solver._perron_roots(items, tol, max_iter)
         if base_cert is None:
             base_cert = certs.pop(0)
@@ -257,13 +269,18 @@ class GelfandRow:
     m: int
     f_m: float
     residual: float  # f_m - mid of the radius certificate
+    bound: float  # d_m, the relative round-off bound of f_m
     ok: bool
 
 
 @dataclass(frozen=True)
 class GelfandTrace:
+    """Rows m = 1..m_max against the radius certificate of ``matrix``,
+    the validated X (read-only)."""
+
     cert: solver.PerronCertificate
     rows: tuple[GelfandRow, ...]
+    matrix: np.ndarray = field(repr=False)
 
     @property
     def ok(self) -> bool:
@@ -317,7 +334,7 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
         e = math.frexp(norm)[1]
     if e:
         x = np.ldexp(x, -e)
-    cur = x.copy()
+    cur = x
     log_acc = 0.0
     # sums of |log nu_j| and of the partial sums |s_k|
     abs_logs = abs_sums = 0.0
@@ -328,7 +345,8 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
             continue
         if m > 1:
             cur = cur @ x
-        nrm = matcore.one_norm_mat(cur)
+        # the 1-norm; the scaling above keeps every entry finite
+        nrm = float(cur.sum(axis=0).max())
         if nrm == 0.0:
             dead = True
             yield 0.0, 0.0
@@ -354,14 +372,22 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
         abs_sums += abs(log_acc)
 
 
-def _finite_radius(m, tol, max_iter) -> solver.PerronCertificate:
-    cert = solver.perron_root(m, tol=tol, max_iter=max_iter)
+def _radius_and_steps(x, m_max, name, tol, max_iter):
+    """(X validated and read-only, its certificate, the (f_m, d_m) of
+    ``_gelfand_steps`` for m = 1..m_max): what ``gelfand_trace`` and
+    ``nonuniformity_demo`` start from.  ``name`` is m_max's in errors."""
+    mat = matcore.nonneg_matrix(x)
+    m_max = int(m_max)
+    if m_max < 1:
+        raise ValueError(f"{name} must be >= 1, got {m_max}")
+    # the normal form keeps the validated copy, read-only, without another
+    cert = solver.perron_root(structure._normal_form(mat), tol=tol, max_iter=max_iter)
     if cert.hi == math.inf:
         raise ValueError(
             "the spectral radius exceeds the largest float, so f_m - rho is "
             "not representable; scale the matrix down"
         )
-    return cert
+    return mat, cert, list(_gelfand_steps(mat, m_max))
 
 
 def gelfand_trace(
@@ -378,19 +404,15 @@ def gelfand_trace(
     normal range.  A radius above the largest float raises ValueError:
     f_m - rho cannot be formed.
     """
-    m = matcore.nonneg_matrix(x)
-    m_max = int(m_max)
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
-    cert = _finite_radius(m, tol, max_iter)
+    mat, cert, steps = _radius_and_steps(x, m_max, "m_max", tol, max_iter)
     rows = tuple(
         GelfandRow(
-            m=i + 1, f_m=f, residual=f - cert.mid,
+            m=i + 1, f_m=f, residual=f - cert.mid, bound=d,
             ok=f >= cert.lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY,
         )
-        for i, (f, d) in enumerate(_gelfand_steps(m, m_max))
+        for i, (f, d) in enumerate(steps)
     )
-    return GelfandTrace(cert=cert, rows=rows)
+    return GelfandTrace(cert=cert, rows=rows, matrix=mat)
 
 
 @dataclass(frozen=True)
@@ -465,13 +487,20 @@ def nonuniformity_demo(
     ``vacuous`` is set when |F - M| is within the certificate's width
     plus F's own error bound: the gap is then indistinguishable from
     zero, relative to the size of f_m at any scale.
+
+    ``x`` may also be X's :class:`GelfandTrace` with m up to its m_max:
+    its certificate and its row m's F and d are then reused, not
+    recomputed, and ``tol`` and ``max_iter`` are not used.
     """
-    mat = matcore.nonneg_matrix(x)
     m = int(m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    cert = _finite_radius(mat, tol, max_iter)
-    *_, (f, d) = _gelfand_steps(mat, m)
+    if isinstance(x, GelfandTrace):
+        if not 1 <= m <= len(x.rows):
+            raise ValueError(f"m must be in 1..{len(x.rows)} for this trace, got {m}")
+        mat, cert, row = x.matrix, x.cert, x.rows[m - 1]
+        f, d = row.f_m, row.bound
+    else:
+        mat, cert, steps = _radius_and_steps(x, m, "m", tol, max_iter)
+        f, d = steps[-1]
     residual = f - cert.mid
     vacuous = abs(residual) <= cert.width + d * f + _TINY
     rows = []

@@ -8,7 +8,8 @@ of one size are certified together: for n <= 64 one stacked first step
 8 < n <= 64 both vectors proposed by one repeated-squaring power,
 bounds rounded outward) finishes every pass it can, and the serial
 ``_kernels.collatz_wielandt`` (power sweeps handing over to Noda steps)
-takes the others from their proposals, and every pass for n > 64.
+takes the others, resuming where the first step left each (or from
+its proposal where it is prescaled), and every pass for n > 64.
 A matrix's certificate does not depend on what it is certified with.
 Reducible matrices are split into irreducible diagonal blocks first and
 the block intervals are combined.  Certificates report closed intervals

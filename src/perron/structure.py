@@ -229,7 +229,14 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     ``_REACH_N`` vertices up it is counted by peeling sources, below by
     a loop over the vertices in reverse topological order.
     """
-    m = _frozen(matcore.nonneg_matrix(a))
+    return _normal_form(matcore.nonneg_matrix(a))
+
+
+def _normal_form(m: np.ndarray) -> FrobeniusNormalForm:
+    """``frobenius_normal_form`` of a matrix already validated, a square
+    float64 array, finite and nonnegative, that the caller hands over:
+    it is made read-only and kept as the form's ``matrix``, not copied."""
+    m = _frozen(m)
     n = m.shape[0]
     irreducible, p = _settle(m)
     comps = None if irreducible else strongly_connected_components(p)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from perron import cli
+from perron import cli, harness, matcore, solver
 
 
 @pytest.fixture
@@ -316,6 +316,37 @@ class TestGelfand:
             assert (code, err) == (0, ""), e
             assert "FAIL" not in out
             assert _value(out, "result") == "PASS", e
+
+    @pytest.mark.parametrize("n", [2, 16, 48])
+    def test_one_certificate_and_norm_chain_of_x(self, run, tmp_path, monkeypatch, n):
+        # the demo reuses the trace's certificate and its f_m, d_m; the
+        # bytes are those of the trace and a standalone demo of X
+        path = tmp_path / "x.txt"
+        a = np.random.default_rng(n).uniform(0.0, 1.0, (n, n))
+        matcore.write_matrix_file(path, a)
+        x = matcore.read_matrix_file(path)
+        certs, chains = [], []
+        root, steps, demo = solver.perron_root, harness._gelfand_steps, harness.nonuniformity_demo
+
+        def certifying(m, **kwargs):
+            certs.append(np.shape(m))
+            return root(m, **kwargs)
+
+        def stepping(m, m_max):
+            chains.append(np.array_equal(m, x))
+            return steps(m, m_max)
+
+        monkeypatch.setattr(solver, "perron_root", certifying)
+        monkeypatch.setattr(harness, "_gelfand_steps", stepping)
+        shared = run("gelfand", str(path), "--m-max", "12")
+        assert shared[0] == 0 and "alpha" in shared[1]
+        assert (len(certs), chains.count(True)) == (1, 1)
+        certs.clear(), chains.clear()
+        monkeypatch.setattr(
+            harness, "nonuniformity_demo",
+            lambda t, *args, **kwargs: demo(t.matrix, *args, **kwargs))
+        assert run("gelfand", str(path), "--m-max", "12") == shared
+        assert (len(certs), chains.count(True)) == (2, 2)
 
     def test_bad_alphas_rejected(self, run):
         for value in ("0", "x", ""):

@@ -38,6 +38,19 @@ class TestSequenceSpec:
         with pytest.raises(ValueError, match="k=1"):
             spec.term(1)
 
+    def test_overflowing_term_raises(self):
+        # clamping does not hide an entry that overflowed to -inf
+        big = np.array([[1e308, 1.0], [1.0, 1.0]])
+        for spec in (
+            harness.SequenceSpec(base=big, direction=big, count=3),
+            harness.SequenceSpec(base=TWO_CYCLE, direction=-1e300 * CORNER,
+                                 coeff=1e10, clamp=True),
+        ):
+            with pytest.raises(ValueError, match="term k=1 has a non-finite"):
+                spec.term(1)
+            with pytest.raises(ValueError, match="k=1"):
+                harness.run_trace(spec)
+
     def test_clamp_keeps_terms_nonnegative(self):
         spec = harness.SequenceSpec(
             base=TWO_CYCLE, direction=-CORNER, coeff=0.5, clamp=True
@@ -257,6 +270,58 @@ class TestBatchCertificates:
         assert trace.ok and len(trace.rows) == 20
         assert calls == {"stack": 1, "serial": 0}
         assert all(row.cert.iterations == 4 for row in trace.rows)
+
+
+class TestTermsValidatedOnce:
+    """A term is checked where it is built; its normal form, and that of
+    each spectral block read off it, keep the array without a copy."""
+
+    @pytest.mark.parametrize("kind", ["irreducible", "reducible", "nilpotent"])
+    def test_normal_forms_share_the_terms(self, monkeypatch, rng, kind):
+        n = 16
+        if kind == "irreducible":
+            base = rng.uniform(0.5, 1.5, (n, n))
+        elif kind == "reducible":
+            base = reducible_base(rng)
+            n = base.shape[0]
+        else:
+            base = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        spec = harness.SequenceSpec(
+            base=base, direction=rng.uniform(0.0, 0.1, (n, n)), count=5)
+        terms, items, validated = [], [], []
+        term, roots, nonneg = (
+            harness.SequenceSpec.term, solver._perron_roots, matcore.nonneg_matrix)
+
+        def building(self, k):
+            terms.append(term(self, k))
+            return terms[-1]
+
+        def certifying(batch, *args):
+            items.extend(batch)
+            return roots(batch, *args)
+
+        def validating(a):
+            validated.append(np.shape(a))
+            return nonneg(a)
+
+        monkeypatch.setattr(harness.SequenceSpec, "term", building)
+        monkeypatch.setattr(solver, "_perron_roots", certifying)
+        monkeypatch.setattr(matcore, "nonneg_matrix", validating)
+        trace = harness.run_trace(spec)
+        assert trace.kind == kind and trace.ok
+        assert validated == []
+        assert all(isinstance(f, structure.FrobeniusNormalForm) for f in items)
+        forms = [f for f in items if f is not spec.normal_form]
+        assert len(terms) == 5
+        assert len(forms) == (2 if kind == "reducible" else 1) * len(terms)
+        for t, f in zip(terms, forms):
+            assert f.matrix is t and not t.flags.writeable
+        if kind == "reducible":
+            fnf = spec.normal_form
+            s, e = fnf.blocks[trace.spectral_block_index]
+            block = np.ix_(fnf.perm[s:e], fnf.perm[s:e])
+            for t, f in zip(terms, forms[len(terms):]):
+                assert f.matrix.base is None and np.array_equal(f.matrix, t[block])
 
 
 class TestNilpotentTrace:

@@ -344,12 +344,14 @@ class TestEigProposal:
 
 
 class _Squarings(np.ndarray):
-    """An array that counts the products taken of it and its views."""
+    """An array that counts the square products (a stack times a stack)
+    taken of it and its views, not the matrix-vector products."""
 
     count = 0
 
     def __matmul__(self, other):
-        _Squarings.count += 1
+        if self.ndim == np.ndim(other) == 3:
+            _Squarings.count += 1
         return super().__matmul__(other)
 
 
@@ -411,6 +413,18 @@ class TestPowerProposal:
         kept = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6, start=x)
         assert kept[3] == 2 < plain[3]
 
+    def test_powers_are_rescaled_exactly(self, rng):
+        # 2^k b keeps its row sums inside [2^-400, 2^400], where it is not
+        # prescaled, but its squares leave it, and are rescaled by powers
+        # of two: the vectors, scaled to max 1, are b's bit for bit
+        bs = rng.uniform(0.5, 1.5, (3, 24, 24))
+        want = _kernels._power_vectors(bs)
+        want /= want.max(axis=1)[:, None]
+        for k in (-390, -300, 300, 390):
+            got = _kernels._power_vectors(np.ldexp(bs, k))
+            got /= got.max(axis=1)[:, None]
+            assert got.tobytes() == want.tobytes()
+
     def test_weighted_cycles_give_up(self):
         # every power of a cycle has one nonzero per row, so the row sums
         # never settle: the squaring stops within a few steps, and the
@@ -427,6 +441,54 @@ class TestPowerProposal:
                 assert cert.converged
                 rho = _cycle_radius(a)
                 assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+
+
+class TestResume:
+    """A pass the stacked first step hands on with its kept proposal goes
+    on from the step's state, without a first step of its own: for the
+    right passes, and both passes at n <= 8, bit for bit what a serial
+    pass started from that proposal gets."""
+
+    def test_resume_skips_the_first_step(self, monkeypatch):
+        tried = []
+        try_start = _kernels._try_start
+
+        def counting(*args):
+            tried.append(args[0].shape)
+            return try_start(*args)
+
+        monkeypatch.setattr(_kernels, "_try_start", counting)
+        resumed = 0
+        for seed, n in enumerate((3, 5, 8, 12, 16, 24, 48, 64) * 3):
+            a = _small_input("near_reducible", n, seed)
+            done, starts = _kernels.collatz_wielandt_stack(
+                a[None], solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+            for j, state in enumerate(starts):
+                if not isinstance(state, _kernels.Resume):
+                    continue
+                resumed += 1
+                b = np.ascontiguousarray(a if j == 0 else a.T)
+                tried.clear()
+                got = _kernels.collatz_wielandt(
+                    b, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER, start=state)
+                assert tried == []
+                want = _kernels.collatz_wielandt(
+                    b, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER, start=state.x)
+                assert got[4] and want[4]
+                if j == 0 or n <= _kernels._EIG_N:
+                    assert got[:2] == want[:2] and got[3:] == want[3:]
+                    assert got[2].tobytes() == want[2].tobytes()
+                else:  # x^T b against b^T x: the same pass but for rounding
+                    assert got[0] <= want[1] and want[0] <= got[1]
+        assert resumed >= 24
+
+    def test_prescaled_passes_keep_their_proposal(self, rng):
+        # the serial kernel prescales them and tries the proposal itself
+        a = np.ldexp(rng.uniform(0.5, 1.5, (4, 12, 12)), 600)
+        done, starts = _kernels.collatz_wielandt_stack(
+            a, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+        assert done == [None] * 8
+        assert all(isinstance(s, np.ndarray) for s in starts)
 
 
 class TestPerronRoot:
