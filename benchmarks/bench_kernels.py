@@ -1,7 +1,11 @@
 """Time the certifying kernel on six matrices and on two stacks of 20.
 
-For each case, prints the vectors the kernel tried (the ones vector, an
-eig or power proposal, power sweeps and Noda steps), the best wall time
+For each case, the right pass as the solver runs it: the stacked first
+step (``collatz_wielandt_stack``, which proposes the vector, eig's up to
+n = 8, above it the squaring's, ``_power_vectors``, and takes the first
+step of both passes), then ``collatz_wielandt`` where the step hands the
+pass on.  It prints the proposal, the vectors the pass tried (the ones
+vector, a kept proposal, power sweeps and Noda steps), the best wall time
 over the repeats, and the certified width hi - lo.  The slow 2x2 has a
 spectral gap of about 2e-4, which power sweeps alone would need some
 10^5 iterations for; the dense 8x8 is the easy case at the largest size
@@ -10,11 +14,7 @@ where per-call overhead is the cost; the weak 6-cycle, one weight
 1e-300, has every eigenvalue on one circle and a Perron vector spanning
 250 orders of magnitude; the ring is a sparse 32x32 with a cycle
 backbone; the dense 48x48 is the larger size ``perron converge`` traces
-run at.  Each case runs once more from the start the solver's first
-step gives the right pass: eig's vector up to n = 8, above it the
-squaring's right vector (``_power_vectors``); the time includes the
-eig call or the squarings, which the solver spends once for both
-passes.
+run at.
 
 Then the stacked first step: 20 dense matrices at n = 16 and n = 48,
 the terms of a ``perron converge`` trace, certified (both passes,
@@ -84,16 +84,17 @@ def workloads():
     ]
 
 
-def _plain(b):
-    return _kernels.collatz_wielandt(b, TOL, MAX_ITER)
+def _right_pass(b):
+    state = _kernels.collatz_wielandt_stack(b[None], TOL, MAX_ITER)[0]
+    if isinstance(state, _kernels.Resume):
+        return _kernels.collatz_wielandt(b, TOL, MAX_ITER, state)
+    return state
 
 
-def _proposed(b):
-    propose = _kernels._eig_vectors if b.shape[0] <= _kernels._EIG_N else (
-        _kernels._power_vectors)
-    right = propose(b[None])[0]
-    return _kernels.collatz_wielandt(
-        b, TOL, MAX_ITER, start=None if np.isnan(right[0]) else right)
+def _proposal(n):
+    if n <= _kernels._EIG_N:
+        return "eig"
+    return "power" if n <= _kernels._SQUARE_N else "no"
 
 
 def stacks():
@@ -243,11 +244,9 @@ def main() -> int:
     rows = [("case", "iterations", "ms", "width", "converged")]
     for name, b in workloads():
         b = np.ascontiguousarray(b, dtype=np.float64)
-        start = "eig" if b.shape[0] <= _kernels._EIG_N else "power"
-        for label, run in ((name, _plain), (f"{name}, {start} start", _proposed)):
-            t, (lo, hi, _, iterations, converged) = best_time(run, b, args.repeats)
-            rows.append((label, str(iterations), f"{t * 1e3:.3f}", f"{hi - lo:.3g}",
-                         "yes" if converged else "no"))
+        t, (lo, hi, _, iterations, converged) = best_time(_right_pass, b, args.repeats)
+        rows.append((f"{name}, {_proposal(b.shape[0])} proposal", str(iterations),
+                     f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no"))
     rows += stack_rows(args.repeats)
     print_table(rows)
     print()

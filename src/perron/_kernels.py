@@ -1,55 +1,43 @@
 """The solver's kernel: propose a Perron vector, then certify it.
 
-``collatz_wielandt_stack(bs, tol, max_iter)`` takes the first step for
-a stack of m same-size nonnegative irreducible matrices with
-2 <= n <= 64, and for both passes of each, the one on bs[j] and the one
-on its transpose, in one fixed set of numpy calls.  It finishes every
-pass that would stop at its proposal and hands each other one the
-proposal.  ``collatz_wielandt(b, tol, max_iter, start=None)`` runs
-one pass to the end: for the passes the first step leaves, and for
-n > 64.  It returns ``(lo, hi, x, iterations, converged)`` for a
-nonnegative irreducible ``b`` with n >= 2.  For every x > 0 the
-Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
-their minimum and their maximum.  ``lo`` and ``hi`` are those extremes
+Each nonnegative irreducible matrix b, n >= 2, gets two passes, one on b
+and one on its transpose.  ``collatz_wielandt_stack(bs, tol, max_iter)``
+takes the first step of both passes of every matrix of a same-size
+stack, in one fixed set of numpy calls; it finishes each pass that stops
+at its proposal and hands each other one on as a ``Resume``, which
+``collatz_wielandt(b, tol, max_iter, start)`` iterates to the end.  A
+pass's result is ``(lo, hi, x, iterations, converged)``.  For every
+x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius
+between their minimum and their maximum; lo and hi are those extremes
 widened outward for every rounding error their float computation can
 carry, so they hold the radius of the stored floats whatever method
 proposed x.
 
-1. Prescaling: an input whose largest row sum lies outside
-   [2^-400, 2^400] is scaled by an exact power of two, which keeps the
-   products clear of overflow and underflow; the bounds are scaled back
-   outward.
+1. Prescaling: a pass whose largest row sum lies outside [2^-400, 2^400]
+   runs on b scaled by an exact power of two, which keeps the products
+   clear of overflow and underflow; the bounds are scaled back outward.
+   The matrix and its transpose get an exponent each.
 2. Proposal (the first step): from the all-ones vector, then a proposed
    vector, tried as one iteration.  For n <= 8 that is the eigenvector
    LAPACK's dgeev gives for the eigenvalue of largest real part
    (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide, 1999),
-   sign flipped, from one eig call on the whole stack of 2m matrices,
-   prescaled as in 1.  For 8 < n <= 64 it is the row or column sums of
-   one power b^(2^j) built by repeated squaring (``_power_vectors``),
-   one power for both passes, all m matrices squared together; the
-   passes on the transposes use column sums and x^T b, with no
-   transposed copy of the stack.  A proposal is kept only when it is
-   positive, its ratios spread less than the ones vector's, and its
-   underflow slack stays under half of ``tol``; it usually lands at the
-   floor of floating point at once.  A pass that stops at its kept
-   proposal, because it meets ``tol`` or its ratios agree to rounding,
-   is certified as in 4. and finished at two iterations.  A pass still
-   contracting goes on in ``collatz_wielandt`` from the first step's
-   state (``Resume``: the kept vector, b x and the ratio extremes) as
-   its second iteration; a prescaled pass goes on with its proposal as
-   ``start``, which repeats the first step for that pass alone after
-   prescaling; a pass whose proposal was rejected starts over from the
-   ones vector.  A resumed pass gets what ``start`` with its proposal
-   would give, bit for bit, but for the passes on transposes at
-   8 < n <= 64, whose x^T b rounds differently from the serial
-   kernel's product with a transposed copy; either way each certificate
-   holds the radius, and a matrix gets the same one stacked or alone.
-3. Iteration: from the kept proposal, or from the ones vector, power
-   sweeps x <- bx run while they contract well.  Once the
-   sweeps still needed, extrapolated from the contraction seen over the
-   last two, exceed what the Noda phase costs (about four steps, each a
-   solve and a sweep), or a sweep stalls or underflows (a cycle, a tiny
-   spectral gap), the kernel switches to Noda steps
+   sign flipped, from one eig call on all 2m prescaled matrices.  For
+   8 < n <= 64 it is the row or column sums of one power b^(2^j) built
+   by repeated squaring (``_power_vectors``), for both passes; above 64
+   there is none.  Above 8 the passes on the transposes use x^T b, with
+   no transposed copy.  A proposal is kept only when it is positive, its
+   ratios spread less than the ones vector's, and its underflow slack
+   stays under half of ``tol``; it usually lands at the floor of
+   floating point at once.  A pass that stops at its kept proposal is
+   certified as in 4. and finished at two iterations; every other pass
+   is handed on as a ``Resume``, from the kept proposal or, where that
+   was rejected or there is none, from the ones vector.  A matrix gets
+   the same certificate stacked or alone.
+3. Iteration: power sweeps x <- bx run while they contract well.  Once
+   the sweeps still needed, extrapolated from the contraction seen over
+   the last two, exceed what the Noda phase costs (about four steps,
+   each a solve and a sweep), or a sweep stalls or underflows (a cycle,
+   a tiny spectral gap), the kernel switches to Noda steps
    x <- (hi I - b)^-1 x, with hi the current upper bound (Noda, Numer.
    Math. 16, 1971; Elsner, LAA 15, 1976).  They converge superlinearly
    whatever the spectral gap, and need no shift for periodic patterns.
@@ -64,11 +52,10 @@ proposed x.
    final vector is certified once more in np.longdouble, in row blocks;
    where longdouble is float64 that gains nothing but stays sound.
 
-The kernel stops when the certified width, underflow slack aside (it
-does not shrink with iteration), meets ``tol``, at
-``max_iter``, or at the floor of floating point: the ratio spread is
-down to what rounding alone makes, or three Noda steps in a row shrink
-it by less than an eighth.
+A pass stops when the certified width, underflow slack aside (it does
+not shrink with iteration), meets ``tol``, at ``max_iter``, or at the
+floor of floating point: the ratio spread is down to what rounding alone
+makes, or three Noda steps in a row shrink it by less than an eighth.
 """
 
 import math
@@ -148,28 +135,6 @@ def _longdouble_bounds(b, x, k, slack):
             math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
-def _try_start(b, y, spread, tol_s):
-    """y scaled to max 1, with by and the extremes of by / y.
-
-    None when y is not a better start than the ones vector: an entry not
-    positive, a ratio spread not below ``spread``, or an underflow slack
-    (``_slack``) of half of ``tol_s`` or more.
-    """
-    y_max = float(_max(y))
-    y = y / y_max
-    # y > 0 exactly when both hold; this also catches NaN, and entries
-    # lost to underflow in the division
-    if not (y_max > 0.0 and _min(y) > 0.0):
-        return None
-    z = b @ y
-    r = z / y
-    r_lo, r_hi = float(_min(r)), float(_max(r))
-    if not (r_hi - r_lo < spread
-            and _slack(b.shape[0], float(_min(y))) < 0.5 * tol_s):
-        return None
-    return y, z, r_lo, r_hi
-
-
 def _eig_vectors(bs):
     """LAPACK's Perron vector of each matrix of a stack, sign flipped and
     scaled to max 1; a row of NaN where eig fails."""
@@ -186,6 +151,7 @@ def _eig_vectors(bs):
     return y / y[rows, np.argmax(np.abs(y), axis=1)][:, None]
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a max row sum underflowed to 0
 def _power_vectors(bs):
     """Right and left Perron vectors of each irreducible matrix of a stack
     from one power of it: a (2m, n) array, row j the right vector of
@@ -276,14 +242,16 @@ def _slack(n, x_min):
     return (n + 2) * _TINY / x_min
 
 
-def _certify(b, x, rmin, rmax, g, k, tol_s, slack):
-    """Outward bounds on the radius from x's computed ratio extremes and
-    its ``_slack``."""
+def _certify(b, x, rmin, rmax, g, k, tol_s, slack, e):
+    """Outward bounds on the radius of b 2^e from x's computed ratio
+    extremes on b and its ``_slack``."""
     lo, hi = _widen(rmin, rmax, g, slack)
     if hi - lo > tol_s and rmax - rmin <= 2.0 * g * rmax:
         # at the floor of float64: certify x once more in longdouble
         l_lo, l_hi = _longdouble_bounds(b, x, k or b.shape[0], slack)
         lo, hi = max(lo, l_lo), min(hi, l_hi)
+    if e:
+        lo, hi = _unscale(lo, e, 0.0), _unscale(hi, e, math.inf)
     return lo, hi
 
 
@@ -297,21 +265,8 @@ def _exponent(rsum, b):
         math.frexp(float(_max(b, axis=None)))[1] + b.shape[0].bit_length())
 
 
-def _prescale(b, z):
-    """(b 2^-e, its row sums, e), e scaling b's largest row sum, the
-    largest entry of z = b 1, into [_LOW, _HIGH] where it lies outside;
-    (b, z, 0) where it does not."""
-    e = _exponent(float(_max(z)), b)
-    if not e:
-        return b, z, 0
-    b = np.ldexp(b, -e)
-    return b, b.sum(axis=1), e
-
-
 def _unscale(v, e, toward):
     """v * 2^e, rounded toward ``toward`` where that is not exact."""
-    if not e:
-        return v
     try:
         w = math.ldexp(v, e)
     except OverflowError:
@@ -319,77 +274,85 @@ def _unscale(v, e, toward):
     return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
 
 
+def _scaled_tol(tol, e):
+    """tol 2^-e, the width a pass prescaled by 2^-e aims at."""
+    try:
+        return math.ldexp(tol, -e)
+    except OverflowError:
+        return math.inf
+
+
+def _nonzeros(b, axis=-1):
+    """The most nonzeros along ``axis`` of each matrix of a stack b, in a
+    row by default, as a list: n where b is positive, else counted (that
+    count costs ten times the positivity test)."""
+    if _min(b, axis=None) > 0.0:
+        return [b.shape[axis]] * len(b)
+    return _max(np.count_nonzero(b, axis=axis), axis=-1).tolist()
+
+
+def _stops(raw, rmax, g, k, tol_s, count):
+    """The stopping test of a pass: (stop, g, k).  The pass stops where
+    its certified width, underflow slack aside, meets tol_s, or its ratio
+    spread raw is down to what rounding alone makes, 2 g rmax.  g bounds
+    a ratio over rows of k nonzeros; k is None, n standing in for it,
+    until rounding would take most of tol_s or the spread is down to it,
+    and is then count()."""
+    floor = 2.0 * g * rmax
+    if k is None and (floor > 0.75 * tol_s or raw <= floor):
+        k = count()
+        g = _gamma(k, _U)
+        floor = 2.0 * g * rmax
+    return raw + floor <= tol_s or raw <= floor, g, k
+
+
 class Resume(NamedTuple):
-    """Where the stacked first step leaves a pass it hands on: the kept
-    proposal x (max 1), b x, and the extremes of the ratios (b x) / x."""
+    """Where ``collatz_wielandt_stack`` leaves a pass it hands on: its
+    vector x (max 1), b x and the extremes of the ratios (b x) / x, all
+    for b prescaled by 2^-e, and the number of vectors tried.  x is the
+    kept proposal, at two iterations, or the ones vector, at one."""
 
     x: np.ndarray
     bx: np.ndarray
     rmin: float
     rmax: float
+    iterations: int
+    e: int
 
 
-def collatz_wielandt(b, tol, max_iter, start=None):
-    """Certified Collatz-Wielandt interval of nonnegative irreducible b.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def collatz_wielandt(b, tol, max_iter, start):
+    """Certified Collatz-Wielandt interval of nonnegative irreducible b,
+    from the ``Resume`` state ``start`` that ``collatz_wielandt_stack``
+    handed on for the pass on b; b is given unscaled, and the pass runs
+    on b 2^-e, e the state's exponent.
 
     Returns (lo, hi, x, iterations, converged): the certified interval,
     the final iterate (1-norm one), the number of vectors tried (the
-    start vector, a kept proposal, sweeps and Noda steps), and
-    whether hi - lo <= tol.  ``start``, a proposed Perron vector, is
-    tried after the ones vector, as one iteration, and kept only where
-    it beats it (``_try_start``).  ``start`` may instead be the
-    ``Resume`` state ``collatz_wielandt_stack`` hands on for an
-    unscaled b: the pass then goes on from that kept proposal, its
-    second iteration, without prescaling or a first step of its own.
+    ones vector, a kept proposal, sweeps and Noda steps), and whether
+    hi - lo <= tol.  Overflow, zero division and the NaN it makes are
+    detected and handled, not warned about.
     """
-    # overflow, zero division and the NaN it makes are detected and
-    # handled below, not warned about
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _collatz_wielandt(b, tol, max_iter, start)
-
-
-def _collatz_wielandt(b, tol, max_iter, start):
+    x, z, rmin, rmax, it, e = start
+    if e:
+        b = np.ldexp(b, -e)
+    tol_s = _scaled_tol(tol, e)
     n = b.shape[0]
-    if isinstance(start, Resume):
-        e, tol_s = 0, tol
-        x, z, rmin, rmax = start
-        it = 2
-    else:
-        # z is b times the start vector, all ones
-        b, z, e = _prescale(b, b.sum(axis=1))
-        try:
-            tol_s = math.ldexp(tol, -e)
-        except OverflowError:
-            tol_s = math.inf
-        x = np.ones(n)
-        rmin, rmax = float(_min(z)), float(_max(z))
-        it = 1
-        if start is not None and max_iter >= 2:
-            proposal = _try_start(b, start, rmax - rmin, tol_s)
-            if proposal is not None:
-                x, z, rmin, rmax = proposal
-                it = 2
     # sweeps the Noda phase costs
     noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
 
-    k, g = None, _gamma(n, _U)  # the row length bounds the nonzero count
+    k, g = None, _gamma(n, _U)
+
+    def count():
+        return _nonzeros(b[None])[0]
+
     raws = []
     noda = False
     stalls = 0
     while True:
         raw = rmax - rmin
-        floor = 2.0 * g * rmax  # the spread rounding alone can produce
-        if k is None and (floor > 0.75 * tol_s or raw <= floor):
-            # rounding would take most of tol: count the nonzeros per row,
-            # where some entry is zero (the per-row count costs ten times
-            # the whole-matrix one)
-            k = n if np.count_nonzero(b) == b.size else int(
-                _max(np.count_nonzero(b, axis=1)))
-            g = _gamma(k, _U)
-            floor = 2.0 * g * rmax
-        # raw + floor is the certified width but for the underflow slack,
-        # which depends on x's spread and does not shrink with iteration
-        if raw + floor <= tol_s or raw <= floor or it >= max_iter:
+        stop, g, k = _stops(raw, rmax, g, k, tol_s, count)
+        if stop or it >= max_iter:
             break
         if noda:
             stalls = stalls + 1 if raw > 0.875 * raws[-1] else 0
@@ -399,7 +362,7 @@ def _collatz_wielandt(b, tol, max_iter, start):
             # switch once the sweeps still needed, at the contraction seen
             # over the last two, exceed the cost of the Noda phase
             q = math.sqrt(raw / raws[-2])
-            target = max(0.5 * tol_s, floor)
+            target = max(0.5 * tol_s, 2.0 * g * rmax)
             noda = q >= 1.0 or math.log(target / raw) < noda_cost * math.log(q)
         raws.append(raw)
         it += 1
@@ -430,100 +393,87 @@ def _collatz_wielandt(b, tol, max_iter, start):
             noda = True  # hand over to Noda from x
             continue
         x, z, rmin, rmax = y, z_new, r_lo, r_hi
-    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s, _slack(n, float(_min(x))))
-    lo, hi = _unscale(lo, e, 0.0), _unscale(hi, e, math.inf)
+    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s, _slack(n, float(_min(x))), e)
     return lo, hi, x / x.sum(), it, hi - lo <= tol
 
 
+def _products(rows, cols, x=None):
+    """b x_j for each pass j of a stack, x_j the row j of x: rows[j] x_j
+    for j < len(rows), then x_j^T cols[j - len(rows)]; with no x, b times
+    the ones vector as row and column sums."""
+    m = len(rows)
+    r = rows.sum(axis=2) if x is None else np.matmul(rows, x[:m, :, None])[:, :, 0]
+    if not len(cols):
+        return r
+    c = cols.sum(axis=1) if x is None else np.matmul(x[m:, None, :], cols)[:, 0, :]
+    return np.concatenate((r, c))
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def collatz_wielandt_stack(bs, tol, max_iter):
-    """The first step of ``collatz_wielandt`` for both passes of a stack.
+    """The first step of both passes of each matrix of a stack.
 
     ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
-    2 <= n <= _SQUARE_N.  Pass j < m is the one on bs[j], pass m + j the
-    one on bs[j].T.  Returns (done, starts), two lists of 2m entries.
-    done[j] is the pass's ``collatz_wielandt`` result where that stops at
-    the kept proposal, at two iterations, and None where the pass must
-    go on in ``collatz_wielandt(..., start=starts[j])``.  starts[j] is the
-    pass's ``Resume`` state where its proposal was kept, the proposal
-    itself where the pass is prescaled, and None where there is no
-    proposal or it was rejected.  Each pass's entries depend on its own
-    matrix alone, not on the rest of the stack.
+    n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
+    bs[j].T.  Returns a list of 2m entries: the pass's result
+    (lo, hi, x, iterations, converged), as ``collatz_wielandt`` returns
+    it, where the pass stops at its kept proposal, and otherwise the
+    ``Resume`` state ``collatz_wielandt`` goes on from.  Each pass's
+    entry depends on its own matrix alone, not on the rest of the stack.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return _collatz_wielandt_stack(bs, tol, max_iter)
-
-
-def _collatz_wielandt_stack(bs, tol, max_iter):
     m, n = bs.shape[0], bs.shape[1]
-    if max_iter < 2:  # no room for a proposal
-        return [None] * (2 * m), [None] * (2 * m)
+    # the matrices whose rows and whose columns the passes take: up to
+    # _EIG_N the transposes are matrices of their own, which eig takes
     if n <= _EIG_N:
-        # eig takes the transposes as matrices of their own
-        b = np.concatenate((bs, bs.transpose(0, 2, 1)))
-        z = b.sum(axis=2)  # b times the ones vector
+        rows, cols = np.concatenate((bs, bs.transpose(0, 2, 1))), bs[:0]
     else:
-        b = None
-        ones = np.ones(n)
-        z = np.concatenate((bs @ ones, ones @ bs))
+        rows = cols = bs
+    # b times the ones vector: summed, as the serial kernel has always
+    # started, but by BLAS where the proposals' products are, there three
+    # times faster than a sum (n = 16 to 48)
+    x1 = np.ones((2 * m, n)) if _EIG_N < n <= _SQUARE_N else None
+    z = _products(rows, cols, x1)
     zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    scaled = [not _LOW <= s <= _HIGH and s > 0.0 for s in zmax]
-    if b is not None:
-        eb = b
-        if any(scaled):  # eig sees b prescaled, as collatz_wielandt does
-            eb = b.copy()
-            for j in np.flatnonzero(scaled):
-                eb[j] = _prescale(b[j], z[j])[0]
-        y = _eig_vectors(eb)
-    else:
-        y = _power_vectors(bs)
-    # each pass's proposal tried as _try_start does, the numpy calls
-    # shared by the stack, the rest per pass in scalars
+    # _exponent only for the passes it scales
+    e = [0 if _LOW <= s <= _HIGH else _exponent(s, bs[j % m])
+         for j, s in enumerate(zmax)]
+    if any(e):
+        scale = -np.array(e)[:, None, None]
+        rows = np.ldexp(rows, scale[:len(rows)])
+        cols = np.ldexp(cols, scale[len(rows):])
+        z = _products(rows, cols, x1)
+        zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    if max_iter < 2 or n > _SQUARE_N:  # no proposal
+        return [Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j])
+                for j in range(2 * m)]
+    y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
     y_max = _max(y, axis=1)
     x = y / y_max[:, None]
-    if b is not None:
-        bx = np.matmul(b, x[:, :, None])[:, :, 0]
-    else:  # the left passes as x^T bs, without a transposed copy
-        bx = np.concatenate((np.matmul(bs, x[:m, :, None])[:, :, 0],
-                             np.matmul(x[m:, None, :], bs)[:, 0, :]))
+    bx = _products(rows, cols, x)
     r = bx / x
     rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
     x_min = _min(x, axis=1).tolist()
     positive = (y_max > 0.0).tolist()
     x_unit = x / x.sum(axis=1)[:, None]  # the 1-norm the result carries
-    k = None
-    done, starts = [], []
+    g_n = _gamma(n, _U)
+    # each pass's nonzero count; the transposes' rows are cols' columns
+    ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
+    # the numpy calls above serve the whole stack, the rest is per pass
+    out = []
     for j in range(2 * m):
-        result = start = None
         raw = rmax[j] - rmin[j]
-        # y > 0 as _try_start tests it
+        tol_s = _scaled_tol(tol, e[j]) if e[j] else tol
+        # kept where x > 0 (the tests fail on NaN), its ratios spread less
+        # than the ones vector's and its underflow slack is small
         slack = _slack(n, x_min[j]) if positive[j] and x_min[j] > 0.0 else math.inf
-        if scaled[j]:
-            # collatz_wielandt prescales and tries it; x is NaN where
-            # there is no proposal
-            start = y[j] if x_min[j] == x_min[j] else None
-        elif raw < zmax[j] - zmin[j] and slack < 0.5 * tol:
-            # collatz_wielandt's stopping test at its second vector
-            g, kj = _gamma(n, _U), None
-            floor = 2.0 * g * rmax[j]
-            if floor > 0.75 * tol or raw <= floor:
-                if k is None:  # per row only where some entry is zero
-                    if _min(bs, axis=None) > 0.0:
-                        k = [n] * (2 * m)
-                    else:  # a transpose's rows are bs's columns
-                        nz = np.count_nonzero(b, axis=2) if b is not None else (
-                            np.concatenate((np.count_nonzero(bs, axis=2),
-                                            np.count_nonzero(bs, axis=1))))
-                        k = _max(nz, axis=1).tolist()
-                kj = k[j]
-                g = _gamma(kj, _U)
-                floor = 2.0 * g * rmax[j]
-            if raw + floor <= tol or raw <= floor or max_iter <= 2:
-                # collatz_wielandt stops here too, with these bounds
-                bj = b[j] if b is not None else bs[j] if j < m else bs[j - m].T
-                lo, hi = _certify(bj, x[j], rmin[j], rmax[j], g, kj, tol, slack)
-                result = lo, hi, x_unit[j], 2, hi - lo <= tol
-            else:
-                start = Resume(x[j], bx[j], rmin[j], rmax[j])
-        done.append(result)
-        starts.append(start)
-    return done, starts
+        if not (raw < zmax[j] - zmin[j] and slack < 0.5 * tol_s):
+            out.append(Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j]))
+            continue
+        stop, g, k = _stops(raw, rmax[j], g_n, None, tol_s, lambda: ks[j])
+        if stop or max_iter <= 2:
+            b = rows[j] if j < len(rows) else cols[j - len(rows)].T
+            lo, hi = _certify(b, x[j], rmin[j], rmax[j], g, k, tol_s, slack, e[j])
+            out.append((lo, hi, x_unit[j], 2, hi - lo <= tol))
+        else:
+            out.append(Resume(x[j], bx[j], rmin[j], rmax[j], 2, e[j]))
+    return out

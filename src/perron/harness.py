@@ -237,9 +237,18 @@ def run_trace(
             cert = certs[i]
             deviation = abs(cert.mid - base_cert.mid)
             if kind == "nilpotent":
-                norm_p = matcore.one_norm_mat(np.linalg.matrix_power(term, p))
-                ok = cert.hi**p <= norm_p + NILPOTENT_SLACK
-                extra = (norm_p ** (1.0 / p),)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    power = np.linalg.matrix_power(term, p)
+                hi, e = cert.hi, 0
+                if not np.isfinite(power).all():
+                    # compare for 2^-e term, its 1-norm below 1, as
+                    # _gelfand_steps prescales
+                    e = math.frexp(float(_max(term, axis=None)))[1] + fnf.n.bit_length()
+                    power = np.linalg.matrix_power(np.ldexp(term, -e), p)
+                    hi = math.ldexp(hi, -e)
+                norm_p = matcore.one_norm_mat(power)
+                ok = hi**p <= norm_p + NILPOTENT_SLACK
+                extra = (_times_pow2(norm_p ** (1.0 / p), e),)
             elif kind == "irreducible":
                 bound = s * per_scale
                 ok = deviation <= bound + cert.width + base_cert.width

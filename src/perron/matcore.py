@@ -103,9 +103,24 @@ def one_norm_mat(x) -> float:
 
 def frobenius_norm(e) -> float:
     """Square root of the sum of squared entries.  Upper-bounds the
-    spectral norm, which is what the perturbation certificates need."""
+    spectral norm, which is what the perturbation certificates need.
+
+    The entries are squared scaled by an exact power of two 2^-k, with
+    the largest |entry| in [1/2, 1), so the squares that matter neither
+    overflow nor underflow; the norm is scaled back, inf above the
+    largest float.  Where every square stays normal unscaled, this is
+    the unscaled norm bit for bit.
+    """
     a = square_matrix(e)
-    return float(np.linalg.norm(a, "fro"))
+    big = float(np.abs(a).max())
+    if big == 0.0:
+        return 0.0
+    k = math.frexp(big)[1]
+    norm = float(np.linalg.norm(np.ldexp(a, -k), "fro"))
+    try:
+        return math.ldexp(norm, k)
+    except OverflowError:
+        return math.inf
 
 
 def apply_symmetric_permutation(a, perm) -> np.ndarray:

@@ -3,18 +3,18 @@
 Irreducible matrices get a Collatz-Wielandt interval from the kernel,
 run on the matrix and on its transpose; the two intervals both hold
 the radius, so their intersection is reported.  Irreducible matrices
-of one size are certified together: for n <= 64 one stacked first step
+of one size are certified together: one stacked first step
 (``_kernels.collatz_wielandt_stack``: an eig proposal for n <= 8, for
-8 < n <= 64 both vectors proposed by one repeated-squaring power,
-bounds rounded outward) finishes every pass it can, and the serial
-``_kernels.collatz_wielandt`` (power sweeps handing over to Noda steps)
-takes the others, resuming where the first step left each (or from
-its proposal where it is prescaled), and every pass for n > 64.
-A matrix's certificate does not depend on what it is certified with.
-Reducible matrices are split into irreducible diagonal blocks first and
-the block intervals are combined.  Certificates report closed intervals
-[lo, hi] that always contain the spectral radius, converged or not;
-``converged`` says whether both passes reached the requested width.
+8 < n <= 64 both vectors proposed by one repeated-squaring power, none
+above, bounds rounded outward) finishes every pass that stops at its
+proposal, and the serial ``_kernels.collatz_wielandt`` (power sweeps
+handing over to Noda steps) resumes each other pass where the first
+step left it.  A matrix's certificate does not depend on what it is
+certified with.  Reducible matrices are split into irreducible diagonal
+blocks first and the block intervals are combined.  Certificates report
+closed intervals [lo, hi] that always contain the spectral radius,
+converged or not; ``converged`` says whether the intersected interval
+is at most the requested width.
 """
 
 import math
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import _SQUARE_N, collatz_wielandt, collatz_wielandt_stack
+from ._kernels import Resume, collatz_wielandt, collatz_wielandt_stack
 
 __all__ = [
     "DEFAULT_TOL",
@@ -118,17 +118,12 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
             )
             for val in ms[:, 0, 0].tolist()
         ]
-    if n <= _SQUARE_N:
-        done, starts = collatz_wielandt_stack(ms, tol, max_iter)
-    else:
-        done = starts = [None] * (2 * m)
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = [
-        d or collatz_wielandt(
-            np.ascontiguousarray(ms[j] if j < m else ms[j - m].T),
-            tol, max_iter, start=starts[j],
-        )
-        for j, d in enumerate(done)
+        collatz_wielandt(np.ascontiguousarray(ms[j] if j < m else ms[j - m].T),
+                         tol, max_iter, p)
+        if isinstance(p, Resume) else p
+        for j, p in enumerate(collatz_wielandt_stack(ms, tol, max_iter))
     ]
     # rho(A) = rho(A^T): both intervals hold it
     lo = [max(r[0], t[0]) for r, t in zip(passes, passes[m:])]
@@ -147,7 +142,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
             left_vector=_freeze(passes[m + i][2]),
             residual=norms[i] if finite[i] else None,
             iterations=passes[i][3] + passes[m + i][3],
-            converged=passes[i][4] and passes[m + i][4],
+            converged=hi[i] - lo[i] <= tol,
         )
         for i in range(m)
     ]

@@ -110,6 +110,19 @@ class TestCertify:
         assert lo <= float(_value(out, "rho_prime_lo"))
         assert float(_value(out, "rho_prime_hi")) <= hi
 
+    def test_passes_at_tiny_scale(self, run, tmp_path):
+        # the squares of ||A' - A||_F underflow unless scaled: a norm and
+        # a bound of 0 left an enclosure that missed rho(A')
+        base, bumped = tmp_path / "tiny.txt", tmp_path / "tiny15.txt"
+        a = 1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]])
+        matcore.write_matrix_file(base, a)
+        matcore.write_matrix_file(bumped, 1.5 * a)
+        code, out, err = run("certify", str(base), str(bumped))
+        assert code == 0 and err == ""
+        assert _value(out, "soundness") == "PASS"
+        assert float(_value(out, "e_norm")) > 0.0
+        assert float(_value(out, "enclosure_hi")) >= float(_value(out, "rho_prime_hi"))
+
     def test_reducible_base_refused(self, run):
         code, out, err = run("certify", "triangular2.txt", "triangular2.txt")
         assert code == 3 and out == ""

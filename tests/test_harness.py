@@ -1,9 +1,10 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import harness, matcore, solver, structure
@@ -228,6 +229,9 @@ class TestBatchCertificates:
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=7),
     )
+    # the ring's base certifies to width 9.55e-13, under tol, though
+    # neither pass alone does: converged is the intersected width's
+    @example(("ring", 80, 80), 21790459, 7)
     def test_rows_match_single_certificates(self, family, seed, per_chunk):
         (name, low, high), rng = family, np.random.default_rng(seed)
         base, direction = _trace_family(name, int(rng.integers(low, high + 1)), rng)
@@ -364,6 +368,23 @@ class TestNilpotentTrace:
         assert trace.ok
         mids = [row.cert.mid for row in trace.rows]
         assert all(a > b for a, b in zip(mids, mids[1:]))
+
+    def test_power_above_the_largest_float(self):
+        # A_k^2 = (1e400/k) I overflows: the check runs on A_k scaled by a
+        # power of two, and power_bound, 1e200/sqrt(k), is scaled back
+        spec = harness.SequenceSpec(
+            base=[[0.0, 1e200], [0.0, 0.0]],
+            direction=[[0.0, 0.0], [1e200, 0.0]],
+            count=6,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = harness.run_trace(spec)
+        assert trace.ok and len(trace.rows) == 6
+        for row in trace.rows:
+            exact = 1e200 * row.k ** -0.5
+            assert math.isfinite(row.cert.hi) and math.isfinite(row.deviation)
+            assert abs(row.extra[0] - exact) <= 1e-12 * exact
 
     def test_one_by_one_zero_base_is_nilpotent(self):
         # [[0]] is irreducible by convention too; the nilpotent check wins

@@ -25,6 +25,21 @@ class TestNorms:
             assert matcore.frobenius_norm(e) > 0.0
         assert matcore.frobenius_norm(np.zeros((4, 4))) == 0.0
 
+    def test_frobenius_norm_of_tiny_entries(self):
+        # the squares, about 1e-400, underflow unscaled
+        e = 1e-200 * np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert matcore.frobenius_norm(e) == math.ldexp(
+            matcore.frobenius_norm(np.ldexp(e, 700)), -700)
+        assert matcore.frobenius_norm([[5e-324, 0.0], [0.0, 0.0]]) == 5e-324
+
+    def test_frobenius_norm_of_huge_entries(self):
+        # the squares, about 1e400, overflow unscaled; the norm does not,
+        # and numpy warns of nothing (tier-1 turns warnings into errors)
+        e = np.full((3, 3), 1e200)
+        assert matcore.frobenius_norm(e) == math.ldexp(
+            matcore.frobenius_norm(np.ldexp(e, -700)), 700)
+        assert matcore.frobenius_norm(np.full((3, 3), 1.5e308)) == math.inf
+
     def test_one_norm_mat_examples(self):
         assert matcore.one_norm_mat(np.eye(3)) == 1.0
         assert matcore.one_norm_mat([[1.0, 2.0], [3.0, 4.0]]) == 6.0

@@ -70,6 +70,16 @@ class TestPerronIrreducible:
             solver.perron_irreducible([[2.0]], max_iter=0)
 
 
+def _passes(a, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
+    """Both passes of a, on a and on a.T, run to the end as the solver
+    runs them: the stack's result, or collatz_wielandt resuming the
+    state the stack hands on."""
+    a = np.asarray(a, dtype=np.float64)
+    out = _kernels.collatz_wielandt_stack(a[None], tol, max_iter)
+    return [_kernels.collatz_wielandt(np.ascontiguousarray(b), tol, max_iter, p)
+            if isinstance(p, _kernels.Resume) else p for b, p in zip((a, a.T), out)]
+
+
 def _near_reducible(eps):
     """Two 3x3 positive blocks joined both ways by couplings of size eps,
     drawn from a fixed stream in a fixed order (two matrices per size)."""
@@ -204,19 +214,21 @@ class TestCertifiedBounds:
     def test_intersects_both_passes(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 8))
-            a = random_irreducible(rng, n)
-            m = matcore.nonneg_matrix(a)
-            mt = np.ascontiguousarray(m.T)
-            # each pass from eig's vector, as the first step proposes it
-            right, left = _kernels._eig_vectors(np.stack([m, mt]))
-            r_lo, r_hi = _kernels.collatz_wielandt(
-                m, solver.DEFAULT_TOL, 5, start=right)[:2]
-            l_lo, l_hi = _kernels.collatz_wielandt(
-                mt, solver.DEFAULT_TOL, 5, start=left)[:2]
+            a = matcore.nonneg_matrix(random_irreducible(rng, n))
+            (r_lo, r_hi, *_), (l_lo, l_hi, *_) = _passes(a, max_iter=5)
             cert = solver.perron_irreducible(a, max_iter=5)
             assert (cert.lo, cert.hi) == (max(r_lo, l_lo), min(r_hi, l_hi))
             assert r_lo <= cert.lo <= cert.hi <= r_hi
             assert l_lo <= cert.lo <= cert.hi <= l_hi
+
+    def test_converged_is_the_intersected_width(self):
+        # near-reducible 5x5 at max_iter 3: each pass stops wider than
+        # tol, their intersection is within it
+        a = _small_input("near_reducible", 5, 2)
+        (r_lo, r_hi, *_, r_conv), (l_lo, l_hi, *_, l_conv) = _passes(a, max_iter=3)
+        cert = solver.perron_irreducible(a, max_iter=3)
+        assert not (r_conv and l_conv)
+        assert cert.converged and cert.width <= solver.DEFAULT_TOL
 
 
 def _cycle(weights):
@@ -397,21 +409,33 @@ class TestPowerProposal:
             cert = solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
             assert cert.converged and cert.iterations == 4
 
-    def test_bad_start_is_ignored(self, rng):
-        n = 12
+    def test_bad_start_is_ignored(self, monkeypatch, rng):
+        # a proposal that is not better than the ones vector: the pass
+        # resumes from the ones vector, as with no proposal
+        n, tol = 12, solver.DEFAULT_TOL
         b = rng.uniform(0.1, 1.0, (n, n))
-        plain = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6)
-        x = _kernels._power_vectors(b[None])[0]
-        zero, negative, nan = x.copy(), x.copy(), x.copy()
-        zero[3], negative[5], nan[7] = 0.0, -x[5], math.nan
+        x = _kernels._power_vectors(b[None])
+        right = x[0]
+        zero, negative, nan = right.copy(), right.copy(), right.copy()
+        zero[3], negative[5], nan[7] = 0.0, -right[5], math.nan
         # its ratios spread by about 1e6, the ones vector's by under 10
         worse = np.linspace(1.0, 1e6, n)
-        for start in (zero, negative, nan, -x, worse):
-            got = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6, start=start)
-            assert got[:2] == plain[:2] and got[3:] == plain[3:]
-            assert got[2].tobytes() == plain[2].tobytes()
-        kept = _kernels.collatz_wielandt(b, solver.DEFAULT_TOL, 10**6, start=x)
-        assert kept[3] == 2 < plain[3]
+        results = []
+        for bad in (zero, negative, nan, -right, worse):
+            monkeypatch.setattr(_kernels, "_power_vectors",
+                                lambda bs, bad=bad: np.stack([bad, x[1]]))
+            state = _kernels.collatz_wielandt_stack(b[None], tol, 10**6)[0]
+            assert isinstance(state, _kernels.Resume)
+            assert (state.iterations, state.e) == (1, 0)
+            assert (state.x == 1.0).all()
+            np.testing.assert_allclose(state.bx, b.sum(axis=1), rtol=1e-14)
+            results.append(_kernels.collatz_wielandt(b, tol, 10**6, state))
+        for got in results[1:]:
+            assert got[:2] == results[0][:2] and got[3:] == results[0][3:]
+            assert got[2].tobytes() == results[0][2].tobytes()
+        monkeypatch.undo()
+        kept = _passes(b, tol)[0]
+        assert kept[3] == 2 < results[0][3]
 
     def test_powers_are_rescaled_exactly(self, rng):
         # 2^k b keeps its row sums inside [2^-400, 2^400], where it is not
@@ -444,51 +468,94 @@ class TestPowerProposal:
 
 
 class TestResume:
-    """A pass the stacked first step hands on with its kept proposal goes
-    on from the step's state, without a first step of its own: for the
-    right passes, and both passes at n <= 8, bit for bit what a serial
-    pass started from that proposal gets."""
+    """Every pass takes its first step in collatz_wielandt_stack, which
+    finishes the passes that stop at their proposal and hands each other
+    one on as a Resume; collatz_wielandt only goes on from it."""
 
     def test_resume_skips_the_first_step(self, monkeypatch):
-        tried = []
-        try_start = _kernels._try_start
+        proposed = []
+        for name in ("_eig_vectors", "_power_vectors"):
+            def counting(bs, propose=getattr(_kernels, name)):
+                proposed.append(bs.shape)
+                return propose(bs)
 
-        def counting(*args):
-            tried.append(args[0].shape)
-            return try_start(*args)
-
-        monkeypatch.setattr(_kernels, "_try_start", counting)
+            monkeypatch.setattr(_kernels, name, counting)
+        tol, max_iter = solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER
         resumed = 0
         for seed, n in enumerate((3, 5, 8, 12, 16, 24, 48, 64) * 3):
             a = _small_input("near_reducible", n, seed)
-            done, starts = _kernels.collatz_wielandt_stack(
-                a[None], solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
-            for j, state in enumerate(starts):
+            for b, state in zip((a, a.T), _kernels.collatz_wielandt_stack(
+                    a[None], tol, max_iter)):
                 if not isinstance(state, _kernels.Resume):
+                    assert state[3] == 2  # finished at its proposal
                     continue
+                assert (state.iterations, state.e) == (2, 0)
                 resumed += 1
-                b = np.ascontiguousarray(a if j == 0 else a.T)
-                tried.clear()
+                # the pass's own state: b x and the extremes of b x / x
+                np.testing.assert_allclose(state.bx, b @ state.x, rtol=1e-13)
+                r = state.bx / state.x
+                assert (state.rmin, state.rmax) == (r.min(), r.max())
+                proposed.clear()
                 got = _kernels.collatz_wielandt(
-                    b, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER, start=state)
-                assert tried == []
-                want = _kernels.collatz_wielandt(
-                    b, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER, start=state.x)
-                assert got[4] and want[4]
-                if j == 0 or n <= _kernels._EIG_N:
-                    assert got[:2] == want[:2] and got[3:] == want[3:]
-                    assert got[2].tobytes() == want[2].tobytes()
-                else:  # x^T b against b^T x: the same pass but for rounding
-                    assert got[0] <= want[1] and want[0] <= got[1]
+                    np.ascontiguousarray(b), tol, max_iter, state)
+                assert proposed == []
+                assert got[3] > 2 and got[4]
+                rho = eig_radius(a)
+                assert got[0] <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= got[1]
         assert resumed >= 24
 
     def test_prescaled_passes_keep_their_proposal(self, rng):
-        # the serial kernel prescales them and tries the proposal itself
-        a = np.ldexp(rng.uniform(0.5, 1.5, (4, 12, 12)), 600)
-        done, starts = _kernels.collatz_wielandt_stack(
-            a, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
-        assert done == [None] * 8
-        assert all(isinstance(s, np.ndarray) for s in starts)
+        # each pass, prescaled by 2^-e, stops at its kept proposal and is
+        # finished in the stack at two iterations, its bounds scaled back
+        for n in (3, 12):
+            a = np.ldexp(rng.uniform(0.5, 1.5, (4, n, n)), 600)
+            out = _kernels.collatz_wielandt_stack(
+                a, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+            assert not any(isinstance(p, _kernels.Resume) for p in out)
+            assert [p[3] for p in out] == [2] * 8
+            for j, b in enumerate(a):
+                rho = eig_radius(b)
+                for lo, hi, *_ in (out[j], out[4 + j]):
+                    assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
+
+    def test_each_pass_has_its_own_exponent(self):
+        # rank one, radius the trace 2^500 + 1: largest row sum 2^501,
+        # largest column sum 2^500 + 1
+        a = np.array([[2.0**500, 2.0**500], [1.0, 1.0]])
+        right, left = _kernels.collatz_wielandt_stack(a[None], solver.DEFAULT_TOL, 1)
+        assert (right.e, left.e) == (502, 501)
+        assert right.bx.tobytes() == np.ldexp(a, -502).sum(axis=1).tobytes()
+        assert left.bx.tobytes() == np.ldexp(a, -501).sum(axis=0).tobytes()
+        cert = solver.perron_irreducible(a)
+        assert cert.lo <= 2.0**500 + 1 <= cert.hi
+
+    def test_no_proposal_resumes_from_the_ones_vector(self, rng):
+        # above _SQUARE_N, and with max_iter < 2, at any n
+        for n, max_iter in ((_kernels._SQUARE_N + 1, 10**6), (3, 1), (12, 1)):
+            a = rng.uniform(0.5, 1.5, (n, n))
+            out = _kernels.collatz_wielandt_stack(a[None], solver.DEFAULT_TOL, max_iter)
+            for b, state in zip((a, a.T), out):
+                assert isinstance(state, _kernels.Resume)
+                assert (state.iterations, state.e) == (1, 0)
+                assert (state.x == 1.0).all()
+                np.testing.assert_allclose(state.bx, b.sum(axis=1), rtol=1e-14)
+            if max_iter == 1:  # each pass certifies the ones vector
+                assert solver.perron_irreducible(a, max_iter=1).iterations == 2
+
+    def test_one_stack_call_per_block_size(self, monkeypatch, rng):
+        calls = []
+        stack = solver.collatz_wielandt_stack
+
+        def counting(bs, *args):
+            calls.append(bs.shape)
+            return stack(bs, *args)
+
+        monkeypatch.setattr(solver, "collatz_wielandt_stack", counting)
+        for n in (3, 12, 100):
+            solver._certify_irreducible(
+                rng.uniform(0.5, 1.5, (2, n, n)), solver.DEFAULT_TOL,
+                solver.DEFAULT_MAX_ITER)
+        assert calls == [(2, 3, 3), (2, 12, 12), (2, 100, 100)]
 
 
 class TestPerronRoot:
