@@ -24,6 +24,13 @@ The stacked time is split into the square products of
 ``_power_vectors`` (their count in the iterations column, each timed
 as a bare product of a stack of that many matrices) and the rest.
 
+Then the cost per call on small inputs: ``perron_root`` on a dense
+positive matrix at n = 1 to 8 (uniform [0, 10) entries, as the
+``hard_spectra`` workload draws them), beside ``np.linalg.eig`` on the
+matrix and its transpose, the one eig call a certificate takes there
+(none at n = 1), and their difference: what a call costs beyond its
+eigensolve.  Each is the best over the repeats of the mean of 200 calls.
+
 Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
 matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
 and 48, through ``cli.main`` with stdout discarded.
@@ -153,6 +160,24 @@ def stack_rows(repeats):
     return rows
 
 
+def per_call_rows(repeats, calls=200):
+    rng = np.random.default_rng(11)
+    rows = [("perron_root, dense positive", "call us", "eig us", "rest us")]
+    for n in range(1, 9):
+        a = rng.uniform(0.0, 10.0, (n, n))
+        t_call, _ = best_time(
+            lambda b: [solver.perron_root(b, TOL, MAX_ITER) for _ in range(calls)],
+            a, repeats)
+        t_eig = 0.0
+        if n >= 2:
+            t_eig, _ = best_time(lambda b: [np.linalg.eig(b) for _ in range(calls)],
+                                 np.stack((a, a.T)), repeats)
+        rows.append((f"n={n}", f"{t_call / calls * 1e6:.1f}",
+                     f"{t_eig / calls * 1e6:.1f}" if n >= 2 else "-",
+                     f"{(t_call - t_eig) / calls * 1e6:.1f}"))
+    return rows
+
+
 def command_rows(repeats):
     """Median times of whole gelfand and converge commands, in process."""
     rng = np.random.default_rng(10)
@@ -249,6 +274,8 @@ def main() -> int:
                      f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no"))
     rows += stack_rows(args.repeats)
     print_table(rows)
+    print()
+    print_table(per_call_rows(args.repeats))
     print()
     print_table(command_rows(args.repeats))
     print()

@@ -24,10 +24,12 @@ proposed x.
    sign flipped, from one eig call on all 2m prescaled matrices.  For
    8 < n <= 64 it is the row or column sums of one power b^(2^j) built
    by repeated squaring (``_power_vectors``), for both passes; above 64
-   there is none.  Above 8 the passes on the transposes use x^T b, with
-   no transposed copy.  A proposal is kept only when it is positive, its
-   ratios spread less than the ones vector's, and its underflow slack
-   stays under half of ``tol``; it usually lands at the floor of
+   there is none.  Both proposers scale their vectors to max 1.  Above 8
+   the passes on the transposes use x^T b, with no transposed copy, and
+   a resumed pass on a transpose is handed the transposed view, which
+   BLAS reads in place.  A proposal is kept only when it is positive,
+   its ratios spread less than the ones vector's, and its underflow
+   slack stays under half of ``tol``; it usually lands at the floor of
    floating point at once.  A pass that stops at its kept proposal is
    certified as in 4. and finished at two iterations; every other pass
    is handed on as a ``Resume``, from the kept proposal or, where that
@@ -63,6 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .matcore import _times_pow2
+
 __all__ = ["Resume", "collatz_wielandt", "collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
@@ -93,9 +97,9 @@ _SQUARE_N = 64
 _NODA_STEPS = 4
 _SOLVE_N2 = 1200
 _SOLVE_N = 4
-# the ufunc reductions skip ndarray.min/max's Python-level wrapper, which
-# costs as much as the rest of a sweep at small n
-_min, _max = np.minimum.reduce, np.maximum.reduce
+# the ufunc reductions skip ndarray.min/max/sum's Python-level wrapper,
+# which costs as much as the rest of a sweep at small n
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 
 
 def _gamma(k, u):
@@ -136,8 +140,8 @@ def _longdouble_bounds(b, x, k, slack):
 
 
 def _eig_vectors(bs):
-    """LAPACK's Perron vector of each matrix of a stack, sign flipped and
-    scaled to max 1; a row of NaN where eig fails."""
+    """LAPACK's Perron vector of each matrix of a stack, divided by its
+    largest |entry|, so at max exactly 1; a row of NaN where eig fails."""
     try:
         w, v = np.linalg.eig(bs)
     except np.linalg.LinAlgError:
@@ -147,8 +151,8 @@ def _eig_vectors(bs):
         # matrix gets what it gets alone
         return np.concatenate([_eig_vectors(b[None]) for b in bs])
     rows = np.arange(len(bs))
-    y = v[rows, :, np.argmax(w.real, axis=1)].real
-    return y / y[rows, np.argmax(np.abs(y), axis=1)][:, None]
+    y = v[rows, :, w.real.argmax(axis=1)].real
+    return y / y[rows, np.abs(y).argmax(axis=1)][:, None]
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a max row sum underflowed to 0
@@ -172,9 +176,9 @@ def _power_vectors(bs):
     (an imprimitive or periodic pattern, a small spectral gap, rounding),
     or a square's max row sum is not positive (underflow).  Each matrix
     stops by these rules on its own; the squares of those still going are
-    taken together.  Either vector may have zero entries; the first step
-    keeps it only when it helps.  Rows are NaN where not one square
-    succeeds.
+    taken together.  Both vectors are scaled to max 1.  Either may have
+    zero entries; the first step keeps it only when it helps.  Rows are
+    NaN where not one square succeeds.
     """
     m, n = bs.shape[0], bs.shape[1]
     ones = np.ones(n)
@@ -225,7 +229,8 @@ def _power_vectors(bs):
             p[[live[i] for i in kept]] = q[kept]
             right[[live[i] for i in kept]] = r[kept]
         live = going
-    y = np.concatenate((right, ones @ p))
+    left = ones @ p
+    y = np.concatenate((right, left / _max(left, axis=1)[:, None]))
     # not one square: nothing beyond b's row sums
     none = [j for j in range(m) if change[j] == math.inf]
     if none:
@@ -266,20 +271,13 @@ def _exponent(rsum, b):
 
 
 def _unscale(v, e, toward):
-    """v * 2^e, rounded toward ``toward`` where that is not exact."""
+    """v * 2^e, rounded toward ``toward`` where that is not exact; past
+    the largest float, inf or the largest float."""
     try:
         w = math.ldexp(v, e)
     except OverflowError:
-        return math.inf if toward > v else np.finfo(np.float64).max
+        return math.inf if toward > v else math.nextafter(math.inf, 0.0)
     return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
-
-
-def _scaled_tol(tol, e):
-    """tol 2^-e, the width a pass prescaled by 2^-e aims at."""
-    try:
-        return math.ldexp(tol, -e)
-    except OverflowError:
-        return math.inf
 
 
 def _nonzeros(b, axis=-1):
@@ -336,7 +334,7 @@ def collatz_wielandt(b, tol, max_iter, start):
     x, z, rmin, rmax, it, e = start
     if e:
         b = np.ldexp(b, -e)
-    tol_s = _scaled_tol(tol, e)
+    tol_s = _times_pow2(tol, -e)  # the width the prescaled pass aims at
     n = b.shape[0]
     # sweeps the Noda phase costs
     noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
@@ -402,10 +400,10 @@ def _products(rows, cols, x=None):
     for j < len(rows), then x_j^T cols[j - len(rows)]; with no x, b times
     the ones vector as row and column sums."""
     m = len(rows)
-    r = rows.sum(axis=2) if x is None else np.matmul(rows, x[:m, :, None])[:, :, 0]
+    r = _sum(rows, axis=2) if x is None else np.matmul(rows, x[:m, :, None])[:, :, 0]
     if not len(cols):
         return r
-    c = cols.sum(axis=1) if x is None else np.matmul(x[m:, None, :], cols)[:, 0, :]
+    c = _sum(cols, axis=1) if x is None else np.matmul(x[m:, None, :], cols)[:, 0, :]
     return np.concatenate((r, c))
 
 
@@ -446,15 +444,13 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     if max_iter < 2 or n > _SQUARE_N:  # no proposal
         return [Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j])
                 for j in range(2 * m)]
-    y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
-    y_max = _max(y, axis=1)
-    x = y / y_max[:, None]
+    # each row at max 1, or NaN where the proposer failed
+    x = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
     bx = _products(rows, cols, x)
     r = bx / x
     rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
     x_min = _min(x, axis=1).tolist()
-    positive = (y_max > 0.0).tolist()
-    x_unit = x / x.sum(axis=1)[:, None]  # the 1-norm the result carries
+    x_unit = x / _sum(x, axis=1)[:, None]  # the 1-norm the result carries
     g_n = _gamma(n, _U)
     # each pass's nonzero count; the transposes' rows are cols' columns
     ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
@@ -462,10 +458,10 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     out = []
     for j in range(2 * m):
         raw = rmax[j] - rmin[j]
-        tol_s = _scaled_tol(tol, e[j]) if e[j] else tol
+        tol_s = _times_pow2(tol, -e[j]) if e[j] else tol
         # kept where x > 0 (the tests fail on NaN), its ratios spread less
         # than the ones vector's and its underflow slack is small
-        slack = _slack(n, x_min[j]) if positive[j] and x_min[j] > 0.0 else math.inf
+        slack = _slack(n, x_min[j]) if x_min[j] > 0.0 else math.inf
         if not (raw < zmax[j] - zmin[j] and slack < 0.5 * tol_s):
             out.append(Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j]))
             continue

@@ -248,7 +248,7 @@ def run_trace(
                     hi = math.ldexp(hi, -e)
                 norm_p = matcore.one_norm_mat(power)
                 ok = hi**p <= norm_p + NILPOTENT_SLACK
-                extra = (_times_pow2(norm_p ** (1.0 / p), e),)
+                extra = (matcore._times_pow2(norm_p ** (1.0 / p), e),)
             elif kind == "irreducible":
                 bound = s * per_scale
                 ok = deviation <= bound + cert.width + base_cert.width
@@ -294,13 +294,6 @@ class GelfandTrace:
     @property
     def ok(self) -> bool:
         return all(row.ok for row in self.rows)
-
-
-def _times_pow2(v: float, e: int) -> float:
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.inf
 
 
 def _gelfand_steps(x: np.ndarray, m_max: int):
@@ -373,7 +366,7 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
                 + _U * abs(total / m) + phi / (m * (1.0 - phi))
             )
             d = 1.01 * math.expm1(delta + 2.0 * _U)
-        yield _times_pow2(f, e), d
+        yield matcore._times_pow2(f, e), d
         cur = cur / nrm
         log_nrm = math.log(nrm)
         log_acc += log_nrm

@@ -2,7 +2,8 @@
 
 Matrices are plain float64 numpy arrays.  The validators return fresh
 C-contiguous copies, so callers may mutate their own inputs freely; every
-other function in the package treats arrays as immutable values.
+other function in the package treats arrays as immutable values.  One
+min/max reduction pair checks finiteness and sign.
 """
 
 import math
@@ -27,6 +28,7 @@ __all__ = [
 
 # 17 significant digits round-trip any float64 through decimal text.
 _FLOAT_FMT = ".17g"
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class MatrixFormatError(ValueError):
@@ -48,23 +50,29 @@ def format_float(x: float) -> str:
     return format(float(x), _FLOAT_FMT)
 
 
-def square_matrix(entries) -> np.ndarray:
-    """Validate a finite square matrix (entries of either sign) and copy it."""
+def _validated(entries) -> tuple[np.ndarray, float]:
+    """``square_matrix`` of entries and its smallest entry."""
     a = np.array(entries, dtype=np.float64, order="C", copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.isfinite(a).all():
+    lo, hi = float(_min(a, axis=None)), float(_max(a, axis=None))
+    if not -math.inf < lo <= hi < math.inf:  # also fails on NaN
         i, j = np.argwhere(~np.isfinite(a))[0]
         raise ValueError(f"non-finite entry at ({i}, {j})")
-    return a
+    return a, lo
+
+
+def square_matrix(entries) -> np.ndarray:
+    """Validate a finite square matrix (entries of either sign) and copy it."""
+    return _validated(entries)[0]
 
 
 def nonneg_matrix(entries) -> np.ndarray:
     """Like :func:`square_matrix` but rejects negative entries (no clamping)."""
-    a = square_matrix(entries)
-    if (a < 0.0).any():
+    a, lo = _validated(entries)
+    if lo < 0.0:
         i, j = np.argwhere(a < 0.0)[0]
         raise ValueError(f"negative entry {a[i, j]!r} at ({i}, {j})")
     return a
@@ -116,9 +124,13 @@ def frobenius_norm(e) -> float:
     if big == 0.0:
         return 0.0
     k = math.frexp(big)[1]
-    norm = float(np.linalg.norm(np.ldexp(a, -k), "fro"))
+    return _times_pow2(float(np.linalg.norm(np.ldexp(a, -k), "fro")), k)
+
+
+def _times_pow2(v: float, e: int) -> float:
+    """v * 2^e, inf above the largest float."""
     try:
-        return math.ldexp(norm, k)
+        return math.ldexp(v, e)
     except OverflowError:
         return math.inf
 

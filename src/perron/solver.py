@@ -10,8 +10,10 @@ above, bounds rounded outward) finishes every pass that stops at its
 proposal, and the serial ``_kernels.collatz_wielandt`` (power sweeps
 handing over to Noda steps) resumes each other pass where the first
 step left it.  A matrix's certificate does not depend on what it is
-certified with.  Reducible matrices are split into irreducible diagonal
-blocks first and the block intervals are combined.  Certificates report
+certified with.  A positive or 1x1 matrix goes to the kernel whole,
+with no normal form built; other matrices are split into irreducible
+diagonal blocks first and the block intervals are combined.  The
+serial kernel gets a transpose as a view, not a copy.  Certificates report
 closed intervals [lo, hi] that always contain the spectral radius,
 converged or not; ``converged`` says whether the intersected interval
 is at most the requested width.
@@ -37,6 +39,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
+_min = np.minimum.reduce
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,7 @@ class PerronCertificate:
 
 
 def _freeze(v: np.ndarray) -> np.ndarray:
-    v = np.ascontiguousarray(v, dtype=np.float64)
-    v.flags.writeable = False
+    v.flags.writeable = False  # the kernel's vectors are float64 already
     return v
 
 
@@ -120,8 +122,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
         ]
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = [
-        collatz_wielandt(np.ascontiguousarray(ms[j] if j < m else ms[j - m].T),
-                         tol, max_iter, p)
+        collatz_wielandt(ms[j] if j < m else ms[j - m].T, tol, max_iter, p)
         if isinstance(p, Resume) else p
         for j, p in enumerate(collatz_wielandt_stack(ms, tol, max_iter))
     ]
@@ -132,20 +133,14 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     mid = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
     with np.errstate(over="ignore", invalid="ignore"):  # hi may be inf
         res = np.matmul(ms, x[:, :, None])[:, :, 0] - mid[:, None] * x
-    finite = np.isfinite(res).all(axis=1).tolist()
-    norms = np.abs(res).sum(axis=1).tolist()
-    return [
-        PerronCertificate(
-            lo=lo[i],
-            hi=hi[i],
-            right_vector=_freeze(passes[i][2]),
-            left_vector=_freeze(passes[m + i][2]),
-            residual=norms[i] if finite[i] else None,
-            iterations=passes[i][3] + passes[m + i][3],
-            converged=hi[i] - lo[i] <= tol,
-        )
-        for i in range(m)
-    ]
+    # inf or NaN where the residual overflows
+    norms = np.add.reduce(np.abs(res), axis=1).tolist()
+    return [PerronCertificate(
+        lo=lo[i], hi=hi[i],
+        right_vector=_freeze(passes[i][2]), left_vector=_freeze(passes[m + i][2]),
+        residual=norms[i] if norms[i] < math.inf else None,
+        iterations=passes[i][3] + passes[m + i][3], converged=hi[i] - lo[i] <= tol,
+    ) for i in range(m)]
 
 
 def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
@@ -186,24 +181,15 @@ def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
     return max(range(len(certs)), key=lambda i: certs[i].mid), certs
 
 
-def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
-    """``perron_root`` of each item, a matrix or its normal form, with the
-    irreducible blocks of all items certified together, one stacked call
-    per block size."""
-    fnfs = [
-        a if isinstance(a, structure.FrobeniusNormalForm)
-        else structure.frobenius_normal_form(a)
-        for a in items
-    ]
+def _perron_roots(fnfs, tol, max_iter) -> list[PerronCertificate]:
+    """``perron_root`` of each normal form, with the irreducible blocks of
+    all of them certified together, one stacked call per block size."""
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    # an irreducible matrix is its own single block
     certs = iter(_certify_blocks(
         [b for fnf in fnfs for b in fnf.block_matrices], tol, max_iter))
-    out = []
-    for fnf in fnfs:
-        blocks = [next(certs) for _ in fnf.block_matrices]
-        out.append(blocks[0] if fnf.irreducible else _combine(blocks))
-    return out
+    # an irreducible matrix is its own single block
+    return [next(certs) if fnf.irreducible
+            else _combine([next(certs) for _ in fnf.block_matrices]) for fnf in fnfs]
 
 
 def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertificate:
@@ -211,13 +197,24 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
 
     Splits into irreducible diagonal blocks and combines the block
     intervals; the spectral radius is the maximum of the block radii, so
-    [max of lows, max of highs] encloses it.  Perron vectors are carried
-    only when the whole matrix is irreducible (reducible matrices need
-    not have a strictly positive eigenvector; certify the spectral block
-    directly if a vector is wanted).  ``a`` may also be the matrix's
+    [max of lows, max of highs] encloses it.  A positive or 1x1 matrix
+    is irreducible on sight and goes to the kernel whole, with no normal
+    form built.  Perron vectors are carried only when the whole matrix
+    is irreducible (reducible matrices need not have a strictly positive
+    eigenvector; certify the spectral block directly if a vector is
+    wanted).  ``a`` may also be the matrix's
     :class:`~perron.structure.FrobeniusNormalForm`, which is then not
     recomputed.
     """
+    if not isinstance(a, structure.FrobeniusNormalForm):
+        m = matcore.nonneg_matrix(a)
+        # a second pass for the minimum the validator already took:
+        # nonneg_matrix returns the matrix alone, a signature kept for its
+        # callers; the pass costs 2 us at n = 4 and 0.3 ms at n = 800
+        if m.shape[0] == 1 or _min(m, axis=None) > 0.0:
+            tol, max_iter = _validate_iteration_params(tol, max_iter)
+            return _certify_irreducible(m[None], tol, max_iter)[0]
+        a = structure._normal_form(m)
     return _perron_roots([a], tol, max_iter)[0]
 
 

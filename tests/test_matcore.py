@@ -111,6 +111,27 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\(1, 0\)"):
             matcore.nonneg_matrix([[1.0, 2.0], [-3.0, 4.0]])
 
+    @pytest.mark.parametrize("validate", [matcore.square_matrix, matcore.nonneg_matrix])
+    @pytest.mark.parametrize("entries, message", [
+        ([[1.0, math.nan], [0.0, 0.0]], r"non-finite entry at \(0, 1\)"),
+        ([[1.0, 0.0], [math.inf, -1.0]], r"non-finite entry at \(1, 0\)"),
+        ([[-1.0, 0.0], [0.0, -math.inf]], r"non-finite entry at \(1, 1\)"),
+        ([[1.0, 2.0]], r"expected a square matrix, got shape \(1, 2\)"),
+        ([1.0, 2.0], r"expected a square matrix, got shape \(2,\)"),
+        (np.zeros((0, 0)), r"matrix dimension must be at least 1"),
+    ])
+    def test_messages_name_the_first_defect(self, validate, entries, message):
+        # a non-finite entry is reported before a negative one
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            validate(entries)
+
+    def test_negative_entry_message(self):
+        with pytest.raises(ValueError, match=r"^negative entry \S*-3\.0\S* at \(1, 0\)$"):
+            matcore.nonneg_matrix([[1.0, 2.0], [-3.0, -4.0]])
+        assert matcore.square_matrix([[1.0, 2.0], [-3.0, 4.0]])[1, 0] == -3.0
+        # -0.0 is not negative
+        assert matcore.nonneg_matrix([[-0.0]])[0, 0] == 0.0
+
     def test_validators_copy_their_input(self):
         src = np.ones((2, 2))
         out = matcore.nonneg_matrix(src)

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -642,6 +643,57 @@ class TestPerronRoot:
         c1 = solver.perron_root(a)
         c2 = solver.perron_root(a)
         assert (c1.lo, c1.hi, c1.iterations) == (c2.lo, c2.hi, c2.iterations)
+
+
+def _fields(cert):
+    vec = [None if v is None else v.tobytes() for v in (cert.right_vector, cert.left_vector)]
+    return (cert.lo, cert.hi, cert.iterations, cert.converged, *vec, cert.residual)
+
+
+class TestPositiveRoute:
+    """A positive or 1x1 matrix is irreducible on sight: ``perron_root``
+    certifies it whole, with no normal form built, and gives it the
+    certificate its normal form gets."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["dense", "sparse", "weak_cycle", "near_reducible", "tiny_gap"]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1074, max_value=1000),
+        st.sampled_from([1, 2, 3, solver.DEFAULT_MAX_ITER]),
+    )
+    @example("dense", 2, 0, 0, solver.DEFAULT_MAX_ITER)
+    @example("near_reducible", 6, 1, 0, 10_000)
+    @example("tiny_gap", 2, 2, 600, 10_000)
+    def test_same_certificate_as_the_normal_form(self, family, n, seed, k, max_iter):
+        if family == "tiny_gap":  # [[1, 1], [eps, 1]], eps 1e-4 to 1e-12
+            eps = 10.0 ** -np.random.default_rng(seed).uniform(4.0, 12.0)
+            a = np.array([[1.0, 1.0], [eps, 1.0]])[:n, :n]
+        else:
+            a = _small_input(family, max(n, 2), seed)[:n, :n]
+        a = np.ldexp(a, k)  # entries up to 11 * 2^1000 stay finite
+        fnf = structure.frobenius_normal_form(a)
+        assert _fields(solver.perron_root(a, max_iter=max_iter)) == _fields(
+            solver.perron_root(fnf, max_iter=max_iter))
+
+    def test_positive_input_builds_no_normal_form(self, monkeypatch, rng):
+        def refusing(m):
+            raise AssertionError("normal form built")
+
+        monkeypatch.setattr(structure, "_normal_form", refusing)
+        for n in range(1, 9):
+            cert = solver.perron_root(rng.uniform(0.1, 10.0, (n, n)))
+            assert cert.right_vector is not None and cert.converged
+        assert solver.perron_root([[0.0]]).hi == 0.0  # 1x1, zero included
+        with pytest.raises(AssertionError, match="normal form built"):
+            solver.perron_root([[1.0, 0.0], [1.0, 1.0]])
+
+    def test_bounds_near_overflow_are_python_floats(self):
+        cert = solver.perron_root([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+        assert type(cert.lo) is float and type(cert.hi) is float
+        assert cert.lo == sys.float_info.max and cert.hi == math.inf
+        assert cert.residual is None
 
 
 class TestCertificate:
