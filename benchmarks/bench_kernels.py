@@ -24,6 +24,16 @@ The stacked time is split into the square products of
 ``_power_vectors`` (their count in the iterations column, each timed
 as a bare product of a stack of that many matrices) and the rest.
 
+Then 20-term ``perron converge`` traces (``harness.run_trace``) from
+the reducible bases of the ``certify_converge`` workload
+(``perfbench/cases.py``: three dense blocks at scales 1, 0.6 and 0.3,
+sparse coupling above them) at n = 16 and 48, seeds 0 to 2.  Their
+terms are positive with spectral gaps near 0.6 to 0.7, where the
+squaring's give-up rule decides whether the passes of terms and blocks
+finish in the stacked first step.  Each row gives the best trace time,
+the passes handed on to ``collatz_wielandt`` and the time they took
+there, so the rule can be re-checked on another host.
+
 Then the cost per call on small inputs: ``perron_root`` on a dense
 positive matrix at n = 1 to 8 (uniform [0, 10) entries, as the
 ``hard_spectra`` workload draws them), beside ``np.linalg.eig`` on the
@@ -59,7 +69,7 @@ import time
 
 import numpy as np
 
-from perron import _kernels, cli, matcore, solver, structure
+from perron import _kernels, cli, harness, matcore, solver, structure
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
 from perfbench import cases  # noqa: E402
@@ -157,6 +167,37 @@ def stack_rows(repeats):
                           f"{t_sq * 1e3:.3f}", "-", "-"),
                          (f"{name}, stacked: the rest", "-",
                           f"{(t - t_sq) * 1e3:.3f}", "-", "-")]
+    return rows
+
+
+def trace_rows(repeats):
+    rows = [("reducible-base trace", "ms", "handed on", "serial ms")]
+    serial = solver.collatz_wielandt
+    spent = []
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        result = serial(*args)
+        spent.append(time.perf_counter() - t0)
+        return result
+
+    solver.collatz_wielandt = timed
+    try:
+        for n in (16, 48):
+            for seed in (0, 1, 2):
+                rng = np.random.default_rng(seed)
+                spec = harness.SequenceSpec(
+                    base=cases._reducible_base(rng, n)[0],
+                    direction=rng.uniform(0.0, 0.1, (n, n)), count=20)
+                spent.clear()
+                harness.run_trace(spec, TOL, MAX_ITER)
+                passes, serial_s = len(spent), sum(spent)
+                t, _ = best_time(lambda sp: harness.run_trace(sp, TOL, MAX_ITER),
+                                 spec, repeats)
+                rows.append((f"n={n}, seed {seed}", f"{t * 1e3:.3f}", str(passes),
+                             f"{serial_s * 1e3:.3f}"))
+    finally:
+        solver.collatz_wielandt = serial
     return rows
 
 
@@ -274,6 +315,8 @@ def main() -> int:
                      f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no"))
     rows += stack_rows(args.repeats)
     print_table(rows)
+    print()
+    print_table(trace_rows(args.repeats))
     print()
     print_table(per_call_rows(args.repeats))
     print()

@@ -20,21 +20,27 @@ proposed x.
 2. Proposal (the first step): from the all-ones vector, then a proposed
    vector, tried as one iteration.  For n <= 8 that is the eigenvector
    LAPACK's dgeev gives for the eigenvalue of largest real part
-   (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide, 1999),
-   sign flipped, from one eig call on all 2m prescaled matrices.  For
+   (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide, 1999), sign
+   flipped, from one eig call on all 2m prescaled matrices.  For
    8 < n <= 64 it is the row or column sums of one power b^(2^j) built
-   by repeated squaring (``_power_vectors``), for both passes; above 64
-   there is none.  Both proposers scale their vectors to max 1.  Above 8
-   the passes on the transposes use x^T b, with no transposed copy, and
-   a resumed pass on a transpose is handed the transposed view, which
-   BLAS reads in place.  A proposal is kept only when it is positive,
-   its ratios spread less than the ones vector's, and its underflow
-   slack stays under half of ``tol``; it usually lands at the floor of
-   floating point at once.  A pass that stops at its kept proposal is
-   certified as in 4. and finished at two iterations; every other pass
-   is handed on as a ``Resume``, from the kept proposal or, where that
-   was rejected or there is none, from the ones vector.  A matrix gets
-   the same certificate stacked or alone.
+   by repeated squaring (``_power_vectors``), for both passes; it gives
+   up after three squares in a row fail to halve the change of the sums,
+   as at a moderate spectral gap the first changes are not yet
+   asymptotic.  Above 64 there is none.  Both proposers scale their
+   vectors to max 1.  Above 8 the passes on the transposes use x^T b,
+   with no transposed copy, and a resumed pass on a transpose is handed
+   the transposed view, which BLAS reads in place.  A proposal is kept
+   only when it is positive, its ratios spread less than the ones
+   vector's, and its underflow slack stays under half of ``tol``; it
+   usually lands at the floor of floating point at once.  A pass that
+   stops at its kept proposal is certified as in 4. and finished at two
+   iterations.  A kept proposal that misses ``tol`` by less than a factor
+   of two (the rounding of seven squarings does that at n = 48) gets the
+   serial kernel's first sweep there, one for all such passes, and
+   finishes at three if it stops then.  Every other pass is handed on as
+   a ``Resume``: from its sweep, its kept proposal or, where that was
+   rejected or there is none, from the ones vector.  A matrix gets the
+   same certificate stacked or alone.
 3. Iteration: power sweeps x <- bx run while they contract well.  Once
    the sweeps still needed, extrapolated from the contraction seen over
    the last two, exceed what the Noda phase costs (about four steps,
@@ -172,8 +178,9 @@ def _power_vectors(bs):
     near 1, only where its largest row sum leaves [_LOW, _HIGH] (b itself
     too).  Every power squared then has max row sum at most _HIGH, so no
     square overflows.  The squaring gives up, keeping what it has, once
-    two squares in a row fail to halve the last change that did halve
-    (an imprimitive or periodic pattern, a small spectral gap, rounding),
+    three squares in a row fail to halve the last change that did halve
+    (an imprimitive or periodic pattern, a small spectral gap, rounding;
+    at |l2| / l1 near 0.6 changes 0.2, 0.2, 0.1 are not yet asymptotic),
     or a square's max row sum is not positive (underflow).  Each matrix
     stops by these rules on its own; the squares of those still going are
     taken together.  Both vectors are scaled to max 1.  Either may have
@@ -213,7 +220,7 @@ def _power_vectors(bs):
                 np.ldexp(q[i], -_exponent(sj, q[i]), out=q[i])
             if cj > 0.5 * best[j]:
                 misses[j] += 1
-                if misses[j] < 2:
+                if misses[j] < 3:
                     going.append(j)
             # once they halve, the changes shrink quadratically: the next
             # one would be about cj * (cj / best)^2
@@ -307,8 +314,9 @@ def _stops(raw, rmax, g, k, tol_s, count):
 class Resume(NamedTuple):
     """Where ``collatz_wielandt_stack`` leaves a pass it hands on: its
     vector x (max 1), b x and the extremes of the ratios (b x) / x, all
-    for b prescaled by 2^-e, and the number of vectors tried.  x is the
-    kept proposal, at two iterations, or the ones vector, at one."""
+    for b prescaled by 2^-e, and the number of vectors tried.  x is a
+    sweep from the kept proposal, at three iterations, the proposal, at
+    two, or the ones vector, at one."""
 
     x: np.ndarray
     bx: np.ndarray
@@ -415,9 +423,10 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
     bs[j].T.  Returns a list of 2m entries: the pass's result
     (lo, hi, x, iterations, converged), as ``collatz_wielandt`` returns
-    it, where the pass stops at its kept proposal, and otherwise the
-    ``Resume`` state ``collatz_wielandt`` goes on from.  Each pass's
-    entry depends on its own matrix alone, not on the rest of the stack.
+    it, where the pass stops at its kept proposal or at one sweep from
+    it, and otherwise the ``Resume`` state ``collatz_wielandt`` goes on
+    from.  Each pass's entry depends on its own matrix alone, not on the
+    rest of the stack.
     """
     m, n = bs.shape[0], bs.shape[1]
     # the matrices whose rows and whose columns the passes take: up to
@@ -455,7 +464,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     # each pass's nonzero count; the transposes' rows are cols' columns
     ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
     # the numpy calls above serve the whole stack, the rest is per pass
-    out = []
+    out, near = [], []
     for j in range(2 * m):
         raw = rmax[j] - rmin[j]
         tol_s = _times_pow2(tol, -e[j]) if e[j] else tol
@@ -472,4 +481,28 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             out.append((lo, hi, x_unit[j], 2, hi - lo <= tol))
         else:
             out.append(Resume(x[j], bx[j], rmin[j], rmax[j], 2, e[j]))
+            if raw + 2.0 * g * rmax[j] <= 2.0 * tol_s:
+                near.append((j, g, k, tol_s))
+    if not near:
+        return out
+    # a proposal kept within twice tol_s is off by the squaring's rounding,
+    # not by the gap: the serial kernel's first sweep, taken here for all
+    # of them at once, finishes it; stacks with none pay nothing for it
+    js = [j for j, *_ in near]
+    y = bx[js] / _max(bx[js], axis=1)[:, None]
+    by = _products(rows[[j for j in js if j < len(rows)]],
+                   cols[[j - len(rows) for j in js if j >= len(rows)]], y)
+    r = by / y
+    rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
+    for i, (j, g, k, tol_s) in enumerate(near):
+        if not rmax[i] < math.inf:  # left to the serial kernel's Noda steps
+            continue
+        stop, g, k = _stops(rmax[i] - rmin[i], rmax[i], g, k, tol_s, lambda: ks[j])
+        if stop or max_iter <= 3:
+            b = rows[j] if j < len(rows) else cols[j - len(rows)].T
+            lo, hi = _certify(b, y[i], rmin[i], rmax[i], g, k, tol_s,
+                              _slack(n, float(_min(y[i]))), e[j])
+            out[j] = (lo, hi, y[i] / y[i].sum(), 3, hi - lo <= tol)
+        else:
+            out[j] = Resume(y[i], by[i], rmin[i], rmax[i], 3, e[j])
     return out

@@ -138,9 +138,7 @@ def cmd_certify(args) -> int:
     pb = perturb.continuity_certificate(
         fnf, a_prime, tol=args.tol, max_iter=args.max_iter
     )
-    prime_cert = solver.perron_root(
-        structure._normal_form(a_prime), tol=args.tol, max_iter=args.max_iter
-    )
+    prime_cert = solver._perron_roots([a_prime[None]], args.tol, args.max_iter)[0]
     # the perturbed radius lies in prime_cert and must lie in the
     # enclosure, so the two intervals have to intersect
     passed = prime_cert.lo <= pb.enclosure[1] and prime_cert.hi >= pb.enclosure[0]

@@ -107,21 +107,27 @@ class SequenceSpec:
     def term(self, k: int) -> np.ndarray:
         """The k-th matrix of the sequence, a fresh array, guaranteed
         finite and nonnegative; a term that overflows raises."""
+        return self._terms([k])[0]
+
+    def _terms(self, ks) -> np.ndarray:
+        """The terms k of ``ks`` as one fresh (len(ks), n, n) stack of the
+        floats ``term(k)`` gives; the first bad one raises as there."""
+        s = np.array([self.scale(k) for k in ks])
         with np.errstate(over="ignore"):
-            a = self.base + self.scale(k) * self.direction
+            a = self.base + s[:, None, None] * self.direction
         # the ufunc reductions skip the Python-level wrappers of any/all;
         # both comparisons fail on NaN
-        lo, hi = float(_min(a, axis=None)), float(_max(a, axis=None))
-        if not -math.inf < lo <= hi < math.inf:
-            i, j = np.argwhere(~np.isfinite(a))[0]
-            raise ValueError(f"term k={k} has a non-finite entry at ({i}, {j})")
+        lo, hi = _min(a, axis=(1, 2)), _max(a, axis=(1, 2))
+        finite = (-math.inf < lo) & (lo <= hi) & (hi < math.inf)
+        bad = ~finite | (lo < 0.0) & (not self.clamp)
+        if bad.any():
+            t = int(bad.argmax())
+            what, at = ("has a non-finite entry", ~np.isfinite(a[t])) if not finite[t] else (
+                "leaves the nonnegative cone", a[t] < 0.0)
+            i, j = np.argwhere(at)[0]
+            raise ValueError(f"term k={ks[t]} {what} at ({i}, {j})")
         if self.clamp:
-            return np.maximum(a, 0.0, out=a)
-        if lo < 0.0:
-            i, j = np.argwhere(a < 0.0)[0]
-            raise ValueError(
-                f"term k={k} leaves the nonnegative cone at ({i}, {j})"
-            )
+            np.maximum(a, 0.0, out=a)
         return a
 
 
@@ -186,11 +192,13 @@ def run_trace(
       land near the base radius (threshold 2 * s_count * ||direction||_F
       * n plus certificate widths).
 
-    The terms are built a chunk at a time and certified together, with
-    their spectral blocks and, in the first chunk, a base not yet
-    certified; every certificate is the one ``perron_root`` gives.  A
-    term, validated where it is built, and each block read off it are
-    their own normal forms' matrices, not copied again.
+    Each chunk of terms is built and validated as one (k, n, n) stack,
+    and certified with its spectral blocks, gathered by one index, and,
+    in the first chunk, a base not yet certified, each as ``perron_root``
+    would.  A chunk of positive terms goes as its stack, with no normal
+    form built, copied only where ``_certify_blocks`` joins it to other
+    matrices of its size (the base's, in a first chunk).  The nilpotent
+    check powers a chunk in one call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -208,7 +216,7 @@ def run_trace(
         summary["spectral_block_index"] = block_index
         start, end = fnf.blocks[block_index]
         # the spectral block's positions in every term, read off unpermuted
-        block_at = np.ix_(fnf.perm[start:end], fnf.perm[start:end])
+        block_at = fnf.perm[start:end]
         base_cert = solver._combine(block_certs)
 
     rows = []
@@ -216,11 +224,10 @@ def run_trace(
     per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)
     for first in range(1, spec.count + 1, per_chunk):
         ks = range(first, min(first + per_chunk, spec.count + 1))
-        terms = [spec.term(k) for k in ks]
-        items = ([fnf] if base_cert is None else []) + [
-            structure._normal_form(t) for t in terms]
+        terms = spec._terms(ks)
+        items = ([fnf] if base_cert is None else []) + [terms]
         if kind == "reducible":
-            items += [structure._normal_form(t[block_at]) for t in terms]
+            items.append(np.ascontiguousarray(terms[:, block_at[:, None], block_at]))
         certs = solver._perron_roots(items, tol, max_iter)
         if base_cert is None:
             base_cert = certs.pop(0)
@@ -232,21 +239,23 @@ def run_trace(
                         "raise max_iter or tol"
                     )
                 per_scale = d_norm / solver.q_star(base_cert)
-        for i, (k, term) in enumerate(zip(ks, terms)):
+        if kind == "nilpotent":  # the 1-norms, inf or NaN where a power overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                powers = np.abs(np.linalg.matrix_power(terms, p))
+                norms = _max(np.add.reduce(powers, axis=1), axis=1).tolist()
+        for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
             deviation = abs(cert.mid - base_cert.mid)
             if kind == "nilpotent":
-                with np.errstate(over="ignore", invalid="ignore"):
-                    power = np.linalg.matrix_power(term, p)
-                hi, e = cert.hi, 0
-                if not np.isfinite(power).all():
+                hi, e, norm_p = cert.hi, 0, norms[i]
+                if not norm_p < math.inf:
                     # compare for 2^-e term, its 1-norm below 1, as
                     # _gelfand_steps prescales
-                    e = math.frexp(float(_max(term, axis=None)))[1] + fnf.n.bit_length()
-                    power = np.linalg.matrix_power(np.ldexp(term, -e), p)
+                    e = math.frexp(float(_max(terms[i], axis=None)))[1] + fnf.n.bit_length()
+                    norm_p = matcore.one_norm_mat(
+                        np.linalg.matrix_power(np.ldexp(terms[i], -e), p))
                     hi = math.ldexp(hi, -e)
-                norm_p = matcore.one_norm_mat(power)
                 ok = hi**p <= norm_p + NILPOTENT_SLACK
                 extra = (matcore._times_pow2(norm_p ** (1.0 / p), e),)
             elif kind == "irreducible":
@@ -254,7 +263,7 @@ def run_trace(
                 ok = deviation <= bound + cert.width + base_cert.width
                 extra = (bound,)
             else:
-                block = certs[len(terms) + i]
+                block = certs[len(ks) + i]
                 ok, extra = block.lo <= cert.hi, (block.lo, block.hi)
             rows.append(
                 TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, extra=extra)
@@ -378,12 +387,11 @@ def _radius_and_steps(x, m_max, name, tol, max_iter):
     """(X validated and read-only, its certificate, the (f_m, d_m) of
     ``_gelfand_steps`` for m = 1..m_max): what ``gelfand_trace`` and
     ``nonuniformity_demo`` start from.  ``name`` is m_max's in errors."""
-    mat = matcore.nonneg_matrix(x)
+    mat = structure._frozen(matcore.nonneg_matrix(x))
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError(f"{name} must be >= 1, got {m_max}")
-    # the normal form keeps the validated copy, read-only, without another
-    cert = solver.perron_root(structure._normal_form(mat), tol=tol, max_iter=max_iter)
+    cert = solver._perron_roots([mat[None]], tol, max_iter)[0]
     if cert.hi == math.inf:
         raise ValueError(
             "the spectral radius exceeds the largest float, so f_m - rho is "

@@ -144,21 +144,17 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
 
 
 def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
-    """Certificates of irreducible matrices, in order, with one call of
-    ``_certify_irreducible`` per size."""
+    """Certificates of irreducible matrices and of each matrix of (m, n, n)
+    stacks of them, in order, one ``_certify_irreducible`` call per size;
+    a size with one matrix or one stack is certified from it, not a copy."""
+    stacks = [a if a.ndim == 3 else a[None] for a in mats]
     sizes = {}
-    for i, a in enumerate(mats):
-        sizes.setdefault(a.shape[0], []).append(i)
-    certs = [None] * len(mats)
-    for idx in sizes.values():
-        # a lone matrix is certified from a view, not a copy
-        if len(idx) == 1:
-            stack = mats[idx[0]][None]
-        else:
-            stack = np.array([mats[i] for i in idx])
-        for i, cert in zip(idx, _certify_irreducible(stack, tol, max_iter)):
-            certs[i] = cert
-    return certs
+    for a in stacks:
+        sizes.setdefault(a.shape[1], []).append(a)
+    certs = {n: iter(_certify_irreducible(
+        group[0] if len(group) == 1 else np.concatenate(group), tol, max_iter))
+        for n, group in sizes.items()}
+    return [next(certs[a.shape[1]]) for a in stacks for _ in range(len(a))]
 
 
 def _combine(certs) -> PerronCertificate:
@@ -181,15 +177,26 @@ def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
     return max(range(len(certs)), key=lambda i: certs[i].mid), certs
 
 
-def _perron_roots(fnfs, tol, max_iter) -> list[PerronCertificate]:
-    """``perron_root`` of each normal form, with the irreducible blocks of
-    all of them certified together, one stacked call per block size."""
+def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
+    """``perron_root`` of each matrix given, its irreducible blocks all
+    certified together, one stacked call per size.  An item is a normal
+    form, or an (m, n, n) stack of validated matrices, handed over and made
+    read-only, one certificate each: a positive or 1x1 stack is certified
+    whole, any other through the normal form of each of its slices."""
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    certs = iter(_certify_blocks(
-        [b for fnf in fnfs for b in fnf.block_matrices], tol, max_iter))
-    # an irreducible matrix is its own single block
-    return [next(certs) if fnf.irreducible
-            else _combine([next(certs) for _ in fnf.block_matrices]) for fnf in fnfs]
+    forms = []  # normal forms, and stacks certified whole
+    for f in items:
+        whole = not isinstance(f, np.ndarray) or (
+            _min(structure._frozen(f), axis=None) > 0.0 or f.shape[1] == 1)
+        forms += [f] if whole else [structure._normal_form(t) for t in f]
+    certs = iter(_certify_blocks([b for f in forms for b in (
+        (f,) if isinstance(f, np.ndarray) else f.block_matrices)], tol, max_iter))
+    out = []
+    for f in forms:  # an irreducible matrix is its own single block
+        stack = isinstance(f, np.ndarray)
+        got = [next(certs) for _ in range(len(f if stack else f.block_matrices))]
+        out += got if stack or f.irreducible else [_combine(got)]
+    return out
 
 
 def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertificate:
@@ -208,12 +215,10 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
     """
     if not isinstance(a, structure.FrobeniusNormalForm):
         m = matcore.nonneg_matrix(a)
-        # a second pass for the minimum the validator already took:
-        # nonneg_matrix returns the matrix alone, a signature kept for its
-        # callers; the pass costs 2 us at n = 4 and 0.3 ms at n = 800
+        # nonneg_matrix's minimum once more (2 us at n = 4, 0.3 ms at 800);
+        # a positive matrix skips _perron_roots' sorting, about 20 us a call
         if m.shape[0] == 1 or _min(m, axis=None) > 0.0:
-            tol, max_iter = _validate_iteration_params(tol, max_iter)
-            return _certify_irreducible(m[None], tol, max_iter)[0]
+            return _certify_irreducible(m[None], *_validate_iteration_params(tol, max_iter))[0]
         a = structure._normal_form(m)
     return _perron_roots([a], tol, max_iter)[0]
 

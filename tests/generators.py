@@ -95,3 +95,21 @@ def reducible_base(rng, max_blocks=3, max_block_size=3):
             sj, ej = bounds[bj]
             a[si:ei, sj:ej] = rng.uniform(0.0, 1.0, size=(ei - si, ej - sj))
     return a
+
+
+def three_block_base(rng, n):
+    """Reducible base of the benchmark's converge traces, scrambled: three
+    dense positive diagonal blocks at scales 1, 0.6 and 0.3, with sparse
+    coupling above them.  Its terms are positive, with spectral gaps
+    near 0.6 to 0.7."""
+    sizes = (n // 3, n // 3, n - 2 * (n // 3))
+    a = np.zeros((n, n))
+    start = 0
+    for size, scale in zip(sizes, (1.0, 0.6, 0.3)):
+        end = start + size
+        a[start:end, start:end] = rng.uniform(0.5, 1.5, (size, size)) * scale
+        a[start:end, end:] = rng.uniform(0.0, 0.2, (size, n - end)) * (
+            rng.random((size, n - end)) < 0.2)
+        start = end
+    p = rng.permutation(n)
+    return a[np.ix_(p, p)]

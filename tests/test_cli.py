@@ -339,17 +339,20 @@ class TestGelfand:
         matcore.write_matrix_file(path, a)
         x = matcore.read_matrix_file(path)
         certs, chains = [], []
-        root, steps, demo = solver.perron_root, harness._gelfand_steps, harness.nonuniformity_demo
+        # X is positive, so every route certifies it as a matrix of a
+        # _certify_irreducible stack
+        irreducible, steps, demo = (
+            solver._certify_irreducible, harness._gelfand_steps, harness.nonuniformity_demo)
 
-        def certifying(m, **kwargs):
-            certs.append(np.shape(m))
-            return root(m, **kwargs)
+        def certifying(ms, *args):
+            certs.extend([ms.shape[1:]] * ms.shape[0])
+            return irreducible(ms, *args)
 
         def stepping(m, m_max):
             chains.append(np.array_equal(m, x))
             return steps(m, m_max)
 
-        monkeypatch.setattr(solver, "perron_root", certifying)
+        monkeypatch.setattr(solver, "_certify_irreducible", certifying)
         monkeypatch.setattr(harness, "_gelfand_steps", stepping)
         shared = run("gelfand", str(path), "--m-max", "12")
         assert shared[0] == 0 and "alpha" in shared[1]

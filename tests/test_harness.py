@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import harness, matcore, solver, structure
-from generators import random_irreducible, random_nonneg, reducible_base
+from generators import random_irreducible, random_nonneg, reducible_base, three_block_base
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -51,6 +51,36 @@ class TestSequenceSpec:
                 spec.term(1)
             with pytest.raises(ValueError, match="k=1"):
                 harness.run_trace(spec)
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 20])
+    def test_bad_terms_are_named(self, per_chunk):
+        # the first bad term, and its first bad entry in row order, are
+        # named, whether the term is built alone or in a chunk's stack
+        base = np.ones((3, 3))
+        for direction, message in (
+            ([[0.0, 0.0, 0.0], [0.0, 0.0, -2.0], [-2.0, 0.0, 0.0]],
+             r"term k=1 leaves the nonnegative cone at \(1, 2\)"),
+            ([[0.0, 0.0, 0.0], [0.0, 1e308, 0.0], [1e308, 0.0, 0.0]],
+             r"term k=1 has a non-finite entry at \(1, 1\)"),
+        ):
+            spec = harness.SequenceSpec(base=base, direction=direction, coeff=4.0, count=6)
+            with pytest.raises(ValueError, match=message):
+                spec.term(1)
+            with mock.patch.object(harness, "_CHUNK_ENTRIES", per_chunk * 9):
+                with pytest.raises(ValueError, match=message):
+                    harness.run_trace(spec)
+
+    def test_clamped_rows_are_those_of_the_clamped_terms(self, rng):
+        base = rng.uniform(0.5, 1.5, (6, 6))
+        direction = rng.uniform(-3.0, 1.0, (6, 6))
+        spec = harness.SequenceSpec(base=base, direction=direction, count=8, clamp=True)
+        with mock.patch.object(harness, "_CHUNK_ENTRIES", 3 * 36):
+            trace = harness.run_trace(spec)
+        for row in trace.rows:
+            term = np.maximum(spec.base + row.scale * spec.direction, 0.0)
+            assert np.array_equal(spec.term(row.k), term)
+            assert _same_cert(row.cert, solver.perron_root(term))
+        assert not (spec.term(1) > 0.0).all() and (spec.term(8) > 0.0).all()
 
     def test_clamp_keeps_terms_nonnegative(self):
         spec = harness.SequenceSpec(
@@ -253,19 +283,7 @@ class TestBatchCertificates:
 
     def test_dense_trace_is_one_stacked_call(self, monkeypatch, rng):
         # the base and all 20 terms leave the first step finished
-        calls = {"stack": 0, "serial": 0}
-        stack, serial = solver.collatz_wielandt_stack, solver.collatz_wielandt
-
-        def counting_stack(*args, **kwargs):
-            calls["stack"] += 1
-            return stack(*args, **kwargs)
-
-        def counting_serial(*args, **kwargs):
-            calls["serial"] += 1
-            return serial(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "collatz_wielandt_stack", counting_stack)
-        monkeypatch.setattr(solver, "collatz_wielandt", counting_serial)
+        calls = _count_kernel_calls(monkeypatch)
         spec = harness.SequenceSpec(
             base=rng.uniform(0.5, 1.5, (16, 16)),
             direction=rng.uniform(0.0, 0.1, (16, 16)), count=20,
@@ -275,57 +293,137 @@ class TestBatchCertificates:
         assert calls == {"stack": 1, "serial": 0}
         assert all(row.cert.iterations == 4 for row in trace.rows)
 
-
-class TestTermsValidatedOnce:
-    """A term is checked where it is built; its normal form, and that of
-    each spectral block read off it, keep the array without a copy."""
+    @pytest.mark.parametrize("n", [16, 48])
+    def test_moderate_gaps_finish_in_the_stack(self, monkeypatch, n):
+        # terms converging to a reducible limit have spectral gaps near
+        # 0.6 to 0.7, where the squaring must not give up early, and a
+        # proposal left just above tol by the rounding of seven squarings
+        # (seed 0, n = 48: four passes 8e-13 to 1e-12 off) is finished by
+        # a stacked sweep: no pass of a term or a block is handed on
+        calls = _count_kernel_calls(monkeypatch)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spec = harness.SequenceSpec(
+                base=three_block_base(rng, n),
+                direction=rng.uniform(0.0, 0.1, (n, n)), count=20)
+            trace = harness.run_trace(spec)
+            assert trace.kind == "reducible" and trace.ok
+        assert calls["serial"] == 0 and calls["stack"] >= 40
 
     @pytest.mark.parametrize("kind", ["irreducible", "reducible", "nilpotent"])
-    def test_normal_forms_share_the_terms(self, monkeypatch, rng, kind):
-        n = 16
+    def test_chunks_do_not_change_rows(self, rng, kind):
+        n = 12
         if kind == "irreducible":
+            base = rng.uniform(0.5, 1.5, (n, n))
+        elif kind == "reducible":
+            base = three_block_base(rng, n)
+        else:
+            base = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        spec = harness.SequenceSpec(
+            base=base, direction=rng.uniform(0.0, 0.1, (n, n)), count=7)
+        whole = harness.run_trace(spec)
+        assert whole.kind == kind
+        for per_chunk in (1, 3):
+            with mock.patch.object(harness, "_CHUNK_ENTRIES", per_chunk * n * n):
+                split = harness.run_trace(spec)
+            assert _same_cert(split.base_cert, whole.base_cert)
+            for got, want in zip(split.rows, whole.rows, strict=True):
+                assert (got.k, got.scale, got.deviation, got.ok, got.extra) == (
+                    want.k, want.scale, want.deviation, want.ok, want.extra)
+                assert _same_cert(got.cert, want.cert)
+        if kind == "nilpotent":  # the norm of each power taken alone
+            p = whole.nilpotency
+            for row in whole.rows:
+                power = np.linalg.matrix_power(spec.term(row.k), p)
+                assert row.extra == (matcore.one_norm_mat(power) ** (1.0 / p),)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Counts of the stacked first steps and of the passes they hand on."""
+    calls = {"stack": 0, "serial": 0}
+    stack, serial = solver.collatz_wielandt_stack, solver.collatz_wielandt
+
+    def counting_stack(*args, **kwargs):
+        calls["stack"] += 1
+        return stack(*args, **kwargs)
+
+    def counting_serial(*args, **kwargs):
+        calls["serial"] += 1
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "collatz_wielandt_stack", counting_stack)
+    monkeypatch.setattr(solver, "collatz_wielandt", counting_serial)
+    return calls
+
+
+class TestTermsValidatedOnce:
+    """A chunk's terms are built and checked as one stack, read-only once
+    certified.  A chunk of positive terms is handed to ``_certify_blocks``
+    as that stack, and its spectral blocks as one gathered array, with no
+    normal form built; a chunk with a term that is not positive goes as
+    the normal forms of its slices, each keeping its slice.
+    ``_certify_blocks`` still joins the items of one size into one kernel
+    stack, a copy, wherever it gets more than one, as in a first chunk
+    that also certifies the base; wrapped at its input, it hides that."""
+
+    @pytest.mark.parametrize("kind", ["irreducible", "reducible", "nilpotent", "clamped"])
+    def test_normal_forms_share_the_terms(self, monkeypatch, rng, kind):
+        n, clamp = 16, kind == "clamped"
+        direction = rng.uniform(0.0, 0.1, (n, n))
+        if kind in ("irreducible", "clamped"):
             base = rng.uniform(0.5, 1.5, (n, n))
         elif kind == "reducible":
             base = reducible_base(rng)
             n = base.shape[0]
+            direction = direction[:n, :n]
         else:
             base = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
-        spec = harness.SequenceSpec(
-            base=base, direction=rng.uniform(0.0, 0.1, (n, n)), count=5)
-        terms, items, validated = [], [], []
-        term, roots, nonneg = (
-            harness.SequenceSpec.term, solver._perron_roots, matcore.nonneg_matrix)
+        if clamp:
+            # terms 1 and 2 get a zero at (0, 0), clamped and exactly, so
+            # every term of the chunk, positive or not, is a normal form
+            direction = np.zeros((n, n))
+            direction[0, 0] = -2.0 * base[0, 0]
+        spec = harness.SequenceSpec(base=base, direction=direction, count=5, clamp=clamp)
+        stacks, certified, validated = [], [], []
+        terms, blocks, nonneg = (
+            harness.SequenceSpec._terms, solver._certify_blocks, matcore.nonneg_matrix)
 
-        def building(self, k):
-            terms.append(term(self, k))
-            return terms[-1]
+        def building(self, ks):
+            stacks.append(terms(self, ks))
+            return stacks[-1]
 
-        def certifying(batch, *args):
-            items.extend(batch)
-            return roots(batch, *args)
+        def certifying(mats, *args):
+            certified.extend(mats)
+            return blocks(mats, *args)
 
         def validating(a):
             validated.append(np.shape(a))
             return nonneg(a)
 
-        monkeypatch.setattr(harness.SequenceSpec, "term", building)
-        monkeypatch.setattr(solver, "_perron_roots", certifying)
+        monkeypatch.setattr(harness.SequenceSpec, "_terms", building)
+        monkeypatch.setattr(solver, "_certify_blocks", certifying)
         monkeypatch.setattr(matcore, "nonneg_matrix", validating)
         trace = harness.run_trace(spec)
-        assert trace.kind == kind and trace.ok
+        assert trace.kind == ("irreducible" if clamp else kind) and trace.ok
         assert validated == []
-        assert all(isinstance(f, structure.FrobeniusNormalForm) for f in items)
-        forms = [f for f in items if f is not spec.normal_form]
-        assert len(terms) == 5
-        assert len(forms) == (2 if kind == "reducible" else 1) * len(terms)
-        for t, f in zip(terms, forms):
-            assert f.matrix is t and not t.flags.writeable
+        [stack] = stacks  # one chunk
+        assert stack.shape == (5, n, n) and not stack.flags.writeable
+        fnf = spec.normal_form
+        given = [m for m in certified if not any(m is b for b in fnf.block_matrices)]
+        if clamp:
+            assert len(given) == 5
+            for i, m in enumerate(given):
+                assert m.base is stack and np.array_equal(m, stack[i])
+            return
+        assert given[0] is stack
+        assert len(given) == (2 if kind == "reducible" else 1)
         if kind == "reducible":
-            fnf = spec.normal_form
             s, e = fnf.blocks[trace.spectral_block_index]
             block = np.ix_(fnf.perm[s:e], fnf.perm[s:e])
-            for t, f in zip(terms, forms[len(terms):]):
-                assert f.matrix.base is None and np.array_equal(f.matrix, t[block])
+            gathered = given[1]
+            assert gathered.shape == (5, e - s, e - s) and not gathered.flags.writeable
+            for b, t in zip(gathered, stack):
+                assert np.array_equal(b, t[block])
 
 
 class TestNilpotentTrace:
