@@ -55,14 +55,26 @@ pattern, of the breadth-first search with its level budget (what it
 settled: yes, no, or "gave up") and of Tarjan's walk, so the cut-over
 can be re-timed on another host.
 
+Last, cold start: in each of at least 11 fresh interpreters (this
+checkout's sources, the caller's environment otherwise), the time of
+``import numpy``, then ``import perron``, ``import perron.cli``, the
+first ``perron_root`` (a 2x2) and ``perron analyze`` on a 4x4 file,
+each step timed alone.  It prints each step's median, the perron
+modules that step loaded, and whether perron's bytecode was read from a
+cache (``PYTHONDONTWRITEBYTECODE`` set, or a first run, leaves none), so
+the start-up cost of a command can be re-timed on another host.
+
 Usage: python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse
 import contextlib
 import io
+import json
+import os
 import pathlib
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -286,6 +298,57 @@ def structure_rows(repeats):
     return rows
 
 
+_COLD_START = """
+import contextlib, importlib, importlib.util, io, json, os, sys, time
+cached = os.path.exists(
+    importlib.util.cache_from_source(importlib.util.find_spec("perron").origin))
+steps = []
+
+def step(label, run):
+    before = set(sys.modules)
+    t0 = time.perf_counter()
+    run()
+    t = time.perf_counter() - t0
+    steps.append((label, t, sorted(m for m in set(sys.modules) - before
+                                   if m.split(".")[0] == "perron")))
+
+def analyze():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sys.modules["perron.cli"].main(["analyze", sys.argv[1]]) == 0
+
+step("import numpy", lambda: importlib.import_module("numpy"))
+step("import perron", lambda: importlib.import_module("perron"))
+step("import perron.cli", lambda: importlib.import_module("perron.cli"))
+step("first perron_root, 2x2", lambda: sys.modules["perron"].perron_root(
+    sys.modules["numpy"].array([[1.0, 2.0], [3.0, 4.0]])))
+step("perron analyze, 4x4 file", analyze)
+print(json.dumps({"cached": cached, "steps": steps}))
+"""
+
+
+def cold_start_rows(runs):
+    """Median time of each start-up step over fresh interpreters."""
+    src = pathlib.Path(structure.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    reports = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(pathlib.Path(tmp) / "a4.txt")
+        matcore.write_matrix_file(path, np.random.default_rng(12).uniform(0.5, 1.5, (4, 4)))
+        for _ in range(runs):
+            proc = subprocess.run([sys.executable, "-c", _COLD_START, path], env=env,
+                                  capture_output=True, text=True, check=True)
+            reports.append(json.loads(proc.stdout))
+    rows = [(f"cold start, {runs} interpreters", "median ms", "perron modules loaded")]
+    for i, (label, _, loaded) in enumerate(reports[0]["steps"]):
+        t = statistics.median(r["steps"][i][1] for r in reports)
+        rows.append((label, f"{t * 1e3:.1f}",
+                     " ".join(m.removeprefix("perron.") for m in loaded) or "-"))
+    cached = sum(r["cached"] for r in reports)
+    note = (f"bytecode read from a cache in {cached} of {runs} runs "
+            f"(PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r})")
+    return rows, note
+
+
 def print_table(rows):
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
@@ -323,6 +386,10 @@ def main() -> int:
     print_table(command_rows(args.repeats))
     print()
     print_table(structure_rows(args.repeats))
+    print()
+    rows, note = cold_start_rows(max(11, args.repeats))
+    print_table(rows)
+    print(note)
     return 0
 
 

@@ -26,8 +26,10 @@ proposed x.
    by repeated squaring (``_power_vectors``), for both passes; it gives
    up after three squares in a row fail to halve the change of the sums,
    as at a moderate spectral gap the first changes are not yet
-   asymptotic.  Above 64 there is none.  Both proposers scale their
-   vectors to max 1.  Above 8 the passes on the transposes use x^T b,
+   asymptotic, or after four where the third halves the largest of them
+   (changes that oscillate, as under a complex subdominant pair).
+   Above 64 there is none.  Both proposers scale their vectors to max
+   1.  Above 8 the passes on the transposes use x^T b,
    with no transposed copy, and a resumed pass on a transpose is handed
    the transposed view, which BLAS reads in place.  A proposal is kept
    only when it is positive, its ratios spread less than the ones
@@ -181,8 +183,11 @@ def _power_vectors(bs):
     three squares in a row fail to halve the last change that did halve
     (an imprimitive or periodic pattern, a small spectral gap, rounding;
     at |l2| / l1 near 0.6 changes 0.2, 0.2, 0.1 are not yet asymptotic),
-    or a square's max row sum is not positive (underflow).  Each matrix
-    stops by these rules on its own; the squares of those still going are
+    unless the third halves the largest change since that one, which
+    earns a fourth square (a complex subdominant pair makes the changes
+    oscillate: 0.37, 0.82, 0.18, 0.21, then 0.008), or a square's max
+    row sum is not positive (underflow).  Each matrix stops by these
+    rules on its own; the squares of those still going are
     taken together.  Both vectors are scaled to max 1.  Either may have
     zero entries; the first step keeps it only when it helps.  Rows are
     NaN where not one square succeeds.
@@ -196,10 +201,12 @@ def _power_vectors(bs):
         p = np.ldexp(bs, -np.array(e)[:, None, None])
         r = p @ ones
     right = r / _max(r, axis=1)[:, None]
-    best, change, misses = [math.inf] * m, [math.inf] * m, [0] * m
+    # peak: the largest change since the last that halved, inf before
+    # the first square
+    best, peak, misses = [math.inf] * m, [math.inf] * m, [0] * m
     live = list(range(m))
-    # each reset of misses halves best, which stays above _SETTLED, so
-    # the loop ends
+    # each reset of misses halves best, which stays above _SETTLED, and
+    # at most four squares go between resets, so the loop ends
     while live:
         every = len(live) == m
         q = p if every else p[live]
@@ -215,16 +222,18 @@ def _power_vectors(bs):
             if not 0.0 < sj < math.inf:  # stop with the power it has
                 continue
             kept.append(i)
-            change[j] = cj
             if not _LOW <= sj <= _HIGH:
                 np.ldexp(q[i], -_exponent(sj, q[i]), out=q[i])
             if cj > 0.5 * best[j]:
+                peak[j] = max(peak[j], cj)
                 misses[j] += 1
-                if misses[j] < 3:
+                if misses[j] < 3 or (misses[j] == 3 and 2.0 * cj <= peak[j]):
                     going.append(j)
+                continue
+            peak[j] = cj
             # once they halve, the changes shrink quadratically: the next
             # one would be about cj * (cj / best)^2
-            elif not (cj <= _SETTLED or (
+            if not (cj <= _SETTLED or (
                     best[j] < math.inf and cj**3 <= _SETTLED * best[j]**2)):
                 best[j], misses[j] = cj, 0
                 going.append(j)
@@ -239,7 +248,7 @@ def _power_vectors(bs):
     left = ones @ p
     y = np.concatenate((right, left / _max(left, axis=1)[:, None]))
     # not one square: nothing beyond b's row sums
-    none = [j for j in range(m) if change[j] == math.inf]
+    none = [j for j in range(m) if peak[j] == math.inf]
     if none:
         y[none + [m + j for j in none]] = math.nan
     return y

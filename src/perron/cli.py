@@ -12,7 +12,7 @@ the command, bad sequence, ...).
 import argparse
 import sys
 
-from . import harness, matcore, perturb, solver, structure
+from . import matcore, solver, structure
 
 __all__ = ["main", "console_main"]
 
@@ -125,6 +125,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import perturb  # imported per command, so analyze never loads it
     a = matcore.read_matrix_file(args.matrix, nonneg=True)
     a_prime = matcore.read_matrix_file(args.perturbed, nonneg=True)
     fnf = structure._normal_form(a)
@@ -161,6 +162,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from . import harness
     base = matcore.read_matrix_file(args.base, nonneg=True)
     direction = matcore.read_matrix_file(args.direction)
     rule, gamma = args.schedule
@@ -191,6 +193,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_gelfand(args) -> int:
+    from . import harness
     x = matcore.read_matrix_file(args.matrix, nonneg=True)
     trace = harness.gelfand_trace(x, args.m_max, tol=args.tol, max_iter=args.max_iter)
     # the demo reuses the trace's certificate and norm chain of X

@@ -3,12 +3,15 @@
 For irreducible nonnegative A with left Perron vector q (1-norm one) the
 spectral radius moves by at most ||E||_2 / min_i(q_i) under any nonnegative
 perturbation A + E of A.  The Frobenius norm bounds the spectral norm from
-above, so it can stand in for it without weakening soundness.
+above, so it can stand in for it without weakening soundness.  The
+norm, the bound and the enclosure are each rounded outward, so they hold
+for the exact difference of the stored floats.
 """
 
+import math
 from dataclasses import dataclass
 
-from . import matcore, solver, structure
+from . import _kernels, matcore, solver, structure
 
 __all__ = ["PerturbationBound", "continuity_certificate"]
 
@@ -19,7 +22,7 @@ class PerturbationBound:
 
     ``enclosure`` is a closed interval guaranteed to contain the spectral
     radius of the perturbed matrix: the base certificate widened by the
-    bound on each side.
+    bound on each side, rounded outward.
     """
 
     base: solver.PerronCertificate
@@ -39,10 +42,10 @@ def continuity_certificate(
     a itself must be irreducible, since that is what makes its left
     Perron vector strictly positive.  ``a`` may also be its
     :class:`~perron.structure.FrobeniusNormalForm`, which is then not
-    recomputed.  The bound is ||a_prime - a||_F / q_star.  q_star is read
-    off the left vector, so a base certificate that did not converge
-    within ``max_iter`` raises ValueError: its left vector can be far
-    from the Perron vector.
+    recomputed.  The bound is ||a_prime - a||_F / q_star, rounded up.
+    q_star is read off the left vector, so a base certificate that did
+    not converge within ``max_iter`` raises ValueError: its left vector
+    can be far from the Perron vector.
     """
     given = isinstance(a, structure.FrobeniusNormalForm)
     fnf = a if given else structure.frobenius_normal_form(a)
@@ -59,10 +62,33 @@ def continuity_certificate(
             "so q_star is not reliable; raise max_iter or tol"
         )
     qs = solver.q_star(cert)
-    e_norm = matcore.frobenius_norm(mp - m)
-    bound = e_norm / qs
-    enclosure = (max(cert.lo - bound, 0.0), cert.hi + bound)
+    e_norm = _frobenius_up(mp - m)
+    bound = math.nextafter(e_norm / qs, math.inf) if e_norm else 0.0
+    enclosure = (cert.lo, cert.hi)
+    if bound:  # rounded outward, the low end clamped at 0
+        enclosure = (max(math.nextafter(cert.lo - bound, -math.inf), 0.0),
+                     math.nextafter(cert.hi + bound, math.inf))
     return PerturbationBound(
         base=cert, q_star=qs, e_norm=e_norm, bound=bound, enclosure=enclosure
     )
 
+
+def _frobenius_up(d) -> float:
+    """Upper bound on the exact Frobenius norm of the difference that the
+    N entries of ``d`` round.
+
+    ``matcore.frobenius_norm(d)`` is scaled by 1 + g, g =
+    ``_kernels._gamma(N + 6, u)``, at least Nu/(1 - 2Nu) + 11u.  The
+    first term covers the N rounded squares and any order of their
+    N - 1 sums; the 11u covers the difference (one rounding per entry),
+    the square root, underflow in the scaled squares (each below
+    2^-1074, against a sum of at least 1/8 for N < 2^50) and the
+    padding's own arithmetic.  The ulp steps cover a norm scaled back
+    into the subnormals and the product's rounding.  Only an exactly
+    zero difference gives 0.
+    """
+    e = matcore.frobenius_norm(d)
+    if e == 0.0:
+        return 0.0
+    g = _kernels._gamma(d.size + 6, _kernels._U)
+    return math.nextafter(math.nextafter(e, math.inf) * (1.0 + g), math.inf)

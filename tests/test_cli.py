@@ -1,5 +1,11 @@
 """End-to-end command tests, run in process through cli.main."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -424,3 +430,60 @@ class TestParserPlumbing:
         assert run("analyze", "cycle2.txt", "--tol", "-1")[0] == 2
         assert run("analyze", "cycle2.txt") == first
         assert len(builds) == 1
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import numpy as np
+import perron, perron.cli
+
+def layers():
+    return [m for m in ("perron.harness", "perron.perturb") if m in sys.modules]
+
+def quiet(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return perron.cli.main(list(argv))
+
+seen = {"import": layers()}
+perron.perron_root(np.array([[1.0, 2.0], [3.0, 4.0]]))
+seen["root"] = layers()
+seen["analyze_code"] = quiet("analyze", sys.argv[1])
+seen["analyze"] = layers()
+seen["converge_code"] = quiet("converge", sys.argv[2], sys.argv[3], "--count", "3")
+seen["converge"] = layers()
+seen["not_in_dir"] = sorted(set(perron.__all__) - set(dir(perron)))
+star = {}
+exec("from perron import *", star)
+seen["star"] = layers()
+seen["not_bound"] = [n for n in perron.__all__ if star.get(n) is not getattr(perron, n)]
+try:
+    perron.no_such_name
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    """In a fresh interpreter, importing the package and the CLI, a
+    certificate and `perron analyze` load neither the trace layer
+    (harness) nor the perturbation layer (perturb); they load on first
+    use, and every exported name still resolves."""
+
+    def test_layers_load_on_first_use(self, fixtures_dir):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START, *(str(fixtures_dir / f) for f in (
+                "blocks4.txt", "cycle2.txt", "dir_lowerleft2.txt"))],
+            capture_output=True, text=True, cwd=src.parent,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["import"] == seen["root"] == seen["analyze"] == []
+        assert seen["analyze_code"] == seen["converge_code"] == 0
+        assert seen["converge"] == ["perron.harness"]
+        assert seen["not_in_dir"] == []
+        assert seen["star"] == ["perron.harness", "perron.perturb"]
+        assert seen["not_bound"] == []
+        assert seen["unknown"] == "module 'perron' has no attribute 'no_such_name'"

@@ -310,6 +310,20 @@ class TestBatchCertificates:
             assert trace.kind == "reducible" and trace.ok
         assert calls["serial"] == 0 and calls["stack"] >= 40
 
+    def test_oscillating_changes_finish_in_the_stack(self, monkeypatch, fixtures_dir):
+        # a nilpotent base plus a small positive direction gives terms
+        # with a complex subdominant pair, whose squaring changes
+        # oscillate (0.37, 0.82, 0.18, 0.21, then 0.008): the fourth
+        # square is taken, and no pass is handed on
+        calls = _count_kernel_calls(monkeypatch)
+        spec = harness.SequenceSpec(
+            base=matcore.read_matrix_file(fixtures_dir / "nil16_base.txt"),
+            direction=matcore.read_matrix_file(fixtures_dir / "nil16_direction.txt"),
+            count=20)
+        trace = harness.run_trace(spec, max_iter=20_000)
+        assert trace.kind == "nilpotent" and trace.ok
+        assert calls["serial"] == 0
+
     @pytest.mark.parametrize("kind", ["irreducible", "reducible", "nilpotent"])
     def test_chunks_do_not_change_rows(self, rng, kind):
         n = 12

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +49,21 @@ class TestContinuityCertificate:
             shift = abs(eig_radius(ap) - eig_radius(a))
             assert shift <= res.bound + res.base.width + 1e-9
             assert res.enclosure[0] - 1e-9 <= eig_radius(ap) <= res.enclosure[1] + 1e-9
+
+    def test_bounds_are_rounded_outward(self, rng):
+        # e_norm, bound and both enclosure ends hold in exact arithmetic
+        # for the stored floats; q_star itself is taken as given
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            a = rng.uniform(0.5, 1.5, (n, n))
+            ap = a + rng.uniform(-1e-3, 1e-3, (n, n))
+            res = perturb.continuity_certificate(a, ap)
+            sq = sum((Fraction(x) - Fraction(y)) ** 2 for x, y in zip(ap.flat, a.flat))
+            bound = Fraction(res.bound)
+            assert Fraction(res.e_norm) ** 2 >= sq
+            assert bound >= Fraction(res.e_norm) / Fraction(res.q_star)
+            assert Fraction(res.enclosure[0]) <= max(Fraction(res.base.lo) - bound, 0)
+            assert Fraction(res.enclosure[1]) >= Fraction(res.base.hi) + bound
 
     def test_bound_scales_exactly_with_perturbation(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
