@@ -1,10 +1,10 @@
 """Time the certifying kernel on six matrices and on two stacks of 20.
 
-For each case, the right pass as the solver runs it: the stacked first
-step (``collatz_wielandt_stack``, which proposes the vector, eig's up to
-n = 8, above it the squaring's, ``_power_vectors``, and takes the first
-step of both passes), then ``collatz_wielandt`` where the step hands the
-pass on.  It prints the proposal, the vectors the pass tried (the ones
+For each case, the right pass as the solver runs it, in one
+``collatz_wielandt_stack`` call on the matrix alone (which proposes the
+vector, eig's up to n = 8, the squaring's, ``_power_vectors``, up to
+n = 64, and iterates both passes to the end).  It prints the proposal,
+the vectors the pass tried (the ones
 vector, a kept proposal, power sweeps and Noda steps), the best wall time
 over the repeats, and the certified width hi - lo.  The slow 2x2 has a
 spectral gap of about 2e-4, which power sweeps alone would need some
@@ -16,7 +16,7 @@ where per-call overhead is the cost; the weak 6-cycle, one weight
 backbone; the dense 48x48 is the larger size ``perron converge`` traces
 run at.
 
-Then the stacked first step: 20 dense matrices at n = 16 and n = 48,
+Then 20 dense matrices at n = 16 and n = 48,
 the terms of a ``perron converge`` trace, certified (both passes,
 certificate assembly included) in one stacked call, and in 20 calls of
 one matrix each.  The iterations are summed, the width is the widest.
@@ -30,9 +30,10 @@ the reducible bases of the ``certify_converge`` workload
 sparse coupling above them) at n = 16 and 48, seeds 0 to 2.  Their
 terms are positive with spectral gaps near 0.6 to 0.7, where the
 squaring's give-up rule decides whether the passes of terms and blocks
-finish in the stacked first step.  Each row gives the best trace time,
-the passes handed on to ``collatz_wielandt`` and the time they took
-there, so the rule can be re-checked on another host.
+stop at their proposal.  Each row gives the best trace time, the
+kernel stacks the trace took, and how many of their passes finished at
+two iterations (at the kept proposal), at three (one sweep from it) and
+above three, so the rule can be re-checked on another host.
 
 Then the cost per call on small inputs: ``perron_root`` on a dense
 positive matrix at n = 1 to 8 (uniform [0, 10) entries, as the
@@ -113,13 +114,6 @@ def workloads():
     ]
 
 
-def _right_pass(b):
-    state = _kernels.collatz_wielandt_stack(b[None], TOL, MAX_ITER)[0]
-    if isinstance(state, _kernels.Resume):
-        return _kernels.collatz_wielandt(b, TOL, MAX_ITER, state)
-    return state
-
-
 def _proposal(n):
     if n <= _kernels._EIG_N:
         return "eig"
@@ -183,17 +177,16 @@ def stack_rows(repeats):
 
 
 def trace_rows(repeats):
-    rows = [("reducible-base trace", "ms", "handed on", "serial ms")]
-    serial = solver.collatz_wielandt
-    spent = []
+    rows = [("reducible-base trace", "ms", "stacks", "passes at 2", "at 3", "above 3")]
+    stack = solver.collatz_wielandt_stack
+    iterations = []
 
-    def timed(*args):
-        t0 = time.perf_counter()
-        result = serial(*args)
-        spent.append(time.perf_counter() - t0)
-        return result
+    def recording(*args):
+        out = stack(*args)
+        iterations.append([p[3] for p in out])
+        return out
 
-    solver.collatz_wielandt = timed
+    solver.collatz_wielandt_stack = recording
     try:
         for n in (16, 48):
             for seed in (0, 1, 2):
@@ -201,15 +194,16 @@ def trace_rows(repeats):
                 spec = harness.SequenceSpec(
                     base=cases._reducible_base(rng, n)[0],
                     direction=rng.uniform(0.0, 0.1, (n, n)), count=20)
-                spent.clear()
+                iterations.clear()
                 harness.run_trace(spec, TOL, MAX_ITER)
-                passes, serial_s = len(spent), sum(spent)
+                counts = [sum(f(i) for its in iterations for i in its)
+                          for f in (lambda i: i == 2, lambda i: i == 3, lambda i: i > 3)]
                 t, _ = best_time(lambda sp: harness.run_trace(sp, TOL, MAX_ITER),
                                  spec, repeats)
-                rows.append((f"n={n}, seed {seed}", f"{t * 1e3:.3f}", str(passes),
-                             f"{serial_s * 1e3:.3f}"))
+                rows.append((f"n={n}, seed {seed}", f"{t * 1e3:.3f}", str(len(iterations)),
+                             *map(str, counts)))
     finally:
-        solver.collatz_wielandt = serial
+        solver.collatz_wielandt_stack = stack
     return rows
 
 
@@ -373,7 +367,9 @@ def main() -> int:
     rows = [("case", "iterations", "ms", "width", "converged")]
     for name, b in workloads():
         b = np.ascontiguousarray(b, dtype=np.float64)
-        t, (lo, hi, _, iterations, converged) = best_time(_right_pass, b, args.repeats)
+        t, (lo, hi, _, iterations, converged) = best_time(
+            lambda a: _kernels.collatz_wielandt_stack(a[None], TOL, MAX_ITER)[0], b,
+            args.repeats)
         rows.append((f"{name}, {_proposal(b.shape[0])} proposal", str(iterations),
                      f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no"))
     rows += stack_rows(args.repeats)

@@ -2,16 +2,15 @@
 
 Each nonnegative irreducible matrix b, n >= 2, gets two passes, one on b
 and one on its transpose.  ``collatz_wielandt_stack(bs, tol, max_iter)``
-takes the first step of both passes of every matrix of a same-size
-stack, in one fixed set of numpy calls; it finishes each pass that stops
-at its proposal and hands each other one on as a ``Resume``, which
-``collatz_wielandt(b, tol, max_iter, start)`` iterates to the end.  A
-pass's result is ``(lo, hi, x, iterations, converged)``.  For every
-x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius
-between their minimum and their maximum; lo and hi are those extremes
-widened outward for every rounding error their float computation can
-carry, so they hold the radius of the stored floats whatever method
-proposed x.
+runs both passes of every matrix of a same-size stack: the first step of
+all of them in one fixed set of numpy calls, then one loop that steps
+every live pass, in one set of numpy calls per iteration, until each has
+stopped.  A pass's result is ``(lo, hi, x, iterations, converged)``.  For
+every x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral
+radius between their minimum and their maximum; lo and hi are those
+extremes widened outward for every rounding error their float
+computation can carry, so they hold the radius of the stored floats
+whatever method proposed x.
 
 1. Prescaling: a pass whose largest row sum lies outside [2^-400, 2^400]
    runs on b scaled by an exact power of two, which keeps the products
@@ -29,28 +28,26 @@ proposed x.
    asymptotic, or after four where the third halves the largest of them
    (changes that oscillate, as under a complex subdominant pair).
    Above 64 there is none.  Both proposers scale their vectors to max
-   1.  Above 8 the passes on the transposes use x^T b,
-   with no transposed copy, and a resumed pass on a transpose is handed
-   the transposed view, which BLAS reads in place.  A proposal is kept
-   only when it is positive, its ratios spread less than the ones
-   vector's, and its underflow slack stays under half of ``tol``; it
-   usually lands at the floor of floating point at once.  A pass that
-   stops at its kept proposal is certified as in 4. and finished at two
-   iterations.  A kept proposal that misses ``tol`` by less than a factor
-   of two (the rounding of seven squarings does that at n = 48) gets the
-   serial kernel's first sweep there, one for all such passes, and
-   finishes at three if it stops then.  Every other pass is handed on as
-   a ``Resume``: from its sweep, its kept proposal or, where that was
-   rejected or there is none, from the ones vector.  A matrix gets the
-   same certificate stacked or alone.
+   1.  The passes on the transposes use x^T b, with no transposed copy,
+   but for the first step at n <= 8.  A proposal is kept only when it is positive, its
+   ratios spread less than the ones vector's, and its underflow slack
+   stays under half of ``tol``; it usually lands at the floor of
+   floating point at once, and the pass then stops at two iterations.
+   Every other pass iterates from its kept proposal or, where that was
+   rejected or there is none, from the ones vector.
 3. Iteration: power sweeps x <- bx run while they contract well.  Once
    the sweeps still needed, extrapolated from the contraction seen over
    the last two, exceed what the Noda phase costs (about four steps,
    each a solve and a sweep), or a sweep stalls or underflows (a cycle,
-   a tiny spectral gap), the kernel switches to Noda steps
+   a tiny spectral gap), the pass switches to Noda steps
    x <- (hi I - b)^-1 x, with hi the current upper bound (Noda, Numer.
    Math. 16, 1971; Elsner, LAA 15, 1976).  They converge superlinearly
    whatever the spectral gap, and need no shift for periodic patterns.
+   Each iteration takes the products of all live passes in one call and
+   the Noda solves in another; each pass applies its own rules to its
+   own scalars, so a matrix gets the same certificate stacked or alone.
+   A pass that stops drops out, and only then is the stack of the live
+   passes' matrices rebuilt, as a view where it can be.
 4. Certification (``_certify``): a ratio over a row with k nonzeros
    carries k + 1 roundings, so the exact ratio is within a relative
    gamma_{k+1} = (k+1)u / (1 - (k+1)u) of it, or slightly more (Higham,
@@ -68,14 +65,13 @@ floor of floating point: the ratio spread is down to what rounding alone
 makes, or three Noda steps in a row shrink it by less than an eighth.
 """
 
+import contextlib
 import math
-from typing import NamedTuple
-
 import numpy as np
 
 from .matcore import _times_pow2
 
-__all__ = ["Resume", "collatz_wielandt", "collatz_wielandt_stack"]
+__all__ = ["collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
@@ -305,111 +301,19 @@ def _nonzeros(b, axis=-1):
     return _max(np.count_nonzero(b, axis=axis), axis=-1).tolist()
 
 
-def _stops(raw, rmax, g, k, tol_s, count):
+def _stops(raw, rmax, g, k, tol_s, nonzeros):
     """The stopping test of a pass: (stop, g, k).  The pass stops where
     its certified width, underflow slack aside, meets tol_s, or its ratio
     spread raw is down to what rounding alone makes, 2 g rmax.  g bounds
     a ratio over rows of k nonzeros; k is None, n standing in for it,
     until rounding would take most of tol_s or the spread is down to it,
-    and is then count()."""
+    and is then the pass's count of ``nonzeros``."""
     floor = 2.0 * g * rmax
     if k is None and (floor > 0.75 * tol_s or raw <= floor):
-        k = count()
+        k = nonzeros
         g = _gamma(k, _U)
         floor = 2.0 * g * rmax
     return raw + floor <= tol_s or raw <= floor, g, k
-
-
-class Resume(NamedTuple):
-    """Where ``collatz_wielandt_stack`` leaves a pass it hands on: its
-    vector x (max 1), b x and the extremes of the ratios (b x) / x, all
-    for b prescaled by 2^-e, and the number of vectors tried.  x is a
-    sweep from the kept proposal, at three iterations, the proposal, at
-    two, or the ones vector, at one."""
-
-    x: np.ndarray
-    bx: np.ndarray
-    rmin: float
-    rmax: float
-    iterations: int
-    e: int
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def collatz_wielandt(b, tol, max_iter, start):
-    """Certified Collatz-Wielandt interval of nonnegative irreducible b,
-    from the ``Resume`` state ``start`` that ``collatz_wielandt_stack``
-    handed on for the pass on b; b is given unscaled, and the pass runs
-    on b 2^-e, e the state's exponent.
-
-    Returns (lo, hi, x, iterations, converged): the certified interval,
-    the final iterate (1-norm one), the number of vectors tried (the
-    ones vector, a kept proposal, sweeps and Noda steps), and whether
-    hi - lo <= tol.  Overflow, zero division and the NaN it makes are
-    detected and handled, not warned about.
-    """
-    x, z, rmin, rmax, it, e = start
-    if e:
-        b = np.ldexp(b, -e)
-    tol_s = _times_pow2(tol, -e)  # the width the prescaled pass aims at
-    n = b.shape[0]
-    # sweeps the Noda phase costs
-    noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
-
-    k, g = None, _gamma(n, _U)
-
-    def count():
-        return _nonzeros(b[None])[0]
-
-    raws = []
-    noda = False
-    stalls = 0
-    while True:
-        raw = rmax - rmin
-        stop, g, k = _stops(raw, rmax, g, k, tol_s, count)
-        if stop or it >= max_iter:
-            break
-        if noda:
-            stalls = stalls + 1 if raw > 0.875 * raws[-1] else 0
-            if stalls >= _STALLS:
-                break
-        elif len(raws) >= 2 and raws[-2] > 0.0:
-            # switch once the sweeps still needed, at the contraction seen
-            # over the last two, exceed the cost of the Noda phase
-            q = math.sqrt(raw / raws[-2])
-            target = max(0.5 * tol_s, 2.0 * g * rmax)
-            noda = q >= 1.0 or math.log(target / raw) < noda_cost * math.log(q)
-        raws.append(raw)
-        it += 1
-        if noda:
-            # the step in the basis where x is all ones: D^-1 b D with
-            # D = diag(x) has row sums r_i <= rmax, so hi I - D^-1 b D is
-            # diagonally dominant, and the solve keeps every component of
-            # a vector spanning hundreds of orders of magnitude
-            m = b * x
-            m /= -x[:, None]
-            m.flat[::n + 1] += rmax + rmax * g
-            try:
-                y = np.linalg.solve(m, np.ones(n))
-            except np.linalg.LinAlgError:
-                break
-            y *= x
-            y /= _max(y)
-            if not _min(y) > 0.0:  # also catches NaN
-                break
-        else:
-            y = z / _max(z)
-        z_new = b @ y
-        r = z_new / y
-        r_lo, r_hi = float(_min(r)), float(_max(r))
-        if not r_hi < math.inf:  # an entry of y underflowed to zero
-            if noda:
-                break
-            noda = True  # hand over to Noda from x
-            continue
-        x, z, rmin, rmax = y, z_new, r_lo, r_hi
-    lo, hi = _certify(b, x, rmin, rmax, g, k, tol_s, _slack(n, float(_min(x))), e)
-    return lo, hi, x / x.sum(), it, hi - lo <= tol
 
 
 def _products(rows, cols, x=None):
@@ -424,18 +328,53 @@ def _products(rows, cols, x=None):
     return np.concatenate((r, c))
 
 
+def _take(a, idx):
+    """a[idx] for increasing indices idx, a view where they are a range."""
+    return a[idx[0]:idx[-1] + 1] if idx and idx[-1] - idx[0] == len(idx) - 1 else a[idx]
+
+
+def _noda_steps(bs, x, hi):
+    """Noda's step x <- (hi I - b)^-1 x of each pass, for its matrix b of
+    ``bs``, its vector x (a row of x, max 1) and its upper bound hi, taken
+    in the basis where x is all ones: D^-1 b D with D = diag(x) has row
+    sums r_i <= hi, so hi I - D^-1 b D is diagonally dominant, and the
+    solve keeps every component of a vector spanning hundreds of orders
+    of magnitude.  Returns the new vectors, each at max 1, NaN where its
+    solve failed."""
+    p, n = x.shape
+    m = np.empty((p, n, n))
+    for i, b in enumerate(bs):
+        np.multiply(b, x[i], out=m[i])
+    m /= -x[:, :, None]
+    m.reshape(p, n * n)[:, ::n + 1] += np.array(hi)[:, None]
+    try:
+        y = np.linalg.solve(m, np.ones((p, n, 1)))[:, :, 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole call: solve one by one, so
+        # that each pass gets what it gets alone
+        y = np.full((p, n), math.nan)
+        for i in range(p):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                y[i] = np.linalg.solve(m[i], np.ones(n))
+    y *= x
+    y /= _max(y, axis=1)[:, None]
+    return y
+
+
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def collatz_wielandt_stack(bs, tol, max_iter):
-    """The first step of both passes of each matrix of a stack.
+    """Certified Collatz-Wielandt intervals of both passes of each matrix
+    of a stack.
 
     ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
     n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
-    bs[j].T.  Returns a list of 2m entries: the pass's result
-    (lo, hi, x, iterations, converged), as ``collatz_wielandt`` returns
-    it, where the pass stops at its kept proposal or at one sweep from
-    it, and otherwise the ``Resume`` state ``collatz_wielandt`` goes on
-    from.  Each pass's entry depends on its own matrix alone, not on the
-    rest of the stack.
+    bs[j].T.  Returns a list of 2m results (lo, hi, x, iterations,
+    converged): the certified interval, the final iterate (1-norm one),
+    the number of vectors tried (the ones vector, a kept proposal, sweeps
+    and Noda steps), and whether hi - lo <= tol.  Each pass's result
+    depends on its own matrix alone, not on the rest of the stack.
+    Overflow, zero division and the NaN it makes are detected and
+    handled, not warned about.
     """
     m, n = bs.shape[0], bs.shape[1]
     # the matrices whose rows and whose columns the passes take: up to
@@ -444,74 +383,120 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         rows, cols = np.concatenate((bs, bs.transpose(0, 2, 1))), bs[:0]
     else:
         rows = cols = bs
-    # b times the ones vector: summed, as the serial kernel has always
-    # started, but by BLAS where the proposals' products are, there three
-    # times faster than a sum (n = 16 to 48)
-    x1 = np.ones((2 * m, n)) if _EIG_N < n <= _SQUARE_N else None
-    z = _products(rows, cols, x1)
-    zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    # b times the ones vector: summed, but by BLAS where the proposals'
+    # products are, there three times faster than a sum (n = 16 to 48)
+    ones = np.ones((2 * m, n)) if _EIG_N < n <= _SQUARE_N else None
+    z = _products(rows, cols, ones)
+    rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
     # _exponent only for the passes it scales
     e = [0 if _LOW <= s <= _HIGH else _exponent(s, bs[j % m])
-         for j, s in enumerate(zmax)]
+         for j, s in enumerate(rmax)]
     if any(e):
         scale = -np.array(e)[:, None, None]
         rows = np.ldexp(rows, scale[:len(rows)])
         cols = np.ldexp(cols, scale[len(rows):])
-        z = _products(rows, cols, x1)
-        zmin, zmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    if max_iter < 2 or n > _SQUARE_N:  # no proposal
-        return [Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j])
-                for j in range(2 * m)]
-    # each row at max 1, or NaN where the proposer failed
-    x = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
-    bx = _products(rows, cols, x)
-    r = bx / x
-    rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
-    x_min = _min(x, axis=1).tolist()
-    x_unit = x / _sum(x, axis=1)[:, None]  # the 1-norm the result carries
-    g_n = _gamma(n, _U)
+        z = _products(rows, cols, ones)
+        rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    tol_s = [_times_pow2(tol, -s) if s else tol for s in e]  # prescaled widths
     # each pass's nonzero count; the transposes' rows are cols' columns
     ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
-    # the numpy calls above serve the whole stack, the rest is per pass
-    out, near = [], []
-    for j in range(2 * m):
-        raw = rmax[j] - rmin[j]
-        tol_s = _times_pow2(tol, -e[j]) if e[j] else tol
-        # kept where x > 0 (the tests fail on NaN), its ratios spread less
-        # than the ones vector's and its underflow slack is small
-        slack = _slack(n, x_min[j]) if x_min[j] > 0.0 else math.inf
-        if not (raw < zmax[j] - zmin[j] and slack < 0.5 * tol_s):
-            out.append(Resume(np.ones(n), z[j], zmin[j], zmax[j], 1, e[j]))
-            continue
-        stop, g, k = _stops(raw, rmax[j], g_n, None, tol_s, lambda: ks[j])
-        if stop or max_iter <= 2:
-            b = rows[j] if j < len(rows) else cols[j - len(rows)].T
-            lo, hi = _certify(b, x[j], rmin[j], rmax[j], g, k, tol_s, slack, e[j])
-            out.append((lo, hi, x_unit[j], 2, hi - lo <= tol))
+    # vectors tried, and the minimum of x, 1 for the ones vector
+    it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
+    if max_iter >= 2 and n <= _SQUARE_N:
+        # each row at max 1, or NaN where the proposer failed
+        y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
+        by = _products(rows, cols, y)
+        r = by / y
+        ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
+        for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, _min(y, axis=1).tolist())):
+            # kept where y > 0 (the tests fail on NaN), its ratios spread
+            # less than the ones vector's and its underflow slack is small
+            if hi - lo < rmax[j] - rmin[j] and y_min > 0.0 and _slack(n, y_min) < 0.5 * tol_s[j]:
+                kept.append(j)
+                rmin[j], rmax[j], it[j], low[j] = lo, hi, 2, y_min
+    if len(kept) == 2 * m:
+        x, z = y, by
+    else:
+        x = np.ones((2 * m, n))
+        if kept:
+            x[kept], z[kept] = y[kept], by[kept]
+    if n <= _EIG_N:  # the iteration takes x^T b on the transposes, as above
+        rows, cols = rows[:m], np.ldexp(bs, scale[m:]) if any(e) else bs
+
+    # sweeps the Noda phase costs
+    noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
+    g, k = [_gamma(n, _U)] * (2 * m), [None] * (2 * m)
+    # the last two spreads, and the Noda steps in a row that shrank the
+    # spread by under 1/8: None while the pass sweeps
+    last, before, stalls = [math.nan] * (2 * m), [math.nan] * (2 * m), [None] * (2 * m)
+    out, halted, split = [None] * (2 * m), set(), len(rows)
+    # the live passes, in order: row i of x and z, the vectors, is pass
+    # live[i]'s, and lr and lc hold the matrices their products take
+    live, lr, lc = list(range(2 * m)), rows, cols
+    while True:
+        # the rules are each pass's own, in scalars; the numpy calls
+        # serve all live passes at once
+        going, done = [], []
+        for i, j in enumerate(live):
+            raw = rmax[j] - rmin[j]
+            stop, g[j], k[j] = _stops(raw, rmax[j], g[j], k[j], tol_s[j], ks[j])
+            if stop or it[j] >= max_iter or j in halted:
+                done.append(i)
+                continue
+            if stalls[j] is not None:
+                stalls[j] = stalls[j] + 1 if raw > 0.875 * last[j] else 0
+                if stalls[j] >= _STALLS:
+                    done.append(i)
+                    continue
+            elif before[j] > 0.0:
+                # switch to Noda once the sweeps still needed, at the
+                # contraction seen over the last two, exceed its cost
+                q = math.sqrt(raw / before[j])
+                target = max(0.5 * tol_s[j], 2.0 * g[j] * rmax[j])
+                if q >= 1.0 or math.log(target / raw) < noda_cost * math.log(q):
+                    stalls[j] = 0
+            before[j], last[j] = last[j], raw
+            it[j] += 1
+            going.append(i)
+        if done:
+            xs = x if len(done) == len(live) else x[done]
+            units = xs / _sum(xs, axis=1)[:, None]
+            for i, xi, unit in zip(done, xs, units):
+                j = live[i]
+                b = rows[j] if j < split else cols[j - split].T
+                lo, hi = _certify(b, xi, rmin[j], rmax[j], g[j], k[j], tol_s[j],
+                                  _slack(n, low[j]), e[j])
+                out[j] = (lo, hi, unit, it[j], hi - lo <= tol)
+        if not going:
+            return out
+        if done:  # compact the stack
+            live, x, z = [live[i] for i in going], x[going], z[going]
+            lr = _take(rows, [j for j in live if j < split])
+            lc = _take(cols, [j - split for j in live if j >= split])
+        y = z / _max(z, axis=1)[:, None]  # the power sweeps
+        noda = [i for i, j in enumerate(live) if stalls[j] is not None]
+        if noda:
+            js = [live[i] for i in noda]
+            mats = [rows[j] if j < split else cols[j - split].T for j in js]
+            y[noda] = _noda_steps(mats, x[noda], [rmax[j] + rmax[j] * g[j] for j in js])
+        by = _products(lr, lc, y)
+        r = by / y
+        ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
+        y_min = _min(y, axis=1).tolist()
+        kept = []
+        for i, j in enumerate(live):
+            # an entry of y underflowed to zero, or a Noda step failed (the
+            # tests also catch NaN): a sweeping pass hands over to Noda
+            # from x, a Noda pass stops at x
+            if not (ymax[i] < math.inf and y_min[i] > 0.0):
+                if stalls[j] is None:
+                    stalls[j] = 0
+                else:
+                    halted.add(j)
+                continue
+            rmin[j], rmax[j], low[j] = ymin[i], ymax[i], y_min[i]
+            kept.append(i)
+        if len(kept) == len(live):
+            x, z = y, by
         else:
-            out.append(Resume(x[j], bx[j], rmin[j], rmax[j], 2, e[j]))
-            if raw + 2.0 * g * rmax[j] <= 2.0 * tol_s:
-                near.append((j, g, k, tol_s))
-    if not near:
-        return out
-    # a proposal kept within twice tol_s is off by the squaring's rounding,
-    # not by the gap: the serial kernel's first sweep, taken here for all
-    # of them at once, finishes it; stacks with none pay nothing for it
-    js = [j for j, *_ in near]
-    y = bx[js] / _max(bx[js], axis=1)[:, None]
-    by = _products(rows[[j for j in js if j < len(rows)]],
-                   cols[[j - len(rows) for j in js if j >= len(rows)]], y)
-    r = by / y
-    rmin, rmax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
-    for i, (j, g, k, tol_s) in enumerate(near):
-        if not rmax[i] < math.inf:  # left to the serial kernel's Noda steps
-            continue
-        stop, g, k = _stops(rmax[i] - rmin[i], rmax[i], g, k, tol_s, lambda: ks[j])
-        if stop or max_iter <= 3:
-            b = rows[j] if j < len(rows) else cols[j - len(rows)].T
-            lo, hi = _certify(b, y[i], rmin[i], rmax[i], g, k, tol_s,
-                              _slack(n, float(_min(y[i]))), e[j])
-            out[j] = (lo, hi, y[i] / y[i].sum(), 3, hi - lo <= tol)
-        else:
-            out[j] = Resume(y[i], by[i], rmin[i], rmax[i], 3, e[j])
-    return out
+            x[kept], z[kept] = y[kept], by[kept]

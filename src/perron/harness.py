@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matcore, solver, structure
+from . import _kernels, matcore, solver, structure
 
 __all__ = [
     "SequenceSpec",
@@ -252,7 +252,7 @@ def run_trace(
                 if not norm_p < math.inf:
                     # compare for 2^-e term, its 1-norm below 1, as
                     # _gelfand_steps prescales
-                    e = math.frexp(float(_max(terms[i], axis=None)))[1] + fnf.n.bit_length()
+                    e = _kernels._exponent(math.inf, terms[i])
                     norm_p = matcore.one_norm_mat(
                         np.linalg.matrix_power(np.ldexp(terms[i], -e), p))
                     hi = math.ldexp(hi, -e)
@@ -383,23 +383,6 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
         abs_sums += abs(log_acc)
 
 
-def _radius_and_steps(x, m_max, name, tol, max_iter):
-    """(X validated and read-only, its certificate, the (f_m, d_m) of
-    ``_gelfand_steps`` for m = 1..m_max): what ``gelfand_trace`` and
-    ``nonuniformity_demo`` start from.  ``name`` is m_max's in errors."""
-    mat = structure._frozen(matcore.nonneg_matrix(x))
-    m_max = int(m_max)
-    if m_max < 1:
-        raise ValueError(f"{name} must be >= 1, got {m_max}")
-    cert = solver._perron_roots([mat[None]], tol, max_iter)[0]
-    if cert.hi == math.inf:
-        raise ValueError(
-            "the spectral radius exceeds the largest float, so f_m - rho is "
-            "not representable; scale the matrix down"
-        )
-    return mat, cert, list(_gelfand_steps(mat, m_max))
-
-
 def gelfand_trace(
     x, m_max: int, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER
 ) -> GelfandTrace:
@@ -414,13 +397,22 @@ def gelfand_trace(
     normal range.  A radius above the largest float raises ValueError:
     f_m - rho cannot be formed.
     """
-    mat, cert, steps = _radius_and_steps(x, m_max, "m_max", tol, max_iter)
+    mat = structure._frozen(matcore.nonneg_matrix(x))
+    m_max = int(m_max)
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    cert = solver._perron_roots([mat[None]], tol, max_iter)[0]
+    if cert.hi == math.inf:
+        raise ValueError(
+            "the spectral radius exceeds the largest float, so f_m - rho is "
+            "not representable; scale the matrix down"
+        )
     rows = tuple(
         GelfandRow(
             m=i + 1, f_m=f, residual=f - cert.mid, bound=d,
             ok=f >= cert.lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY,
         )
-        for i, (f, d) in enumerate(steps)
+        for i, (f, d) in enumerate(_gelfand_steps(mat, m_max))
     )
     return GelfandTrace(cert=cert, rows=rows, matrix=mat)
 
@@ -500,17 +492,17 @@ def nonuniformity_demo(
 
     ``x`` may also be X's :class:`GelfandTrace` with m up to its m_max:
     its certificate and its row m's F and d are then reused, not
-    recomputed, and ``tol`` and ``max_iter`` are not used.
+    recomputed, and ``tol`` and ``max_iter`` are not used.  A matrix is
+    traced to m by ``gelfand_trace`` first.
     """
     m = int(m)
-    if isinstance(x, GelfandTrace):
-        if not 1 <= m <= len(x.rows):
-            raise ValueError(f"m must be in 1..{len(x.rows)} for this trace, got {m}")
-        mat, cert, row = x.matrix, x.cert, x.rows[m - 1]
-        f, d = row.f_m, row.bound
-    else:
-        mat, cert, steps = _radius_and_steps(x, m, "m", tol, max_iter)
-        f, d = steps[-1]
+    if not isinstance(x, GelfandTrace):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        x = gelfand_trace(x, m, tol, max_iter)
+    if not 1 <= m <= len(x.rows):
+        raise ValueError(f"m must be in 1..{len(x.rows)} for this trace, got {m}")
+    mat, cert, f, d = x.matrix, x.cert, x.rows[m - 1].f_m, x.rows[m - 1].bound
     residual = f - cert.mid
     vacuous = abs(residual) <= cert.width + d * f + _TINY
     rows = []

@@ -3,20 +3,18 @@
 Irreducible matrices get a Collatz-Wielandt interval from the kernel,
 run on the matrix and on its transpose; the two intervals both hold
 the radius, so their intersection is reported.  Irreducible matrices
-of one size are certified together: one stacked first step
-(``_kernels.collatz_wielandt_stack``: an eig proposal for n <= 8, for
-8 < n <= 64 both vectors proposed by one repeated-squaring power, none
-above, bounds rounded outward) finishes every pass that stops at its
-proposal, and the serial ``_kernels.collatz_wielandt`` (power sweeps
-handing over to Noda steps) resumes each other pass where the first
-step left it.  A matrix's certificate does not depend on what it is
-certified with.  A positive or 1x1 matrix goes to the kernel whole,
-with no normal form built; other matrices are split into irreducible
-diagonal blocks first and the block intervals are combined.  The
-serial kernel gets a transpose as a view, not a copy.  Certificates report
-closed intervals [lo, hi] that always contain the spectral radius,
-converged or not; ``converged`` says whether the intersected interval
-is at most the requested width.
+of one size are certified together by one
+``_kernels.collatz_wielandt_stack`` call: a first step (an eig proposal
+for n <= 8, for 8 < n <= 64 both vectors proposed by one
+repeated-squaring power, none above), then power sweeps handing over to
+Noda steps, iterated for every pass of the stack until each stops,
+bounds rounded outward.  A matrix's certificate does not depend on what
+it is certified with.  A positive or 1x1 matrix goes to the kernel
+whole, with no normal form built; other matrices are split into
+irreducible diagonal blocks first and the block intervals are combined.
+Certificates report closed intervals [lo, hi] that always contain the
+spectral radius, converged or not; ``converged`` says whether the
+intersected interval is at most the requested width.
 """
 
 import math
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import Resume, collatz_wielandt, collatz_wielandt_stack
+from ._kernels import collatz_wielandt_stack
 
 __all__ = [
     "DEFAULT_TOL",
@@ -77,11 +75,6 @@ class PerronCertificate:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
 
-def _freeze(v: np.ndarray) -> np.ndarray:
-    v.flags.writeable = False  # the kernel's vectors are float64 already
-    return v
-
-
 def _validate_iteration_params(tol, max_iter):
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -112,7 +105,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     # and validated parameters
     m, n = ms.shape[0], ms.shape[1]
     if n == 1:
-        one = _freeze(np.ones(1))
+        one = structure._frozen(np.ones(1))
         return [
             PerronCertificate(
                 lo=val, hi=val, right_vector=one, left_vector=one,
@@ -121,11 +114,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
             for val in ms[:, 0, 0].tolist()
         ]
     # pass j < m is on ms[j], pass m + j on its transpose
-    passes = [
-        collatz_wielandt(ms[j] if j < m else ms[j - m].T, tol, max_iter, p)
-        if isinstance(p, Resume) else p
-        for j, p in enumerate(collatz_wielandt_stack(ms, tol, max_iter))
-    ]
+    passes = collatz_wielandt_stack(ms, tol, max_iter)
     # rho(A) = rho(A^T): both intervals hold it
     lo = [max(r[0], t[0]) for r, t in zip(passes, passes[m:])]
     hi = [min(r[1], t[1]) for r, t in zip(passes, passes[m:])]
@@ -137,10 +126,16 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     norms = np.add.reduce(np.abs(res), axis=1).tolist()
     return [PerronCertificate(
         lo=lo[i], hi=hi[i],
-        right_vector=_freeze(passes[i][2]), left_vector=_freeze(passes[m + i][2]),
+        right_vector=structure._frozen(passes[i][2]),
+        left_vector=structure._frozen(passes[m + i][2]),
         residual=norms[i] if norms[i] < math.inf else None,
         iterations=passes[i][3] + passes[m + i][3], converged=hi[i] - lo[i] <= tol,
     ) for i in range(m)]
+
+
+# perfbench/tracing.py times the kernel through this name; the library does not call it
+def collatz_wielandt(b, tol, max_iter):
+    return collatz_wielandt_stack(b[None], tol, max_iter)[0]
 
 
 def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:

@@ -1,7 +1,9 @@
 import dataclasses
 import decimal
 import math
+import pathlib
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import _kernels, matcore, solver, structure
-from generators import random_irreducible, random_nonneg
+from generators import random_irreducible, random_nonneg, three_block_base
 from oracles import eig_radius, encloses_radius
 
 
@@ -72,13 +74,9 @@ class TestPerronIrreducible:
 
 
 def _passes(a, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
-    """Both passes of a, on a and on a.T, run to the end as the solver
-    runs them: the stack's result, or collatz_wielandt resuming the
-    state the stack hands on."""
-    a = np.asarray(a, dtype=np.float64)
-    out = _kernels.collatz_wielandt_stack(a[None], tol, max_iter)
-    return [_kernels.collatz_wielandt(np.ascontiguousarray(b), tol, max_iter, p)
-            if isinstance(p, _kernels.Resume) else p for b, p in zip((a, a.T), out)]
+    """Both passes of a, on a and on a.T, as the solver runs them."""
+    return _kernels.collatz_wielandt_stack(
+        np.asarray(a, dtype=np.float64)[None], tol, max_iter)
 
 
 def _near_reducible(eps):
@@ -412,7 +410,7 @@ class TestPowerProposal:
 
     def test_bad_start_is_ignored(self, monkeypatch, rng):
         # a proposal that is not better than the ones vector: the pass
-        # resumes from the ones vector, as with no proposal
+        # iterates from the ones vector, as with no proposal
         n, tol = 12, solver.DEFAULT_TOL
         b = rng.uniform(0.1, 1.0, (n, n))
         x = _kernels._power_vectors(b[None])
@@ -421,22 +419,21 @@ class TestPowerProposal:
         zero[3], negative[5], nan[7] = 0.0, -right[5], math.nan
         # its ratios spread by about 1e6, the ones vector's by under 10
         worse = np.linspace(1.0, 1e6, n)
+        sweep = b @ np.ones(n)
+        sweep /= sweep.max()
         results = []
         for bad in (zero, negative, nan, -right, worse):
             monkeypatch.setattr(_kernels, "_power_vectors",
                                 lambda bs, bad=bad: np.stack([bad, x[1]]))
-            state = _kernels.collatz_wielandt_stack(b[None], tol, 10**6)[0]
-            assert isinstance(state, _kernels.Resume)
-            assert (state.iterations, state.e) == (1, 0)
-            assert (state.x == 1.0).all()
-            np.testing.assert_allclose(state.bx, b.sum(axis=1), rtol=1e-14)
-            results.append(_kernels.collatz_wielandt(b, tol, 10**6, state))
+            results.append(_passes(b, tol)[0])
+            # at two iterations, one sweep from the ones vector
+            assert _passes(b, tol, 2)[0][2].tobytes() == (sweep / sweep.sum()).tobytes()
+        assert results[0][3] > 2
         for got in results[1:]:
             assert got[:2] == results[0][:2] and got[3:] == results[0][3:]
             assert got[2].tobytes() == results[0][2].tobytes()
         monkeypatch.undo()
-        kept = _passes(b, tol)[0]
-        assert kept[3] == 2 < results[0][3]
+        assert _passes(b, tol)[0][3] == 2
 
     def test_powers_are_rescaled_exactly(self, rng):
         # 2^k b keeps its row sums inside [2^-400, 2^400], where it is not
@@ -468,80 +465,162 @@ class TestPowerProposal:
                 assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
 
 
-class TestResume:
-    """Every pass takes its first step in collatz_wielandt_stack, which
-    finishes the passes that stop at their proposal and hands each other
-    one on as a Resume; collatz_wielandt only goes on from it."""
+_FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-    def test_resume_skips_the_first_step(self, monkeypatch):
-        proposed = []
-        for name in ("_eig_vectors", "_power_vectors"):
-            def counting(bs, propose=getattr(_kernels, name)):
-                proposed.append(bs.shape)
-                return propose(bs)
 
-            monkeypatch.setattr(_kernels, name, counting)
+def _stack_input(family, n, seed, k):
+    """One n x n irreducible input, scaled by 2^k where that keeps its
+    pattern: a family of ``_small_input``, or a term of a converge trace
+    whose proposals tend to miss tol narrowly: "moderate", of a
+    three-block base (spectral gaps near 0.6 to 0.7), or "nil16", of the
+    nilpotent base and direction of the fixtures (a complex subdominant
+    pair; 16 x 16 whatever n is)."""
+    term = seed % 20 + 1
+    if family == "nil16":
+        base, direction = (matcore.read_matrix_file(_FIXTURES / f"nil16_{name}.txt")
+                           for name in ("base", "direction"))
+        a = base + (1.0 / term) * direction
+    elif family == "moderate":
+        rng = np.random.default_rng(seed // 20 % 3)
+        base = three_block_base(rng, n)
+        a = base + (1.0 / term) * rng.uniform(0.0, 0.1, (n, n))
+    else:
+        a = _small_input(family, n, seed)
+    scaled = np.ldexp(a, k)
+    return scaled if np.count_nonzero(scaled) == np.count_nonzero(a) else a
+
+
+def _same_stacked_or_alone(mats, max_iter=solver.DEFAULT_MAX_ITER):
+    """The passes of a stack of mats, each checked bit for bit against
+    the same matrix's passes alone, every stack calling its proposer
+    once where there is one."""
+    bs = np.stack(mats)
+    m, n = bs.shape[:2]
+    calls = int(n <= _kernels._SQUARE_N and max_iter >= 2)
+    name = "_eig_vectors" if n <= _kernels._EIG_N else "_power_vectors"
+    with mock.patch.object(_kernels, name, wraps=getattr(_kernels, name)) as proposer:
+        stacked = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, max_iter)
+        assert proposer.call_count == calls
+        for j, a in enumerate(bs):
+            proposer.reset_mock()
+            alone = _kernels.collatz_wielandt_stack(a[None], solver.DEFAULT_TOL, max_iter)
+            assert proposer.call_count == calls
+            for got, want in zip((stacked[j], stacked[m + j]), alone):
+                assert got[:2] == want[:2] and got[3:] == want[3:]
+                assert got[2].tobytes() == want[2].tobytes()
+    return stacked
+
+
+class TestOneLoop:
+    """collatz_wielandt_stack takes the first step of every pass of a
+    stack, then iterates all the passes that go on in one loop; each
+    pass's result depends on its own matrix alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 8, 12, 16, 48, 65, 80]),
+        st.lists(st.tuples(
+            st.sampled_from(["dense", "near_reducible", "weak_cycle", "moderate", "nil16"]),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.sampled_from([0, 600, -600])), min_size=2, max_size=4),
+        # 200 is past what the passes that converge take; weak cycles
+        # scaled by 2^600 may not converge at all
+        st.sampled_from([1, 2, 3, 200]),
+    )
+    # power sweeps beside Noda steps in one iteration: a dense or
+    # near-reducible matrix beside a weak cycle, above _SQUARE_N
+    @example(65, [("dense", 3707325242, 0), ("weak_cycle", 345313848, 0)], 200)
+    @example(80, [("weak_cycle", 3270614076, 0), ("near_reducible", 1037989288, 0)], 200)
+    def test_same_certificate_stacked_or_alone(self, n, picks, max_iter):
+        # a stack with a term of the nil16 trace is at its n = 16
+        n = 16 if any(family == "nil16" for family, *_ in picks) else n
+        _same_stacked_or_alone([_stack_input(f, n, seed, k) for f, seed, k in picks],
+                               max_iter)
+
+    @pytest.mark.parametrize("family, n", [("moderate", 48), ("nil16", 16)])
+    def test_near_misses_stacked_or_alone(self, family, n):
+        # the twenty terms of each trace in one stack: some proposals miss
+        # tol by less than their spread and finish at one sweep, some
+        # stop at the proposal
+        out = _same_stacked_or_alone([_stack_input(family, n, t, 0) for t in range(20)])
+        iterations = {p[3] for p in out}
+        assert 2 in iterations and all(p[4] for p in out)
+        if family == "moderate":
+            assert 3 in iterations
+
+    def test_passes_past_the_proposal_iterate_in_the_stack(self):
         tol, max_iter = solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER
-        resumed = 0
+        iterated = 0
         for seed, n in enumerate((3, 5, 8, 12, 16, 24, 48, 64) * 3):
             a = _small_input("near_reducible", n, seed)
-            for b, state in zip((a, a.T), _kernels.collatz_wielandt_stack(
-                    a[None], tol, max_iter)):
-                if not isinstance(state, _kernels.Resume):
-                    assert state[3] == 2  # finished at its proposal
-                    continue
-                assert (state.iterations, state.e) == (2, 0)
-                resumed += 1
-                # the pass's own state: b x and the extremes of b x / x
-                np.testing.assert_allclose(state.bx, b @ state.x, rtol=1e-13)
-                r = state.bx / state.x
-                assert (state.rmin, state.rmax) == (r.min(), r.max())
-                proposed.clear()
-                got = _kernels.collatz_wielandt(
-                    np.ascontiguousarray(b), tol, max_iter, state)
-                assert proposed == []
-                assert got[3] > 2 and got[4]
-                rho = eig_radius(a)
-                assert got[0] <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= got[1]
-        assert resumed >= 24
+            rho = eig_radius(a)
+            for lo, hi, x, iterations, converged in _same_stacked_or_alone([a]):
+                assert converged and x.sum() == pytest.approx(1.0, abs=1e-13)
+                assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
+                iterated += iterations > 2
+        assert iterated >= 24
 
     def test_prescaled_passes_keep_their_proposal(self, rng):
-        # each pass, prescaled by 2^-e, stops at its kept proposal and is
-        # finished in the stack at two iterations, its bounds scaled back
+        # each pass, prescaled by 2^-e, stops at its kept proposal at two
+        # iterations, its bounds scaled back
         for n in (3, 12):
             a = np.ldexp(rng.uniform(0.5, 1.5, (4, n, n)), 600)
             out = _kernels.collatz_wielandt_stack(
                 a, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
-            assert not any(isinstance(p, _kernels.Resume) for p in out)
             assert [p[3] for p in out] == [2] * 8
             for j, b in enumerate(a):
                 rho = eig_radius(b)
                 for lo, hi, *_ in (out[j], out[4 + j]):
                     assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
 
-    def test_each_pass_has_its_own_exponent(self):
+    def test_each_pass_has_its_own_exponent(self, monkeypatch):
         # rank one, radius the trace 2^500 + 1: largest row sum 2^501,
         # largest column sum 2^500 + 1
         a = np.array([[2.0**500, 2.0**500], [1.0, 1.0]])
-        right, left = _kernels.collatz_wielandt_stack(a[None], solver.DEFAULT_TOL, 1)
-        assert (right.e, left.e) == (502, 501)
-        assert right.bx.tobytes() == np.ldexp(a, -502).sum(axis=1).tobytes()
-        assert left.bx.tobytes() == np.ldexp(a, -501).sum(axis=0).tobytes()
+        certified = []
+        certify = _kernels._certify
+
+        def recording(b, x, *args):
+            certified.append((b.copy(), args[-1]))
+            return certify(b, x, *args)
+
+        monkeypatch.setattr(_kernels, "_certify", recording)
+        _passes(a, max_iter=1)
+        (right, e_right), (left, e_left) = certified
+        assert (e_right, e_left) == (502, 501)
+        assert right.tobytes() == np.ldexp(a, -502).tobytes()
+        assert left.tobytes() == np.ldexp(a.T, -501).tobytes()
+        monkeypatch.undo()
         cert = solver.perron_irreducible(a)
         assert cert.lo <= 2.0**500 + 1 <= cert.hi
 
-    def test_no_proposal_resumes_from_the_ones_vector(self, rng):
+    def test_no_proposal_starts_from_the_ones_vector(self, monkeypatch, rng):
         # above _SQUARE_N, and with max_iter < 2, at any n
-        for n, max_iter in ((_kernels._SQUARE_N + 1, 10**6), (3, 1), (12, 1)):
+        def refusing(bs):
+            raise AssertionError("proposer called")
+
+        monkeypatch.setattr(_kernels, "_eig_vectors", refusing)
+        monkeypatch.setattr(_kernels, "_power_vectors", refusing)
+        a = rng.uniform(0.5, 1.5, (_kernels._SQUARE_N + 1, _kernels._SQUARE_N + 1))
+        assert all(p[4] and p[3] > 2 for p in _passes(a))
+        for n in (3, 12):
             a = rng.uniform(0.5, 1.5, (n, n))
-            out = _kernels.collatz_wielandt_stack(a[None], solver.DEFAULT_TOL, max_iter)
-            for b, state in zip((a, a.T), out):
-                assert isinstance(state, _kernels.Resume)
-                assert (state.iterations, state.e) == (1, 0)
-                assert (state.x == 1.0).all()
-                np.testing.assert_allclose(state.bx, b.sum(axis=1), rtol=1e-14)
-            if max_iter == 1:  # each pass certifies the ones vector
-                assert solver.perron_irreducible(a, max_iter=1).iterations == 2
+            for sums, (lo, hi, x, iterations, _) in zip(
+                    (a.sum(axis=1), a.sum(axis=0)), _passes(a, max_iter=1)):
+                # each pass certifies the ones vector
+                assert iterations == 1 and (x == 1.0 / n).all()
+                assert lo <= sums.min() * (1 + 1e-14)
+                assert sums.max() * (1 - 1e-14) <= hi
+            assert solver.perron_irreducible(a, max_iter=1).iterations == 2
+
+    def test_noda_solve_failure_is_the_pass_own(self):
+        # hi I - b is singular for b = I and hi = 1, which fails the
+        # batched solve: the other pass gets what it gets alone
+        x, b = np.ones((2, 2)), np.ones((2, 2))
+        got = _kernels._noda_steps([np.eye(2), b], x, [1.0, 3.0])
+        assert np.isnan(got[0]).all()
+        assert got[1].tobytes() == _kernels._noda_steps([b], x[:1], [3.0])[0].tobytes()
+        assert (got[1] == 1.0).all()
 
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
         calls = []
