@@ -37,10 +37,13 @@ above three, so the rule can be re-checked on another host.
 
 Then the cost per call on small inputs: ``perron_root`` on a dense
 positive matrix at n = 1 to 8 (uniform [0, 10) entries, as the
-``hard_spectra`` workload draws them), beside ``np.linalg.eig`` on the
-matrix and its transpose, the one eig call a certificate takes there
-(none at n = 1), and their difference: what a call costs beyond its
-eigensolve.  Each is the best over the repeats of the mean of 200 calls.
+``hard_spectra`` workload draws them), beside the eigensolve of the
+matrix and its transpose, the one a certificate takes there (none at
+n = 1): through ``np.linalg.eig``, and as the kernel calls it, numpy's
+batched dgeev driver alone.  The last two columns are the wrapper's
+share (eig minus the driver), which the kernel does not pay, and what a
+call costs beyond the driver.  Each is the best over the repeats of the
+mean of 200 calls.
 
 Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
 matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
@@ -209,19 +212,28 @@ def trace_rows(repeats):
 
 def per_call_rows(repeats, calls=200):
     rng = np.random.default_rng(11)
-    rows = [("perron_root, dense positive", "call us", "eig us", "rest us")]
+    rows = [("perron_root, dense positive", "call us", "eig us", "dgeev us",
+             "wrapper us", "rest us")]
+
+    def us(t):
+        return f"{t / calls * 1e6:.1f}"
+
     for n in range(1, 9):
         a = rng.uniform(0.0, 10.0, (n, n))
         t_call, _ = best_time(
             lambda b: [solver.perron_root(b, TOL, MAX_ITER) for _ in range(calls)],
             a, repeats)
-        t_eig = 0.0
-        if n >= 2:
-            t_eig, _ = best_time(lambda b: [np.linalg.eig(b) for _ in range(calls)],
-                                 np.stack((a, a.T)), repeats)
-        rows.append((f"n={n}", f"{t_call / calls * 1e6:.1f}",
-                     f"{t_eig / calls * 1e6:.1f}" if n >= 2 else "-",
-                     f"{(t_call - t_eig) / calls * 1e6:.1f}"))
+        if n < 2:
+            rows.append((f"n={n}", us(t_call), "-", "-", "-", us(t_call)))
+            continue
+        bs = np.stack((a, a.T))
+        t_eig, _ = best_time(lambda b: [np.linalg.eig(b) for _ in range(calls)],
+                             bs, repeats)
+        t_dgeev, _ = best_time(
+            lambda b: [_kernels._dgeev(b, signature="d->DD") for _ in range(calls)],
+            bs, repeats)
+        rows.append((f"n={n}", us(t_call), us(t_eig), us(t_dgeev),
+                     us(t_eig - t_dgeev), us(t_call - t_dgeev)))
     return rows
 
 

@@ -18,9 +18,10 @@ whatever method proposed x.
    The matrix and its transpose get an exponent each.
 2. Proposal (the first step): from the all-ones vector, then a proposed
    vector, tried as one iteration.  For n <= 8 that is the eigenvector
-   LAPACK's dgeev gives for the eigenvalue of largest real part
-   (``np.linalg.eig``; Anderson et al., LAPACK Users' Guide, 1999), sign
-   flipped, from one eig call on all 2m prescaled matrices.  For
+   LAPACK's dgeev gives for the eigenvalue of largest real part (Anderson
+   et al., LAPACK Users' Guide, 1999), sign flipped, from one call of the
+   batched driver behind ``np.linalg.eig`` on all 2m prescaled matrices;
+   a matrix it fails on comes back NaN, and is rejected.  For
    8 < n <= 64 it is the row or column sums of one power b^(2^j) built
    by repeated squaring (``_power_vectors``), for both passes; it gives
    up after three squares in a row fail to halve the change of the sums,
@@ -44,7 +45,8 @@ whatever method proposed x.
    Math. 16, 1971; Elsner, LAA 15, 1976).  They converge superlinearly
    whatever the spectral gap, and need no shift for periodic patterns.
    Each iteration takes the products of all live passes in one call and
-   the Noda solves in another; each pass applies its own rules to its
+   the Noda solves in another (batched dgesv; a singular system comes
+   back NaN, and its pass stops); each pass applies its own rules to its
    own scalars, so a matrix gets the same certificate stacked or alone.
    A pass that stops drops out, and only then is the stack of the live
    passes' matrices rebuilt, as a view where it can be.
@@ -65,9 +67,9 @@ floor of floating point: the ratio spread is down to what rounding alone
 makes, or three Noda steps in a row shrink it by less than an eighth.
 """
 
-import contextlib
 import math
 import numpy as np
+from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
 
 from .matcore import _times_pow2
 
@@ -82,9 +84,10 @@ _SETTLED = 8 * _U  # _power_vectors' row sums have settled: 4 ulps of 1
 
 # Host-timed cost model: numpy 2.4, one BLAS thread, a 2-core x86_64
 # host.  Other hosts move where each method pays off, never a bound.
-# Largest n that gets an eig proposal: np.linalg.eig costs 25 us at
-# n = 2 and 50 us at n = 8, about one or two sweeps' overhead, but
-# 135 us at n = 16, a whole kernel call there, and 1.4 ms at n = 48
+# Largest n that gets an eig proposal: dgeev on a matrix and its
+# transpose costs 5 us at n = 2 and 40 us at n = 8 (np.linalg.eig adds
+# 12-18 us), one or two sweeps' overhead, but 180 us at n = 16, a whole
+# kernel call there.  Left at 8 on purpose: more moves n = 9-12 certificates
 _EIG_N = 8
 # Largest n whose two passes start from _power_vectors.  Both passes of
 # a dense matrix take 150 us at n = 16 and 48 and 230-290 us at n = 64
@@ -143,17 +146,13 @@ def _longdouble_bounds(b, x, k, slack):
             math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
+@np.errstate(invalid="ignore")  # how the driver flags a failed matrix
 def _eig_vectors(bs):
     """LAPACK's Perron vector of each matrix of a stack, divided by its
-    largest |entry|, so at max exactly 1; a row of NaN where eig fails."""
-    try:
-        w, v = np.linalg.eig(bs)
-    except np.linalg.LinAlgError:
-        if len(bs) == 1:
-            return np.full(bs.shape[:2], math.nan)
-        # one failure fails the whole call: retry one by one, so that each
-        # matrix gets what it gets alone
-        return np.concatenate([_eig_vectors(b[None]) for b in bs])
+    largest |entry|, so at max exactly 1; a row of NaN where dgeev fails,
+    the others as they would be alone.  No np.linalg.eig checks: bs is
+    finite."""
+    w, v = _dgeev(bs, signature="d->DD")
     rows = np.arange(len(bs))
     y = v[rows, :, w.real.argmax(axis=1)].real
     return y / y[rows, np.abs(y).argmax(axis=1)][:, None]
@@ -333,6 +332,7 @@ def _take(a, idx):
     return a[idx[0]:idx[-1] + 1] if idx and idx[-1] - idx[0] == len(idx) - 1 else a[idx]
 
 
+@np.errstate(invalid="ignore")  # how the driver flags a singular system
 def _noda_steps(bs, x, hi):
     """Noda's step x <- (hi I - b)^-1 x of each pass, for its matrix b of
     ``bs``, its vector x (a row of x, max 1) and its upper bound hi, taken
@@ -347,15 +347,8 @@ def _noda_steps(bs, x, hi):
         np.multiply(b, x[i], out=m[i])
     m /= -x[:, :, None]
     m.reshape(p, n * n)[:, ::n + 1] += np.array(hi)[:, None]
-    try:
-        y = np.linalg.solve(m, np.ones((p, n, 1)))[:, :, 0]
-    except np.linalg.LinAlgError:
-        # one singular matrix fails the whole call: solve one by one, so
-        # that each pass gets what it gets alone
-        y = np.full((p, n), math.nan)
-        for i in range(p):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                y[i] = np.linalg.solve(m[i], np.ones(n))
+    # a singular system comes back NaN, the others as they would alone
+    y = _dgesv(m, np.ones((p, n, 1)), signature="dd->d")[:, :, 0]
     y *= x
     y /= _max(y, axis=1)[:, None]
     return y

@@ -121,9 +121,10 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     x = np.array([r[2] for r in passes[:m]])
     mid = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
     with np.errstate(over="ignore", invalid="ignore"):  # hi may be inf
-        res = np.matmul(ms, x[:, :, None])[:, :, 0] - mid[:, None] * x
+        res = np.matmul(ms, x[:, :, None])[:, :, 0]
+        res -= mid[:, None] * x
     # inf or NaN where the residual overflows
-    norms = np.add.reduce(np.abs(res), axis=1).tolist()
+    norms = np.add.reduce(np.abs(res, out=res), axis=1).tolist()
     return [PerronCertificate(
         lo=lo[i], hi=hi[i],
         right_vector=structure._frozen(passes[i][2]),

@@ -1,0 +1,109 @@
+"""The kernel calls numpy's batched LAPACK drivers, dgeev and dgesv, as
+the gufuncs of the private ``numpy.linalg._umath_linalg`` that
+``np.linalg.eig`` and ``np.linalg.solve`` wrap, without the wrappers.
+These tests pin what the kernel relies on, so that a numpy upgrade that
+changes it fails here instead of moving certificates silently."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from perron import _kernels
+from generators import random_irreducible
+
+# numpy's default error handling, whatever the caller set
+_DEFAULT_ERR = {"divide": "warn", "over": "warn", "invalid": "warn", "under": "ignore"}
+
+
+def _eig_route(bs):
+    """``_eig_vectors`` through the public wrapper, as the kernel took it."""
+    w, v = np.linalg.eig(bs)
+    rows = np.arange(len(bs))
+    y = v[rows, :, w.real.argmax(axis=1)].real
+    return y / y[rows, np.abs(y).argmax(axis=1)][:, None]
+
+
+def _noda_route(b, x, hi):
+    """One ``_noda_steps`` step of one pass through ``np.linalg.solve``."""
+    m = np.multiply(b, x) / -x[:, None]
+    m[np.diag_indices(len(x))] += hi
+    y = np.linalg.solve(m, np.ones(len(x))) * x
+    return y / y.max()
+
+
+def _stack(rng, n, m=4):
+    """m irreducible n x n matrices of mixed families: dense, sparse,
+    weak cycles (every eigenvalue on one circle, so complex ones) and
+    an exact power-of-two scale."""
+    out = []
+    for i in range(m):
+        family = i % 4
+        if family == 0:
+            a = rng.uniform(0.0, 10.0, (n, n))
+        elif family == 1:
+            a = random_irreducible(rng, n, density=0.3)
+        elif family == 2:
+            a = np.zeros((n, n))
+            a[np.arange(n), (np.arange(n) + 1) % n] = np.exp(rng.uniform(-690.0, 0.0, n))
+        else:
+            a = np.ldexp(rng.uniform(0.5, 1.5, (n, n)), int(rng.integers(-300, 300)))
+        out.append(a)
+    return np.stack(out)
+
+
+def _singular_stack(rng):
+    """Three Noda systems of size 3, the middle one exactly singular:
+    3 I - J, from the all-ones matrix, x = 1 and hi = 3."""
+    bs = np.stack([rng.uniform(0.5, 1.5, (3, 3)), np.ones((3, 3)),
+                   rng.uniform(0.5, 1.5, (3, 3))])
+    x = np.vstack([rng.uniform(0.1, 1.0, 3), np.ones(3), rng.uniform(0.1, 1.0, 3)])
+    x /= x.max(axis=1)[:, None]
+    hi = [float(((b @ xi) / xi).max()) * 1.01 for b, xi in zip(bs, x)]
+    hi[1] = 3.0
+    return bs, x, hi
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_eig_vectors_match_the_wrapper(rng, n):
+    for _ in range(5):
+        bs = _stack(rng, n)
+        bs = np.concatenate((bs, bs.transpose(0, 2, 1)))  # as the kernel stacks them
+        if n >= 3:  # a weak cycle's eigenvalues: the wrapper's complex branch
+            assert (np.linalg.eigvals(bs[2]).imag != 0.0).any()
+        got = _kernels._eig_vectors(bs)
+        assert got.tobytes() == _eig_route(bs).tobytes()
+        # and each matrix gets what it gets alone
+        for b, row in zip(bs, got):
+            assert _kernels._eig_vectors(b[None])[0].tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_noda_steps_match_the_wrapper(rng, n):
+    for _ in range(5):
+        bs = _stack(rng, n)
+        x = rng.uniform(0.01, 1.0, (len(bs), n))
+        x /= x.max(axis=1)[:, None]
+        hi = [float(((b @ xi) / xi).max()) * 1.5 for b, xi in zip(bs, x)]
+        got = _kernels._noda_steps(list(bs), x, hi)
+        for b, xi, h, row in zip(bs, x, hi, got):
+            assert row.tobytes() == _noda_route(b, xi, h).tobytes()
+
+
+def test_singular_noda_matrix_is_nan_in_place(rng):
+    bs, x, hi = _singular_stack(rng)
+    got = _kernels._noda_steps(list(bs), x, hi)
+    assert np.isnan(got[1]).all()
+    for i in (0, 2):
+        alone = _kernels._noda_steps([bs[i]], x[i:i + 1], [hi[i]])[0]
+        assert got[i].tobytes() == alone.tobytes() == _noda_route(bs[i], x[i], hi[i]).tobytes()
+
+
+def test_helpers_alone_do_not_warn(rng):
+    # the driver flags a failed matrix as an invalid operation, which
+    # np.linalg turns into LinAlgError; each helper silences it
+    bs, x, hi = _singular_stack(rng)
+    with warnings.catch_warnings(), np.errstate(**_DEFAULT_ERR):
+        warnings.simplefilter("error")
+        _kernels._noda_steps(list(bs), x, hi)
+        _kernels._eig_vectors(np.concatenate((bs, _stack(rng, 3))))
