@@ -1,0 +1,179 @@
+"""Dump every certificate of a source tree, and diff two dumps.
+
+    python3 benchmarks/compare_certs.py dump SRC OUT
+    python3 benchmarks/compare_certs.py diff A B
+
+``dump`` imports ``perron`` from the directory SRC (a checkout's
+``src``) and writes one JSON line per result to OUT.  The inputs are
+those of ``perfbench/cases.py`` in this checkout, read without writing
+to it: every operation of the three workloads at seeds 1 and 2, and the
+known-defect probe.  A ``root`` operation records lo, hi, both vectors'
+bytes, the iterations, ``converged`` and the residual; a command
+operation records the exit code and stdout of ``perron.cli.main``, run
+on matrix files in a temporary directory named relative to it, so the
+output does not depend on where that is.  Then ``perron_root`` on
+seeded random matrices at n = 2..69 in six families (dense, ring plus
+noise, 2^k-scaled, wide-range, nilpotent plus diagonal, sparse), each
+at ``max_iter`` 10^6 and 3.
+
+``diff`` counts the results that differ, ``converged`` flips, iteration
+counts that rise or fall, intervals that get wider or narrower, and
+exit-code changes, naming a few of each.  It exits 1 on a flip, a rise,
+an exit-code change or a result present in one dump only, else 0.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SEEDS = (1, 2)
+FAMILIES = ("dense", "ring", "scaled", "wide", "nilpotent_diag", "sparse")
+PER_FAMILY = 100
+MAX_ITERS = (10**6, 3)
+SHOWN = 5  # ids named per category
+
+
+def _cases():
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import cases
+    return cases
+
+
+def _random_matrix(cases, family, n, rng):
+    if family == "dense":
+        return rng.uniform(0.0, 10.0, (n, n))
+    if family == "ring":
+        return cases.ring_noise(rng, n, 0.1)
+    if family == "scaled":
+        return np.ldexp(rng.uniform(0.5, 1.5, (n, n)), int(rng.integers(-1000, 1001)))
+    if family == "wide":
+        return 10.0 ** rng.uniform(-283.0, 297.0, (n, n))
+    if family == "nilpotent_diag":
+        a = cases.nilpotent_dag(rng, n, 0.3, depth=max(1, n // 2))
+        return a + np.diag(rng.uniform(0.0, 1.0, n))
+    return rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.2)
+
+
+def _hex(v):
+    return None if v is None else float(v).hex()
+
+
+def _root(perron, a, tol, max_iter):
+    try:
+        cert = perron.perron_root(a, tol=tol, max_iter=max_iter)
+    except Exception as exc:  # a raise is a result to compare, not a crash
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"lo": _hex(cert.lo), "hi": _hex(cert.hi), "width": cert.hi - cert.lo,
+            "right": None if cert.right_vector is None else cert.right_vector.tobytes().hex(),
+            "left": None if cert.left_vector is None else cert.left_vector.tobytes().hex(),
+            "iterations": cert.iterations, "converged": cert.converged,
+            "residual": _hex(cert.residual)}
+
+
+def _command(perron, cases, op, work, i):
+    names = []
+    for role, a in op.mats.items():
+        names.append(f"op{i}_{role}.txt")
+        (work / names[-1]).write_text(cases.render(a), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = perron.cli.main([op.command, *names, *op.args])
+    except Exception as exc:  # main() should map every error to an exit code
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    finally:
+        os.chdir(cwd)
+    keys = dict(line.split(": ", 1) for line in out.getvalue().splitlines()
+                if line.startswith(("converged: ", "iterations: ")))
+    return {"rc": rc, "stdout": out.getvalue(), "converged": keys.get("converged"),
+            "iterations": int(keys["iterations"]) if "iterations" in keys else None}
+
+
+def dump(src, out_path):
+    sys.path.insert(0, str(pathlib.Path(src).resolve()))
+    import perron
+    import perron.cli
+    cases = _cases()
+    ops = [(f"{w}.s{seed}.{op.id}", op) for w in cases.WORKLOADS for seed in SEEDS
+           for op in cases.build(w, seed)]
+    ops += [(f"probe.{op.id}", op) for op in cases.known_defects("hard_spectra")]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (key, op) in enumerate(ops):
+            if op.command == "root":
+                res = _root(perron, op.mats["a"], cases.TOL, op.max_iter)
+            else:
+                res = _command(perron, cases, op, pathlib.Path(tmp), i)
+            results.append((key, res))
+    for f, family in enumerate(FAMILIES):
+        rng = np.random.default_rng([1915, f])
+        for i in range(PER_FAMILY):
+            n = 2 + i % 68
+            a = _random_matrix(cases, family, n, rng)
+            for max_iter in MAX_ITERS:
+                results.append((f"random.{family}.{i}.n{n}.it{max_iter}",
+                                _root(perron, a, cases.TOL, max_iter)))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for key, res in results:
+            fh.write(json.dumps({"id": key, **res}) + "\n")
+    print(f"{len(results)} results written to {out_path}")
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return {r.pop("id"): r for r in map(json.loads, fh)}
+
+
+def diff(path_a, path_b):
+    a, b = _load(path_a), _load(path_b)
+    found = {name: [] for name in ("differ", "converged flips", "iterations rise",
+                                   "iterations fall", "wider", "narrower",
+                                   "exit code changes", "in one dump only")}
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            found["in one dump only"].append(key)
+            continue
+        ra, rb = a[key], b[key]
+        if ra == rb:
+            continue
+        found["differ"].append(key)
+        if ra.get("converged") != rb.get("converged"):
+            found["converged flips"].append(key)
+        ia, ib = ra.get("iterations"), rb.get("iterations")
+        if ia is not None and ib is not None and ia != ib:
+            found["iterations rise" if ib > ia else "iterations fall"].append(key)
+        if "width" in ra and "width" in rb and ra["width"] != rb["width"]:
+            found["wider" if rb["width"] > ra["width"] else "narrower"].append(key)
+        if ra.get("rc") != rb.get("rc") or ("error" in ra) != ("error" in rb):
+            found["exit code changes"].append(key)
+    print(f"{len(a)} results in {path_a}, {len(b)} in {path_b}")
+    for name, keys in found.items():
+        shown = ", ".join(keys[:SHOWN]) + (", ..." if len(keys) > SHOWN else "")
+        print(f"{name}: {len(keys)}" + (f" ({shown})" if keys else ""))
+    bad = ("converged flips", "iterations rise", "exit code changes", "in one dump only")
+    return int(any(found[name] for name in bad))
+
+
+def main(argv):
+    if len(argv) != 3 or argv[0] not in ("dump", "diff"):
+        print(__doc__.strip().splitlines()[0] + "\n\nusage: compare_certs.py "
+              "dump SRC OUT | diff A B", file=sys.stderr)
+        return 2
+    if argv[0] == "dump":
+        dump(argv[1], argv[2])
+        return 0
+    return diff(argv[1], argv[2])
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

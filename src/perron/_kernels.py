@@ -29,10 +29,10 @@ whatever method proposed x.
    asymptotic, or after four where the third halves the largest of them
    (changes that oscillate, as under a complex subdominant pair).
    Above 64 there is none.  Both proposers scale their vectors to max
-   1.  The passes on the transposes use x^T b, with no transposed copy,
-   but for the first step at n <= 8.  A proposal is kept only when it is positive, its
-   ratios spread less than the ones vector's, and its underflow slack
-   stays under half of ``tol``; it usually lands at the floor of
+   1.  Above n = 8 the transposes' passes use x^T b, with no copy, and
+   up to 8 dgeev's copies.  A proposal is kept only when it is positive,
+   its ratios spread less than the ones vector's, and its underflow
+   slack stays under half of ``tol``; it usually lands at the floor of
    floating point at once, and the pass then stops at two iterations.
    Every other pass iterates from its kept proposal or, where that was
    rejected or there is none, from the ones vector.
@@ -46,7 +46,7 @@ whatever method proposed x.
    whatever the spectral gap, and need no shift for periodic patterns.
    Each iteration takes the products of all live passes in one call and
    the Noda solves in another (batched dgesv; a singular system comes
-   back NaN, and its pass stops); each pass applies its own rules to its
+   back NaN, a stall); each pass applies its own rules to its
    own scalars, so a matrix gets the same certificate stacked or alone.
    A pass that stops drops out, and only then is the stack of the live
    passes' matrices rebuilt, as a view where it can be.
@@ -55,16 +55,17 @@ whatever method proposed x.
    gamma_{k+1} = (k+1)u / (1 - (k+1)u) of it, or slightly more (Higham,
    Accuracy and Stability of Numerical Algorithms, ch. 3; sums of
    nonnegative terms cannot cancel), plus an absolute term for results
-   that underflow.  k is taken as n until that bound would use most of
-   ``tol``, then counted, row by row only where some entry is zero.
-   Where it still exceeds ``tol`` once the ratios agree to rounding, the
+   that underflow.  k is counted once per pass, before the first step:
+   n where the matrix is positive, else its most nonzeros in a row.
+   Where the bound exceeds ``tol`` once the ratios agree to rounding, the
    final vector is certified once more in np.longdouble, in row blocks;
    where longdouble is float64 that gains nothing but stays sound.
 
 A pass stops when the certified width, underflow slack aside (it does
 not shrink with iteration), meets ``tol``, at ``max_iter``, or at the
 floor of floating point: the ratio spread is down to what rounding alone
-makes, or three Noda steps in a row shrink it by less than an eighth.
+makes, or Noda steps stall: three in a row shrink it by less than an
+eighth, or one fails (a singular solve, an entry underflowing to zero).
 """
 
 import math
@@ -162,7 +163,8 @@ def _eig_vectors(bs):
 def _power_vectors(bs):
     """Right and left Perron vectors of each irreducible matrix of a stack
     from one power of it: a (2m, n) array, row j the right vector of
-    bs[j], row m + j its left vector.
+    bs[j], row m + j its left vector.  Each bs[j] has its largest row
+    sum inside [_LOW, _HIGH], as the kernel's prescaling leaves it.
 
     For primitive b, (b / rho)^k tends to the rank-one x y^T / (y^T x)
     (Meyer, Matrix Analysis and Applied Linear Algebra, SIAM 2000, 8.3), so
@@ -172,8 +174,8 @@ def _power_vectors(bs):
     would at the next square.  A square costs its product and one batched
     matrix-vector product for the row sums: the power is not
     renormalized, but scaled by an exact power of two, to max row sum
-    near 1, only where its largest row sum leaves [_LOW, _HIGH] (b itself
-    too).  Every power squared then has max row sum at most _HIGH, so no
+    near 1, only where its largest row sum leaves [_LOW, _HIGH] (not
+    bs[j]).  Every power squared then has max row sum at most _HIGH, so no
     square overflows.  The squaring gives up, keeping what it has, once
     three squares in a row fail to halve the last change that did halve
     (an imprimitive or periodic pattern, a small spectral gap, rounding;
@@ -191,10 +193,6 @@ def _power_vectors(bs):
     ones = np.ones(n)
     p = bs
     r = p @ ones
-    e = [_exponent(s, p[j]) for j, s in enumerate(_max(r, axis=1).tolist())]
-    if any(e):
-        p = np.ldexp(bs, -np.array(e)[:, None, None])
-        r = p @ ones
     right = r / _max(r, axis=1)[:, None]
     # peak: the largest change since the last that halved, inf before
     # the first square
@@ -264,7 +262,7 @@ def _certify(b, x, rmin, rmax, g, k, tol_s, slack, e):
     lo, hi = _widen(rmin, rmax, g, slack)
     if hi - lo > tol_s and rmax - rmin <= 2.0 * g * rmax:
         # at the floor of float64: certify x once more in longdouble
-        l_lo, l_hi = _longdouble_bounds(b, x, k or b.shape[0], slack)
+        l_lo, l_hi = _longdouble_bounds(b, x, k, slack)
         lo, hi = max(lo, l_lo), min(hi, l_hi)
     if e:
         lo, hi = _unscale(lo, e, 0.0), _unscale(hi, e, math.inf)
@@ -300,31 +298,22 @@ def _nonzeros(b, axis=-1):
     return _max(np.count_nonzero(b, axis=axis), axis=-1).tolist()
 
 
-def _stops(raw, rmax, g, k, tol_s, nonzeros):
-    """The stopping test of a pass: (stop, g, k).  The pass stops where
-    its certified width, underflow slack aside, meets tol_s, or its ratio
-    spread raw is down to what rounding alone makes, 2 g rmax.  g bounds
-    a ratio over rows of k nonzeros; k is None, n standing in for it,
-    until rounding would take most of tol_s or the spread is down to it,
-    and is then the pass's count of ``nonzeros``."""
+def _stops(raw, rmax, g, tol_s):
+    """The stopping test of a pass: whether its certified width,
+    underflow slack aside, meets tol_s, or its ratio spread raw is down
+    to what rounding alone makes, 2 g rmax, g the pass's ``_gamma``."""
     floor = 2.0 * g * rmax
-    if k is None and (floor > 0.75 * tol_s or raw <= floor):
-        k = nonzeros
-        g = _gamma(k, _U)
-        floor = 2.0 * g * rmax
-    return raw + floor <= tol_s or raw <= floor, g, k
+    return raw + floor <= tol_s or raw <= floor
 
 
-def _products(rows, cols, x=None):
+def _products(rows, cols, x):
     """b x_j for each pass j of a stack, x_j the row j of x: rows[j] x_j
-    for j < len(rows), then x_j^T cols[j - len(rows)]; with no x, b times
-    the ones vector as row and column sums."""
+    for j < len(rows), then x_j^T cols[j - len(rows)], by BLAS."""
     m = len(rows)
-    r = _sum(rows, axis=2) if x is None else np.matmul(rows, x[:m, :, None])[:, :, 0]
+    r = np.matmul(rows, x[:m, :, None])[:, :, 0]
     if not len(cols):
         return r
-    c = _sum(cols, axis=1) if x is None else np.matmul(x[m:, None, :], cols)[:, 0, :]
-    return np.concatenate((r, c))
+    return np.concatenate((r, np.matmul(x[m:, None, :], cols)[:, 0, :]))
 
 
 def _take(a, idx):
@@ -371,14 +360,12 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     """
     m, n = bs.shape[0], bs.shape[1]
     # the matrices whose rows and whose columns the passes take: up to
-    # _EIG_N the transposes are matrices of their own, which eig takes
+    # _EIG_N the transposes are matrices of their own, as eig takes them
     if n <= _EIG_N:
         rows, cols = np.concatenate((bs, bs.transpose(0, 2, 1))), bs[:0]
     else:
         rows = cols = bs
-    # b times the ones vector: summed, but by BLAS where the proposals'
-    # products are, there three times faster than a sum (n = 16 to 48)
-    ones = np.ones((2 * m, n)) if _EIG_N < n <= _SQUARE_N else None
+    ones = np.ones((2 * m, n))
     z = _products(rows, cols, ones)
     rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
     # _exponent only for the passes it scales
@@ -397,7 +384,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
-        y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(bs)
+        y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(rows[:m])
         by = _products(rows, cols, y)
         r = by / y
         ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
@@ -413,16 +400,14 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         x = np.ones((2 * m, n))
         if kept:
             x[kept], z[kept] = y[kept], by[kept]
-    if n <= _EIG_N:  # the iteration takes x^T b on the transposes, as above
-        rows, cols = rows[:m], np.ldexp(bs, scale[m:]) if any(e) else bs
 
     # sweeps the Noda phase costs
     noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
-    g, k = [_gamma(n, _U)] * (2 * m), [None] * (2 * m)
+    g = [_gamma(k, _U) for k in ks]
     # the last two spreads, and the Noda steps in a row that shrank the
     # spread by under 1/8: None while the pass sweeps
     last, before, stalls = [math.nan] * (2 * m), [math.nan] * (2 * m), [None] * (2 * m)
-    out, halted, split = [None] * (2 * m), set(), len(rows)
+    out, split = [None] * (2 * m), len(rows)
     # the live passes, in order: row i of x and z, the vectors, is pass
     # live[i]'s, and lr and lc hold the matrices their products take
     live, lr, lc = list(range(2 * m)), rows, cols
@@ -432,8 +417,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         going, done = [], []
         for i, j in enumerate(live):
             raw = rmax[j] - rmin[j]
-            stop, g[j], k[j] = _stops(raw, rmax[j], g[j], k[j], tol_s[j], ks[j])
-            if stop or it[j] >= max_iter or j in halted:
+            if _stops(raw, rmax[j], g[j], tol_s[j]) or it[j] >= max_iter:
                 done.append(i)
                 continue
             if stalls[j] is not None:
@@ -457,7 +441,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             for i, xi, unit in zip(done, xs, units):
                 j = live[i]
                 b = rows[j] if j < split else cols[j - split].T
-                lo, hi = _certify(b, xi, rmin[j], rmax[j], g[j], k[j], tol_s[j],
+                lo, hi = _certify(b, xi, rmin[j], rmax[j], g[j], ks[j], tol_s[j],
                                   _slack(n, low[j]), e[j])
                 out[j] = (lo, hi, unit, it[j], hi - lo <= tol)
         if not going:
@@ -480,12 +464,9 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         for i, j in enumerate(live):
             # an entry of y underflowed to zero, or a Noda step failed (the
             # tests also catch NaN): a sweeping pass hands over to Noda
-            # from x, a Noda pass stops at x
+            # from x, a Noda pass stalls out at x, its spread unchanged
             if not (ymax[i] < math.inf and y_min[i] > 0.0):
-                if stalls[j] is None:
-                    stalls[j] = 0
-                else:
-                    halted.add(j)
+                stalls[j] = 0 if stalls[j] is None else _STALLS
                 continue
             rmin[j], rmax[j], low[j] = ymin[i], ymax[i], y_min[i]
             kept.append(i)

@@ -28,8 +28,8 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
     return value
 
 
@@ -70,8 +70,8 @@ def _alpha_list(text: str) -> list[float]:
             value = float(token)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not a number: {token!r}")
-        if not value > 0.0:
-            raise argparse.ArgumentTypeError(f"alphas must be positive: {token}")
+        if not 0.0 < value < float("inf"):
+            raise argparse.ArgumentTypeError(f"alphas must be positive and finite: {token}")
         alphas.append(value)
     if not alphas:
         raise argparse.ArgumentTypeError("empty alpha list")

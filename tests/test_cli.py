@@ -197,14 +197,16 @@ class TestConverge:
             assert cells[5] == cells[1]  # power_bound equals s_k
 
     def test_schedule_and_count_flags(self, run):
-        code, out, _ = run(
-            "converge", "cycle2.txt", "dir_lowerleft2.txt",
-            "--schedule", "geom:0.5", "--count", "5", "--coeff", "0.25",
-        )
-        assert code == 0
-        rows = [l for l in out.splitlines() if l and l.split()[0].isdigit()]
-        assert len(rows) == 5
-        assert float(rows[0].split()[1]) == 0.125
+        # s_1 = coeff * 0.5 under geom:0.5, coeff / 1 and coeff / 1^2 else
+        for schedule, s_1 in (("geom:0.5", 0.125), ("inv-k", 0.25), ("inv-k2", 0.25)):
+            code, out, _ = run(
+                "converge", "cycle2.txt", "dir_lowerleft2.txt",
+                "--schedule", schedule, "--count", "5", "--coeff", "0.25",
+            )
+            assert code == 0
+            rows = [l for l in out.splitlines() if l and l.split()[0].isdigit()]
+            assert len(rows) == 5
+            assert float(rows[0].split()[1]) == s_1
 
     def test_csv_has_no_summary_lines(self, run):
         code, out, _ = run(
@@ -217,11 +219,18 @@ class TestConverge:
         assert "kind" not in out
 
     def test_bad_schedule_rejected(self, run):
-        code, _, err = run(
-            "converge", "cycle2.txt", "dir_lowerleft2.txt", "--schedule", "linear"
-        )
-        assert code == 2
-        assert "schedule" in err
+        for schedule in ("linear", "geom:x", "geom:1.5"):
+            code, _, err = run(
+                "converge", "cycle2.txt", "dir_lowerleft2.txt", "--schedule", schedule
+            )
+            assert code == 2
+            assert "schedule" in err
+
+    def test_bad_count_and_coeff_rejected(self, run):
+        for flags in (["--count", "x"], ["--coeff", "inf"], ["--coeff", "1e400"]):
+            code, out, err = run("converge", "cycle2.txt", "dir_lowerleft2.txt", *flags)
+            assert code == 2 and out == ""
+            assert flags[0] in err
 
     def test_cone_violation(self, run):
         code, out, err = run("converge", "cycle2.txt", "dir_negcorner2.txt")
@@ -371,9 +380,11 @@ class TestGelfand:
         assert (len(certs), chains.count(True)) == (2, 2)
 
     def test_bad_alphas_rejected(self, run):
-        for value in ("0", "x", ""):
+        for value in ("0", "x", "", "inf", "2,1e400"):
             code, _, err = run("gelfand", "shift2.txt", "--alphas", value)
             assert code == 2
+        # a vacuous demo never reads its alphas, so they are checked first
+        assert run("gelfand", "cycle3.txt", "--alphas", "inf")[0] == 2
 
 
 _GELFAND_1E200 = """\
@@ -406,7 +417,8 @@ class TestParserPlumbing:
         assert "usage" in capsys.readouterr().err
 
     def test_bad_tol_and_max_iter(self, run):
-        for flags in (["--tol", "-1"], ["--tol", "x"], ["--max-iter", "0"]):
+        for flags in (["--tol", "-1"], ["--tol", "x"], ["--tol", "inf"],
+                      ["--tol", "1e400"], ["--max-iter", "0"]):
             code, _, err = run("analyze", "cycle2.txt", *flags)
             assert code == 2
 

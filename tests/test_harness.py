@@ -594,6 +594,13 @@ class TestNonuniformityDemo:
         assert demo.rows == ()
         assert demo.ok
 
+    def test_m_past_the_trace_rejected(self):
+        trace = harness.gelfand_trace(np.eye(2), 3)
+        assert harness.nonuniformity_demo(trace, 3, [2.0]).vacuous
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="m must be in 1..3"):
+                harness.nonuniformity_demo(trace, m, [2.0])
+
     def test_homogeneity_on_random_matrices(self, rng):
         nonvacuous = 0
         for _ in range(30):

@@ -13,6 +13,10 @@ class TestNorms:
         assert matcore.one_norm_vec([1.0, -2.0, 3.0]) == 6.0
         assert matcore.one_norm_vec([0.0, 0.0]) == 0.0
         assert matcore.one_norm_vec([0.25, 0.75]) == 1.0
+        with pytest.raises(ValueError, match="1-d"):
+            matcore.one_norm_vec([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            matcore.one_norm_vec([1.0, math.inf])
 
     def test_frobenius_norm_examples(self):
         assert matcore.frobenius_norm([[0.0, 0.0], [0.0, 0.0]]) == 0.0
@@ -90,6 +94,11 @@ class TestPermutations:
             matcore.permutation([0, 2])
         with pytest.raises(ValueError):
             matcore.permutation([-1, 0])
+        for shape in ([], [[0, 1], [1, 0]]):
+            with pytest.raises(ValueError, match="non-empty 1-d"):
+                matcore.permutation(shape)
+        with pytest.raises(ValueError, match="permutation size 3 != matrix dimension 2"):
+            matcore.apply_symmetric_permutation(np.eye(2), [2, 0, 1])
 
 
 class TestValidation:

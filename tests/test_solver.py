@@ -3,6 +3,7 @@ import decimal
 import math
 import pathlib
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,29 @@ class TestPowerProposal:
             got /= got.max(axis=1)[:, None]
             assert got.tobytes() == want.tobytes()
 
+    def test_no_square_succeeds(self):
+        # weights 2^-399 and 2^-1000: the max row sum is inside
+        # [2^-400, 2^400], so nothing is prescaled, and every entry of the
+        # first square, 2^-1399, underflows to zero; the proposals are NaN
+        # and rejected, and the certificate still encloses 2^-699.5
+        a = _cycle(np.ldexp(1.0, [-399, -1000] * 6))
+        assert np.isnan(_kernels._power_vectors(a[None])).all()
+        cert = solver.perron_root(a)
+        rho = _cycle_radius(a)
+        assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+
+    def test_caller_stack_is_not_written(self, rng):
+        # the cycle above stops before its first square, the dense matrix
+        # squares on: its powers replace its rows in a copy of the stack
+        bs = np.stack([_cycle(np.ldexp(1.0, [-399, -1000] * 6)),
+                       rng.uniform(0.5, 1.5, (12, 12))])
+        before = bs.tobytes()
+        got = _kernels._power_vectors(bs)
+        assert bs.tobytes() == before
+        assert np.isnan(got[[0, 2]]).all()
+        alone = _kernels._power_vectors(bs[1:])
+        assert got[[1, 3]].tobytes() == alone.tobytes()
+
     def test_weighted_cycles_give_up(self):
         # every power of a cycle has one nonzero per row, so the row sums
         # never settle: the squaring stops within a few steps, and the
@@ -636,6 +660,42 @@ class TestOneLoop:
         assert np.isnan(got[0]).all()
         assert got[1].tobytes() == _kernels._noda_steps([b], x[:1], [3.0])[0].tobytes()
         assert (got[1] == 1.0).all()
+
+    def test_failed_noda_step_stops_the_pass(self, monkeypatch):
+        # two 12-cycles and a dense matrix: four cycle passes take Noda
+        # steps together; the third batched solve fails on its first
+        # system, pass 0's, which stops at the vector it had, as it would
+        # alone one iteration earlier (the failed step counts as tried)
+        rng = np.random.default_rng(5)
+        bs = np.stack([_cycle(rng.uniform(0.5, 1.5, 12)) for _ in range(2)]
+                      + [rng.uniform(0.5, 1.5, (12, 12))])
+        tol, max_iter = solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER
+        alone = [_kernels.collatz_wielandt_stack(a[None], tol, max_iter) for a in bs]
+        alone = [p for j in range(2) for p in (alone[0][j], alone[1][j], alone[2][j])]
+        dgesv, calls = _kernels._dgesv, []
+
+        def flaky(m, b, signature):
+            calls.append(len(m))
+            y = dgesv(m, b, signature=signature)
+            if len(calls) == 3:
+                y[0] = math.nan
+            return y
+
+        monkeypatch.setattr(_kernels, "_dgesv", flaky)
+        with warnings.catch_warnings(), np.errstate(
+                divide="warn", over="warn", invalid="warn"):
+            warnings.simplefilter("error")
+            out = _kernels.collatz_wielandt_stack(bs, tol, max_iter)
+        assert len(calls) > 3 and calls[2] == 4
+        for got, want in zip(out[1:], alone[1:]):
+            assert got[:2] == want[:2] and got[3:] == want[3:]
+            assert got[2].tobytes() == want[2].tobytes()
+        monkeypatch.undo()
+        lo, hi, x, iterations, converged = out[0]
+        earlier = _kernels.collatz_wielandt_stack(bs[:1], tol, iterations - 1)[0]
+        assert (lo, hi, iterations - 1, converged) == earlier[:2] + earlier[3:]
+        assert x.tobytes() == earlier[2].tobytes()
+        assert iterations < alone[0][3]
 
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
         calls = []
@@ -881,6 +941,12 @@ class TestQStar:
     def test_requires_left_vector(self):
         cert = solver.perron_root([[1.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
+            solver.q_star(cert)
+
+    def test_rejects_a_zero_entry(self):
+        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
+                                   left_vector=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="not strictly positive"):
             solver.q_star(cert)
 
 
