@@ -42,8 +42,12 @@ matrix and its transpose, the one a certificate takes there (none at
 n = 1): through ``np.linalg.eig``, and as the kernel calls it, numpy's
 batched dgeev driver alone.  The last two columns are the wrapper's
 share (eig minus the driver), which the kernel does not pay, and what a
-call costs beyond the driver.  Each is the best over the repeats of the
-mean of 200 calls.
+call costs beyond the driver.  The last three are one
+``collatz_wielandt_stack`` call on the matrix (none at n = 1), what
+``perron_root`` costs beyond it (validation and the certificate's
+assembly), and one read of the certificate's ``residual``, which is
+formed when read.  Each is the best over the repeats of the mean of 200
+calls.
 
 Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
 matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
@@ -213,18 +217,21 @@ def trace_rows(repeats):
 def per_call_rows(repeats, calls=200):
     rng = np.random.default_rng(11)
     rows = [("perron_root, dense positive", "call us", "eig us", "dgeev us",
-             "wrapper us", "rest us")]
+             "wrapper us", "rest us", "kernel us", "assembly us", "residual us")]
 
     def us(t):
         return f"{t / calls * 1e6:.1f}"
 
     for n in range(1, 9):
         a = rng.uniform(0.0, 10.0, (n, n))
-        t_call, _ = best_time(
+        t_call, certs = best_time(
             lambda b: [solver.perron_root(b, TOL, MAX_ITER) for _ in range(calls)],
             a, repeats)
+        t_res, _ = best_time(lambda c: [c.residual for _ in range(calls)], certs[0],
+                             repeats)
         if n < 2:
-            rows.append((f"n={n}", us(t_call), "-", "-", "-", us(t_call)))
+            rows.append((f"n={n}", us(t_call), "-", "-", "-", us(t_call), "-",
+                         us(t_call), us(t_res)))
             continue
         bs = np.stack((a, a.T))
         t_eig, _ = best_time(lambda b: [np.linalg.eig(b) for _ in range(calls)],
@@ -232,8 +239,12 @@ def per_call_rows(repeats, calls=200):
         t_dgeev, _ = best_time(
             lambda b: [_kernels._dgeev(b, signature="d->DD") for _ in range(calls)],
             bs, repeats)
+        t_kernel, _ = best_time(
+            lambda b: [_kernels.collatz_wielandt_stack(b, TOL, MAX_ITER) for _ in range(calls)],
+            a[None], repeats)
         rows.append((f"n={n}", us(t_call), us(t_eig), us(t_dgeev),
-                     us(t_eig - t_dgeev), us(t_call - t_dgeev)))
+                     us(t_eig - t_dgeev), us(t_call - t_dgeev), us(t_kernel),
+                     us(t_call - t_kernel), us(t_res)))
     return rows
 
 
@@ -379,7 +390,7 @@ def main() -> int:
     rows = [("case", "iterations", "ms", "width", "converged")]
     for name, b in workloads():
         b = np.ascontiguousarray(b, dtype=np.float64)
-        t, (lo, hi, _, iterations, converged) = best_time(
+        t, (lo, hi, _, iterations, converged, _) = best_time(
             lambda a: _kernels.collatz_wielandt_stack(a[None], TOL, MAX_ITER)[0], b,
             args.repeats)
         rows.append((f"{name}, {_proposal(b.shape[0])} proposal", str(iterations),

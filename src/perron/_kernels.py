@@ -5,7 +5,9 @@ and one on its transpose.  ``collatz_wielandt_stack(bs, tol, max_iter)``
 runs both passes of every matrix of a same-size stack: the first step of
 all of them in one fixed set of numpy calls, then one loop that steps
 every live pass, in one set of numpy calls per iteration, until each has
-stopped.  A pass's result is ``(lo, hi, x, iterations, converged)``.  For
+stopped.  A pass's result is ``(lo, hi, x, iterations, converged,
+image)``, image the product b x on the caller's unscaled b for a pass on
+b, None for a transpose's pass; x and image are read-only.  For
 every x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral
 radius between their minimum and their maximum; lo and hi are those
 extremes widened outward for every rounding error their float
@@ -351,12 +353,14 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
     n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
     bs[j].T.  Returns a list of 2m results (lo, hi, x, iterations,
-    converged): the certified interval, the final iterate (1-norm one),
-    the number of vectors tried (the ones vector, a kept proposal, sweeps
-    and Noda steps), and whether hi - lo <= tol.  Each pass's result
-    depends on its own matrix alone, not on the rest of the stack.
-    Overflow, zero division and the NaN it makes are detected and
-    handled, not warned about.
+    converged, image): the certified interval, the final iterate (1-norm
+    one), the number of vectors tried (the ones vector, a kept proposal,
+    sweeps and Noda steps), whether hi - lo <= tol, and bs[j] @ x for a
+    pass on bs[j] (inf where it overflows), None for a transpose's; x and
+    the image are read-only.  Each pass's result depends on its own
+    matrix alone, not on the rest of the stack.  Overflow, zero division
+    and the NaN it makes are detected and handled, not warned about, the
+    helpers' included: they run undecorated, under this errstate.
     """
     m, n = bs.shape[0], bs.shape[1]
     # the matrices whose rows and whose columns the passes take: up to
@@ -384,7 +388,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
-        y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(rows[:m])
+        y = _eig_vectors.__wrapped__(rows) if n <= _EIG_N else _power_vectors.__wrapped__(rows[:m])
         by = _products(rows, cols, y)
         r = by / y
         ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
@@ -397,7 +401,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     if len(kept) == 2 * m:
         x, z = y, by
     else:
-        x = np.ones((2 * m, n))
+        x = ones  # not needed as the ones vector any more
         if kept:
             x[kept], z[kept] = y[kept], by[kept]
 
@@ -438,12 +442,19 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         if done:
             xs = x if len(done) == len(live) else x[done]
             units = xs / _sum(xs, axis=1)[:, None]
-            for i, xi, unit in zip(done, xs, units):
+            units.setflags(write=False)
+            # the right passes, first in done, get their images b u
+            right, images = [live[i] for i in done if live[i] < m], [None] * len(done)
+            if right:
+                bu = np.matmul(_take(bs, right), units[:len(right), :, None])[:, :, 0]
+                bu.setflags(write=False)  # before its rows are taken
+                images[:len(right)] = bu
+            for i, xi, unit, image in zip(done, xs, units, images):
                 j = live[i]
                 b = rows[j] if j < split else cols[j - split].T
                 lo, hi = _certify(b, xi, rmin[j], rmax[j], g[j], ks[j], tol_s[j],
                                   _slack(n, low[j]), e[j])
-                out[j] = (lo, hi, unit, it[j], hi - lo <= tol)
+                out[j] = (lo, hi, unit, it[j], hi - lo <= tol, image)
         if not going:
             return out
         if done:  # compact the stack
@@ -455,7 +466,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         if noda:
             js = [live[i] for i in noda]
             mats = [rows[j] if j < split else cols[j - split].T for j in js]
-            y[noda] = _noda_steps(mats, x[noda], [rmax[j] + rmax[j] * g[j] for j in js])
+            y[noda] = _noda_steps.__wrapped__(mats, x[noda], [rmax[j] + rmax[j] * g[j] for j in js])
         by = _products(lr, lc, y)
         r = by / y
         ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()

@@ -118,8 +118,9 @@ def cmd_analyze(args) -> int:
             ("left_vector", [_f(v) for v in cert.left_vector]),
             ("q_star", _f(solver.q_star(cert))),
         ]
-    if cert.residual is not None:  # None also when it overflows
-        pairs.append(("residual", _f(cert.residual)))
+    residual = cert.residual  # formed on each read; None also when not finite
+    if residual is not None:
+        pairs.append(("residual", _f(residual)))
     _emit_pairs(pairs, args.format)
     return 0
 

@@ -14,11 +14,12 @@ whole, with no normal form built; other matrices are split into
 irreducible diagonal blocks first and the block intervals are combined.
 Certificates report closed intervals [lo, hi] that always contain the
 spectral radius, converged or not; ``converged`` says whether the
-intersected interval is at most the requested width.
+intersected interval is at most the requested width.  Its residual is
+formed when read, from the kernel's image of the right vector.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,17 +47,18 @@ class PerronCertificate:
 
     ``right_vector`` and ``left_vector`` are 1-norm-normalized nonnegative
     eigenvector approximations, present only when the certified matrix is
-    irreducible (strictly positive then, for n >= 2).  ``residual`` is
-    ||A v - mid v||_1 for the right vector, None when no vector is carried
-    or the residual overflows.  ``hi`` is infinite when the radius
-    exceeds the largest float.
+    irreducible (strictly positive then, for n >= 2).  ``image`` is A v
+    for the right vector v, as the kernel computed it, None with no
+    vector; ``residual`` ||A v - mid v||_1 is formed from it when read,
+    None when no vector is carried or it is not finite.  ``hi`` is
+    infinite when the radius exceeds the largest float.
     """
 
     lo: float
     hi: float
     right_vector: np.ndarray | None
     left_vector: np.ndarray | None
-    residual: float | None
+    image: np.ndarray | None = field(repr=False, compare=False)
     iterations: int
     converged: bool
 
@@ -69,6 +71,14 @@ class PerronCertificate:
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+    @property
+    def residual(self) -> float | None:
+        if self.image is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):  # hi, A v may be inf
+            r = float(np.add.reduce(np.abs(self.image - self.mid * self.right_vector)))
+        return r if r < math.inf else None
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi):
@@ -106,32 +116,24 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     m, n = ms.shape[0], ms.shape[1]
     if n == 1:
         one = structure._frozen(np.ones(1))
+        image = structure._frozen(ms[:, 0])  # row i is [value], a view
         return [
             PerronCertificate(
                 lo=val, hi=val, right_vector=one, left_vector=one,
-                residual=0.0, iterations=0, converged=True,
+                image=image[i], iterations=0, converged=True,
             )
-            for val in ms[:, 0, 0].tolist()
+            for i, val in enumerate(ms[:, 0, 0].tolist())
         ]
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = collatz_wielandt_stack(ms, tol, max_iter)
-    # rho(A) = rho(A^T): both intervals hold it
-    lo = [max(r[0], t[0]) for r, t in zip(passes, passes[m:])]
-    hi = [min(r[1], t[1]) for r, t in zip(passes, passes[m:])]
-    x = np.array([r[2] for r in passes[:m]])
-    mid = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
-    with np.errstate(over="ignore", invalid="ignore"):  # hi may be inf
-        res = np.matmul(ms, x[:, :, None])[:, :, 0]
-        res -= mid[:, None] * x
-    # inf or NaN where the residual overflows
-    norms = np.add.reduce(np.abs(res, out=res), axis=1).tolist()
-    return [PerronCertificate(
-        lo=lo[i], hi=hi[i],
-        right_vector=structure._frozen(passes[i][2]),
-        left_vector=structure._frozen(passes[m + i][2]),
-        residual=norms[i] if norms[i] < math.inf else None,
-        iterations=passes[i][3] + passes[m + i][3], converged=hi[i] - lo[i] <= tol,
-    ) for i in range(m)]
+    out = []
+    for r, t in zip(passes, passes[m:]):
+        # rho(A) = rho(A^T): both intervals hold it
+        lo, hi = max(r[0], t[0]), min(r[1], t[1])
+        out.append(PerronCertificate(
+            lo=lo, hi=hi, right_vector=r[2], left_vector=t[2], image=r[5],
+            iterations=r[3] + t[3], converged=hi - lo <= tol))
+    return out
 
 
 # perfbench/tracing.py times the kernel through this name; the library does not call it
@@ -159,7 +161,7 @@ def _combine(certs) -> PerronCertificate:
     return PerronCertificate(
         lo=max(0.0, *(c.lo for c in certs)),
         hi=max(0.0, *(c.hi for c in certs)),
-        right_vector=None, left_vector=None, residual=None,
+        right_vector=None, left_vector=None, image=None,
         iterations=sum(c.iterations for c in certs),
         converged=all(c.converged for c in certs),
     )
