@@ -14,12 +14,17 @@ on matrix files in a temporary directory named relative to it, so the
 output does not depend on where that is.  Then ``perron_root`` on
 seeded random matrices at n = 2..69 in six families (dense, ring plus
 noise, 2^k-scaled, wide-range, nilpotent plus diagonal, sparse), each
-at ``max_iter`` 10^6 and 3.
+at ``max_iter`` 10^6 and 3.  Every result also records its command.
 
-``diff`` counts the results that differ, ``converged`` flips, iteration
-counts that rise or fall, intervals that get wider or narrower, and
-exit-code changes, naming a few of each.  It exits 1 on a flip, a rise,
-an exit-code change or a result present in one dump only, else 0.
+``diff`` counts the results that differ, per command (``root``,
+``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
+flips, iteration counts that rise or fall, intervals that get wider or
+narrower, exit-code changes and verdict flips, naming a few of each.  A
+verdict flip is a command whose stdout's sequence of ``pass``, ``FAIL``
+and ``PASS`` tokens changed, so a change that moves digits can show
+that no check's outcome moved.  It exits 1 on a ``converged`` or
+verdict flip, a rise, an exit-code change or a result present in one
+dump only, else 0.
 """
 
 import contextlib
@@ -27,6 +32,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
@@ -38,6 +44,8 @@ FAMILIES = ("dense", "ring", "scaled", "wide", "nilpotent_diag", "sparse")
 PER_FAMILY = 100
 MAX_ITERS = (10**6, 3)
 SHOWN = 5  # ids named per category
+COMMANDS = ("root", "analyze", "certify", "converge", "gelfand")
+VERDICT = re.compile(r"\b(?:pass|FAIL|PASS)\b")
 
 
 def _cases():
@@ -114,7 +122,7 @@ def dump(src, out_path):
                 res = _root(perron, op.mats["a"], cases.TOL, op.max_iter)
             else:
                 res = _command(perron, cases, op, pathlib.Path(tmp), i)
-            results.append((key, res))
+            results.append((key, {"command": op.command, **res}))
     for f, family in enumerate(FAMILIES):
         rng = np.random.default_rng([1915, f])
         for i in range(PER_FAMILY):
@@ -122,7 +130,7 @@ def dump(src, out_path):
             a = _random_matrix(cases, family, n, rng)
             for max_iter in MAX_ITERS:
                 results.append((f"random.{family}.{i}.n{n}.it{max_iter}",
-                                _root(perron, a, cases.TOL, max_iter)))
+                                {"command": "root", **_root(perron, a, cases.TOL, max_iter)}))
     with open(out_path, "w", encoding="utf-8") as fh:
         for key, res in results:
             fh.write(json.dumps({"id": key, **res}) + "\n")
@@ -138,7 +146,9 @@ def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
     found = {name: [] for name in ("differ", "converged flips", "iterations rise",
                                    "iterations fall", "wider", "narrower",
-                                   "exit code changes", "in one dump only")}
+                                   "exit code changes", "verdict flips",
+                                   "in one dump only")}
+    per_command = dict.fromkeys(COMMANDS, 0)
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             found["in one dump only"].append(key)
@@ -147,6 +157,8 @@ def diff(path_a, path_b):
         if ra == rb:
             continue
         found["differ"].append(key)
+        command = ra.get("command", "?")
+        per_command[command] = per_command.get(command, 0) + 1
         if ra.get("converged") != rb.get("converged"):
             found["converged flips"].append(key)
         ia, ib = ra.get("iterations"), rb.get("iterations")
@@ -156,11 +168,15 @@ def diff(path_a, path_b):
             found["wider" if rb["width"] > ra["width"] else "narrower"].append(key)
         if ra.get("rc") != rb.get("rc") or ("error" in ra) != ("error" in rb):
             found["exit code changes"].append(key)
+        if VERDICT.findall(ra.get("stdout", "")) != VERDICT.findall(rb.get("stdout", "")):
+            found["verdict flips"].append(key)
     print(f"{len(a)} results in {path_a}, {len(b)} in {path_b}")
+    print("differ by command: " + ", ".join(f"{c} {k}" for c, k in per_command.items()))
     for name, keys in found.items():
         shown = ", ".join(keys[:SHOWN]) + (", ..." if len(keys) > SHOWN else "")
         print(f"{name}: {len(keys)}" + (f" ({shown})" if keys else ""))
-    bad = ("converged flips", "iterations rise", "exit code changes", "in one dump only")
+    bad = ("converged flips", "iterations rise", "exit code changes", "verdict flips",
+           "in one dump only")
     return int(any(found[name] for name in bad))
 
 

@@ -1,7 +1,7 @@
 """Convergence traces over matrix sequences A_k = base + s_k * direction.
 
 ``run_trace`` checks each certified root r_k with the inequality the
-base's structure calls for: the norm bound hi(r_k)^p <= ||A_k^p||_1 for
+base's structure calls for: the norm bound lo(r_k)^p <= ||A_k^p||_1 for
 a nilpotent base of index p, the perturbation bound
 s_k * ||direction||_F / q_star for an irreducible one, and
 lo(b_k) <= hi(r_k) for a reducible one, b_k the radius of the base's
@@ -38,8 +38,6 @@ __all__ = [
 
 _RULES = ("inv-k", "inv-k2", "geom")
 
-# absolute slack for the nilpotent check, applied in the p-th power domain
-NILPOTENT_SLACK = 1e-10
 # _gelfand_steps prescales a matrix whose 1-norm lies outside these
 _GELFAND_MIN_NORM, _GELFAND_MAX_NORM = 2.0**-500, 2.0**1020
 _U = 2.0**-53  # unit roundoff of float64
@@ -51,7 +49,7 @@ _CHUNK_ENTRIES = 2**20
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequenceSpec:
     """A finite matrix sequence base + s_k * direction, k = 1..count.
 
@@ -61,6 +59,8 @@ class SequenceSpec:
     entrywise nonnegative: by default a negative entry raises, with
     ``clamp`` it is set to zero instead.  ``normal_form`` is the
     base's structure, computed once here for every trace of the spec.
+    Specs compare and hash by identity: their array fields have no
+    single truth value.
     """
 
     base: np.ndarray
@@ -114,7 +114,9 @@ class SequenceSpec:
         floats ``term(k)`` gives; the first bad one raises as there."""
         s = np.array([self.scale(k) for k in ks])
         with np.errstate(over="ignore"):
-            a = self.base + s[:, None, None] * self.direction
+            # base added in place: one (k, n, n) array, not two
+            a = s[:, None, None] * self.direction
+            a += self.base
         # the ufunc reductions skip the Python-level wrappers of any/all;
         # both comparisons fail on NaN
         lo, hi = _min(a, axis=(1, 2)), _max(a, axis=(1, 2))
@@ -175,9 +177,11 @@ def run_trace(
     """Trace the sequence with the check its base's structure calls for.
 
     * Nilpotent base of index p: the radius of any matrix is at most any
-      consistent norm of it, and rho(A)^p = rho(A^p), so hi(r_k)^p <=
-      ||A_k^p||_1 must hold up to round-off slack.  This case is tested
-      first: [[0]] is irreducible by convention, and nilpotent too.
+      consistent norm of it, and rho(A)^p = rho(A^p), so lo(r_k) <=
+      ||A_k^p||_1^(1/p): a row fails where lo^p, rounded down, exceeds
+      ``_power_norm_ceiling``.  The norm is the largest entry of 1^T A_k^p.
+      This case is tested first: [[0]] is irreducible by convention, and
+      nilpotent too.
     * Irreducible base: each row carries the a-priori bound
       s_k * ||direction||_F / q_star and passes when the observed
       midpoint shift stays within the bound plus both certificate widths.
@@ -198,7 +202,7 @@ def run_trace(
     would.  A chunk of positive terms goes as its stack, with no normal
     form built, copied only where ``_certify_blocks`` joins it to other
     matrices of its size (the base's, in a first chunk).  The nilpotent
-    check powers a chunk in one call.
+    norms of a chunk take one ``np.matmul`` a product for all its terms.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -239,24 +243,24 @@ def run_trace(
                         "raise max_iter or tol"
                     )
                 per_scale = d_norm / solver.q_star(base_cert)
-        if kind == "nilpotent":  # the 1-norms, inf or NaN where a power overflows
-            with np.errstate(over="ignore", invalid="ignore"):
-                powers = np.abs(np.linalg.matrix_power(terms, p))
-                norms = _max(np.add.reduce(powers, axis=1), axis=1).tolist()
+        base_mid = base_cert.mid
+        if kind == "nilpotent":
+            norms = _power_norms(terms, p)
+            lows = _pow_down(np.array([c.lo for c in certs[:len(ks)]]), p).tolist()
         for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
-            deviation = abs(cert.mid - base_cert.mid)
+            deviation = abs(cert.mid - base_mid)
             if kind == "nilpotent":
-                hi, e, norm_p = cert.hi, 0, norms[i]
+                term, low, e, norm_p = terms[i], lows[i], 0, norms[i]
                 if not norm_p < math.inf:
                     # compare for 2^-e term, its 1-norm below 1, as
-                    # _gelfand_steps prescales
-                    e = _kernels._exponent(math.inf, terms[i])
-                    norm_p = matcore.one_norm_mat(
-                        np.linalg.matrix_power(np.ldexp(terms[i], -e), p))
-                    hi = math.ldexp(hi, -e)
-                ok = hi**p <= norm_p + NILPOTENT_SLACK
+                    # _gelfand_steps prescales; lo rounded down
+                    e = _kernels._exponent(math.inf, term)
+                    term = np.ldexp(term, -e)
+                    (norm_p,) = _power_norms(term[None], p)
+                    low = _pow_down(_kernels._unscale(cert.lo, -e, 0.0), p)
+                ok = low <= norm_p or low <= _power_norm_ceiling(term, p, norm_p)
                 extra = (matcore._times_pow2(norm_p ** (1.0 / p), e),)
             elif kind == "irreducible":
                 bound = s * per_scale
@@ -271,7 +275,7 @@ def run_trace(
     if block is not None:
         # the block's own mid, not one rebuilt from (b_lo, b_hi): mid
         # guards against overflow of lo + hi
-        summary["final_deviation"] = abs(block.mid - base_cert.mid)
+        summary["final_deviation"] = abs(block.mid - base_mid)
         summary["final_threshold"] = (
             2.0 * spec.scale(spec.count) * d_norm * fnf.n
             + block.width
@@ -280,6 +284,52 @@ def run_trace(
     return ConvergenceTrace(
         kind=kind, columns=columns, base_cert=base_cert, rows=tuple(rows), **summary
     )
+
+
+def _power_norms(terms: np.ndarray, p: int) -> list:
+    """||A^p||_1 of each A of a (k, n, n) stack: the largest entry of
+    1^T A^p, from the column sums and p - 1 vector-matrix products, one
+    ``np.matmul`` each for the stack.  inf or NaN where one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.add.reduce(terms, axis=1)[:, None]
+        for _ in range(p - 1):
+            v = np.matmul(v, terms)
+        return _max(v, axis=(1, 2)).tolist()
+
+
+def _pow_down(x, p: int):
+    """x^p for x >= 0, a float or an array, rounded down one ulp a
+    product as ``solver._pow_interval`` rounds its lower end."""
+    r = x
+    with np.errstate(over="ignore"):  # inf steps down to the largest float
+        for _ in range(p - 1):
+            r = np.nextafter(r * x, -np.inf)
+    return r
+
+
+def _power_norm_ceiling(a: np.ndarray, p: int, norm_p: float) -> float:
+    """An upper bound on the exact N = ||a^p||_1, a >= 0 n x n, from the
+    finite norm_p ``_power_norms`` computed for it.
+
+    With gamma_k = ku / (1 - ku) and t = 2^-1075 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3): the column sums are
+    within gamma_(n-1), each v a within gamma_n entrywise less n t of
+    underflow, no sum cancels and the max is exact, so
+    N <= (norm_p + n t sum_(j<p-1) ||a^j||_1) / (1 - gamma_(pn)).  With
+    c = 1 + 4pnu >= 1 / (1 - gamma_(pn)) and ||a^j||_1 <= (c ||a||)^j,
+    ||a|| a's computed 1-norm, N <= (norm_p + (p - 1) n t g) c,
+    g = max(1, c ||a||)^(p-2).  A term scaled to norm below 1, whose
+    entries round, moves N by p n t at most.  The underflow term is
+    formed as 8 p n t g, which covers both and its own rounding; the
+    last sum and product round up.
+    """
+    n = a.shape[0]
+    c = 1.0 + 4.0 * p * n * _U
+    grow = max(1.0, float(_max(np.add.reduce(a, axis=0))) * c)
+    under = 4.0 * p * n * _TINY
+    for _ in range(p - 2):
+        under *= grow
+    return math.nextafter(math.nextafter(norm_p + under, math.inf) * c, math.inf)
 
 
 @dataclass(frozen=True)
@@ -291,10 +341,11 @@ class GelfandRow:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GelfandTrace:
     """Rows m = 1..m_max against the radius certificate of ``matrix``,
-    the validated X (read-only)."""
+    the validated X (read-only).  Traces compare and hash by identity:
+    the matrix has no single truth value."""
 
     cert: solver.PerronCertificate
     rows: tuple[GelfandRow, ...]
@@ -309,27 +360,30 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
     """Yield (f_m, d_m) for m = 1..m_max: f_m = ||x^m||_1^(1/m) as
     computed, and d_m, a bound on its relative error.
 
-    The running power is renormalized every step and only log-norms
-    accumulate, so large m cannot overflow: every norm taken is at most
-    about ||x||_1.  A matrix whose norm is near or above the largest
-    float is first scaled by an exact power of two 2^-e, just below it,
-    and one whose norm is below 2^-500 up to norm about 1, clear of
-    underflow; f_m is homogeneous, so f_m(x) = 2^e f_m(2^-e x), inf
-    above the largest float.  m = 1 is returned exactly (no exp/log
-    trip); f_m is 0.0 from the first m with x^m exactly zero.
+    ||x^m||_1 is the largest entry nu_m of 1^T x^m: from the column
+    sums, one vector-matrix product a step, O(m n^2), renormalized by
+    nu_m every step.  Only log-norms accumulate, so large m cannot
+    overflow: every norm taken is at most about ||x||_1.  A matrix whose
+    norm is near or above the largest float is first scaled by an exact
+    power of two 2^-e, just below it, and one whose norm is below 2^-500
+    up to norm about 1, clear of underflow; f_m is homogeneous, so
+    f_m(x) = 2^e f_m(2^-e x), inf above the largest float.  m = 1 is
+    returned exactly (no exp/log trip); f_m is 0.0 from the first m with
+    x^m exactly zero.
 
     Error bound, for products that stay in the normal range (entries
     within a few hundred orders of magnitude of the norm).  With
-    gamma_k = ku / (1 - ku): each step's product of nonnegative factors
-    is within a relative gamma_n of exact entrywise, its norm nu_j
-    within gamma_(n-1), the renormalization within u, and none of these
-    can cancel, so prod_j nu_j is ||x^m||_1 up to a relative
-    phi = gamma_(m(n+1)) (Higham, Accuracy and Stability of Numerical
-    Algorithms, ch. 3).  f_m = exp(L / m) with L = sum_j log nu_j; each
-    log is within 1 ulp, 2u |log nu_j|, each addition within u of its
-    partial sum s_k, the division within u.  So the computed exponent
-    is off by at most Delta = (2u sum_j |log nu_j| + u sum_k |s_k|) / m
-    + u |L / m| + phi / (m (1 - phi)), and exp adds one ulp:
+    gamma_k = ku / (1 - ku): the column sums are within a relative
+    gamma_(n-1), each step's division within u and its product of
+    nonnegative factors within gamma_n, entrywise, and the max is
+    exact; none of these can cancel, so prod_j nu_j is ||x^m||_1 up to
+    a relative phi = gamma_(m(n+1)) (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3).  f_m = exp(L / m) with L = sum_j
+    log nu_j; each log is within 1 ulp, 2u |log nu_j|, each addition
+    within u of its partial sum s_k, the division within u.  So the
+    computed exponent is off by at most Delta = (2u sum_j |log nu_j|
+    + u sum_k |s_k|) / m + u |L / m| + phi / (m (1 - phi)), and exp
+    adds one ulp:
     d_m = expm1(Delta + 2u), times 1.01 for the rounding of this sum.
     The error grows with |log f_m|, the size of the logs.  Where
     2^e f_m lands below the normal range it rounds once more, by at most
@@ -338,36 +392,34 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
     n = x.shape[0]
     e = 0
     with np.errstate(over="ignore"):
-        norm = float(x.sum(axis=0).max())
-    if not norm <= _GELFAND_MAX_NORM:
+        v = np.add.reduce(x, axis=0)
+    nrm = float(_max(v))
+    if not nrm <= _GELFAND_MAX_NORM:
         e = math.frexp(float(x.max()))[1] + n.bit_length() - 1020
-    elif 0.0 < norm < _GELFAND_MIN_NORM:
-        e = math.frexp(norm)[1]
+    elif 0.0 < nrm < _GELFAND_MIN_NORM:
+        e = math.frexp(nrm)[1]
     if e:
         x = np.ldexp(x, -e)
-    cur = x
+        v = np.add.reduce(x, axis=0)
+        nrm = float(_max(v))
     log_acc = 0.0
     # sums of |log nu_j| and of the partial sums |s_k|
     abs_logs = abs_sums = 0.0
-    dead = False  # set once x^m is exactly zero; it stays zero after
     for m in range(1, m_max + 1):
-        if dead:
-            yield 0.0, 0.0
-            continue
         if m > 1:
-            cur = cur @ x
-        # the 1-norm; the scaling above keeps every entry finite
-        nrm = float(cur.sum(axis=0).max())
-        if nrm == 0.0:
-            dead = True
-            yield 0.0, 0.0
-            continue
+            # the scaling above keeps every entry finite
+            v = (v / nrm) @ x
+            nrm = float(_max(v))
+        if nrm == 0.0:  # x^m is exactly zero, and so is every later power
+            for _ in range(m, m_max + 1):
+                yield 0.0, 0.0
+            return
         k = m * (n + 1)
         phi = k * _U / (1.0 - k * _U)
+        log_nrm = math.log(nrm)
         if m == 1:
             f, d = nrm, phi
         else:
-            log_nrm = math.log(nrm)
             total = log_acc + log_nrm
             f = math.exp(total / m)
             delta = (
@@ -376,8 +428,6 @@ def _gelfand_steps(x: np.ndarray, m_max: int):
             )
             d = 1.01 * math.expm1(delta + 2.0 * _U)
         yield matcore._times_pow2(f, e), d
-        cur = cur / nrm
-        log_nrm = math.log(nrm)
         log_acc += log_nrm
         abs_logs += abs(log_nrm)
         abs_sums += abs(log_acc)
@@ -558,14 +608,9 @@ def _grid(header, rows, fmt: str) -> str:
         return "\n".join([",".join(header)] + [",".join(r) for r in rows])
     if fmt != "table":
         raise ValueError(f"unknown format {fmt!r}; choose 'table' or 'csv'")
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [header] + rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+    # every column right-aligned to its widest cell
+    line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(header, *rows))
+    return "\n".join(line.format(*row).rstrip() for row in [header, *rows])
 
 
 _f = matcore.format_float

@@ -41,7 +41,7 @@ DEFAULT_MAX_ITER = 10**6
 _min = np.minimum.reduce
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerronCertificate:
     """Certified enclosure of a Perron root.
 
@@ -51,14 +51,16 @@ class PerronCertificate:
     for the right vector v, as the kernel computed it, None with no
     vector; ``residual`` ||A v - mid v||_1 is formed from it when read,
     None when no vector is carried or it is not finite.  ``hi`` is
-    infinite when the radius exceeds the largest float.
+    infinite when the radius exceeds the largest float.  Certificates
+    compare and hash by identity: their vectors have no single truth
+    value.
     """
 
     lo: float
     hi: float
     right_vector: np.ndarray | None
     left_vector: np.ndarray | None
-    image: np.ndarray | None = field(repr=False, compare=False)
+    image: np.ndarray | None = field(repr=False)
     iterations: int
     converged: bool
 

@@ -124,7 +124,7 @@ def strongly_connected_components(a) -> list[list[int]]:
     return sccs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusNormalForm:
     """Permutation and block partition with PtAP block upper triangular.
 
@@ -133,7 +133,8 @@ class FrobeniusNormalForm:
     ``(start, end)`` ranges in permuted coordinates; ``block_matrices``
     are the corresponding irreducible diagonal blocks.  ``irreducible``
     and ``nilpotency_index`` (None unless nilpotent) are read off the
-    blocks.  All arrays are read-only.
+    blocks.  All arrays are read-only.  Normal forms compare and hash by
+    identity: their arrays have no single truth value.
     """
 
     matrix: np.ndarray

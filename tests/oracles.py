@@ -181,3 +181,17 @@ def nilpotency_oracle(a):
             return p
         power = power @ pattern
     return None
+
+
+def power_norms(a, m_max: int) -> list[Fraction]:
+    """||a^m||_1 for m = 1..m_max, exact for the stored floats: powers
+    of the rational matrix, then the largest column sum of each."""
+    x = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=np.float64).tolist()]
+    n = len(x)
+    power, norms = x, []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            power = [[sum(power[i][k] * x[k][j] for k in range(n)) for j in range(n)]
+                     for i in range(n)]
+        norms.append(max(sum(power[i][j] for i in range(n)) for j in range(n)))
+    return norms

@@ -180,6 +180,17 @@ class TestConverge:
         assert _value(out, "nilpotency_index") == "2"
         assert "power_bound" in out.splitlines()[0]
 
+    @pytest.mark.parametrize("coeff", ["1e5", "1e6", "1e8", "1e300", "1.7976931348623157e308"])
+    def test_nilpotent_kind_at_large_scale(self, run, coeff):
+        # A_k^2 = (coeff / k) I: rho(A_k)^2 is the norm bound exactly, and
+        # lo rounded outward must still pass against it, with no overflow
+        code, out, err = run(
+            "converge", "nilpotent2.txt", "dir_lowerleft2.txt", "--coeff", coeff)
+        assert code == 0 and err == ""
+        rows = out.splitlines()[1:21]
+        assert all(line.split()[-1] == "pass" for line in rows)
+        assert _value(out, "result") == "PASS"
+
     def test_one_by_one_zero_base_is_nilpotent(self, run, tmp_path):
         # [[0]] is irreducible by convention too; the nilpotent check wins
         base = tmp_path / "zero1.txt"

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from perron import harness, matcore, solver, structure
 from generators import random_irreducible, random_nonneg, reducible_base, three_block_base
+from oracles import power_norms
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
 CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -345,11 +348,11 @@ class TestBatchCertificates:
                 assert (got.k, got.scale, got.deviation, got.ok, got.extra) == (
                     want.k, want.scale, want.deviation, want.ok, want.extra)
                 assert _same_cert(got.cert, want.cert)
-        if kind == "nilpotent":  # the norm of each power taken alone
+        if kind == "nilpotent":  # the norm of each term's power taken alone
             p = whole.nilpotency
             for row in whole.rows:
-                power = np.linalg.matrix_power(spec.term(row.k), p)
-                assert row.extra == (matcore.one_norm_mat(power) ** (1.0 / p),)
+                (norm_p,) = harness._power_norms(spec.term(row.k)[None], p)
+                assert row.extra == (norm_p ** (1.0 / p),)
 
 
 def _count_kernel_calls(monkeypatch):
@@ -455,7 +458,31 @@ class TestNilpotentTrace:
             exact = row.k ** -0.5
             assert abs(row.cert.mid - exact) <= 1e-8 * exact
             assert abs(row.extra[0] - exact) <= 1e-12
-            assert row.cert.hi ** 2 <= 1.0 / row.k + harness.NILPOTENT_SLACK
+            assert row.cert.hi ** 2 <= 1.0 / row.k + 1e-10
+
+    def test_lo_above_the_norm_bound_fails(self, monkeypatch):
+        # rho(A_k)^2 = ||A_k^2||_1 = 1/k exactly: a certificate with lo a
+        # relative 1e-12 above the radius must fail on every row
+        spec = harness.SequenceSpec(
+            base=[[0.0, 1.0], [0.0, 0.0]], direction=[[0.0, 0.0], [1.0, 0.0]], count=20)
+        roots = solver._perron_roots
+
+        def raised(*args):
+            return [dataclasses.replace(c, lo=c.lo * (1.0 + 1e-12), hi=c.hi * (1.0 + 1e-12))
+                    for c in roots(*args)]
+
+        assert harness.run_trace(spec).ok
+        monkeypatch.setattr(solver, "_perron_roots", raised)
+        trace = harness.run_trace(spec)
+        assert not any(row.ok for row in trace.rows) and not trace.ok
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2), (5, 4), (8, 6)])
+    def test_power_norms_exact_on_small_integers(self, rng, n, p):
+        # entries 0..3: every sum and product of the chain is an integer
+        # below 2^53, so the norms are the exact ones
+        terms = rng.integers(0, 4, (5, n, n)).astype(np.float64)
+        for t, got in zip(terms, harness._power_norms(terms, p), strict=True):
+            assert got == power_norms(t, p)[-1]
 
     def test_zero_direction(self):
         spec = harness.SequenceSpec(
@@ -550,6 +577,31 @@ class TestGelfandTrace:
         )
         trace = harness.gelfand_trace(x, 30)
         assert not any(row.ok for row in trace.rows)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(lambda n: st.lists(
+            st.lists(st.integers(0, 16), min_size=n, max_size=n), min_size=n, max_size=n)),
+        st.one_of(st.integers(-540, -460), st.integers(-8, 8), st.integers(990, 1023)),
+    )
+    # norm 2^-407, no prescaling, while x^3 unnormalized is 2^-1219
+    @example([[1, 1], [1, 1]], -404)
+    # norm 2^1024, prescaled, and f_m = 2^1024 above the largest float
+    @example([[16, 16], [16, 16]], 1023)
+    def test_rows_hold_the_exact_norm(self, entries, k):
+        # F_m is within d_m f_m + 2^-1074 of f_m = ||x^m||_1^(1/m): for
+        # dyadic x, checked as powers of rationals against the exact norms
+        x = np.ldexp(np.array(entries, dtype=np.float64), k - 4)
+        tiny = Fraction(harness._TINY)
+        for m, ((f, d), exact) in enumerate(
+                zip(harness._gelfand_steps(x, 10), power_norms(x, 10), strict=True), 1):
+            d = Fraction(d)
+            if f == math.inf:  # f_m(1 + d_m) reaches the largest float
+                assert exact * (1 + d) ** m >= Fraction(np.finfo(np.float64).max) ** m
+                continue
+            below, above = (Fraction(f) - tiny) / (1 + d), (Fraction(f) + tiny) / (1 - d)
+            assert below <= 0 or below**m <= exact
+            assert exact <= above**m
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -721,3 +773,21 @@ class TestFormatters:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             harness.format_convergence_trace(self._trace(), "json")
+
+
+class TestIdentityEquality:
+    """Objects with array fields compare and hash by identity, so == and
+    sets work where a field-by-field == would raise."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: solver.perron_root(_BASE_2X2),
+        lambda: structure.frobenius_normal_form(_BASE_2X2),
+        lambda: harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER),
+        lambda: harness.gelfand_trace(_BASE_2X2, 3),
+    ], ids=["PerronCertificate", "FrobeniusNormalForm", "SequenceSpec", "GelfandTrace"])
+    def test_equal_only_to_itself(self, make):
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a)
+        assert a in {a} and b not in {a} and len({a, b}) == 2
