@@ -1,7 +1,8 @@
-"""Dump every certificate of a source tree, and diff two dumps.
+"""Dump every certificate of a source tree, diff two dumps, count its lines.
 
     python3 benchmarks/compare_certs.py dump SRC OUT
     python3 benchmarks/compare_certs.py diff A B
+    python3 benchmarks/compare_certs.py lines SRC
 
 ``dump`` imports ``perron`` from the directory SRC (a checkout's
 ``src``) and writes one JSON line per result to OUT.  The inputs are
@@ -25,8 +26,13 @@ and ``PASS`` tokens changed, so a change that moves digits can show
 that no check's outcome moved.  It exits 1 on a ``converged`` or
 verdict flip, a rise, an exit-code change or a result present in one
 dump only, else 0.
+
+``lines`` prints the line count of each module of the package in SRC
+(``SRC/perron``) and of them all, both every line and code lines only:
+no docstring, comment or blank line, found by ``ast`` and ``tokenize``.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -35,6 +41,7 @@ import pathlib
 import re
 import sys
 import tempfile
+import tokenize
 
 import numpy as np
 
@@ -180,10 +187,46 @@ def diff(path_a, path_b):
     return int(any(found[name] for name in bad))
 
 
+def _code_lines(text):
+    """The lines of a module that hold a token of code: not a docstring
+    (a module's, class's or function's first statement, a string), a
+    comment or a blank line."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and body:
+            first = body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def lines(src):
+    total = [0, 0]
+    print(f"{'module':<16} {'all':>6} {'code':>6}")
+    for path in sorted((pathlib.Path(src) / "perron").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        counts = (len(text.splitlines()), _code_lines(text))
+        total = [t + c for t, c in zip(total, counts)]
+        print(f"{path.name:<16} {counts[0]:>6} {counts[1]:>6}")
+    print(f"{'total':<16} {total[0]:>6} {total[1]:>6}")
+
+
 def main(argv):
+    if argv[:1] == ["lines"] and len(argv) == 2:
+        lines(argv[1])
+        return 0
     if len(argv) != 3 or argv[0] not in ("dump", "diff"):
         print(__doc__.strip().splitlines()[0] + "\n\nusage: compare_certs.py "
-              "dump SRC OUT | diff A B", file=sys.stderr)
+              "dump SRC OUT | diff A B | lines SRC", file=sys.stderr)
         return 2
     if argv[0] == "dump":
         dump(argv[1], argv[2])

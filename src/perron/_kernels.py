@@ -14,10 +14,10 @@ extremes widened outward for every rounding error their float
 computation can carry, so they hold the radius of the stored floats
 whatever method proposed x.
 
-1. Prescaling: a pass whose largest row sum lies outside [2^-400, 2^400]
-   runs on b scaled by an exact power of two, which keeps the products
-   clear of overflow and underflow; the bounds are scaled back outward.
-   The matrix and its transpose get an exponent each.
+1. Prescaling (``_prescale``): a pass whose largest row sum lies outside
+   [2^-400, 2^400] runs on b scaled by an exact power of two, which keeps
+   the products clear of overflow and underflow; the bounds are scaled
+   back outward.  The matrix and its transpose get an exponent each.
 2. Proposal (the first step): from the all-ones vector, then a proposed
    vector, tried as one iteration.  For n <= 8 that is the eigenvector
    LAPACK's dgeev gives for the eigenvalue of largest real part (Anderson
@@ -52,16 +52,25 @@ whatever method proposed x.
    own scalars, so a matrix gets the same certificate stacked or alone.
    A pass that stops drops out, and only then is the stack of the live
    passes' matrices rebuilt, as a view where it can be.
-4. Certification (``_certify``): a ratio over a row with k nonzeros
-   carries k + 1 roundings, so the exact ratio is within a relative
-   gamma_{k+1} = (k+1)u / (1 - (k+1)u) of it, or slightly more (Higham,
+4. Certification (``_certify``), apart from the iteration: it takes what
+   a vector has, its ratio extremes (``_ratios`` takes them, for the
+   first step's proposal, each iteration and ``certify_vectors`` alike),
+   its least entry, k, the scaled ``tol`` and the exponent, and forms
+   the bounds itself.  A ratio over a row with k nonzeros carries k + 1
+   roundings, so the exact ratio is within a relative gamma_{k+1} =
+   (k+1)u / (1 - (k+1)u) of it, or slightly more (``_gamma``; Higham,
    Accuracy and Stability of Numerical Algorithms, ch. 3; sums of
    nonnegative terms cannot cancel), plus an absolute term for results
-   that underflow.  k is counted once per pass, before the first step:
-   n where the matrix is positive, else its most nonzeros in a row.
-   Where the bound exceeds ``tol`` once the ratios agree to rounding, the
-   final vector is certified once more in np.longdouble, in row blocks;
-   where longdouble is float64 that gains nothing but stays sound.
+   that underflow (``_slack``).  k is counted once per pass, before the
+   first step: n where the matrix is positive, else its most nonzeros in
+   a row.  Where the bound exceeds ``tol`` once the ratios agree to
+   rounding, the final vector is certified once more in np.longdouble,
+   in row blocks; where longdouble is float64 that gains nothing but
+   stays sound.  ``certify_vectors(bs, xs, tol)`` certifies vectors a
+   caller holds, on any nonnegative stack, through the same
+   ``_prescale``, ``_ratios`` and ``_certify``; the kernel's stop step
+   certifies from the ratios it already has, with no product taken
+   twice.
 
 A pass stops when the certified width, underflow slack aside (it does
 not shrink with iteration), meets ``tol``, at ``max_iter``, or at the
@@ -76,7 +85,7 @@ from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
 
 from .matcore import _times_pow2
 
-__all__ = ["collatz_wielandt_stack"]
+__all__ = ["certify_vectors", "collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
@@ -258,9 +267,12 @@ def _slack(n, x_min):
     return (n + 2) * _TINY / x_min
 
 
-def _certify(b, x, rmin, rmax, g, k, tol_s, slack, e):
-    """Outward bounds on the radius of b 2^e from x's computed ratio
-    extremes on b and its ``_slack``."""
+def _certify(b, x, rmin, rmax, x_min, k, tol_s, e):
+    """Outward bounds on the radius of b 2^e from the computed extremes
+    rmin and rmax of x's ratios on b, for x with max at most 1 and least
+    entry x_min > 0, k the most nonzeros in a row of b, tol_s the width
+    sought in b's units."""
+    g, slack = _gamma(k, _U), _slack(len(x), x_min)
     lo, hi = _widen(rmin, rmax, g, slack)
     if hi - lo > tol_s and rmax - rmin <= 2.0 * g * rmax:
         # at the floor of float64: certify x once more in longdouble
@@ -318,6 +330,67 @@ def _products(rows, cols, x):
     return np.concatenate((r, np.matmul(x[m:, None, :], cols)[:, 0, :]))
 
 
+def _ratios(rows, cols, y):
+    """The products of the passes of a stack with their vectors y, as
+    ``_products`` takes them, and, as lists, each pass's least and
+    greatest ratio (b y_j)_i / y_ji and y_j's least entry."""
+    by = _products(rows, cols, y)
+    r = by / y
+    return by, _min(r, axis=1).tolist(), _max(r, axis=1).tolist(), _min(y, axis=1).tolist()
+
+
+def _prescale(rows, cols, tol):
+    """The first step's prescale of the passes on the matrices of rows,
+    then on those of cols, as ``_products`` takes them: returns the
+    stacks scaled by 2^-e, each pass's e, the ones vectors, their
+    products and those products' least and greatest entries (the ones
+    vector's ratios) on the scaled stacks, tol scaled by 2^-e and each
+    pass's nonzero count."""
+    split = len(rows)
+    ones = np.ones((split + len(cols), rows.shape[1]))
+    z = _products(rows, cols, ones)
+    rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    # _exponent only for the passes it scales; a matrix and its
+    # transpose have the same largest entry
+    e = [0 if _LOW <= s <= _HIGH else _exponent(s, rows[j] if j < split else cols[j - split])
+         for j, s in enumerate(rmax)]
+    if any(e):
+        scale = -np.array(e)[:, None, None]
+        rows = np.ldexp(rows, scale[:split])
+        cols = np.ldexp(cols, scale[split:])
+        z = _products(rows, cols, ones)
+        rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    tol_s = [_times_pow2(tol, -s) if s else tol for s in e]  # prescaled widths
+    # each pass's nonzero count; the transposes' rows are cols' columns
+    ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
+    return rows, cols, e, ones, z, rmin, rmax, tol_s, ks
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def certify_vectors(bs, xs, tol):
+    """Certified Collatz-Wielandt intervals of given vectors.
+
+    ``bs`` is an (m, n, n) stack of nonnegative matrices, of any pattern,
+    and ``xs`` an (m, n) array of vectors, row j for bs[j].  Returns a
+    list of m pairs (lo, hi), outward bounds on the radius of bs[j] from
+    the ratios (bs[j] x_j)_i / x_ji, or (0.0, inf) where x_j has an entry
+    that is not positive and finite.  bs is prescaled as by the kernel's
+    first step, and each x_j scaled by a power of two to max in (1/2, 1],
+    and by nothing else; the bounds are then those the kernel's stop step
+    gives a pass that ends at the scaled x_j.  ``tol`` is the width below
+    which x_j is not certified once more in longdouble.
+    """
+    rows, cols, e, *_, tol_s, ks = _prescale(bs, bs[:0], tol)
+    # each max is top 2^f, top in [1/2, 1) where the max is positive and
+    # finite; a max of top 1/2, a power of two, goes to 1
+    top, f = np.frexp(_max(xs, axis=1))
+    ys = np.ldexp(xs, ((top == 0.5) - f)[:, None])
+    _, rmin, rmax, y_min = _ratios(rows, cols, ys)
+    return [_certify(rows[j], ys[j], rmin[j], rmax[j], y_min[j], ks[j], tol_s[j], e[j])
+            if 0.5 <= t < 1.0 and y_min[j] > 0.0 else (0.0, math.inf)
+            for j, t in enumerate(top.tolist())]
+
+
 def _take(a, idx):
     """a[idx] for increasing indices idx, a view where they are a range."""
     return a[idx[0]:idx[-1] + 1] if idx and idx[-1] - idx[0] == len(idx) - 1 else a[idx]
@@ -358,7 +431,10 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     sweeps and Noda steps), whether hi - lo <= tol, and bs[j] @ x for a
     pass on bs[j] (inf where it overflows), None for a transpose's; x and
     the image are read-only.  Each pass's result depends on its own
-    matrix alone, not on the rest of the stack.  Overflow, zero division
+    matrix alone, not on the rest of the stack.  The first step prescales
+    through ``_prescale``, each step's ratios come from ``_ratios``, and a
+    pass that stops is certified by ``_certify``, as ``certify_vectors``
+    certifies a given vector.  Overflow, zero division
     and the NaN it makes are detected and handled, not warned about, the
     helpers' included: they run undecorated, under this errstate.
     """
@@ -369,30 +445,14 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         rows, cols = np.concatenate((bs, bs.transpose(0, 2, 1))), bs[:0]
     else:
         rows = cols = bs
-    ones = np.ones((2 * m, n))
-    z = _products(rows, cols, ones)
-    rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    # _exponent only for the passes it scales
-    e = [0 if _LOW <= s <= _HIGH else _exponent(s, bs[j % m])
-         for j, s in enumerate(rmax)]
-    if any(e):
-        scale = -np.array(e)[:, None, None]
-        rows = np.ldexp(rows, scale[:len(rows)])
-        cols = np.ldexp(cols, scale[len(rows):])
-        z = _products(rows, cols, ones)
-        rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    tol_s = [_times_pow2(tol, -s) if s else tol for s in e]  # prescaled widths
-    # each pass's nonzero count; the transposes' rows are cols' columns
-    ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
+    rows, cols, e, ones, z, rmin, rmax, tol_s, ks = _prescale(rows, cols, tol)
     # vectors tried, and the minimum of x, 1 for the ones vector
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
         y = _eig_vectors.__wrapped__(rows) if n <= _EIG_N else _power_vectors.__wrapped__(rows[:m])
-        by = _products(rows, cols, y)
-        r = by / y
-        ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
-        for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, _min(y, axis=1).tolist())):
+        by, ymin, ymax, y_mins = _ratios(rows, cols, y)
+        for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, y_mins)):
             # kept where y > 0 (the tests fail on NaN), its ratios spread
             # less than the ones vector's and its underflow slack is small
             if hi - lo < rmax[j] - rmin[j] and y_min > 0.0 and _slack(n, y_min) < 0.5 * tol_s[j]:
@@ -452,8 +512,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             for i, xi, unit, image in zip(done, xs, units, images):
                 j = live[i]
                 b = rows[j] if j < split else cols[j - split].T
-                lo, hi = _certify(b, xi, rmin[j], rmax[j], g[j], ks[j], tol_s[j],
-                                  _slack(n, low[j]), e[j])
+                lo, hi = _certify(b, xi, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
                 out[j] = (lo, hi, unit, it[j], hi - lo <= tol, image)
         if not going:
             return out
@@ -467,10 +526,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             js = [live[i] for i in noda]
             mats = [rows[j] if j < split else cols[j - split].T for j in js]
             y[noda] = _noda_steps.__wrapped__(mats, x[noda], [rmax[j] + rmax[j] * g[j] for j in js])
-        by = _products(lr, lc, y)
-        r = by / y
-        ymin, ymax = _min(r, axis=1).tolist(), _max(r, axis=1).tolist()
-        y_min = _min(y, axis=1).tolist()
+        by, ymin, ymax, y_min = _ratios(lr, lc, y)
         kept = []
         for i, j in enumerate(live):
             # an entry of y underflowed to zero, or a Noda step failed (the

@@ -129,16 +129,8 @@ def cmd_certify(args) -> int:
     from . import perturb  # imported per command, so analyze never loads it
     a = matcore.read_matrix_file(args.matrix, nonneg=True)
     a_prime = matcore.read_matrix_file(args.perturbed, nonneg=True)
-    fnf = structure._normal_form(a)
-    if not fnf.irreducible:
-        print(
-            "error: base matrix is reducible, so the continuity bound does not "
-            "apply; run `perron analyze` to see its block structure",
-            file=sys.stderr,
-        )
-        return 3
     pb = perturb.continuity_certificate(
-        fnf, a_prime, tol=args.tol, max_iter=args.max_iter
+        structure._normal_form(a), a_prime, tol=args.tol, max_iter=args.max_iter
     )
     prime_cert = solver._perron_roots([a_prime[None]], args.tol, args.max_iter)[0]
     # the perturbed radius lies in prime_cert and must lie in the

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, matcore, solver, structure
+from ._kernels import _TINY, _U
 
 __all__ = [
     "SequenceSpec",
@@ -40,8 +41,6 @@ _RULES = ("inv-k", "inv-k2", "geom")
 
 # _gelfand_steps prescales a matrix whose 1-norm lies outside these
 _GELFAND_MIN_NORM, _GELFAND_MAX_NORM = 2.0**-500, 2.0**1020
-_U = 2.0**-53  # unit roundoff of float64
-_TINY = 2.0**-1074  # the smallest positive float
 # float64 entries of the terms run_trace certifies in one call (8 MiB):
 # stacking saves per-call overhead, which is spread thin long before
 # this, and the cap bounds the memory a long trace of large terms takes
@@ -246,7 +245,7 @@ def run_trace(
         base_mid = base_cert.mid
         if kind == "nilpotent":
             norms = _power_norms(terms, p)
-            lows = _pow_down(np.array([c.lo for c in certs[:len(ks)]]), p).tolist()
+            lows = solver._pow_rounded(np.array([c.lo for c in certs]), p, -math.inf).tolist()
         for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
@@ -259,7 +258,7 @@ def run_trace(
                     e = _kernels._exponent(math.inf, term)
                     term = np.ldexp(term, -e)
                     (norm_p,) = _power_norms(term[None], p)
-                    low = _pow_down(_kernels._unscale(cert.lo, -e, 0.0), p)
+                    low = solver._pow_rounded(_kernels._unscale(cert.lo, -e, 0.0), p, -math.inf)
                 ok = low <= norm_p or low <= _power_norm_ceiling(term, p, norm_p)
                 extra = (matcore._times_pow2(norm_p ** (1.0 / p), e),)
             elif kind == "irreducible":
@@ -295,16 +294,6 @@ def _power_norms(terms: np.ndarray, p: int) -> list:
         for _ in range(p - 1):
             v = np.matmul(v, terms)
         return _max(v, axis=(1, 2)).tolist()
-
-
-def _pow_down(x, p: int):
-    """x^p for x >= 0, a float or an array, rounded down one ulp a
-    product as ``solver._pow_interval`` rounds its lower end."""
-    r = x
-    with np.errstate(over="ignore"):  # inf steps down to the largest float
-        for _ in range(p - 1):
-            r = np.nextafter(r * x, -np.inf)
-    return r
 
 
 def _power_norm_ceiling(a: np.ndarray, p: int, norm_p: float) -> float:

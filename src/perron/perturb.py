@@ -54,7 +54,8 @@ def continuity_certificate(
     if mp.shape != m.shape:
         raise ValueError(f"shape mismatch: matrix {m.shape}, perturbed {mp.shape}")
     if not fnf.irreducible:
-        raise ValueError("base matrix is reducible; the continuity bound does not apply")
+        raise ValueError("base matrix is reducible, so the continuity bound does not "
+                         "apply; run `perron analyze` to see its block structure")
     cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
     if not cert.converged:
         raise ValueError(

@@ -233,13 +233,14 @@ def q_star(cert: PerronCertificate) -> float:
     return qs
 
 
-def _pow_interval(lo: float, hi: float, p: int) -> tuple[float, float]:
-    # interval [lo, hi]^p for 0 <= lo <= hi, rounded outward one ulp per step
-    rlo, rhi = 1.0, 1.0
-    for _ in range(p):
-        rlo = math.nextafter(rlo * lo, -math.inf)
-        rhi = math.nextafter(rhi * hi, math.inf)
-    return max(rlo, 0.0), rhi
+def _pow_rounded(x, p: int, toward: float):
+    """x^p for x >= 0, a float or an array, by p - 1 products each rounded
+    one ulp toward ``toward`` (-inf or inf): a bound on the exact x^p."""
+    r = x
+    with np.errstate(over="ignore"):  # inf steps down to the largest float
+        for _ in range(p - 1):
+            r = np.nextafter(r * x, toward)
+    return r
 
 
 def power_radius_identity_check(
@@ -250,23 +251,39 @@ def power_radius_identity_check(
     The two real quantities coincide, so the returned intervals must
     intersect.  Both are padded outward for the floating-point rounding
     they carry: the first for the explicit interval power, the second for
-    the rounding of the entries of A^p (relative, a few ulps).  Raises on
-    overflow in the matrix power.
+    the rounding of the entries of A^p (relative, a few ulps).  A^p is
+    formed as A^(j+1) = A^j A.  Raises ValueError where one of these
+    products overflows, or underflows: has an entry below 2^-1022, the
+    least normal float, that its pattern makes positive (a subnormal
+    entry, or one that went to 0), since rounding there has no relative
+    bound.  The pad of (p-1)(n+2) ulps, (2n+4)u a product, covers the
+    rest: a product's entry is within gamma_n = nu + O(u^2) of the exact
+    product of its rounded factors, and within n 2^-1075 more, n u of
+    2^-1022, for the terms that underflowed in an entry it leaves at
+    least 2^-1022 (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3; nonnegative sums cannot cancel).
     """
     m = matcore.nonneg_matrix(a)
     p = int(p)
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
     base = perron_root(m, tol=tol, max_iter=max_iter)
-    powered_interval = _pow_interval(base.lo, base.hi, p)
+    # [lo, hi]^p rounded outward, the low end clamped at 0
+    powered_interval = (max(float(_pow_rounded(base.lo, p, -math.inf)), 0.0),
+                        float(_pow_rounded(base.hi, p, math.inf)))
 
-    with np.errstate(over="ignore"):
-        mp = np.linalg.matrix_power(m, p)
-    if not np.isfinite(mp).all():
-        raise ValueError(f"overflow computing matrix power {p}")
+    mp = m
+    for _ in range(p - 1):
+        with np.errstate(over="ignore"):
+            product = mp @ m
+        if not np.isfinite(product).all():
+            raise ValueError(f"overflow computing matrix power {p}")
+        if ((product < 2.0**-1022) & (np.sign(mp) @ np.sign(m) > 0.0)).any():
+            raise ValueError(f"underflow computing matrix power {p}")
+        mp = product
     cert = perron_root(mp, tol=tol, max_iter=max_iter)
     # entries of the floating A^p differ from the real ones by a relative
-    # error below (p-1)*(n+2) ulps; nonnegative sums cannot cancel
+    # error below (p-1)*(n+2) ulps, as above
     pad = (p - 1) * (m.shape[0] + 2) * float(np.finfo(np.float64).eps)
     power_cert = (cert.lo * (1.0 - pad), cert.hi * (1.0 + pad))
     return powered_interval, power_cert

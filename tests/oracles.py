@@ -38,12 +38,21 @@ def cw_midpoint(a, max_iter=10**6, stop=1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
-def _leading_minors_positive(t, a) -> bool:
-    """Whether every leading principal minor of t*I - a is positive, in
-    exact rational arithmetic on the stored floats."""
-    n = a.shape[0]
-    m = [[Fraction(t) * (i == j) - Fraction(float(a[i, j])) for j in range(n)]
-         for i in range(n)]
+def rational_power(a, p: int):
+    """a^p, exact for the stored floats, as rows of Fractions."""
+    x = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=np.float64).tolist()]
+    n, power = len(x), x
+    for _ in range(p - 1):
+        power = [[sum(power[i][k] * x[k][j] for k in range(n)) for j in range(n)]
+                 for i in range(n)]
+    return power
+
+
+def _leading_minors_positive(t, x) -> bool:
+    """Whether every leading principal minor of t*I - x is positive, in
+    exact rational arithmetic, x rows of Fractions."""
+    n = len(x)
+    m = [[Fraction(t) * (i == j) - x[i][j] for j in range(n)] for i in range(n)]
     for k in range(n):  # Gaussian elimination: the k-th pivot is minor_k / minor_k-1
         if m[k][k] <= 0:
             return False
@@ -54,8 +63,9 @@ def _leading_minors_positive(t, a) -> bool:
     return True
 
 
-def encloses_radius(a, lo: float, hi: float) -> bool:
-    """Whether [lo, hi] holds the spectral radius of the stored floats.
+def encloses_radius(a, lo: float, hi: float, p: int = 1) -> bool:
+    """Whether [lo, hi] holds the spectral radius of the stored floats,
+    or of their exact p-th power.
 
     For nonnegative a and t >= 0, t*I - a is a nonsingular M-matrix
     exactly when t > rho(a), and a Z-matrix is one exactly when all its
@@ -65,13 +75,13 @@ def encloses_radius(a, lo: float, hi: float) -> bool:
     radius equal to hi and far short of the next float.  Exact, so it
     sees a bound that is one ulp off.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if _leading_minors_positive(lo, a):
+    x = rational_power(a, p)
+    if _leading_minors_positive(lo, x):
         return False  # lo > rho
     if hi == math.inf:
         return True
     above = Fraction(hi) * (1 + Fraction(1, 2**200)) + Fraction(1, 2**1200)
-    return _leading_minors_positive(above, a)
+    return _leading_minors_positive(above, x)
 
 
 def _charpoly_at(a: np.ndarray, x: float) -> float:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from perron import _kernels, matcore, solver, structure
 from generators import random_irreducible, random_nonneg, three_block_base
-from oracles import eig_radius, encloses_radius
+from oracles import eig_radius, encloses_radius, rational_power
 
 
 class TestPerronIrreducible:
@@ -626,9 +626,9 @@ class TestOneLoop:
         certified = []
         certify = _kernels._certify
 
-        def recording(b, x, *args):
-            certified.append((b.copy(), args[-1]))
-            return certify(b, x, *args)
+        def recording(b, x, rmin, rmax, x_min, k, tol_s, e):
+            certified.append((b.copy(), e))
+            return certify(b, x, rmin, rmax, x_min, k, tol_s, e)
 
         monkeypatch.setattr(_kernels, "_certify", recording)
         _passes(a, max_iter=1)
@@ -717,6 +717,82 @@ class TestOneLoop:
                 rng.uniform(0.5, 1.5, (2, n, n)), solver.DEFAULT_TOL,
                 solver.DEFAULT_MAX_ITER)
         assert calls == [(2, 3, 3), (2, 12, 12), (2, 100, 100)]
+
+
+def _any_input(family, n, seed, k):
+    """One n x n nonnegative matrix, any pattern, times 2^k: dense,
+    sparse, reducible (block upper triangular) or nilpotent plus a
+    diagonal with zeros."""
+    rng = np.random.default_rng(seed)
+    if family == "dense":
+        a = rng.uniform(0.0, 10.0, (n, n))
+    elif family == "sparse":
+        a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3)
+    elif family == "reducible":
+        a = rng.uniform(0.0, 1.0, (n, n))
+        a[n // 2:, :n // 2] = 0.0
+    else:
+        a = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
+        a += np.diag(rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5))
+    return np.ldexp(a, k)
+
+
+class TestCertifyVectors:
+    """``_kernels.certify_vectors``: any positive vector, certified on its
+    own, apart from the iteration."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["dense", "sparse", "reducible", "nilpotent_diag"]),
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1000, max_value=1000),
+        st.sampled_from([0, -1000, 1000]),
+    )
+    @example("dense", 2, 0, 0, 0)
+    @example("nilpotent_diag", 12, 1, -1000, 1000)
+    def test_encloses_the_radius(self, family, n, seed, k, j):
+        # two matrices, vectors spanning e^-10 to e^10 times 2^j, drawn
+        # apart from the matrices: far from their Perron vectors
+        bs = np.stack([_any_input(family, n, seed + i, k) for i in range(2)])
+        xs = np.ldexp(np.exp(np.random.default_rng(seed).uniform(-10.0, 10.0, (2, n))), j)
+        for b, (lo, hi) in zip(bs, _kernels.certify_vectors(bs, xs, solver.DEFAULT_TOL)):
+            # hi may pass the largest float: the ratios spread by up to e^20
+            assert 0.0 <= lo <= hi and encloses_radius(b, lo, hi)
+
+    def test_vectors_not_positive_and_finite(self, rng):
+        bs = np.stack([rng.uniform(0.5, 1.5, (3, 3)) for _ in range(6)])
+        xs = np.ones((6, 3))
+        xs[1, 0], xs[2, 1], xs[3, 2], xs[4, 0], xs[5, 1] = 0.0, -1.0, math.nan, math.inf, -math.inf
+        out = _kernels.certify_vectors(bs, xs, solver.DEFAULT_TOL)
+        assert out[1:] == [(0.0, math.inf)] * 5
+        assert out[0] == _kernels.certify_vectors(bs[:1], xs[:1], solver.DEFAULT_TOL)[0]
+        assert encloses_radius(bs[0], *out[0]) and out[0][1] < math.inf
+
+    def test_ones_vector_is_the_first_pass(self):
+        # bit for bit the kernel's pass at max_iter = 1, which certifies
+        # the ones vector: right passes at every n, left passes where the
+        # kernel's transposes are matrices of their own
+        rng = np.random.default_rng(24)
+        for n in range(2, 71, 3):
+            for k in (-1000, -400, 0, 400, 900):
+                family = rng.choice(["dense", "sparse", "reducible"])
+                bs = _any_input(family, n, int(rng.integers(2**32)), k)[None]
+                passes = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, 1)
+                ones = np.ones((1, n))
+                assert _kernels.certify_vectors(bs, ones, solver.DEFAULT_TOL) == [passes[0][:2]]
+                if n <= _kernels._EIG_N:
+                    t = np.ascontiguousarray(bs.transpose(0, 2, 1))
+                    assert _kernels.certify_vectors(t, ones, solver.DEFAULT_TOL) == [passes[1][:2]]
+
+    def test_vector_scale_is_a_power_of_two(self, rng):
+        # x and x 2^j give the same bounds; a vector's max need not be 1
+        b = rng.uniform(0.5, 1.5, (1, 5, 5))
+        x = np.exp(rng.uniform(-10.0, 10.0, (1, 5)))
+        want = _kernels.certify_vectors(b, x / np.ldexp(1.0, math.frexp(x.max())[1]),
+                                        solver.DEFAULT_TOL)
+        for j in (-1000, -3, 0, 7, 1000):
+            assert _kernels.certify_vectors(b, np.ldexp(x, j), solver.DEFAULT_TOL) == want
 
 
 class TestPerronRoot:
@@ -1096,3 +1172,33 @@ class TestPowerRadiusIdentity:
         a = [[1e200, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError, match="overflow"):
             solver.power_radius_identity_check(a, 2)
+
+    @pytest.mark.parametrize("v", [1e-160, 3e-162, 1.7e-155])
+    def test_underflow_detected(self, v):
+        # v^2 is subnormal: the rounded square has no relative bound, and
+        # an interval padded relatively around it misses the exact v^2
+        with pytest.raises(ValueError, match="underflow"):
+            solver.power_radius_identity_check([[v]], 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-600, max_value=-150),
+        st.integers(min_value=2, max_value=4),
+    )
+    @example(1, 0, -531, 2)
+    def test_exact_at_underflowing_scales(self, n, seed, k, p):
+        # both intervals hold the exact rho(A^p) of the stored floats, or
+        # the check raises, and then only where a power A^j, j <= p, has
+        # a positive entry near or below the normal range
+        a = np.ldexp(random_nonneg(np.random.default_rng(seed), n, scale=2.0, density=0.6), k)
+        try:
+            intervals = solver.power_radius_identity_check(a, p)
+        except ValueError as exc:
+            assert "underflow" in str(exc)
+            assert any(0 < v < 2.0**-1000 for j in range(2, p + 1)
+                       for row in rational_power(a, j) for v in row)
+            return
+        for lo, hi in intervals:
+            assert encloses_radius(a, lo, hi, p)
