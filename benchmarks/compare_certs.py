@@ -8,14 +8,20 @@
 ``src``) and writes one JSON line per result to OUT.  The inputs are
 those of ``perfbench/cases.py`` in this checkout, read without writing
 to it: every operation of the three workloads at seeds 1 and 2, and the
-known-defect probe.  A ``root`` operation records lo, hi, both vectors'
-bytes, the iterations, ``converged`` and the residual; a command
-operation records the exit code and stdout of ``perron.cli.main``, run
-on matrix files in a temporary directory named relative to it, so the
-output does not depend on where that is.  Then ``perron_root`` on
-seeded random matrices at n = 2..69 in six families (dense, ring plus
-noise, 2^k-scaled, wide-range, nilpotent plus diagonal, sparse), each
-at ``max_iter`` 10^6 and 3.  Every result also records its command.
+known-defect probe.  Then the trace layer at extreme scales:
+``converge`` on the seed-1 n = 16 nilpotent, irreducible and reducible
+bases, and ``gelfand`` on each of those bases, all scaled by 2^k for k
+in ``SCALES``, and ``converge`` on a nilpotent 8-cycle-shaped base whose
+||A_k^8||_1 passes the largest float (weights 1e300, 20, ..., 20,
+closed by 20 s_k; ``--max-iter 200``).  A ``root`` operation records
+lo, hi, both vectors' bytes, the iterations, ``converged`` and the
+residual; a command operation records the exit code and stdout of
+``perron.cli.main``, run on matrix files in a temporary directory named
+relative to it, so the output does not depend on where that is.  Then
+``perron_root`` on seeded random matrices at n = 2..69 in six families
+(dense, ring plus noise, 2^k-scaled, wide-range, nilpotent plus
+diagonal, sparse), each at ``max_iter`` 10^6 and 3.  Every result also
+records its command.
 
 ``diff`` counts the results that differ, per command (``root``,
 ``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
@@ -51,6 +57,7 @@ FAMILIES = ("dense", "ring", "scaled", "wide", "nilpotent_diag", "sparse")
 PER_FAMILY = 100
 MAX_ITERS = (10**6, 3)
 SHOWN = 5  # ids named per category
+SCALES = (-1000, -500, 500, 1000)  # 2^k scales of the trace-layer inputs
 COMMANDS = ("root", "analyze", "certify", "converge", "gelfand")
 VERDICT = re.compile(r"\b(?:pass|FAIL|PASS)\b")
 
@@ -75,6 +82,26 @@ def _random_matrix(cases, family, n, rng):
         a = cases.nilpotent_dag(rng, n, 0.3, depth=max(1, n // 2))
         return a + np.diag(rng.uniform(0.0, 1.0, n))
     return rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.2)
+
+
+def _trace_ops(cases):
+    """The trace layer's inputs at extreme scales, as (key, op) pairs."""
+    ops = []
+    for op in cases.build("certify_converge", 1):
+        if op.command != "converge" or not op.id.endswith(".n16"):
+            continue
+        for k in SCALES:
+            mats = {role: np.ldexp(a, k) for role, a in op.mats.items()}
+            ops.append((f"trace.{op.id}.2^{k}", cases.Op(op.id, op.family, "converge",
+                                                         mats, args=op.args)))
+            ops.append((f"trace.gelfand.{op.id}.2^{k}", cases.Op(  # --max-iter only
+                op.id, "gelfand", "gelfand", {"a": mats["base"]}, args=op.args[:2])))
+    base, direction = np.diag([1e300] + [20.0] * 6, 1), np.zeros((8, 8))
+    direction[7, 0] = 20.0
+    ops.append(("trace.cycle8.1e300", cases.Op(
+        "cycle8.1e300", "converge_nilpotent", "converge",
+        {"base": base, "direction": direction}, args=["--max-iter", "200", "--count", "2"])))
+    return ops
 
 
 def _hex(v):
@@ -122,6 +149,7 @@ def dump(src, out_path):
     ops = [(f"{w}.s{seed}.{op.id}", op) for w in cases.WORKLOADS for seed in SEEDS
            for op in cases.build(w, seed)]
     ops += [(f"probe.{op.id}", op) for op in cases.known_defects("hard_spectra")]
+    ops += _trace_ops(cases)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, (key, op) in enumerate(ops):

@@ -1,8 +1,8 @@
 """Convergence traces over matrix sequences A_k = base + s_k * direction.
 
 ``run_trace`` checks each certified root r_k with the inequality the
-base's structure calls for: the norm bound lo(r_k)^p <= ||A_k^p||_1 for
-a nilpotent base of index p, the perturbation bound
+base's structure calls for: lo(r_k) <= ||A_k^p||_1^(1/p) for a
+nilpotent base of index p, the perturbation bound
 s_k * ||direction||_F / q_star for an irreducible one, and
 lo(b_k) <= hi(r_k) for a reducible one, b_k the radius of the base's
 spectral block read from the same positions of every term.
@@ -10,7 +10,9 @@ spectral block read from the same positions of every term.
 Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
 linearly in alpha under X -> alpha*X, so the gap cannot be bounded
-uniformly over the nonnegative cone.
+uniformly over the nonnegative cone.  Every norm of a matrix power here
+comes from one chain, ``_gelfand_steps``, with one error bound, and the
+nilpotent rows pass by the Gelfand rows' own rule.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, matcore, solver, structure
+from . import matcore, solver, structure
 from ._kernels import _TINY, _U
 
 __all__ = [
@@ -139,7 +141,8 @@ class TraceRow:
     ``deviation`` is |mid r_k - mid r| against the base certificate.
     ``extra`` holds the values the trace's ``columns`` name: the bound
     s_k * ||direction||_F / q_star (irreducible), the spectral block's
-    interval (b_lo, b_hi) (reducible) or ||A_k^p||_1^(1/p) (nilpotent).
+    interval (b_lo, b_hi) (reducible) or F_p, the computed
+    ||A_k^p||_1^(1/p) (nilpotent).
     """
 
     k: int
@@ -177,10 +180,10 @@ def run_trace(
 
     * Nilpotent base of index p: the radius of any matrix is at most any
       consistent norm of it, and rho(A)^p = rho(A^p), so lo(r_k) <=
-      ||A_k^p||_1^(1/p): a row fails where lo^p, rounded down, exceeds
-      ``_power_norm_ceiling``.  The norm is the largest entry of 1^T A_k^p.
-      This case is tested first: [[0]] is irreducible by convention, and
-      nilpotent too.
+      f_p(A_k) = ||A_k^p||_1^(1/p).  Each row prints ``_gelfand_steps``'
+      F_p as ``power_bound`` and passes by ``gelfand_trace``'s rule,
+      F_p >= lo (1 - d_p - 2u) - 2^-1073.  This case is tested first:
+      [[0]] is irreducible by convention, and nilpotent too.
     * Irreducible base: each row carries the a-priori bound
       s_k * ||direction||_F / q_star and passes when the observed
       midpoint shift stays within the bound plus both certificate widths.
@@ -201,7 +204,7 @@ def run_trace(
     would.  A chunk of positive terms goes as its stack, with no normal
     form built, copied only where ``_certify_blocks`` joins it to other
     matrices of its size (the base's, in a first chunk).  The nilpotent
-    norms of a chunk take one ``np.matmul`` a product for all its terms.
+    F_p and d_p of a chunk come from one ``_gelfand_steps`` call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -244,23 +247,13 @@ def run_trace(
                 per_scale = d_norm / solver.q_star(base_cert)
         base_mid = base_cert.mid
         if kind == "nilpotent":
-            norms = _power_norms(terms, p)
-            lows = solver._pow_rounded(np.array([c.lo for c in certs]), p, -math.inf).tolist()
+            f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
         for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
             deviation = abs(cert.mid - base_mid)
             if kind == "nilpotent":
-                term, low, e, norm_p = terms[i], lows[i], 0, norms[i]
-                if not norm_p < math.inf:
-                    # compare for 2^-e term, its 1-norm below 1, as
-                    # _gelfand_steps prescales; lo rounded down
-                    e = _kernels._exponent(math.inf, term)
-                    term = np.ldexp(term, -e)
-                    (norm_p,) = _power_norms(term[None], p)
-                    low = solver._pow_rounded(_kernels._unscale(cert.lo, -e, 0.0), p, -math.inf)
-                ok = low <= norm_p or low <= _power_norm_ceiling(term, p, norm_p)
-                extra = (matcore._times_pow2(norm_p ** (1.0 / p), e),)
+                ok, extra = _holds(f_p[i], d_p[i], cert.lo), (f_p[i],)
             elif kind == "irreducible":
                 bound = s * per_scale
                 ok = deviation <= bound + cert.width + base_cert.width
@@ -283,42 +276,6 @@ def run_trace(
     return ConvergenceTrace(
         kind=kind, columns=columns, base_cert=base_cert, rows=tuple(rows), **summary
     )
-
-
-def _power_norms(terms: np.ndarray, p: int) -> list:
-    """||A^p||_1 of each A of a (k, n, n) stack: the largest entry of
-    1^T A^p, from the column sums and p - 1 vector-matrix products, one
-    ``np.matmul`` each for the stack.  inf or NaN where one overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.add.reduce(terms, axis=1)[:, None]
-        for _ in range(p - 1):
-            v = np.matmul(v, terms)
-        return _max(v, axis=(1, 2)).tolist()
-
-
-def _power_norm_ceiling(a: np.ndarray, p: int, norm_p: float) -> float:
-    """An upper bound on the exact N = ||a^p||_1, a >= 0 n x n, from the
-    finite norm_p ``_power_norms`` computed for it.
-
-    With gamma_k = ku / (1 - ku) and t = 2^-1075 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 3): the column sums are
-    within gamma_(n-1), each v a within gamma_n entrywise less n t of
-    underflow, no sum cancels and the max is exact, so
-    N <= (norm_p + n t sum_(j<p-1) ||a^j||_1) / (1 - gamma_(pn)).  With
-    c = 1 + 4pnu >= 1 / (1 - gamma_(pn)) and ||a^j||_1 <= (c ||a||)^j,
-    ||a|| a's computed 1-norm, N <= (norm_p + (p - 1) n t g) c,
-    g = max(1, c ||a||)^(p-2).  A term scaled to norm below 1, whose
-    entries round, moves N by p n t at most.  The underflow term is
-    formed as 8 p n t g, which covers both and its own rounding; the
-    last sum and product round up.
-    """
-    n = a.shape[0]
-    c = 1.0 + 4.0 * p * n * _U
-    grow = max(1.0, float(_max(np.add.reduce(a, axis=0))) * c)
-    under = 4.0 * p * n * _TINY
-    for _ in range(p - 2):
-        under *= grow
-    return math.nextafter(math.nextafter(norm_p + under, math.inf) * c, math.inf)
 
 
 @dataclass(frozen=True)
@@ -345,81 +302,107 @@ class GelfandTrace:
         return all(row.ok for row in self.rows)
 
 
-def _gelfand_steps(x: np.ndarray, m_max: int):
-    """Yield (f_m, d_m) for m = 1..m_max: f_m = ||x^m||_1^(1/m) as
-    computed, and d_m, a bound on its relative error.
+def _gelfand_steps(xs: np.ndarray, m_max: int):
+    """F_m, the computed f_m = ||x^m||_1^(1/m), and d_m, a bound on its
+    relative error, for m = 1..m_max and each x of the (k, n, n) stack
+    ``xs``: two (k, m_max) arrays, the same bit for bit for a matrix
+    alone or in a stack.
 
     ||x^m||_1 is the largest entry nu_m of 1^T x^m: from the column
-    sums, one vector-matrix product a step, O(m n^2), renormalized by
-    nu_m every step.  Only log-norms accumulate, so large m cannot
-    overflow: every norm taken is at most about ||x||_1.  A matrix whose
-    norm is near or above the largest float is first scaled by an exact
-    power of two 2^-e, just below it, and one whose norm is below 2^-500
-    up to norm about 1, clear of underflow; f_m is homogeneous, so
-    f_m(x) = 2^e f_m(2^-e x), inf above the largest float.  m = 1 is
-    returned exactly (no exp/log trip); f_m is 0.0 from the first m with
-    x^m exactly zero.
+    sums, one vector-matrix product a step (one ``np.matmul`` for the
+    stack), each vector divided by its own nu_m first.  Only the norms
+    are kept, so large m cannot overflow: F_m = exp(L_m / m), L_m =
+    sum_(j<=m) log nu_j, formed at the end by cumulative sums.  A matrix
+    whose norm is near or above the largest float is first scaled by an
+    exact power of two 2^-e, just below it, and one whose norm is below
+    2^-500 up to norm about 1; f_m(x) = 2^e f_m(2^-e x), inf above the
+    largest float.  F_1 = nu_1 exactly; F_m is 0.0 from the first m
+    with nu_m = 0.
 
-    Error bound, for products that stay in the normal range (entries
-    within a few hundred orders of magnitude of the norm).  With
-    gamma_k = ku / (1 - ku): the column sums are within a relative
-    gamma_(n-1), each step's division within u and its product of
-    nonnegative factors within gamma_n, entrywise, and the max is
-    exact; none of these can cancel, so prod_j nu_j is ||x^m||_1 up to
-    a relative phi = gamma_(m(n+1)) (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 3).  f_m = exp(L / m) with L = sum_j
-    log nu_j; each log is within 1 ulp, 2u |log nu_j|, each addition
-    within u of its partial sum s_k, the division within u.  So the
-    computed exponent is off by at most Delta = (2u sum_j |log nu_j|
-    + u sum_k |s_k|) / m + u |L / m| + phi / (m (1 - phi)), and exp
-    adds one ulp:
-    d_m = expm1(Delta + 2u), times 1.01 for the rounding of this sum.
-    The error grows with |log f_m|, the size of the logs.  Where
-    2^e f_m lands below the normal range it rounds once more, by at most
-    half the smallest float; callers add that absolutely.
+    Error bound, with gamma_k = ku / (1 - ku) and t = 2^-1075 (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 3).  The column
+    sums are within a relative gamma_(n-1), each division within u and
+    each product of nonnegative factors within gamma_n, entrywise; none
+    can cancel and the max is exact, so without underflow prod_j nu_j
+    is ||x^m||_1 up to a relative phi = gamma_(m(n+1)).  Underflow adds
+    t to an entry of a divided vector (largest entry 1), n t to one of a
+    product and, where the prescale flushed entries below 2^-1022, t to
+    each entry of x and n t to each column sum and product.  So step m
+    adds at most q = (X + 2n) t (1 + gamma_n) to each entry, X =
+    ||2^-e x||_1, and carries the error a_(m-1) before it as at most
+    (1 + u)(1 + gamma_n) X a_(m-1) / nu_(m-1); with r_m = a_m / nu_m the
+    exact norm lies in prod_j nu_j [(1 - r_m) / (1 + phi), (1 + r_m) /
+    (1 - phi)].  r_m is formed as (c r_(m-1) + q_m)(1 + 8u) / nu_m, c =
+    (nu_1 + n t)(1 + 4(n + 2)u), q_m = (c + 2n) 2t, rounding up, with
+    q_m = 0 where no step up to m can underflow: for l the least
+    positive entry of 2^-e x, the m-th divided vector's positive entries
+    are then at least b_m = prod_(j<=m) l / nu_j, and step m + 1 stays
+    normal where the prescale was exact (l >= 2^-1022) and b_m min(1, l)
+    >= 2^-1021, the factor 2 covering the rounding of b_m.  Numpy's float64 log and
+    exp are held to 1 ulp by its accuracy tests; 2 ulps are allowed
+    here.  So each log is within 4u |log nu_j|, each addition within u
+    of its partial sum, at most A_m = sum_(j<=m) |log nu_j|, and the
+    division by m within u: with psi = phi + r_m, the computed exponent
+    is off by at most Delta = u A_m (1 + 5/m) + psi / (m (1 - psi)).
+    exp adds 4u: d_m = 1.01 expm1(Delta + 4u), the 1.01 for the
+    rounding of this sum, inf where psi >= 1; it grows with |log f_m|.
+    Where nu_m = 0 and r_m = 0, x^m is exactly zero and d_m = 0.  Where
+    2^e F_m lands below the normal range it rounds once more, by at most
+    t; callers add that absolutely.
     """
-    n = x.shape[0]
-    e = 0
-    with np.errstate(over="ignore"):
-        v = np.add.reduce(x, axis=0)
-    nrm = float(_max(v))
-    if not nrm <= _GELFAND_MAX_NORM:
-        e = math.frexp(float(x.max()))[1] + n.bit_length() - 1020
-    elif 0.0 < nrm < _GELFAND_MIN_NORM:
-        e = math.frexp(nrm)[1]
-    if e:
-        x = np.ldexp(x, -e)
-        v = np.add.reduce(x, axis=0)
-        nrm = float(_max(v))
-    log_acc = 0.0
-    # sums of |log nu_j| and of the partial sums |s_k|
-    abs_logs = abs_sums = 0.0
-    for m in range(1, m_max + 1):
-        if m > 1:
-            # the scaling above keeps every entry finite
-            v = (v / nrm) @ x
-            nrm = float(_max(v))
-        if nrm == 0.0:  # x^m is exactly zero, and so is every later power
-            for _ in range(m, m_max + 1):
-                yield 0.0, 0.0
-            return
-        k = m * (n + 1)
-        phi = k * _U / (1.0 - k * _U)
-        log_nrm = math.log(nrm)
-        if m == 1:
-            f, d = nrm, phi
-        else:
-            total = log_acc + log_nrm
-            f = math.exp(total / m)
-            delta = (
-                (2.0 * _U * (abs_logs + abs(log_nrm)) + _U * (abs_sums + abs(total))) / m
-                + _U * abs(total / m) + phi / (m * (1.0 - phi))
-            )
-            d = 1.01 * math.expm1(delta + 2.0 * _U)
-        yield matcore._times_pow2(f, e), d
-        log_acc += log_nrm
-        abs_logs += abs(log_nrm)
-        abs_sums += abs(log_acc)
+    k, n = xs.shape[:2]
+    ms = np.arange(1.0, m_max + 1.0)[:, None]
+    mu = ms * ((n + 1) * _U)
+    phi = mu / (1.0 - mu)
+    nus, e = np.empty((m_max, k, 1)), 0  # nus[m - 1] holds each nu_m
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = np.add.reduce(xs, axis=1, keepdims=True)
+        low = _min(xs, axis=(1, 2), initial=math.inf, where=xs > 0.0)
+        _max(v, axis=2, out=nus[0])
+        if not (_GELFAND_MIN_NORM <= _min(nus[0], axis=None, initial=_GELFAND_MIN_NORM)
+                and _max(nus[0], axis=None, initial=0.0) <= _GELFAND_MAX_NORM):
+            nu = nus[0, :, 0]
+            e = np.where(
+                nu <= _GELFAND_MAX_NORM,
+                np.where((0.0 < nu) & (nu < _GELFAND_MIN_NORM), np.frexp(nu)[1], 0),
+                np.frexp(_max(xs, axis=(1, 2)))[1] + n.bit_length() - 1020)
+            xs, low = np.ldexp(xs, -e[:, None, None]), np.ldexp(low, -e)
+            v = np.add.reduce(xs, axis=1, keepdims=True)
+            _max(v, axis=2, out=nus[0])
+        for m in range(1, m_max):
+            # the prescale keeps every entry finite; a zero vector turns
+            # to NaN, which fmax reads as nu = 0
+            v = np.matmul(v / nus[m - 1, :, :, None], xs)
+            _max(v, axis=2, out=nus[m])
+        nus = np.fmax(nus[:, :, 0], 0.0)
+        logs = np.log(nus)
+        sums = np.add.accumulate(logs)
+        f = np.exp(sums / ms)
+        f[0] = nus[0]
+        least = np.multiply.accumulate(low / nus)  # b_m
+        flags = np.empty((m_max, k), dtype=bool)
+        flags[0] = low < 2.0**-1022
+        flags[1:] = least[:-1] * np.minimum(low, 1.0) < 2.0**-1021
+        flags = np.logical_or.accumulate(flags)
+        r = np.zeros((m_max, k))
+        if flags.any():
+            c = (nus[0] + n * _TINY) * (1.0 + 4.0 * (n + 2) * _U)
+            q = np.where(flags, (c + 2.0 * n) * _TINY, 0.0)
+            for m in range(m_max):  # r[-1] is still 0 at m = 0
+                a = (c * r[m - 1] + q[m]) * (1.0 + 8.0 * _U)
+                r[m] = np.where(a > 0.0, a / nus[m], 0.0)
+        psi = phi + r
+        tail = psi / (ms * np.maximum(1.0 - psi, 0.0)) + 4.0 * _U
+        d = 1.01 * np.expm1(np.add.accumulate(np.abs(logs)) * (_U + 5.0 * _U / ms) + tail)
+        d[(sums == -math.inf) & (r == 0.0)] = 0.0
+        return np.ldexp(f, e).T, d.T
+
+
+def _holds(f: float, d: float, lo: float) -> bool:
+    """Whether a computed F with relative bound d, of an f >= rho, clears
+    the certified lower bound lo of rho: F >= lo (1 - d - 2u) - 2^-1073
+    (see ``gelfand_trace``)."""
+    return f >= lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY
 
 
 def gelfand_trace(
@@ -446,12 +429,11 @@ def gelfand_trace(
             "the spectral radius exceeds the largest float, so f_m - rho is "
             "not representable; scale the matrix down"
         )
+    f, d = _gelfand_steps(mat[None], m_max)
     rows = tuple(
-        GelfandRow(
-            m=i + 1, f_m=f, residual=f - cert.mid, bound=d,
-            ok=f >= cert.lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY,
-        )
-        for i, (f, d) in enumerate(_gelfand_steps(mat, m_max))
+        GelfandRow(m=m, f_m=f_m, residual=f_m - cert.mid, bound=d_m,
+                   ok=_holds(f_m, d_m, cert.lo))
+        for m, f_m, d_m in zip(range(1, m_max + 1), f[0].tolist(), d[0].tolist())
     )
     return GelfandTrace(cert=cert, rows=rows, matrix=mat)
 
@@ -503,7 +485,8 @@ def nonuniformity_demo(
     noise.  Each row must reproduce alpha * residual(X) up to the
     round-off bound derived below; residuals grow without bound as alpha
     grows.  A radius above the largest float, or an alpha X that
-    overflows, raises ValueError.
+    overflows, raises ValueError.  The scaled copies go through
+    ``_gelfand_steps`` as one stack.
 
     Write F, F' for the computed f_m(X), f_m(Y) with Y = fl(alpha X),
     d, d' for their bounds from ``_gelfand_steps``, and M for mid(X).
@@ -548,12 +531,13 @@ def nonuniformity_demo(
     if not vacuous:
         f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
         nonzero = np.count_nonzero(mat)
-        for alpha in alphas:
-            alpha = float(alpha)
+        alphas = [float(alpha) for alpha in alphas]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = np.multiply.outer(alphas, mat)
+        epsilons = []
+        for alpha, scaled in zip(alphas, stack):
             if not (alpha > 0.0 and math.isfinite(alpha)):
                 raise ValueError(f"alphas must be positive and finite, got {alpha}")
-            with np.errstate(over="ignore"):
-                scaled = alpha * mat
             if not np.isfinite(scaled).all():
                 raise ValueError(f"alpha {alpha} times the matrix overflows")
             kept = scaled[scaled > 0.0]
@@ -564,7 +548,9 @@ def nonuniformity_demo(
                 eps = max(_U, _TINY / smallest)
             else:
                 eps = _U
-            *_, (f_scaled, d_scaled) = _gelfand_steps(scaled, m)
+            epsilons.append(eps)
+        fs, ds = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
+        for alpha, eps, f_scaled, d_scaled in zip(alphas, epsilons, fs, ds):
             row_residual = f_scaled - alpha * cert.mid
             expected = alpha * residual
             slack = (

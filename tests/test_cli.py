@@ -374,9 +374,9 @@ class TestGelfand:
             certs.extend([ms.shape[1:]] * ms.shape[0])
             return irreducible(ms, *args)
 
-        def stepping(m, m_max):
-            chains.append(np.array_equal(m, x))
-            return steps(m, m_max)
+        def stepping(ms, m_max):
+            chains.extend(np.array_equal(m, x) for m in ms)
+            return steps(ms, m_max)
 
         monkeypatch.setattr(solver, "_certify_irreducible", certifying)
         monkeypatch.setattr(harness, "_gelfand_steps", stepping)

@@ -18,6 +18,25 @@ CORNER = np.array([[0.0, 0.0], [0.0, 1.0]])
 _BASE_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 
+def _dyadic_stack(n):
+    """1 to 4 n x n matrices of integers 0..16, each times its own 2^(k-4),
+    k near 0 or near the prescale thresholds."""
+    entries = st.lists(
+        st.lists(st.integers(0, 16), min_size=n, max_size=n), min_size=n, max_size=n)
+    scales = st.one_of(st.integers(-540, -460), st.integers(-8, 8), st.integers(990, 1023))
+    return st.lists(
+        st.builds(lambda e, k: np.ldexp(np.array(e, dtype=np.float64), k - 4).tolist(),
+                  entries, scales),
+        min_size=1, max_size=4)
+
+
+def _weighted_8_cycle(closing):
+    """An 8-cycle with weights 1e300, 20, ..., 20 and ``closing`` at (7, 0)."""
+    a = np.diag([1e300] + [20.0] * 6, 1)
+    a[7, 0] = closing
+    return a.tolist()
+
+
 class TestSequenceSpec:
     def test_schedules(self):
         kw = dict(base=TWO_CYCLE, direction=CORNER, coeff=3.0)
@@ -348,11 +367,11 @@ class TestBatchCertificates:
                 assert (got.k, got.scale, got.deviation, got.ok, got.extra) == (
                     want.k, want.scale, want.deviation, want.ok, want.extra)
                 assert _same_cert(got.cert, want.cert)
-        if kind == "nilpotent":  # the norm of each term's power taken alone
+        if kind == "nilpotent":  # F_p of each term taken alone, as a 1-stack
             p = whole.nilpotency
             for row in whole.rows:
-                (norm_p,) = harness._power_norms(spec.term(row.k)[None], p)
-                assert row.extra == (norm_p ** (1.0 / p),)
+                f, _ = harness._gelfand_steps(spec.term(row.k)[None], p)
+                assert row.extra[0].hex() == float(f[0, -1]).hex()
 
 
 def _count_kernel_calls(monkeypatch):
@@ -476,14 +495,6 @@ class TestNilpotentTrace:
         trace = harness.run_trace(spec)
         assert not any(row.ok for row in trace.rows) and not trace.ok
 
-    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2), (5, 4), (8, 6)])
-    def test_power_norms_exact_on_small_integers(self, rng, n, p):
-        # entries 0..3: every sum and product of the chain is an integer
-        # below 2^53, so the norms are the exact ones
-        terms = rng.integers(0, 4, (5, n, n)).astype(np.float64)
-        for t, got in zip(terms, harness._power_norms(terms, p), strict=True):
-            assert got == power_norms(t, p)[-1]
-
     def test_zero_direction(self):
         spec = harness.SequenceSpec(
             base=[[0.0, 1.0], [0.0, 0.0]], direction=np.zeros((2, 2)), count=4
@@ -522,6 +533,23 @@ class TestNilpotentTrace:
             exact = 1e200 * row.k ** -0.5
             assert math.isfinite(row.cert.hi) and math.isfinite(row.deviation)
             assert abs(row.extra[0] - exact) <= 1e-12 * exact
+
+    def test_power_above_the_largest_float_is_not_flushed(self):
+        # an 8-cycle-shaped nilpotent base, weights 1e300, 20, ..., 20,
+        # closed by 20 s_k at (7, 0): A_k^8 is diagonal, its 1-norm the
+        # product of the weights, about 1.3e309; power_bound is its 8th
+        # root within d_8, not 0.0
+        spec = harness.SequenceSpec(base=_weighted_8_cycle(0.0),
+                                    direction=np.eye(8, k=-7) * 20.0, count=2)
+        trace = harness.run_trace(spec, max_iter=200)
+        assert trace.kind == "nilpotent" and trace.nilpotency == 8 and trace.ok
+        for row in trace.rows:
+            exact = Fraction(1e300) * 20**6 * Fraction(20.0 / row.k)
+            _, d = harness._gelfand_steps(spec.term(row.k)[None], 8)
+            d = Fraction(float(d[0, -1]))
+            (bound,) = row.extra
+            assert row.ok and d < Fraction(1, 10**12)
+            assert (Fraction(bound) / (1 + d)) ** 8 <= exact <= (Fraction(bound) / (1 - d)) ** 8
 
     def test_one_by_one_zero_base_is_nilpotent(self):
         # [[0]] is irreducible by convention too; the nilpotent check wins
@@ -573,35 +601,48 @@ class TestGelfandTrace:
         steps = harness._gelfand_steps
         monkeypatch.setattr(
             harness, "_gelfand_steps",
-            lambda a, m: ((f * (1.0 - 1e-9), d) for f, d in steps(a, m)),
+            lambda a, m: (lambda f, d: (f * (1.0 - 1e-9), d))(*steps(a, m)),
         )
         trace = harness.gelfand_trace(x, 30)
         assert not any(row.ok for row in trace.rows)
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(1, 6).flatmap(lambda n: st.lists(
-            st.lists(st.integers(0, 16), min_size=n, max_size=n), min_size=n, max_size=n)),
-        st.one_of(st.integers(-540, -460), st.integers(-8, 8), st.integers(990, 1023)),
-    )
+    @given(st.integers(1, 6).flatmap(_dyadic_stack))
     # norm 2^-407, no prescaling, while x^3 unnormalized is 2^-1219
-    @example([[1, 1], [1, 1]], -404)
+    @example([np.ldexp(np.ones((2, 2)), -408).tolist()])
     # norm 2^1024, prescaled, and f_m = 2^1024 above the largest float
-    @example([[16, 16], [16, 16]], 1023)
-    def test_rows_hold_the_exact_norm(self, entries, k):
-        # F_m is within d_m f_m + 2^-1074 of f_m = ||x^m||_1^(1/m): for
-        # dyadic x, checked as powers of rationals against the exact norms
-        x = np.ldexp(np.array(entries, dtype=np.float64), k - 4)
+    @example([np.full((2, 2), 2.0**1023).tolist()])
+    # ||x^2||_1 = 1e400/k above the largest float, not prescaled
+    @example([[[0.0, 1e200], [1e200 / k, 0.0]] for k in range(1, 5)])
+    # ||x^8||_1 near 1.3e309 from weights 1e300 and 20
+    @example([_weighted_8_cycle(20.0 / k) for k in (1, 2)])
+    # a subnormal weight, and a range of 2^-1000: steps that may underflow
+    @example([[[0.0, 1.0], [2.0**-1074, 0.0]], [[1.0, 2.0**-1000], [0.0, 2.0**-100]]])
+    # a division flushes most of ||x^2||_1: a d_2 without the underflow
+    # term fails here
+    @example([[[0.0, 0.0, 2.0**-570], [2.0**-770, 2.0**-542, 0.0],
+               [2.0**-923, 2.0**787, 0.0]]])
+    def test_rows_hold_the_exact_norm(self, mats):
+        # F_m is within d_m f_m + 2^-1074 of f_m = ||x^m||_1^(1/m), for
+        # each matrix of a stack, checked as powers of rationals against
+        # the exact norms; each matrix gets the same values alone
+        xs = np.array(mats, dtype=np.float64)
+        fs, ds = harness._gelfand_steps(xs, 10)
         tiny = Fraction(harness._TINY)
-        for m, ((f, d), exact) in enumerate(
-                zip(harness._gelfand_steps(x, 10), power_norms(x, 10), strict=True), 1):
-            d = Fraction(d)
-            if f == math.inf:  # f_m(1 + d_m) reaches the largest float
-                assert exact * (1 + d) ** m >= Fraction(np.finfo(np.float64).max) ** m
-                continue
-            below, above = (Fraction(f) - tiny) / (1 + d), (Fraction(f) + tiny) / (1 - d)
-            assert below <= 0 or below**m <= exact
-            assert exact <= above**m
+        for i, x in enumerate(xs):
+            f1, d1 = harness._gelfand_steps(xs[i:i + 1], 10)
+            assert (f1.tobytes(), d1.tobytes()) == (fs[i].tobytes(), ds[i].tobytes())
+            for m, (f, d, exact) in enumerate(
+                    zip(fs[i].tolist(), ds[i].tolist(), power_norms(x, 10), strict=True), 1):
+                if d == math.inf:  # no bound to check
+                    continue
+                d = Fraction(d)
+                if f == math.inf:  # f_m(1 + d_m) reaches the largest float
+                    assert exact * (1 + d) ** m >= Fraction(np.finfo(np.float64).max) ** m
+                    continue
+                below, above = (Fraction(f) - tiny) / (1 + d), (Fraction(f) + tiny) / (1 - d)
+                assert below <= 0 or below**m <= exact
+                assert exact <= above**m
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -620,7 +661,7 @@ class TestGelfandTrace:
 
     def test_radius_above_largest_float_refused(self):
         x = [[1e308, 1e308], [1e308, 1e308]]
-        assert [f for f, _ in harness._gelfand_steps(np.array(x), 4)] == [math.inf] * 4
+        assert harness._gelfand_steps(np.array([x]), 4)[0].tolist() == [[math.inf] * 4]
         with pytest.raises(ValueError, match="largest float"):
             harness.gelfand_trace(x, 4)
         with pytest.raises(ValueError, match="largest float"):
@@ -694,16 +735,34 @@ class TestNonuniformityDemo:
         steps = harness._gelfand_steps
 
         def skewed(a, m):
-            out = list(steps(a, m))
-            if a[0, 0] != x[0, 0]:
-                f, d = out[-1]
-                out[-1] = (f + 1e-9 * clean.rows[0].expected, d)
-            return iter(out)
+            f, d = steps(a, m)
+            f[a[:, 0, 0] != x[0, 0], -1] += 1e-9 * clean.rows[0].expected
+            return f, d
 
         monkeypatch.setattr(harness, "_gelfand_steps", skewed)
         demo = harness.nonuniformity_demo(x, 10, [10.0])
         assert clean.ok and not demo.ok
         assert demo.rows[0].rel_err > 0.5e-9 > demo.rows[0].bound
+
+    def test_each_alpha_gets_its_values_alone(self, monkeypatch, rng):
+        # the scaled copies go through _gelfand_steps as one stack, one
+        # prescaled up, one not prescaled; each gets the F_m and d_m it
+        # gets alone
+        x = rng.uniform(0.0, 1.0, (6, 6))
+        steps, calls = harness._gelfand_steps, []
+
+        def recording(xs, m_max):
+            calls.append((xs, m_max, steps(xs, m_max)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(harness, "_gelfand_steps", recording)
+        demo = harness.nonuniformity_demo(x, 7, [2.0, 1e-300, 1e250])
+        assert not demo.vacuous and len(demo.rows) == 3 and demo.ok
+        (xs, _, _), (ys, m, (f, d)) = calls
+        assert xs.shape == (1, 6, 6) and ys.shape == (3, 6, 6) and m == 7
+        for i, y in enumerate(ys):
+            f1, d1 = steps(y[None], m)
+            assert (f1.tobytes(), d1.tobytes()) == (f[i].tobytes(), d[i].tobytes())
 
     def test_overflowing_alpha_refused(self):
         with pytest.raises(ValueError, match="overflows"):
