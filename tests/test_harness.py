@@ -495,6 +495,23 @@ class TestNilpotentTrace:
         trace = harness.run_trace(spec)
         assert not any(row.ok for row in trace.rows) and not trace.ok
 
+    @pytest.mark.parametrize("n, p", [(1, 1), (3, 2), (5, 4), (8, 6)])
+    def test_power_norms_exact_on_small_integers(self, rng, n, p):
+        # entries 0..3: the exact ||t^p||_1 is an integer below 2^53, F_1
+        # is it exactly, and F_p of the stack brackets it within d_p, as
+        # for each term alone
+        terms = rng.integers(0, 4, (5, n, n)).astype(np.float64)
+        fs, ds = harness._gelfand_steps(terms, p)
+        for i, t in enumerate(terms):
+            f1, d1 = harness._gelfand_steps(terms[i:i + 1], p)
+            assert (f1.tobytes(), d1.tobytes()) == (fs[i].tobytes(), ds[i].tobytes())
+            norms = power_norms(t, p)
+            assert fs[i, 0] == norms[0]
+            exact, f, d = norms[-1], Fraction(float(fs[i, -1])), Fraction(float(ds[i, -1]))
+            assert exact.denominator == 1 and exact < 2**53
+            assert d < Fraction(1, 10**12)
+            assert (f / (1 + d)) ** p <= exact <= (f / (1 - d)) ** p
+
     def test_zero_direction(self):
         spec = harness.SequenceSpec(
             base=[[0.0, 1.0], [0.0, 0.0]], direction=np.zeros((2, 2)), count=4
