@@ -13,7 +13,11 @@ known-defect probe.  Then the trace layer at extreme scales:
 bases, and ``gelfand`` on each of those bases, all scaled by 2^k for k
 in ``SCALES``, and ``converge`` on a nilpotent 8-cycle-shaped base whose
 ||A_k^8||_1 passes the largest float (weights 1e300, 20, ..., 20,
-closed by 20 s_k; ``--max-iter 200``).  A ``root`` operation records
+closed by 20 s_k; ``--max-iter 200``), and inputs whose norm chains
+may leave the normal range: ``converge`` and ``gelfand`` on
+[[0, 1, 1e-160], [0, 0, 1], [0, 0, 0]] (a zero and a strictly upper
+direction), and ``converge`` on a 3-cycle-shaped base with weights
+2^400, 2^-600 closed by s_k.  A ``root`` operation records
 lo, hi, both vectors' bytes, the iterations, ``converged`` and the
 residual; a command operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
@@ -101,6 +105,17 @@ def _trace_ops(cases):
     ops.append(("trace.cycle8.1e300", cases.Op(
         "cycle8.1e300", "converge_nilpotent", "converge",
         {"base": base, "direction": direction}, args=["--max-iter", "200", "--count", "2"])))
+    tiny = np.array([[0.0, 1.0, 1e-160], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    for name, direction in (("zero", np.zeros((3, 3))), ("upper", np.triu(np.ones((3, 3)), 1))):
+        ops.append((f"trace.tiny.{name}", cases.Op(
+            f"tiny.{name}", "converge_nilpotent", "converge",
+            {"base": tiny, "direction": direction}, args=["--count", "3"])))
+    ops.append(("trace.gelfand.tiny", cases.Op(
+        "tiny", "gelfand", "gelfand", {"a": tiny}, args=["--m-max", "3"])))
+    ops.append(("trace.cycle3.2^400", cases.Op(
+        "cycle3.2^400", "converge_nilpotent", "converge",
+        {"base": np.diag([2.0**400, 2.0**-600], 1), "direction": np.eye(3, k=-2)},
+        args=["--count", "3"])))
     return ops
 
 

@@ -11,8 +11,8 @@ Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
 linearly in alpha under X -> alpha*X, so the gap cannot be bounded
 uniformly over the nonnegative cone.  Every norm of a matrix power here
-comes from one chain, ``_gelfand_steps``, with one error bound, and the
-nilpotent rows pass by the Gelfand rows' own rule.
+comes from one chain, ``_gelfand_steps``, with one rounding and one
+underflow bound, and nilpotent rows pass by the Gelfand rows' rule.
 """
 
 import math
@@ -141,8 +141,7 @@ class TraceRow:
     ``deviation`` is |mid r_k - mid r| against the base certificate.
     ``extra`` holds the values the trace's ``columns`` name: the bound
     s_k * ||direction||_F / q_star (irreducible), the spectral block's
-    interval (b_lo, b_hi) (reducible) or F_p, the computed
-    ||A_k^p||_1^(1/p) (nilpotent).
+    interval (b_lo, b_hi) (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
     """
 
     k: int
@@ -180,10 +179,10 @@ def run_trace(
 
     * Nilpotent base of index p: the radius of any matrix is at most any
       consistent norm of it, and rho(A)^p = rho(A^p), so lo(r_k) <=
-      f_p(A_k) = ||A_k^p||_1^(1/p).  Each row prints ``_gelfand_steps``'
-      F_p as ``power_bound`` and passes by ``gelfand_trace``'s rule,
-      F_p >= lo (1 - d_p - 2u) - 2^-1073.  This case is tested first:
-      [[0]] is irreducible by convention, and nilpotent too.
+      f_p(A_k) = ||A_k^p||_1^(1/p).  A row prints ``_gelfand_steps``'
+      F_p as ``power_bound`` and passes by ``gelfand_trace``'s rule.
+      This case is tested first: [[0]] is irreducible by convention,
+      and nilpotent too.
     * Irreducible base: each row carries the a-priori bound
       s_k * ||direction||_F / q_star and passes when the observed
       midpoint shift stays within the bound plus both certificate widths.
@@ -204,7 +203,7 @@ def run_trace(
     would.  A chunk of positive terms goes as its stack, with no normal
     form built, copied only where ``_certify_blocks`` joins it to other
     matrices of its size (the base's, in a first chunk).  The nilpotent
-    F_p and d_p of a chunk come from one ``_gelfand_steps`` call.
+    F_p, d_p and w_p of a chunk come from one ``_gelfand_steps`` call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -247,13 +246,13 @@ def run_trace(
                 per_scale = d_norm / solver.q_star(base_cert)
         base_mid = base_cert.mid
         if kind == "nilpotent":
-            f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
+            f_p, d_p, w_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
         for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
             deviation = abs(cert.mid - base_mid)
             if kind == "nilpotent":
-                ok, extra = _holds(f_p[i], d_p[i], cert.lo), (f_p[i],)
+                ok, extra = _holds(f_p[i], d_p[i], w_p[i], cert.lo), (f_p[i],)
             elif kind == "irreducible":
                 bound = s * per_scale
                 ok = deviation <= bound + cert.width + base_cert.width
@@ -285,6 +284,7 @@ class GelfandRow:
     residual: float  # f_m - mid of the radius certificate
     bound: float  # d_m, the relative round-off bound of f_m
     ok: bool
+    under: float = 0.0  # w_m, the absolute underflow allowance of f_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,58 +303,56 @@ class GelfandTrace:
 
 
 def _gelfand_steps(xs: np.ndarray, m_max: int):
-    """F_m, the computed f_m = ||x^m||_1^(1/m), and d_m, a bound on its
-    relative error, for m = 1..m_max and each x of the (k, n, n) stack
-    ``xs``: two (k, m_max) arrays, the same bit for bit for a matrix
-    alone or in a stack.
+    """F_m, the computed f_m = ||x^m||_1^(1/m), a bound d_m on its
+    relative round-off and an allowance w_m for underflow, for m =
+    1..m_max and each x of the (k, n, n) stack ``xs``: three (k, m_max)
+    arrays, the same bit for bit for a matrix alone or in a stack.  F_m
+    is within d_m f_m + w_m + 2t of f_m, t = 2^-1075, the 2t for the
+    rounding of 2^e F_m and of w_m below the normal range.
 
-    ||x^m||_1 is the largest entry nu_m of 1^T x^m: from the column
-    sums, one vector-matrix product a step (one ``np.matmul`` for the
-    stack), each vector divided by its own nu_m first.  Only the norms
-    are kept, so large m cannot overflow: F_m = exp(L_m / m), L_m =
-    sum_(j<=m) log nu_j, formed at the end by cumulative sums.  A matrix
-    whose norm is near or above the largest float is first scaled by an
-    exact power of two 2^-e, just below it, and one whose norm is below
-    2^-500 up to norm about 1; f_m(x) = 2^e f_m(2^-e x), inf above the
-    largest float.  F_1 = nu_1 exactly; F_m is 0.0 from the first m
-    with nu_m = 0.
+    ||x^m||_1 is the largest entry nu_m of 1^T x^m, from the column sums
+    and one ``np.matmul`` a step for the stack, each vector divided by
+    its nu_m first; F_m = exp(L_m / m), L_m = sum_(j<=m) log nu_j.  A
+    matrix whose norm is near or above the largest float is first scaled
+    by an exact power of two 2^-e, just below it, and one whose norm is
+    below 2^-500 up to about 1: f_m(x) = 2^e f_m(2^-e x), inf above the
+    largest float.  F_1 = nu_1, and F_m = d_m = 0 from the first nu_m = 0.
 
-    Error bound, with gamma_k = ku / (1 - ku) and t = 2^-1075 (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 3).  The column
-    sums are within a relative gamma_(n-1), each division within u and
-    each product of nonnegative factors within gamma_n, entrywise; none
-    can cancel and the max is exact, so without underflow prod_j nu_j
-    is ||x^m||_1 up to a relative phi = gamma_(m(n+1)).  Underflow adds
-    t to an entry of a divided vector (largest entry 1), n t to one of a
-    product and, where the prescale flushed entries below 2^-1022, t to
-    each entry of x and n t to each column sum and product.  So step m
-    adds at most q = (X + 2n) t (1 + gamma_n) to each entry, X =
-    ||2^-e x||_1, and carries the error a_(m-1) before it as at most
-    (1 + u)(1 + gamma_n) X a_(m-1) / nu_(m-1); with r_m = a_m / nu_m the
-    exact norm lies in prod_j nu_j [(1 - r_m) / (1 + phi), (1 + r_m) /
-    (1 - phi)].  r_m is formed as (c r_(m-1) + q_m)(1 + 8u) / nu_m, c =
-    (nu_1 + n t)(1 + 4(n + 2)u), q_m = (c + 2n) 2t, rounding up, with
-    q_m = 0 where no step up to m can underflow: for l the least
+    Round-off (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3; gamma_k = ku / (1 - ku)): the column sums are within
+    gamma_(n-1), each division within u and each product of nonnegative
+    factors within gamma_n, and the max is exact, so without underflow
+    P_m = prod_(j<=m) nu_j is ||x^m||_1 up to phi = gamma_(m(n+1)).
+    With 2 ulps for numpy's log and exp (its tests hold them to 1), the
+    exponent is off by at most u A_m (1 + 5/m) + phi / (m (1 - phi)),
+    A_m = sum_(j<=m) |log nu_j|, the last term <= 2 (n + 1) u for
+    m (3n + 2) u <= 1/2, assumed throughout; exp adds 4u, so d_m = 1.01
+    expm1(u A_m (1 + 5/m) + (2n + 6) u).
+
+    Underflow.  With s_j = nu_j, or 1 where nu_j = 0, v_j stands for
+    T_j = 1^T (2^-e x)^j / prod_(i<j) s_i, T_(j+1) = (T_j / s_j) 2^-e x.
+    A result z rounded below 2^-1022 moves by at most min(t, z): an
+    entry of 2^-e x, of a divided vector or of a product.  So
+    T_j / s_j is v_j / s_j up to phi and an absolute eps_j, carried in
+    logs by a second chain through the exact 2^-e x: eps_1 is what the
+    prescale took off the column sums, over s_1, eps_(j+1) = (eps_j x +
+    what the products lost) / s_(j+1), and each step adds what its
+    division lost.  Each term is taken 4 times over, for the rounded
+    entry of x a product used and the factor 1 + phi <= 1.25 on it, and
+    each step widens the logs by (n + 8) 2^-39 for their rounding.  The
+    norm is then P_m up to phi and up to U_m = max(eps_m) prod_(j<=m)
+    s_j.  The m-th root is subadditive, and concave: where 4 U_m <= P_m
+    the norm is at least P_m / 2, and its root moves by at most 2 U_m /
+    (m P_m^(1 - 1/m)).  w_m is 2^e times the smaller, from log P_m >=
+    L_m - m d_m, 8 U_m <= P_m tested, times 1.01, and 0 below t.  w is
+    0, with no second chain, where no step can underflow: for l the least
     positive entry of 2^-e x, the m-th divided vector's positive entries
-    are then at least b_m = prod_(j<=m) l / nu_j, and step m + 1 stays
-    normal where the prescale was exact (l >= 2^-1022) and b_m min(1, l)
-    >= 2^-1021, the factor 2 covering the rounding of b_m.  Numpy's float64 log and
-    exp are held to 1 ulp by its accuracy tests; 2 ulps are allowed
-    here.  So each log is within 4u |log nu_j|, each addition within u
-    of its partial sum, at most A_m = sum_(j<=m) |log nu_j|, and the
-    division by m within u: with psi = phi + r_m, the computed exponent
-    is off by at most Delta = u A_m (1 + 5/m) + psi / (m (1 - psi)).
-    exp adds 4u: d_m = 1.01 expm1(Delta + 4u), the 1.01 for the
-    rounding of this sum, inf where psi >= 1; it grows with |log f_m|.
-    Where nu_m = 0 and r_m = 0, x^m is exactly zero and d_m = 0.  Where
-    2^e F_m lands below the normal range it rounds once more, by at most
-    t; callers add that absolutely.
+    are >= b_m = prod_(j<=m) l / nu_j, so l >= 2^-1022 and b_m min(1, l)
+    >= 2^-1021 keep step m + 1 normal.
     """
     k, n = xs.shape[:2]
     ms = np.arange(1.0, m_max + 1.0)[:, None]
-    mu = ms * ((n + 1) * _U)
-    phi = mu / (1.0 - mu)
-    nus, e = np.empty((m_max, k, 1)), 0  # nus[m - 1] holds each nu_m
+    nus, e, x0 = np.empty((m_max, k, 1)), np.zeros(k, dtype=int), xs  # nus[m - 1]: nu_m
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = np.add.reduce(xs, axis=1, keepdims=True)
         low = _min(xs, axis=(1, 2), initial=math.inf, where=xs > 0.0)
@@ -379,30 +377,46 @@ def _gelfand_steps(xs: np.ndarray, m_max: int):
         sums = np.add.accumulate(logs)
         f = np.exp(sums / ms)
         f[0] = nus[0]
-        least = np.multiply.accumulate(low / nus)  # b_m
-        flags = np.empty((m_max, k), dtype=bool)
-        flags[0] = low < 2.0**-1022
-        flags[1:] = least[:-1] * np.minimum(low, 1.0) < 2.0**-1021
-        flags = np.logical_or.accumulate(flags)
-        r = np.zeros((m_max, k))
-        if flags.any():
-            c = (nus[0] + n * _TINY) * (1.0 + 4.0 * (n + 2) * _U)
-            q = np.where(flags, (c + 2.0 * n) * _TINY, 0.0)
-            for m in range(m_max):  # r[-1] is still 0 at m = 0
-                a = (c * r[m - 1] + q[m]) * (1.0 + 8.0 * _U)
-                r[m] = np.where(a > 0.0, a / nus[m], 0.0)
-        psi = phi + r
-        tail = psi / (ms * np.maximum(1.0 - psi, 0.0)) + 4.0 * _U
-        d = 1.01 * np.expm1(np.add.accumulate(np.abs(logs)) * (_U + 5.0 * _U / ms) + tail)
-        d[(sums == -math.inf) & (r == 0.0)] = 0.0
-        return np.ldexp(f, e).T, d.T
+        d = 1.01 * np.expm1(
+            np.add.accumulate(np.abs(logs)) * (_U + 5.0 * _U / ms) + (2 * n + 6) * _U)
+        d[sums == -math.inf] = 0.0
+        # the matrices whose chain may leave the normal range
+        risky = (low < 2.0**-1022) | (np.multiply.accumulate(low / nus[:-1])
+                                      * np.minimum(low, 1.0) < 2.0**-1021).any(axis=0)
+        w = np.zeros((m_max, k))
+        if risky.any():
+            # le: log eps_m; lu[m - 1]: its largest entry, then log U_m
+            ls = np.log(np.where(nus > 0.0, nus, 1.0))[:, :, None, None]
+            lx, pad = np.log(x0) - e[:, None, None] * math.log(2.0), (n + 8) * 2.0**-39
+            v, lu = np.add.reduce(xs, axis=1, keepdims=True), np.empty((m_max, k))
+            le = np.logaddexp.reduce(_cut(lx), axis=1, keepdims=True) - ls[0] + pad
+            for m in range(m_max):
+                if m:
+                    wv = v / nus[m - 1, :, None, None]
+                    terms = np.logaddexp(le.swapaxes(1, 2) + lx,
+                                         _cut(np.log(wv).swapaxes(1, 2) + lx))
+                    le = pad - ls[m] + np.logaddexp.reduce(terms, axis=1, keepdims=True)
+                    v = np.matmul(wv, xs)
+                le = np.logaddexp(le, _cut(np.log(v) - ls[m]))
+                _max(le, axis=(1, 2), out=lu[m])
+            lu += np.add.accumulate(ls[:, :, 0, 0])
+            lp = sums - ms * d  # at most log P_m
+            near = np.where(lu + math.log(8.0) < lp,
+                            lu + math.log(2.0) - np.log(ms) - (ms - 1.0) / ms * lp, math.inf)
+            w[:, risky] = (1.01 * np.exp(np.minimum(lu / ms, near) + e * math.log(2.0)))[:, risky]
+        return np.ldexp(f, e).T, d.T, w.T
 
 
-def _holds(f: float, d: float, lo: float) -> bool:
-    """Whether a computed F with relative bound d, of an f >= rho, clears
-    the certified lower bound lo of rho: F >= lo (1 - d - 2u) - 2^-1073
-    (see ``gelfand_trace``)."""
-    return f >= lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY
+def _cut(lz):
+    """log 4 min(t, exp(lz)) below 2^-1022; -inf above and for NaN."""
+    return np.where(lz < math.log(2.0**-1022),
+                    np.minimum(lz + math.log(4.0), math.log(2.0**-1073)), -math.inf)
+
+
+def _holds(f: float, d: float, w: float, lo: float) -> bool:
+    """Whether F, d, w of an f >= rho from ``_gelfand_steps`` clear lo:
+    F >= lo (1 - d - 2u) - w - 2^-1073 (see ``gelfand_trace``)."""
+    return f >= lo * (1.0 - d - 2.0 * _U) - (w + 2.0 * _TINY)
 
 
 def gelfand_trace(
@@ -410,14 +424,12 @@ def gelfand_trace(
 ) -> GelfandTrace:
     """Trace f_m = ||X^m||_1^(1/m) against the certified radius of X.
 
-    Every f_m dominates the radius, so row m passes when the computed
-    F_m is at least lo (1 - d_m) less twice the smallest float, with
-    d_m F_m's own round-off bound from ``_gelfand_steps``: F_m is within
-    d_m f_m + 2^-1075 of the exact f_m >= rho >= lo.  The floor is
-    formed as fl(lo fl(1 - d_m - 2u)) - 2^-1073, which stays below
-    lo (1 - d_m) - 2^-1075 also where the product rounds below the
-    normal range.  A radius above the largest float raises ValueError:
-    f_m - rho cannot be formed.
+    Every f_m dominates the radius, and F_m is within d_m f_m + w_m +
+    2^-1074 of it (``_gelfand_steps``), so row m passes when F_m is at
+    least the floor fl(lo fl(1 - d_m - 2u)) - fl(w_m + 2^-1073), which
+    stays below lo (1 - d_m) - w_m - 2^-1074 also where the product
+    rounds below the normal range.  A radius above the largest float
+    raises ValueError: f_m - rho cannot be formed.
     """
     mat = structure._frozen(matcore.nonneg_matrix(x))
     m_max = int(m_max)
@@ -429,11 +441,11 @@ def gelfand_trace(
             "the spectral radius exceeds the largest float, so f_m - rho is "
             "not representable; scale the matrix down"
         )
-    f, d = _gelfand_steps(mat[None], m_max)
+    f, d, w = (a[0].tolist() for a in _gelfand_steps(mat[None], m_max))
     rows = tuple(
         GelfandRow(m=m, f_m=f_m, residual=f_m - cert.mid, bound=d_m,
-                   ok=_holds(f_m, d_m, cert.lo))
-        for m, f_m, d_m in zip(range(1, m_max + 1), f[0].tolist(), d[0].tolist())
+                   ok=_holds(f_m, d_m, w_m, cert.lo), under=w_m)
+        for m, f_m, d_m, w_m in zip(range(1, m_max + 1), f, d, w)
     )
     return GelfandTrace(cert=cert, rows=rows, matrix=mat)
 
@@ -489,31 +501,29 @@ def nonuniformity_demo(
     ``_gelfand_steps`` as one stack.
 
     Write F, F' for the computed f_m(X), f_m(Y) with Y = fl(alpha X),
-    d, d' for their bounds from ``_gelfand_steps``, and M for mid(X).
-    Each of F, F' is within d f + t of its exact value, t = 2^-1075
-    covering a final rounding below the normal range.  Y is alpha X up
-    to a relative eps per entry: u where its nonzero entries are normal,
-    up to t over its smallest one where not, and 1 where an entry
-    rounded to zero; f_m is monotone and homogeneous, so f_m(Y) is
-    alpha f_m(X) up to eps.  Hence
-    |F' - alpha F| <= alpha f (d' (1 + eps) + eps + d) + (alpha + 1) t,
-    f <= (F + t) / (1 - d).  The row residual F' - fl(alpha M) and
-    expected = fl(alpha fl(F - M)) add at most
-    u (alpha M + |residual| + 2 |expected|) + 2t, and their difference
-    is F' - alpha F; the t terms, (alpha + 3) t in all, are counted as
-    (alpha + 3) 2^-1074.  The bound is that sum over |expected|, times
-    1.01 for second-order terms and the rounding of rel_err (infinite
-    where expected underflows to zero).  It grows with
-    |log f_m| through d and d', and the gap ratio f / |F - M| amplifies
-    it; a homogeneity defect of 1e-9 stays far above it at any scale in
-    the normal range.
+    d, d' and w, w' for their bounds from ``_gelfand_steps``, and M for
+    mid(X).  Each of F, F' is within d f + w + 2t of its exact value,
+    t = 2^-1075.  Y is alpha X up to a relative eps per entry: u where
+    its nonzero entries are normal, up to t over its smallest one where
+    not, and 1 where an entry rounded to zero; f_m is monotone and
+    homogeneous, so f_m(Y) is alpha f_m(X) up to eps.  Hence |F' -
+    alpha F| <= alpha f (d' (1 + eps) + eps + d) + w' + alpha w +
+    2 (alpha + 1) t, f <= (F + w + 2t) / (1 - d).  The row residual F'
+    - fl(alpha M) and expected = fl(alpha fl(F - M)) add at most u
+    (alpha M + |residual| + 2 |expected|) + 2t, and their difference is
+    F' - alpha F; the t terms, 2 (alpha + 2) t in all, are counted as
+    (alpha + 3) 2^-1074.  The bound is that sum over |expected|, times 1.01 for
+    second-order terms and the rounding of rel_err (infinite where
+    expected underflows to zero).  It grows with |log f_m| through d and
+    d', and the gap ratio f / |F - M| amplifies it; a homogeneity defect
+    of 1e-9 stays far above it at any scale in the normal range.
 
     ``vacuous`` is set when |F - M| is within the certificate's width
-    plus F's own error bound: the gap is then indistinguishable from
+    plus F's own error bounds: the gap is then indistinguishable from
     zero, relative to the size of f_m at any scale.
 
     ``x`` may also be X's :class:`GelfandTrace` with m up to its m_max:
-    its certificate and its row m's F and d are then reused, not
+    its certificate and its row m's F, d and w are then reused, not
     recomputed, and ``tol`` and ``max_iter`` are not used.  A matrix is
     traced to m by ``gelfand_trace`` first.
     """
@@ -524,12 +534,13 @@ def nonuniformity_demo(
         x = gelfand_trace(x, m, tol, max_iter)
     if not 1 <= m <= len(x.rows):
         raise ValueError(f"m must be in 1..{len(x.rows)} for this trace, got {m}")
-    mat, cert, f, d = x.matrix, x.cert, x.rows[m - 1].f_m, x.rows[m - 1].bound
+    mat, cert, row = x.matrix, x.cert, x.rows[m - 1]
+    f, d, w = row.f_m, row.bound, row.under
     residual = f - cert.mid
-    vacuous = abs(residual) <= cert.width + d * f + _TINY
+    vacuous = abs(residual) <= cert.width + d * f + w + _TINY
     rows = []
     if not vacuous:
-        f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
+        f_hi = (f + w + _TINY) / (1.0 - d) if d < 1.0 else math.inf
         nonzero = np.count_nonzero(mat)
         alphas = [float(alpha) for alpha in alphas]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -549,13 +560,13 @@ def nonuniformity_demo(
             else:
                 eps = _U
             epsilons.append(eps)
-        fs, ds = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
-        for alpha, eps, f_scaled, d_scaled in zip(alphas, epsilons, fs, ds):
+        fs, ds, ws = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
+        for alpha, eps, f_scaled, d_scaled, w_scaled in zip(alphas, epsilons, fs, ds, ws):
             row_residual = f_scaled - alpha * cert.mid
             expected = alpha * residual
             slack = (
                 alpha * f_hi * (d_scaled * (1.0 + eps) + eps + d)
-                + (alpha + 3.0) * _TINY
+                + w_scaled + alpha * w + (alpha + 3.0) * _TINY
                 + _U * (alpha * cert.mid + abs(row_residual) + 2.0 * abs(expected))
             )
             gap = abs(row_residual - expected)

@@ -370,7 +370,7 @@ class TestBatchCertificates:
         if kind == "nilpotent":  # F_p of each term taken alone, as a 1-stack
             p = whole.nilpotency
             for row in whole.rows:
-                f, _ = harness._gelfand_steps(spec.term(row.k)[None], p)
+                f = harness._gelfand_steps(spec.term(row.k)[None], p)[0]
                 assert row.extra[0].hex() == float(f[0, -1]).hex()
 
 
@@ -501,16 +501,50 @@ class TestNilpotentTrace:
         # is it exactly, and F_p of the stack brackets it within d_p, as
         # for each term alone
         terms = rng.integers(0, 4, (5, n, n)).astype(np.float64)
-        fs, ds = harness._gelfand_steps(terms, p)
+        fs, ds, ws = harness._gelfand_steps(terms, p)
+        assert not ws.any()  # entries 1..3 cannot underflow
         for i, t in enumerate(terms):
-            f1, d1 = harness._gelfand_steps(terms[i:i + 1], p)
-            assert (f1.tobytes(), d1.tobytes()) == (fs[i].tobytes(), ds[i].tobytes())
+            alone = harness._gelfand_steps(terms[i:i + 1], p)
+            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds, ws)]
             norms = power_norms(t, p)
             assert fs[i, 0] == norms[0]
             exact, f, d = norms[-1], Fraction(float(fs[i, -1])), Fraction(float(ds[i, -1]))
             assert exact.denominator == 1 and exact < 2**53
             assert d < Fraction(1, 10**12)
             assert (f / (1 + d)) ** p <= exact <= (f / (1 - d)) ** p
+
+    def test_lo_above_the_norm_bound_fails_on_a_wide_range_cycle(self, monkeypatch):
+        # weights 2^400, 2^-600 closed by s_k: A_k^3 = 2^-200 s_k I, so
+        # f_3 is the radius; F_3 bounds it within d_3 although the chain
+        # may underflow, and a lo a relative 1e-9 above it fails
+        base = np.zeros((3, 3))
+        base[0, 1], base[1, 2] = 2.0**400, 2.0**-600
+        spec = harness.SequenceSpec(base=base, direction=np.eye(3, k=-2), count=3)
+        trace = harness.run_trace(spec)
+        assert trace.nilpotency == 3 and trace.ok
+        for row in trace.rows:
+            _, d, w = harness._gelfand_steps(spec.term(row.k)[None], 3)
+            assert d[0, -1] < 1e-12 and w[0, -1] < 1e-12 * row.extra[0]
+        roots = solver._perron_roots
+
+        def raised(*args):
+            return [dataclasses.replace(c, lo=c.lo * (1.0 + 1e-9), hi=c.hi * (1.0 + 1e-9))
+                    for c in roots(*args)]
+
+        monkeypatch.setattr(solver, "_perron_roots", raised)
+        assert not any(row.ok for row in harness.run_trace(spec).rows)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_entry_below_the_chain_range(self, strict):
+        # 1e-160 times 1e-160 underflows in the chain, but x^3 = 0: each
+        # row holds, with a zero or a strictly upper direction
+        base = [[0.0, 1.0, 1e-160], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+        direction = np.triu(np.ones((3, 3)), 1) if strict else np.zeros((3, 3))
+        spec = harness.SequenceSpec(base=base, direction=direction, count=3)
+        trace = harness.run_trace(spec)
+        assert trace.nilpotency == 3 and trace.ok
+        for row in trace.rows:
+            assert row.cert.lo == 0.0 and row.extra == (0.0,)
 
     def test_zero_direction(self):
         spec = harness.SequenceSpec(
@@ -562,7 +596,7 @@ class TestNilpotentTrace:
         assert trace.kind == "nilpotent" and trace.nilpotency == 8 and trace.ok
         for row in trace.rows:
             exact = Fraction(1e300) * 20**6 * Fraction(20.0 / row.k)
-            _, d = harness._gelfand_steps(spec.term(row.k)[None], 8)
+            _, d, _ = harness._gelfand_steps(spec.term(row.k)[None], 8)
             d = Fraction(float(d[0, -1]))
             (bound,) = row.extra
             assert row.ok and d < Fraction(1, 10**12)
@@ -618,7 +652,7 @@ class TestGelfandTrace:
         steps = harness._gelfand_steps
         monkeypatch.setattr(
             harness, "_gelfand_steps",
-            lambda a, m: (lambda f, d: (f * (1.0 - 1e-9), d))(*steps(a, m)),
+            lambda a, m: (lambda f, d, w: (f * (1.0 - 1e-9), d, w))(*steps(a, m)),
         )
         trace = harness.gelfand_trace(x, 30)
         assert not any(row.ok for row in trace.rows)
@@ -635,31 +669,58 @@ class TestGelfandTrace:
     @example([_weighted_8_cycle(20.0 / k) for k in (1, 2)])
     # a subnormal weight, and a range of 2^-1000: steps that may underflow
     @example([[[0.0, 1.0], [2.0**-1074, 0.0]], [[1.0, 2.0**-1000], [0.0, 2.0**-100]]])
-    # a division flushes most of ||x^2||_1: a d_2 without the underflow
-    # term fails here
+    # a division flushes part of ||x^2||_1, products flush below the
+    # normal range, the prescale flushes an entry: each fails a w_m
+    # without its own term
     @example([[[0.0, 0.0, 2.0**-570], [2.0**-770, 2.0**-542, 0.0],
                [2.0**-923, 2.0**787, 0.0]]])
+    @example([[[1.0288211318113338e-90, 2.4806964301324343e+136],
+               [0.0, 3.87088560396098e-164]]])
+    @example([[[0.0, 2.0**1023], [2.0**-1070, 0.0]]])
+    # a step underflows, then the chain reads 0
+    @example([[[1.2876452363813729e-152, 8.445815910818899e+130, 7.028757061426344e+61],
+               [0.0, 0.0, 0.0],
+               [1.4419150210609047e-277, 3.8075841818739757e-156, 5.296401967403454e-290]]])
     def test_rows_hold_the_exact_norm(self, mats):
-        # F_m is within d_m f_m + 2^-1074 of f_m = ||x^m||_1^(1/m), for
-        # each matrix of a stack, checked as powers of rationals against
-        # the exact norms; each matrix gets the same values alone
+        # F_m is within d_m f_m + w_m + 2^-1074 of f_m = ||x^m||_1^(1/m),
+        # with d_m < 1, for each matrix of a stack, checked as powers of
+        # rationals against the exact norms; each matrix gets the same
+        # values alone
         xs = np.array(mats, dtype=np.float64)
-        fs, ds = harness._gelfand_steps(xs, 10)
+        fs, ds, ws = harness._gelfand_steps(xs, 10)
         tiny = Fraction(harness._TINY)
         for i, x in enumerate(xs):
-            f1, d1 = harness._gelfand_steps(xs[i:i + 1], 10)
-            assert (f1.tobytes(), d1.tobytes()) == (fs[i].tobytes(), ds[i].tobytes())
-            for m, (f, d, exact) in enumerate(
-                    zip(fs[i].tolist(), ds[i].tolist(), power_norms(x, 10), strict=True), 1):
-                if d == math.inf:  # no bound to check
-                    continue
+            alone = harness._gelfand_steps(xs[i:i + 1], 10)
+            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds, ws)]
+            for m, (f, d, w, exact) in enumerate(zip(
+                    fs[i].tolist(), ds[i].tolist(), ws[i].tolist(), power_norms(x, 10),
+                    strict=True), 1):
+                assert 0.0 <= d < 1e-9 and 0.0 <= w < math.inf
                 d = Fraction(d)
                 if f == math.inf:  # f_m(1 + d_m) reaches the largest float
                     assert exact * (1 + d) ** m >= Fraction(np.finfo(np.float64).max) ** m
                     continue
-                below, above = (Fraction(f) - tiny) / (1 + d), (Fraction(f) + tiny) / (1 - d)
+                slack = Fraction(w) + tiny
+                below, above = (Fraction(f) - slack) / (1 + d), (Fraction(f) + slack) / (1 - d)
                 assert below <= 0 or below**m <= exact
                 assert exact <= above**m
+
+    def test_entry_below_the_chain_range(self):
+        # x^3 = 0 while the chain may underflow: f_3 = 0 holds against lo = 0
+        trace = harness.gelfand_trace([[0.0, 1.0, 1e-160], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 3)
+        assert trace.ok and trace.cert.lo == 0.0
+        assert [row.f_m for row in trace.rows] == [1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("x", [
+        # 1.4e-247 squared flushes: F_2 reads 0 where f_2 is 7.2e16
+        [[1.430222333808547e-247, 3.6304123742133376e+280], [0.0, 0.0]],
+        # the prescale flushes 2^-1070: F_2 reads 0, the radius 2^-23.5
+        [[0.0, 2.0**1023], [2.0**-1070, 0.0]],
+    ])
+    def test_rows_the_chain_flushes_hold(self, x):
+        trace = harness.gelfand_trace(x, 3)
+        assert trace.ok
+        assert trace.rows[1].f_m == 0.0 < trace.rows[1].under
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -752,9 +813,9 @@ class TestNonuniformityDemo:
         steps = harness._gelfand_steps
 
         def skewed(a, m):
-            f, d = steps(a, m)
+            f, d, w = steps(a, m)
             f[a[:, 0, 0] != x[0, 0], -1] += 1e-9 * clean.rows[0].expected
-            return f, d
+            return f, d, w
 
         monkeypatch.setattr(harness, "_gelfand_steps", skewed)
         demo = harness.nonuniformity_demo(x, 10, [10.0])
@@ -775,11 +836,11 @@ class TestNonuniformityDemo:
         monkeypatch.setattr(harness, "_gelfand_steps", recording)
         demo = harness.nonuniformity_demo(x, 7, [2.0, 1e-300, 1e250])
         assert not demo.vacuous and len(demo.rows) == 3 and demo.ok
-        (xs, _, _), (ys, m, (f, d)) = calls
+        (xs, _, _), (ys, m, stacked) = calls
         assert xs.shape == (1, 6, 6) and ys.shape == (3, 6, 6) and m == 7
         for i, y in enumerate(ys):
-            f1, d1 = steps(y[None], m)
-            assert (f1.tobytes(), d1.tobytes()) == (f[i].tobytes(), d[i].tobytes())
+            alone = steps(y[None], m)
+            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in stacked]
 
     def test_overflowing_alpha_refused(self):
         with pytest.raises(ValueError, match="overflows"):
