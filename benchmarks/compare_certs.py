@@ -16,8 +16,11 @@ in ``SCALES``, and ``converge`` on a nilpotent 8-cycle-shaped base whose
 closed by 20 s_k; ``--max-iter 200``), and inputs whose norm chains
 may leave the normal range: ``converge`` and ``gelfand`` on
 [[0, 1, 1e-160], [0, 0, 1], [0, 0, 0]] (a zero and a strictly upper
-direction), and ``converge`` on a 3-cycle-shaped base with weights
-2^400, 2^-600 closed by s_k.  A ``root`` operation records
+direction), ``converge`` on a 3-cycle-shaped base with weights 2^400,
+2^-600 closed by s_k, and ``gelfand`` on [[1.43e-247, 3.63e280], [0,
+0]] (``--m-max 3``) and on [[0, 2^1023], [2^-1070, 0]].  Last,
+``converge`` of [[1]] along [[1]] at ``--coeff 1.5e-16 --count 3``,
+where fl(1 + s_1) - 1 exceeds s_1.  A ``root`` operation records
 lo, hi, both vectors' bytes, the iterations, ``converged`` and the
 residual; a command operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
@@ -116,6 +119,15 @@ def _trace_ops(cases):
         "cycle3.2^400", "converge_nilpotent", "converge",
         {"base": np.diag([2.0**400, 2.0**-600], 1), "direction": np.eye(3, k=-2)},
         args=["--count", "3"])))
+    for name, x, args in (
+            ("wide", [[1.43e-247, 3.63e280], [0.0, 0.0]], ["--m-max", "3"]),
+            ("2^1023", [[0.0, 2.0**1023], [2.0**-1070, 0.0]], [])):
+        ops.append((f"trace.gelfand.{name}", cases.Op(
+            name, "gelfand", "gelfand", {"a": np.array(x)}, args=args)))
+    one = np.ones((1, 1))
+    ops.append(("trace.one.1.5e-16", cases.Op(
+        "one.1.5e-16", "converge_irreducible", "converge", {"base": one, "direction": one},
+        args=["--coeff", "1.5e-16", "--count", "3"])))
     return ops
 
 

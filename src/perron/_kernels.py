@@ -83,7 +83,7 @@ import math
 import numpy as np
 from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
 
-from .matcore import _times_pow2
+from .matcore import _frobenius_norms, _times_pow2
 
 __all__ = ["certify_vectors", "collatz_wielandt_stack"]
 
@@ -131,6 +131,25 @@ def _gamma(k, u):
     1 - 2mu is exact there.
     """
     return (k + 1) * u / (1 - 2 * (k + 1) * u) + 4 * u
+
+
+def _frobenius_up(d) -> np.ndarray:
+    """Upper bounds on the exact Frobenius norms of the differences that
+    the N entries of each matrix of the (k, n, n) stack ``d`` round.
+
+    Each matrix's ``matcore.frobenius_norm`` is scaled by 1 + g, g =
+    ``_gamma(N + 6, u)``, at least Nu/(1 - 2Nu) + 11u.  The first term
+    covers the N rounded squares and any order of their N - 1 sums; the
+    11u covers the difference (one rounding per entry), the square root,
+    underflow in the scaled squares (each below 2^-1074, against a sum
+    of at least 1/8 for N < 2^50) and the padding's own arithmetic.  The
+    ulp steps cover a norm scaled back into the subnormals and the
+    product's rounding.  Only an exactly zero difference gives 0.
+    """
+    e = _frobenius_norms(d)
+    g = _gamma(d[0].size + 6, _U)
+    up = np.nextafter(np.nextafter(e, math.inf) * (1.0 + g), math.inf)
+    return np.where(e > 0.0, up, 0.0)
 
 
 def _widen(rmin, rmax, g, slack):

@@ -2,17 +2,19 @@
 
 ``run_trace`` checks each certified root r_k with the inequality the
 base's structure calls for: lo(r_k) <= ||A_k^p||_1^(1/p) for a
-nilpotent base of index p, the perturbation bound
-s_k * ||direction||_F / q_star for an irreducible one, and
-lo(b_k) <= hi(r_k) for a reducible one, b_k the radius of the base's
-spectral block read from the same positions of every term.
+nilpotent base of index p, the perturbation bound ||A_k - base||_F /
+q_star on the stored difference for an irreducible one, and lo(b_k) <=
+hi(r_k) for a reducible one, b_k the radius of the base's spectral
+block read from the same positions of every term.
 
 Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
 linearly in alpha under X -> alpha*X, so the gap cannot be bounded
 uniformly over the nonnegative cone.  Every norm of a matrix power here
-comes from one chain, ``_gelfand_steps``, with one rounding and one
-underflow bound, and nilpotent rows pass by the Gelfand rows' rule.
+comes from one chain, ``_gelfand_steps``, with one relative rounding
+bound: a BLAS chain for the matrices it keeps in the normal range, and
+extended exponents for the rest.  Nilpotent rows pass by the Gelfand
+rows' rule.
 """
 
 import math
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, solver, structure
-from ._kernels import _TINY, _U
+from ._kernels import _TINY, _U, _frobenius_up
 
 __all__ = [
     "SequenceSpec",
@@ -41,8 +43,9 @@ __all__ = [
 
 _RULES = ("inv-k", "inv-k2", "geom")
 
-# _gelfand_steps prescales a matrix whose 1-norm lies outside these
-_GELFAND_MIN_NORM, _GELFAND_MAX_NORM = 2.0**-500, 2.0**1020
+# the exponent _gelfand_steps' extended chain gives a zero entry, below
+# that of any positive entry of 1^T x^m, at least 2^(-1074 m), for m < 2^50
+_ZERO_EXP = -2**60
 # float64 entries of the terms run_trace certifies in one call (8 MiB):
 # stacking saves per-call overhead, which is spread thin long before
 # this, and the cap bounds the memory a long trace of large terms takes
@@ -140,7 +143,7 @@ class TraceRow:
 
     ``deviation`` is |mid r_k - mid r| against the base certificate.
     ``extra`` holds the values the trace's ``columns`` name: the bound
-    s_k * ||direction||_F / q_star (irreducible), the spectral block's
+    ||A_k - base||_F / q_star (irreducible), the spectral block's
     interval (b_lo, b_hi) (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
     """
 
@@ -183,9 +186,11 @@ def run_trace(
       F_p as ``power_bound`` and passes by ``gelfand_trace``'s rule.
       This case is tested first: [[0]] is irreducible by convention,
       and nilpotent too.
-    * Irreducible base: each row carries the a-priori bound
-      s_k * ||direction||_F / q_star and passes when the observed
-      midpoint shift stays within the bound plus both certificate widths.
+    * Irreducible base: each row carries the bound ||A_k - base||_F /
+      q_star of ``perturb.continuity_certificate``, on the difference of
+      the stored floats, each step rounded up, and passes when the
+      observed midpoint shift stays within the bound plus both
+      certificate widths.
       q_star is read off the base's left vector, so a base certificate
       that did not converge within ``max_iter`` raises ValueError, as in
       ``continuity_certificate``.
@@ -203,11 +208,11 @@ def run_trace(
     would.  A chunk of positive terms goes as its stack, with no normal
     form built, copied only where ``_certify_blocks`` joins it to other
     matrices of its size (the base's, in a first chunk).  The nilpotent
-    F_p, d_p and w_p of a chunk come from one ``_gelfand_steps`` call.
+    F_p and d_p of a chunk come from one ``_gelfand_steps`` call, the
+    irreducible norms ||A_k - base||_F from one ``_frobenius_up`` call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
-    d_norm = matcore.frobenius_norm(spec.direction)
     summary = {}
     base_cert = None
     if p is not None:
@@ -243,20 +248,22 @@ def run_trace(
                         f"max_iter={max_iter}, so q_star is not reliable; "
                         "raise max_iter or tol"
                     )
-                per_scale = d_norm / solver.q_star(base_cert)
+                q = solver.q_star(base_cert)
         base_mid = base_cert.mid
         if kind == "nilpotent":
-            f_p, d_p, w_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
+            f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
+        elif kind == "irreducible":
+            e = _frobenius_up(terms - spec.base)
+            bounds = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0).tolist()
         for i, k in enumerate(ks):
             s = spec.scale(k)
             cert = certs[i]
             deviation = abs(cert.mid - base_mid)
             if kind == "nilpotent":
-                ok, extra = _holds(f_p[i], d_p[i], w_p[i], cert.lo), (f_p[i],)
+                ok, extra = _holds(f_p[i], d_p[i], cert.lo), (f_p[i],)
             elif kind == "irreducible":
-                bound = s * per_scale
-                ok = deviation <= bound + cert.width + base_cert.width
-                extra = (bound,)
+                ok = deviation <= bounds[i] + cert.width + base_cert.width
+                extra = (bounds[i],)
             else:
                 block = certs[len(ks) + i]
                 ok, extra = block.lo <= cert.hi, (block.lo, block.hi)
@@ -268,7 +275,7 @@ def run_trace(
         # guards against overflow of lo + hi
         summary["final_deviation"] = abs(block.mid - base_mid)
         summary["final_threshold"] = (
-            2.0 * spec.scale(spec.count) * d_norm * fnf.n
+            2.0 * spec.scale(spec.count) * matcore.frobenius_norm(spec.direction) * fnf.n
             + block.width
             + base_cert.width
         )
@@ -284,7 +291,6 @@ class GelfandRow:
     residual: float  # f_m - mid of the radius certificate
     bound: float  # d_m, the relative round-off bound of f_m
     ok: bool
-    under: float = 0.0  # w_m, the absolute underflow allowance of f_m
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,73 +309,56 @@ class GelfandTrace:
 
 
 def _gelfand_steps(xs: np.ndarray, m_max: int):
-    """F_m, the computed f_m = ||x^m||_1^(1/m), a bound d_m on its
-    relative round-off and an allowance w_m for underflow, for m =
-    1..m_max and each x of the (k, n, n) stack ``xs``: three (k, m_max)
-    arrays, the same bit for bit for a matrix alone or in a stack.  F_m
-    is within d_m f_m + w_m + 2t of f_m, t = 2^-1075, the 2t for the
-    rounding of 2^e F_m and of w_m below the normal range.
+    """F_m, the computed f_m = ||x^m||_1^(1/m), and a bound d_m on its
+    relative round-off, for m = 1..m_max and each x of the (k, n, n)
+    stack ``xs``: two (k, m_max) arrays, the same bit for bit for a
+    matrix alone or in a stack.  F_m is within d_m f_m + 2^-1074 of f_m
+    for any finite nonnegative x, the 2^-1074 for rounding F_m below the
+    normal range, and inf where f_m (1 + d_m) reaches the largest float.
+    ||x^m||_1 is the largest entry nu_m of 1^T x^m; F_1 = nu_1, and F_m
+    = d_m = 0 from the first nu_m = 0.
 
-    ||x^m||_1 is the largest entry nu_m of 1^T x^m, from the column sums
-    and one ``np.matmul`` a step for the stack, each vector divided by
-    its nu_m first; F_m = exp(L_m / m), L_m = sum_(j<=m) log nu_j.  A
-    matrix whose norm is near or above the largest float is first scaled
-    by an exact power of two 2^-e, just below it, and one whose norm is
-    below 2^-500 up to about 1: f_m(x) = 2^e f_m(2^-e x), inf above the
-    largest float.  F_1 = nu_1, and F_m = d_m = 0 from the first nu_m = 0.
+    BLAS chain.  The column sums, then one ``np.matmul`` a step for the
+    stack, each vector divided by its nu_m first; F_m = exp(L_m / m),
+    L_m = sum_(j<=m) log nu_j.  Round-off (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 3; gamma_k = ku / (1 - ku)):
+    the column sums are within gamma_(n-1), each division within u and
+    each product of nonnegative factors within gamma_n, and the max is
+    exact, so P_m = prod_(j<=m) nu_j is ||x^m||_1 up to phi =
+    gamma_(m(n+1)).  With 2 ulps for numpy's log and exp (its tests hold
+    them to 1), the exponent is off by at most u A_m (1 + 5/m) + phi /
+    (m (1 - phi)), A_m = sum_(j<=m) |log nu_j|, the last term <= 2 (n +
+    1) u for m (3n + 2) u <= 1/2, assumed throughout; exp adds 4u, so
+    d_m = 1.01 expm1(u A_m (1 + 5/m) + (2n + 6) u).  A matrix takes this
+    chain where nu_1 lies in [2^-500, 2^1020] and no step can leave the
+    normal range: each divided vector is at most 1, so every entry stays
+    below nu_1; and for l the least positive entry of x, the m-th
+    divided vector's positive entries are >= b_m = prod_(j<=m) l / nu_j,
+    so l >= 2^-1022 and b_m min(1, l) >= 2^-1021 keep step m + 1 normal.
 
-    Round-off (Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 3; gamma_k = ku / (1 - ku)): the column sums are within
-    gamma_(n-1), each division within u and each product of nonnegative
-    factors within gamma_n, and the max is exact, so without underflow
-    P_m = prod_(j<=m) nu_j is ||x^m||_1 up to phi = gamma_(m(n+1)).
-    With 2 ulps for numpy's log and exp (its tests hold them to 1), the
-    exponent is off by at most u A_m (1 + 5/m) + phi / (m (1 - phi)),
-    A_m = sum_(j<=m) |log nu_j|, the last term <= 2 (n + 1) u for
-    m (3n + 2) u <= 1/2, assumed throughout; exp adds 4u, so d_m = 1.01
-    expm1(u A_m (1 + 5/m) + (2n + 6) u).
-
-    Underflow.  With s_j = nu_j, or 1 where nu_j = 0, v_j stands for
-    T_j = 1^T (2^-e x)^j / prod_(i<j) s_i, T_(j+1) = (T_j / s_j) 2^-e x.
-    A result z rounded below 2^-1022 moves by at most min(t, z): an
-    entry of 2^-e x, of a divided vector or of a product.  So
-    T_j / s_j is v_j / s_j up to phi and an absolute eps_j, carried in
-    logs by a second chain through the exact 2^-e x: eps_1 is what the
-    prescale took off the column sums, over s_1, eps_(j+1) = (eps_j x +
-    what the products lost) / s_(j+1), and each step adds what its
-    division lost.  Each term is taken 4 times over, for the rounded
-    entry of x a product used and the factor 1 + phi <= 1.25 on it, and
-    each step widens the logs by (n + 8) 2^-39 for their rounding.  The
-    norm is then P_m up to phi and up to U_m = max(eps_m) prod_(j<=m)
-    s_j.  The m-th root is subadditive, and concave: where 4 U_m <= P_m
-    the norm is at least P_m / 2, and its root moves by at most 2 U_m /
-    (m P_m^(1 - 1/m)).  w_m is 2^e times the smaller, from log P_m >=
-    L_m - m d_m, 8 U_m <= P_m tested, times 1.01, and 0 below t.  w is
-    0, with no second chain, where no step can underflow: for l the least
-    positive entry of 2^-e x, the m-th divided vector's positive entries
-    are >= b_m = prod_(j<=m) l / nu_j, so l >= 2^-1022 and b_m min(1, l)
-    >= 2^-1021 keep step m + 1 normal.
+    Extended chain, for every other matrix.  x and 1^T x^m are held as
+    ``np.frexp`` splits them, mantissas in [1/2, 1) or 0 and int64
+    exponents, so no value leaves the float range.  A step multiplies
+    mantissas (within u: the products lie in [1/4, 1)), adds exponents,
+    shifts each column's terms to its largest with ``np.ldexp`` (exact
+    above 2^-1022, within 2^-1075 below) and sums them (within
+    gamma_(n-1)).  The largest term is >= 1/4, so the n shifts lose a
+    relative n 2^-1073 at most, below u, and a step is within
+    gamma_(n+1): the largest entry mu_m 2^E_m is ||x^m||_1 up to phi, as
+    above.  With E_m = q m + r, 0 <= r < m, F_m = 2^q exp2((r + log2
+    mu_m) / m): the argument lies in [-1, 1), off by at most 2u/m + 2u
+    <= 4u with 2 ulps for numpy's log2, a factor within 2.8u; exp2 adds
+    4u, so d_m = 1.01 expm1((2n + 9) u), whatever the scale of x.
     """
     k, n = xs.shape[:2]
     ms = np.arange(1.0, m_max + 1.0)[:, None]
-    nus, e, x0 = np.empty((m_max, k, 1)), np.zeros(k, dtype=int), xs  # nus[m - 1]: nu_m
+    nus = np.empty((m_max, k, 1))  # nus[m - 1]: nu_m
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = np.add.reduce(xs, axis=1, keepdims=True)
         low = _min(xs, axis=(1, 2), initial=math.inf, where=xs > 0.0)
         _max(v, axis=2, out=nus[0])
-        if not (_GELFAND_MIN_NORM <= _min(nus[0], axis=None, initial=_GELFAND_MIN_NORM)
-                and _max(nus[0], axis=None, initial=0.0) <= _GELFAND_MAX_NORM):
-            nu = nus[0, :, 0]
-            e = np.where(
-                nu <= _GELFAND_MAX_NORM,
-                np.where((0.0 < nu) & (nu < _GELFAND_MIN_NORM), np.frexp(nu)[1], 0),
-                np.frexp(_max(xs, axis=(1, 2)))[1] + n.bit_length() - 1020)
-            xs, low = np.ldexp(xs, -e[:, None, None]), np.ldexp(low, -e)
-            v = np.add.reduce(xs, axis=1, keepdims=True)
-            _max(v, axis=2, out=nus[0])
         for m in range(1, m_max):
-            # the prescale keeps every entry finite; a zero vector turns
-            # to NaN, which fmax reads as nu = 0
+            # a zero vector turns to NaN, which fmax reads as nu = 0
             v = np.matmul(v / nus[m - 1, :, :, None], xs)
             _max(v, axis=2, out=nus[m])
         nus = np.fmax(nus[:, :, 0], 0.0)
@@ -380,43 +369,41 @@ def _gelfand_steps(xs: np.ndarray, m_max: int):
         d = 1.01 * np.expm1(
             np.add.accumulate(np.abs(logs)) * (_U + 5.0 * _U / ms) + (2 * n + 6) * _U)
         d[sums == -math.inf] = 0.0
-        # the matrices whose chain may leave the normal range
-        risky = (low < 2.0**-1022) | (np.multiply.accumulate(low / nus[:-1])
-                                      * np.minimum(low, 1.0) < 2.0**-1021).any(axis=0)
-        w = np.zeros((m_max, k))
-        if risky.any():
-            # le: log eps_m; lu[m - 1]: its largest entry, then log U_m
-            ls = np.log(np.where(nus > 0.0, nus, 1.0))[:, :, None, None]
-            lx, pad = np.log(x0) - e[:, None, None] * math.log(2.0), (n + 8) * 2.0**-39
-            v, lu = np.add.reduce(xs, axis=1, keepdims=True), np.empty((m_max, k))
-            le = np.logaddexp.reduce(_cut(lx), axis=1, keepdims=True) - ls[0] + pad
-            for m in range(m_max):
-                if m:
-                    wv = v / nus[m - 1, :, None, None]
-                    terms = np.logaddexp(le.swapaxes(1, 2) + lx,
-                                         _cut(np.log(wv).swapaxes(1, 2) + lx))
-                    le = pad - ls[m] + np.logaddexp.reduce(terms, axis=1, keepdims=True)
-                    v = np.matmul(wv, xs)
-                le = np.logaddexp(le, _cut(np.log(v) - ls[m]))
-                _max(le, axis=(1, 2), out=lu[m])
-            lu += np.add.accumulate(ls[:, :, 0, 0])
-            lp = sums - ms * d  # at most log P_m
-            near = np.where(lu + math.log(8.0) < lp,
-                            lu + math.log(2.0) - np.log(ms) - (ms - 1.0) / ms * lp, math.inf)
-            w[:, risky] = (1.01 * np.exp(np.minimum(lu / ms, near) + e * math.log(2.0)))[:, risky]
-        return np.ldexp(f, e).T, d.T, w.T
+        # the matrices whose BLAS chain may leave the normal range
+        wide = ((nus[0] < 2.0**-500) | (2.0**1020 < nus[0]) | (low < 2.0**-1022)
+                | (np.multiply.accumulate(low / nus[:-1])
+                   * np.minimum(low, 1.0) < 2.0**-1021).any(axis=0))
+        if wide.any():
+            f[:, wide], d[:, wide] = _extended_steps(xs[wide], m_max)
+    return f.T, d.T
 
 
-def _cut(lz):
-    """log 4 min(t, exp(lz)) below 2^-1022; -inf above and for NaN."""
-    return np.where(lz < math.log(2.0**-1022),
-                    np.minimum(lz + math.log(4.0), math.log(2.0**-1073)), -math.inf)
+def _extended_steps(xs, m_max: int):
+    """``_gelfand_steps``' F_m and d_m by its extended chain, for m =
+    1..m_max: two (m_max, k) arrays."""
+    k, n = xs.shape[:2]
+    mx, ex = np.frexp(xs)
+    # 1^T x^0 = 1/2 * 2^1; top, mu: each E_m and mu_m
+    a, e = np.full((k, n), 0.5), np.ones((k, n), dtype=np.int64)
+    top, mu = np.empty((m_max, k), dtype=np.int64), np.empty((m_max, k))
+    for m in range(m_max):
+        terms, exps = a[:, :, None] * mx, e[:, :, None] + ex
+        col = _max(exps, axis=1, initial=_ZERO_EXP, where=terms > 0.0)
+        a, shift = np.frexp(np.add.reduce(np.ldexp(terms, exps - col[:, None]), axis=1))
+        e = col + shift
+        _max(e, axis=1, out=top[m])
+        _max(np.where(e == top[m, :, None], a, 0.0), axis=1, out=mu[m])
+    ms = np.arange(1, m_max + 1)[:, None]
+    q, r = np.divmod(top, ms)
+    f = np.ldexp(np.exp2((r + np.log2(mu)) / ms), q)
+    f[0] = np.ldexp(mu[0], top[0])
+    return f, np.where(mu > 0.0, 1.01 * math.expm1((2 * n + 9) * _U), 0.0)
 
 
-def _holds(f: float, d: float, w: float, lo: float) -> bool:
-    """Whether F, d, w of an f >= rho from ``_gelfand_steps`` clear lo:
-    F >= lo (1 - d - 2u) - w - 2^-1073 (see ``gelfand_trace``)."""
-    return f >= lo * (1.0 - d - 2.0 * _U) - (w + 2.0 * _TINY)
+def _holds(f: float, d: float, lo: float) -> bool:
+    """Whether F and d of an f >= rho from ``_gelfand_steps`` clear lo:
+    F >= lo (1 - d - 2u) - 2^-1073 (see ``gelfand_trace``)."""
+    return f >= lo * (1.0 - d - 2.0 * _U) - 2.0 * _TINY
 
 
 def gelfand_trace(
@@ -424,12 +411,12 @@ def gelfand_trace(
 ) -> GelfandTrace:
     """Trace f_m = ||X^m||_1^(1/m) against the certified radius of X.
 
-    Every f_m dominates the radius, and F_m is within d_m f_m + w_m +
-    2^-1074 of it (``_gelfand_steps``), so row m passes when F_m is at
-    least the floor fl(lo fl(1 - d_m - 2u)) - fl(w_m + 2^-1073), which
-    stays below lo (1 - d_m) - w_m - 2^-1074 also where the product
-    rounds below the normal range.  A radius above the largest float
-    raises ValueError: f_m - rho cannot be formed.
+    Every f_m dominates the radius, and F_m is within d_m f_m + 2^-1074
+    of it (``_gelfand_steps``), so row m passes when F_m is at least the
+    floor fl(lo fl(1 - d_m - 2u)) - 2^-1073, which stays below lo (1 -
+    d_m) - 2^-1074 also where the product rounds below the normal range.
+    A radius above the largest float raises ValueError: f_m - rho cannot
+    be formed.
     """
     mat = structure._frozen(matcore.nonneg_matrix(x))
     m_max = int(m_max)
@@ -441,11 +428,11 @@ def gelfand_trace(
             "the spectral radius exceeds the largest float, so f_m - rho is "
             "not representable; scale the matrix down"
         )
-    f, d, w = (a[0].tolist() for a in _gelfand_steps(mat[None], m_max))
+    f, d = (a[0].tolist() for a in _gelfand_steps(mat[None], m_max))
     rows = tuple(
         GelfandRow(m=m, f_m=f_m, residual=f_m - cert.mid, bound=d_m,
-                   ok=_holds(f_m, d_m, w_m, cert.lo), under=w_m)
-        for m, f_m, d_m, w_m in zip(range(1, m_max + 1), f, d, w)
+                   ok=_holds(f_m, d_m, cert.lo))
+        for m, f_m, d_m in zip(range(1, m_max + 1), f, d)
     )
     return GelfandTrace(cert=cert, rows=rows, matrix=mat)
 
@@ -501,29 +488,29 @@ def nonuniformity_demo(
     ``_gelfand_steps`` as one stack.
 
     Write F, F' for the computed f_m(X), f_m(Y) with Y = fl(alpha X),
-    d, d' and w, w' for their bounds from ``_gelfand_steps``, and M for
-    mid(X).  Each of F, F' is within d f + w + 2t of its exact value,
-    t = 2^-1075.  Y is alpha X up to a relative eps per entry: u where
-    its nonzero entries are normal, up to t over its smallest one where
-    not, and 1 where an entry rounded to zero; f_m is monotone and
-    homogeneous, so f_m(Y) is alpha f_m(X) up to eps.  Hence |F' -
-    alpha F| <= alpha f (d' (1 + eps) + eps + d) + w' + alpha w +
-    2 (alpha + 1) t, f <= (F + w + 2t) / (1 - d).  The row residual F'
-    - fl(alpha M) and expected = fl(alpha fl(F - M)) add at most u
-    (alpha M + |residual| + 2 |expected|) + 2t, and their difference is
-    F' - alpha F; the t terms, 2 (alpha + 2) t in all, are counted as
-    (alpha + 3) 2^-1074.  The bound is that sum over |expected|, times 1.01 for
-    second-order terms and the rounding of rel_err (infinite where
-    expected underflows to zero).  It grows with |log f_m| through d and
-    d', and the gap ratio f / |F - M| amplifies it; a homogeneity defect
-    of 1e-9 stays far above it at any scale in the normal range.
+    d, d' for their bounds from ``_gelfand_steps``, and M for mid(X).
+    Each of F, F' is within d f + 2t of its exact value, t = 2^-1075.
+    Y is alpha X up to a relative eps per entry: u where its nonzero
+    entries are normal, up to t over its smallest one where not, and 1
+    where an entry rounded to zero; f_m is monotone and homogeneous, so
+    f_m(Y) is alpha f_m(X) up to eps.  Hence |F' - alpha F| <= alpha f
+    (d' (1 + eps) + eps + d) + 2 (alpha + 1) t, f <= (F + 2t) / (1 - d).
+    The row residual F' - fl(alpha M) and expected = fl(alpha fl(F -
+    M)) add at most u (alpha M + |residual| + 2 |expected|) + 2t, and
+    their difference is F' - alpha F; the t terms, 2 (alpha + 2) t in
+    all, are counted as (alpha + 3) 2^-1074.  The bound is that sum over
+    |expected|, times 1.01 for second-order terms and the rounding of
+    rel_err (infinite where expected underflows to zero).  It grows with
+    |log f_m| through the BLAS chain's d and d', and the gap ratio f /
+    |F - M| amplifies it; a homogeneity defect of 1e-9 stays far above
+    it at any scale in the normal range.
 
     ``vacuous`` is set when |F - M| is within the certificate's width
-    plus F's own error bounds: the gap is then indistinguishable from
+    plus F's own error bound: the gap is then indistinguishable from
     zero, relative to the size of f_m at any scale.
 
     ``x`` may also be X's :class:`GelfandTrace` with m up to its m_max:
-    its certificate and its row m's F, d and w are then reused, not
+    its certificate and its row m's F and d are then reused, not
     recomputed, and ``tol`` and ``max_iter`` are not used.  A matrix is
     traced to m by ``gelfand_trace`` first.
     """
@@ -535,12 +522,12 @@ def nonuniformity_demo(
     if not 1 <= m <= len(x.rows):
         raise ValueError(f"m must be in 1..{len(x.rows)} for this trace, got {m}")
     mat, cert, row = x.matrix, x.cert, x.rows[m - 1]
-    f, d, w = row.f_m, row.bound, row.under
+    f, d = row.f_m, row.bound
     residual = f - cert.mid
-    vacuous = abs(residual) <= cert.width + d * f + w + _TINY
+    vacuous = abs(residual) <= cert.width + d * f + _TINY
     rows = []
     if not vacuous:
-        f_hi = (f + w + _TINY) / (1.0 - d) if d < 1.0 else math.inf
+        f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
         nonzero = np.count_nonzero(mat)
         alphas = [float(alpha) for alpha in alphas]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -560,13 +547,13 @@ def nonuniformity_demo(
             else:
                 eps = _U
             epsilons.append(eps)
-        fs, ds, ws = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
-        for alpha, eps, f_scaled, d_scaled, w_scaled in zip(alphas, epsilons, fs, ds, ws):
+        fs, ds = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
+        for alpha, eps, f_scaled, d_scaled in zip(alphas, epsilons, fs, ds):
             row_residual = f_scaled - alpha * cert.mid
             expected = alpha * residual
             slack = (
                 alpha * f_hi * (d_scaled * (1.0 + eps) + eps + d)
-                + w_scaled + alpha * w + (alpha + 3.0) * _TINY
+                + (alpha + 3.0) * _TINY
                 + _U * (alpha * cert.mid + abs(row_residual) + 2.0 * abs(expected))
             )
             gap = abs(row_residual - expected)

@@ -119,12 +119,18 @@ def frobenius_norm(e) -> float:
     largest float.  Where every square stays normal unscaled, this is
     the unscaled norm bit for bit.
     """
-    a = square_matrix(e)
-    big = float(np.abs(a).max())
-    if big == 0.0:
-        return 0.0
-    k = math.frexp(big)[1]
-    return _times_pow2(float(np.linalg.norm(np.ldexp(a, -k), "fro")), k)
+    return float(_frobenius_norms(square_matrix(e)[None])[0])
+
+
+def _frobenius_norms(a) -> np.ndarray:
+    """``frobenius_norm`` of each matrix of the valid (k, n, n) stack
+    ``a``, bit for bit: one ``np.vecdot`` of the scaled entries per
+    matrix, the dot product ``np.linalg.norm`` takes."""
+    flat = a.reshape(len(a), -1)
+    k = np.frexp(np.maximum.reduce(np.abs(flat), axis=1))[1]
+    scaled = np.ldexp(flat, -k[:, None])
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), k)
 
 
 def _times_pow2(v: float, e: int) -> float:

@@ -63,7 +63,7 @@ def continuity_certificate(
             "so q_star is not reliable; raise max_iter or tol"
         )
     qs = solver.q_star(cert)
-    e_norm = _frobenius_up(mp - m)
+    e_norm = float(_kernels._frobenius_up((mp - m)[None])[0])
     bound = math.nextafter(e_norm / qs, math.inf) if e_norm else 0.0
     enclosure = (cert.lo, cert.hi)
     if bound:  # rounded outward, the low end clamped at 0
@@ -73,23 +73,3 @@ def continuity_certificate(
         base=cert, q_star=qs, e_norm=e_norm, bound=bound, enclosure=enclosure
     )
 
-
-def _frobenius_up(d) -> float:
-    """Upper bound on the exact Frobenius norm of the difference that the
-    N entries of ``d`` round.
-
-    ``matcore.frobenius_norm(d)`` is scaled by 1 + g, g =
-    ``_kernels._gamma(N + 6, u)``, at least Nu/(1 - 2Nu) + 11u.  The
-    first term covers the N rounded squares and any order of their
-    N - 1 sums; the 11u covers the difference (one rounding per entry),
-    the square root, underflow in the scaled squares (each below
-    2^-1074, against a sum of at least 1/8 for N < 2^50) and the
-    padding's own arithmetic.  The ulp steps cover a norm scaled back
-    into the subnormals and the product's rounding.  Only an exactly
-    zero difference gives 0.
-    """
-    e = matcore.frobenius_norm(d)
-    if e == 0.0:
-        return 0.0
-    g = _kernels._gamma(d.size + 6, _kernels._U)
-    return math.nextafter(math.nextafter(e, math.inf) * (1.0 + g), math.inf)

@@ -207,6 +207,19 @@ class TestConverge:
             cells = line.split()
             assert cells[5] == cells[1]  # power_bound equals s_k
 
+    def test_row_bound_is_on_the_stored_difference(self, run, tmp_path):
+        # fl(1 + 1.5e-16) - 1 = 2^-52 exceeds s_1 ||d||_F / q* = 1.5e-16,
+        # and the certificates of 1x1 terms have width 0
+        one = tmp_path / "one1.txt"
+        one.write_text("1\n1\n")
+        code, out, err = run(
+            "converge", str(one), str(one), "--coeff", "1.5e-16", "--count", "3")
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()[1:4]]
+        assert float(rows[0][4]) == 2.0**-52 <= float(rows[0][5])
+        assert [r[-1] for r in rows] == ["pass"] * 3
+        assert _value(out, "result") == "PASS"
+
     def test_schedule_and_count_flags(self, run):
         # s_1 = coeff * 0.5 under geom:0.5, coeff / 1 and coeff / 1^2 else
         for schedule, s_1 in (("geom:0.5", 0.125), ("inv-k", 0.25), ("inv-k2", 0.25)):
@@ -315,6 +328,20 @@ class TestGelfand:
         rows = [line.split() for line in out.splitlines()[3:13]]
         assert rows[0][:2] == ["1", "inf"]
         assert all(float(r[1]) > 1e308 for r in rows[1:])
+        assert _value(out, "result") == "PASS"
+
+    def test_wide_range_prints_the_demo(self, run, tmp_path):
+        # f_2 = 7.20479007327763874e16 and f_3 = 9.05439770800000462e-72
+        # to 18 digits, not 0: the gap to rho = 1.43e-247 is real, and
+        # the demo runs
+        path = tmp_path / "wide.txt"
+        path.write_text("2\n1.43e-247 3.63e280\n0 0\n")
+        code, out, err = run("gelfand", str(path), "--m-max", "3")
+        assert (code, err) == (0, "")
+        rows = [line.split() for line in out.splitlines()[3:6]]
+        assert [r[1] for r in rows] == [
+            "3.6300000000000001e+280", "72047900732776384", "9.0543977080000044e-72"]
+        assert "note:" not in out and "alpha" in out
         assert _value(out, "result") == "PASS"
 
     def test_output_at_1e200_is_pinned(self, run, tmp_path):

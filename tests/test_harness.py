@@ -20,7 +20,7 @@ _BASE_2X2 = np.array([[1.0, 2.0], [3.0, 4.0]])
 
 def _dyadic_stack(n):
     """1 to 4 n x n matrices of integers 0..16, each times its own 2^(k-4),
-    k near 0 or near the prescale thresholds."""
+    k near 0 or near the norm bounds of the BLAS chain."""
     entries = st.lists(
         st.lists(st.integers(0, 16), min_size=n, max_size=n), min_size=n, max_size=n)
     scales = st.one_of(st.integers(-540, -460), st.integers(-8, 8), st.integers(990, 1023))
@@ -501,11 +501,10 @@ class TestNilpotentTrace:
         # is it exactly, and F_p of the stack brackets it within d_p, as
         # for each term alone
         terms = rng.integers(0, 4, (5, n, n)).astype(np.float64)
-        fs, ds, ws = harness._gelfand_steps(terms, p)
-        assert not ws.any()  # entries 1..3 cannot underflow
+        fs, ds = harness._gelfand_steps(terms, p)
         for i, t in enumerate(terms):
             alone = harness._gelfand_steps(terms[i:i + 1], p)
-            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds, ws)]
+            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds)]
             norms = power_norms(t, p)
             assert fs[i, 0] == norms[0]
             exact, f, d = norms[-1], Fraction(float(fs[i, -1])), Fraction(float(ds[i, -1]))
@@ -515,16 +514,16 @@ class TestNilpotentTrace:
 
     def test_lo_above_the_norm_bound_fails_on_a_wide_range_cycle(self, monkeypatch):
         # weights 2^400, 2^-600 closed by s_k: A_k^3 = 2^-200 s_k I, so
-        # f_3 is the radius; F_3 bounds it within d_3 although the chain
-        # may underflow, and a lo a relative 1e-9 above it fails
+        # f_3 is the radius; F_3 bounds it within d_3 although the BLAS
+        # chain may underflow, and a lo a relative 1e-9 above it fails
         base = np.zeros((3, 3))
         base[0, 1], base[1, 2] = 2.0**400, 2.0**-600
         spec = harness.SequenceSpec(base=base, direction=np.eye(3, k=-2), count=3)
         trace = harness.run_trace(spec)
         assert trace.nilpotency == 3 and trace.ok
         for row in trace.rows:
-            _, d, w = harness._gelfand_steps(spec.term(row.k)[None], 3)
-            assert d[0, -1] < 1e-12 and w[0, -1] < 1e-12 * row.extra[0]
+            _, d = harness._gelfand_steps(spec.term(row.k)[None], 3)
+            assert d[0, -1] < 1e-12
         roots = solver._perron_roots
 
         def raised(*args):
@@ -596,7 +595,7 @@ class TestNilpotentTrace:
         assert trace.kind == "nilpotent" and trace.nilpotency == 8 and trace.ok
         for row in trace.rows:
             exact = Fraction(1e300) * 20**6 * Fraction(20.0 / row.k)
-            _, d, _ = harness._gelfand_steps(spec.term(row.k)[None], 8)
+            _, d = harness._gelfand_steps(spec.term(row.k)[None], 8)
             d = Fraction(float(d[0, -1]))
             (bound,) = row.extra
             assert row.ok and d < Fraction(1, 10**12)
@@ -652,55 +651,53 @@ class TestGelfandTrace:
         steps = harness._gelfand_steps
         monkeypatch.setattr(
             harness, "_gelfand_steps",
-            lambda a, m: (lambda f, d, w: (f * (1.0 - 1e-9), d, w))(*steps(a, m)),
+            lambda a, m: (lambda f, d: (f * (1.0 - 1e-9), d))(*steps(a, m)),
         )
         trace = harness.gelfand_trace(x, 30)
         assert not any(row.ok for row in trace.rows)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6).flatmap(_dyadic_stack))
-    # norm 2^-407, no prescaling, while x^3 unnormalized is 2^-1219
+    # norm 2^-407, the BLAS chain, while x^3 unnormalized is 2^-1219
     @example([np.ldexp(np.ones((2, 2)), -408).tolist()])
-    # norm 2^1024, prescaled, and f_m = 2^1024 above the largest float
+    # norm 2^1024, and f_m = 2^1024 above the largest float
     @example([np.full((2, 2), 2.0**1023).tolist()])
-    # ||x^2||_1 = 1e400/k above the largest float, not prescaled
+    # ||x^2||_1 = 1e400/k above the largest float, the BLAS chain
     @example([[[0.0, 1e200], [1e200 / k, 0.0]] for k in range(1, 5)])
     # ||x^8||_1 near 1.3e309 from weights 1e300 and 20
     @example([_weighted_8_cycle(20.0 / k) for k in (1, 2)])
     # a subnormal weight, and a range of 2^-1000: steps that may underflow
     @example([[[0.0, 1.0], [2.0**-1074, 0.0]], [[1.0, 2.0**-1000], [0.0, 2.0**-100]]])
-    # a division flushes part of ||x^2||_1, products flush below the
-    # normal range, the prescale flushes an entry: each fails a w_m
-    # without its own term
+    # where a chain scaled to the largest entry flushes: part of
+    # ||x^2||_1 in a division, products below the normal range, an
+    # entry in a prescale
     @example([[[0.0, 0.0, 2.0**-570], [2.0**-770, 2.0**-542, 0.0],
                [2.0**-923, 2.0**787, 0.0]]])
     @example([[[1.0288211318113338e-90, 2.4806964301324343e+136],
                [0.0, 3.87088560396098e-164]]])
     @example([[[0.0, 2.0**1023], [2.0**-1070, 0.0]]])
-    # a step underflows, then the chain reads 0
+    # a step underflows in the BLAS chain
     @example([[[1.2876452363813729e-152, 8.445815910818899e+130, 7.028757061426344e+61],
                [0.0, 0.0, 0.0],
                [1.4419150210609047e-277, 3.8075841818739757e-156, 5.296401967403454e-290]]])
     def test_rows_hold_the_exact_norm(self, mats):
-        # F_m is within d_m f_m + w_m + 2^-1074 of f_m = ||x^m||_1^(1/m),
-        # with d_m < 1, for each matrix of a stack, checked as powers of
+        # F_m is within d_m f_m + 2^-1074 of f_m = ||x^m||_1^(1/m), with
+        # d_m < 1, for each matrix of a stack, checked as powers of
         # rationals against the exact norms; each matrix gets the same
         # values alone
         xs = np.array(mats, dtype=np.float64)
-        fs, ds, ws = harness._gelfand_steps(xs, 10)
-        tiny = Fraction(harness._TINY)
+        fs, ds = harness._gelfand_steps(xs, 10)
+        slack = Fraction(harness._TINY)
         for i, x in enumerate(xs):
             alone = harness._gelfand_steps(xs[i:i + 1], 10)
-            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds, ws)]
-            for m, (f, d, w, exact) in enumerate(zip(
-                    fs[i].tolist(), ds[i].tolist(), ws[i].tolist(), power_norms(x, 10),
-                    strict=True), 1):
-                assert 0.0 <= d < 1e-9 and 0.0 <= w < math.inf
+            assert [a.tobytes() for a in alone] == [a[i].tobytes() for a in (fs, ds)]
+            for m, (f, d, exact) in enumerate(zip(
+                    fs[i].tolist(), ds[i].tolist(), power_norms(x, 10), strict=True), 1):
+                assert 0.0 <= d < 1e-9
                 d = Fraction(d)
                 if f == math.inf:  # f_m(1 + d_m) reaches the largest float
                     assert exact * (1 + d) ** m >= Fraction(np.finfo(np.float64).max) ** m
                     continue
-                slack = Fraction(w) + tiny
                 below, above = (Fraction(f) - slack) / (1 + d), (Fraction(f) + slack) / (1 - d)
                 assert below <= 0 or below**m <= exact
                 assert exact <= above**m
@@ -712,15 +709,25 @@ class TestGelfandTrace:
         assert [row.f_m for row in trace.rows] == [1.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("x", [
-        # 1.4e-247 squared flushes: F_2 reads 0 where f_2 is 7.2e16
+        # 1.4e-247 squared flushes in a chain scaled to the largest
+        # entry, which read F_2 = F_3 = 0 where f_2 is 7.2e16
         [[1.430222333808547e-247, 3.6304123742133376e+280], [0.0, 0.0]],
-        # the prescale flushes 2^-1070: F_2 reads 0, the radius 2^-23.5
+        # a prescale to a norm near 1 flushes 2^-1070: F_2 read 0, where
+        # f_2 is the radius 2^-23.5
         [[0.0, 2.0**1023], [2.0**-1070, 0.0]],
+        [[1.43e-247, 3.63e280], [0.0, 0.0]],
     ])
     def test_rows_the_chain_flushes_hold(self, x):
+        # F_2 and F_3 are within d_m f_m of the exact f_m, checked as
+        # powers of rationals
         trace = harness.gelfand_trace(x, 3)
         assert trace.ok
-        assert trace.rows[1].f_m == 0.0 < trace.rows[1].under
+        for m in (2, 3):
+            row = trace.rows[m - 1]
+            f, d = Fraction(row.f_m), Fraction(row.bound)
+            exact = power_norms(trace.matrix, m)[-1]
+            assert row.f_m > 0.0 and d < Fraction(1, 10**12)
+            assert (f / (1 + d)) ** m <= exact <= (f / (1 - d)) ** m
 
     def test_m_max_validated(self):
         with pytest.raises(ValueError, match="m_max"):
@@ -813,9 +820,9 @@ class TestNonuniformityDemo:
         steps = harness._gelfand_steps
 
         def skewed(a, m):
-            f, d, w = steps(a, m)
+            f, d = steps(a, m)
             f[a[:, 0, 0] != x[0, 0], -1] += 1e-9 * clean.rows[0].expected
-            return f, d, w
+            return f, d
 
         monkeypatch.setattr(harness, "_gelfand_steps", skewed)
         demo = harness.nonuniformity_demo(x, 10, [10.0])
@@ -823,20 +830,27 @@ class TestNonuniformityDemo:
         assert demo.rows[0].rel_err > 0.5e-9 > demo.rows[0].bound
 
     def test_each_alpha_gets_its_values_alone(self, monkeypatch, rng):
-        # the scaled copies go through _gelfand_steps as one stack, one
-        # prescaled up, one not prescaled; each gets the F_m and d_m it
-        # gets alone
+        # the scaled copies go through _gelfand_steps as one stack, the
+        # 1e-300 one, below the BLAS chain's norms, by the extended chain
+        # and the 1e250 one by the BLAS chain; each gets the F_m and d_m
+        # it gets alone
         x = rng.uniform(0.0, 1.0, (6, 6))
-        steps, calls = harness._gelfand_steps, []
+        steps, extended, calls, wide = harness._gelfand_steps, harness._extended_steps, [], []
 
         def recording(xs, m_max):
             calls.append((xs, m_max, steps(xs, m_max)))
             return calls[-1][-1]
 
+        def extending(xs, m_max):
+            wide.append(xs)
+            return extended(xs, m_max)
+
         monkeypatch.setattr(harness, "_gelfand_steps", recording)
+        monkeypatch.setattr(harness, "_extended_steps", extending)
         demo = harness.nonuniformity_demo(x, 7, [2.0, 1e-300, 1e250])
         assert not demo.vacuous and len(demo.rows) == 3 and demo.ok
         (xs, _, _), (ys, m, stacked) = calls
+        assert len(wide) == 1 and np.array_equal(wide[0], ys[1:2])
         assert xs.shape == (1, 6, 6) and ys.shape == (3, 6, 6) and m == 7
         for i, y in enumerate(ys):
             alone = steps(y[None], m)

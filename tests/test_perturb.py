@@ -117,7 +117,8 @@ class TestContinuityCertificate:
 
 
 class TestSharpnessProbe:
-    """The bound s * ||D||_F / q_star against the observed shift along A + s*D.
+    """The bound ||A_k - A||_F / q_star against the observed shift along
+    A_k = A + s*D, on the stored difference A_k - A.
 
     The irreducible trace rows of :func:`perron.harness.run_trace` hold
     both: ``extra`` is the bound and ``deviation`` the midpoint shift.
@@ -150,10 +151,11 @@ class TestSharpnessProbe:
         assert observed <= bound
 
     def test_bounds_halve_exactly_with_scale(self):
-        # 0.2 is exactly twice 0.1 in binary, so the certified bounds
-        # inherit the exact factor of two
-        rows = self.probe([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.2, 2)
-        assert [row[0] for row in rows] == [0.2, 0.1]
+        # the stored differences, 0.5 I and 0.25 I, are exact, so the
+        # certified bounds inherit the exact factor of two; 1 + 0.2 and
+        # 1 + 0.1 round, and their differences are not a factor 2 apart
+        rows = self.probe([[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]], 0.5, 2)
+        assert [row[0] for row in rows] == [0.5, 0.25]
         assert rows[0][1] == 2.0 * rows[1][1]
 
     def test_rejects_negative_scale(self):
