@@ -345,7 +345,7 @@ class TestGelfand:
         assert _value(out, "result") == "PASS"
 
     def test_output_at_1e200_is_pinned(self, run, tmp_path):
-        # norms below 2^1020 are not prescaled: these bytes predate it
+        # norms in [2^-500, 2^1020] take the BLAS chain, unscaled
         path = tmp_path / "big.txt"
         path.write_text("2\n1e200 1e200\n1e200 1e200\n")
         code, out, _ = run("gelfand", str(path))
