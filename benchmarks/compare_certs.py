@@ -20,7 +20,10 @@ direction), ``converge`` on a 3-cycle-shaped base with weights 2^400,
 2^-600 closed by s_k, and ``gelfand`` on [[1.43e-247, 3.63e280], [0,
 0]] (``--m-max 3``) and on [[0, 2^1023], [2^-1070, 0]].  Last,
 ``converge`` of [[1]] along [[1]] at ``--coeff 1.5e-16 --count 3``,
-where fl(1 + s_1) - 1 exceeds s_1.  A ``root`` operation records
+where fl(1 + s_1) - 1 exceeds s_1, and of [[0, 1e-12, 0], [1, 0, 0],
+[0, 0, 0]] along 1 at (0, 1) at ``--coeff 1e-10 --count 3``, where the
+radius of the reducible base's spectral block, 1e-6, moves by 9e-6 at
+k = 1, far more than s_k ||direction||_F.  A ``root`` operation records
 lo, hi, both vectors' bytes, the iterations, ``converged`` and the
 residual; a command operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
@@ -128,6 +131,11 @@ def _trace_ops(cases):
     ops.append(("trace.one.1.5e-16", cases.Op(
         "one.1.5e-16", "converge_irreducible", "converge", {"base": one, "direction": one},
         args=["--coeff", "1.5e-16", "--count", "3"])))
+    weak, corner = np.zeros((3, 3)), np.zeros((3, 3))
+    weak[0, 1], weak[1, 0], corner[0, 1] = 1e-12, 1.0, 1.0
+    ops.append(("trace.weak3.1e-10", cases.Op(
+        "weak3.1e-10", "converge_reducible", "converge", {"base": weak, "direction": corner},
+        args=["--coeff", "1e-10", "--count", "3"])))
     return ops
 
 

@@ -178,9 +178,6 @@ def cmd_converge(args) -> int:
             print(f"spectral_block: {trace.spectral_block_index}")
         print(f"rho_lo: {_f(trace.base_cert.lo)}")
         print(f"rho_hi: {_f(trace.base_cert.hi)}")
-        if trace.final_deviation is not None:
-            print(f"final_deviation: {_f(trace.final_deviation)}")
-            print(f"final_threshold: {_f(trace.final_threshold)}")
         print(f"result: {'PASS' if trace.ok else 'FAIL'}")
     return 0 if trace.ok else 1
 

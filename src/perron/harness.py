@@ -2,10 +2,11 @@
 
 ``run_trace`` checks each certified root r_k with the inequality the
 base's structure calls for: lo(r_k) <= ||A_k^p||_1^(1/p) for a
-nilpotent base of index p, the perturbation bound ||A_k - base||_F /
-q_star on the stored difference for an irreducible one, and lo(b_k) <=
-hi(r_k) for a reducible one, b_k the radius of the base's spectral
-block read from the same positions of every term.
+nilpotent base of index p, and for any other base one rule on its
+spectral block B, the whole base when irreducible, and the same
+positions B_k of every term: the shift of the block radius stays
+within the perturbation bound ||B_k - B||_F / q*(B) on the stored
+difference, and lo(b_k) <= hi(r_k).
 
 Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
@@ -141,10 +142,12 @@ class SequenceSpec:
 class TraceRow:
     """One sequence term: certificate for A_k plus the kind's extra values.
 
-    ``deviation`` is |mid r_k - mid r| against the base certificate.
-    ``extra`` holds the values the trace's ``columns`` name: the bound
-    ||A_k - base||_F / q_star (irreducible), the spectral block's
-    interval (b_lo, b_hi) (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
+    ``deviation`` is |mid b_k - mid b|, b_k and b the certificates of
+    the spectral blocks of A_k and of the base: r_k and the base
+    certificate themselves unless the base is reducible.  ``extra``
+    holds the values the trace's ``columns`` name: the bound ||B_k -
+    B||_F / q*(B) (irreducible), the block interval (b_lo, b_hi) and
+    that bound (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
     """
 
     k: int
@@ -163,16 +166,10 @@ class ConvergenceTrace:
     rows: tuple[TraceRow, ...]
     nilpotency: int | None = None
     spectral_block_index: int | None = None
-    # reducible traces also check closeness of the last block radius
-    final_deviation: float | None = None
-    final_threshold: float | None = None
 
     @property
     def ok(self) -> bool:
-        good = all(row.ok for row in self.rows)
-        if self.final_deviation is not None:
-            good = good and self.final_deviation <= self.final_threshold
-        return good
+        return all(row.ok for row in self.rows)
 
 
 def run_trace(
@@ -186,21 +183,21 @@ def run_trace(
       F_p as ``power_bound`` and passes by ``gelfand_trace``'s rule.
       This case is tested first: [[0]] is irreducible by convention,
       and nilpotent too.
-    * Irreducible base: each row carries the bound ||A_k - base||_F /
-      q_star of ``perturb.continuity_certificate``, on the difference of
-      the stored floats, each step rounded up, and passes when the
-      observed midpoint shift stays within the bound plus both
-      certificate widths.
-      q_star is read off the base's left vector, so a base certificate
-      that did not converge within ``max_iter`` raises ValueError, as in
-      ``continuity_certificate``.
-    * Reducible base: the blocks of the base are certified once, which
-      picks the spectral block and gives the base certificate; every
-      term is permuted by the base's permutation and the spectral
-      block's positions are read off, giving block radii b_k.  Rows pass
-      when lo(b_k) <= hi(r_k); the trace also requires the last b_k to
-      land near the base radius (threshold 2 * s_count * ||direction||_F
-      * n plus certificate widths).
+    * Any other base: B is its spectral block, the whole base when it
+      is irreducible, and B_k the same positions of A_k, with
+      certificates b and b_k.  B is irreducible, so |rho(B_k) - rho(B)|
+      <= ||B_k - B||_F / q*(B) (``perturb.continuity_certificate``),
+      q*(B) the least entry of b's left vector.  Each row carries that
+      bound, on the difference of the stored floats, each step rounded
+      up, and passes when the observed midpoint shift |mid b_k - mid b|
+      stays within it plus both certificate widths, and lo(b_k) <=
+      hi(r_k): B_k is a principal submatrix of A_k.  For an
+      irreducible base b_k = r_k, and q*(B) is read off the base
+      certificate, so one that did not converge within ``max_iter``
+      raises ValueError, as in ``continuity_certificate``.  For a
+      reducible base the blocks are certified once, which picks the
+      spectral block and gives the base certificate; q*(B) is read off
+      b as it is, so such a trace never raises for convergence.
 
     Each chunk of terms is built and validated as one (k, n, n) stack,
     and certified with its spectral blocks, gathered by one index, and,
@@ -209,7 +206,7 @@ def run_trace(
     form built, copied only where ``_certify_blocks`` joins it to other
     matrices of its size (the base's, in a first chunk).  The nilpotent
     F_p and d_p of a chunk come from one ``_gelfand_steps`` call, the
-    irreducible norms ||A_k - base||_F from one ``_frobenius_up`` call.
+    norms ||B_k - B||_F from one ``_frobenius_up`` call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -219,18 +216,19 @@ def run_trace(
         kind, columns = "nilpotent", ("power_bound",)
         summary["nilpotency"] = p
     elif fnf.irreducible:
-        kind, columns = "irreducible", ("bound",)
+        kind, columns, block = "irreducible", ("bound",), spec.base
     else:
-        kind, columns = "reducible", ("b_lo", "b_hi")
+        kind, columns = "reducible", ("b_lo", "b_hi", "bound")
         block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
         summary["spectral_block_index"] = block_index
         start, end = fnf.blocks[block_index]
         # the spectral block's positions in every term, read off unpermuted
         block_at = fnf.perm[start:end]
+        block, block_cert = fnf.block_matrices[block_index], block_certs[block_index]
+        q = solver.q_star(block_cert)
         base_cert = solver._combine(block_certs)
 
     rows = []
-    block = None
     per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)
     for first in range(1, spec.count + 1, per_chunk):
         ks = range(first, min(first + per_chunk, spec.count + 1))
@@ -240,7 +238,7 @@ def run_trace(
             items.append(np.ascontiguousarray(terms[:, block_at[:, None], block_at]))
         certs = solver._perron_roots(items, tol, max_iter)
         if base_cert is None:
-            base_cert = certs.pop(0)
+            base_cert = block_cert = certs.pop(0)
             if kind == "irreducible":
                 if not base_cert.converged:
                     raise ValueError(
@@ -249,36 +247,24 @@ def run_trace(
                         "raise max_iter or tol"
                     )
                 q = solver.q_star(base_cert)
-        base_mid = base_cert.mid
         if kind == "nilpotent":
             f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
-        elif kind == "irreducible":
-            e = _frobenius_up(terms - spec.base)
-            bounds = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0).tolist()
+        else:  # items[-1] holds the B_k
+            e = _frobenius_up(items[-1] - block)
+            with np.errstate(over="ignore"):
+                bounds = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0).tolist()
         for i, k in enumerate(ks):
-            s = spec.scale(k)
-            cert = certs[i]
-            deviation = abs(cert.mid - base_mid)
+            # b_k: the last certificates are those of the B_k
+            cert, b = certs[i], certs[i - len(ks)]
+            deviation = abs(b.mid - block_cert.mid)
             if kind == "nilpotent":
                 ok, extra = _holds(f_p[i], d_p[i], cert.lo), (f_p[i],)
-            elif kind == "irreducible":
-                ok = deviation <= bounds[i] + cert.width + base_cert.width
-                extra = (bounds[i],)
             else:
-                block = certs[len(ks) + i]
-                ok, extra = block.lo <= cert.hi, (block.lo, block.hi)
-            rows.append(
-                TraceRow(k=k, scale=s, cert=cert, deviation=deviation, ok=ok, extra=extra)
-            )
-    if block is not None:
-        # the block's own mid, not one rebuilt from (b_lo, b_hi): mid
-        # guards against overflow of lo + hi
-        summary["final_deviation"] = abs(block.mid - base_mid)
-        summary["final_threshold"] = (
-            2.0 * spec.scale(spec.count) * matcore.frobenius_norm(spec.direction) * fnf.n
-            + block.width
-            + base_cert.width
-        )
+                ok = (deviation <= bounds[i] + b.width + block_cert.width
+                      and b.lo <= cert.hi)
+                extra = (bounds[i],) if b is cert else (b.lo, b.hi, bounds[i])
+            rows.append(TraceRow(
+                k=k, scale=spec.scale(k), cert=cert, deviation=deviation, ok=ok, extra=extra))
     return ConvergenceTrace(
         kind=kind, columns=columns, base_cert=base_cert, rows=tuple(rows), **summary
     )

@@ -98,8 +98,8 @@ def test_c4_normal_form():
 
 
 def test_c5_reducible_traces():
-    # every row lo(b_k) <= hi(r_k); final block radius within
-    # 2 * s_count * ||direction||_F * n of the base radius
+    # every row passes, and lo(b_k) <= hi(r_k); the last block radius
+    # is within 2 * s_count * ||direction||_F * n of the base radius
     rng = np.random.default_rng(105)
     for _ in range(100):
         base = reducible_base(rng)
@@ -109,10 +109,11 @@ def test_c5_reducible_traces():
             base=base, direction=direction, rule="inv-k", coeff=1.0, count=20
         )
         trace = harness.run_trace(spec)
-        assert trace.kind == "reducible"
+        assert trace.kind == "reducible" and trace.ok
         for row in trace.rows:
             assert row.extra[0] <= row.cert.hi  # lo(b_k) <= hi(r_k)
-        final = trace.final_deviation
+        b_lo, b_hi, _ = trace.rows[-1].extra
+        final = abs(0.5 * (b_lo + b_hi) - trace.base_cert.mid)
         limit = 2.0 * spec.scale(20) * matcore.frobenius_norm(direction) * n
         assert final <= limit
     print("C5 reducible traces: 100 traces x 20 rows, zero violations")

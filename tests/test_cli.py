@@ -170,7 +170,24 @@ class TestConverge:
         assert code == 0
         assert _value(out, "kind") == "reducible"
         assert "spectral_block" in out
-        assert "final_deviation" in out
+        header = out.splitlines()[0].split()
+        assert header[5:] == ["b_lo", "b_hi", "bound", "status"]
+        assert "final_" not in out
+        assert _value(out, "result") == "PASS"
+
+    def test_reducible_rows_bounded_on_the_spectral_block(self, run, tmp_path):
+        # the block [[0, 1e-12], [1, 0]] has radius 1e-6 and q* near 1e-6:
+        # its radius moves by 9.05e-6 at k = 1 against a bound near 1e-4
+        base, direction = tmp_path / "weak3.txt", tmp_path / "corner3.txt"
+        base.write_text("3\n0 1e-12 0\n1 0 0\n0 0 0\n")
+        direction.write_text("3\n0 1 0\n0 0 0\n0 0 0\n")
+        code, out, err = run("converge", str(base), str(direction),
+                             "--coeff", "1e-10", "--count", "3")
+        assert (code, err) == (0, "")
+        assert _value(out, "kind") == "reducible"
+        first = out.splitlines()[1].split()
+        deviation, bound = float(first[4]), float(first[7])
+        assert 9.0e-6 < deviation < 9.1e-6 and 0.9e-4 < bound < 1.1e-4
         assert _value(out, "result") == "PASS"
 
     def test_nilpotent_kind(self, run):

@@ -10,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import harness, matcore, solver, structure
-from generators import random_irreducible, random_nonneg, reducible_base, three_block_base
+from perron._kernels import _frobenius_up
+from generators import (
+    planted_block_matrix, random_irreducible, random_nonneg, reducible_base, three_block_base,
+)
 from oracles import power_norms
 
 TWO_CYCLE = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -202,7 +205,7 @@ class TestIrreducibleTrace:
 class TestReducibleTrace:
     def test_triangular_block_extraction(self):
         # terms [[1,1],[s,2]] couple the blocks; the dominant block entry
-        # itself never moves, so b_k stays exactly [2, 2]
+        # itself never moves, so b_k stays exactly [2, 2], its bound 0
         spec = harness.SequenceSpec(
             base=[[1.0, 1.0], [0.0, 2.0]],
             direction=[[0.0, 0.0], [1.0, 0.0]],
@@ -210,11 +213,10 @@ class TestReducibleTrace:
         )
         trace = harness.run_trace(spec)
         assert trace.kind == "reducible"
-        assert trace.columns == ("b_lo", "b_hi")
+        assert trace.columns == ("b_lo", "b_hi", "bound")
         assert trace.ok
-        assert trace.final_deviation == 0.0
         for row in trace.rows:
-            assert row.extra == (2.0, 2.0)
+            assert row.extra == (2.0, 2.0, 0.0) and row.deviation == 0.0
             s = row.scale
             exact = 0.5 * (3.0 + math.sqrt(1.0 + 4.0 * s))
             assert abs(row.cert.mid - exact) <= 1e-9
@@ -228,7 +230,11 @@ class TestReducibleTrace:
         trace = harness.run_trace(spec)
         assert trace.ok
         assert trace.spectral_block_index is not None
-        assert trace.final_deviation <= trace.final_threshold
+        # the spectral block is [2]: q* = 1, and B_k is 2 + s_k as stored
+        for row in trace.rows:
+            stored = 2.0 + row.scale
+            assert row.extra[:2] == (stored, stored)
+            assert row.deviation == stored - 2.0 <= row.extra[2] <= row.scale * (1.0 + 1e-12)
 
     def test_base_certified_once_matches_direct_calls(self, rng):
         # one round of block certificates picks the block and certifies
@@ -243,6 +249,66 @@ class TestReducibleTrace:
             assert trace.spectral_block_index == structure.spectral_block(base)
 
 
+class TestEveryRowHolds:
+    """One rule checks every row of a base that is not nilpotent: the
+    shift of its spectral block's radius stays within ||B_k - B||_F /
+    q*(B) plus both widths, and lo(b_k) <= hi(r_k)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["planted", "reducible", "irreducible"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        # 2^k, or None: entrywise by 10^U(-6, 6)
+        st.one_of(st.none(), st.integers(min_value=-500, max_value=500)),
+        st.floats(min_value=-12.0, max_value=0.0),
+    )
+    def test_no_row_fails(self, family, seed, k, log_coeff):
+        rng = np.random.default_rng(seed)
+        if family == "planted":
+            base, _ = planted_block_matrix(rng)
+        elif family == "reducible":
+            base = reducible_base(rng)
+        else:
+            base = random_irreducible(rng, int(rng.integers(2, 9)))
+        n = base.shape[0]
+        base = base * 10.0 ** rng.uniform(-6.0, 6.0, (n, n)) if k is None else np.ldexp(base, k)
+        direction = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.5)
+        spec = harness.SequenceSpec(base=base, direction=direction, coeff=10.0**log_coeff, count=8)
+        try:
+            trace = harness.run_trace(spec, max_iter=10**4)
+        except ValueError as exc:  # the one documented refusal
+            fnf = spec.normal_form
+            assert "did not converge" in str(exc)
+            assert fnf.irreducible and fnf.nilpotency_index is None
+            return
+        assert trace.ok, harness.format_convergence_trace(trace)
+
+    def test_block_pushed_past_the_bound_fails(self, monkeypatch):
+        # the spectral block [2] moves to 2 + s_k, its bound s_k (q* = 1);
+        # block intervals moved down by 3 s_k still hold lo(b_k) <= hi(r_k),
+        # but shift 2 s_k, past the bound
+        base = np.zeros((3, 3))
+        base[0, 1] = base[1, 0] = 1.0
+        base[2, 2] = 2.0
+        spec = harness.SequenceSpec(base=base, direction=np.ones((3, 3)), count=5)
+        assert harness.run_trace(spec).ok
+        roots = solver._perron_roots
+
+        def pushed(items, *args):
+            certs, blocks = roots(items, *args), items[-1]
+            shifts = [3.0 * spec.scale(k) for k in range(1, len(blocks) + 1)]
+            return certs[:-len(blocks)] + [
+                dataclasses.replace(c, lo=c.lo - d, hi=c.hi - d)
+                for c, d in zip(certs[-len(blocks):], shifts)]
+
+        monkeypatch.setattr(solver, "_perron_roots", pushed)
+        trace = harness.run_trace(spec)
+        assert not any(row.ok for row in trace.rows) and not trace.ok
+        for row in trace.rows:
+            b_lo, _, bound = row.extra
+            assert b_lo <= row.cert.hi and row.deviation > bound
+
+
 def _same_cert(got, want):
     """Field for field, vectors byte for byte."""
     def raw(v):
@@ -252,6 +318,12 @@ def _same_cert(got, want):
             raw(got.right_vector), raw(got.left_vector)) == (
         want.lo, want.hi, want.iterations, want.converged, want.residual,
         raw(want.right_vector), raw(want.left_vector))
+
+
+def _block_bound(block_k, block):
+    """||B_k - B||_F / q*(B) as ``perturb.continuity_certificate`` rounds it."""
+    e = float(_frobenius_up((block_k - block)[None])[0])
+    return math.nextafter(e / solver.q_star(solver.perron_root(block)), math.inf) if e else 0.0
 
 
 def _trace_family(family, n, rng):
@@ -284,6 +356,9 @@ class TestBatchCertificates:
     # the ring's base certifies to width 9.55e-13, under tol, though
     # neither pass alone does: converged is the intersected width's
     @example(("ring", 80, 80), 21790459, 7)
+    # an n = 17 cycle whose base stalls out unconverged after 122
+    # iterations: run_trace refuses it, as documented
+    @example(("cycle", 12, 24), 794590, 1)
     def test_rows_match_single_certificates(self, family, seed, per_chunk):
         (name, low, high), rng = family, np.random.default_rng(seed)
         base, direction = _trace_family(name, int(rng.integers(low, high + 1)), rng)
@@ -291,17 +366,24 @@ class TestBatchCertificates:
         n = spec.base.shape[0]
         # chunks of per_chunk terms, so that chunk boundaries are crossed
         with mock.patch.object(harness, "_CHUNK_ENTRIES", per_chunk * n * n):
-            trace = harness.run_trace(spec)
+            try:
+                trace = harness.run_trace(spec)
+            except ValueError as exc:
+                assert "did not converge" in str(exc)
+                assert spec.normal_form.irreducible
+                assert not solver.perron_root(spec.base).converged
+                return
         assert _same_cert(trace.base_cert, solver.perron_root(spec.base))
         fnf = spec.normal_form
         for row in trace.rows:
             term = spec.term(row.k)
             assert _same_cert(row.cert, solver.perron_root(term))
             if trace.kind == "reducible":
-                s, e = fnf.blocks[trace.spectral_block_index]
-                permuted = matcore.apply_symmetric_permutation(term, fnf.perm)
-                block = solver.perron_root(permuted[s:e, s:e])
-                assert row.extra == (block.lo, block.hi)
+                i = trace.spectral_block_index
+                s, e = fnf.blocks[i]
+                b_k = matcore.apply_symmetric_permutation(term, fnf.perm)[s:e, s:e]
+                block = solver.perron_root(b_k)
+                assert row.extra == (block.lo, block.hi, _block_bound(b_k, fnf.block_matrices[i]))
 
     def test_dense_trace_is_one_stacked_call(self, monkeypatch, rng):
         # the base and all 20 terms leave the first step finished
