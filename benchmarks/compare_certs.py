@@ -36,7 +36,10 @@ records its command.
 ``diff`` counts the results that differ, per command (``root``,
 ``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
 flips, iteration counts that rise or fall, intervals that get wider or
-narrower, exit-code changes and verdict flips, naming a few of each.  A
+narrower, results whose right or whose left vector's bytes moved,
+exit-code changes and verdict flips, naming a few of each, and the
+largest move of ``lo`` and of ``hi`` among ``root`` results converged in
+both dumps, in ulps of the first dump's value, with its id.  A
 verdict flip is a command whose stdout's sequence of ``pass``, ``FAIL``
 and ``PASS`` tokens changed, so a change that moves digits can show
 that no check's outcome moved.  It exits 1 on a ``converged`` or
@@ -52,6 +55,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -216,9 +220,13 @@ def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
     found = {name: [] for name in ("differ", "converged flips", "iterations rise",
                                    "iterations fall", "wider", "narrower",
+                                   "right vectors moved", "left vectors moved",
                                    "exit code changes", "verdict flips",
                                    "in one dump only")}
     per_command = dict.fromkeys(COMMANDS, 0)
+    # the largest move of each bound of a root converged in both, in ulps
+    # of A's value, and the id it is at
+    moves = {"lo": (0.0, None), "hi": (0.0, None)}
     for key in sorted(a.keys() | b.keys()):
         if key not in a or key not in b:
             found["in one dump only"].append(key)
@@ -236,6 +244,15 @@ def diff(path_a, path_b):
             found["iterations rise" if ib > ia else "iterations fall"].append(key)
         if "width" in ra and "width" in rb and ra["width"] != rb["width"]:
             found["wider" if rb["width"] > ra["width"] else "narrower"].append(key)
+        for side in ("right", "left"):
+            if ra.get(side) != rb.get(side):
+                found[f"{side} vectors moved"].append(key)
+        if command == "root" and ra.get("converged") is True and rb.get("converged") is True:
+            for bound, (largest, _) in moves.items():
+                va, vb = float.fromhex(ra[bound]), float.fromhex(rb[bound])
+                ulps = abs(vb - va) / math.ulp(va)
+                if ulps > largest:
+                    moves[bound] = (ulps, key)
         if ra.get("rc") != rb.get("rc") or ("error" in ra) != ("error" in rb):
             found["exit code changes"].append(key)
         if VERDICT.findall(ra.get("stdout", "")) != VERDICT.findall(rb.get("stdout", "")):
@@ -245,6 +262,9 @@ def diff(path_a, path_b):
     for name, keys in found.items():
         shown = ", ".join(keys[:SHOWN]) + (", ..." if len(keys) > SHOWN else "")
         print(f"{name}: {len(keys)}" + (f" ({shown})" if keys else ""))
+    print("largest converged root move: " + ", ".join(
+        f"{bound} {ulps:g} ulps" + (f" ({key})" if key else "")
+        for bound, (ulps, key) in moves.items()))
     bad = ("converged flips", "iterations rise", "exit code changes", "verdict flips",
            "in one dump only")
     return int(any(found[name] for name in bad))

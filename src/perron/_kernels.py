@@ -31,11 +31,14 @@ whatever method proposed x.
    asymptotic, or after four where the third halves the largest of them
    (changes that oscillate, as under a complex subdominant pair).
    Above 64 there is none.  Both proposers scale their vectors to max
-   1.  Above n = 8 the transposes' passes use x^T b, with no copy, and
-   up to 8 dgeev's copies.  A proposal is kept only when it is positive,
-   its ratios spread less than the ones vector's, and its underflow
-   slack stays under half of ``tol``; it usually lands at the floor of
-   floating point at once, and the pass then stops at two iterations.
+   1.  Every pass, at every n, runs on one stack of 2m matrices: the m
+   given, then contiguous copies of their transposes, so a left pass
+   takes the same products as ``certify_vectors`` on a contiguous
+   transpose and matches it bit for bit.  A proposal is kept only when
+   it is positive, its ratios spread less than the ones vector's, and
+   its underflow slack stays under half of ``tol``; it usually lands at
+   the floor of floating point at once, and the pass then stops at two
+   iterations.
    Every other pass iterates from its kept proposal or, where that was
    rejected or there is none, from the ones vector.
 3. Iteration: power sweeps x <- bx run while they contract well.  Once
@@ -322,13 +325,13 @@ def _unscale(v, e, toward):
     return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
 
 
-def _nonzeros(b, axis=-1):
-    """The most nonzeros along ``axis`` of each matrix of a stack b, in a
-    row by default, as a list: n where b is positive, else counted (that
-    count costs ten times the positivity test)."""
+def _nonzeros(b):
+    """The most nonzeros in a row of each matrix of a stack b, as a list:
+    n where b is positive, else counted (that count costs ten times the
+    positivity test)."""
     if _min(b, axis=None) > 0.0:
-        return [b.shape[axis]] * len(b)
-    return _max(np.count_nonzero(b, axis=axis), axis=-1).tolist()
+        return [b.shape[-1]] * len(b)
+    return _max(np.count_nonzero(b, axis=-1), axis=-1).tolist()
 
 
 def _stops(raw, rmax, g, tol_s):
@@ -339,50 +342,38 @@ def _stops(raw, rmax, g, tol_s):
     return raw + floor <= tol_s or raw <= floor
 
 
-def _products(rows, cols, x):
-    """b x_j for each pass j of a stack, x_j the row j of x: rows[j] x_j
-    for j < len(rows), then x_j^T cols[j - len(rows)], by BLAS."""
-    m = len(rows)
-    r = np.matmul(rows, x[:m, :, None])[:, :, 0]
-    if not len(cols):
-        return r
-    return np.concatenate((r, np.matmul(x[m:, None, :], cols)[:, 0, :]))
+def _products(bs, x):
+    """bs[j] x_j for each matrix of a stack, x_j the row j of x, in one
+    batched BLAS product."""
+    return np.matmul(bs, x[:, :, None])[:, :, 0]
 
 
-def _ratios(rows, cols, y):
-    """The products of the passes of a stack with their vectors y, as
-    ``_products`` takes them, and, as lists, each pass's least and
-    greatest ratio (b y_j)_i / y_ji and y_j's least entry."""
-    by = _products(rows, cols, y)
+def _ratios(bs, y):
+    """The products of a stack with its vectors y, as ``_products`` takes
+    them, and, as lists, each pass's least and greatest ratio
+    (bs[j] y_j)_i / y_ji and y_j's least entry."""
+    by = _products(bs, y)
     r = by / y
     return by, _min(r, axis=1).tolist(), _max(r, axis=1).tolist(), _min(y, axis=1).tolist()
 
 
-def _prescale(rows, cols, tol):
-    """The first step's prescale of the passes on the matrices of rows,
-    then on those of cols, as ``_products`` takes them: returns the
-    stacks scaled by 2^-e, each pass's e, the ones vectors, their
-    products and those products' least and greatest entries (the ones
-    vector's ratios) on the scaled stacks, tol scaled by 2^-e and each
-    pass's nonzero count."""
-    split = len(rows)
-    ones = np.ones((split + len(cols), rows.shape[1]))
-    z = _products(rows, cols, ones)
+def _prescale(bs, tol):
+    """The first step's prescale of the passes on the matrices of a stack:
+    returns the stack with bs[j] scaled by 2^-e_j, each pass's e_j, the
+    ones vectors, their products and those products' least and greatest
+    entries (the ones vector's ratios) on the scaled stack, tol scaled by
+    2^-e_j and each pass's nonzero count."""
+    ones = np.ones(bs.shape[:2])
+    z = _products(bs, ones)
     rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    # _exponent only for the passes it scales; a matrix and its
-    # transpose have the same largest entry
-    e = [0 if _LOW <= s <= _HIGH else _exponent(s, rows[j] if j < split else cols[j - split])
-         for j, s in enumerate(rmax)]
+    # _exponent only for the passes it scales
+    e = [0 if _LOW <= s <= _HIGH else _exponent(s, bs[j]) for j, s in enumerate(rmax)]
     if any(e):
-        scale = -np.array(e)[:, None, None]
-        rows = np.ldexp(rows, scale[:split])
-        cols = np.ldexp(cols, scale[split:])
-        z = _products(rows, cols, ones)
+        bs = np.ldexp(bs, -np.array(e)[:, None, None])
+        z = _products(bs, ones)
         rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
     tol_s = [_times_pow2(tol, -s) if s else tol for s in e]  # prescaled widths
-    # each pass's nonzero count; the transposes' rows are cols' columns
-    ks = _nonzeros(rows) + (_nonzeros(cols, axis=1) if len(cols) else [])
-    return rows, cols, e, ones, z, rmin, rmax, tol_s, ks
+    return bs, e, ones, z, rmin, rmax, tol_s, _nonzeros(bs)
 
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -399,13 +390,13 @@ def certify_vectors(bs, xs, tol):
     gives a pass that ends at the scaled x_j.  ``tol`` is the width below
     which x_j is not certified once more in longdouble.
     """
-    rows, cols, e, *_, tol_s, ks = _prescale(bs, bs[:0], tol)
+    bs, e, *_, tol_s, ks = _prescale(bs, tol)
     # each max is top 2^f, top in [1/2, 1) where the max is positive and
     # finite; a max of top 1/2, a power of two, goes to 1
     top, f = np.frexp(_max(xs, axis=1))
     ys = np.ldexp(xs, ((top == 0.5) - f)[:, None])
-    _, rmin, rmax, y_min = _ratios(rows, cols, ys)
-    return [_certify(rows[j], ys[j], rmin[j], rmax[j], y_min[j], ks[j], tol_s[j], e[j])
+    _, rmin, rmax, y_min = _ratios(bs, ys)
+    return [_certify(bs[j], ys[j], rmin[j], rmax[j], y_min[j], ks[j], tol_s[j], e[j])
             if 0.5 <= t < 1.0 and y_min[j] > 0.0 else (0.0, math.inf)
             for j, t in enumerate(top.tolist())]
 
@@ -418,16 +409,16 @@ def _take(a, idx):
 @np.errstate(invalid="ignore")  # how the driver flags a singular system
 def _noda_steps(bs, x, hi):
     """Noda's step x <- (hi I - b)^-1 x of each pass, for its matrix b of
-    ``bs``, its vector x (a row of x, max 1) and its upper bound hi, taken
-    in the basis where x is all ones: D^-1 b D with D = diag(x) has row
-    sums r_i <= hi, so hi I - D^-1 b D is diagonally dominant, and the
-    solve keeps every component of a vector spanning hundreds of orders
-    of magnitude.  Returns the new vectors, each at max 1, NaN where its
-    solve failed."""
+    the (p, n, n) stack ``bs``, its vector x (a row of x, max 1) and its
+    upper bound hi, taken in the basis where x is all ones: D^-1 b D with
+    D = diag(x) has row sums r_i <= hi, so hi I - D^-1 b D is diagonally
+    dominant, and the solve keeps every component of a vector spanning
+    hundreds of orders of magnitude.  The p matrices are formed in one
+    broadcast and solved in one batched call.  Returns the new vectors,
+    each at max 1, NaN where its solve failed."""
     p, n = x.shape
-    m = np.empty((p, n, n))
-    for i, b in enumerate(bs):
-        np.multiply(b, x[i], out=m[i])
+    # C order, whatever bs's layout: the reshape below must be a view
+    m = np.multiply(bs, x[:, None, :], order="C")
     m /= -x[:, :, None]
     m.reshape(p, n * n)[:, ::n + 1] += np.array(hi)[:, None]
     # a singular system comes back NaN, the others as they would alone
@@ -458,19 +449,16 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     helpers' included: they run undecorated, under this errstate.
     """
     m, n = bs.shape[0], bs.shape[1]
-    # the matrices whose rows and whose columns the passes take: up to
-    # _EIG_N the transposes are matrices of their own, as eig takes them
-    if n <= _EIG_N:
-        rows, cols = np.concatenate((bs, bs.transpose(0, 2, 1))), bs[:0]
-    else:
-        rows = cols = bs
-    rows, cols, e, ones, z, rmin, rmax, tol_s, ks = _prescale(rows, cols, tol)
+    # pass j takes the rows of rows[j]: the transposes are contiguous
+    # copies, matrices of their own
+    rows = np.concatenate((bs, bs.transpose(0, 2, 1)))
+    rows, e, ones, z, rmin, rmax, tol_s, ks = _prescale(rows, tol)
     # vectors tried, and the minimum of x, 1 for the ones vector
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
         y = _eig_vectors.__wrapped__(rows) if n <= _EIG_N else _power_vectors.__wrapped__(rows[:m])
-        by, ymin, ymax, y_mins = _ratios(rows, cols, y)
+        by, ymin, ymax, y_mins = _ratios(rows, y)
         for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, y_mins)):
             # kept where y > 0 (the tests fail on NaN), its ratios spread
             # less than the ones vector's and its underflow slack is small
@@ -490,10 +478,10 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     # the last two spreads, and the Noda steps in a row that shrank the
     # spread by under 1/8: None while the pass sweeps
     last, before, stalls = [math.nan] * (2 * m), [math.nan] * (2 * m), [None] * (2 * m)
-    out, split = [None] * (2 * m), len(rows)
-    # the live passes, in order: row i of x and z, the vectors, is pass
-    # live[i]'s, and lr and lc hold the matrices their products take
-    live, lr, lc = list(range(2 * m)), rows, cols
+    out = [None] * (2 * m)
+    # the live passes, in order: row i of x and z, the vectors, and of
+    # lr, the matrices their products take, is pass live[i]'s
+    live, lr = list(range(2 * m)), rows
     while True:
         # the rules are each pass's own, in scalars; the numpy calls
         # serve all live passes at once
@@ -530,22 +518,20 @@ def collatz_wielandt_stack(bs, tol, max_iter):
                 images[:len(right)] = bu
             for i, xi, unit, image in zip(done, xs, units, images):
                 j = live[i]
-                b = rows[j] if j < split else cols[j - split].T
-                lo, hi = _certify(b, xi, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
+                lo, hi = _certify(rows[j], xi, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
                 out[j] = (lo, hi, unit, it[j], hi - lo <= tol, image)
         if not going:
             return out
         if done:  # compact the stack
             live, x, z = [live[i] for i in going], x[going], z[going]
-            lr = _take(rows, [j for j in live if j < split])
-            lc = _take(cols, [j - split for j in live if j >= split])
+            lr = _take(rows, live)
         y = z / _max(z, axis=1)[:, None]  # the power sweeps
         noda = [i for i, j in enumerate(live) if stalls[j] is not None]
         if noda:
             js = [live[i] for i in noda]
-            mats = [rows[j] if j < split else cols[j - split].T for j in js]
-            y[noda] = _noda_steps.__wrapped__(mats, x[noda], [rmax[j] + rmax[j] * g[j] for j in js])
-        by, ymin, ymax, y_min = _ratios(lr, lc, y)
+            y[noda] = _noda_steps.__wrapped__(_take(rows, js), x[noda],
+                                              [rmax[j] + rmax[j] * g[j] for j in js])
+        by, ymin, ymax, y_min = _ratios(lr, y)
         kept = []
         for i, j in enumerate(live):
             # an entry of y underflowed to zero, or a Noda step failed (the

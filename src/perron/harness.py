@@ -47,9 +47,11 @@ _RULES = ("inv-k", "inv-k2", "geom")
 # the exponent _gelfand_steps' extended chain gives a zero entry, below
 # that of any positive entry of 1^T x^m, at least 2^(-1074 m), for m < 2^50
 _ZERO_EXP = -2**60
-# float64 entries of the terms run_trace certifies in one call (8 MiB):
-# stacking saves per-call overhead, which is spread thin long before
-# this, and the cap bounds the memory a long trace of large terms takes
+# float64 entries of the terms run_trace certifies in one call (8 MiB;
+# the kernel holds a transposed copy of each stack it certifies, so
+# twice that): stacking saves per-call overhead, which is spread thin
+# long before this, and the cap bounds the memory a long trace of large
+# terms takes
 _CHUNK_ENTRIES = 2**20
 _min, _max = np.minimum.reduce, np.maximum.reduce
 
@@ -240,13 +242,7 @@ def run_trace(
         if base_cert is None:
             base_cert = block_cert = certs.pop(0)
             if kind == "irreducible":
-                if not base_cert.converged:
-                    raise ValueError(
-                        f"base certificate did not converge within "
-                        f"max_iter={max_iter}, so q_star is not reliable; "
-                        "raise max_iter or tol"
-                    )
-                q = solver.q_star(base_cert)
+                q = solver._base_q_star(base_cert, max_iter)
         if kind == "nilpotent":
             f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
         else:  # items[-1] holds the B_k

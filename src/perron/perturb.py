@@ -57,12 +57,7 @@ def continuity_certificate(
         raise ValueError("base matrix is reducible, so the continuity bound does not "
                          "apply; run `perron analyze` to see its block structure")
     cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
-    if not cert.converged:
-        raise ValueError(
-            f"base certificate did not converge within max_iter={max_iter}, "
-            "so q_star is not reliable; raise max_iter or tol"
-        )
-    qs = solver.q_star(cert)
+    qs = solver._base_q_star(cert, max_iter)
     e_norm = float(_kernels._frobenius_up((mp - m)[None])[0])
     bound = math.nextafter(e_norm / qs, math.inf) if e_norm else 0.0
     enclosure = (cert.lo, cert.hi)

@@ -233,6 +233,17 @@ def q_star(cert: PerronCertificate) -> float:
     return qs
 
 
+def _base_q_star(cert: PerronCertificate, max_iter: int) -> float:
+    """``q_star`` of a continuity bound's base certificate, which must have
+    converged: where it did not within ``max_iter``, raises ValueError."""
+    if not cert.converged:
+        raise ValueError(
+            f"base certificate did not converge within max_iter={max_iter}, "
+            "so q_star is not reliable; raise max_iter or tol"
+        )
+    return q_star(cert)
+
+
 def _pow_rounded(x, p: int, toward: float):
     """x^p for x >= 0, a float or an array, by p - 1 products each rounded
     one ulp toward ``toward`` (-inf or inf): a bound on the exact x^p."""

@@ -85,17 +85,21 @@ def test_noda_steps_match_the_wrapper(rng, n):
         x = rng.uniform(0.01, 1.0, (len(bs), n))
         x /= x.max(axis=1)[:, None]
         hi = [float(((b @ xi) / xi).max()) * 1.5 for b, xi in zip(bs, x)]
-        got = _kernels._noda_steps(list(bs), x, hi)
+        got = _kernels._noda_steps(bs, x, hi)
         for b, xi, h, row in zip(bs, x, hi, got):
             assert row.tobytes() == _noda_route(b, xi, h).tobytes()
+        # a stack of transposed views gets what its contiguous copy gets
+        t = bs.transpose(0, 2, 1)
+        assert (_kernels._noda_steps(t, x, hi).tobytes()
+                == _kernels._noda_steps(np.ascontiguousarray(t), x, hi).tobytes())
 
 
 def test_singular_noda_matrix_is_nan_in_place(rng):
     bs, x, hi = _singular_stack(rng)
-    got = _kernels._noda_steps(list(bs), x, hi)
+    got = _kernels._noda_steps(bs, x, hi)
     assert np.isnan(got[1]).all()
     for i in (0, 2):
-        alone = _kernels._noda_steps([bs[i]], x[i:i + 1], [hi[i]])[0]
+        alone = _kernels._noda_steps(bs[i:i + 1], x[i:i + 1], [hi[i]])[0]
         assert got[i].tobytes() == alone.tobytes() == _noda_route(bs[i], x[i], hi[i]).tobytes()
 
 
@@ -109,6 +113,6 @@ def test_helpers_alone_do_not_warn(rng):
     cycle[np.arange(12), (np.arange(12) + 1) % 12] = np.ldexp(1.0, [-399, -1000] * 6)
     with warnings.catch_warnings(), np.errstate(**_DEFAULT_ERR):
         warnings.simplefilter("error")
-        _kernels._noda_steps(list(bs), x, hi)
+        _kernels._noda_steps(bs, x, hi)
         _kernels._eig_vectors(np.concatenate((bs, _stack(rng, 3))))
         assert np.isnan(_kernels._power_vectors(cycle[None])).all()

@@ -663,9 +663,9 @@ class TestOneLoop:
         # hi I - b is singular for b = I and hi = 1, which fails the
         # batched solve: the other pass gets what it gets alone
         x, b = np.ones((2, 2)), np.ones((2, 2))
-        got = _kernels._noda_steps([np.eye(2), b], x, [1.0, 3.0])
+        got = _kernels._noda_steps(np.stack([np.eye(2), b]), x, [1.0, 3.0])
         assert np.isnan(got[0]).all()
-        assert got[1].tobytes() == _kernels._noda_steps([b], x[:1], [3.0])[0].tobytes()
+        assert got[1].tobytes() == _kernels._noda_steps(b[None], x[:1], [3.0])[0].tobytes()
         assert (got[1] == 1.0).all()
 
     def test_failed_noda_step_stops_the_pass(self, monkeypatch):
@@ -771,8 +771,8 @@ class TestCertifyVectors:
 
     def test_ones_vector_is_the_first_pass(self):
         # bit for bit the kernel's pass at max_iter = 1, which certifies
-        # the ones vector: right passes at every n, left passes where the
-        # kernel's transposes are matrices of their own
+        # the ones vector: right passes on bs, left passes on a contiguous
+        # transpose, as the kernel copies every transpose, at every n
         rng = np.random.default_rng(24)
         for n in range(2, 71, 3):
             for k in (-1000, -400, 0, 400, 900):
@@ -781,9 +781,8 @@ class TestCertifyVectors:
                 passes = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, 1)
                 ones = np.ones((1, n))
                 assert _kernels.certify_vectors(bs, ones, solver.DEFAULT_TOL) == [passes[0][:2]]
-                if n <= _kernels._EIG_N:
-                    t = np.ascontiguousarray(bs.transpose(0, 2, 1))
-                    assert _kernels.certify_vectors(t, ones, solver.DEFAULT_TOL) == [passes[1][:2]]
+                t = np.ascontiguousarray(bs.transpose(0, 2, 1))
+                assert _kernels.certify_vectors(t, ones, solver.DEFAULT_TOL) == [passes[1][:2]]
 
     def test_vector_scale_is_a_power_of_two(self, rng):
         # x and x 2^j give the same bounds; a vector's max need not be 1
