@@ -390,7 +390,7 @@ def main() -> int:
     rows = [("case", "iterations", "ms", "width", "converged")]
     for name, b in workloads():
         b = np.ascontiguousarray(b, dtype=np.float64)
-        t, (lo, hi, _, iterations, converged, _) = best_time(
+        t, (lo, hi, _, iterations, converged) = best_time(
             lambda a: _kernels.collatz_wielandt_stack(a[None], TOL, MAX_ITER)[0], b,
             args.repeats)
         rows.append((f"{name}, {_proposal(b.shape[0])} proposal", str(iterations),

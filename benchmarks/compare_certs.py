@@ -37,7 +37,8 @@ records its command.
 ``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
 flips, iteration counts that rise or fall, intervals that get wider or
 narrower, results whose right or whose left vector's bytes moved,
-exit-code changes and verdict flips, naming a few of each, and the
+``root`` results whose residual moved, exit-code changes and verdict
+flips, naming a few of each, and the
 largest move of ``lo`` and of ``hi`` among ``root`` results converged in
 both dumps, in ulps of the first dump's value, with its id.  A
 verdict flip is a command whose stdout's sequence of ``pass``, ``FAIL``
@@ -221,7 +222,7 @@ def diff(path_a, path_b):
     found = {name: [] for name in ("differ", "converged flips", "iterations rise",
                                    "iterations fall", "wider", "narrower",
                                    "right vectors moved", "left vectors moved",
-                                   "exit code changes", "verdict flips",
+                                   "residuals moved", "exit code changes", "verdict flips",
                                    "in one dump only")}
     per_command = dict.fromkeys(COMMANDS, 0)
     # the largest move of each bound of a root converged in both, in ulps
@@ -247,6 +248,8 @@ def diff(path_a, path_b):
         for side in ("right", "left"):
             if ra.get(side) != rb.get(side):
                 found[f"{side} vectors moved"].append(key)
+        if command == "root" and ra.get("residual") != rb.get("residual"):
+            found["residuals moved"].append(key)
         if command == "root" and ra.get("converged") is True and rb.get("converged") is True:
             for bound, (largest, _) in moves.items():
                 va, vb = float.fromhex(ra[bound]), float.fromhex(rb[bound])

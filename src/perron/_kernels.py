@@ -5,14 +5,14 @@ and one on its transpose.  ``collatz_wielandt_stack(bs, tol, max_iter)``
 runs both passes of every matrix of a same-size stack: the first step of
 all of them in one fixed set of numpy calls, then one loop that steps
 every live pass, in one set of numpy calls per iteration, until each has
-stopped.  A pass's result is ``(lo, hi, x, iterations, converged,
-image)``, image the product b x on the caller's unscaled b for a pass on
-b, None for a transpose's pass; x and image are read-only.  For
-every x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral
-radius between their minimum and their maximum; lo and hi are those
-extremes widened outward for every rounding error their float
-computation can carry, so they hold the radius of the stored floats
-whatever method proposed x.
+stopped.  A pass's result is ``(lo, hi, x, iterations, converged)``,
+x the read-only vector that lo and hi certify, its largest entry
+exactly 1.  For every x > 0 the Collatz-Wielandt ratios (bx)_i / x_i
+have the spectral radius between their minimum and their maximum; lo
+and hi are those extremes widened outward for every rounding error
+their float computation can carry, so they hold the radius of the
+stored floats whatever method proposed x, and hold the exact ratios of
+the x returned, on b for a pass on b and on b.T for a transpose's.
 
 1. Prescaling (``_prescale``): a pass whose largest row sum lies outside
    [2^-400, 2^400] runs on b scaled by an exact power of two, which keeps
@@ -119,9 +119,9 @@ _SQUARE_N = 64
 _NODA_STEPS = 4
 _SOLVE_N2 = 1200
 _SOLVE_N = 4
-# the ufunc reductions skip ndarray.min/max/sum's Python-level wrapper,
+# the ufunc reductions skip ndarray.min/max's Python-level wrapper,
 # which costs as much as the rest of a sweep at small n
-_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _gamma(k, u):
@@ -436,12 +436,14 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
     n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
     bs[j].T.  Returns a list of 2m results (lo, hi, x, iterations,
-    converged, image): the certified interval, the final iterate (1-norm
-    one), the number of vectors tried (the ones vector, a kept proposal,
-    sweeps and Noda steps), whether hi - lo <= tol, and bs[j] @ x for a
-    pass on bs[j] (inf where it overflows), None for a transpose's; x and
-    the image are read-only.  Each pass's result depends on its own
-    matrix alone, not on the rest of the stack.  The first step prescales
+    converged): the certified interval, the vector it certifies
+    (read-only, its largest entry exactly 1; ``certify_vectors`` gives
+    lo and hi again from it, on bs[j] or a contiguous copy of bs[j].T),
+    the number of vectors tried (the ones vector, a kept proposal,
+    sweeps and Noda steps) and whether hi - lo <= tol.  Each pass's
+    result depends on its own matrix alone, not on the rest of the
+    stack, and the caller's bs is read only to copy it into the stack of
+    the passes' matrices.  The first step prescales
     through ``_prescale``, each step's ratios come from ``_ratios``, and a
     pass that stops is certified by ``_certify``, as ``certify_vectors``
     certifies a given vector.  Overflow, zero division
@@ -508,18 +510,11 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             going.append(i)
         if done:
             xs = x if len(done) == len(live) else x[done]
-            units = xs / _sum(xs, axis=1)[:, None]
-            units.setflags(write=False)
-            # the right passes, first in done, get their images b u
-            right, images = [live[i] for i in done if live[i] < m], [None] * len(done)
-            if right:
-                bu = np.matmul(_take(bs, right), units[:len(right), :, None])[:, :, 0]
-                bu.setflags(write=False)  # before its rows are taken
-                images[:len(right)] = bu
-            for i, xi, unit, image in zip(done, xs, units, images):
+            xs.setflags(write=False)  # before its rows are taken
+            for i, xi in zip(done, xs):
                 j = live[i]
                 lo, hi = _certify(rows[j], xi, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
-                out[j] = (lo, hi, unit, it[j], hi - lo <= tol, image)
+                out[j] = (lo, hi, xi, it[j], hi - lo <= tol)
         if not going:
             return out
         if done:  # compact the stack

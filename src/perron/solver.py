@@ -14,8 +14,11 @@ whole, with no normal form built; other matrices are split into
 irreducible diagonal blocks first and the block intervals are combined.
 Certificates report closed intervals [lo, hi] that always contain the
 spectral radius, converged or not; ``converged`` says whether the
-intersected interval is at most the requested width.  Its residual is
-formed when read, from the kernel's image of the right vector.
+intersected interval is at most the requested width.  The kernel
+returns the vectors it certified, each with its largest entry 1;
+``_certify_irreducible`` alone forms what a certificate carries of them,
+their 1-norm copies and the image A v of the right one, for a whole
+stack at once.  The residual is formed when read, from that image.
 """
 
 import math
@@ -47,9 +50,10 @@ class PerronCertificate:
 
     ``right_vector`` and ``left_vector`` are 1-norm-normalized nonnegative
     eigenvector approximations, present only when the certified matrix is
-    irreducible (strictly positive then, for n >= 2).  ``image`` is A v
-    for the right vector v, as the kernel computed it, None with no
-    vector; ``residual`` ||A v - mid v||_1 is formed from it when read,
+    irreducible (strictly positive then, for n >= 2): the 1-norm copies of
+    the vectors the kernel certified, formed by ``_certify_irreducible``.
+    ``image`` is A v for the right vector v, formed there too, None with
+    no vector; ``residual`` ||A v - mid v||_1 is formed from it when read,
     None when no vector is carried or it is not finite.  ``hi`` is
     infinite when the radius exceeds the largest float.  Certificates
     compare and hash by identity: their vectors have no single truth
@@ -128,12 +132,18 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
         ]
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = collatz_wielandt_stack(ms, tol, max_iter)
+    # the 1-norm copies of the certified vectors, and each right one's
+    # image on the caller's stack (inf where it overflows)
+    xs = np.array([p[2] for p in passes])
+    units = structure._frozen(xs / np.add.reduce(xs, axis=1)[:, None])
+    with np.errstate(over="ignore"):
+        images = structure._frozen(np.matmul(ms, units[:m, :, None])[:, :, 0])
     out = []
-    for r, t in zip(passes, passes[m:]):
+    for r, t, right, left, image in zip(passes, passes[m:], units, units[m:], images):
         # rho(A) = rho(A^T): both intervals hold it
         lo, hi = max(r[0], t[0]), min(r[1], t[1])
         out.append(PerronCertificate(
-            lo=lo, hi=hi, right_vector=r[2], left_vector=t[2], image=r[5],
+            lo=lo, hi=hi, right_vector=right, left_vector=left, image=image,
             iterations=r[3] + t[3], converged=hi - lo <= tol))
     return out
 

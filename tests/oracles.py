@@ -84,6 +84,31 @@ def encloses_radius(a, lo: float, hi: float, p: int = 1) -> bool:
     return _leading_minors_positive(above, x)
 
 
+def _ints(v) -> list[int]:
+    """Each float of v, finite and nonnegative, as the integer N with
+    float = N 2^-1074: its denominator is a power of two, at most 2^1074."""
+    out = []
+    for f in v:
+        p, q = f.as_integer_ratio()
+        out.append(p << (1075 - q.bit_length()))
+    return out
+
+
+def cw_exact(a, x) -> tuple[Fraction, Fraction]:
+    """The least and the greatest Collatz-Wielandt ratio (a x)_i / x_i of
+    the stored floats, exactly, for nonnegative a and positive x.
+
+    With every float an integer times 2^-1074, the ratio is
+    sum_j A_ij X_j / (X_i 2^1074) for the integers A of a and X of x: a
+    quotient of Python integers, with no rounding anywhere.  For any
+    x > 0 the spectral radius of a lies between the two.
+    """
+    xs = _ints(np.asarray(x, dtype=np.float64).tolist())
+    ratios = [Fraction(sum(ai * xj for ai, xj in zip(_ints(row), xs)), xi << 1074)
+              for row, xi in zip(np.asarray(a, dtype=np.float64).tolist(), xs)]
+    return min(ratios), max(ratios)
+
+
 def _charpoly_at(a: np.ndarray, x: float) -> float:
     return float(np.linalg.det(x * np.eye(a.shape[0]) - a))
 

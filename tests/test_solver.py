@@ -4,6 +4,7 @@ import math
 import pathlib
 import sys
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perron import _kernels, matcore, solver, structure
+from perron import _kernels, harness, matcore, solver, structure
 from generators import random_irreducible, random_nonneg, three_block_base
-from oracles import eig_radius, encloses_radius, rational_power
+from oracles import cw_exact, eig_radius, encloses_radius, rational_power
 
 
 class TestPerronIrreducible:
@@ -81,10 +82,9 @@ def _passes(a, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
 
 
 def _bits(p):
-    """A pass result (lo, hi, x, iterations, converged, image) with its
-    arrays as bytes, to compare bit for bit; the image is None on a
-    transpose's pass."""
-    return p[:2] + p[3:5] + tuple(None if v is None else v.tobytes() for v in (p[2], p[5]))
+    """A pass result (lo, hi, x, iterations, converged) with its vector
+    as bytes, to compare bit for bit."""
+    return p[:2] + p[3:] + (p[2].tobytes(),)
 
 
 def _near_reducible(eps):
@@ -232,7 +232,7 @@ class TestCertifiedBounds:
         # near-reducible 5x5 at max_iter 3: each pass stops wider than
         # tol, their intersection is within it
         a = _small_input("near_reducible", 5, 2)
-        (r_lo, r_hi, _, _, r_conv, _), (l_lo, l_hi, _, _, l_conv, _) = _passes(a, max_iter=3)
+        (r_lo, r_hi, _, _, r_conv), (l_lo, l_hi, _, _, l_conv) = _passes(a, max_iter=3)
         cert = solver.perron_irreducible(a, max_iter=3)
         assert not (r_conv and l_conv)
         assert cert.converged and cert.width <= solver.DEFAULT_TOL
@@ -444,14 +444,13 @@ class TestPowerProposal:
         # its ratios spread by about 1e6, the ones vector's by under 10
         worse = np.linspace(1.0, 1e6, n)
         sweep = b @ np.ones(n)
-        sweep /= sweep.max()
         results = []
         for bad in (zero, negative, nan, -right, worse):
             monkeypatch.setattr(_kernels._power_vectors, "__wrapped__",
                                 lambda bs, bad=bad: np.stack([bad, x[1]]))
             results.append(_passes(b, tol)[0])
             # at two iterations, one sweep from the ones vector
-            assert _passes(b, tol, 2)[0][2].tobytes() == (sweep / sweep.sum()).tobytes()
+            assert _passes(b, tol, 2)[0][2].tobytes() == (sweep / sweep.max()).tobytes()
         assert results[0][3] > 2
         for got in results[1:]:
             assert _bits(got) == _bits(results[0])
@@ -520,9 +519,13 @@ def _stack_input(family, n, seed, k):
     whose proposals tend to miss tol narrowly: "moderate", of a
     three-block base (spectral gaps near 0.6 to 0.7), or "nil16", of the
     nilpotent base and direction of the fixtures (a complex subdominant
-    pair; 16 x 16 whatever n is)."""
+    pair; 16 x 16 whatever n is), or "corner", [[1, 1], [eps, 1]] with
+    eps = 10^-U(1, 300) (2 x 2 whatever n is)."""
     term = seed % 20 + 1
-    if family == "nil16":
+    if family == "corner":
+        eps = 10.0 ** -np.random.default_rng(seed).uniform(1.0, 300.0)
+        a = np.array([[1.0, 1.0], [eps, 1.0]])
+    elif family == "nil16":
         base, direction = (matcore.read_matrix_file(_FIXTURES / f"nil16_{name}.txt")
                            for name in ("base", "direction"))
         a = base + (1.0 / term) * direction
@@ -600,8 +603,8 @@ class TestOneLoop:
         for seed, n in enumerate((3, 5, 8, 12, 16, 24, 48, 64) * 3):
             a = _small_input("near_reducible", n, seed)
             rho = eig_radius(a)
-            for lo, hi, x, iterations, converged, _ in _same_stacked_or_alone([a]):
-                assert converged and x.sum() == pytest.approx(1.0, abs=1e-13)
+            for lo, hi, x, iterations, converged in _same_stacked_or_alone([a]):
+                assert converged and x.max() == 1.0
                 assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
                 iterated += iterations > 2
         assert iterated >= 24
@@ -651,10 +654,10 @@ class TestOneLoop:
         assert all(p[4] and p[3] > 2 for p in _passes(a))
         for n in (3, 12):
             a = rng.uniform(0.5, 1.5, (n, n))
-            for sums, (lo, hi, x, iterations, _, _) in zip(
+            for sums, (lo, hi, x, iterations, _) in zip(
                     (a.sum(axis=1), a.sum(axis=0)), _passes(a, max_iter=1)):
                 # each pass certifies the ones vector
-                assert iterations == 1 and (x == 1.0 / n).all()
+                assert iterations == 1 and (x == 1.0).all()
                 assert lo <= sums.min() * (1 + 1e-14)
                 assert sums.max() * (1 - 1e-14) <= hi
             assert solver.perron_irreducible(a, max_iter=1).iterations == 2
@@ -697,10 +700,10 @@ class TestOneLoop:
         for got, want in zip(out[1:], alone[1:]):
             assert _bits(got) == _bits(want)
         monkeypatch.undo()
-        lo, hi, x, iterations, converged, image = out[0]
+        lo, hi, x, iterations, converged = out[0]
         earlier = _kernels.collatz_wielandt_stack(bs[:1], tol, iterations - 1)[0]
-        assert (lo, hi, iterations - 1, converged) == earlier[:2] + earlier[3:5]
-        assert x.tobytes() == earlier[2].tobytes() and image.tobytes() == earlier[5].tobytes()
+        assert (lo, hi, iterations - 1, converged) == earlier[:2] + earlier[3:]
+        assert x.tobytes() == earlier[2].tobytes()
         assert iterations < alone[0][3]
 
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
@@ -735,6 +738,65 @@ def _any_input(family, n, seed, k):
         a = np.triu(rng.uniform(0.0, 1.0, (n, n)), 1)
         a += np.diag(rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.5))
     return np.ldexp(a, k)
+
+
+def _route_calls(route, n, picks, max_iter):
+    """The kernel calls of one route, as (stack, tol, passes): one stacked
+    call on the ``_stack_input`` picks ("stack", all n x n, or 2 x 2 with
+    a "corner"), or, recorded by wrapping the solver's name for the
+    kernel, ``perron_root`` of a scrambled block upper triangular matrix
+    with the picks as its diagonal blocks, the second n // 2 x n // 2,
+    or of the one pick ("blocks", through ``_certify_blocks``), or a
+    three-term ``run_trace`` from that matrix ("trace")."""
+    tol, calls = solver.DEFAULT_TOL, []
+    if route == "stack":
+        n = 2 if any(f == "corner" for f, *_ in picks) else n
+        bs = np.stack([_stack_input(f, n, seed, k) for f, seed, k in picks])
+        return [(bs, tol, _kernels.collatz_wielandt_stack(bs, tol, max_iter))]
+    blocks = [_stack_input(f, max(2, n // 2) if i == 1 else n, seed, k)
+              for i, (f, seed, k) in enumerate(picks)]
+    size = sum(len(b) for b in blocks)
+    rng = np.random.default_rng(picks[0][1])
+    a = np.triu(rng.uniform(0.0, 1.0, (size, size)) * (rng.random((size, size)) < 0.2), 1)
+    start = 0
+    for b in blocks:
+        a[start:start + len(b), start:start + len(b)] = b
+        start += len(b)
+    p = rng.permutation(size)
+    a = a[np.ix_(p, p)] if len(blocks) > 1 else blocks[0]
+    stack = solver.collatz_wielandt_stack
+
+    def recording(bs, tol, max_iter):
+        calls.append((bs, tol, stack(bs, tol, max_iter)))
+        return calls[-1][2]
+
+    with mock.patch.object(solver, "collatz_wielandt_stack", recording):
+        if route == "blocks":
+            solver.perron_root(a, tol, max_iter)
+        else:
+            direction = rng.uniform(0.0, 1.0, (size, size)) * (rng.random((size, size)) < 0.3)
+            spec = harness.SequenceSpec(base=a, direction=direction, coeff=1e-3, count=3)
+            try:
+                harness.run_trace(spec, tol, max_iter)
+            except ValueError as exc:  # an irreducible base short of tol
+                assert "did not converge" in str(exc)
+    return calls
+
+
+# the routes of every pass: the eig, squaring and no-proposal sizes, one
+# to three matrices, each scaled by 2^k where that keeps its pattern
+_ROUTES = dict(
+    route=st.sampled_from(["stack", "blocks", "trace"]),
+    n=st.one_of(st.integers(2, _kernels._EIG_N),
+                st.integers(_kernels._EIG_N + 1, _kernels._SQUARE_N),
+                st.integers(_kernels._SQUARE_N + 1, 70)),
+    picks=st.lists(st.tuples(
+        st.sampled_from(["dense", "sparse", "near_reducible", "weak_cycle", "moderate", "corner"]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1000, max_value=1000)), min_size=1, max_size=3),
+    # 200 is past what the passes that converge take
+    max_iter=st.sampled_from([1, 2, 3, 200]),
+)
 
 
 class TestCertifyVectors:
@@ -784,6 +846,18 @@ class TestCertifyVectors:
                 t = np.ascontiguousarray(bs.transpose(0, 2, 1))
                 assert _kernels.certify_vectors(t, ones, solver.DEFAULT_TOL) == [passes[1][:2]]
 
+    @settings(max_examples=60, deadline=None)
+    @given(**_ROUTES)
+    def test_every_pass_replays(self, route, n, picks, max_iter):
+        # bit for bit each pass's interval, from the vector it returned:
+        # right passes on their matrix, left passes on a contiguous
+        # transpose, as the kernel copies every transpose
+        for bs, tol, passes in _route_calls(route, n, picks, max_iter):
+            m = len(bs)
+            for j, (lo, hi, x, *_) in enumerate(passes):
+                b = bs[j] if j < m else np.ascontiguousarray(bs[j - m].T)
+                assert _kernels.certify_vectors(b[None], x[None], tol) == [(lo, hi)]
+
     def test_vector_scale_is_a_power_of_two(self, rng):
         # x and x 2^j give the same bounds; a vector's max need not be 1
         b = rng.uniform(0.5, 1.5, (1, 5, 5))
@@ -792,6 +866,25 @@ class TestCertifyVectors:
                                         solver.DEFAULT_TOL)
         for j in (-1000, -3, 0, 7, 1000):
             assert _kernels.certify_vectors(b, np.ldexp(x, j), solver.DEFAULT_TOL) == want
+
+
+class TestExactWitness:
+    """Each pass's [lo, hi] holds the exact least and greatest ratio
+    (b x)_i / x_i of the vector x it returned (``oracles.cw_exact``), a
+    left pass's on b.T: the interval is about the vector the kernel
+    hands back, not only some vector near it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_ROUTES)
+    # a kept eig proposal: a 1-norm copy of its x has exact ratios outside [lo, hi]
+    @example(route="stack", n=2, picks=[("dense", 1, 7)], max_iter=2)
+    def test_every_pass_holds_its_witness(self, route, n, picks, max_iter):
+        for bs, _, passes in _route_calls(route, n, picks, max_iter):
+            m = len(bs)
+            for j, (lo, hi, x, *_) in enumerate(passes):
+                least, greatest = cw_exact(bs[j] if j < m else bs[j - m].T, x)
+                assert Fraction(lo) <= least
+                assert hi == math.inf or greatest <= Fraction(hi)
 
 
 class TestPerronRoot:
@@ -1037,8 +1130,9 @@ def _ring(rng, n):
 
 
 class TestResidual:
-    """The residual is formed from the kernel's image A v when read, and
-    gives the bits of the eager formula on every route to a vector."""
+    """The residual is formed when read from the image A v that
+    ``_certify_irreducible`` forms, and gives the bits of the eager
+    formula on every route to a vector."""
 
     def _pinned(self, a, cert):
         assert cert.right_vector is not None
