@@ -45,9 +45,9 @@ share (eig minus the driver), which the kernel does not pay, and what a
 call costs beyond the driver.  The last three are one
 ``collatz_wielandt_stack`` call on the matrix (none at n = 1), what
 ``perron_root`` costs beyond it (validation and the certificate's
-assembly), and one read of the certificate's ``residual``, which is
-formed when read.  Each is the best over the repeats of the mean of 200
-calls.
+assembly), and one ``solver.residual`` of the certificate, which forms
+its right vector on first read and A v from the matrix on every call.
+Each is the best over the repeats of the mean of 200 calls.
 
 Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
 matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
@@ -227,8 +227,8 @@ def per_call_rows(repeats, calls=200):
         t_call, certs = best_time(
             lambda b: [solver.perron_root(b, TOL, MAX_ITER) for _ in range(calls)],
             a, repeats)
-        t_res, _ = best_time(lambda c: [c.residual for _ in range(calls)], certs[0],
-                             repeats)
+        t_res, _ = best_time(lambda c: [solver.residual(a, c) for _ in range(calls)],
+                             certs[0], repeats)
         if n < 2:
             rows.append((f"n={n}", us(t_call), "-", "-", "-", us(t_call), "-",
                          us(t_call), us(t_res)))

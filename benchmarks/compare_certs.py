@@ -24,8 +24,10 @@ where fl(1 + s_1) - 1 exceeds s_1, and of [[0, 1e-12, 0], [1, 0, 0],
 [0, 0, 0]] along 1 at (0, 1) at ``--coeff 1e-10 --count 3``, where the
 radius of the reducible base's spectral block, 1e-6, moves by 9e-6 at
 k = 1, far more than s_k ||direction||_F.  A ``root`` operation records
-lo, hi, both vectors' bytes, the iterations, ``converged`` and the
-residual; a command operation records the exit code and stdout of
+lo, hi, both vectors' bytes, both witnesses' bytes where the
+certificate carries them, the iterations, ``converged`` and the
+residual, through ``solver.residual`` where SRC has it, else the
+certificate's own ``residual``; a command operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
 relative to it, so the output does not depend on where that is.  Then
 ``perron_root`` on seeded random matrices at n = 2..69 in six families
@@ -37,7 +39,9 @@ records its command.
 ``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
 flips, iteration counts that rise or fall, intervals that get wider or
 narrower, results whose right or whose left vector's bytes moved,
-``root`` results whose residual moved, exit-code changes and verdict
+results whose right or whose left witness's bytes moved (compared only
+where both dumps record witnesses), ``root`` results whose residual
+moved, exit-code changes and verdict
 flips, naming a few of each, and the
 largest move of ``lo`` and of ``hi`` among ``root`` results converged in
 both dumps, in ulps of the first dump's value, with its id.  A
@@ -148,16 +152,24 @@ def _hex(v):
     return None if v is None else float(v).hex()
 
 
+def _bytes(v):
+    return None if v is None else v.tobytes().hex()
+
+
 def _root(perron, a, tol, max_iter):
     try:
         cert = perron.perron_root(a, tol=tol, max_iter=max_iter)
     except Exception as exc:  # a raise is a result to compare, not a crash
         return {"error": f"{type(exc).__name__}: {exc}"}
-    return {"lo": _hex(cert.lo), "hi": _hex(cert.hi), "width": cert.hi - cert.lo,
-            "right": None if cert.right_vector is None else cert.right_vector.tobytes().hex(),
-            "left": None if cert.left_vector is None else cert.left_vector.tobytes().hex(),
-            "iterations": cert.iterations, "converged": cert.converged,
-            "residual": _hex(cert.residual)}
+    residual = getattr(perron.solver, "residual", None)
+    res = {"lo": _hex(cert.lo), "hi": _hex(cert.hi), "width": cert.hi - cert.lo,
+           "right": _bytes(cert.right_vector), "left": _bytes(cert.left_vector),
+           "iterations": cert.iterations, "converged": cert.converged,
+           "residual": _hex(cert.residual if residual is None else residual(a, cert))}
+    if hasattr(cert, "right_witness"):  # a source before witnesses has none
+        res.update(right_witness=_bytes(cert.right_witness),
+                   left_witness=_bytes(cert.left_witness))
+    return res
 
 
 def _command(perron, cases, op, work, i):
@@ -222,6 +234,7 @@ def diff(path_a, path_b):
     found = {name: [] for name in ("differ", "converged flips", "iterations rise",
                                    "iterations fall", "wider", "narrower",
                                    "right vectors moved", "left vectors moved",
+                                   "right witnesses moved", "left witnesses moved",
                                    "residuals moved", "exit code changes", "verdict flips",
                                    "in one dump only")}
     per_command = dict.fromkeys(COMMANDS, 0)
@@ -233,6 +246,12 @@ def diff(path_a, path_b):
             found["in one dump only"].append(key)
             continue
         ra, rb = a[key], b[key]
+        for side in ("right_witness", "left_witness"):
+            if side not in ra or side not in rb:  # one dump records none
+                ra.pop(side, None)
+                rb.pop(side, None)
+            elif ra[side] != rb[side]:
+                found[f"{side.split('_')[0]} witnesses moved"].append(key)
         if ra == rb:
             continue
         found["differ"].append(key)

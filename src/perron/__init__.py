@@ -48,6 +48,7 @@ from .solver import (
     perron_root,
     power_radius_identity_check,
     q_star,
+    residual,
 )
 
 # PEP 562: these layers load on the first read of one of their names
@@ -98,6 +99,7 @@ __all__ = [
     "perron_root",
     "power_radius_identity_check",
     "q_star",
+    "residual",
     "PerturbationBound",
     "continuity_certificate",
     "ConvergenceTrace",

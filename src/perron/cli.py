@@ -118,7 +118,7 @@ def cmd_analyze(args) -> int:
             ("left_vector", [_f(v) for v in cert.left_vector]),
             ("q_star", _f(solver.q_star(cert))),
         ]
-    residual = cert.residual  # formed on each read; None also when not finite
+    residual = solver.residual(fnf.matrix, cert)  # None also when not finite
     if residual is not None:
         pairs.append(("residual", _f(residual)))
     _emit_pairs(pairs, args.format)

@@ -15,14 +15,16 @@ irreducible diagonal blocks first and the block intervals are combined.
 Certificates report closed intervals [lo, hi] that always contain the
 spectral radius, converged or not; ``converged`` says whether the
 intersected interval is at most the requested width.  The kernel
-returns the vectors it certified, each with its largest entry 1;
-``_certify_irreducible`` alone forms what a certificate carries of them,
-their 1-norm copies and the image A v of the right one, for a whole
-stack at once.  The residual is formed when read, from that image.
+returns the vectors it certified, each with its largest entry 1, and
+``_certify_irreducible`` hands them to the certificates as they are,
+their witnesses; a certificate forms its 1-norm vectors from them when
+they are first read, and ``residual`` forms ||A v - mid v||_1 from the
+matrix it is given.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "perron_irreducible",
     "perron_root",
     "q_star",
+    "residual",
     "power_radius_identity_check",
 ]
 
@@ -48,23 +51,22 @@ _min = np.minimum.reduce
 class PerronCertificate:
     """Certified enclosure of a Perron root.
 
-    ``right_vector`` and ``left_vector`` are 1-norm-normalized nonnegative
-    eigenvector approximations, present only when the certified matrix is
-    irreducible (strictly positive then, for n >= 2): the 1-norm copies of
-    the vectors the kernel certified, formed by ``_certify_irreducible``.
-    ``image`` is A v for the right vector v, formed there too, None with
-    no vector; ``residual`` ||A v - mid v||_1 is formed from it when read,
-    None when no vector is carried or it is not finite.  ``hi`` is
-    infinite when the radius exceeds the largest float.  Certificates
-    compare and hash by identity: their vectors have no single truth
-    value.
+    ``right_witness`` and ``left_witness`` are the vectors the kernel
+    certified on the matrix and on a contiguous copy of its transpose,
+    read-only, with largest entry exactly 1: [1.0] for a 1x1 matrix, None
+    where the certified matrix is not irreducible (strictly positive
+    otherwise, for n >= 2).  ``right_vector`` and ``left_vector`` are
+    their 1-norm copies, the nonnegative eigenvector approximations,
+    formed and frozen on first read.  ``hi`` is infinite when the radius
+    exceeds the largest float.  Certificates hold no matrix: ``residual``
+    takes it.  They compare and hash by identity: their vectors have no
+    single truth value.
     """
 
     lo: float
     hi: float
-    right_vector: np.ndarray | None
-    left_vector: np.ndarray | None
-    image: np.ndarray | None = field(repr=False)
+    right_witness: np.ndarray | None
+    left_witness: np.ndarray | None
     iterations: int
     converged: bool
 
@@ -78,17 +80,23 @@ class PerronCertificate:
     def width(self) -> float:
         return self.hi - self.lo
 
-    @property
-    def residual(self) -> float | None:
-        if self.image is None:
-            return None
-        with np.errstate(over="ignore", invalid="ignore"):  # hi, A v may be inf
-            r = float(np.add.reduce(np.abs(self.image - self.mid * self.right_vector)))
-        return r if r < math.inf else None
+    # cached_property writes the instance dict, which frozen allows
+    @cached_property
+    def right_vector(self) -> np.ndarray | None:
+        return _unit(self.right_witness)
+
+    @cached_property
+    def left_vector(self) -> np.ndarray | None:
+        return _unit(self.left_witness)
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi):
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+
+
+def _unit(x):
+    # the 1-norm copy of a witness, read-only
+    return None if x is None else structure._frozen(x / np.add.reduce(x))
 
 
 def _validate_iteration_params(tol, max_iter):
@@ -122,28 +130,21 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     m, n = ms.shape[0], ms.shape[1]
     if n == 1:
         one = structure._frozen(np.ones(1))
-        image = structure._frozen(ms[:, 0])  # row i is [value], a view
         return [
             PerronCertificate(
-                lo=val, hi=val, right_vector=one, left_vector=one,
-                image=image[i], iterations=0, converged=True,
+                lo=val, hi=val, right_witness=one, left_witness=one,
+                iterations=0, converged=True,
             )
-            for i, val in enumerate(ms[:, 0, 0].tolist())
+            for val in ms[:, 0, 0].tolist()
         ]
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = collatz_wielandt_stack(ms, tol, max_iter)
-    # the 1-norm copies of the certified vectors, and each right one's
-    # image on the caller's stack (inf where it overflows)
-    xs = np.array([p[2] for p in passes])
-    units = structure._frozen(xs / np.add.reduce(xs, axis=1)[:, None])
-    with np.errstate(over="ignore"):
-        images = structure._frozen(np.matmul(ms, units[:m, :, None])[:, :, 0])
     out = []
-    for r, t, right, left, image in zip(passes, passes[m:], units, units[m:], images):
+    for r, t in zip(passes, passes[m:]):
         # rho(A) = rho(A^T): both intervals hold it
         lo, hi = max(r[0], t[0]), min(r[1], t[1])
         out.append(PerronCertificate(
-            lo=lo, hi=hi, right_vector=right, left_vector=left, image=image,
+            lo=lo, hi=hi, right_witness=r[2], left_witness=t[2],
             iterations=r[3] + t[3], converged=hi - lo <= tol))
     return out
 
@@ -173,7 +174,7 @@ def _combine(certs) -> PerronCertificate:
     return PerronCertificate(
         lo=max(0.0, *(c.lo for c in certs)),
         hi=max(0.0, *(c.hi for c in certs)),
-        right_vector=None, left_vector=None, image=None,
+        right_witness=None, left_witness=None,
         iterations=sum(c.iterations for c in certs),
         converged=all(c.converged for c in certs),
     )
@@ -241,6 +242,19 @@ def q_star(cert: PerronCertificate) -> float:
     if qs <= 0.0:
         raise ValueError(f"left Perron vector is not strictly positive (min {qs})")
     return qs
+
+
+def residual(a, cert: PerronCertificate) -> float | None:
+    """||A v - mid v||_1 for the matrix ``a`` that ``cert`` certifies and
+    its right vector v; None when the certificate carries no vector or
+    the value is not finite (A v may overflow, and hi be infinite)."""
+    v = cert.right_vector
+    if v is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = np.matmul(np.asarray(a, dtype=np.float64)[None], v[None, :, None])[0, :, 0]
+        r = float(np.add.reduce(np.abs(image - cert.mid * v)))
+    return r if r < math.inf else None
 
 
 def _base_q_star(cert: PerronCertificate, max_iter: int) -> float:

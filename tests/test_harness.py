@@ -310,13 +310,15 @@ class TestEveryRowHolds:
 
 
 def _same_cert(got, want):
-    """Field for field, vectors byte for byte."""
+    """Field for field, witnesses and vectors byte for byte."""
     def raw(v):
         return None if v is None else v.tobytes()
 
-    return (got.lo, got.hi, got.iterations, got.converged, got.residual,
+    return (got.lo, got.hi, got.iterations, got.converged,
+            raw(got.right_witness), raw(got.left_witness),
             raw(got.right_vector), raw(got.left_vector)) == (
-        want.lo, want.hi, want.iterations, want.converged, want.residual,
+        want.lo, want.hi, want.iterations, want.converged,
+        raw(want.right_witness), raw(want.left_witness),
         raw(want.right_vector), raw(want.left_vector))
 
 

@@ -34,7 +34,7 @@ class TestPerronIrreducible:
     def test_one_by_one_is_exact(self):
         cert = solver.perron_irreducible([[2.0]])
         assert cert.lo == cert.hi == 2.0
-        assert cert.residual == 0.0
+        assert solver.residual([[2.0]], cert) == 0.0
         assert np.array_equal(cert.right_vector, [1.0])
         assert np.array_equal(cert.left_vector, [1.0])
 
@@ -58,7 +58,7 @@ class TestPerronIrreducible:
             a = random_irreducible(rng, n)
             cert = solver.perron_irreducible(a)
             assert cert.converged
-            assert cert.residual <= 10.0 * solver.DEFAULT_TOL * matcore.one_norm_mat(a)
+            assert solver.residual(a, cert) <= 10.0 * solver.DEFAULT_TOL * matcore.one_norm_mat(a)
 
     def test_unconverged_interval_is_still_sound(self):
         a = np.array([[1.0, 1.0], [1e-9, 1.0]])
@@ -197,7 +197,7 @@ class TestCertifiedBounds:
         assert encloses_radius(a, cert.lo, cert.hi)
         assert cert.lo == np.finfo(np.float64).max
         assert cert.hi == math.inf
-        assert cert.residual is None
+        assert solver.residual(a, cert) is None
         assert not cert.converged
 
     def test_stops_at_the_float_floor(self):
@@ -351,8 +351,9 @@ class TestEigProposal:
             mats, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
         for a, got in zip(mats, batch):
             want = solver.perron_root(a)
-            assert (got.lo, got.hi, got.iterations, got.converged, got.residual) == (
-                want.lo, want.hi, want.iterations, want.converged, want.residual)
+            assert (got.lo, got.hi, got.iterations, got.converged,
+                    solver.residual(a, got)) == (
+                want.lo, want.hi, want.iterations, want.converged, solver.residual(a, want))
             assert got.right_vector.tobytes() == want.right_vector.tobytes()
             assert got.left_vector.tobytes() == want.left_vector.tobytes()
         assert [c.iterations == 4 for c in batch] == [True, False, True]
@@ -868,11 +869,45 @@ class TestCertifyVectors:
             assert _kernels.certify_vectors(b, np.ldexp(x, j), solver.DEFAULT_TOL) == want
 
 
+def _certified(route, n, seed, k, max_iter):
+    """(matrix, certificate) pairs of one route, its inputs scaled by 2^k:
+    ``perron_root`` of a positive n x n matrix ("positive"), the diagonal
+    blocks of a scrambled n x n block upper triangular matrix through
+    ``_certify_blocks`` ("blocks"), or the base and rows of a three-term
+    ``run_trace`` from an irreducible n x n base ("trace"), none where
+    its base is short of tol."""
+    rng = np.random.default_rng(seed)
+    tol = solver.DEFAULT_TOL
+    if route == "positive":
+        a = np.ldexp(rng.uniform(0.5, 10.0, (n, n)), k)
+        return [(a, solver.perron_root(a, tol, max_iter))]
+    if route == "blocks":
+        a = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.3), 1)
+        cuts = [0, *sorted(rng.choice(np.arange(1, n), int(rng.integers(0, n)), replace=False)), n]
+        for start, end in zip(cuts, cuts[1:]):
+            a[start:end, start:end] = random_irreducible(rng, end - start)
+        p = rng.permutation(n)
+        fnf = structure.frobenius_normal_form(np.ldexp(a[np.ix_(p, p)], k))
+        return list(zip(fnf.block_matrices,
+                        solver._certify_blocks(fnf.block_matrices, tol, max_iter)))
+    spec = harness.SequenceSpec(base=np.ldexp(random_irreducible(rng, n), k),
+                                direction=np.ldexp(rng.uniform(0.0, 1.0, (n, n)), k),
+                                coeff=1e-3, count=3)
+    try:
+        trace = harness.run_trace(spec, tol, max_iter)
+    except ValueError as exc:  # an irreducible base short of tol
+        assert "did not converge" in str(exc)
+        return []
+    return [(spec.base, trace.base_cert)] + [(spec.term(r.k), r.cert) for r in trace.rows]
+
+
 class TestExactWitness:
     """Each pass's [lo, hi] holds the exact least and greatest ratio
     (b x)_i / x_i of the vector x it returned (``oracles.cw_exact``), a
     left pass's on b.T: the interval is about the vector the kernel
-    hands back, not only some vector near it."""
+    hands back, not only some vector near it.  A certificate's interval,
+    the intersection of its two passes', holds what its two witnesses
+    give."""
 
     @settings(max_examples=60, deadline=None)
     @given(**_ROUTES)
@@ -885,6 +920,21 @@ class TestExactWitness:
                 least, greatest = cw_exact(bs[j] if j < m else bs[j - m].T, x)
                 assert Fraction(lo) <= least
                 assert hi == math.inf or greatest <= Fraction(hi)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["positive", "blocks", "trace"]),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=-1000, max_value=1000),
+        st.sampled_from([1, 3, 200]),
+    )
+    def test_every_certificate_holds_its_witnesses(self, route, n, seed, k, max_iter):
+        for a, cert in _certified(route, n, seed, k, max_iter):
+            right = cw_exact(a, cert.right_witness)
+            left = cw_exact(np.ascontiguousarray(a.T), cert.left_witness)
+            assert Fraction(cert.lo) <= max(right[0], left[0])
+            assert cert.hi == math.inf or min(right[1], left[1]) <= Fraction(cert.hi)
 
 
 class TestPerronRoot:
@@ -899,10 +949,12 @@ class TestPerronRoot:
         assert cert.width <= solver.DEFAULT_TOL
 
     def test_triangular_is_exact(self):
-        cert = solver.perron_root([[1.0, 1.0], [0.0, 2.0]])
+        a = [[1.0, 1.0], [0.0, 2.0]]
+        cert = solver.perron_root(a)
         assert cert.lo == cert.hi == 2.0
         assert cert.right_vector is None and cert.left_vector is None
-        assert cert.residual is None
+        assert cert.right_witness is None and cert.left_witness is None
+        assert solver.residual(a, cert) is None
 
     def test_irreducible_input_carries_vectors(self):
         cert = solver.perron_root([[0.0, 1.0], [1.0, 0.0]])
@@ -1012,9 +1064,10 @@ class TestScaleEquivariance:
         assert _scales_exactly(a, k)
 
 
-def _fields(cert):
-    vec = [None if v is None else v.tobytes() for v in (cert.right_vector, cert.left_vector)]
-    return (cert.lo, cert.hi, cert.iterations, cert.converged, *vec, cert.residual)
+def _fields(a, cert):
+    vec = [None if v is None else v.tobytes() for v in (
+        cert.right_witness, cert.left_witness, cert.right_vector, cert.left_vector)]
+    return (cert.lo, cert.hi, cert.iterations, cert.converged, *vec, solver.residual(a, cert))
 
 
 class TestPositiveRoute:
@@ -1043,8 +1096,8 @@ class TestPositiveRoute:
             a = _small_input(family, max(n, 2), seed)[:n, :n]
         a = np.ldexp(a, k)  # entries up to 11 * 2^1000 stay finite
         fnf = structure.frobenius_normal_form(a)
-        assert _fields(solver.perron_root(a, max_iter=max_iter)) == _fields(
-            solver.perron_root(fnf, max_iter=max_iter))
+        assert _fields(a, solver.perron_root(a, max_iter=max_iter)) == _fields(
+            a, solver.perron_root(fnf, max_iter=max_iter))
 
     def test_scaled_weak_cycle_is_sound(self):
         a = np.ldexp(_small_input("weak_cycle", 8, 4), 600)
@@ -1071,10 +1124,11 @@ class TestPositiveRoute:
             solver.perron_root([[1.0, 0.0], [1.0, 1.0]])
 
     def test_bounds_near_overflow_are_python_floats(self):
-        cert = solver.perron_root([[1.7e308, 1.7e308], [1.7e308, 1.7e308]])
+        a = [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]
+        cert = solver.perron_root(a)
         assert type(cert.lo) is float and type(cert.hi) is float
         assert cert.lo == sys.float_info.max and cert.hi == math.inf
-        assert cert.residual is None
+        assert solver.residual(a, cert) is None
 
 
 class TestCertificate:
@@ -1085,30 +1139,46 @@ class TestCertificate:
         with pytest.raises(ValueError):
             cert.right_vector[0] = 9.0
 
+    def test_holds_vectors_of_at_most_n_entries(self):
+        # witnesses and the vectors cached on first read: no n x n array
+        # (a matrix, a stack, an image) stays alive through a certificate
+        fnf = structure.frobenius_normal_form(three_block_base(np.random.default_rng(9), 24))
+        i, certs = solver._spectral_block(fnf, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+        pairs = [(fnf.block_matrices[i], certs[i]), *_certified("trace", 16, 2, 0, 200)]
+        for n in (1, 5, 12, 48):
+            pairs += _certified("positive", n, n, 0, solver.DEFAULT_MAX_ITER)
+        for a, cert in pairs:
+            assert cert.right_vector is cert.right_vector
+            assert cert.left_vector is cert.left_vector
+            held = [v for v in vars(cert).values() if isinstance(v, np.ndarray)]
+            assert len(held) == 4
+            assert all(v.ndim == 1 and v.size <= len(a) and not v.flags.writeable
+                       for v in held)
+
     def test_interval_validation(self):
         with pytest.raises(ValueError):
             solver.PerronCertificate(
-                lo=2.0, hi=1.0, right_vector=None, left_vector=None,
-                image=None, iterations=0, converged=True,
+                lo=2.0, hi=1.0, right_witness=None, left_witness=None,
+                iterations=0, converged=True,
             )
         with pytest.raises(ValueError):
             solver.PerronCertificate(
-                lo=-0.5, hi=1.0, right_vector=None, left_vector=None,
-                image=None, iterations=0, converged=True,
+                lo=-0.5, hi=1.0, right_witness=None, left_witness=None,
+                iterations=0, converged=True,
             )
 
     def test_mid_and_width(self):
         cert = solver.PerronCertificate(
-            lo=1.0, hi=3.0, right_vector=None, left_vector=None,
-            image=None, iterations=5, converged=False,
+            lo=1.0, hi=3.0, right_witness=None, left_witness=None,
+            iterations=5, converged=False,
         )
         assert cert.mid == 2.0 and cert.width == 2.0
 
     def test_mid_near_the_largest_float(self):
         # lo + hi overflows; the midpoint does not
         cert = solver.PerronCertificate(
-            lo=1e308, hi=1.5e308, right_vector=None, left_vector=None,
-            image=None, iterations=2, converged=False,
+            lo=1e308, hi=1.5e308, right_witness=None, left_witness=None,
+            iterations=2, converged=False,
         )
         assert cert.mid == 1.25e308
 
@@ -1130,13 +1200,13 @@ def _ring(rng, n):
 
 
 class TestResidual:
-    """The residual is formed when read from the image A v that
-    ``_certify_irreducible`` forms, and gives the bits of the eager
-    formula on every route to a vector."""
+    """``solver.residual`` forms A v from the matrix it is given, and
+    gives the bits of the eager formula on every route to a vector."""
 
     def _pinned(self, a, cert):
         assert cert.right_vector is not None
-        got, want = cert.residual, _eager_residual(np.asarray(a, dtype=np.float64), cert)
+        got = solver.residual(a, cert)
+        want = _eager_residual(np.asarray(a, dtype=np.float64), cert)
         assert got == want and (got is None or got.hex() == want.hex())
 
     def test_positive_input(self, rng):
@@ -1185,27 +1255,34 @@ class TestResidual:
         self._pinned(a, bound.base)
 
     def test_none_without_a_finite_value(self):
-        assert solver.perron_root([[1.0, 1.0], [0.0, 2.0]]).residual is None
-        cert = solver.perron_root(np.full((2, 2), 1.7e308))
-        assert cert.hi == math.inf and cert.residual is None
+        a = [[1.0, 1.0], [0.0, 2.0]]
+        assert solver.residual(a, solver.perron_root(a)) is None
+        a = np.full((2, 2), 1.7e308)
+        cert = solver.perron_root(a)
+        assert cert.hi == math.inf and solver.residual(a, cert) is None
 
     def test_one_by_one_is_zero(self):
         for value in (0.0, 3.0, 1.7e308):
             cert = solver.perron_root([[value]])
-            assert cert.residual == 0.0 and cert.mid == value
+            assert solver.residual([[value]], cert) == 0.0 and cert.mid == value
 
     def test_midpoint_past_the_largest_float(self):
         # lo + hi overflows, but the residual does not
         a = np.full((2, 2), 0.5e308)
         cert = solver.perron_root(a)
         assert cert.lo + cert.hi == math.inf
-        assert 0.0 <= cert.residual < math.inf
+        assert 0.0 <= solver.residual(a, cert) < math.inf
         self._pinned(a, cert)
 
-    def test_image_is_not_in_the_repr(self):
-        cert = solver.perron_root([[1.0, 2.0], [3.0, 4.0]])
+    def test_no_matrix_on_the_certificate(self):
+        # the certificate keeps neither the matrix nor its image A v,
+        # before or after a residual is formed
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        cert = solver.perron_root(a)
+        assert solver.residual(a, cert) is not None
         assert "image" not in repr(cert) and "residual" not in repr(cert)
-        assert cert.image.flags.writeable is False
+        assert not hasattr(cert, "image") and not hasattr(cert, "residual")
+        assert all(v.ndim == 1 for v in vars(cert).values() if isinstance(v, np.ndarray))
 
 
 class TestQStar:
@@ -1228,7 +1305,7 @@ class TestQStar:
 
     def test_rejects_a_zero_entry(self):
         cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
-                                   left_vector=np.array([0.0, 1.0]))
+                                   left_witness=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="not strictly positive"):
             solver.q_star(cert)
 
