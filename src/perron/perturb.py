@@ -5,7 +5,9 @@ spectral radius moves by at most ||E||_2 / min_i(q_i) under any nonnegative
 perturbation A + E of A.  The Frobenius norm bounds the spectral norm from
 above, so it can stand in for it without weakening soundness.  The
 norm, the bound and the enclosure are each rounded outward, so they hold
-for the exact difference of the stored floats.
+for the exact difference of the stored floats.  The perturbed matrix's
+own certificate, ``perturbed``, comes from the same stacked kernel call
+as the base's, so checking the theorem against it costs no second call.
 """
 
 import math
@@ -22,10 +24,13 @@ class PerturbationBound:
 
     ``enclosure`` is a closed interval guaranteed to contain the spectral
     radius of the perturbed matrix: the base certificate widened by the
-    bound on each side, rounded outward.
+    bound on each side, rounded outward.  ``perturbed`` is the perturbed
+    matrix's own certificate, the one ``solver.perron_root`` gives it, so
+    its interval and the enclosure must intersect.
     """
 
     base: solver.PerronCertificate
+    perturbed: solver.PerronCertificate
     q_star: float
     e_norm: float
     bound: float
@@ -56,7 +61,7 @@ def continuity_certificate(
     if not fnf.irreducible:
         raise ValueError("base matrix is reducible, so the continuity bound does not "
                          "apply; run `perron analyze` to see its block structure")
-    cert = solver.perron_root(fnf, tol=tol, max_iter=max_iter)
+    cert, perturbed = solver._perron_roots([fnf, mp[None]], tol, max_iter)
     qs = solver._base_q_star(cert, max_iter)
     e_norm = float(_kernels._frobenius_up((mp - m)[None])[0])
     bound = math.nextafter(e_norm / qs, math.inf) if e_norm else 0.0
@@ -65,6 +70,7 @@ def continuity_certificate(
         enclosure = (max(math.nextafter(cert.lo - bound, -math.inf), 0.0),
                      math.nextafter(cert.hi + bound, math.inf))
     return PerturbationBound(
-        base=cert, q_star=qs, e_norm=e_norm, bound=bound, enclosure=enclosure
+        base=cert, perturbed=perturbed, q_star=qs, e_norm=e_norm, bound=bound,
+        enclosure=enclosure,
     )
 

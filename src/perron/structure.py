@@ -37,10 +37,9 @@ __all__ = [
 # Host-timed cut-over: numpy 2.4, one BLAS thread, a 2-core x86_64 host;
 # other hosts move it, never a result (benchmarks/bench_kernels.py times
 # both sides).  From _REACH_N vertices up, strong connectivity goes by
-# breadth-first search and an acyclic pattern's nilpotency index by
-# peeling.  A vectorized level, a search step or a peeling round, costs
-# 5-20 us at any n besides its share of one pass over the pattern.  A
-# search that settles in few levels pays: a ring with 10% noise at
+# breadth-first search.  A vectorized search level costs 5-20 us at any
+# n besides its share of one pass over the pattern.  A search that
+# settles in few levels pays: a ring with 10% noise at
 # n = 800 takes 0.17 ms against Tarjan's 12, one with 5% noise 0.10
 # against 0.31 at n = 128 but 0.11 against 0.12 at n = 64.  One that
 # fails (a reducible pattern) adds to the walk: 0.04 ms to 0.12 on a DAG
@@ -196,21 +195,6 @@ def _reaches_all(p: np.ndarray) -> bool:
     return True
 
 
-def _peeled_index(p: np.ndarray) -> int:
-    """Nilpotency index of an acyclic pattern: the rounds it takes to
-    remove every vertex, each round removing those with no in-edge from
-    the rest, which is the vertex count of the longest path."""
-    indegree = np.count_nonzero(p, axis=0)
-    left, rounds = p.shape[0], 0
-    while left:
-        sources = np.flatnonzero(indegree == 0)
-        indegree[sources] = -1
-        indegree -= np.count_nonzero(p[sources], axis=0)
-        left -= sources.size
-        rounds += 1
-    return rounds
-
-
 def frobenius_normal_form(a) -> FrobeniusNormalForm:
     """Decompose into irreducible diagonal blocks in topological order.
 
@@ -226,9 +210,9 @@ def frobenius_normal_form(a) -> FrobeniusNormalForm:
     The matrix is nilpotent iff every block is a 1x1 zero.  Entry (i, j)
     of a^k is positive iff a walk of k edges leads from i to j (products
     of nonnegative entries cannot cancel), so the index is the vertex
-    count of the longest path: exact where float powers underflow.  From
-    ``_REACH_N`` vertices up it is counted by peeling sources, below by
-    a loop over the vertices in reverse topological order.
+    count of the longest path: exact where float powers underflow.  One
+    loop over the vertices in reverse topological order counts it, one
+    step per edge.
     """
     return _normal_form(matcore.nonneg_matrix(a))
 
@@ -257,13 +241,11 @@ def _normal_form(m: np.ndarray) -> FrobeniusNormalForm:
     )
     index = None
     if len(comps) == n and not diagonal.any():
-        if n >= _REACH_N:
-            index = _peeled_index(p)
-        else:  # longest path by depth, in reverse topological order
-            adj, depth = _adjacency(p), [0] * n
-            for v in reversed(perm.tolist()):
-                depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
-            index = max(depth)
+        # longest path by depth, in reverse topological order
+        adj, depth = _adjacency(p), [0] * n
+        for v in reversed(perm.tolist()):
+            depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
+        index = max(depth)
     return FrobeniusNormalForm(
         matrix=m, perm=perm, blocks=blocks, block_matrices=mats,
         irreducible=False, nilpotency_index=index,

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from perron import cli, harness, matcore, solver
+from perron import cli, harness, matcore, perturb, solver
 
 
 @pytest.fixture
@@ -146,6 +146,44 @@ class TestCertify:
         code, _, err = run("certify", "cycle2.txt", "cycle3.txt")
         assert code == 3
         assert "shape" in err
+
+    @pytest.mark.parametrize("zeroed_row", [False, True])
+    def test_one_kernel_call_certifies_both(self, run, tmp_path, monkeypatch, zeroed_row):
+        # a positive A' is certified in A's kernel call, one (2, n, n)
+        # stack; one with a zeroed row is reducible and goes through its
+        # normal form.  Either way pb.perturbed is perron_root(A') bit for bit
+        n, rng = 16, np.random.default_rng(16)
+        paths = tmp_path / "a.txt", tmp_path / "a_prime.txt"
+        a = rng.uniform(0.5, 1.5, (n, n))
+        a_prime = a + rng.uniform(0.0, 1e-3, (n, n))
+        if zeroed_row:
+            a_prime[3] = 0.0
+        for path, m in zip(paths, (a, a_prime)):
+            matcore.write_matrix_file(path, m)
+        a, a_prime = (matcore.read_matrix_file(p) for p in paths)
+        calls, stack = [], solver.collatz_wielandt_stack
+
+        def counting(bs, *args):
+            calls.append(bs.shape)
+            return stack(bs, *args)
+
+        monkeypatch.setattr(solver, "collatz_wielandt_stack", counting)
+        code, out, err = run("certify", *map(str, paths))
+        assert code == 0 and err == "" and _value(out, "soundness") == "PASS"
+        if not zeroed_row:
+            assert calls == [(2, n, n)]
+        monkeypatch.undo()
+
+        def fields(c):
+            return (c.lo, c.hi, c.iterations, c.converged) + tuple(
+                None if w is None else w.tobytes() for w in (c.right_witness, c.left_witness))
+
+        got = perturb.continuity_certificate(a, a_prime).perturbed
+        want = solver.perron_root(a_prime)
+        assert fields(got) == fields(want)
+        assert (got.right_witness is None) == zeroed_row
+        assert _value(out, "rho_prime_lo") == matcore.format_float(want.lo)
+        assert _value(out, "rho_prime_hi") == matcore.format_float(want.hi)
 
     def test_csv_format(self, run):
         code, out, _ = run(

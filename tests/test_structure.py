@@ -229,8 +229,8 @@ class TestFrobeniusNormalForm:
     @example("chain", 2 * structure._REACH_N, 0)
     def test_matches_tarjan_on_both_sides_of_the_cut_over(self, kind, n, seed):
         # whichever path settles it (first level, breadth-first search,
-        # Tarjan; peeling or the longest-path loop), every field is what
-        # Tarjan's components give; nilpotency_index is the oracle's
+        # Tarjan), every field is what Tarjan's components give;
+        # nilpotency_index, by the longest-path loop, is the oracle's
         a = self._pattern(kind, n, seed)
         fnf = self._assert_tarjan_form(a)
         if kind in ("dag", "chain"):
@@ -366,8 +366,8 @@ class TestOneAnalysisPerMatrix:
 
     def test_long_paths_at_scale(self, scc_calls):
         # a 200-cycle takes 400 search levels and no Tarjan run; the
-        # 200-shift fails the backward search, runs Tarjan once, and is
-        # peeled in 200 rounds
+        # 200-shift fails the backward search, runs Tarjan once, and its
+        # index of 200 is one pass over its edges
         cycle = np.roll(np.eye(200), 1, axis=1)
         assert structure.frobenius_normal_form(cycle).irreducible
         assert len(scc_calls) == 0
