@@ -32,11 +32,15 @@ certificate's own ``residual``; a command operation records the exit code and st
 relative to it, so the output does not depend on where that is.  Then
 ``perron_root`` on seeded random matrices at n = 2..69 in six families
 (dense, ring plus noise, 2^k-scaled, wide-range, nilpotent plus
-diagonal, sparse), each at ``max_iter`` 10^6 and 3.  Every result also
-records its command.
+diagonal, sparse), each at ``max_iter`` 10^6 and 3, and on the first
+``FEW`` of each family (n = 2..13) ``power_radius_identity_check`` at
+p = 2 and 3 (command ``power``: both intervals) and ``spectral_block``
+(command ``block``: the index).  Every result also records its command,
+and a raise is recorded as a result.
 
 ``diff`` counts the results that differ, per command (``root``,
-``analyze``, ``certify``, ``converge``, ``gelfand``), ``converged``
+``analyze``, ``certify``, ``converge``, ``gelfand``, ``power``,
+``block``), ``converged``
 flips, iteration counts that rise or fall, intervals that get wider or
 narrower, results whose right or whose left vector's bytes moved,
 results whose right or whose left witness's bytes moved (compared only
@@ -74,10 +78,11 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2)
 FAMILIES = ("dense", "ring", "scaled", "wide", "nilpotent_diag", "sparse")
 PER_FAMILY = 100
+FEW = 12  # random matrices per family that the power and block results take
 MAX_ITERS = (10**6, 3)
 SHOWN = 5  # ids named per category
 SCALES = (-1000, -500, 500, 1000)  # 2^k scales of the trace-layer inputs
-COMMANDS = ("root", "analyze", "certify", "converge", "gelfand")
+COMMANDS = ("root", "analyze", "certify", "converge", "gelfand", "power", "block")
 VERDICT = re.compile(r"\b(?:pass|FAIL|PASS)\b")
 
 
@@ -172,6 +177,21 @@ def _root(perron, a, tol, max_iter):
     return res
 
 
+def _power(perron, a, p):
+    try:
+        powered, direct = perron.power_radius_identity_check(a, p)
+    except Exception as exc:  # a raise is a result to compare, not a crash
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"powered": list(map(_hex, powered)), "direct": list(map(_hex, direct))}
+
+
+def _block(perron, a):
+    try:
+        return {"index": perron.spectral_block(a)}
+    except Exception as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
 def _command(perron, cases, op, work, i):
     names = []
     for role, a in op.mats.items():
@@ -218,6 +238,12 @@ def dump(src, out_path):
             for max_iter in MAX_ITERS:
                 results.append((f"random.{family}.{i}.n{n}.it{max_iter}",
                                 {"command": "root", **_root(perron, a, cases.TOL, max_iter)}))
+            if i < FEW:
+                for p in (2, 3):
+                    results.append((f"random.{family}.{i}.n{n}.power{p}",
+                                    {"command": "power", **_power(perron, a, p)}))
+                results.append((f"random.{family}.{i}.n{n}.block",
+                                {"command": "block", **_block(perron, a)}))
     with open(out_path, "w", encoding="utf-8") as fh:
         for key, res in results:
             fh.write(json.dumps({"id": key, **res}) + "\n")

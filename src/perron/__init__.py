@@ -17,39 +17,10 @@ either way.
 
 import importlib
 
-from .matcore import (
-    MatrixFormatError,
-    apply_symmetric_permutation,
-    frobenius_norm,
-    nonneg_matrix,
-    one_norm_mat,
-    one_norm_vec,
-    parse_matrix,
-    permutation,
-    read_matrix_file,
-    render_matrix,
-    square_matrix,
-    write_matrix_file,
-)
-from .structure import (
-    FrobeniusNormalForm,
-    frobenius_normal_form,
-    is_irreducible,
-    is_nilpotent,
-    nilpotency_index,
-    spectral_block,
-    strongly_connected_components,
-)
-from .solver import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    PerronCertificate,
-    perron_irreducible,
-    perron_root,
-    power_radius_identity_check,
-    q_star,
-    residual,
-)
+from . import matcore, solver, structure
+from .matcore import *
+from .structure import *
+from .solver import *
 
 # PEP 562: these layers load on the first read of one of their names
 _LAZY = dict.fromkeys(("PerturbationBound", "continuity_certificate"), "perturb")
@@ -72,42 +43,5 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MatrixFormatError",
-    "apply_symmetric_permutation",
-    "frobenius_norm",
-    "nonneg_matrix",
-    "one_norm_mat",
-    "one_norm_vec",
-    "parse_matrix",
-    "permutation",
-    "read_matrix_file",
-    "render_matrix",
-    "square_matrix",
-    "write_matrix_file",
-    "FrobeniusNormalForm",
-    "frobenius_normal_form",
-    "is_irreducible",
-    "is_nilpotent",
-    "nilpotency_index",
-    "spectral_block",
-    "strongly_connected_components",
-    "DEFAULT_MAX_ITER",
-    "DEFAULT_TOL",
-    "PerronCertificate",
-    "perron_irreducible",
-    "perron_root",
-    "power_radius_identity_check",
-    "q_star",
-    "residual",
-    "PerturbationBound",
-    "continuity_certificate",
-    "ConvergenceTrace",
-    "GelfandTrace",
-    "NonuniformityDemo",
-    "SequenceSpec",
-    "gelfand_trace",
-    "nonuniformity_demo",
-    "run_trace",
-    "__version__",
-]
+# each eager name is declared once, in its module's __all__
+__all__ = [*matcore.__all__, *structure.__all__, *solver.__all__, *_LAZY, "__version__"]

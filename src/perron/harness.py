@@ -466,8 +466,9 @@ def nonuniformity_demo(
     noise.  Each row must reproduce alpha * residual(X) up to the
     round-off bound derived below; residuals grow without bound as alpha
     grows.  A radius above the largest float, or an alpha X that
-    overflows, raises ValueError.  The scaled copies go through
-    ``_gelfand_steps`` as one stack.
+    overflows, raises ValueError; so does an empty ``alphas``, or an
+    alpha that is not positive and finite, before any work.  The scaled
+    copies go through ``_gelfand_steps`` as one stack.
 
     Write F, F' for the computed f_m(X), f_m(Y) with Y = fl(alpha X),
     d, d' for their bounds from ``_gelfand_steps``, and M for mid(X).
@@ -497,6 +498,9 @@ def nonuniformity_demo(
     traced to m by ``gelfand_trace`` first.
     """
     m = int(m)
+    alphas = [float(alpha) for alpha in alphas]
+    if not alphas or not all(0.0 < alpha < math.inf for alpha in alphas):
+        raise ValueError(f"alphas must be non-empty, positive and finite, got {alphas}")
     if not isinstance(x, GelfandTrace):
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -511,13 +515,10 @@ def nonuniformity_demo(
     if not vacuous:
         f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
         nonzero = np.count_nonzero(mat)
-        alphas = [float(alpha) for alpha in alphas]
         with np.errstate(over="ignore", invalid="ignore"):
             stack = np.multiply.outer(alphas, mat)
         epsilons = []
         for alpha, scaled in zip(alphas, stack):
-            if not (alpha > 0.0 and math.isfinite(alpha)):
-                raise ValueError(f"alphas must be positive and finite, got {alpha}")
             if not np.isfinite(scaled).all():
                 raise ValueError(f"alpha {alpha} times the matrix overflows")
             kept = scaled[scaled > 0.0]

@@ -23,7 +23,6 @@ __all__ = [
     "render_matrix",
     "read_matrix_file",
     "write_matrix_file",
-    "format_float",
 ]
 
 # 17 significant digits round-trip any float64 through decimal text.
@@ -51,8 +50,17 @@ def format_float(x: float) -> str:
 
 
 def _validated(entries) -> tuple[np.ndarray, float]:
-    """``square_matrix`` of entries and its smallest entry."""
-    a = np.array(entries, dtype=np.float64, order="C", copy=True)
+    """``square_matrix`` of entries and its smallest entry.  Complex
+    entries, which a cast to float would strip of their imaginary parts,
+    and entries that are not numbers raise ValueError before any cast."""
+    a = np.asarray(entries)
+    if a.dtype.kind == "c" or a.dtype == object and any(
+            isinstance(v, (complex, np.complexfloating)) for v in a.flat):
+        raise ValueError(f"expected real entries, got complex ones ({a.dtype})")
+    try:
+        a = np.array(a, dtype=np.float64, order="C", copy=True)
+    except TypeError as exc:
+        raise ValueError(f"expected real entries: {exc}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:

@@ -40,6 +40,7 @@ __all__ = [
     "q_star",
     "residual",
     "power_radius_identity_check",
+    "spectral_block",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -188,6 +189,13 @@ def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
     return max(range(len(certs)), key=lambda i: certs[i].mid), certs
 
 
+def spectral_block(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> int:
+    """Index of a normal-form diagonal block whose certified Perron
+    interval has the greatest midpoint.  Ties go to the lowest index.
+    """
+    return _spectral_block(structure.frobenius_normal_form(a), tol, max_iter)[0]
+
+
 def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
     """``perron_root`` of each matrix given, its irreducible blocks all
     certified together, one stacked call per size.  An item is a normal
@@ -302,11 +310,7 @@ def power_radius_identity_check(
     p = int(p)
     if p < 1:
         raise ValueError(f"power must be >= 1, got {p}")
-    base = perron_root(m, tol=tol, max_iter=max_iter)
-    # [lo, hi]^p rounded outward, the low end clamped at 0
-    powered_interval = (max(float(_pow_rounded(base.lo, p, -math.inf)), 0.0),
-                        float(_pow_rounded(base.hi, p, math.inf)))
-
+    tol, max_iter = _validate_iteration_params(tol, max_iter)
     mp = m
     for _ in range(p - 1):
         with np.errstate(over="ignore"):
@@ -316,7 +320,11 @@ def power_radius_identity_check(
         if ((product < 2.0**-1022) & (np.sign(mp) @ np.sign(m) > 0.0)).any():
             raise ValueError(f"underflow computing matrix power {p}")
         mp = product
-    cert = perron_root(mp, tol=tol, max_iter=max_iter)
+    # A and A^p in one stacked call, each certified as perron_root would
+    base, cert = _perron_roots([m[None], mp[None]], tol, max_iter)
+    # [lo, hi]^p rounded outward, the low end clamped at 0
+    powered_interval = (max(float(_pow_rounded(base.lo, p, -math.inf)), 0.0),
+                        float(_pow_rounded(base.hi, p, math.inf)))
     # entries of the floating A^p differ from the real ones by a relative
     # error below (p-1)*(n+2) ulps, as above
     pad = (p - 1) * (m.shape[0] + 2) * float(np.finfo(np.float64).eps)

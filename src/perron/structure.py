@@ -31,7 +31,6 @@ __all__ = [
     "frobenius_normal_form",
     "is_nilpotent",
     "nilpotency_index",
-    "spectral_block",
 ]
 
 # Host-timed cut-over: numpy 2.4, one BLAS thread, a 2-core x86_64 host;
@@ -273,15 +272,3 @@ def nilpotency_index(a) -> int | None:
 def is_nilpotent(a) -> bool:
     return nilpotency_index(a) is not None
 
-
-def spectral_block(a, tol=None, max_iter=None) -> int:
-    """Index of a normal-form diagonal block whose certified Perron
-    interval has the greatest midpoint.  Ties go to the lowest index.
-    """
-    from . import solver  # deferred: solver builds on this module
-
-    if tol is None:
-        tol = solver.DEFAULT_TOL
-    if max_iter is None:
-        max_iter = solver.DEFAULT_MAX_ITER
-    return solver._spectral_block(frobenius_normal_form(a), tol, max_iter)[0]

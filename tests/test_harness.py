@@ -246,7 +246,7 @@ class TestReducibleTrace:
             direct = solver.perron_root(base)
             assert (trace.base_cert.lo, trace.base_cert.hi) == (direct.lo, direct.hi)
             assert trace.base_cert.iterations == direct.iterations
-            assert trace.spectral_block_index == structure.spectral_block(base)
+            assert trace.spectral_block_index == solver.spectral_block(base)
 
 
 class TestEveryRowHolds:
@@ -949,6 +949,16 @@ class TestNonuniformityDemo:
             harness.nonuniformity_demo(np.eye(2), 0, [2.0])
         with pytest.raises(ValueError, match="alphas"):
             harness.nonuniformity_demo([[0.0, 2.0], [0.0, 0.0]], 1, [-1.0])
+
+    @pytest.mark.parametrize("alphas", [[], [-1.0, math.nan], [2.0, math.inf], [0.0]])
+    @pytest.mark.parametrize("x", [np.ones((2, 2)), [[1.0, 2.0], [3.0, 4.0]]])
+    def test_alphas_checked_up_front(self, x, alphas):
+        # on a vacuous demo (all ones) as on one with rows: no alpha
+        # reaches the row loop unchecked, and none means no demo
+        with pytest.raises(ValueError, match="alphas must be"):
+            harness.nonuniformity_demo(x, 10, alphas)
+        with pytest.raises(ValueError, match="alphas must be"):
+            harness.nonuniformity_demo(harness.gelfand_trace(x, 10), 10, alphas)
 
 
 class TestFormatters:

@@ -141,6 +141,23 @@ class TestValidation:
         # -0.0 is not negative
         assert matcore.nonneg_matrix([[-0.0]])[0, 0] == 0.0
 
+    @pytest.mark.parametrize("validate", [matcore.square_matrix, matcore.nonneg_matrix])
+    @pytest.mark.parametrize("entries", [
+        np.array([[1 + 5j, 1], [1, 1]]),  # numpy alone only warns, keeping 1
+        [[1 + 5j, 1], [1, 1]],  # numpy alone raises TypeError
+        [[np.complex128(1 + 5j), 1], [1, 1]],
+        np.array([[np.complex64(1 + 5j), 1], [1, 1]], dtype=object),
+        np.array([[1 + 0j, 2], [3, 4]]),
+    ])
+    def test_complex_entries_rejected(self, validate, entries):
+        with pytest.raises(ValueError, match="complex"):
+            validate(entries)
+
+    @pytest.mark.parametrize("entries", [[[{}, 1], [1, 1]], [[object(), 1], [1, 1]]])
+    def test_entries_that_are_not_numbers_rejected(self, entries):
+        with pytest.raises(ValueError, match="expected real entries"):
+            matcore.square_matrix(entries)
+
     def test_validators_copy_their_input(self):
         src = np.ones((2, 2))
         out = matcore.nonneg_matrix(src)

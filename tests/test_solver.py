@@ -938,6 +938,12 @@ class TestExactWitness:
 
 
 class TestPerronRoot:
+    def test_complex_matrix_rejected(self):
+        # its radius is 4.89; the real part's, 2, must not be certified
+        for a in (np.array([[1 + 5j, 1], [1, 1]]), [[1 + 5j, 1], [1, 1]]):
+            with pytest.raises(ValueError, match="complex"):
+                solver.perron_root(a)
+
     def test_zero_matrix(self):
         cert = solver.perron_root(np.zeros((3, 3)))
         assert cert.lo == cert.hi == 0.0
@@ -1013,7 +1019,7 @@ class TestPerronRoot:
             n = int(rng.integers(2, 8))
             a = random_nonneg(rng, n, scale=1.0, density=0.3)
             fnf = structure.frobenius_normal_form(a)
-            idx = structure.spectral_block(a)
+            idx = solver.spectral_block(a)
             block_cert = solver.perron_root(fnf.block_matrices[idx])
             whole = solver.perron_root(a)
             assert abs(block_cert.mid - whole.mid) <= block_cert.width + whole.width
@@ -1337,6 +1343,29 @@ class TestPowerRadiusIdentity:
     def test_power_validated(self):
         with pytest.raises(ValueError):
             solver.power_radius_identity_check([[1.0]], 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_kernel_call_certifies_a_and_its_power(self, monkeypatch, p):
+        # a positive A and A^p go to the kernel as one (2, n, n) stack,
+        # each certified bit for bit as perron_root certifies it alone
+        a = np.random.default_rng(12).uniform(0.5, 1.5, (12, 12))
+        mp = a
+        for _ in range(p - 1):  # as the check forms A^p
+            mp = mp @ a
+        alone = [solver.perron_root(m) for m in (a, mp)]
+        calls, stack = [], solver.collatz_wielandt_stack
+
+        def counting(bs, *args):
+            calls.append(bs.shape)
+            return stack(bs, *args)
+
+        monkeypatch.setattr(solver, "collatz_wielandt_stack", counting)
+        powered, direct = solver.power_radius_identity_check(a, p)
+        assert calls == [(2, 12, 12)]
+        pad = (p - 1) * 14 * float(np.finfo(np.float64).eps)
+        assert direct == (alone[1].lo * (1.0 - pad), alone[1].hi * (1.0 + pad))
+        assert powered == (max(float(solver._pow_rounded(alone[0].lo, p, -math.inf)), 0.0),
+                           float(solver._pow_rounded(alone[0].hi, p, math.inf)))
 
     def test_overflow_detected(self):
         a = [[1e200, 0.0], [0.0, 0.0]]

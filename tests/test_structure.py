@@ -287,24 +287,24 @@ class TestNilpotency:
 class TestSpectralBlock:
     def test_diagonal_matrix_picks_the_max(self):
         fnf = structure.frobenius_normal_form(np.diag([1.0, 3.0, 2.0]))
-        idx = structure.spectral_block(np.diag([1.0, 3.0, 2.0]))
+        idx = solver.spectral_block(np.diag([1.0, 3.0, 2.0]))
         assert fnf.block_matrices[idx][0, 0] == 3.0
 
     def test_irreducible_matrix_is_block_zero(self, rng):
         a = random_irreducible(rng, 4)
-        assert structure.spectral_block(a) == 0
+        assert solver.spectral_block(a) == 0
 
     def test_two_block_example(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0  # 2-cycle, radius 1
         a[2, 2] = 2.0
-        idx = structure.spectral_block(a)
+        idx = solver.spectral_block(a)
         fnf = structure.frobenius_normal_form(a)
         assert fnf.block_matrices[idx].shape == (1, 1)
         assert fnf.block_matrices[idx][0, 0] == 2.0
 
     def test_tie_breaks_to_lowest_index(self):
-        assert structure.spectral_block(np.diag([2.0, 2.0])) == 0
+        assert solver.spectral_block(np.diag([2.0, 2.0])) == 0
 
 
 class TestOneAnalysisPerMatrix:
