@@ -22,7 +22,10 @@ certificate assembly included) in one stacked call, and in 20 calls of
 one matrix each.  The iterations are summed, the width is the widest.
 The stacked time is split into the square products of
 ``_power_vectors`` (their count in the iterations column, each timed
-as a bare product of a stack of that many matrices) and the rest.
+as the kernel takes it, ``_kernels._square`` of a stack of that many
+matrices) and the rest.  The last column gives the minor page faults
+per call (``ru_minflt``, steady state: after a warm-up call), which the
+kernel's per-thread scratch arrays keep near 0 on the squaring route.
 
 Then 20-term ``perron converge`` traces (``harness.run_trace``) from
 the reducible bases of the ``certify_converge`` workload
@@ -81,6 +84,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import statistics
 import subprocess
 import sys
@@ -140,28 +144,35 @@ def _one_by_one(bs):
     return [c for b in bs for c in solver._certify_irreducible(b[None], TOL, MAX_ITER)]
 
 
-class _Products(np.ndarray):
-    """Records the stack size of every square product (a stack times a
-    stack) taken of it and its views."""
-
-    sizes = []
-
-    def __matmul__(self, other):
-        if self.ndim == np.ndim(other) == 3:
-            _Products.sizes.append(self.shape[0])
-        return super().__matmul__(other)
-
-
 def square_products(bs):
     """Stack sizes of the square products ``_power_vectors`` takes."""
-    _Products.sizes = []
-    _kernels._power_vectors(bs.view(_Products))
-    return _Products.sizes
+    sizes, square = [], _kernels._square
+
+    def recording(q, i):
+        sizes.append(len(q))
+        return square(q, i)
+
+    _kernels._square = recording
+    try:
+        _kernels._power_vectors(bs)
+    finally:
+        _kernels._square = square
+    return sizes
 
 
 def _products(bs, sizes):
     for k in sizes:
-        bs[:k] @ bs[:k]
+        _kernels._square(bs[:k], 1)
+
+
+def minor_faults(run, b, calls=5):
+    """Minor page faults per call of run(b), after one call that warms
+    up the kernel's scratch arrays."""
+    run(b)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(calls):
+        run(b)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls
 
 
 def stack_rows(repeats):
@@ -172,14 +183,15 @@ def stack_rows(repeats):
             t, certs = best_time(run, bs, repeats)
             rows.append((label, str(sum(c.iterations for c in certs)), f"{t * 1e3:.3f}",
                          f"{max(c.width for c in certs):.3g}",
-                         "yes" if all(c.converged for c in certs) else "no"))
+                         "yes" if all(c.converged for c in certs) else "no",
+                         f"{minor_faults(run, bs):.0f}"))
             if run is _stacked:
                 sizes = square_products(bs)
                 t_sq, _ = best_time(lambda b: _products(b, sizes), bs, repeats)
                 rows += [(f"{name}, stacked: square products", str(len(sizes)),
-                          f"{t_sq * 1e3:.3f}", "-", "-"),
+                          f"{t_sq * 1e3:.3f}", "-", "-", "-"),
                          (f"{name}, stacked: the rest", "-",
-                          f"{(t - t_sq) * 1e3:.3f}", "-", "-")]
+                          f"{(t - t_sq) * 1e3:.3f}", "-", "-", "-")]
     return rows
 
 
@@ -387,14 +399,14 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=5, help="timed runs per case")
     args = parser.parse_args()
 
-    rows = [("case", "iterations", "ms", "width", "converged")]
+    rows = [("case", "iterations", "ms", "width", "converged", "minflt/call")]
     for name, b in workloads():
         b = np.ascontiguousarray(b, dtype=np.float64)
         t, (lo, hi, _, iterations, converged) = best_time(
             lambda a: _kernels.collatz_wielandt_stack(a[None], TOL, MAX_ITER)[0], b,
             args.repeats)
         rows.append((f"{name}, {_proposal(b.shape[0])} proposal", str(iterations),
-                     f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no"))
+                     f"{t * 1e3:.3f}", f"{hi - lo:.3g}", "yes" if converged else "no", "-"))
     rows += stack_rows(args.repeats)
     print_table(rows)
     print()

@@ -80,11 +80,26 @@ not shrink with iteration), meets ``tol``, at ``max_iter``, or at the
 floor of floating point: the ratio spread is down to what rounding alone
 makes, or Noda steps stall: three in a row shrink it by less than an
 eighth, or one fails (a singular solve, an entry underflowing to zero).
+
+Memory: on the squaring route alone (8 < n <= 64), the pass stack and
+the squares go into scratch arrays that each thread keeps between calls
+(``_scratch``), so repeated stacked calls stop faulting fresh pages in;
+the eig route and n > 64 allocate per call, where buffering measured
+slower.  Each thread retains the three arrays of the largest
+squaring-route stack it has certified, four times that stack's size:
+about 1.5 MiB after a 20-term trace at n = 48, about 32 MiB after a
+trace chunk of 2^20 entries.  Peak memory is as without them, the same
+arrays being live at the peak.  Nothing returned is a view of them.
+
+The batched dgeev and dgesv drivers are numpy's private gufuncs behind
+``np.linalg.eig`` and ``np.linalg.solve``; where a numpy lacks them, the
+public functions run per matrix, a failure giving that matrix's NaN row.
 """
 
 import math
+import threading
+
 import numpy as np
-from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
 
 from .matcore import _frobenius_norms, _times_pow2
 
@@ -122,6 +137,59 @@ _SOLVE_N = 4
 # the ufunc reductions skip ndarray.min/max's Python-level wrapper,
 # which costs as much as the rest of a sweep at small n
 _min, _max = np.minimum.reduce, np.maximum.reduce
+
+try:
+    from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
+except ImportError:  # a numpy that moved its private drivers
+    def _dgeev(bs, signature=None):
+        """The batched dgeev driver, one ``np.linalg.eig`` per matrix:
+        complex eigenvalues and vectors, NaN where it fails."""
+        w, v = np.full(bs.shape[:2], math.nan, complex), np.full(bs.shape, math.nan, complex)
+        for i, b in enumerate(bs):
+            try:
+                w[i], v[i] = np.linalg.eig(b)
+            except np.linalg.LinAlgError:
+                pass
+        return w, v
+
+    def _dgesv(ms, rhs, signature=None):
+        """The batched dgesv driver, one ``np.linalg.solve`` per system:
+        NaN where it is singular."""
+        y = np.full(rhs.shape, math.nan)
+        for i, (a, b) in enumerate(zip(ms, rhs)):
+            try:
+                y[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                pass
+        return y
+
+
+class _Scratch(threading.local):
+    """Each thread's scratch arrays, flat float64, grown to the largest
+    size asked of them and never shrunk: 0 holds the squaring route's
+    pass stack, 1 and 2 the squares of ``_power_vectors``."""
+
+    def __init__(self):
+        self.arrays = [np.empty(0)] * 3
+
+
+_SCRATCH = _Scratch()
+
+
+def _scratch(i, shape):
+    """The calling thread's scratch array i as an array of ``shape``, its
+    contents left as they were: a view, which nothing the kernel returns
+    may be."""
+    arrays, size = _SCRATCH.arrays, math.prod(shape)
+    if arrays[i].size < size:
+        arrays[i] = np.empty(size)
+    return arrays[i][:size].reshape(shape)
+
+
+def _square(q, i):
+    """q[j] @ q[j] for each matrix of the stack q, into scratch array i,
+    which q must not lie in."""
+    return np.matmul(q, q, out=_scratch(i, q.shape))
 
 
 def _gamma(k, u):
@@ -224,7 +292,7 @@ def _power_vectors(bs):
     """
     m, n = bs.shape[0], bs.shape[1]
     ones = np.ones(n)
-    p = bs
+    p, spare = bs, 1  # spare: the scratch array that p does not lie in
     r = p @ ones
     right = r / _max(r, axis=1)[:, None]
     # peak: the largest change since the last that halved, inf before
@@ -235,8 +303,7 @@ def _power_vectors(bs):
     # at most four squares go between resets, so the loop ends
     while live:
         every = len(live) == m
-        q = p if every else p[live]
-        q = q @ q
+        q = _square(p if every else p[live], spare)
         r = q @ ones
         s = _max(r, axis=1)
         r /= s[:, None]
@@ -264,7 +331,7 @@ def _power_vectors(bs):
                 best[j], misses[j] = cj, 0
                 going.append(j)
         if len(kept) == m:
-            p, right = q, r
+            p, right, spare = q, r, 3 - spare
         elif kept:
             if p is bs:  # the caller's stack is not written to
                 p = bs.copy()
@@ -452,8 +519,9 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     """
     m, n = bs.shape[0], bs.shape[1]
     # pass j takes the rows of rows[j]: the transposes are contiguous
-    # copies, matrices of their own
-    rows = np.concatenate((bs, bs.transpose(0, 2, 1)))
+    # copies, matrices of their own; on the squaring route, in scratch
+    out = _scratch(0, (2 * m, n, n)) if _EIG_N < n <= _SQUARE_N else None
+    rows = np.concatenate((bs, bs.transpose(0, 2, 1)), out=out)
     rows, e, ones, z, rmin, rmax, tol_s, ks = _prescale(rows, tol)
     # vectors tried, and the minimum of x, 1 for the ones vector
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []

@@ -135,7 +135,8 @@ def _frobenius_norms(a) -> np.ndarray:
     ``a``, bit for bit: one ``np.vecdot`` of the scaled entries per
     matrix, the dot product ``np.linalg.norm`` takes."""
     flat = a.reshape(len(a), -1)
-    k = np.frexp(np.maximum.reduce(np.abs(flat), axis=1))[1]
+    # the largest |entry|, exactly, without an np.abs copy of the stack
+    k = np.frexp(np.maximum(_max(flat, axis=1), -_min(flat, axis=1)))[1]
     scaled = np.ldexp(flat, -k[:, None])
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), k)

@@ -320,8 +320,10 @@ def power_radius_identity_check(
         if ((product < 2.0**-1022) & (np.sign(mp) @ np.sign(m) > 0.0)).any():
             raise ValueError(f"underflow computing matrix power {p}")
         mp = product
-    # A and A^p in one stacked call, each certified as perron_root would
-    base, cert = _perron_roots([m[None], mp[None]], tol, max_iter)
+    # A and A^p in one stacked call, each certified as perron_root would;
+    # at p = 1, A once, the certificate of both
+    certs = _perron_roots([m[None]] if p == 1 else [m[None], mp[None]], tol, max_iter)
+    base, cert = certs[0], certs[-1]
     # [lo, hi]^p rounded outward, the low end clamped at 0
     powered_interval = (max(float(_pow_rounded(base.lo, p, -math.inf)), 0.0),
                         float(_pow_rounded(base.hi, p, math.inf)))

@@ -71,9 +71,13 @@ def strongly_connected_components(a) -> list[list[int]]:
         and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
     ):
         a = matcore.square_matrix(a) > 0.0
-    n = a.shape[0]
-    adj = _adjacency(a)
+    return _tarjan(_adjacency(a))
 
+
+def _tarjan(adj: list[list[int]]) -> list[list[int]]:
+    """``strongly_connected_components`` of the digraph with out-neighbor
+    lists ``adj``."""
+    n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -223,7 +227,9 @@ def _normal_form(m: np.ndarray) -> FrobeniusNormalForm:
     m = _frozen(m)
     n = m.shape[0]
     irreducible, p = _settle(m)
-    comps = None if irreducible else strongly_connected_components(p)
+    # one adjacency for Tarjan and the longest path
+    adj = None if irreducible else _adjacency(p)
+    comps = None if irreducible else _tarjan(adj)
     if comps is None or len(comps) == 1:
         return FrobeniusNormalForm(
             matrix=m, perm=_frozen(np.arange(n, dtype=np.intp)), blocks=((0, n),),
@@ -241,7 +247,7 @@ def _normal_form(m: np.ndarray) -> FrobeniusNormalForm:
     index = None
     if len(comps) == n and not diagonal.any():
         # longest path by depth, in reverse topological order
-        adj, depth = _adjacency(p), [0] * n
+        depth = [0] * n
         for v in reversed(perm.tolist()):
             depth[v] = 1 + max((depth[w] for w in adj[v]), default=0)
         index = max(depth)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perron import matcore
+from perron import _kernels, matcore
 
 
 class TestNorms:
@@ -43,6 +43,39 @@ class TestNorms:
         assert matcore.frobenius_norm(e) == math.ldexp(
             matcore.frobenius_norm(np.ldexp(e, -700)), 700)
         assert matcore.frobenius_norm(np.full((3, 3), 1.5e308)) == math.inf
+
+    def test_norms_match_the_abs_copy(self, monkeypatch, rng):
+        # the largest |entry| taken as max(max, -min) gives the norms, and
+        # the kernel's bounds on them, that an np.abs copy gave, bit for bit
+        def with_abs_copy(a):
+            flat = a.reshape(len(a), -1)
+            k = np.frexp(np.abs(flat).max(axis=1))[1]
+            scaled = np.ldexp(flat, -k[:, None])
+            with np.errstate(over="ignore"):
+                return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), k)
+
+        big, tiny = np.finfo(np.float64).max, 5e-324
+        signs = rng.choice([-1.0, 1.0], (8, 5, 5))
+        d = signs * np.stack([
+            np.zeros((5, 5)), rng.uniform(0.0, 1.0, (5, 5)),
+            tiny * rng.integers(0, 2**20, (5, 5)),  # subnormal
+            np.ldexp(rng.uniform(0.5, 1.0, (5, 5)), 1023),  # near overflow
+            np.full((5, 5), big),
+            np.ldexp(rng.uniform(0.0, 1.0, (5, 5)), rng.integers(-1074, 1000, (5, 5))),
+            np.eye(5), np.ones((5, 5))])
+        d[1, 2, 3] = -4.0  # the largest |entry| negative
+        d[6] = np.abs(d[6])
+        d[6, 0, 0] = -1.0  # -1 beside 1s
+        d[7] = -np.abs(d[7])  # all negative
+        d[0, 1, 1] = -0.0
+        got = [matcore.frobenius_norm(m) for m in d]
+        up = _kernels._frobenius_up(d)
+        monkeypatch.setattr(matcore, "_frobenius_norms", with_abs_copy)
+        monkeypatch.setattr(_kernels, "_frobenius_norms", with_abs_copy)
+        assert np.array(got).tobytes() == np.array(
+            [matcore.frobenius_norm(m) for m in d]).tobytes()
+        assert up.tobytes() == _kernels._frobenius_up(d).tobytes()
+        assert math.isinf(got[4]) and got[0] == 0.0 and 0.0 < got[2] < 1e-300
 
     def test_one_norm_mat_examples(self):
         assert matcore.one_norm_mat(np.eye(3)) == 1.0

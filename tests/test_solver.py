@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import decimal
 import math
@@ -378,18 +379,6 @@ class TestEigProposal:
         assert calls
 
 
-class _Squarings(np.ndarray):
-    """An array that counts the square products (a stack times a stack)
-    taken of it and its views, not the matrix-vector products."""
-
-    count = 0
-
-    def __matmul__(self, other):
-        if self.ndim == np.ndim(other) == 3:
-            _Squarings.count += 1
-        return super().__matmul__(other)
-
-
 class TestPowerProposal:
     """8 < n <= _SQUARE_N starts both passes from one power of the
     matrix; soundness rests on the certification alone."""
@@ -493,22 +482,97 @@ class TestPowerProposal:
         alone = _kernels._power_vectors(bs[1:])
         assert got[[1, 3]].tobytes() == alone.tobytes()
 
-    def test_weighted_cycles_give_up(self):
+    def test_weighted_cycles_give_up(self, monkeypatch):
         # every power of a cycle has one nonzero per row, so the row sums
         # never settle: the squaring stops within a few steps, and the
         # certificate stays converged
+        squares, square = [], _kernels._square
+
+        def counting(q, i):
+            squares.append(len(q))
+            return square(q, i)
+
+        monkeypatch.setattr(_kernels, "_square", counting)
         rng = np.random.default_rng(12)
         for n in range(12, 25):
             for weights in (np.exp(rng.uniform(-690.0, 0.0, n)),
                             rng.uniform(0.5, 1.5, n)):
                 a = _cycle(weights)
-                _Squarings.count = 0
-                _kernels._power_vectors(a[None].view(_Squarings))
-                assert 1 <= _Squarings.count <= 4
+                squares.clear()
+                _kernels._power_vectors(a[None])
+                assert 1 <= len(squares) <= 4
                 cert = solver.perron_root(a)
                 assert cert.converged
                 rho = _cycle_radius(a)
                 assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
+
+
+def _scratch_stack(rng, m, n):
+    """m irreducible n x n matrices for the squaring route: weighted
+    cycles and dense ones, which square on, beside rank-one ones, which
+    stop after their first square, so that later squares take part of
+    the stack."""
+    return np.stack([_cycle(rng.uniform(0.5, 1.5, n)) if j % 3 == 0 else
+                     rng.uniform(0.5, 1.5, (n, n)) if j % 3 == 1 else
+                     np.outer(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n))
+                     for j in range(m)])
+
+
+def _pass_bytes(out):
+    """The kernel's results, the vectors as bytes."""
+    return [(lo, hi, x.tobytes(), it, conv) for lo, hi, x, it, conv in out]
+
+
+class TestScratch:
+    """The squaring route keeps its pass stack and squares in per-thread
+    scratch arrays, which nothing returned may be a view of."""
+
+    def test_results_outlive_later_calls(self, rng):
+        # in a new thread, whose scratch arrays start empty
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(self._outlive, rng).result()
+
+    @staticmethod
+    def _outlive(rng):
+        tol, max_iter = solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER
+        assert not any(a.size for a in _kernels._SCRATCH.arrays)
+        first = _scratch_stack(rng, 7, 16)
+        out = _kernels.collatz_wielandt_stack(first, tol, max_iter)
+        certs = solver._certify_irreducible(first, tol, max_iter)
+        scratch = list(_kernels._SCRATCH.arrays)
+        assert scratch[0].size == 2 * 7 * 16 * 16 and scratch[1].size == 7 * 16 * 16
+        assert 0 < scratch[2].size < 7 * 16 * 16  # the squares after the first
+        for x in [p[2] for p in out] + [c.right_witness for c in certs] + [
+                c.left_witness for c in certs]:
+            assert not any(np.shares_memory(x, a) for a in scratch)
+        before = _pass_bytes(out), [(c.lo, c.hi, c.right_witness.tobytes(),
+                                     c.left_witness.tobytes()) for c in certs]
+        for m, n in ((7, 16), (3, 16), (12, 48), (5, 64)):
+            solver._certify_irreducible(_scratch_stack(rng, m, n), tol, max_iter)
+        # grown to the largest stack, 12 x 48 x 48
+        assert _kernels._SCRATCH.arrays[0].size == 2 * 12 * 48 * 48
+        assert (_pass_bytes(out), [(c.lo, c.hi, c.right_witness.tobytes(),
+                                    c.left_witness.tobytes()) for c in certs]) == before
+        # and the same stack again gets the same results
+        assert _pass_bytes(_kernels.collatz_wielandt_stack(first, tol, max_iter)) == before[0]
+
+    def test_two_threads_get_the_serial_results(self, rng):
+        stacks = [_scratch_stack(rng, 9, 48), _scratch_stack(rng, 4, 20),
+                  _scratch_stack(rng, 11, 16), _scratch_stack(rng, 2, 64)]
+
+        def run(bs):
+            return _pass_bytes(_kernels.collatz_wielandt_stack(
+                bs, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER))
+
+        serial = [run(bs) for bs in stacks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                got = list(pool.map(run, stacks * 6, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == serial * 6
 
 
 _FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -1347,7 +1411,8 @@ class TestPowerRadiusIdentity:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_one_kernel_call_certifies_a_and_its_power(self, monkeypatch, p):
         # a positive A and A^p go to the kernel as one (2, n, n) stack,
-        # each certified bit for bit as perron_root certifies it alone
+        # each certified bit for bit as perron_root certifies it alone;
+        # at p = 1, A alone, once
         a = np.random.default_rng(12).uniform(0.5, 1.5, (12, 12))
         mp = a
         for _ in range(p - 1):  # as the check forms A^p
@@ -1361,7 +1426,7 @@ class TestPowerRadiusIdentity:
 
         monkeypatch.setattr(solver, "collatz_wielandt_stack", counting)
         powered, direct = solver.power_radius_identity_check(a, p)
-        assert calls == [(2, 12, 12)]
+        assert calls == [(1 if p == 1 else 2, 12, 12)]
         pad = (p - 1) * 14 * float(np.finfo(np.float64).eps)
         assert direct == (alone[1].lo * (1.0 - pad), alone[1].hi * (1.0 + pad))
         assert powered == (max(float(solver._pow_rounded(alone[0].lo, p, -math.inf)), 0.0),

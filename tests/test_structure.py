@@ -315,15 +315,37 @@ class TestOneAnalysisPerMatrix:
 
     @pytest.fixture
     def scc_calls(self, monkeypatch):
+        # Tarjan's walk, which the public function and the normal form
+        # both run; records the vertex count
         calls = []
-        original = structure.strongly_connected_components
+        original = structure._tarjan
 
-        def counting(a):
-            calls.append(np.shape(a))
-            return original(a)
+        def counting(adj):
+            calls.append(len(adj))
+            return original(adj)
 
-        monkeypatch.setattr(structure, "strongly_connected_components", counting)
+        monkeypatch.setattr(structure, "_tarjan", counting)
         return calls
+
+    @pytest.mark.parametrize("n, seed", [(40, 3), (200, 4)])
+    def test_one_adjacency_per_normal_form(self, monkeypatch, scc_calls, n, seed):
+        # a DAG's out-neighbor lists serve Tarjan and the longest path
+        dag = TestFrobeniusNormalForm._pattern("dag", n, seed)
+        comps = structure.strongly_connected_components(dag)
+        calls, adjacency = [], structure._adjacency
+
+        def counting(p):
+            calls.append(p.shape)
+            return adjacency(p)
+
+        monkeypatch.setattr(structure, "_adjacency", counting)
+        scc_calls.clear()
+        fnf = structure.frobenius_normal_form(dag)
+        assert calls == [(n, n)] and scc_calls == [n]
+        assert len(comps) == n
+        assert fnf.perm.tolist() == [v for comp in comps for v in comp]
+        assert fnf.blocks == tuple((v, v + 1) for v in range(n))
+        assert fnf.nilpotency_index == nilpotency_oracle(dag) is not None
 
     def test_perron_root_irreducible(self, scc_calls, rng):
         solver.perron_root(random_irreducible(rng, 6))
