@@ -23,7 +23,10 @@ direction), ``converge`` on a 3-cycle-shaped base with weights 2^400,
 where fl(1 + s_1) - 1 exceeds s_1, and of [[0, 1e-12, 0], [1, 0, 0],
 [0, 0, 0]] along 1 at (0, 1) at ``--coeff 1e-10 --count 3``, where the
 radius of the reducible base's spectral block, 1e-6, moves by 9e-6 at
-k = 1, far more than s_k ||direction||_F.  A ``root`` operation records
+k = 1, far more than s_k ||direction||_F.  Every ``converge`` and
+``gelfand`` operation so far runs once more with ``--format csv``
+appended, recorded apart under its id plus ``.csv``, so csv output is
+pinned as table output is.  A ``root`` operation records
 lo, hi, both vectors' bytes, both witnesses' bytes where the
 certificate carries them, the iterations, ``converged`` and the
 residual, through ``solver.residual`` where SRC has it, else the
@@ -62,6 +65,7 @@ no docstring, comment or blank line, found by ``ast`` and ``tokenize``.
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -222,6 +226,8 @@ def dump(src, out_path):
            for op in cases.build(w, seed)]
     ops += [(f"probe.{op.id}", op) for op in cases.known_defects("hard_spectra")]
     ops += _trace_ops(cases)
+    ops += [(f"{key}.csv", dataclasses.replace(op, args=[*op.args, "--format", "csv"]))
+            for key, op in ops if op.command in ("converge", "gelfand")]
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, (key, op) in enumerate(ops):

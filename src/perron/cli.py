@@ -1,8 +1,9 @@
 """Command line front end: analyze, certify, converge, gelfand.
 
 Reports are plain text on stdout, either aligned tables with key: value
-summary lines or comma-separated rows (``--format csv``).  Output is a
-pure function of the inputs and flags, byte for byte.
+summary lines or comma-separated rows (``--format csv``).  This module
+builds every line of them from the results the library returns; output
+is a pure function of the inputs and flags, byte for byte.
 
 Exit codes: 0 success or PASS, 1 a checked invariant failed, 2 unreadable
 or malformed input, 3 precondition violation (wrong matrix structure for
@@ -61,18 +62,8 @@ def _schedule(text: str) -> tuple[str, float]:
 
 
 def _alpha_list(text: str) -> list[float]:
-    alphas = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            value = float(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not a number: {token!r}")
-        if not 0.0 < value < float("inf"):
-            raise argparse.ArgumentTypeError(f"alphas must be positive and finite: {token}")
-        alphas.append(value)
+    # empty tokens are skipped: "3,,5" is [3, 5]
+    alphas = [_positive_float(token) for token in map(str.strip, text.split(",")) if token]
     if not alphas:
         raise argparse.ArgumentTypeError("empty alpha list")
     return alphas
@@ -81,14 +72,31 @@ def _alpha_list(text: str) -> list[float]:
 def _emit_pairs(pairs, fmt: str) -> None:
     # key: value lines in table mode, key,value in csv mode; list values
     # are space-joined (table) or semicolon-joined (csv) to keep csv rows
-    # two columns wide
+    # two columns wide, and a pair whose value is None is left out
     for key, value in pairs:
+        if value is None:
+            continue
         if isinstance(value, list):
             value = (" " if fmt == "table" else ";").join(value)
         if fmt == "table":
             print(f"{key}: {value}")
         else:
             print(f"{key},{value}")
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _grid(header, rows, fmt: str) -> None:
+    # one line per row: comma-joined in csv mode, else every column
+    # right-aligned to its widest cell, with no trailing blanks
+    rows = [header, *rows]
+    if fmt == "csv":
+        print("\n".join(map(",".join, rows)))
+    else:
+        line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(*rows))
+        print("\n".join(line.format(*row).rstrip() for row in rows))
 
 
 def cmd_analyze(args) -> int:
@@ -100,10 +108,7 @@ def cmd_analyze(args) -> int:
         ("n", str(fnf.n)),
         ("irreducible", _yesno(fnf.irreducible)),
         ("nilpotent", _yesno(index is not None)),
-    ]
-    if index is not None:
-        pairs.append(("nilpotency_index", str(index)))
-    pairs += [
+        ("nilpotency_index", index),
         ("block_count", str(len(fnf.blocks))),
         ("block_sizes", [str(s) for s in fnf.block_sizes]),
         ("permutation", [str(i) for i in fnf.perm]),
@@ -170,16 +175,16 @@ def cmd_converge(args) -> int:
         clamp=args.clamp,
     )
     trace = harness.run_trace(spec, tol=args.tol, max_iter=args.max_iter)
-    print(harness.format_convergence_trace(trace, args.format))
+    # floats with 17 significant digits, so the csv form round-trips exactly
+    _grid(["k", "s_k", "r_lo", "r_hi", "deviation", *trace.columns, "status"], [
+        [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi), _f(r.deviation),
+         *map(_f, r.extra), _status(r.ok)] for r in trace.rows], args.format)
     if args.format == "table":
-        print(f"kind: {trace.kind}")
-        if trace.nilpotency is not None:
-            print(f"nilpotency_index: {trace.nilpotency}")
-        if trace.spectral_block_index is not None:
-            print(f"spectral_block: {trace.spectral_block_index}")
-        print(f"rho_lo: {_f(trace.base_cert.lo)}")
-        print(f"rho_hi: {_f(trace.base_cert.hi)}")
-        print(f"result: {'PASS' if trace.ok else 'FAIL'}")
+        _emit_pairs([
+            ("kind", trace.kind), ("nilpotency_index", trace.nilpotency),
+            ("spectral_block", trace.spectral_block_index),
+            ("rho_lo", _f(trace.base_cert.lo)), ("rho_hi", _f(trace.base_cert.hi)),
+            ("result", "PASS" if trace.ok else "FAIL")], "table")
     return 0 if trace.ok else 1
 
 
@@ -190,9 +195,9 @@ def cmd_gelfand(args) -> int:
     # the demo reuses the trace's certificate and norm chain of X
     demo = harness.nonuniformity_demo(trace, args.m_max, args.alphas)
     if args.format == "table":
-        print(f"rho_lo: {_f(trace.cert.lo)}")
-        print(f"rho_hi: {_f(trace.cert.hi)}")
-    print(harness.format_gelfand_trace(trace, args.format))
+        _emit_pairs([("rho_lo", _f(trace.cert.lo)), ("rho_hi", _f(trace.cert.hi))], "table")
+    _grid(["m", "f_m", "residual", "status"], [
+        [str(r.m), _f(r.f_m), _f(r.residual), _status(r.ok)] for r in trace.rows], args.format)
     if demo.vacuous:
         note = (
             f"scaling demo skipped: f_m matches the certified radius at "
@@ -201,10 +206,12 @@ def cmd_gelfand(args) -> int:
         print(("note: " if args.format == "table" else "# ") + note)
     else:
         print()
-        print(harness.format_nonuniformity_demo(demo, args.format))
+        _grid(["alpha", "residual", "expected", "rel_err", "status"], [
+            [_f(r.alpha), _f(r.residual), _f(r.expected), _f(r.rel_err), _status(r.ok)]
+            for r in demo.rows], args.format)
     ok = trace.ok and demo.ok
     if args.format == "table":
-        print(f"result: {'PASS' if ok else 'FAIL'}")
+        _emit_pairs([("result", "PASS" if ok else "FAIL")], "table")
     return 0 if ok else 1
 
 

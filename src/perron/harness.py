@@ -16,6 +16,8 @@ comes from one chain, ``_gelfand_steps``, with one relative rounding
 bound: a BLAS chain for the matrices it keeps in the normal range, and
 extended exponents for the rest.  Nilpotent rows pass by the Gelfand
 rows' rule.
+
+The module returns results only; ``perron.cli`` renders them as text.
 """
 
 import math
@@ -37,9 +39,6 @@ __all__ = [
     "run_trace",
     "gelfand_trace",
     "nonuniformity_demo",
-    "format_convergence_trace",
-    "format_gelfand_trace",
-    "format_nonuniformity_demo",
 ]
 
 _RULES = ("inv-k", "inv-k2", "geom")
@@ -228,7 +227,7 @@ def run_trace(
         block_at = fnf.perm[start:end]
         block, block_cert = fnf.block_matrices[block_index], block_certs[block_index]
         q = solver.q_star(block_cert)
-        base_cert = solver._combine(block_certs)
+        base_cert = solver._combine(block_certs, tol)
 
     rows = []
     per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)
@@ -514,22 +513,15 @@ def nonuniformity_demo(
     rows = []
     if not vacuous:
         f_hi = (f + _TINY) / (1.0 - d) if d < 1.0 else math.inf
-        nonzero = np.count_nonzero(mat)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             stack = np.multiply.outer(alphas, mat)
-        epsilons = []
-        for alpha, scaled in zip(alphas, stack):
-            if not np.isfinite(scaled).all():
-                raise ValueError(f"alpha {alpha} times the matrix overflows")
-            kept = scaled[scaled > 0.0]
-            smallest = float(kept.min()) if kept.size else 0.0
-            if kept.size < nonzero:
-                eps = 1.0
-            elif smallest < 2.0**-1022:
-                eps = max(_U, _TINY / smallest)
-            else:
-                eps = _U
-            epsilons.append(eps)
+        over = _max(stack, axis=(1, 2)) == math.inf
+        if over.any():
+            raise ValueError(f"alpha {alphas[over.argmax()]} times the matrix overflows")
+        smallest = _min(stack, axis=(1, 2), initial=math.inf, where=stack > 0.0)
+        epsilons = np.where(
+            np.count_nonzero(stack, axis=(1, 2)) < np.count_nonzero(mat), 1.0,
+            np.where(smallest < 2.0**-1022, np.maximum(_U, _TINY / smallest), _U)).tolist()
         fs, ds = (a[:, -1].tolist() for a in _gelfand_steps(stack, m))
         for alpha, eps, f_scaled, d_scaled in zip(alphas, epsilons, fs, ds):
             row_residual = f_scaled - alpha * cert.mid
@@ -557,52 +549,3 @@ def nonuniformity_demo(
     return NonuniformityDemo(
         m=m, f_m=f, cert=cert, residual=residual, vacuous=vacuous, rows=tuple(rows)
     )
-
-
-def _grid(header, rows, fmt: str) -> str:
-    if fmt == "csv":
-        return "\n".join([",".join(header)] + [",".join(r) for r in rows])
-    if fmt != "table":
-        raise ValueError(f"unknown format {fmt!r}; choose 'table' or 'csv'")
-    # every column right-aligned to its widest cell
-    line = "  ".join(f"{{:>{max(map(len, col))}}}" for col in zip(header, *rows))
-    return "\n".join(line.format(*row).rstrip() for row in [header, *rows])
-
-
-_f = matcore.format_float
-
-
-def _status(ok: bool) -> str:
-    return "pass" if ok else "FAIL"
-
-
-def format_convergence_trace(trace: ConvergenceTrace, fmt: str = "table") -> str:
-    """Render a trace as an aligned table or comma-separated rows.
-
-    The trace's ``columns`` follow the common ones; floats are rendered
-    with 17 significant digits so the csv form round-trips exactly.
-    """
-    header = ["k", "s_k", "r_lo", "r_hi", "deviation", *trace.columns, "status"]
-    rows = [
-        [str(r.k), _f(r.scale), _f(r.cert.lo), _f(r.cert.hi), _f(r.deviation),
-         *map(_f, r.extra), _status(r.ok)]
-        for r in trace.rows
-    ]
-    return _grid(header, rows, fmt)
-
-
-def format_gelfand_trace(trace: GelfandTrace, fmt: str = "table") -> str:
-    header = ["m", "f_m", "residual", "status"]
-    rows = [
-        [str(r.m), _f(r.f_m), _f(r.residual), _status(r.ok)] for r in trace.rows
-    ]
-    return _grid(header, rows, fmt)
-
-
-def format_nonuniformity_demo(demo: NonuniformityDemo, fmt: str = "table") -> str:
-    header = ["alpha", "residual", "expected", "rel_err", "status"]
-    rows = [
-        [_f(r.alpha), _f(r.residual), _f(r.expected), _f(r.rel_err), _status(r.ok)]
-        for r in demo.rows
-    ]
-    return _grid(header, rows, fmt)

@@ -119,7 +119,8 @@ def perron_irreducible(b, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronC
     """
     m = matcore.nonneg_matrix(b)
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    if not structure.is_irreducible(m):
+    # the verdict from the validated copy as it is: is_irreducible would validate again
+    if not structure._normal_form(m).irreducible:
         raise ValueError("matrix is reducible; use perron_root")
     return _certify_irreducible(m[None], tol, max_iter)[0]
 
@@ -169,15 +170,14 @@ def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
     return [next(certs[a.shape[1]]) for a in stacks for _ in range(len(a))]
 
 
-def _combine(certs) -> PerronCertificate:
+def _combine(certs, tol) -> PerronCertificate:
     # certificates of the diagonal blocks: the radius is the largest block
-    # radius, so [max lo, max hi] holds it; block vectors are dropped
+    # radius, so [max lo, max hi] holds it; block vectors are dropped, and
+    # converged means hi - lo <= tol, as for an irreducible matrix
+    lo, hi = max(0.0, *(c.lo for c in certs)), max(0.0, *(c.hi for c in certs))
     return PerronCertificate(
-        lo=max(0.0, *(c.lo for c in certs)),
-        hi=max(0.0, *(c.hi for c in certs)),
-        right_witness=None, left_witness=None,
-        iterations=sum(c.iterations for c in certs),
-        converged=all(c.converged for c in certs),
+        lo=lo, hi=hi, right_witness=None, left_witness=None,
+        iterations=sum(c.iterations for c in certs), converged=hi - lo <= tol,
     )
 
 
@@ -214,7 +214,7 @@ def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
     for f in forms:  # an irreducible matrix is its own single block
         stack = isinstance(f, np.ndarray)
         got = [next(certs) for _ in range(len(f if stack else f.block_matrices))]
-        out += got if stack or f.irreducible else [_combine(got)]
+        out += got if stack or f.irreducible else [_combine(got, tol)]
     return out
 
 

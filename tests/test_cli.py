@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -476,8 +477,75 @@ class TestGelfand:
         for value in ("0", "x", "", "inf", "2,1e400"):
             code, _, err = run("gelfand", "shift2.txt", "--alphas", value)
             assert code == 2
+        assert "must be positive and finite: 1e400" in err
         # a vacuous demo never reads its alphas, so they are checked first
         assert run("gelfand", "cycle3.txt", "--alphas", "inf")[0] == 2
+
+
+class TestFormatters:
+    """The grids ``cli`` builds from trace results, in both formats."""
+
+    @pytest.fixture
+    def corner(self, tmp_path):
+        # direction [[0, 0], [0, 1]] for the two-cycle cycle2.txt
+        path = tmp_path / "corner2.txt"
+        path.write_text("2\n0 0\n0 1\n")
+        return str(path)
+
+    def test_table_layout(self, run, corner):
+        code, out, _ = run("converge", "cycle2.txt", corner, "--count", "3")
+        assert code == 0
+        lines = out.splitlines()
+        grid = lines[:4]  # the header and three rows, then the summary
+        assert grid[0].split() == ["k", "s_k", "r_lo", "r_hi", "deviation", "bound", "status"]
+        assert lines[4] == "kind: irreducible"
+        assert not any(line.endswith(" ") for line in lines)
+        assert all(line.endswith(("pass", "FAIL", "status")) for line in grid)
+        # right-aligned: each cell ends where its column's header ends
+        ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in grid]
+        assert all(e == ends[0] for e in ends)
+
+    def test_csv_round_trips_floats(self, run, corner):
+        code, out, _ = run("converge", "cycle2.txt", corner, "--count", "3", "--format", "csv")
+        assert code == 0
+        trace = harness.run_trace(harness.SequenceSpec(
+            base=[[0.0, 1.0], [1.0, 0.0]], direction=[[0.0, 0.0], [0.0, 1.0]], count=3))
+        lines = out.splitlines()
+        assert lines[0] == "k,s_k,r_lo,r_hi,deviation,bound,status"
+        assert len(lines) == 4
+        for row, line in zip(trace.rows, lines[1:]):
+            cells = line.split(",")
+            assert int(cells[0]) == row.k
+            assert float(cells[1]) == row.scale
+            assert float(cells[2]) == row.cert.lo
+            assert float(cells[3]) == row.cert.hi
+            assert float(cells[4]) == row.deviation
+            assert float(cells[5]) == row.extra[0]
+            assert cells[6] == "pass"
+
+    def test_kind_specific_columns(self, run, tmp_path):
+        upper = tmp_path / "upper2.txt"
+        upper.write_text("2\n1 1\n0 2\n")
+        for base, kind in ((str(upper), "b_lo,b_hi"), ("nilpotent2.txt", "power_bound")):
+            code, out, _ = run(
+                "converge", base, "dir_lowerleft2.txt", "--count", "2", "--format", "csv")
+            assert code == 0
+            assert kind in out.splitlines()[0]
+
+    def test_gelfand_and_demo_grids(self, run):
+        code, out, _ = run(
+            "gelfand", "shift2.txt", "--m-max", "1", "--alphas", "10", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "m,f_m,residual,status\n1,2,2,pass\n\n"
+            "alpha,residual,expected,rel_err,status\n10,20,20,0,pass\n")
+
+    def test_unknown_format_rejected(self, run):
+        for command in (("converge", "cycle2.txt", "dir_lowerleft2.txt"),
+                        ("gelfand", "shift2.txt")):
+            code, out, err = run(*command, "--format", "json")
+            assert (code, out) == (2, "")
+            assert "--format" in err
 
 
 _GELFAND_1E200 = """\

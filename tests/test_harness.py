@@ -281,7 +281,7 @@ class TestEveryRowHolds:
             assert "did not converge" in str(exc)
             assert fnf.irreducible and fnf.nilpotency_index is None
             return
-        assert trace.ok, harness.format_convergence_trace(trace)
+        assert trace.ok, [row for row in trace.rows if not row.ok]
 
     def test_block_pushed_past_the_bound_fails(self, monkeypatch):
         # the spectral block [2] moves to 2 + s_k, its bound s_k (q* = 1);
@@ -944,6 +944,18 @@ class TestNonuniformityDemo:
         with pytest.raises(ValueError, match="overflows"):
             harness.nonuniformity_demo([[1e300, 0.0], [1e300, 0.0]], 2, [1e10])
 
+    def test_subnormal_and_lost_entries(self):
+        # 2^-40 X leaves the tiny entry subnormal, 2^-80 X rounds it to
+        # zero: eps is t over the least entry, then 1; bounds bit for bit
+        x = np.array([[2.0**-1000, 2.0], [3.0, 4.0]])
+        demo = harness.nonuniformity_demo(x, 2, [0.5, 2.0**-40, 2.0**-80])
+        assert not demo.vacuous and demo.ok
+        assert [row.bound.hex() for row in demo.rows] == [
+            "0x1.f266bc47509e2p-45", "0x1.190d2fb697f8ap-30", "0x1.19096e0a4d462p+4"]
+        # the first alpha that overflows is named, wherever it stands
+        with pytest.raises(ValueError, match=r"^alpha 1e\+308 times the matrix overflows$"):
+            harness.nonuniformity_demo(x, 2, [2.0**-40, 1e308, 2.0**-80, 2.0**1023])
+
     def test_parameters_validated(self):
         with pytest.raises(ValueError, match="m must be"):
             harness.nonuniformity_demo(np.eye(2), 0, [2.0])
@@ -959,65 +971,6 @@ class TestNonuniformityDemo:
             harness.nonuniformity_demo(x, 10, alphas)
         with pytest.raises(ValueError, match="alphas must be"):
             harness.nonuniformity_demo(harness.gelfand_trace(x, 10), 10, alphas)
-
-
-class TestFormatters:
-    def _trace(self):
-        spec = harness.SequenceSpec(base=TWO_CYCLE, direction=CORNER, count=3)
-        return harness.run_trace(spec)
-
-    def test_table_layout(self):
-        text = harness.format_convergence_trace(self._trace(), "table")
-        lines = text.splitlines()
-        assert lines[0].split() == ["k", "s_k", "r_lo", "r_hi", "deviation", "bound", "status"]
-        assert len(lines) == 4
-        assert not any(line.endswith(" ") for line in lines)
-        assert all(line.endswith(("pass", "FAIL", "status")) for line in lines)
-
-    def test_csv_round_trips_floats(self):
-        trace = self._trace()
-        lines = harness.format_convergence_trace(trace, "csv").splitlines()
-        assert lines[0] == "k,s_k,r_lo,r_hi,deviation,bound,status"
-        for row, line in zip(trace.rows, lines[1:]):
-            cells = line.split(",")
-            assert int(cells[0]) == row.k
-            assert float(cells[1]) == row.scale
-            assert float(cells[2]) == row.cert.lo
-            assert float(cells[3]) == row.cert.hi
-            assert float(cells[5]) == row.extra[0]
-            assert cells[6] == "pass"
-
-    def test_kind_specific_columns(self):
-        red = harness.run_trace(
-            harness.SequenceSpec(
-                base=[[1.0, 1.0], [0.0, 2.0]],
-                direction=[[0.0, 0.0], [1.0, 0.0]],
-                count=2,
-            )
-        )
-        nil = harness.run_trace(
-            harness.SequenceSpec(
-                base=[[0.0, 1.0], [0.0, 0.0]],
-                direction=[[0.0, 0.0], [1.0, 0.0]],
-                count=2,
-            )
-        )
-        assert "b_lo,b_hi" in harness.format_convergence_trace(red, "csv").splitlines()[0]
-        assert "power_bound" in harness.format_convergence_trace(nil, "csv").splitlines()[0]
-
-    def test_gelfand_and_demo_grids(self):
-        trace = harness.gelfand_trace([[0.0, 2.0], [0.0, 0.0]], 3)
-        text = harness.format_gelfand_trace(trace, "csv")
-        assert text.splitlines()[0] == "m,f_m,residual,status"
-        assert text.splitlines()[1] == "1,2,2,pass"
-        demo = harness.nonuniformity_demo([[0.0, 2.0], [0.0, 0.0]], 1, [10.0])
-        out = harness.format_nonuniformity_demo(demo, "csv")
-        assert out.splitlines()[0] == "alpha,residual,expected,rel_err,status"
-        assert out.splitlines()[1] == "10,20,20,0,pass"
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            harness.format_convergence_trace(self._trace(), "json")
 
 
 class TestIdentityEquality:

@@ -43,6 +43,34 @@ class TestPerronIrreducible:
         with pytest.raises(ValueError, match="reducible"):
             solver.perron_irreducible([[1.0, 1.0], [0.0, 2.0]])
 
+    @pytest.mark.parametrize("a", [
+        [[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [3.0, 0.0, 0.5]],  # a 3-cycle and a loop
+        np.arange(1.0, 17.0).reshape(4, 4),  # positive
+        [[4.0]],
+    ])
+    def test_validates_once(self, monkeypatch, a):
+        # the irreducibility verdict is read off the validated copy, which
+        # is not validated again, and the certificate is perron_root's
+        calls, validate = [], matcore.nonneg_matrix
+
+        def counting(b):
+            calls.append(1)
+            return validate(b)
+
+        monkeypatch.setattr(matcore, "nonneg_matrix", counting)
+        cert = solver.perron_irreducible(a)
+        assert len(calls) == 1
+        assert _fields(a, cert) == _fields(a, solver.perron_root(a))
+
+    def test_error_order(self):
+        # the matrix first, then tol and max_iter, then irreducibility
+        with pytest.raises(ValueError, match="negative entry"):
+            solver.perron_irreducible([[1.0, -1.0], [0.0, 1.0]], tol=-1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solver.perron_irreducible([[1.0, 1.0], [0.0, 1.0]], tol=-1.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            solver.perron_irreducible([[1.0, 1.0], [0.0, 1.0]], max_iter=0)
+
     def test_vectors_are_positive_normalized(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 8))
@@ -1017,6 +1045,19 @@ class TestPerronRoot:
         cert = solver.perron_root([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert cert.lo <= 1.0 <= cert.hi
         assert cert.width <= solver.DEFAULT_TOL
+
+    def test_reducible_converged_is_its_width(self):
+        # blocks [5] and [[1, 2], [0.5, 1]]: one sweep leaves the 2x2 block
+        # wide, yet the combined interval [5, 5] meets tol, and converged
+        # means that, as for an irreducible matrix, here and on a trace's base
+        a = np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.5, 1.0]])
+        fnf = structure.frobenius_normal_form(a)
+        assert not all(c.converged for c in solver._spectral_block(fnf, 1e-12, 1)[1])
+        cert = solver.perron_root(a, max_iter=1)
+        assert (cert.lo, cert.hi, cert.converged) == (5.0, 5.0, True)
+        spec = harness.SequenceSpec(base=a, direction=np.eye(3), count=1)
+        base = harness.run_trace(spec, max_iter=1).base_cert
+        assert (base.lo, base.hi, base.converged) == (5.0, 5.0, True)
 
     def test_triangular_is_exact(self):
         a = [[1.0, 1.0], [0.0, 2.0]]
