@@ -38,13 +38,18 @@ relative to it, so the output does not depend on where that is.  Then
 diagonal, sparse), each at ``max_iter`` 10^6 and 3, and on the first
 ``FEW`` of each family (n = 2..13) ``power_radius_identity_check`` at
 p = 2 and 3 (command ``power``: both intervals) and ``spectral_block``
-(command ``block``: the index).  Every result also records its command,
-and a raise is recorded as a result.
+(command ``block``: the index, and each normal-form block
+certificate's lo, hi, iterations and ``converged``, read off
+``perron_root(a).blocks`` where SRC has that field, a matrix certified
+whole standing as its own block, else off ``solver._spectral_block``).
+Every result also records its command, and a raise is recorded as a
+result.
 
 ``diff`` counts the results that differ, per command (``root``,
 ``analyze``, ``certify``, ``converge``, ``gelfand``, ``power``,
 ``block``), ``converged``
-flips, iteration counts that rise or fall, intervals that get wider or
+flips, iteration counts that rise or fall (a block certificate's
+counting for its ``block`` result), intervals that get wider or
 narrower, results whose right or whose left vector's bytes moved,
 results whose right or whose left witness's bytes moved (compared only
 where both dumps record witnesses), ``root`` results whose residual
@@ -191,9 +196,19 @@ def _power(perron, a, p):
 
 def _block(perron, a):
     try:
-        return {"index": perron.spectral_block(a)}
+        index = perron.spectral_block(a)
+        cert = perron.perron_root(a)
+        if hasattr(cert, "blocks"):  # a matrix certified whole is its own block
+            certs = cert.blocks or (cert,)
+        else:  # a source before block certificates
+            solver = perron.solver
+            certs = solver._spectral_block(perron.structure.frobenius_normal_form(a),
+                                           solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)[1]
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"index": index, "blocks": [
+        {"lo": _hex(c.lo), "hi": _hex(c.hi), "iterations": c.iterations,
+         "converged": c.converged} for c in certs]}
 
 
 def _command(perron, cases, op, work, i):
@@ -261,6 +276,12 @@ def _load(path):
         return {r.pop("id"): r for r in map(json.loads, fh)}
 
 
+def _blockwise(r, key):
+    """A result's value of ``key``, then that of each block certificate
+    it records."""
+    return [r.get(key)] + [c[key] for c in r.get("blocks", ())]
+
+
 def diff(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
     found = {name: [] for name in ("differ", "converged flips", "iterations rise",
@@ -289,11 +310,14 @@ def diff(path_a, path_b):
         found["differ"].append(key)
         command = ra.get("command", "?")
         per_command[command] = per_command.get(command, 0) + 1
-        if ra.get("converged") != rb.get("converged"):
+        if _blockwise(ra, "converged") != _blockwise(rb, "converged"):
             found["converged flips"].append(key)
-        ia, ib = ra.get("iterations"), rb.get("iterations")
-        if ia is not None and ib is not None and ia != ib:
-            found["iterations rise" if ib > ia else "iterations fall"].append(key)
+        steps = [(ia, ib) for ia, ib in zip(_blockwise(ra, "iterations"),
+                                            _blockwise(rb, "iterations"))
+                 if ia is not None and ib is not None and ia != ib]
+        if steps:
+            found["iterations rise" if any(ib > ia for ia, ib in steps)
+                  else "iterations fall"].append(key)
         if "width" in ra and "width" in rb and ra["width"] != rb["width"]:
             found["wider" if rb["width"] > ra["width"] else "narrower"].append(key)
         for side in ("right", "left"):

@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
         ("nilpotency_index", index),
         ("block_count", str(len(fnf.blocks))),
         ("block_sizes", [str(s) for s in fnf.block_sizes]),
-        ("permutation", [str(i) for i in fnf.perm]),
+        ("permutation", [str(i) for i in fnf.perm.tolist()]),
         ("rho_lo", _f(cert.lo)),
         ("rho_hi", _f(cert.hi)),
         ("converged", _yesno(cert.converged)),
@@ -119,8 +119,9 @@ def cmd_analyze(args) -> int:
     ]
     if cert.right_vector is not None:
         pairs += [
-            ("right_vector", [_f(v) for v in cert.right_vector]),
-            ("left_vector", [_f(v) for v in cert.left_vector]),
+            # Python floats format faster than numpy scalars
+            ("right_vector", [_f(v) for v in cert.right_vector.tolist()]),
+            ("left_vector", [_f(v) for v in cert.left_vector.tolist()]),
             ("q_star", _f(solver.q_star(cert))),
         ]
     residual = solver.residual(fnf.matrix, cert)  # None also when not finite

@@ -195,10 +195,11 @@ def run_trace(
       hi(r_k): B_k is a principal submatrix of A_k.  For an
       irreducible base b_k = r_k, and q*(B) is read off the base
       certificate, so one that did not converge within ``max_iter``
-      raises ValueError, as in ``continuity_certificate``.  For a
-      reducible base the blocks are certified once, which picks the
-      spectral block and gives the base certificate; q*(B) is read off
-      b as it is, so such a trace never raises for convergence.
+      raises ValueError, as in ``continuity_certificate``.  A
+      reducible base is certified first, as ``perron_root`` would; its
+      certificate's ``spectral_block`` picks B, and b is its block
+      certificate there.  q*(B) is read off b as it is, so such a trace
+      never raises for convergence.
 
     Each chunk of terms is built and validated as one (k, n, n) stack,
     and certified with its spectral blocks, gathered by one index, and,
@@ -220,14 +221,13 @@ def run_trace(
         kind, columns, block = "irreducible", ("bound",), spec.base
     else:
         kind, columns = "reducible", ("b_lo", "b_hi", "bound")
-        block_index, block_certs = solver._spectral_block(fnf, tol, max_iter)
-        summary["spectral_block_index"] = block_index
+        base_cert = solver._perron_roots([fnf], tol, max_iter)[0]
+        block_index = summary["spectral_block_index"] = base_cert.spectral_block
         start, end = fnf.blocks[block_index]
         # the spectral block's positions in every term, read off unpermuted
         block_at = fnf.perm[start:end]
-        block, block_cert = fnf.block_matrices[block_index], block_certs[block_index]
+        block, block_cert = fnf.block_matrices[block_index], base_cert.blocks[block_index]
         q = solver.q_star(block_cert)
-        base_cert = solver._combine(block_certs, tol)
 
     rows = []
     per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)

@@ -199,10 +199,13 @@ def _parse_bulk(text: str, nonneg: bool) -> np.ndarray | None:
         n = int(lines[0]) if lines else 0
         if n < 1 or len(lines) != n + 1:
             return None
-        a = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2)
+        # n rows, checked above: the result is allocated once at its size
+        a = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2, max_rows=n)
     except ValueError:
         return None
-    if a.shape != (n, n) or not np.isfinite(a).all() or (nonneg and (a < 0.0).any()):
+    # one min/max pair, as in _validated: it also fails on NaN
+    lo, hi = _min(a, axis=None), _max(a, axis=None)
+    if a.shape != (n, n) or not -math.inf < lo <= hi < math.inf or (nonneg and lo < 0.0):
         return None
     return a
 

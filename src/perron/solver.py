@@ -11,15 +11,16 @@ Noda steps, iterated for every pass of the stack until each stops,
 bounds rounded outward.  A matrix's certificate does not depend on what
 it is certified with.  A positive or 1x1 matrix goes to the kernel
 whole, with no normal form built; other matrices are split into
-irreducible diagonal blocks first and the block intervals are combined.
-Certificates report closed intervals [lo, hi] that always contain the
-spectral radius, converged or not; ``converged`` says whether the
-intersected interval is at most the requested width.  The kernel
-returns the vectors it certified, each with its largest entry 1, and
-``_certify_irreducible`` hands them to the certificates as they are,
-their witnesses; a certificate forms its 1-norm vectors from them when
-they are first read, and ``residual`` forms ||A v - mid v||_1 from the
-matrix it is given.
+irreducible diagonal blocks first and the block intervals are combined,
+the certificate keeping its blocks' certificates.  Certificates report
+closed intervals [lo, hi] that always contain the spectral radius,
+converged or not; ``converged`` says whether the intersected interval
+is at most the requested width.  The kernel returns the vectors it
+certified, each with its largest entry 1, and ``_certify_irreducible``
+hands them to the certificates as they are, their witnesses; a
+certificate forms its 1-norm vectors from them when they are first
+read, and ``residual`` forms ||A v - mid v||_1 from the matrix it is
+given.
 """
 
 import math
@@ -59,9 +60,13 @@ class PerronCertificate:
     otherwise, for n >= 2).  ``right_vector`` and ``left_vector`` are
     their 1-norm copies, the nonnegative eigenvector approximations,
     formed and frozen on first read.  ``hi`` is infinite when the radius
-    exceeds the largest float.  Certificates hold no matrix: ``residual``
-    takes it.  They compare and hash by identity: their vectors have no
-    single truth value.
+    exceeds the largest float.  ``blocks`` are the certificates of the
+    normal-form diagonal blocks, in normal-form order, for a matrix with
+    more than one; () for a matrix certified whole.  Their positions and
+    the permutation stay on the
+    :class:`~perron.structure.FrobeniusNormalForm`.  Certificates hold
+    no matrix: ``residual`` takes it.  They compare and hash by
+    identity: their vectors have no single truth value.
     """
 
     lo: float
@@ -70,6 +75,7 @@ class PerronCertificate:
     left_witness: np.ndarray | None
     iterations: int
     converged: bool
+    blocks: tuple["PerronCertificate", ...] = ()
 
     @property
     def mid(self) -> float:
@@ -80,6 +86,12 @@ class PerronCertificate:
     @property
     def width(self) -> float:
         return self.hi - self.lo
+
+    @property
+    def spectral_block(self) -> int:
+        """Index of the block whose certificate has the greatest midpoint,
+        ties to the lowest; 0 without blocks."""
+        return max(range(len(self.blocks)), key=lambda i: self.blocks[i].mid, default=0)
 
     # cached_property writes the instance dict, which frozen allows
     @cached_property
@@ -172,28 +184,22 @@ def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
 
 def _combine(certs, tol) -> PerronCertificate:
     # certificates of the diagonal blocks: the radius is the largest block
-    # radius, so [max lo, max hi] holds it; block vectors are dropped, and
-    # converged means hi - lo <= tol, as for an irreducible matrix
+    # radius, so [max lo, max hi] holds it; the block certificates are kept,
+    # the matrix carries no vector, and converged means hi - lo <= tol, as
+    # for an irreducible matrix
     lo, hi = max(0.0, *(c.lo for c in certs)), max(0.0, *(c.hi for c in certs))
     return PerronCertificate(
         lo=lo, hi=hi, right_witness=None, left_witness=None,
         iterations=sum(c.iterations for c in certs), converged=hi - lo <= tol,
+        blocks=tuple(certs),
     )
-
-
-def _spectral_block(fnf, tol, max_iter) -> tuple[int, list[PerronCertificate]]:
-    """Index of the block whose certificate has the greatest midpoint
-    (ties go to the lowest index), and the certificates of all blocks."""
-    tol, max_iter = _validate_iteration_params(tol, max_iter)
-    certs = _certify_blocks(fnf.block_matrices, tol, max_iter)
-    return max(range(len(certs)), key=lambda i: certs[i].mid), certs
 
 
 def spectral_block(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> int:
     """Index of a normal-form diagonal block whose certified Perron
     interval has the greatest midpoint.  Ties go to the lowest index.
     """
-    return _spectral_block(structure.frobenius_normal_form(a), tol, max_iter)[0]
+    return perron_root(structure.frobenius_normal_form(a), tol, max_iter).spectral_block
 
 
 def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
@@ -227,8 +233,9 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
     is irreducible on sight and goes to the kernel whole, with no normal
     form built.  Perron vectors are carried only when the whole matrix
     is irreducible (reducible matrices need not have a strictly positive
-    eigenvector; certify the spectral block directly if a vector is
-    wanted).  ``a`` may also be the matrix's
+    eigenvector); a reducible matrix's certificate carries its blocks'
+    certificates instead, ``blocks[spectral_block]`` with the vectors of
+    the spectral block.  ``a`` may also be the matrix's
     :class:`~perron.structure.FrobeniusNormalForm`, which is then not
     recomputed.
     """

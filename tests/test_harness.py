@@ -248,6 +248,28 @@ class TestReducibleTrace:
             assert trace.base_cert.iterations == direct.iterations
             assert trace.spectral_block_index == solver.spectral_block(base)
 
+    def test_base_certificate_holds_the_spectral_block(self, monkeypatch, rng):
+        # three 4 x 4 blocks, transposed so that the spectral block comes
+        # last: one kernel call certifies the base, as one round of block
+        # certificates did before the base certificate kept them, and the
+        # chunk's 12 x 12 terms and 4 x 4 B_k take one each
+        spec = harness.SequenceSpec(base=three_block_base(rng, 12).T,
+                                    direction=rng.uniform(0.0, 0.1, (12, 12)), count=5)
+        calls = _count_kernel_calls(monkeypatch)
+        trace = harness.run_trace(spec)
+        assert trace.kind == "reducible" and trace.ok and calls["stack"] == 3
+        fnf, i = spec.normal_form, trace.spectral_block_index
+        assert len(trace.base_cert.blocks) == len(fnf.blocks) == 3 and i == 2
+        block_cert = trace.base_cert.blocks[i]
+        assert _same_cert(block_cert, solver.perron_root(fnf.block_matrices[i]))
+        # its q* is the one that bounds the rows
+        q = solver.q_star(block_cert)
+        start, end = fnf.blocks[i]
+        at = np.ix_(fnf.perm[start:end], fnf.perm[start:end])
+        for row in trace.rows:
+            e = float(_frobenius_up((spec.term(row.k)[at] - fnf.block_matrices[i])[None])[0])
+            assert row.extra[2] == (math.nextafter(e / q, math.inf) if e else 0.0)
+
 
 class TestEveryRowHolds:
     """One rule checks every row of a base that is not nilpotent: the
@@ -296,6 +318,8 @@ class TestEveryRowHolds:
 
         def pushed(items, *args):
             certs, blocks = roots(items, *args), items[-1]
+            if not isinstance(blocks, np.ndarray):  # the base's own call
+                return certs
             shifts = [3.0 * spec.scale(k) for k in range(1, len(blocks) + 1)]
             return certs[:-len(blocks)] + [
                 dataclasses.replace(c, lo=c.lo - d, hi=c.hi - d)

@@ -260,6 +260,32 @@ class TestBulkParse:
         assert matcore._parse_bulk("2\n1 2\n-3 4\n", nonneg=True) is None
         assert matcore.parse_matrix("2\n1 2\n3 1_000\n")[1, 1] == 1000.0
 
+    @pytest.mark.parametrize("token, nonneg, message", [
+        ("nan", False, "non-finite entry 'nan'"),
+        ("NaN", True, "non-finite entry 'NaN'"),
+        ("inf", False, "non-finite entry 'inf'"),
+        ("-inf", True, "non-finite entry '-inf'"),
+        ("1e999", False, "non-finite entry '1e999'"),
+        ("-2.5", True, "negative entry '-2.5'"),
+    ])
+    def test_bad_entries_get_the_token_loops_error(self, token, nonneg, message):
+        # a text the bulk reader takes, but for one entry that fails the
+        # min/max check: the token loop words the error, line and column
+        rows = [["1", "2", "3"], ["4", "5", "6"], ["7", "8", "9"]]
+        rows[1][2] = token
+        text = "# m\n3\n" + "\n".join(" ".join(r) for r in rows) + "\n"
+        assert matcore._parse_bulk(text, nonneg) is None
+        with pytest.raises(matcore.MatrixFormatError) as exc:
+            matcore.parse_matrix(text, nonneg=nonneg)
+        assert (str(exc.value), exc.value.line, exc.value.column) == (
+            f"line 4, column 3: {message}", 4, 3)
+
+    def test_negative_zero_and_signs_stay_on_the_bulk_path(self):
+        text = "2\n-0.0 2\n3 4\n"
+        bulk = matcore._parse_bulk(text, nonneg=True)
+        assert bulk is not None and math.copysign(1.0, bulk[0, 0]) == -1.0
+        assert matcore._parse_bulk("2\n-1 2\n3 4\n", nonneg=False)[0, 0] == -1.0
+
 
 class TestTextFormat:
     def test_round_trip_handpicked_values(self):

@@ -14,7 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perron import _kernels, harness, matcore, solver, structure
-from generators import random_irreducible, random_nonneg, three_block_base
+from generators import (
+    planted_block_matrix, random_irreducible, random_nonneg, reducible_base, three_block_base,
+)
 from oracles import cw_exact, eig_radius, encloses_radius, rational_power
 
 
@@ -1052,7 +1054,7 @@ class TestPerronRoot:
         # means that, as for an irreducible matrix, here and on a trace's base
         a = np.array([[5.0, 1.0, 0.0], [0.0, 1.0, 2.0], [0.0, 0.5, 1.0]])
         fnf = structure.frobenius_normal_form(a)
-        assert not all(c.converged for c in solver._spectral_block(fnf, 1e-12, 1)[1])
+        assert not all(c.converged for c in solver.perron_root(fnf, max_iter=1).blocks)
         cert = solver.perron_root(a, max_iter=1)
         assert (cert.lo, cert.hi, cert.converged) == (5.0, 5.0, True)
         spec = harness.SequenceSpec(base=a, direction=np.eye(3), count=1)
@@ -1134,6 +1136,67 @@ class TestPerronRoot:
         c1 = solver.perron_root(a)
         c2 = solver.perron_root(a)
         assert (c1.lo, c1.hi, c1.iterations) == (c2.lo, c2.hi, c2.iterations)
+
+
+def _block_inputs(rng):
+    """Matrices of more than one normal-form block, several of them
+    nilpotent: the generators' reducible and planted matrices and
+    scrambled strictly upper triangular ones."""
+    out = [reducible_base(rng) for _ in range(10)]
+    out += [three_block_base(rng, n) for n in (6, 24)]
+    out += [planted_block_matrix(rng)[0] for _ in range(20)]
+    for n in (2, 5, 9):
+        a = np.triu(random_nonneg(rng, n, scale=1.0, density=0.6), 1)
+        out.append(matcore.apply_symmetric_permutation(a, rng.permutation(n)))
+    return [a for a in out if len(structure.frobenius_normal_form(a).blocks) > 1]
+
+
+class TestBlockCertificates:
+    """A reducible matrix's certificate keeps its blocks' certificates,
+    each the one its block gets alone; a matrix certified whole has none."""
+
+    def test_one_certificate_per_block_as_alone(self, rng):
+        inputs = _block_inputs(rng)
+        assert len(inputs) >= 20
+        assert any(structure.nilpotency_index(a) is not None for a in inputs)
+        for a in inputs:
+            fnf = structure.frobenius_normal_form(a)
+            cert = solver.perron_root(a)
+            assert len(cert.blocks) == len(fnf.blocks)
+            for block, got in zip(fnf.block_matrices, cert.blocks):
+                assert _fields(block, got) == _fields(block, solver.perron_root(block))
+            assert cert.lo == max(c.lo for c in cert.blocks)
+            assert cert.hi == max(c.hi for c in cert.blocks)
+
+    def test_whole_matrices_have_none(self, rng):
+        for a in (random_irreducible(rng, 5), rng.uniform(0.5, 1.5, (6, 6)),
+                  [[0.0]], [[3.0]], [[0.0, 1.0], [1.0, 0.0]]):
+            cert = solver.perron_root(a)
+            assert cert.blocks == () and cert.spectral_block == 0
+            assert solver.spectral_block(a) == 0
+
+    def test_spectral_block_matches_the_function(self, rng):
+        ties = [np.diag([2.0, 2.0]), np.diag([1.0, 3.0, 3.0]), np.zeros((3, 3)),
+                np.triu(np.ones((4, 4)), 1)]
+        for a in ties + _block_inputs(rng):
+            cert = solver.perron_root(a)
+            assert cert.spectral_block == solver.spectral_block(a)
+            mids = [c.mid for c in cert.blocks]
+            assert cert.spectral_block == mids.index(max(mids))
+        fnf = structure.frobenius_normal_form(np.diag([1.0, 3.0, 3.0]))
+        values = [b[0, 0] for b in fnf.block_matrices]
+        assert solver.perron_root(fnf).spectral_block == values.index(3.0)
+
+    def test_block_certificates_hold_no_matrix(self, rng):
+        for a in _block_inputs(rng):
+            cert = solver.perron_root(a)
+            assert not any(isinstance(v, np.ndarray) for v in vars(cert).values())
+            for block, c in zip(structure.frobenius_normal_form(a).block_matrices,
+                                cert.blocks):
+                c.right_vector, c.left_vector  # cached on first read
+                assert c.blocks == ()
+                held = [v for v in vars(c).values() if isinstance(v, np.ndarray)]
+                assert all(v.ndim == 1 and v.size == len(block) for v in held)
 
 
 def _scales_exactly(a, k, tol=solver.DEFAULT_TOL):
@@ -1254,8 +1317,9 @@ class TestCertificate:
         # witnesses and the vectors cached on first read: no n x n array
         # (a matrix, a stack, an image) stays alive through a certificate
         fnf = structure.frobenius_normal_form(three_block_base(np.random.default_rng(9), 24))
-        i, certs = solver._spectral_block(fnf, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
-        pairs = [(fnf.block_matrices[i], certs[i]), *_certified("trace", 16, 2, 0, 200)]
+        whole = solver.perron_root(fnf)
+        i = whole.spectral_block
+        pairs = [(fnf.block_matrices[i], whole.blocks[i]), *_certified("trace", 16, 2, 0, 200)]
         for n in (1, 5, 12, 48):
             pairs += _certified("positive", n, n, 0, solver.DEFAULT_MAX_ITER)
         for a, cert in pairs:
