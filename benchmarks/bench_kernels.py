@@ -320,7 +320,7 @@ def structure_rows(repeats):
         p = a > 0.0
         fnf, _ = median_time(lambda: structure.frobenius_normal_form(a), repeats)
         search, settled = median_time(lambda: structure._reaches_all(p), repeats)
-        tarjan, _ = median_time(lambda: structure.strongly_connected_components(p), repeats)
+        tarjan, _ = median_time(lambda: structure._tarjan(structure._adjacency(p)), repeats)
         rows.append((name, f"{fnf * 1e3:.3f}", f"{search * 1e3:.3f}",
                      "yes" if settled else "no",
                      f"{tarjan * 1e3:.3f}"))

@@ -101,7 +101,7 @@ import threading
 
 import numpy as np
 
-from .matcore import _frobenius_norms, _times_pow2
+from .matcore import _frobenius_norms
 
 __all__ = ["certify_vectors", "collatz_wielandt_stack"]
 
@@ -429,7 +429,8 @@ def _prescale(bs, tol):
     returns the stack with bs[j] scaled by 2^-e_j, each pass's e_j, the
     ones vectors, their products and those products' least and greatest
     entries (the ones vector's ratios) on the scaled stack, tol scaled by
-    2^-e_j and each pass's nonzero count."""
+    2^-e_j, rounded toward zero by ``_unscale`` so that no pass stops
+    wider than asked, and each pass's nonzero count."""
     ones = np.ones(bs.shape[:2])
     z = _products(bs, ones)
     rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
@@ -439,7 +440,7 @@ def _prescale(bs, tol):
         bs = np.ldexp(bs, -np.array(e)[:, None, None])
         z = _products(bs, ones)
         rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
-    tol_s = [_times_pow2(tol, -s) if s else tol for s in e]  # prescaled widths
+    tol_s = [_unscale(tol, -s, 0.0) if s else tol for s in e]  # prescaled widths
     return bs, e, ones, z, rmin, rmax, tol_s, _nonzeros(bs)
 
 

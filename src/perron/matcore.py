@@ -91,12 +91,8 @@ def permutation(mapping) -> np.ndarray:
     p = np.array(mapping, dtype=np.intp, copy=True)
     if p.ndim != 1 or p.size < 1:
         raise ValueError("permutation must be a non-empty 1-d index array")
-    n = p.size
-    seen = np.zeros(n, dtype=bool)
-    for idx in p:
-        if idx < 0 or idx >= n or seen[idx]:
-            raise ValueError(f"not a permutation of 0..{n - 1}: {p.tolist()}")
-        seen[idx] = True
+    if not np.array_equal(np.sort(p), np.arange(p.size)):
+        raise ValueError(f"not a permutation of 0..{p.size - 1}: {p.tolist()}")
     return p
 
 
@@ -140,14 +136,6 @@ def _frobenius_norms(a) -> np.ndarray:
     scaled = np.ldexp(flat, -k[:, None])
     with np.errstate(over="ignore"):
         return np.ldexp(np.sqrt(np.vecdot(scaled, scaled)), k)
-
-
-def _times_pow2(v: float, e: int) -> float:
-    """v * 2^e, inf above the largest float."""
-    try:
-        return math.ldexp(v, e)
-    except OverflowError:
-        return math.inf
 
 
 def apply_symmetric_permutation(a, perm) -> np.ndarray:
@@ -260,8 +248,13 @@ def _parse_tokens(text: str, nonneg: bool) -> np.ndarray:
 
 
 def read_matrix_file(path, nonneg: bool = False) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse the matrix file at path.  The file is UTF-8 text, with or
+    without a byte-order mark; other bytes are a format error."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"not UTF-8 text: {exc.reason}") from None
     return parse_matrix(text, nonneg=nonneg)
 
 

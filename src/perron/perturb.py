@@ -26,7 +26,8 @@ class PerturbationBound:
     radius of the perturbed matrix: the base certificate widened by the
     bound on each side, rounded outward.  ``perturbed`` is the perturbed
     matrix's own certificate, the one ``solver.perron_root`` gives it, so
-    its interval and the enclosure must intersect.
+    its interval and the enclosure must intersect; ``ok`` says whether
+    they do.
     """
 
     base: solver.PerronCertificate
@@ -36,6 +37,13 @@ class PerturbationBound:
     bound: float
     enclosure: tuple[float, float]
     norm: str = "frobenius"
+
+    @property
+    def ok(self) -> bool:
+        """Whether the perturbed certificate meets the enclosure, as the
+        theorem requires."""
+        return (self.perturbed.lo <= self.enclosure[1]
+                and self.perturbed.hi >= self.enclosure[0])
 
 
 def continuity_certificate(

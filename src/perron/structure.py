@@ -63,15 +63,9 @@ def strongly_connected_components(a) -> list[list[int]]:
     Components are returned in a topological order of the condensation
     (every edge between distinct components points from an earlier
     component to a later one), with each component's vertices ascending.
-    Output is deterministic for a fixed input.  A square boolean array
-    is taken as the pattern itself, without a validating copy.
+    Output is deterministic for a fixed input.
     """
-    if not (
-        isinstance(a, np.ndarray) and a.dtype == np.bool_
-        and a.ndim == 2 and a.shape[0] == a.shape[1] >= 1
-    ):
-        a = matcore.square_matrix(a) > 0.0
-    return _tarjan(_adjacency(a))
+    return _tarjan(_adjacency(matcore.square_matrix(a) > 0.0))
 
 
 def _tarjan(adj: list[list[int]]) -> list[list[int]]:
@@ -266,7 +260,7 @@ def is_irreducible(a) -> bool:
     """
     irreducible, p = _settle(matcore.nonneg_matrix(a))
     if irreducible is None:
-        irreducible = len(strongly_connected_components(p)) == 1
+        irreducible = len(_tarjan(_adjacency(p))) == 1
     return irreducible
 
 

@@ -186,12 +186,44 @@ class TestCertify:
         assert _value(out, "rho_prime_lo") == matcore.format_float(want.lo)
         assert _value(out, "rho_prime_hi") == matcore.format_float(want.hi)
 
+    @pytest.mark.parametrize("perturbed", ["cycle2_perturbed.txt", "ones2.txt", "cycle2.txt"])
+    def test_verdict_is_the_bounds_ok(self, run, fixtures_dir, perturbed):
+        code, out, _ = run("certify", "cycle2.txt", perturbed)
+        pb = perturb.continuity_certificate(
+            *(matcore.read_matrix_file(fixtures_dir / f) for f in ("cycle2.txt", perturbed)))
+        assert _value(out, "soundness") == ("PASS" if pb.ok else "FAIL")
+        assert code == (0 if pb.ok else 1) and pb.ok
+
     def test_csv_format(self, run):
         code, out, _ = run(
             "certify", "cycle2.txt", "cycle2_perturbed.txt", "--format", "csv"
         )
         assert code == 0
         assert "soundness,PASS" in out.splitlines()
+
+
+class TestMatrixFileEncoding:
+    """Matrix files are UTF-8 with or without a byte-order mark; any
+    other bytes are malformed input, exit 2, in every command."""
+
+    @pytest.mark.parametrize("argv", [("analyze", "cycle3.txt"),
+                                      ("converge", "cycle2.txt", "dir_lowerleft2.txt")])
+    def test_byte_order_mark_prints_the_same_bytes(self, run, tmp_path, fixtures_dir, argv):
+        marked = tmp_path / argv[1]
+        marked.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / argv[1]).read_bytes())
+        code, out, err = run(argv[0], str(marked), *argv[2:])
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(*argv)
+
+    @pytest.mark.parametrize("argv", [("analyze", "BAD"),
+                                      ("certify", "cycle2.txt", "BAD"),
+                                      ("converge", "BAD", "dir_lowerleft2.txt")])
+    def test_bytes_not_utf8_exit_2(self, run, tmp_path, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"2\n0 1\n1 0\xff\n")
+        code, out, err = run(*(str(bad) if a == "BAD" else a for a in argv))
+        assert code == 2 and out == ""
+        assert err == "error: not UTF-8 text: invalid start byte\n"
 
 
 class TestConverge:

@@ -330,6 +330,17 @@ class TestTextFormat:
         matcore.write_matrix_file(path, a)
         assert np.array_equal(matcore.read_matrix_file(path), a)
 
+    def test_file_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf2\n1 2\n3 4\n")
+        assert np.array_equal(matcore.read_matrix_file(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_file_not_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2\n1 2\n3 4\xff\n")
+        with pytest.raises(matcore.MatrixFormatError, match="not UTF-8 text"):
+            matcore.read_matrix_file(path)
+
     def test_bad_dimension_line(self):
         with pytest.raises(matcore.MatrixFormatError) as exc:
             matcore.parse_matrix("x\n1\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -30,6 +31,17 @@ class TestContinuityCertificate:
         rho_prime = 0.5 * (0.01 + math.sqrt(4.0001))
         assert abs(rho_prime - 1.0) <= res.bound
         assert res.enclosure[0] <= rho_prime <= res.enclosure[1]
+
+    def test_ok_is_whether_the_perturbed_certificate_meets_the_enclosure(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        res = perturb.continuity_certificate(a, a + 0.001)
+        assert res.ok
+        lo, hi = res.enclosure
+        for moved in ((math.nextafter(hi, math.inf), 2.0 * hi), (0.0, 0.5 * lo)):
+            perturbed = dataclasses.replace(res.perturbed, lo=moved[0], hi=moved[1])
+            assert not dataclasses.replace(res, perturbed=perturbed).ok
+        touching = dataclasses.replace(res.perturbed, lo=hi, hi=2.0 * hi)
+        assert dataclasses.replace(res, perturbed=touching).ok
 
     def test_uniform_bump(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])

@@ -1228,6 +1228,23 @@ class TestScaleEquivariance:
                   ring):
             assert _scales_exactly(a, k)
 
+    @pytest.mark.parametrize("k", [1000, 1020, -1074])
+    def test_prescaled_tol_rounds_toward_zero(self, k):
+        # tol 2^-e is subnormal at k = 1000 and 1020 and overflows at
+        # k = -1074: the scaled stopping target is never wider than the
+        # requested one.  _unscale steps one ulp from the nearest float
+        # wherever that is inexact, so it is under two ulps narrower
+        # (1.43 at k = 1000)
+        tol = 1e-12
+        _, (e,), *_, (tol_s,), _ = _kernels._prescale(
+            np.ldexp([[1.0, 2.0], [3.0, 4.0]], k)[None], tol)
+        exact = Fraction(tol) * Fraction(2) ** -e
+        assert Fraction(tol_s) <= exact
+        if exact > Fraction(sys.float_info.max):
+            assert tol_s == sys.float_info.max
+        else:
+            assert exact - Fraction(tol_s) < 2 * Fraction(math.ulp(tol_s))
+
     @pytest.mark.xfail(strict=True, reason=(
         "dgeev's vectors are not scale-equivariant: for max row sums "
         "between about 2^-400 and 2^-50, which the kernel leaves "

@@ -57,6 +57,17 @@ class TestStronglyConnectedComponents:
             a
         ) == structure.strongly_connected_components(a)
 
+    def test_pattern_and_signed_inputs_give_the_same_components(self, rng):
+        # edges are the positive entries, whatever the input's dtype and
+        # whatever its other entries hold
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            a = random_nonneg(rng, n, scale=1.0, density=0.3)
+            signed = np.where(a > 0.0, a, -rng.uniform(0.0, 1.0, (n, n)))
+            want = structure.strongly_connected_components(a)
+            assert structure.strongly_connected_components(a > 0.0) == want
+            assert structure.strongly_connected_components(signed) == want
+
 
 class TestFrobeniusNormalForm:
     def test_irreducible_matrix_is_a_single_block(self, rng):
