@@ -56,11 +56,22 @@ Then whole commands, in process: ``perron gelfand`` (a uniform [0, 1)
 matrix) and ``perron converge`` (20 terms from a dense base), at n = 16
 and 48, through ``cli.main`` with stdout discarded.
 
-Last, the structure section: ``structure.frobenius_normal_form`` on
-the ``analyze_large`` families at n = 300 and 800 (``perfbench/cases.py``:
-ring+noise at 1% and 10%, 6 and 20 planted blocks, a nilpotent DAG),
-dense matrices at n = 4, 16, 48, DAGs at n = 16, 48 and, around the
-cut-over ``structure._REACH_N``, a ring with 5% noise and a bare cycle.
+Then the parse section: ``matcore.parse_matrix`` (``nonneg=True``, as
+``perron analyze`` reads) on the ``analyze_large`` families at n = 300
+and 800 (``perfbench/cases.py``: ring+noise at 1% and 10%, 6 and 20
+planted blocks, a nilpotent DAG), each written as perfbench writes its
+files (``cases.render``: repr, zeros as ``0.0``).  Each row gives the
+file's bytes per entry, the route ``parse_matrix`` takes (``zero``, the
+route that converts only tokens other than ``0`` and ``0.0``, at n >= 100
+and at most 5 bytes per entry, or ``loadtxt``), the median time of
+``parse_matrix`` and of its loadtxt route alone (the zero route switched
+off), and the minor page faults per call of each, so both cut-overs can
+be re-timed on another host.
+
+Then the structure section: ``structure.frobenius_normal_form`` on the
+same families, dense matrices at n = 4, 16, 48, DAGs at n = 16, 48 and,
+around the cut-over ``structure._REACH_N``, a ring with 5% noise and a
+bare cycle.
 Each row gives the median time of the normal form and, on the boolean
 pattern, of the breadth-first search with its level budget (what it
 settled: yes, no, or "gave up") and of Tarjan's walk, so the cut-over
@@ -287,8 +298,8 @@ def command_rows(repeats):
     return rows
 
 
-def structure_cases():
-    rng = np.random.default_rng(9)
+def analyze_families(rng):
+    """The ``analyze_large`` families at n = 300 and 800."""
     out = []
     for n in (300, 800):
         out += [(f"ring 1% {n}", cases.ring_noise(rng, n, 0.01)),
@@ -296,6 +307,12 @@ def structure_cases():
         out += [(f"planted {k} {n}", cases.planted_reducible(rng, n, k, n // 50)[0])
                 for k in (6, 20)]
         out.append((f"DAG {n}", cases.nilpotent_dag(rng, n, 0.01, depth=20)))
+    return out
+
+
+def structure_cases():
+    rng = np.random.default_rng(9)
+    out = analyze_families(rng)
     out += [(f"dense {n}", rng.uniform(0.5, 1.5, (n, n))) for n in (4, 16, 48)]
     out += [(f"DAG {n}", cases.nilpotent_dag(rng, n, 0.3, depth=8)) for n in (16, 48)]
     for n in sorted({structure._REACH_N // 2, structure._REACH_N, 2 * structure._REACH_N}):
@@ -324,6 +341,31 @@ def structure_rows(repeats):
         rows.append((name, f"{fnf * 1e3:.3f}", f"{search * 1e3:.3f}",
                      "yes" if settled else "no",
                      f"{tarjan * 1e3:.3f}"))
+    return rows
+
+
+def parse_rows(repeats):
+    """Median times and minor page faults per call of ``parse_matrix``
+    and of its loadtxt route alone, on the files perfbench writes."""
+    rows = [("parse case", "B/entry", "route", "parse ms", "loadtxt ms",
+             "parse minflt", "loadtxt minflt")]
+    zeros = matcore._parse_zeros
+
+    def parse(text):
+        return matcore.parse_matrix(text, nonneg=True)
+
+    for name, a in analyze_families(np.random.default_rng(9)):
+        text = cases.render(a)
+        times, faults = [], []
+        for route in (zeros, lambda text: None):  # as it is, then loadtxt alone
+            matcore._parse_zeros = route
+            try:
+                times.append(f"{median_time(lambda: parse(text), repeats)[0] * 1e3:.3f}")
+                faults.append(f"{minor_faults(parse, text):.0f}")
+            finally:
+                matcore._parse_zeros = zeros
+        rows.append((name, f"{len(text) / a.size:.2f}",
+                     "zero" if zeros(text) is not None else "loadtxt", *times, *faults))
     return rows
 
 
@@ -415,6 +457,8 @@ def main() -> int:
     print_table(per_call_rows(args.repeats))
     print()
     print_table(command_rows(args.repeats))
+    print()
+    print_table(parse_rows(args.repeats))
     print()
     print_table(structure_rows(args.repeats))
     print()

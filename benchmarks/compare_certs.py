@@ -32,7 +32,11 @@ certificate carries them, the iterations, ``converged`` and the
 residual, through ``solver.residual`` where SRC has it, else the
 certificate's own ``residual``; a command operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
-relative to it, so the output does not depend on where that is.  Then
+relative to it, so the output does not depend on where that is, and
+each matrix file it writes gets a result of its own (command ``parse``,
+id the operation's plus ``.ROLE.parse``): the shape and the sha1 of the
+bytes of the array ``matcore.read_matrix_file`` returns, so a change of
+parser shows as a moved digest, not only through the certificates.  Then
 ``perron_root`` on seeded random matrices at n = 2..69 in six families
 (dense, ring plus noise, 2^k-scaled, wide-range, nilpotent plus
 diagonal, sparse), each at ``max_iter`` 10^6 and 3, and on the first
@@ -47,7 +51,7 @@ result.
 
 ``diff`` counts the results that differ, per command (``root``,
 ``analyze``, ``certify``, ``converge``, ``gelfand``, ``power``,
-``block``), ``converged``
+``block``, ``parse``), ``converged``
 flips, iteration counts that rise or fall (a block certificate's
 counting for its ``block`` result), intervals that get wider or
 narrower, results whose right or whose left vector's bytes moved,
@@ -71,6 +75,7 @@ no docstring, comment or blank line, found by ``ast`` and ``tokenize``.
 import ast
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -91,7 +96,8 @@ FEW = 12  # random matrices per family that the power and block results take
 MAX_ITERS = (10**6, 3)
 SHOWN = 5  # ids named per category
 SCALES = (-1000, -500, 500, 1000)  # 2^k scales of the trace-layer inputs
-COMMANDS = ("root", "analyze", "certify", "converge", "gelfand", "power", "block")
+COMMANDS = ("root", "analyze", "certify", "converge", "gelfand", "power", "block",
+            "parse")
 VERDICT = re.compile(r"\b(?:pass|FAIL|PASS)\b")
 
 
@@ -211,11 +217,24 @@ def _block(perron, a):
          "converged": c.converged} for c in certs]}
 
 
+def _files(op, i):
+    """The (role, file name) of each matrix file of command operation i."""
+    return [(role, f"op{i}_{role}.txt") for role in op.mats]
+
+
+def _parse(perron, path):
+    try:
+        a = perron.matcore.read_matrix_file(path)
+    except Exception as exc:  # a raise is a result to compare, not a crash
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"shape": list(a.shape), "sha1": hashlib.sha1(a.tobytes()).hexdigest()}
+
+
 def _command(perron, cases, op, work, i):
     names = []
-    for role, a in op.mats.items():
-        names.append(f"op{i}_{role}.txt")
-        (work / names[-1]).write_text(cases.render(a), encoding="utf-8")
+    for role, name in _files(op, i):
+        names.append(name)
+        (work / name).write_text(cases.render(op.mats[role]), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(work)
@@ -251,6 +270,10 @@ def dump(src, out_path):
             else:
                 res = _command(perron, cases, op, pathlib.Path(tmp), i)
             results.append((key, {"command": op.command, **res}))
+            if op.command != "root":
+                results += [(f"{key}.{role}.parse",
+                             {"command": "parse", **_parse(perron, pathlib.Path(tmp) / name)})
+                            for role, name in _files(op, i)]
     for f, family in enumerate(FAMILIES):
         rng = np.random.default_rng([1915, f])
         for i in range(PER_FAMILY):

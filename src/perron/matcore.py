@@ -3,7 +3,8 @@
 Matrices are plain float64 numpy arrays.  The validators return fresh
 C-contiguous copies, so callers may mutate their own inputs freely; every
 other function in the package treats arrays as immutable values.  One
-min/max reduction pair checks finiteness and sign.
+min/max reduction pair checks finiteness and sign.  Matrix text takes
+one of three parse routes, all giving the same array (``parse_matrix``).
 """
 
 import math
@@ -172,30 +173,114 @@ def parse_matrix(text: str, nonneg: bool = False) -> np.ndarray:
     lines are ignored.  NaN and infinity tokens are rejected.  With
     ``nonneg=True`` a negative entry is a format error as well.
     Errors report 1-based line numbers and token columns.
+
+    Mostly-zero text at n >= 100 takes the zero route (``_parse_zeros``),
+    which converts only the entries other than ``0`` and ``0.0``; other
+    text of n rows of n numbers takes ``np.loadtxt``; what both refuse
+    takes the token loop, which alone words the errors.  The array is
+    the same bit for bit whichever route reads it.
     """
     a = _parse_bulk(text, nonneg)
     return a if a is not None else _parse_tokens(text, nonneg)
 
 
 def _parse_bulk(text: str, nonneg: bool) -> np.ndarray | None:
-    # numpy's C reader on the data lines; None sends anything but n rows
-    # of n finite (nonnegative if asked) entries to the token loop, which
-    # alone words the errors and also takes what float() takes (1_000)
-    lines = [s for s in (raw.strip() for raw in text.splitlines())
-             if s and not s.startswith("#")]
-    try:
-        n = int(lines[0]) if lines else 0
-        if n < 1 or len(lines) != n + 1:
+    # the zero route, else numpy's C reader on the data lines; None sends
+    # anything but n rows of n finite (nonnegative if asked) entries to the
+    # token loop, which alone words the errors and also takes what float()
+    # takes and loadtxt does not (1_000)
+    a = _parse_zeros(text)
+    if a is None:
+        lines = [s for s in (raw.strip() for raw in text.splitlines())
+                 if s and not s.startswith("#")]
+        try:
+            n = int(lines[0]) if lines else 0
+            if n < 1 or len(lines) != n + 1:
+                return None
+            # n rows, checked above: the result is allocated once at its size
+            a = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2, max_rows=n)
+        except ValueError:
             return None
-        # n rows, checked above: the result is allocated once at its size
-        a = np.loadtxt(lines[1:], dtype=np.float64, comments=None, ndmin=2, max_rows=n)
-    except ValueError:
-        return None
+        if a.shape != (n, n):
+            return None
     # one min/max pair, as in _validated: it also fails on NaN
     lo, hi = _min(a, axis=None), _max(a, axis=None)
-    if a.shape != (n, n) or not -math.inf < lo <= hi < math.inf or (nonneg and lo < 0.0):
+    if not -math.inf < lo <= hi < math.inf or (nonneg and lo < 0.0):
         return None
     return a
+
+
+# Bytes per block of whole lines that _parse_zeros tokenizes at once: its
+# masks and offsets take about 3.4 MB, those of a whole n = 800 file 29 MB
+# (blocks end at a \n, so text whose lines end in \r alone is one block)
+_BLOCK = 1 << 18
+
+
+def _parse_zeros(text: str) -> np.ndarray | None:
+    """The zero route: mostly-zero text at n >= 100 and at most 5 bytes
+    per entry.  numpy finds the tokens of each block of lines, and only
+    those other than ``0`` and ``0.0`` go through ``float()``.
+
+    None for anything else: text that is not ASCII or holds a control
+    byte other than tab, ``\\n`` and ``\\r``, a first line that is not the
+    dimension alone, rows that are not n lines of n tokens, or a token
+    float() refuses.  float() is what the token loop calls (so ``1_000``
+    reads as there), and it and loadtxt both round correctly, so the
+    array is the one the loadtxt route gives.
+    """
+    head = text[:32].split(None, 1)  # the dimension, without a copy of the text
+    try:
+        n = int(head[0]) if len(head) == 2 and text.isascii() else 0
+    except ValueError:
+        return None
+    # n rows of n tokens take more than 2n^2 bytes, so n * n floats fit
+    if n < 100 or not 2 * n * n < len(text) <= 5 * n * n:
+        return None
+    start = 32 - len(head[1])  # the offset of the first token after n
+    if not text[:start].rstrip(" \t").endswith(("\n", "\r")):
+        return None  # n is not alone on its line
+    raw = text.encode("ascii")
+    out = np.zeros(n * n)
+    k = 0  # entries read
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _BLOCK) + 1 or len(raw)
+        size = stop - start
+        # the block between three blanks each side: byte i at p[3 + i]
+        p = np.full(size + 6, 32, np.uint8)
+        p[3:-3] = np.frombuffer(raw, np.uint8, size, start)
+        ctrl = np.flatnonzero(p < 32)
+        kind = p[ctrl]
+        if ((kind != 9) & (kind != 10) & (kind != 13)).any():
+            return None
+        brk = ctrl[kind != 9] - 3  # the line breaks
+        sep, zero, dot = p <= 32, p == 48, p == 46
+
+        def at(mask, j):  # the mask at byte i + j, for each byte i
+            return mask[3 + j:3 + j + size]
+
+        # first and last bytes of the tokens, and of the tokens 0 and 0.0
+        first, last = ~at(sep, 0) & at(sep, -1), ~at(sep, 0) & at(sep, 1)
+        zfirst = first & at(zero, 0) & (at(sep, 1) | at(dot, 1) & at(zero, 2) & at(sep, 3))
+        zlast = last & at(zero, 0) & (at(sep, -1) | at(dot, -1) & at(zero, -2) & at(sep, -3))
+        starts = np.flatnonzero(first)
+        nonzero = np.flatnonzero(first & ~zfirst)
+        ends = np.flatnonzero(last & ~zlast) + 1
+        if len(starts) % n or k + len(starts) > n * n:
+            return None
+        # each row's n tokens on one line, each row on a later line
+        row0 = np.searchsorted(brk, starts[::n])
+        row1 = np.searchsorted(brk, starts[n - 1::n])
+        if (row0 != row1).any() or (row1[:-1] >= row0[1:]).any():
+            return None
+        try:
+            out[k + np.searchsorted(starts, nonzero)] = [
+                float(text[i:j]) for i, j in zip((nonzero + start).tolist(),
+                                                 (ends + start).tolist())]
+        except ValueError:
+            return None
+        k += len(starts)
+        start = stop
+    return out.reshape(n, n) if k == n * n else None
 
 
 def _parse_tokens(text: str, nonneg: bool) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -285,6 +286,123 @@ class TestBulkParse:
         bulk = matcore._parse_bulk(text, nonneg=True)
         assert bulk is not None and math.copysign(1.0, bulk[0, 0]) == -1.0
         assert matcore._parse_bulk("2\n-1 2\n3 4\n", nonneg=False)[0, 0] == -1.0
+
+
+# Spellings near the zero route's two zeros, and strays it must refuse or
+# read as the token loop does
+_NEAR_ZEROS = ["-0", "00", "0.", ".0", "0e0", "-0.0", "0.00", "+0"]
+_STRAYS = ["\x00", "\x01", "\x0b", "\x0c", "\x1c", "\x1f", "\x7f", "\xa0", "\r", "\n",
+           "\t", "#", "_"]
+
+
+@st.composite
+def _sparse_text(draw):
+    """Mostly-zero matrix text at n = 100 to 130, zeros spelled 0 (as
+    render_matrix writes them) or 0.0 (as repr does), in any layout the
+    zero route reads, with a few defects mixed in.  Returns the text and
+    whether a defect went in."""
+    n = draw(st.integers(100, 130))
+    zero = draw(st.sampled_from(["0", "0.0"]))
+    rows = [[zero] * n for _ in range(n)]
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    # and tokens that end or start as a zero does
+    valid = st.one_of(_FINITE.map(repr), _DECIMAL, st.integers(0, 999).map(str),
+                      st.sampled_from(["10", "100.0", "0.05", "0.0e0", "00.0"]))
+    for i, j in draw(st.lists(cell, max_size=30)):
+        rows[i][j] = draw(valid)
+    defects = draw(st.lists(st.integers(0, 6), max_size=3))
+    for kind in defects:
+        i, j = draw(cell)
+        if kind == 0:
+            rows[i][j] = draw(st.sampled_from(_ODD_TOKENS + _NEAR_ZEROS))
+        elif kind == 1:  # one token too many or too few
+            rows[i].append(zero) if draw(st.booleans()) else rows[i].pop()
+        elif kind == 2:  # one row too many or too few
+            rows.append([zero] * n) if draw(st.booleans()) else rows.pop()
+    separator = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [draw(st.sampled_from([str(n), f"0{n}", f"+{n}", f" {n}\t"]))]
+    lines += [draw(separator).join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "  ", "\t"])))
+    for kind in defects:
+        at = draw(st.integers(0, len(lines) - 1))
+        if kind == 3:
+            lines.insert(at, draw(st.sampled_from(["# comment", "  # 0 0"])))
+        elif kind == 4:
+            i = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:i] + draw(st.sampled_from(_STRAYS)) + lines[at][i:]
+        elif kind == 5:  # a control byte the token loop reads into the last token
+            lines[at] += draw(st.sampled_from(["\x00", "\x01", "\x08", "\x1b"]))
+        else:  # two lines as one, often the dimension and the first row
+            at = draw(st.sampled_from([0, at]))
+            lines[at:at + 2] = [" ".join(lines[at:at + 2])]
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol])), bool(defects)
+
+
+def _repr_text(a):
+    """The matrix text with repr's spelling of every entry (0.0 for zero)."""
+    return "\n".join([str(len(a))] + [" ".join(map(repr, row)) for row in a.tolist()]) + "\n"
+
+
+def _sparse_ring(rng, n):
+    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.01)
+    a[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 1.5, n)
+    return a
+
+
+class TestZeroRoute:
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_text(), st.booleans(), st.sampled_from([1 << 18, 4096, 64]))
+    def test_agrees_with_token_loop(self, drawn, nonneg, block):
+        # small blocks put rows, the dimension line and line breaks at
+        # block edges
+        text, defective = drawn
+        reference = _outcome(matcore._parse_tokens, text, nonneg)
+        with mock.patch.object(matcore, "_BLOCK", block):
+            zeros = matcore._parse_zeros(text)
+            bulk = matcore._parse_bulk(text, nonneg)
+            assert _outcome(matcore.parse_matrix, text, nonneg) == reference
+        if not defective:
+            assert zeros is not None
+        if zeros is not None and reference[0] == "array":
+            assert zeros.tobytes() == reference[3]
+        if bulk is not None:
+            assert ("array", bulk.dtype, bulk.shape, bulk.tobytes()) == reference
+
+    @staticmethod
+    def _loadtxt_calls(monkeypatch, text, a):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        assert matcore.parse_matrix(text, nonneg=True).tobytes() == a.tobytes()
+        return len(calls)
+
+    @pytest.mark.parametrize("render", [_repr_text, matcore.render_matrix])
+    def test_sparse_text_skips_loadtxt(self, monkeypatch, rng, render):
+        # zeros spelled 0.0 (repr) and 0 (render_matrix)
+        a = _sparse_ring(rng, 300)
+        assert self._loadtxt_calls(monkeypatch, render(a), a) == 0
+
+    def test_underscores_read_as_in_the_token_loop(self, monkeypatch, rng):
+        # both call float(), so the route need not refuse 1_000
+        a = _sparse_ring(rng, 300)
+        a[0, 0] = 1000.0
+        text = _repr_text(a).replace("1000.0", "1_000", 1)
+        assert self._loadtxt_calls(monkeypatch, text, a) == 0
+
+    @pytest.mark.parametrize("case", ["dense 300", "sparse 50", "commented 300"])
+    def test_other_text_takes_loadtxt(self, monkeypatch, rng, case):
+        a = rng.uniform(0.5, 1.5, (300, 300)) if case == "dense 300" else _sparse_ring(
+            rng, int(case.split()[1]))
+        text = ("# ring\n" if case == "commented 300" else "") + _repr_text(a)
+        assert matcore._parse_zeros(text) is None
+        assert self._loadtxt_calls(monkeypatch, text, a) == 1
 
 
 class TestTextFormat:
