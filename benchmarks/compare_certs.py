@@ -27,10 +27,9 @@ k = 1, far more than s_k ||direction||_F.  Every ``converge`` and
 ``gelfand`` operation so far runs once more with ``--format csv``
 appended, recorded apart under its id plus ``.csv``, so csv output is
 pinned as table output is.  A ``root`` operation records
-lo, hi, both vectors' bytes, both witnesses' bytes where the
-certificate carries them, the iterations, ``converged`` and the
-residual, through ``solver.residual`` where SRC has it, else the
-certificate's own ``residual``; a command operation records the exit code and stdout of
+lo, hi, both vectors' bytes, both witnesses' bytes, the iterations,
+``converged`` and the residual, through ``solver.residual``; a command
+operation records the exit code and stdout of
 ``perron.cli.main``, run on matrix files in a temporary directory named
 relative to it, so the output does not depend on where that is, and
 each matrix file it writes gets a result of its own (command ``parse``,
@@ -44,8 +43,8 @@ diagonal, sparse), each at ``max_iter`` 10^6 and 3, and on the first
 p = 2 and 3 (command ``power``: both intervals) and ``spectral_block``
 (command ``block``: the index, and each normal-form block
 certificate's lo, hi, iterations and ``converged``, read off
-``perron_root(a).blocks`` where SRC has that field, a matrix certified
-whole standing as its own block, else off ``solver._spectral_block``).
+``perron_root(a).blocks``, a matrix certified whole standing as its own
+block).
 Every result also records its command, and a raise is recorded as a
 result.
 
@@ -181,15 +180,12 @@ def _root(perron, a, tol, max_iter):
         cert = perron.perron_root(a, tol=tol, max_iter=max_iter)
     except Exception as exc:  # a raise is a result to compare, not a crash
         return {"error": f"{type(exc).__name__}: {exc}"}
-    residual = getattr(perron.solver, "residual", None)
-    res = {"lo": _hex(cert.lo), "hi": _hex(cert.hi), "width": cert.hi - cert.lo,
-           "right": _bytes(cert.right_vector), "left": _bytes(cert.left_vector),
-           "iterations": cert.iterations, "converged": cert.converged,
-           "residual": _hex(cert.residual if residual is None else residual(a, cert))}
-    if hasattr(cert, "right_witness"):  # a source before witnesses has none
-        res.update(right_witness=_bytes(cert.right_witness),
-                   left_witness=_bytes(cert.left_witness))
-    return res
+    return {"lo": _hex(cert.lo), "hi": _hex(cert.hi), "width": cert.hi - cert.lo,
+            "right": _bytes(cert.right_vector), "left": _bytes(cert.left_vector),
+            "iterations": cert.iterations, "converged": cert.converged,
+            "residual": _hex(perron.solver.residual(a, cert)),
+            "right_witness": _bytes(cert.right_witness),
+            "left_witness": _bytes(cert.left_witness)}
 
 
 def _power(perron, a, p):
@@ -204,12 +200,7 @@ def _block(perron, a):
     try:
         index = perron.spectral_block(a)
         cert = perron.perron_root(a)
-        if hasattr(cert, "blocks"):  # a matrix certified whole is its own block
-            certs = cert.blocks or (cert,)
-        else:  # a source before block certificates
-            solver = perron.solver
-            certs = solver._spectral_block(perron.structure.frobenius_normal_form(a),
-                                           solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)[1]
+        certs = cert.blocks or (cert,)  # a matrix certified whole is its own block
     except Exception as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"index": index, "blocks": [

@@ -94,6 +94,9 @@ arrays being live at the peak.  Nothing returned is a view of them.
 The batched dgeev and dgesv drivers are numpy's private gufuncs behind
 ``np.linalg.eig`` and ``np.linalg.solve``; where a numpy lacks them, the
 public functions run per matrix, a failure giving that matrix's NaN row.
+The drivers flag a failure as an invalid operation, and a square may
+underflow to zero: no helper has an errstate of its own, each runs
+under that of its entry point, which handles these without a warning.
 """
 
 import math
@@ -248,7 +251,6 @@ def _longdouble_bounds(b, x, k, slack):
             math.nextafter(fhi, math.inf) if fhi < hi else fhi)
 
 
-@np.errstate(invalid="ignore")  # how the driver flags a failed matrix
 def _eig_vectors(bs):
     """LAPACK's Perron vector of each matrix of a stack, divided by its
     largest |entry|, so at max exactly 1; a row of NaN where dgeev fails,
@@ -260,7 +262,6 @@ def _eig_vectors(bs):
     return y / y[rows, np.abs(y).argmax(axis=1)][:, None]
 
 
-@np.errstate(divide="ignore", invalid="ignore")  # a max row sum underflowed to 0
 def _power_vectors(bs):
     """Right and left Perron vectors of each irreducible matrix of a stack
     from one power of it: a (2m, n) array, row j the right vector of
@@ -384,12 +385,15 @@ def _exponent(rsum, b):
 
 def _unscale(v, e, toward):
     """v * 2^e, rounded toward ``toward`` where that is not exact; past
-    the largest float, inf or the largest float."""
+    the largest float, inf or the largest float.  Only a scale into the
+    subnormals rounds, and scaling back is exact (for e > -2046, as here),
+    so it tells on which side of v 2^e w lies: only the wrong side steps."""
     try:
         w = math.ldexp(v, e)
     except OverflowError:
         return math.inf if toward > v else math.nextafter(math.inf, 0.0)
-    return w if math.ldexp(w, -e) == v else math.nextafter(w, toward)
+    back = math.ldexp(w, -e)
+    return w if back == v or (back < v) != (toward > v) else math.nextafter(w, toward)
 
 
 def _nonzeros(b):
@@ -474,7 +478,6 @@ def _take(a, idx):
     return a[idx[0]:idx[-1] + 1] if idx and idx[-1] - idx[0] == len(idx) - 1 else a[idx]
 
 
-@np.errstate(invalid="ignore")  # how the driver flags a singular system
 def _noda_steps(bs, x, hi):
     """Noda's step x <- (hi I - b)^-1 x of each pass, for its matrix b of
     the (p, n, n) stack ``bs``, its vector x (a row of x, max 1) and its
@@ -516,7 +519,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     pass that stops is certified by ``_certify``, as ``certify_vectors``
     certifies a given vector.  Overflow, zero division
     and the NaN it makes are detected and handled, not warned about, the
-    helpers' included: they run undecorated, under this errstate.
+    helpers' included: they have no errstate of their own.
     """
     m, n = bs.shape[0], bs.shape[1]
     # pass j takes the rows of rows[j]: the transposes are contiguous
@@ -528,7 +531,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
-        y = _eig_vectors.__wrapped__(rows) if n <= _EIG_N else _power_vectors.__wrapped__(rows[:m])
+        y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(rows[:m])
         by, ymin, ymax, y_mins = _ratios(rows, y)
         for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, y_mins)):
             # kept where y > 0 (the tests fail on NaN), its ratios spread
@@ -593,8 +596,8 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         noda = [i for i, j in enumerate(live) if stalls[j] is not None]
         if noda:
             js = [live[i] for i in noda]
-            y[noda] = _noda_steps.__wrapped__(_take(rows, js), x[noda],
-                                              [rmax[j] + rmax[j] * g[j] for j in js])
+            y[noda] = _noda_steps(_take(rows, js), x[noda],
+                                  [rmax[j] + rmax[j] * g[j] for j in js])
         by, ymin, ymax, y_min = _ratios(lr, y)
         kept = []
         for i, j in enumerate(live):

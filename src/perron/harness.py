@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matcore, solver, structure
-from ._kernels import _TINY, _U, _frobenius_up
+from ._kernels import _TINY, _U
 
 __all__ = [
     "SequenceSpec",
@@ -205,10 +205,11 @@ def run_trace(
     and certified with its spectral blocks, gathered by one index, and,
     in the first chunk, a base not yet certified, each as ``perron_root``
     would.  A chunk of positive terms goes as its stack, with no normal
-    form built, copied only where ``_certify_blocks`` joins it to other
-    matrices of its size (the base's, in a first chunk).  The nilpotent
-    F_p and d_p of a chunk come from one ``_gelfand_steps`` call, the
-    norms ||B_k - B||_F from one ``_frobenius_up`` call.
+    form built, copied only where ``solver._perron_roots`` joins it to
+    other matrices of its size (the base's, in a first chunk).  The
+    nilpotent F_p and d_p of a chunk come from one ``_gelfand_steps``
+    call, the bounds ||B_k - B||_F / q*(B) from one ``solver._moduli``
+    call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -245,9 +246,7 @@ def run_trace(
         if kind == "nilpotent":
             f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
         else:  # items[-1] holds the B_k
-            e = _frobenius_up(items[-1] - block)
-            with np.errstate(over="ignore"):
-                bounds = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0).tolist()
+            bounds = solver._moduli(items[-1] - block, q)[1].tolist()
         for i, k in enumerate(ks):
             # b_k: the last certificates are those of the B_k
             cert, b = certs[i], certs[i - len(ks)]

@@ -13,7 +13,7 @@ as the base's, so checking the theorem against it costs no second call.
 import math
 from dataclasses import dataclass
 
-from . import _kernels, matcore, solver, structure
+from . import matcore, solver, structure
 
 __all__ = ["PerturbationBound", "continuity_certificate"]
 
@@ -71,8 +71,7 @@ def continuity_certificate(
                          "apply; run `perron analyze` to see its block structure")
     cert, perturbed = solver._perron_roots([fnf, mp[None]], tol, max_iter)
     qs = solver._base_q_star(cert, max_iter)
-    e_norm = float(_kernels._frobenius_up((mp - m)[None])[0])
-    bound = math.nextafter(e_norm / qs, math.inf) if e_norm else 0.0
+    e_norm, bound = (float(v[0]) for v in solver._moduli((mp - m)[None], qs))
     enclosure = (cert.lo, cert.hi)
     if bound:  # rounded outward, the low end clamped at 0
         enclosure = (max(math.nextafter(cert.lo - bound, -math.inf), 0.0),

@@ -12,7 +12,9 @@ bounds rounded outward.  A matrix's certificate does not depend on what
 it is certified with.  A positive or 1x1 matrix goes to the kernel
 whole, with no normal form built; other matrices are split into
 irreducible diagonal blocks first and the block intervals are combined,
-the certificate keeping its blocks' certificates.  Certificates report
+the certificate keeping its blocks' certificates.  ``_perron_roots``
+gathers every matrix of a call, whole or as blocks, by size in one
+pass, for one stacked certification per size.  Certificates report
 closed intervals [lo, hi] that always contain the spectral radius,
 converged or not; ``converged`` says whether the intersected interval
 is at most the requested width.  The kernel returns the vectors it
@@ -20,7 +22,9 @@ certified, each with its largest entry 1, and ``_certify_irreducible``
 hands them to the certificates as they are, their witnesses; a
 certificate forms its 1-norm vectors from them when they are first
 read, and ``residual`` forms ||A v - mid v||_1 from the matrix it is
-given.
+given.  The continuity modulus, the bound ||E||_F / q* on the shift of
+the radius, rounded up, is formed in one place, ``_moduli``, which
+``perturb`` and ``harness`` both call.
 """
 
 import math
@@ -30,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import collatz_wielandt_stack
+from ._kernels import _frobenius_up, collatz_wielandt_stack
 
 __all__ = [
     "DEFAULT_TOL",
@@ -168,20 +172,6 @@ def collatz_wielandt(b, tol, max_iter):
     return collatz_wielandt_stack(b[None], tol, max_iter)[0]
 
 
-def _certify_blocks(mats, tol, max_iter) -> list[PerronCertificate]:
-    """Certificates of irreducible matrices and of each matrix of (m, n, n)
-    stacks of them, in order, one ``_certify_irreducible`` call per size;
-    a size with one matrix or one stack is certified from it, not a copy."""
-    stacks = [a if a.ndim == 3 else a[None] for a in mats]
-    sizes = {}
-    for a in stacks:
-        sizes.setdefault(a.shape[1], []).append(a)
-    certs = {n: iter(_certify_irreducible(
-        group[0] if len(group) == 1 else np.concatenate(group), tol, max_iter))
-        for n, group in sizes.items()}
-    return [next(certs[a.shape[1]]) for a in stacks for _ in range(len(a))]
-
-
 def _combine(certs, tol) -> PerronCertificate:
     # certificates of the diagonal blocks: the radius is the largest block
     # radius, so [max lo, max hi] holds it; the block certificates are kept,
@@ -204,22 +194,29 @@ def spectral_block(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> int:
 
 def _perron_roots(items, tol, max_iter) -> list[PerronCertificate]:
     """``perron_root`` of each matrix given, its irreducible blocks all
-    certified together, one stacked call per size.  An item is a normal
-    form, or an (m, n, n) stack of validated matrices, handed over and made
-    read-only, one certificate each: a positive or 1x1 stack is certified
-    whole, any other through the normal form of each of its slices."""
+    certified together, one ``_certify_irreducible`` call per size.  An
+    item is a normal form, or an (m, n, n) stack of validated matrices,
+    handed over and made read-only, one certificate each: a positive or
+    1x1 stack is certified whole, any other through the normal form of
+    each of its slices.  One pass over the items gathers the stacks to
+    certify, by size, in order; a size with one stack is certified from
+    it, not a copy."""
     tol, max_iter = _validate_iteration_params(tol, max_iter)
-    forms = []  # normal forms, and stacks certified whole
+    forms, sizes = [], {}  # normal forms and stacks certified whole; stacks by size
     for f in items:
         whole = not isinstance(f, np.ndarray) or (
             _min(structure._frozen(f), axis=None) > 0.0 or f.shape[1] == 1)
-        forms += [f] if whole else [structure._normal_form(t) for t in f]
-    certs = iter(_certify_blocks([b for f in forms for b in (
-        (f,) if isinstance(f, np.ndarray) else f.block_matrices)], tol, max_iter))
+        for g in [f] if whole else map(structure._normal_form, f):
+            forms.append(g)
+            for a in [g] if isinstance(g, np.ndarray) else (b[None] for b in g.block_matrices):
+                sizes.setdefault(a.shape[1], []).append(a)
+    certs = {n: iter(_certify_irreducible(
+        group[0] if len(group) == 1 else np.concatenate(group), tol, max_iter))
+        for n, group in sizes.items()}
     out = []
     for f in forms:  # an irreducible matrix is its own single block
         stack = isinstance(f, np.ndarray)
-        got = [next(certs) for _ in range(len(f if stack else f.block_matrices))]
+        got = [next(certs[len(b)]) for b in (f if stack else f.block_matrices)]
         out += got if stack or f.irreducible else [_combine(got, tol)]
     return out
 
@@ -257,6 +254,17 @@ def q_star(cert: PerronCertificate) -> float:
     if qs <= 0.0:
         raise ValueError(f"left Perron vector is not strictly positive (min {qs})")
     return qs
+
+
+def _moduli(d, q):
+    """The continuity modulus of each difference of the (k, n, n) stack
+    ``d`` for a base with least left-vector entry ``q``: two arrays, e
+    bounding ||d_j||_F from above (``_kernels._frobenius_up``) and e / q
+    rounded up, both 0 for an exactly zero difference, the bound inf
+    past the largest float."""
+    e = _frobenius_up(d)
+    with np.errstate(over="ignore"):
+        return e, np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0)
 
 
 def residual(a, cert: PerronCertificate) -> float | None:

@@ -7,6 +7,7 @@ a numpy without that module gets the same certificates from the public
 functions."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -106,26 +107,107 @@ def test_noda_steps_match_the_wrapper(rng, n):
 
 def test_singular_noda_matrix_is_nan_in_place(rng):
     bs, x, hi = _singular_stack(rng)
-    got = _kernels._noda_steps(bs, x, hi)
+    # the kernel calls the helper under an errstate that silences the flag
+    with np.errstate(invalid="ignore"):
+        got = _kernels._noda_steps(bs, x, hi)
     assert np.isnan(got[1]).all()
     for i in (0, 2):
         alone = _kernels._noda_steps(bs[i:i + 1], x[i:i + 1], [hi[i]])[0]
         assert got[i].tobytes() == alone.tobytes() == _noda_route(bs[i], x[i], hi[i]).tobytes()
 
 
-def test_helpers_alone_do_not_warn(rng):
-    # the driver flags a failed matrix as an invalid operation, which
-    # np.linalg turns into LinAlgError; each helper silences it, as the
-    # power proposal does a square underflowing to zero.  The kernel
-    # calls them undecorated (``__wrapped__``), under its own errstate
-    bs, x, hi = _singular_stack(rng)
-    cycle = np.zeros((12, 12))
-    cycle[np.arange(12), (np.arange(12) + 1) % 12] = np.ldexp(1.0, [-399, -1000] * 6)
+def _quiet(call, *args):
+    """call(*args) under numpy's default errstate, a RuntimeWarning an error."""
     with warnings.catch_warnings(), np.errstate(**_DEFAULT_ERR):
         warnings.simplefilter("error")
-        _kernels._noda_steps(bs, x, hi)
-        _kernels._eig_vectors(np.concatenate((bs, _stack(rng, 3))))
-        assert np.isnan(_kernels._power_vectors(cycle[None])).all()
+        return call(*args)
+
+
+def _cycle(weights):
+    n = len(weights)
+    a = np.zeros((n, n))
+    a[np.arange(n), (np.arange(n) + 1) % n] = weights
+    return a
+
+
+def _bits(p):
+    lo, hi, x, iterations, converged = p
+    return lo, hi, x.tobytes(), iterations, converged
+
+
+class TestCallersDoNotWarn:
+    """The helpers have no errstate of their own.  The drivers flag a
+    failed matrix as an invalid operation, which np.linalg turns into
+    LinAlgError, and a square may underflow to zero; the entry points,
+    ``collatz_wielandt_stack`` and ``certify_vectors``, handle both
+    without a warning under numpy's default errstate, and every other
+    matrix of a stack gets what it gets alone.  The fake drivers form
+    their NaN as the real ones do, raising numpy's invalid flag."""
+
+    TOL, MAX_ITER = 1e-12, 10**6
+
+    def _alone(self, bs):
+        """Each pass of the stack bs as its matrix alone gets it."""
+        alone = [_kernels.collatz_wielandt_stack(a[None], self.TOL, self.MAX_ITER) for a in bs]
+        return [p[j] for j in range(2) for p in alone]
+
+    def _check(self, bs, alone, moved, zeroed):
+        """The kernel's passes of bs, each not in ``moved`` as in
+        ``alone``, then ``certify_vectors`` on their vectors, each in
+        ``zeroed`` with its last entry zeroed (0, inf), the others their
+        passes' bounds again; neither call warns."""
+        out = _quiet(_kernels.collatz_wielandt_stack, bs, self.TOL, self.MAX_ITER)
+        for i, (got, want) in enumerate(zip(out, alone)):
+            assert i in moved or _bits(got) == _bits(want)
+        xs = np.stack([p[2] for p in out])
+        xs[zeroed, -1] = 0.0
+        rows = np.concatenate((bs, bs.transpose(0, 2, 1)))
+        bounds = _quiet(_kernels.certify_vectors, rows, xs, self.TOL)
+        assert bounds == [(0.0, math.inf) if i in zeroed else p[:2] for i, p in enumerate(out)]
+        return out
+
+    def test_first_square_underflows(self, rng):
+        # weights 2^-399 and 2^-1000: every entry of the first square,
+        # 2^-1399, underflows to zero, so the cycle's proposals are NaN
+        # and its passes iterate from the ones vector
+        bs = np.stack([rng.uniform(0.5, 1.5, (12, 12)),
+                       _cycle(np.ldexp(1.0, [-399, -1000] * 6))])
+        out = self._check(bs, self._alone(bs), (), [1, 3])
+        assert [p[3] == 2 for p in out] == [True, False] * 2
+
+    def test_eig_fails_on_one_matrix(self, monkeypatch, rng):
+        bs = rng.uniform(0.1, 1.0, (3, 5, 5))
+        dgeev = _kernels._dgeev
+
+        def failing(b, signature):
+            w, v = dgeev(b, signature=signature)
+            for i, m in enumerate(b):
+                if np.array_equal(m, bs[1]) or np.array_equal(m, bs[1].T):
+                    w[i] = v[i] = np.divide(0.0, 0.0)
+            return w, v
+
+        monkeypatch.setattr(_kernels, "_dgeev", failing)
+        out = self._check(bs, self._alone(bs), (), [1, 4])
+        assert [p[3] == 2 for p in out] == [True, False, True] * 2
+
+    def test_singular_noda_system(self, monkeypatch, rng):
+        # two 12-cycles and a dense matrix: the four cycle passes take
+        # their first Noda steps together, and pass 0's system fails
+        bs = np.stack([_cycle(rng.uniform(0.5, 1.5, 12)) for _ in range(2)]
+                      + [rng.uniform(0.5, 1.5, (12, 12))])
+        alone = self._alone(bs)
+        dgesv, calls = _kernels._dgesv, []
+
+        def failing(m, b, signature):
+            calls.append(len(m))
+            y = dgesv(m, b, signature=signature)
+            if len(calls) == 1:
+                y[0] = np.divide(0.0, 0.0)
+            return y
+
+        monkeypatch.setattr(_kernels, "_dgesv", failing)
+        out = self._check(bs, alone, (0,), [0])
+        assert calls[0] == 4 and out[0][3] < alone[0][3]
 
 
 _HARD_SPECTRA = """

@@ -500,13 +500,14 @@ def _count_kernel_calls(monkeypatch):
 
 class TestTermsValidatedOnce:
     """A chunk's terms are built and checked as one stack, read-only once
-    certified.  A chunk of positive terms is handed to ``_certify_blocks``
+    certified.  A chunk of positive terms reaches ``_certify_irreducible``
     as that stack, and its spectral blocks as one gathered array, with no
     normal form built; a chunk with a term that is not positive goes as
-    the normal forms of its slices, each keeping its slice.
-    ``_certify_blocks`` still joins the items of one size into one kernel
-    stack, a copy, wherever it gets more than one, as in a first chunk
-    that also certifies the base; wrapped at its input, it hides that."""
+    the normal forms of its slices, each keeping its slice, as a
+    one-matrix view.  ``_perron_roots`` joins the stacks of one size into
+    one kernel stack, a copy, wherever it has more than one, as in a
+    first chunk that also certifies the base; the spy sees through that
+    join to the stacks it was given."""
 
     @pytest.mark.parametrize("kind", ["irreducible", "reducible", "nilpotent", "clamped"])
     def test_normal_forms_share_the_terms(self, monkeypatch, rng, kind):
@@ -526,24 +527,31 @@ class TestTermsValidatedOnce:
             direction = np.zeros((n, n))
             direction[0, 0] = -2.0 * base[0, 0]
         spec = harness.SequenceSpec(base=base, direction=direction, count=5, clamp=clamp)
-        stacks, certified, validated = [], [], []
-        terms, blocks, nonneg = (
-            harness.SequenceSpec._terms, solver._certify_blocks, matcore.nonneg_matrix)
+        stacks, certified, validated, joins = [], [], [], []
+        terms, certify, nonneg, concatenate = (
+            harness.SequenceSpec._terms, solver._certify_irreducible, matcore.nonneg_matrix,
+            np.concatenate)
 
         def building(self, ks):
             stacks.append(terms(self, ks))
             return stacks[-1]
 
-        def certifying(mats, *args):
-            certified.extend(mats)
-            return blocks(mats, *args)
+        def joining(arrays, *args, **kwargs):
+            joins.append((list(arrays), concatenate(arrays, *args, **kwargs)))
+            return joins[-1][1]
+
+        def certifying(ms, *args):
+            # a joined stack stands for the stacks it joined
+            certified.extend(next((parts for parts, out in joins if out is ms), [ms]))
+            return certify(ms, *args)
 
         def validating(a):
             validated.append(np.shape(a))
             return nonneg(a)
 
         monkeypatch.setattr(harness.SequenceSpec, "_terms", building)
-        monkeypatch.setattr(solver, "_certify_blocks", certifying)
+        monkeypatch.setattr(np, "concatenate", joining)
+        monkeypatch.setattr(solver, "_certify_irreducible", certifying)
         monkeypatch.setattr(matcore, "nonneg_matrix", validating)
         trace = harness.run_trace(spec)
         assert trace.kind == ("irreducible" if clamp else kind) and trace.ok
@@ -551,11 +559,12 @@ class TestTermsValidatedOnce:
         [stack] = stacks  # one chunk
         assert stack.shape == (5, n, n) and not stack.flags.writeable
         fnf = spec.normal_form
-        given = [m for m in certified if not any(m is b for b in fnf.block_matrices)]
+        given = [m for m in certified if not any(np.shares_memory(m, b)
+                                                 for b in fnf.block_matrices)]
         if clamp:
             assert len(given) == 5
             for i, m in enumerate(given):
-                assert m.base is stack and np.array_equal(m, stack[i])
+                assert m.base is stack and np.array_equal(m, stack[i:i + 1])
             return
         assert given[0] is stack
         assert len(given) == (2 if kind == "reducible" else 1)

@@ -317,6 +317,14 @@ def _nan_where(b, bad, signature, dgeev=_kernels._dgeev):
     return w, v
 
 
+def _helper(helper, *args):
+    """A kernel helper called as the kernel calls it, under an errstate
+    that silences what it flags: a failed solve, a square underflowing
+    to zero."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return helper(*args)
+
+
 class TestEigProposal:
     """n <= 8 starts from LAPACK's eigenvector; soundness rests on the
     certification alone, whatever eig proposes."""
@@ -378,8 +386,8 @@ class TestEigProposal:
 
         monkeypatch.setattr(_kernels, "_dgeev", flaky)
         mats = [rng.uniform(0.1, 1.0, (5, 5)), bad, rng.uniform(0.1, 1.0, (5, 5))]
-        batch = solver._certify_blocks(
-            mats, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
+        batch = solver._perron_roots(
+            [np.stack(mats)], solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
         for a, got in zip(mats, batch):
             want = solver.perron_root(a)
             assert (got.lo, got.hi, got.iterations, got.converged,
@@ -415,14 +423,13 @@ class TestPowerProposal:
 
     def test_size_limit(self, monkeypatch, rng):
         calls = []
-        propose = _kernels._power_vectors.__wrapped__
+        propose = _kernels._power_vectors
 
         def counting(bs):
             calls.append(bs.shape)
             return propose(bs)
 
-        # the kernel calls it undecorated, under its own errstate
-        monkeypatch.setattr(_kernels._power_vectors, "__wrapped__", counting)
+        monkeypatch.setattr(_kernels, "_power_vectors", counting)
         for n in (8, 9, _kernels._SQUARE_N, _kernels._SQUARE_N + 1):
             solver.perron_irreducible(rng.uniform(0.1, 1.0, (n, n)))
         n = _kernels._SQUARE_N
@@ -466,7 +473,7 @@ class TestPowerProposal:
         sweep = b @ np.ones(n)
         results = []
         for bad in (zero, negative, nan, -right, worse):
-            monkeypatch.setattr(_kernels._power_vectors, "__wrapped__",
+            monkeypatch.setattr(_kernels, "_power_vectors",
                                 lambda bs, bad=bad: np.stack([bad, x[1]]))
             results.append(_passes(b, tol)[0])
             # at two iterations, one sweep from the ones vector
@@ -495,7 +502,7 @@ class TestPowerProposal:
         # first square, 2^-1399, underflows to zero; the proposals are NaN
         # and rejected, and the certificate still encloses 2^-699.5
         a = _cycle(np.ldexp(1.0, [-399, -1000] * 6))
-        assert np.isnan(_kernels._power_vectors(a[None])).all()
+        assert np.isnan(_helper(_kernels._power_vectors, a[None])).all()
         cert = solver.perron_root(a)
         rho = _cycle_radius(a)
         assert decimal.Decimal(cert.lo) <= rho <= decimal.Decimal(cert.hi)
@@ -506,10 +513,10 @@ class TestPowerProposal:
         bs = np.stack([_cycle(np.ldexp(1.0, [-399, -1000] * 6)),
                        rng.uniform(0.5, 1.5, (12, 12))])
         before = bs.tobytes()
-        got = _kernels._power_vectors(bs)
+        got = _helper(_kernels._power_vectors, bs)
         assert bs.tobytes() == before
         assert np.isnan(got[[0, 2]]).all()
-        alone = _kernels._power_vectors(bs[1:])
+        alone = _helper(_kernels._power_vectors, bs[1:])
         assert got[[1, 3]].tobytes() == alone.tobytes()
 
     def test_weighted_cycles_give_up(self, monkeypatch):
@@ -529,7 +536,7 @@ class TestPowerProposal:
                             rng.uniform(0.5, 1.5, n)):
                 a = _cycle(weights)
                 squares.clear()
-                _kernels._power_vectors(a[None])
+                _helper(_kernels._power_vectors, a[None])
                 assert 1 <= len(squares) <= 4
                 cert = solver.perron_root(a)
                 assert cert.converged
@@ -642,8 +649,7 @@ def _same_stacked_or_alone(mats, max_iter=solver.DEFAULT_MAX_ITER):
     m, n = bs.shape[:2]
     calls = int(n <= _kernels._SQUARE_N and max_iter >= 2)
     name = "_eig_vectors" if n <= _kernels._EIG_N else "_power_vectors"
-    helper = getattr(_kernels, name)  # the kernel calls it undecorated
-    with mock.patch.object(helper, "__wrapped__", wraps=helper.__wrapped__) as proposer:
+    with mock.patch.object(_kernels, name, wraps=getattr(_kernels, name)) as proposer:
         stacked = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, max_iter)
         assert proposer.call_count == calls
         for j, a in enumerate(bs):
@@ -743,8 +749,8 @@ class TestOneLoop:
         def refusing(bs):
             raise AssertionError("proposer called")
 
-        monkeypatch.setattr(_kernels._eig_vectors, "__wrapped__", refusing)
-        monkeypatch.setattr(_kernels._power_vectors, "__wrapped__", refusing)
+        monkeypatch.setattr(_kernels, "_eig_vectors", refusing)
+        monkeypatch.setattr(_kernels, "_power_vectors", refusing)
         a = rng.uniform(0.5, 1.5, (_kernels._SQUARE_N + 1, _kernels._SQUARE_N + 1))
         assert all(p[4] and p[3] > 2 for p in _passes(a))
         for n in (3, 12):
@@ -761,7 +767,7 @@ class TestOneLoop:
         # hi I - b is singular for b = I and hi = 1, which fails the
         # batched solve: the other pass gets what it gets alone
         x, b = np.ones((2, 2)), np.ones((2, 2))
-        got = _kernels._noda_steps(np.stack([np.eye(2), b]), x, [1.0, 3.0])
+        got = _helper(_kernels._noda_steps, np.stack([np.eye(2), b]), x, [1.0, 3.0])
         assert np.isnan(got[0]).all()
         assert got[1].tobytes() == _kernels._noda_steps(b[None], x[:1], [3.0])[0].tobytes()
         assert (got[1] == 1.0).all()
@@ -841,7 +847,7 @@ def _route_calls(route, n, picks, max_iter):
     a "corner"), or, recorded by wrapping the solver's name for the
     kernel, ``perron_root`` of a scrambled block upper triangular matrix
     with the picks as its diagonal blocks, the second n // 2 x n // 2,
-    or of the one pick ("blocks", through ``_certify_blocks``), or a
+    or of the one pick ("blocks", through ``_perron_roots``), or a
     three-term ``run_trace`` from that matrix ("trace")."""
     tol, calls = solver.DEFAULT_TOL, []
     if route == "stack":
@@ -966,8 +972,8 @@ class TestCertifyVectors:
 def _certified(route, n, seed, k, max_iter):
     """(matrix, certificate) pairs of one route, its inputs scaled by 2^k:
     ``perron_root`` of a positive n x n matrix ("positive"), the diagonal
-    blocks of a scrambled n x n block upper triangular matrix through
-    ``_certify_blocks`` ("blocks"), or the base and rows of a three-term
+    blocks of a scrambled n x n block upper triangular matrix, read off
+    its certificate ("blocks"), or the base and rows of a three-term
     ``run_trace`` from an irreducible n x n base ("trace"), none where
     its base is short of tol."""
     rng = np.random.default_rng(seed)
@@ -982,8 +988,8 @@ def _certified(route, n, seed, k, max_iter):
             a[start:end, start:end] = random_irreducible(rng, end - start)
         p = rng.permutation(n)
         fnf = structure.frobenius_normal_form(np.ldexp(a[np.ix_(p, p)], k))
-        return list(zip(fnf.block_matrices,
-                        solver._certify_blocks(fnf.block_matrices, tol, max_iter)))
+        cert = solver.perron_root(fnf, tol, max_iter)
+        return list(zip(fnf.block_matrices, cert.blocks or (cert,)))
     spec = harness.SequenceSpec(base=np.ldexp(random_irreducible(rng, n), k),
                                 direction=np.ldexp(rng.uniform(0.0, 1.0, (n, n)), k),
                                 coeff=1e-3, count=3)
@@ -1232,18 +1238,39 @@ class TestScaleEquivariance:
     def test_prescaled_tol_rounds_toward_zero(self, k):
         # tol 2^-e is subnormal at k = 1000 and 1020 and overflows at
         # k = -1074: the scaled stopping target is never wider than the
-        # requested one.  _unscale steps one ulp from the nearest float
-        # wherever that is inexact, so it is under two ulps narrower
-        # (1.43 at k = 1000)
+        # requested one, and is the largest float that is not
         tol = 1e-12
         _, (e,), *_, (tol_s,), _ = _kernels._prescale(
             np.ldexp([[1.0, 2.0], [3.0, 4.0]], k)[None], tol)
         exact = Fraction(tol) * Fraction(2) ** -e
-        assert Fraction(tol_s) <= exact
         if exact > Fraction(sys.float_info.max):
             assert tol_s == sys.float_info.max
         else:
-            assert exact - Fraction(tol_s) < 2 * Fraction(math.ulp(tol_s))
+            assert Fraction(tol_s) <= exact < Fraction(math.nextafter(tol_s, math.inf))
+
+    def test_unscale_rounds_as_asked(self):
+        # v 2^e for the kernel's exponents, |e| <= 1100, against exact
+        # Fractions: toward zero the largest float not above it (the
+        # largest float past it), toward inf the least float not below
+        # it (inf past the largest float); the products aim at the
+        # subnormals, at the top of the range and anywhere
+        rng = np.random.default_rng(9)
+        top = sys.float_info.max
+        for _ in range(20_000):
+            v = math.ldexp(rng.choice([0.75, rng.uniform(0.5, 1.0)]), int(rng.integers(-1074, 1024)))
+            aim = rng.choice([rng.integers(-1080, -1015), rng.integers(1015, 1030),
+                              rng.integers(-1080, 1030)])
+            e = int(np.clip(aim - math.frexp(v)[1], -1100, 1100))
+            exact = Fraction(v) * Fraction(2) ** e
+            down, up = _kernels._unscale(v, e, 0.0), _kernels._unscale(v, e, math.inf)
+            if exact > Fraction(top):
+                assert (down, up) == (top, math.inf)
+                continue
+            assert Fraction(down) <= exact <= Fraction(up)
+            assert math.nextafter(down, math.inf) == math.inf or (
+                exact < Fraction(math.nextafter(down, math.inf)))
+            assert Fraction(math.nextafter(up, 0.0)) < exact
+            assert (down == up) == (Fraction(down) == exact)
 
     @pytest.mark.xfail(strict=True, reason=(
         "dgeev's vectors are not scale-equivariant: for max row sums "
@@ -1428,7 +1455,7 @@ class TestResidual:
     def test_stacks_of_blocks(self, rng):
         for n in range(2, 9):
             bs = rng.uniform(0.0, 10.0, (6, n, n)) + 1e-3
-            for a, cert in zip(bs, solver._certify_blocks(
+            for a, cert in zip(bs, solver._perron_roots(
                     [bs], solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)):
                 self._pinned(a, cert)
 
