@@ -23,7 +23,12 @@ direction), ``converge`` on a 3-cycle-shaped base with weights 2^400,
 where fl(1 + s_1) - 1 exceeds s_1, and of [[0, 1e-12, 0], [1, 0, 0],
 [0, 0, 0]] along 1 at (0, 1) at ``--coeff 1e-10 --count 3``, where the
 radius of the reducible base's spectral block, 1e-6, moves by 9e-6 at
-k = 1, far more than s_k ||direction||_F.  Every ``converge`` and
+k = 1, far more than s_k ||direction||_F.  Then ``certify`` on a
+near-defective base (``trace.certify.near_defective``): the 26th
+``near_defective`` draw of ``tests/generators.py`` from
+``default_rng(3)``, n = 9, against itself plus 1e-25 at (1, 0), whose
+enclosure once ended below the radius of the perturbed matrix.  Every
+``converge`` and
 ``gelfand`` operation so far runs once more with ``--format csv``
 appended, recorded apart under its id plus ``.csv``, so csv output is
 pinned as table output is.  A ``root`` operation records
@@ -164,6 +169,15 @@ def _trace_ops(cases):
     ops.append(("trace.weak3.1e-10", cases.Op(
         "weak3.1e-10", "converge_reducible", "converge", {"base": weak, "direction": corner},
         args=["--coeff", "1e-10", "--count", "3"])))
+    sys.path.insert(0, str(ROOT / "tests"))
+    from generators import near_defective
+    rng = np.random.default_rng(3)
+    for _ in range(26):
+        a = near_defective(rng)
+    a_prime = a.copy()
+    a_prime[1, 0] += 1e-25
+    ops.append(("trace.certify.near_defective", cases.Op(
+        "near_defective", "certify", "certify", {"a": a, "a_prime": a_prime})))
     return ops
 
 

@@ -7,7 +7,11 @@ runs its command (``perfbench/run.py``) in CHECKOUT, the root of this
 checkout by default, as ``--workload W --seed S --seconds <run_seconds>
 --trace 0``.  Of each run it keeps the ``provenance:`` JSON and the
 result, the JSON of its last line, and writes them all to
-``BENCH_<LABEL>.json`` at the root of this checkout.  A run that exits
+``BENCH_<LABEL>.json`` at the root of this checkout, with ``src_dirty``:
+whether ``git -C CHECKOUT status --porcelain -- src`` listed a change
+before the runs (so whether the sources the runs timed differ from the
+commit the provenance names), or null where CHECKOUT is not a git work
+tree.  A run that exits
 non-zero, or whose last line is not JSON, ends the script with exit 1,
 and nothing is written.
 """
@@ -44,14 +48,27 @@ def _run(command, checkout, workload, seed, seconds):
             "result": result}
 
 
+def _src_dirty(checkout):
+    """Whether git lists a change under checkout's ``src``; None where
+    checkout is not a git work tree, or git cannot be run."""
+    try:
+        proc = subprocess.run(["git", "-C", str(checkout), "status", "--porcelain", "--", "src"],
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(proc.stdout.strip()) if proc.returncode == 0 else None
+
+
 def record(label, checkout, root=ROOT):
     """Run every workload at every seed in checkout, then write
     ``root/BENCH_<label>.json`` and return its path."""
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    src_dirty = _src_dirty(checkout)
     runs = [_run(spec["command"], checkout, w["name"], seed, spec["run_seconds"])
             for w in spec["workloads"] for seed in SEEDS]
     out = root / f"BENCH_{label}.json"
-    out.write_text(json.dumps({"label": label, "command": spec["command"],
+    out.write_text(json.dumps({"label": label, "src_dirty": src_dirty,
+                               "command": spec["command"],
                                "run_seconds": spec["run_seconds"], "runs": runs},
                               indent=1) + "\n", encoding="utf-8")
     return out

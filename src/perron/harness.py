@@ -4,9 +4,10 @@
 base's structure calls for: lo(r_k) <= ||A_k^p||_1^(1/p) for a
 nilpotent base of index p, and for any other base one rule on its
 spectral block B, the whole base when irreducible, and the same
-positions B_k of every term: the shift of the block radius stays
-within the perturbation bound ||B_k - B||_F / q*(B) on the stored
-difference, and lo(b_k) <= hi(r_k).
+positions B_k of every term: the certificate b_k meets the enclosure
+``solver._moduli`` gives B_k, the bracket of B's left witness widened
+by ||B_k - B||_F / q*(B) on the stored difference, and lo(b_k) <=
+hi(r_k).
 
 Separately, the Gelfand sequence f_m = ||X^m||_1^(1/m) is traced in
 log-space, and a scaling table shows that the gap f_m - rho scales
@@ -145,10 +146,11 @@ class TraceRow:
 
     ``deviation`` is |mid b_k - mid b|, b_k and b the certificates of
     the spectral blocks of A_k and of the base: r_k and the base
-    certificate themselves unless the base is reducible.  ``extra``
-    holds the values the trace's ``columns`` name: the bound ||B_k -
-    B||_F / q*(B) (irreducible), the block interval (b_lo, b_hi) and
-    that bound (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
+    certificate themselves unless the base is reducible.  It is shown,
+    not checked: ``ok`` is ``run_trace``'s rule.  ``extra`` holds the
+    values the trace's ``columns`` name: the bound ||B_k - B||_F /
+    q*(B) (irreducible), the block interval (b_lo, b_hi) and that bound
+    (reducible) or F_p ~ ||A_k^p||_1^(1/p) (nilpotent).
     """
 
     k: int
@@ -186,20 +188,17 @@ def run_trace(
       and nilpotent too.
     * Any other base: B is its spectral block, the whole base when it
       is irreducible, and B_k the same positions of A_k, with
-      certificates b and b_k.  B is irreducible, so |rho(B_k) - rho(B)|
-      <= ||B_k - B||_F / q*(B) (``perturb.continuity_certificate``),
-      q*(B) the least entry of b's left vector.  Each row carries that
-      bound, on the difference of the stored floats, each step rounded
-      up, and passes when the observed midpoint shift |mid b_k - mid b|
-      stays within it plus both certificate widths, and lo(b_k) <=
-      hi(r_k): B_k is a principal submatrix of A_k.  For an
-      irreducible base b_k = r_k, and q*(B) is read off the base
-      certificate, so one that did not converge within ``max_iter``
-      raises ValueError, as in ``continuity_certificate``.  A
-      reducible base is certified first, as ``perron_root`` would; its
-      certificate's ``spectral_block`` picks B, and b is its block
-      certificate there.  q*(B) is read off b as it is, so such a trace
-      never raises for convergence.
+      certificates b and b_k.  B is irreducible, so rho(B_k) lies in
+      the enclosure ``solver._moduli`` forms from b, as
+      ``perturb.continuity_certificate`` does: the bracket of b's left
+      witness widened by ||B_k - B||_F / q*(B) on the difference of the
+      stored floats, each step rounded outward, sound whether or not b
+      converged.  Each row carries that bound, and passes when b_k
+      meets its enclosure and lo(b_k) <= hi(r_k): B_k is a principal
+      submatrix of A_k.  For an irreducible base b_k = r_k and b is the
+      base certificate.  A reducible base is certified first, as
+      ``perron_root`` would; its certificate's ``spectral_block`` picks
+      B, and b is its block certificate there.
 
     Each chunk of terms is built and validated as one (k, n, n) stack,
     and certified with its spectral blocks, gathered by one index, and,
@@ -208,8 +207,7 @@ def run_trace(
     form built, copied only where ``solver._perron_roots`` joins it to
     other matrices of its size (the base's, in a first chunk).  The
     nilpotent F_p and d_p of a chunk come from one ``_gelfand_steps``
-    call, the bounds ||B_k - B||_F / q*(B) from one ``solver._moduli``
-    call.
+    call, the bounds and enclosures from one ``solver._moduli`` call.
     """
     fnf = spec.normal_form
     p = fnf.nilpotency_index
@@ -228,7 +226,6 @@ def run_trace(
         # the spectral block's positions in every term, read off unpermuted
         block_at = fnf.perm[start:end]
         block, block_cert = fnf.block_matrices[block_index], base_cert.blocks[block_index]
-        q = solver.q_star(block_cert)
 
     rows = []
     per_chunk = max(1, _CHUNK_ENTRIES // fnf.n**2)
@@ -241,12 +238,11 @@ def run_trace(
         certs = solver._perron_roots(items, tol, max_iter)
         if base_cert is None:
             base_cert = block_cert = certs.pop(0)
-            if kind == "irreducible":
-                q = solver._base_q_star(base_cert, max_iter)
         if kind == "nilpotent":
             f_p, d_p = (a[:, -1].tolist() for a in _gelfand_steps(terms, p))
         else:  # items[-1] holds the B_k
-            bounds = solver._moduli(items[-1] - block, q)[1].tolist()
+            bounds, lows, highs = (
+                v.tolist() for v in solver._moduli(block_cert, items[-1] - block)[2:])
         for i, k in enumerate(ks):
             # b_k: the last certificates are those of the B_k
             cert, b = certs[i], certs[i - len(ks)]
@@ -254,8 +250,7 @@ def run_trace(
             if kind == "nilpotent":
                 ok, extra = _holds(f_p[i], d_p[i], cert.lo), (f_p[i],)
             else:
-                ok = (deviation <= bounds[i] + b.width + block_cert.width
-                      and b.lo <= cert.hi)
+                ok = lows[i] <= b.hi and b.lo <= highs[i] and b.lo <= cert.hi
                 extra = (bounds[i],) if b is cert else (b.lo, b.hi, bounds[i])
             rows.append(TraceRow(
                 k=k, scale=spec.scale(k), cert=cert, deviation=deviation, ok=ok, extra=extra))

@@ -1,16 +1,18 @@
 """Perturbation certificates for the Perron root of an irreducible matrix.
 
-For irreducible nonnegative A with left Perron vector q (1-norm one) the
-spectral radius moves by at most ||E||_2 / min_i(q_i) under any nonnegative
-perturbation A + E of A.  The Frobenius norm bounds the spectral norm from
-above, so it can stand in for it without weakening soundness.  The
-norm, the bound and the enclosure are each rounded outward, so they hold
-for the exact difference of the stored floats.  The perturbed matrix's
+For irreducible nonnegative A and any positive vector z whose ratios
+(A^T z)_i / z_i lie in [l, h], the spectral radius of any nonnegative
+perturbation A + E lies in [l - delta, h + delta], delta = ||E||_F /
+q*, q* = min z / ||z||_1: the paper's modulus, taken here with the left
+witness of A's certificate and centred on that witness's own bracket,
+so it holds whether or not the certificate converged.  The norm, the
+bound and the enclosure are each rounded outward by ``solver._moduli``,
+so they hold for the exact difference of the stored floats.  The
+perturbed matrix's
 own certificate, ``perturbed``, comes from the same stacked kernel call
 as the base's, so checking the theorem against it costs no second call.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import matcore, solver, structure
@@ -23,8 +25,9 @@ class PerturbationBound:
     """Certified bound on the Perron root shift caused by a perturbation.
 
     ``enclosure`` is a closed interval guaranteed to contain the spectral
-    radius of the perturbed matrix: the base certificate widened by the
-    bound on each side, rounded outward.  ``perturbed`` is the perturbed
+    radius of the perturbed matrix: the bracket of the base's left
+    witness (``base.left_bracket``) widened by the bound on each side,
+    rounded outward.  ``perturbed`` is the perturbed
     matrix's own certificate, the one ``solver.perron_root`` gives it, so
     its interval and the enclosure must intersect; ``ok`` says whether
     they do.
@@ -55,10 +58,9 @@ def continuity_certificate(
     a itself must be irreducible, since that is what makes its left
     Perron vector strictly positive.  ``a`` may also be its
     :class:`~perron.structure.FrobeniusNormalForm`, which is then not
-    recomputed.  The bound is ||a_prime - a||_F / q_star, rounded up.
-    q_star is read off the left vector, so a base certificate that did
-    not converge within ``max_iter`` raises ValueError: its left vector
-    can be far from the Perron vector.
+    recomputed.  The bound is ||a_prime - a||_F / q_star, rounded up,
+    with ``solver.q_star`` of the base's left witness; an unconverged
+    base gives a wider enclosure, not a wrong one.
     """
     given = isinstance(a, structure.FrobeniusNormalForm)
     fnf = a if given else structure.frobenius_normal_form(a)
@@ -70,14 +72,10 @@ def continuity_certificate(
         raise ValueError("base matrix is reducible, so the continuity bound does not "
                          "apply; run `perron analyze` to see its block structure")
     cert, perturbed = solver._perron_roots([fnf, mp[None]], tol, max_iter)
-    qs = solver._base_q_star(cert, max_iter)
-    e_norm, bound = (float(v[0]) for v in solver._moduli((mp - m)[None], qs))
-    enclosure = (cert.lo, cert.hi)
-    if bound:  # rounded outward, the low end clamped at 0
-        enclosure = (max(math.nextafter(cert.lo - bound, -math.inf), 0.0),
-                     math.nextafter(cert.hi + bound, math.inf))
+    qs, *moduli = solver._moduli(cert, (mp - m)[None])
+    e_norm, bound, lo, hi = (float(v[0]) for v in moduli)
     return PerturbationBound(
         base=cert, perturbed=perturbed, q_star=qs, e_norm=e_norm, bound=bound,
-        enclosure=enclosure,
+        enclosure=(lo, hi),
     )
 

@@ -22,9 +22,12 @@ certified, each with its largest entry 1, and ``_certify_irreducible``
 hands them to the certificates as they are, their witnesses; a
 certificate forms its 1-norm vectors from them when they are first
 read, and ``residual`` forms ||A v - mid v||_1 from the matrix it is
-given.  The continuity modulus, the bound ||E||_F / q* on the shift of
-the radius, rounded up, is formed in one place, ``_moduli``, which
-``perturb`` and ``harness`` both call.
+given.  A certificate also keeps the left pass's own bracket, the
+interval its witness certifies alone.  The continuity check is formed
+in one place, ``_moduli``, which ``perturb`` and ``harness`` both call:
+the modulus ||E||_F / q*, q* = min z / ||z||_1 of the left witness z,
+rounded up, widens that bracket into an enclosure of the radius of the
+perturbed matrix, sound for any positive witness, converged or not.
 """
 
 import math
@@ -64,10 +67,12 @@ class PerronCertificate:
     otherwise, for n >= 2).  ``right_vector`` and ``left_vector`` are
     their 1-norm copies, the nonnegative eigenvector approximations,
     formed and frozen on first read.  ``hi`` is infinite when the radius
-    exceeds the largest float.  ``blocks`` are the certificates of the
-    normal-form diagonal blocks, in normal-form order, for a matrix with
-    more than one; () for a matrix certified whole.  Their positions and
-    the permutation stay on the
+    exceeds the largest float.  ``left_bracket`` is the (lo, hi) the left
+    pass certified for its witness alone, before the intersection:
+    (val, val) for a 1x1 matrix, None without a witness.  ``blocks`` are
+    the certificates of the normal-form diagonal blocks, in normal-form
+    order, for a matrix with more than one; () for a matrix certified
+    whole.  Their positions and the permutation stay on the
     :class:`~perron.structure.FrobeniusNormalForm`.  Certificates hold
     no matrix: ``residual`` takes it.  They compare and hash by
     identity: their vectors have no single truth value.
@@ -79,6 +84,7 @@ class PerronCertificate:
     left_witness: np.ndarray | None
     iterations: int
     converged: bool
+    left_bracket: tuple[float, float] | None = None
     blocks: tuple["PerronCertificate", ...] = ()
 
     @property
@@ -151,7 +157,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
         return [
             PerronCertificate(
                 lo=val, hi=val, right_witness=one, left_witness=one,
-                iterations=0, converged=True,
+                iterations=0, converged=True, left_bracket=(val, val),
             )
             for val in ms[:, 0, 0].tolist()
         ]
@@ -163,7 +169,7 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
         lo, hi = max(r[0], t[0]), min(r[1], t[1])
         out.append(PerronCertificate(
             lo=lo, hi=hi, right_witness=r[2], left_witness=t[2],
-            iterations=r[3] + t[3], converged=hi - lo <= tol))
+            iterations=r[3] + t[3], converged=hi - lo <= tol, left_bracket=(t[0], t[1])))
     return out
 
 
@@ -247,24 +253,44 @@ def perron_root(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> PerronCertific
 
 
 def q_star(cert: PerronCertificate) -> float:
-    """Smallest entry of the certificate's left Perron vector."""
-    if cert.left_vector is None:
-        raise ValueError("certificate carries no left Perron vector")
-    qs = float(cert.left_vector.min())
-    if qs <= 0.0:
-        raise ValueError(f"left Perron vector is not strictly positive (min {qs})")
-    return qs
+    """min z / ||z||_1 for the certificate's left witness z, rounded down:
+    the sum by ``math.fsum`` rounded up, the quotient rounded down, to 0
+    where it underflows.  It is the witness's, not the Perron vector's,
+    and ``_moduli`` needs no more.  A witness with an entry that is not
+    positive raises ValueError."""
+    z = cert.left_witness
+    if z is None:
+        raise ValueError("certificate carries no left witness")
+    least = float(_min(z))
+    if not least > 0.0:
+        raise ValueError(f"left witness is not strictly positive (least entry {least})")
+    return math.nextafter(least / math.nextafter(math.fsum(z.tolist()), math.inf), 0.0)
 
 
-def _moduli(d, q):
-    """The continuity modulus of each difference of the (k, n, n) stack
-    ``d`` for a base with least left-vector entry ``q``: two arrays, e
-    bounding ||d_j||_F from above (``_kernels._frobenius_up``) and e / q
-    rounded up, both 0 for an exactly zero difference, the bound inf
-    past the largest float."""
+def _moduli(cert: PerronCertificate, d):
+    """The continuity check of the base certificate ``cert`` against each
+    difference d_j of the (k, n, n) stack ``d``: q* (``q_star``, 0 where
+    the left witness has an entry that is not positive), then three
+    arrays, e bounding ||d_j||_F from above (``_kernels._frobenius_up``),
+    the bound e / q* rounded up (0 for an exactly zero difference, inf
+    past the largest float or where q* is 0), and the enclosure
+    [l - bound, h + bound] of the radius of base + d_j, its ends in two
+    arrays, rounded outward with the low end clamped at 0, for [l, h]
+    the left pass's bracket.
+
+    Any z > 0 whose exact ratios (B^T z)_i / z_i lie in [l, h] will do,
+    converged or not: for B' = B + E >= 0 with Perron vector x >= 0,
+    z^T B' x = rho' z^T x puts rho' within |z^T E x| / z^T x <=
+    ||z||_2 ||E||_2 / min z <= ||E||_F / q* of [l, h]."""
+    q = q_star(cert) if _min(cert.left_witness) > 0.0 else 0.0
+    l, h = cert.left_bracket
     e = _frobenius_up(d)
-    with np.errstate(over="ignore"):
-        return e, np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0)
+        moved = bound > 0.0  # l - 0 and h + 0 are exact
+        lo = np.where(moved, np.maximum(np.nextafter(l - bound, -math.inf), 0.0), l)
+        hi = np.where(moved, np.nextafter(h + bound, math.inf), h)
+    return q, e, bound, lo, hi
 
 
 def residual(a, cert: PerronCertificate) -> float | None:
@@ -278,17 +304,6 @@ def residual(a, cert: PerronCertificate) -> float | None:
         image = np.matmul(np.asarray(a, dtype=np.float64)[None], v[None, :, None])[0, :, 0]
         r = float(np.add.reduce(np.abs(image - cert.mid * v)))
     return r if r < math.inf else None
-
-
-def _base_q_star(cert: PerronCertificate, max_iter: int) -> float:
-    """``q_star`` of a continuity bound's base certificate, which must have
-    converged: where it did not within ``max_iter``, raises ValueError."""
-    if not cert.converged:
-        raise ValueError(
-            f"base certificate did not converge within max_iter={max_iter}, "
-            "so q_star is not reliable; raise max_iter or tol"
-        )
-    return q_star(cert)
 
 
 def _pow_rounded(x, p: int, toward: float):

@@ -113,3 +113,23 @@ def three_block_base(rng, n):
         start = end
     p = rng.permutation(n)
     return a[np.ix_(p, p)]
+
+
+def near_defective(rng):
+    """Near-defective coupled matrix, n = 9..13: a[0, 0] = 1, a[1, 1] =
+    1 - g, a[0, 1] = C, a[1, 0] = d, a[0, 2:] = 10^U(0.2, 3), a[2:, 0] =
+    10^U(-40, -20), zeros elsewhere.  Drawn in this order: n, then g =
+    10^U(-13, -3), C = 10^U(-2, 2), d = 10^U(-40, -10), then the two
+    vectors.  The two leading diagonal entries are g apart and coupled
+    by C d alone, so the left Perron vector's entries span many orders
+    of magnitude, and an approximate left vector can have a least entry
+    over its 1-norm well above the Perron vector's."""
+    n = int(rng.integers(9, 14))
+    g = 10.0 ** rng.uniform(-13.0, -3.0)
+    c = 10.0 ** rng.uniform(-2.0, 2.0)
+    d = 10.0 ** rng.uniform(-40.0, -10.0)
+    a = np.zeros((n, n))
+    a[0, 0], a[1, 1], a[0, 1], a[1, 0] = 1.0, 1.0 - g, c, d
+    a[0, 2:] = 10.0 ** rng.uniform(0.2, 3.0, n - 2)
+    a[2:, 0] = 10.0 ** rng.uniform(-40.0, -20.0, n - 2)
+    return a

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +21,9 @@ from generators import (
     random_nonneg,
     reducible_base,
 )
-from oracles import closed_form_root, cw_midpoint, det_bisect_root, strongly_connected_bool
+from oracles import (
+    closed_form_root, cw_exact, cw_midpoint, det_bisect_root, strongly_connected_bool,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -60,7 +63,10 @@ def test_c2_monotonicity():
 
 
 def test_c3_perturbation_soundness():
-    # |mid rho(A+E) - mid rho(A)| <= ||E||_F / q_star plus widths
+    # |mid rho(A+E) - mid rho(A)| <= ||E||_F / q_star plus widths; the
+    # enclosure meets A+E's certificate and, where A+E has a right
+    # witness, holds the exact least and greatest ratio of that witness,
+    # so rho(A+E), in exact arithmetic
     rng = np.random.default_rng(103)
     for _ in range(500):
         n = int(rng.integers(1, 7))
@@ -75,6 +81,11 @@ def test_c3_perturbation_soundness():
         prime = solver.perron_root(a + e)
         shift = abs(prime.mid - res.base.mid)
         assert shift <= res.bound + res.base.width + prime.width
+        lo, hi = res.enclosure
+        assert lo <= prime.hi and prime.lo <= hi
+        if prime.right_witness is not None:
+            least, greatest = cw_exact(a + e, prime.right_witness)
+            assert Fraction(lo) <= least and greatest <= Fraction(hi)
     print("C3 perturbation soundness: 500 perturbations, zero violations")
 
 

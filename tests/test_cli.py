@@ -6,11 +6,13 @@ import pathlib
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from perron import cli, harness, matcore, perturb, solver
+from oracles import cw_exact
 
 
 @pytest.fixture
@@ -135,13 +137,19 @@ class TestCertify:
         assert code == 3 and out == ""
         assert "analyze" in err
 
-    def test_unconverged_base_refused(self, run, tmp_path):
+    def test_unconverged_base_refused(self, run, tmp_path, fixtures_dir):
+        # no longer refused: the enclosure is centred on the unconverged
+        # left witness's own bracket, and holds rho(A'), bracketed exactly
         base = tmp_path / "slow2.txt"
         base.write_text("2\n1 1\n1e-8 1\n")
         code, out, err = run("certify", str(base), "cycle2_perturbed.txt",
                              "--max-iter", "1")
-        assert code == 3 and out == ""
-        assert "did not converge" in err
+        assert code == 0 and err == ""
+        assert _value(out, "soundness") == "PASS"
+        a_prime = matcore.read_matrix_file(fixtures_dir / "cycle2_perturbed.txt")
+        least, greatest = cw_exact(a_prime, solver.perron_root(a_prime, tol=1e-15).right_witness)
+        assert Fraction(float(_value(out, "enclosure_lo"))) <= least
+        assert greatest <= Fraction(float(_value(out, "enclosure_hi")))
 
     def test_shape_mismatch(self, run):
         code, _, err = run("certify", "cycle2.txt", "cycle3.txt")
@@ -355,13 +363,23 @@ class TestConverge:
         assert _value(out, "result") == "PASS"
 
     def test_unconverged_base_refused(self, run, tmp_path):
+        # no longer refused: every row passes, and each term's certified
+        # interval holds its radius 1 + sqrt(x), x its stored entry (1, 0),
+        # compared exactly
         base = tmp_path / "slow2.txt"
         base.write_text("2\n1 1\n1e-8 1\n")
         direction = tmp_path / "dir.txt"
         direction.write_text("2\n0 0\n1e-6 0\n")
-        code, out, err = run("converge", str(base), str(direction), "--max-iter", "1")
-        assert code == 3 and out == ""
-        assert "did not converge" in err
+        code, out, err = run("converge", str(base), str(direction), "--max-iter", "1",
+                             "--format", "csv")
+        assert code == 0 and err == ""
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert len(rows) == 20 and all(row[-1] == "pass" for row in rows)
+        for row in rows:
+            x = Fraction(1.0 / int(row[0]) * 1e-6 + 1e-8)
+            lo, hi = Fraction(float(row[2])) - 1, Fraction(float(row[3])) - 1
+            assert lo <= 0 or lo * lo <= x
+            assert hi >= 0 and hi * hi >= x
 
 
 class TestGelfand:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perron import harness, matcore, perturb, solver, structure
-from generators import flip_to_cone, random_irreducible
-from oracles import eig_radius
+from perron import cli, harness, matcore, perturb, solver, structure
+from generators import flip_to_cone, near_defective, random_irreducible
+from oracles import cw_exact, eig_radius
 
 
 class TestContinuityCertificate:
@@ -16,7 +16,7 @@ class TestContinuityCertificate:
         res = perturb.continuity_certificate(a, a)
         assert res.e_norm == 0.0
         assert res.bound == 0.0
-        assert res.enclosure == (res.base.lo, res.base.hi)
+        assert res.enclosure == res.base.left_bracket
 
     def test_two_cycle_corner_bump(self):
         # bump of 0.01 at the lower right corner of the symmetric 2-cycle:
@@ -64,7 +64,8 @@ class TestContinuityCertificate:
 
     def test_bounds_are_rounded_outward(self, rng):
         # e_norm, bound and both enclosure ends hold in exact arithmetic
-        # for the stored floats; q_star itself is taken as given
+        # for the stored floats, the ends around the left witness's
+        # bracket; q_star is checked in tests/test_solver.py
         for _ in range(300):
             n = int(rng.integers(2, 6))
             a = rng.uniform(0.5, 1.5, (n, n))
@@ -74,8 +75,9 @@ class TestContinuityCertificate:
             bound = Fraction(res.bound)
             assert Fraction(res.e_norm) ** 2 >= sq
             assert bound >= Fraction(res.e_norm) / Fraction(res.q_star)
-            assert Fraction(res.enclosure[0]) <= max(Fraction(res.base.lo) - bound, 0)
-            assert Fraction(res.enclosure[1]) >= Fraction(res.base.hi) + bound
+            l, h = map(Fraction, res.base.left_bracket)
+            assert Fraction(res.enclosure[0]) <= max(l - bound, 0)
+            assert Fraction(res.enclosure[1]) >= h + bound
 
     def test_bound_scales_exactly_with_perturbation(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -112,20 +114,86 @@ class TestContinuityCertificate:
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[1.0]])
 
     def test_rejects_unconverged_base(self):
-        # one sweep leaves the left vector far from the Perron vector:
-        # its min entry is 0.4 where the true q_star is 1e-4, which made
-        # the bound 2.5e-6 fall below the real shift 9.05e-4
+        # no longer refused: one sweep leaves the left witness far from
+        # the Perron vector, its q* near 0.4 where the Perron vector's is
+        # 1e-4, but centred on the witness's own wide bracket the
+        # enclosure still holds rho(a_prime), bracketed exactly
         a = [[1.0, 1.0], [1e-8, 1.0]]
-        a_prime = [[1.0, 1.0], [1e-8 + 1e-6, 1.0]]
-        with pytest.raises(ValueError, match="did not converge"):
-            perturb.continuity_certificate(a, a_prime, max_iter=1)
-        res = perturb.continuity_certificate(a, a_prime)
-        assert res.enclosure[0] <= eig_radius(a_prime) <= res.enclosure[1]
+        a_prime = np.array([[1.0, 1.0], [1e-8 + 1e-6, 1.0]])
+        least, greatest = cw_exact(a_prime, solver.perron_root(a_prime, tol=1e-15).right_witness)
+        for max_iter in (1, solver.DEFAULT_MAX_ITER):
+            res = perturb.continuity_certificate(a, a_prime, max_iter=max_iter)
+            assert res.base.converged == (max_iter > 1) and res.ok
+            assert Fraction(res.enclosure[0]) <= least and greatest <= Fraction(res.enclosure[1])
 
     def test_rejects_negative_perturbed_entry(self):
         with pytest.raises(ValueError):
             perturb.continuity_certificate([[0.0, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, -0.01]])
 
+
+def _exact_bracket(a):
+    """The exact least and greatest ratio of a's right witness at tol
+    1e-15 (``oracles.cw_exact``): rho(a) lies between them."""
+    return cw_exact(a, solver.perron_root(a, tol=1e-15).right_witness)
+
+
+class TestNearDefective:
+    """On ``generators.near_defective`` matrices the left witness's q*,
+    min z / ||z||_1, can exceed the left Perron vector's least entry,
+    though the certificate converged.  The modulus ||E||_F / q* then
+    bounds the shift from the witness's own bracket only: centred on the
+    certificate's [lo, hi], the enclosure missed rho(A')."""
+
+    def test_seed_3_draw_26(self, tmp_path, capsys):
+        # n = 9, g = 6.50e-12, C = 3.29, d = 7.26e-33; A' adds 1e-25 at
+        # (1, 0).  Centred on [lo, hi], the enclosure ended at
+        # 1.0000000000000457, below the exact least ratio
+        # 1.0000000000000502 of A''s witness
+        rng = np.random.default_rng(3)
+        for _ in range(26):
+            a = near_defective(rng)
+        a_prime = a.copy()
+        a_prime[1, 0] += 1e-25
+        least, greatest = _exact_bracket(a_prime)
+        res = perturb.continuity_certificate(a, a_prime)
+        assert res.ok
+        assert Fraction(res.enclosure[0]) <= least and greatest <= Fraction(res.enclosure[1])
+        paths = [str(tmp_path / "a.txt"), str(tmp_path / "a_prime.txt")]
+        for path, m in zip(paths, (a, a_prime)):
+            matcore.write_matrix_file(path, m)
+            assert np.array_equal(matcore.read_matrix_file(path), m)
+        assert cli.main(["certify", *paths]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert printed["soundness"] == "PASS"
+        assert Fraction(float(printed["enclosure_lo"])) <= least
+        assert greatest <= Fraction(float(printed["enclosure_hi"]))
+
+    def test_no_enclosure_is_refuted(self):
+        # 30 bases of seed 3 and A' = A + c e_i e_j^T, i the left
+        # witness's largest entry and j the right witness's, c = 1e-16 *
+        # 0.1^k for k = 1..18: each A' through continuity_certificate, and
+        # all as the rows of one geometric trace, whose enclosures are the
+        # base's left bracket widened by each row's bound
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            a = near_defective(rng)
+            cert = solver.perron_root(a)
+            direction = np.zeros(a.shape)
+            direction[np.argmax(cert.left_witness), np.argmax(cert.right_witness)] = 1.0
+            spec = harness.SequenceSpec(
+                base=a, direction=direction, rule="geom", coeff=1e-16, gamma=0.1, count=18)
+            trace = harness.run_trace(spec)
+            assert trace.ok
+            l, h = map(Fraction, trace.base_cert.left_bracket)
+            for row in trace.rows:
+                a_prime = spec.term(row.k)
+                least, greatest = _exact_bracket(a_prime)
+                bound = Fraction(row.extra[0])
+                assert least <= h + bound and l - bound <= greatest
+                res = perturb.continuity_certificate(a, a_prime)
+                assert res.ok and res.bound == row.extra[0]
+                assert least <= Fraction(res.enclosure[1])
+                assert Fraction(res.enclosure[0]) <= greatest
 
 
 class TestSharpnessProbe:

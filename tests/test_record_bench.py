@@ -4,6 +4,7 @@ prints what perfbench's does, or fails."""
 import importlib.util
 import json
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -57,3 +58,28 @@ def test_a_failed_run_writes_nothing(stub, last, code):
     with pytest.raises(record_bench.RunFailed, match="a seed 3"):
         record_bench.record("x", checkout, root)
     assert not (root / "BENCH_x.json").exists()
+
+
+def _git(checkout, *args):
+    subprocess.run(["git", "-C", str(checkout), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, capture_output=True)
+
+
+def test_src_dirty_is_null_outside_a_git_tree(stub):
+    root, checkout = stub('{"correct": true}')
+    out = record_bench.record("x", checkout, root)
+    assert json.loads(out.read_text())["src_dirty"] is None
+
+
+def test_src_dirty_reads_git_status_of_src(stub):
+    root, checkout = stub('{"correct": true}')
+    (checkout / "src").mkdir()
+    (checkout / "src" / "m.py").write_text("x = 1\n")
+    _git(checkout, "init", "-q")
+    _git(checkout, "add", "-A")
+    _git(checkout, "commit", "-q", "-m", "m")
+    (checkout / "notes.txt").write_text("outside src\n")
+    assert record_bench._src_dirty(checkout) is False
+    (checkout / "src" / "m.py").write_text("x = 2\n")
+    out = record_bench.record("x", checkout, root)
+    assert json.loads(out.read_text())["src_dirty"] is True

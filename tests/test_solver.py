@@ -877,10 +877,7 @@ def _route_calls(route, n, picks, max_iter):
         else:
             direction = rng.uniform(0.0, 1.0, (size, size)) * (rng.random((size, size)) < 0.3)
             spec = harness.SequenceSpec(base=a, direction=direction, coeff=1e-3, count=3)
-            try:
-                harness.run_trace(spec, tol, max_iter)
-            except ValueError as exc:  # an irreducible base short of tol
-                assert "did not converge" in str(exc)
+            harness.run_trace(spec, tol, max_iter)
     return calls
 
 
@@ -974,8 +971,7 @@ def _certified(route, n, seed, k, max_iter):
     ``perron_root`` of a positive n x n matrix ("positive"), the diagonal
     blocks of a scrambled n x n block upper triangular matrix, read off
     its certificate ("blocks"), or the base and rows of a three-term
-    ``run_trace`` from an irreducible n x n base ("trace"), none where
-    its base is short of tol."""
+    ``run_trace`` from an irreducible n x n base ("trace")."""
     rng = np.random.default_rng(seed)
     tol = solver.DEFAULT_TOL
     if route == "positive":
@@ -993,11 +989,7 @@ def _certified(route, n, seed, k, max_iter):
     spec = harness.SequenceSpec(base=np.ldexp(random_irreducible(rng, n), k),
                                 direction=np.ldexp(rng.uniform(0.0, 1.0, (n, n)), k),
                                 coeff=1e-3, count=3)
-    try:
-        trace = harness.run_trace(spec, tol, max_iter)
-    except ValueError as exc:  # an irreducible base short of tol
-        assert "did not converge" in str(exc)
-        return []
+    trace = harness.run_trace(spec, tol, max_iter)
     return [(spec.base, trace.base_cert)] + [(spec.term(r.k), r.cert) for r in trace.rows]
 
 
@@ -1007,12 +999,14 @@ class TestExactWitness:
     left pass's on b.T: the interval is about the vector the kernel
     hands back, not only some vector near it.  A certificate's interval,
     the intersection of its two passes', holds what its two witnesses
-    give."""
+    give, and its left bracket what its left witness gives."""
 
     @settings(max_examples=60, deadline=None)
     @given(**_ROUTES)
     # a kept eig proposal: a 1-norm copy of its x has exact ratios outside [lo, hi]
     @example(route="stack", n=2, picks=[("dense", 1, 7)], max_iter=2)
+    # an unconverged trace base whose left witness's least entry is 5e-324
+    @example(route="trace", n=65, picks=[("weak_cycle", 0, 403)], max_iter=200)
     def test_every_pass_holds_its_witness(self, route, n, picks, max_iter):
         for bs, _, passes in _route_calls(route, n, picks, max_iter):
             m = len(bs)
@@ -1035,6 +1029,9 @@ class TestExactWitness:
             left = cw_exact(np.ascontiguousarray(a.T), cert.left_witness)
             assert Fraction(cert.lo) <= max(right[0], left[0])
             assert cert.hi == math.inf or min(right[1], left[1]) <= Fraction(cert.hi)
+            l, h = cert.left_bracket
+            assert Fraction(l) <= left[0] and (h == math.inf or left[1] <= Fraction(h))
+            assert l <= cert.lo and cert.hi <= h
 
 
 class TestPerronRoot:
@@ -1513,9 +1510,14 @@ class TestQStar:
         cert = solver.perron_irreducible([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
         assert abs(solver.q_star(cert) - 1.0 / 3.0) <= 1e-12
 
-    def test_min_entry(self):
-        cert = solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]])
-        assert solver.q_star(cert) == float(cert.left_vector.min())
+    def test_min_entry(self, rng):
+        # min z / sum z of the left witness z, rounded down, exactly: at
+        # most that quotient and within 4 ulps of it
+        for a in ([[1.0, 2.0], [3.0, 4.0]], *(random_irreducible(rng, n) for n in range(2, 30))):
+            cert = solver.perron_irreducible(a)
+            z = [Fraction(v) for v in cert.left_witness.tolist()]
+            q, exact = solver.q_star(cert), min(z) / sum(z)
+            assert Fraction(q) <= exact <= Fraction(q) + 4 * Fraction(math.ulp(q))
 
     def test_requires_left_vector(self):
         cert = solver.perron_root([[1.0, 1.0], [0.0, 2.0]])
@@ -1527,6 +1529,28 @@ class TestQStar:
                                    left_witness=np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="not strictly positive"):
             solver.q_star(cert)
+
+    def test_underflow_rounds_to_zero(self):
+        # min z / sum z is below the least subnormal: 0 is its rounding down
+        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
+                                   left_witness=np.array([5e-324, 1.0, 1.0]))
+        assert solver.q_star(cert) == 0.0
+
+
+class TestModuli:
+    @pytest.mark.parametrize("witness", [[5e-324, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    def test_no_usable_q_star_encloses_everything(self, witness):
+        # q* 0, by underflow or a zero entry: any nonzero difference gets
+        # the bound inf and the enclosure [0, inf]; a zero one the bracket
+        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
+                                   left_witness=np.array(witness))
+        d = np.zeros((2, 2, 2))
+        d[1, 0, 1] = 1e-300
+        q, e, bound, lo, hi = solver._moduli(cert, d)
+        assert q == 0.0 and e[0] == 0.0 and e[1] > 0.0
+        assert bound.tolist() == [0.0, math.inf]
+        assert (lo[0], hi[0]) == cert.left_bracket
+        assert (lo[1], hi[1]) == (0.0, math.inf)
 
 
 class TestPowerRadiusIdentity:
