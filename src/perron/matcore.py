@@ -211,15 +211,18 @@ def _parse_bulk(text: str, nonneg: bool) -> np.ndarray | None:
 
 
 # Bytes per block of whole lines that _parse_zeros tokenizes at once: its
-# masks and offsets take about 3.4 MB, those of a whole n = 800 file 29 MB
-# (blocks end at a \n, so text whose lines end in \r alone is one block)
+# masks and token starts peak at about 2.1 MB on an n = 800 file, 19 MB
+# with the whole file as one block (blocks end at a \n, so text whose
+# lines end in \r alone is one block)
 _BLOCK = 1 << 18
 
 
 def _parse_zeros(text: str) -> np.ndarray | None:
     """The zero route: mostly-zero text at n >= 100 and at most 5 bytes
-    per entry.  numpy finds the tokens of each block of lines, and only
-    those other than ``0`` and ``0.0`` go through ``float()``.
+    per entry.  numpy finds where the tokens of each block of lines
+    start, and the first four bytes of each tell ``0`` and ``0.0`` from
+    the rest.  Only the rest go through ``float()``, each on the text
+    from its start to the next token's (or the block's end).
 
     None for anything else: text that is not ASCII or holds a control
     byte other than tab, ``\\n`` and ``\\r``, a first line that is not the
@@ -253,18 +256,9 @@ def _parse_zeros(text: str) -> np.ndarray | None:
         if ((kind != 9) & (kind != 10) & (kind != 13)).any():
             return None
         brk = ctrl[kind != 9] - 3  # the line breaks
-        sep, zero, dot = p <= 32, p == 48, p == 46
-
-        def at(mask, j):  # the mask at byte i + j, for each byte i
-            return mask[3 + j:3 + j + size]
-
-        # first and last bytes of the tokens, and of the tokens 0 and 0.0
-        first, last = ~at(sep, 0) & at(sep, -1), ~at(sep, 0) & at(sep, 1)
-        zfirst = first & at(zero, 0) & (at(sep, 1) | at(dot, 1) & at(zero, 2) & at(sep, 3))
-        zlast = last & at(zero, 0) & (at(sep, -1) | at(dot, -1) & at(zero, -2) & at(sep, -3))
-        starts = np.flatnonzero(first)
-        nonzero = np.flatnonzero(first & ~zfirst)
-        ends = np.flatnonzero(last & ~zlast) + 1
+        # token starts: a byte above blank after a blank
+        sep = p <= 32
+        starts = np.flatnonzero(sep[2:2 + size] > sep[3:3 + size])
         if len(starts) % n or k + len(starts) > n * n:
             return None
         # each row's n tokens on one line, each row on a later line
@@ -272,10 +266,15 @@ def _parse_zeros(text: str) -> np.ndarray | None:
         row1 = np.searchsorted(brk, starts[n - 1::n])
         if (row0 != row1).any() or (row1[:-1] >= row0[1:]).any():
             return None
+        # the tokens 0 and 0.0, told apart by the first four bytes of each
+        b0, b1, b2, b3 = (p[3 + j:][starts] for j in range(4))
+        zero = (b0 == 48) & ((b1 <= 32) | (b1 == 46) & (b2 == 48) & (b3 <= 32))
+        # each other token runs to the next start, or to the block's end:
+        # float() strips the blanks after it
+        nonzero = np.flatnonzero(~zero)
+        bounds = np.append(starts, size)[np.stack((nonzero, nonzero + 1))] + start
         try:
-            out[k + np.searchsorted(starts, nonzero)] = [
-                float(text[i:j]) for i, j in zip((nonzero + start).tolist(),
-                                                 (ends + start).tolist())]
+            out[k + nonzero] = [float(text[i:j]) for i, j in zip(*bounds.tolist())]
         except ValueError:
             return None
         k += len(starts)

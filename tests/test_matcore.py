@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -395,6 +396,19 @@ class TestZeroRoute:
         a[0, 0] = 1000.0
         text = _repr_text(a).replace("1000.0", "1_000", 1)
         assert self._loadtxt_calls(monkeypatch, text, a) == 0
+
+    def test_temporaries_stay_within_ten_blocks(self, rng):
+        # the route's masks, token starts and gathers, the previous
+        # block's included, beside its result and the encoded text
+        text = _repr_text(_sparse_ring(rng, 800))
+        matcore._parse_zeros(text)  # warm up
+        tracemalloc.start()
+        try:
+            a = matcore._parse_zeros(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - a.nbytes - len(text) < 10 * matcore._BLOCK
 
     @pytest.mark.parametrize("case", ["dense 300", "sparse 50", "commented 300"])
     def test_other_text_takes_loadtxt(self, monkeypatch, rng, case):
