@@ -3,16 +3,21 @@
 Each nonnegative irreducible matrix b, n >= 2, gets two passes, one on b
 and one on its transpose.  ``collatz_wielandt_stack(bs, tol, max_iter)``
 runs both passes of every matrix of a same-size stack: the first step of
-all of them in one fixed set of numpy calls, then one loop that steps
-every live pass, in one set of numpy calls per iteration, until each has
-stopped.  A pass's result is ``(lo, hi, x, iterations, converged)``,
-x the read-only vector that lo and hi certify, its largest entry
-exactly 1.  For every x > 0 the Collatz-Wielandt ratios (bx)_i / x_i
-have the spectral radius between their minimum and their maximum; lo
-and hi are those extremes widened outward for every rounding error
-their float computation can carry, so they hold the radius of the
-stored floats whatever method proposed x, and hold the exact ratios of
-the x returned, on b for a pass on b and on b.T for a transpose's.
+all of them in one fixed set of numpy calls, whose stop test decides
+every pass, then one loop (``_iterate``) that steps every pass that goes
+on, in one set of numpy calls per iteration, until each has stopped.  A
+stack whose passes all stop at the first step, the common case on the
+eig route, returns from it: the loop's state (its spreads, stall counts
+and Noda cost) exists only for passes that go on, and starts from the
+vectors and products the first step holds.  A pass's result is
+``(lo, hi, x, iterations, converged)``, x the read-only vector that lo
+and hi certify, its largest entry exactly 1.  For every x > 0 the
+Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
+their minimum and their maximum; lo and hi are those extremes widened
+outward for every rounding error their float computation can carry, so
+they hold the radius of the stored floats whatever method proposed x,
+and hold the exact ratios of the x returned, on b for a pass on b and
+on b.T for a transpose's.
 
 1. Prescaling (``_prescale``): a pass whose largest row sum lies outside
    [2^-400, 2^400] runs on b scaled by an exact power of two, which keeps
@@ -39,8 +44,9 @@ the x returned, on b for a pass on b and on b.T for a transpose's.
    its underflow slack stays under half of ``tol``; it usually lands at
    the floor of floating point at once, and the pass then stops at two
    iterations.
-   Every other pass iterates from its kept proposal or, where that was
-   rejected or there is none, from the ones vector.
+   The first step ends with each pass's stop test; every pass that goes
+   on iterates from its kept proposal or, where that was rejected or
+   there is none, from the ones vector.
 3. Iteration: power sweeps x <- bx run while they contract well.  Once
    the sweeps still needed, extrapolated from the contraction seen over
    the last two, exceed what the Noda phase costs (about four steps,
@@ -71,9 +77,9 @@ the x returned, on b for a pass on b and on b.T for a transpose's.
    in row blocks; where longdouble is float64 that gains nothing but
    stays sound.  ``certify_vectors(bs, xs, tol)`` certifies vectors a
    caller holds, on any nonnegative stack, through the same
-   ``_prescale``, ``_ratios`` and ``_certify``; the kernel's stop step
-   certifies from the ratios it already has, with no product taken
-   twice.
+   ``_prescale``, ``_ratios`` and ``_certify``; the kernel certifies
+   every pass once it has stopped, from the ratios it already has, with
+   no product taken twice.
 
 A pass stops when the certified width, underflow slack aside (it does
 not shrink with iteration), meets ``tol``, at ``max_iter``, or at the
@@ -413,10 +419,15 @@ def _stops(raw, rmax, g, tol_s):
     return raw + floor <= tol_s or raw <= floor
 
 
-def _products(bs, x):
-    """bs[j] x_j for each matrix of a stack, x_j the row j of x, in one
-    batched BLAS product."""
-    return np.matmul(bs, x[:, :, None])[:, :, 0]
+# _products(bs, x): bs[j] x_j for each matrix of a stack, x_j the row j
+# of x, in one batched BLAS product.  numpy >= 2.2's np.matvec costs a
+# third less at n <= 8 than matmul on (n, 1) views
+try:
+    _products = np.matvec
+except AttributeError:
+    def _products(bs, x):
+        """np.matvec through matmul, for numpy < 2.2."""
+        return np.matmul(bs, x[:, :, None])[:, :, 0]
 
 
 def _ratios(bs, y):
@@ -435,9 +446,12 @@ def _prescale(bs, tol):
     entries (the ones vector's ratios) on the scaled stack, tol scaled by
     2^-e_j, rounded toward zero by ``_unscale`` so that no pass stops
     wider than asked, and each pass's nonzero count."""
-    ones = np.ones(bs.shape[:2])
+    ones = np.empty(bs.shape[:2])
+    ones.fill(1.0)  # half the cost of np.ones at n <= 8
     z = _products(bs, ones)
     rmin, rmax = _min(z, axis=1).tolist(), _max(z, axis=1).tolist()
+    if rmax and _LOW <= min(rmax) and max(rmax) <= _HIGH:  # nothing scales
+        return bs, [0] * len(bs), ones, z, rmin, rmax, [tol] * len(bs), _nonzeros(bs)
     # _exponent only for the passes it scales
     e = [0 if _LOW <= s <= _HIGH else _exponent(s, bs[j]) for j, s in enumerate(rmax)]
     if any(e):
@@ -522,41 +536,97 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     helpers' included: they have no errstate of their own.
     """
     m, n = bs.shape[0], bs.shape[1]
+    p = 2 * m
     # pass j takes the rows of rows[j]: the transposes are contiguous
     # copies, matrices of their own; on the squaring route, in scratch
-    out = _scratch(0, (2 * m, n, n)) if _EIG_N < n <= _SQUARE_N else None
+    out = _scratch(0, (p, n, n)) if _EIG_N < n <= _SQUARE_N else None
     rows = np.concatenate((bs, bs.transpose(0, 2, 1)), out=out)
-    rows, e, ones, z, rmin, rmax, tol_s, ks = _prescale(rows, tol)
+    rows, e, x, z, rmin, rmax, tol_s, ks = _prescale(rows, tol)
     # vectors tried, and the minimum of x, 1 for the ones vector
-    it, low, kept = [1] * (2 * m), [1.0] * (2 * m), []
+    it, low, y = [1] * p, [1.0] * p, None
     if max_iter >= 2 and n <= _SQUARE_N:
         # each row at max 1, or NaN where the proposer failed
         y = _eig_vectors(rows) if n <= _EIG_N else _power_vectors(rows[:m])
-        by, ymin, ymax, y_mins = _ratios(rows, y)
-        for j, (lo, hi, y_min) in enumerate(zip(ymin, ymax, y_mins)):
-            # kept where y > 0 (the tests fail on NaN), its ratios spread
-            # less than the ones vector's and its underflow slack is small
-            if hi - lo < rmax[j] - rmin[j] and y_min > 0.0 and _slack(n, y_min) < 0.5 * tol_s[j]:
-                kept.append(j)
-                rmin[j], rmax[j], it[j], low[j] = lo, hi, 2, y_min
-    if len(kept) == 2 * m:
+        by, ymin, ymax, y_min = _ratios(rows, y)
+    # the first step decides every pass, in one loop over its scalars:
+    # only the passes that go on iterate
+    kept, live, done = [], [], []
+    for j in range(p):
+        # kept where y > 0 (the tests fail on NaN), its ratios spread
+        # less than the ones vector's and its underflow slack is small
+        if y is not None and ymax[j] - ymin[j] < rmax[j] - rmin[j] and (
+                y_min[j] > 0.0 and _slack(n, y_min[j]) < 0.5 * tol_s[j]):
+            kept.append(j)
+            rmin[j], rmax[j], it[j], low[j] = ymin[j], ymax[j], 2, y_min[j]
+        stops = _stops(rmax[j] - rmin[j], rmax[j], _gamma(ks[j], _U), tol_s[j])
+        (done if stops or it[j] >= max_iter else live).append(j)
+    if len(kept) == p:
         x, z = y, by
+    elif kept:  # x is the ones vector, not needed as such any more
+        x[kept], z[kept] = y[kept], by[kept]
+    if not live:  # the common case on the eig route
+        x.setflags(write=False)
+        xs = x
     else:
-        x = ones  # not needed as the ones vector any more
-        if kept:
-            x[kept], z[kept] = y[kept], by[kept]
+        xs = [None] * p
+        if done:
+            _freeze(xs, done, x[done])
+            x, z = x[live], z[live]
+        _iterate(rows, x, z, live, xs, rmin, rmax, it, low, ks, tol_s, max_iter)
+    res = []
+    for j, xj in enumerate(xs):
+        lo, hi = _certify(rows[j], xj, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
+        res.append((lo, hi, xj, it[j], hi - lo <= tol))
+    return res
 
+
+def _freeze(xs, done, x):
+    """Hand the passes ``done`` their last vectors, the rows of x, read-only."""
+    x.setflags(write=False)  # before its rows are taken
+    for j, xj in zip(done, x):
+        xs[j] = xj
+
+
+def _iterate(rows, x, z, live, xs, rmin, rmax, it, low, ks, tol_s, max_iter):
+    """Iterate the passes ``live`` of the prescaled pass stack ``rows``,
+    in order, from the first step until each stops: row i of x and z is
+    pass live[i]'s vector and its product.  Each pass's last vector goes
+    into xs[j], read-only, and its ratio extremes, least entry and count
+    into rmin[j], rmax[j], low[j] and it[j], for the caller to certify."""
+    n = x.shape[1]
+    g = [_gamma(k, _U) for k in ks]
     # sweeps the Noda phase costs
     noda_cost = _NODA_STEPS * (2.0 + min(n * n / _SOLVE_N2, n / _SOLVE_N))
-    g = [_gamma(k, _U) for k in ks]
     # the last two spreads, and the Noda steps in a row that shrank the
     # spread by under 1/8: None while the pass sweeps
-    last, before, stalls = [math.nan] * (2 * m), [math.nan] * (2 * m), [None] * (2 * m)
-    out = [None] * (2 * m)
-    # the live passes, in order: row i of x and z, the vectors, and of
-    # lr, the matrices their products take, is pass live[i]'s
-    live, lr = list(range(2 * m)), rows
+    last = [hi - lo for lo, hi in zip(rmin, rmax)]
+    before, stalls = [math.nan] * len(last), [None] * len(last)
+    for j in live:  # each tries one more vector
+        it[j] += 1
+    # row i of lr, the matrices the products take, is pass live[i]'s
+    lr = _take(rows, live)
     while True:
+        y = z / _max(z, axis=1)[:, None]  # the power sweeps
+        noda = [i for i, j in enumerate(live) if stalls[j] is not None]
+        if noda:
+            js = [live[i] for i in noda]
+            y[noda] = _noda_steps(_take(rows, js), x[noda],
+                                  [rmax[j] + rmax[j] * g[j] for j in js])
+        by, ymin, ymax, y_min = _ratios(lr, y)
+        kept = []
+        for i, j in enumerate(live):
+            # an entry of y underflowed to zero, or a Noda step failed (the
+            # tests also catch NaN): a sweeping pass hands over to Noda
+            # from x, a Noda pass stalls out at x, its spread unchanged
+            if not (ymax[i] < math.inf and y_min[i] > 0.0):
+                stalls[j] = 0 if stalls[j] is None else _STALLS
+                continue
+            rmin[j], rmax[j], low[j] = ymin[i], ymax[i], y_min[i]
+            kept.append(i)
+        if len(kept) == len(live):
+            x, z = y, by
+        else:
+            x[kept], z[kept] = y[kept], by[kept]
         # the rules are each pass's own, in scalars; the numpy calls
         # serve all live passes at once
         going, done = [], []
@@ -581,35 +651,9 @@ def collatz_wielandt_stack(bs, tol, max_iter):
             it[j] += 1
             going.append(i)
         if done:
-            xs = x if len(done) == len(live) else x[done]
-            xs.setflags(write=False)  # before its rows are taken
-            for i, xi in zip(done, xs):
-                j = live[i]
-                lo, hi = _certify(rows[j], xi, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
-                out[j] = (lo, hi, xi, it[j], hi - lo <= tol)
+            _freeze(xs, [live[i] for i in done], x if len(done) == len(live) else x[done])
         if not going:
-            return out
+            return
         if done:  # compact the stack
             live, x, z = [live[i] for i in going], x[going], z[going]
             lr = _take(rows, live)
-        y = z / _max(z, axis=1)[:, None]  # the power sweeps
-        noda = [i for i, j in enumerate(live) if stalls[j] is not None]
-        if noda:
-            js = [live[i] for i in noda]
-            y[noda] = _noda_steps(_take(rows, js), x[noda],
-                                  [rmax[j] + rmax[j] * g[j] for j in js])
-        by, ymin, ymax, y_min = _ratios(lr, y)
-        kept = []
-        for i, j in enumerate(live):
-            # an entry of y underflowed to zero, or a Noda step failed (the
-            # tests also catch NaN): a sweeping pass hands over to Noda
-            # from x, a Noda pass stalls out at x, its spread unchanged
-            if not (ymax[i] < math.inf and y_min[i] > 0.0):
-                stalls[j] = 0 if stalls[j] is None else _STALLS
-                continue
-            rmin[j], rmax[j], low[j] = ymin[i], ymax[i], y_min[i]
-            kept.append(i)
-        if len(kept) == len(live):
-            x, z = y, by
-        else:
-            x[kept], z[kept] = y[kept], by[kept]

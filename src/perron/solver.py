@@ -6,28 +6,31 @@ the radius, so their intersection is reported.  Irreducible matrices
 of one size are certified together by one
 ``_kernels.collatz_wielandt_stack`` call: a first step (an eig proposal
 for n <= 8, for 8 < n <= 64 both vectors proposed by one
-repeated-squaring power, none above), then power sweeps handing over to
-Noda steps, iterated for every pass of the stack until each stops,
-bounds rounded outward.  A matrix's certificate does not depend on what
-it is certified with.  A positive or 1x1 matrix goes to the kernel
-whole, with no normal form built; other matrices are split into
-irreducible diagonal blocks first and the block intervals are combined,
-the certificate keeping its blocks' certificates.  ``_perron_roots``
-gathers every matrix of a call, whole or as blocks, by size in one
-pass, for one stacked certification per size.  Certificates report
-closed intervals [lo, hi] that always contain the spectral radius,
-converged or not; ``converged`` says whether the intersected interval
-is at most the requested width.  The kernel returns the vectors it
-certified, each with its largest entry 1, and ``_certify_irreducible``
-hands them to the certificates as they are, their witnesses; a
-certificate forms its 1-norm vectors from them when they are first
-read, and ``residual`` forms ||A v - mid v||_1 from the matrix it is
-given.  A certificate also keeps the left pass's own bracket, the
-interval its witness certifies alone.  The continuity check is formed
-in one place, ``_moduli``, which ``perturb`` and ``harness`` both call:
-the modulus ||E||_F / q*, q* = min z / ||z||_1 of the left witness z,
-rounded up, widens that bracket into an enclosure of the radius of the
-perturbed matrix, sound for any positive witness, converged or not.
+repeated-squaring power, none above) whose stop test decides every
+pass, then, for the passes that go on, power sweeps handing over to
+Noda steps until each stops, bounds rounded outward.  Where every pass
+stops at the first step, as both passes of an easy positive n <= 8
+matrix do, the call returns from it.  A matrix's certificate does not
+depend on what it is certified with.  A positive or 1x1 matrix goes to
+the kernel whole, with no normal form built; other matrices are split
+into irreducible diagonal blocks first and the block intervals are
+combined, the certificate keeping its blocks' certificates.
+``_perron_roots`` gathers every matrix of a call, whole or as blocks,
+by size in one pass, for one stacked certification per size.
+Certificates report closed intervals [lo, hi] that always contain the
+spectral radius, converged or not; ``converged`` says whether the
+intersected interval is at most the requested width.  The kernel
+returns the vectors it certified, each with its largest entry 1, and
+``_certify_irreducible`` builds each certificate straight from its two
+passes, their vectors its witnesses as they are; a certificate forms
+its 1-norm vectors from them when they are first read, and
+``residual`` forms ||A v - mid v||_1 from the matrix it is given.  A
+certificate also keeps the left pass's own bracket, the interval its
+witness certifies alone.  The continuity check is formed in one place,
+``_moduli``, which ``perturb`` and ``harness`` both call: the modulus
+||E||_F / q*, q* = min z / ||z||_1 of the left witness z, rounded up,
+widens that bracket into an enclosure of the radius of the perturbed
+matrix, sound for any positive witness, converged or not.
 """
 
 import math
@@ -164,12 +167,10 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = collatz_wielandt_stack(ms, tol, max_iter)
     out = []
-    for r, t in zip(passes, passes[m:]):
+    for (r_lo, r_hi, x, r_it, _), (t_lo, t_hi, z, t_it, _) in zip(passes, passes[m:]):
         # rho(A) = rho(A^T): both intervals hold it
-        lo, hi = max(r[0], t[0]), min(r[1], t[1])
-        out.append(PerronCertificate(
-            lo=lo, hi=hi, right_witness=r[2], left_witness=t[2],
-            iterations=r[3] + t[3], converged=hi - lo <= tol, left_bracket=(t[0], t[1])))
+        lo, hi = max(r_lo, t_lo), min(r_hi, t_hi)
+        out.append(PerronCertificate(lo, hi, x, z, r_it + t_it, hi - lo <= tol, (t_lo, t_hi)))
     return out
 
 

@@ -710,6 +710,48 @@ class TestOneLoop:
                 iterated += iterations > 2
         assert iterated >= 24
 
+    def test_settled_passes_beside_iterating_ones(self):
+        # an easy 6x6, whose passes stop at the first step, beside two 3x3
+        # blocks coupled by about 1e-6, whose passes go on: the loop takes
+        # over from the first step's vectors, in either order, and every
+        # field of each certificate is what its matrix gets alone
+        easy = np.random.default_rng(7564).uniform(0.0, 10.0, (6, 6))
+        coupled = _near_reducible(1e-6)[1]
+        tol, max_iter = solver.DEFAULT_TOL, 10_000
+        alone = [solver._certify_irreducible(a[None], tol, max_iter)[0] for a in (easy, coupled)]
+        assert alone[0].iterations == 4 and alone[1].iterations > 4
+        for order in ((0, 1), (1, 0)):
+            stacked = solver._certify_irreducible(
+                np.stack([(easy, coupled)[i] for i in order]), tol, max_iter)
+            for got, i in zip(stacked, order):
+                for field in dataclasses.fields(solver.PerronCertificate):
+                    g, w = getattr(got, field.name), getattr(alone[i], field.name)
+                    if isinstance(w, np.ndarray):
+                        assert not g.flags.writeable
+                        g, w = g.tobytes(), w.tobytes()
+                    assert g == w, field.name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, "coupled"])
+    def test_one_dgeev_and_no_product_twice(self, n):
+        # a positive n <= 8 matrix gets one batched dgeev call for both
+        # passes, settled or not, and each vector's products are taken
+        # once: the first step's two (the ones vector, the proposal), then
+        # one per loop iteration, max(iterations) - 2 of them where both
+        # passes keep their proposal, as these do
+        if n == "coupled":
+            a = _near_reducible(1e-6)[1]
+        else:
+            a = np.random.default_rng(n).uniform(0.0, 10.0, (n, n))
+        with mock.patch.object(_kernels, "_dgeev", wraps=_kernels._dgeev) as dgeev, \
+                mock.patch.object(_kernels, "_products", wraps=_kernels._products) as products:
+            cert = solver.perron_root(a, max_iter=10_000)
+            assert dgeev.call_count == 1
+            assert (cert.iterations == 4) == (n != "coupled")  # settled
+            taken = products.call_count
+            products.reset_mock()
+            its = [p[3] for p in _passes(a, max_iter=10_000)]
+        assert taken == products.call_count == max(its)
+
     def test_prescaled_passes_keep_their_proposal(self, rng):
         # each pass, prescaled by 2^-e, stops at its kept proposal at two
         # iterations, its bounds scaled back
