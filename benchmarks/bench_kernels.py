@@ -63,7 +63,7 @@ planted blocks, a nilpotent DAG), each written as perfbench writes its
 files (``cases.render``: repr, zeros as ``0.0``).  Each row gives the
 file's bytes per entry, the route ``parse_matrix`` takes (``zero``, the
 route that converts only tokens other than ``0`` and ``0.0``, at n >= 100
-and at most 5 bytes per entry, or ``loadtxt``), the median time of
+and at most 6 bytes per entry, or ``loadtxt``), the median time of
 ``parse_matrix`` and of its loadtxt route alone (the zero route switched
 off), and the minor page faults per call of each, so both cut-overs can
 be re-timed on another host.
@@ -73,9 +73,9 @@ same families, dense matrices at n = 4, 16, 48, DAGs at n = 16, 48 and,
 around the cut-over ``structure._REACH_N``, a ring with 5% noise and a
 bare cycle.
 Each row gives the median time of the normal form and, on the boolean
-pattern, of the breadth-first search with its level budget (what it
-settled: yes, no, or "gave up") and of Tarjan's walk, so the cut-over
-can be re-timed on another host.
+pattern, of the breadth-first search from vertex 0 (``_reaches_all``:
+whether it reached every vertex both ways, yes or no) and of Tarjan's
+walk, so the cut-over can be re-timed on another host.
 
 Last, cold start: in each of at least 11 fresh interpreters (this
 checkout's sources, the caller's environment otherwise), the time of

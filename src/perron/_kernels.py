@@ -10,8 +10,10 @@ stack whose passes all stop at the first step, the common case on the
 eig route, returns from it: the loop's state (its spreads, stall counts
 and Noda cost) exists only for passes that go on, and starts from the
 vectors and products the first step holds.  A pass's result is
-``(lo, hi, x, iterations, converged)``, x the read-only vector that lo
-and hi certify, its largest entry exactly 1.  For every x > 0 the
+``(lo, hi, x, iterations, converged)``, x the vector that lo and hi
+certify, its largest entry exactly 1: row j of one read-only (2m, n)
+array that holds every pass's last vector, whichever route it took, the
+loop writing back those of the passes it steps.  For every x > 0 the
 Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
 their minimum and their maximum; lo and hi are those extremes widened
 outward for every rounding error their float computation can carry, so
@@ -419,15 +421,15 @@ def _stops(raw, rmax, g, tol_s):
     return raw + floor <= tol_s or raw <= floor
 
 
+def _matmul_products(bs, x):
+    """np.matvec through matmul on (n, 1) views, for numpy < 2.2."""
+    return np.matmul(bs, x[:, :, None])[:, :, 0]
+
+
 # _products(bs, x): bs[j] x_j for each matrix of a stack, x_j the row j
 # of x, in one batched BLAS product.  numpy >= 2.2's np.matvec costs a
-# third less at n <= 8 than matmul on (n, 1) views
-try:
-    _products = np.matvec
-except AttributeError:
-    def _products(bs, x):
-        """np.matvec through matmul, for numpy < 2.2."""
-        return np.matmul(bs, x[:, :, None])[:, :, 0]
+# third less at n <= 8 than _matmul_products
+_products = getattr(np, "matvec", _matmul_products)
 
 
 def _ratios(bs, y):
@@ -525,7 +527,8 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     (read-only, its largest entry exactly 1; ``certify_vectors`` gives
     lo and hi again from it, on bs[j] or a contiguous copy of bs[j].T),
     the number of vectors tried (the ones vector, a kept proposal,
-    sweeps and Noda steps) and whether hi - lo <= tol.  Each pass's
+    sweeps and Noda steps) and whether hi - lo <= tol.  Every x is a row
+    of one (2m, n) array, pass j's row j, on every route.  Each pass's
     result depends on its own matrix alone, not on the rest of the
     stack, and the caller's bs is read only to copy it into the stack of
     the passes' matrices.  The first step prescales
@@ -550,7 +553,7 @@ def collatz_wielandt_stack(bs, tol, max_iter):
         by, ymin, ymax, y_min = _ratios(rows, y)
     # the first step decides every pass, in one loop over its scalars:
     # only the passes that go on iterate
-    kept, live, done = [], [], []
+    kept, live = [], []
     for j in range(p):
         # kept where y > 0 (the tests fail on NaN), its ratios spread
         # less than the ones vector's and its underflow slack is small
@@ -558,41 +561,33 @@ def collatz_wielandt_stack(bs, tol, max_iter):
                 y_min[j] > 0.0 and _slack(n, y_min[j]) < 0.5 * tol_s[j]):
             kept.append(j)
             rmin[j], rmax[j], it[j], low[j] = ymin[j], ymax[j], 2, y_min[j]
-        stops = _stops(rmax[j] - rmin[j], rmax[j], _gamma(ks[j], _U), tol_s[j])
-        (done if stops or it[j] >= max_iter else live).append(j)
+        if not (_stops(rmax[j] - rmin[j], rmax[j], _gamma(ks[j], _U), tol_s[j])
+                or it[j] >= max_iter):
+            live.append(j)
+    # x, every pass's vector, is the ones array or the proposer's: never
+    # rows, nor a scratch array
     if len(kept) == p:
         x, z = y, by
     elif kept:  # x is the ones vector, not needed as such any more
         x[kept], z[kept] = y[kept], by[kept]
-    if not live:  # the common case on the eig route
-        x.setflags(write=False)
-        xs = x
-    else:
-        xs = [None] * p
-        if done:
-            _freeze(xs, done, x[done])
-            x, z = x[live], z[live]
-        _iterate(rows, x, z, live, xs, rmin, rmax, it, low, ks, tol_s, max_iter)
+    if live:
+        _iterate(rows, x, z, live, rmin, rmax, it, low, ks, tol_s, max_iter)
+    x.setflags(write=False)
     res = []
-    for j, xj in enumerate(xs):
+    for j, xj in enumerate(x):
         lo, hi = _certify(rows[j], xj, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
         res.append((lo, hi, xj, it[j], hi - lo <= tol))
     return res
 
 
-def _freeze(xs, done, x):
-    """Hand the passes ``done`` their last vectors, the rows of x, read-only."""
-    x.setflags(write=False)  # before its rows are taken
-    for j, xj in zip(done, x):
-        xs[j] = xj
-
-
-def _iterate(rows, x, z, live, xs, rmin, rmax, it, low, ks, tol_s, max_iter):
+def _iterate(rows, xs, zs, live, rmin, rmax, it, low, ks, tol_s, max_iter):
     """Iterate the passes ``live`` of the prescaled pass stack ``rows``,
-    in order, from the first step until each stops: row i of x and z is
-    pass live[i]'s vector and its product.  Each pass's last vector goes
-    into xs[j], read-only, and its ratio extremes, least entry and count
-    into rmin[j], rmax[j], low[j] and it[j], for the caller to certify."""
+    in order, from the first step until each stops: row j of xs and zs is
+    pass j's vector and its product.  The loop steps copies of the live
+    rows; each pass's last vector goes back into xs[j], and its ratio
+    extremes, least entry and count into rmin[j], rmax[j], low[j] and
+    it[j], for the caller to certify."""
+    x, z = xs[live], zs[live]
     n = x.shape[1]
     g = [_gamma(k, _U) for k in ks]
     # sweeps the Noda phase costs
@@ -651,7 +646,7 @@ def _iterate(rows, x, z, live, xs, rmin, rmax, it, low, ks, tol_s, max_iter):
             it[j] += 1
             going.append(i)
         if done:
-            _freeze(xs, [live[i] for i in done], x if len(done) == len(live) else x[done])
+            xs[[live[i] for i in done]] = x[done]
         if not going:
             return
         if done:  # compact the stack

@@ -346,8 +346,8 @@ def _repr_text(a):
     return "\n".join([str(len(a))] + [" ".join(map(repr, row)) for row in a.tolist()]) + "\n"
 
 
-def _sparse_ring(rng, n):
-    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.01)
+def _sparse_ring(rng, n, density=0.01):
+    a = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
     a[np.arange(n), (np.arange(n) + 1) % n] = rng.uniform(0.5, 1.5, n)
     return a
 
@@ -386,9 +386,11 @@ class TestZeroRoute:
 
     @pytest.mark.parametrize("render", [_repr_text, matcore.render_matrix])
     def test_sparse_text_skips_loadtxt(self, monkeypatch, rng, render):
-        # zeros spelled 0.0 (repr) and 0 (render_matrix)
-        a = _sparse_ring(rng, 300)
-        assert self._loadtxt_calls(monkeypatch, render(a), a) == 0
+        # zeros spelled 0.0 (repr) and 0 (render_matrix); repr text with
+        # 10% nonzeros takes about 5.6 bytes per entry
+        for density in (0.01, 0.10):
+            a = _sparse_ring(rng, 300, density)
+            assert self._loadtxt_calls(monkeypatch, render(a), a) == 0
 
     def test_underscores_read_as_in_the_token_loop(self, monkeypatch, rng):
         # both call float(), so the route need not refuse 1_000

@@ -849,6 +849,32 @@ class TestOneLoop:
         assert x.tobytes() == earlier[2].tobytes()
         assert iterations < alone[0][3]
 
+    @pytest.mark.parametrize("n, max_iter", [(5, 10_000), (12, 10_000), (70, 10_000),
+                                             (5, 1), (12, 2)])
+    def test_every_vector_is_a_row_of_one_array(self, n, max_iter):
+        # an easy dense matrix, whose passes stop at the first step, beside
+        # a near-reducible one, whose passes go on: on the eig, squaring
+        # and no-proposal routes, settled or not, every pass's vector is
+        # its row of one read-only (2m, n) array
+        bs = np.stack([np.random.default_rng(n).uniform(0.0, 10.0, (n, n)),
+                       _small_input("near_reducible", n, n)])
+        out = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, max_iter)
+        x = out[0][2].base
+        assert x.shape == (4, n) and not x.flags.writeable
+        for j, p in enumerate(out):
+            assert p[2].base is x and p[2].tobytes() == x[j].tobytes()
+        assert max_iter < 3 or max(p[3] for p in out) > 2
+
+    def test_matmul_products_match_matvec(self, rng):
+        # the products numpy < 2.2 takes, bit for bit, on contiguous
+        # stacks and on transposed views
+        for n in [*range(1, 70), 300, 800]:
+            bs = rng.uniform(0.0, 1.0, (2 if n > 69 else 4, n, n))
+            x = rng.uniform(0.0, 1.0, bs.shape[:2])
+            for b in (bs, bs.transpose(0, 2, 1)):
+                want = np.matvec(b, x).tobytes()
+                assert _kernels._matmul_products(b, x).tobytes() == want, n
+
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
         calls = []
         stack = solver.collatz_wielandt_stack
