@@ -421,15 +421,9 @@ def _stops(raw, rmax, g, tol_s):
     return raw + floor <= tol_s or raw <= floor
 
 
-def _matmul_products(bs, x):
-    """np.matvec through matmul on (n, 1) views, for numpy < 2.2."""
-    return np.matmul(bs, x[:, :, None])[:, :, 0]
-
-
 # _products(bs, x): bs[j] x_j for each matrix of a stack, x_j the row j
-# of x, in one batched BLAS product.  numpy >= 2.2's np.matvec costs a
-# third less at n <= 8 than _matmul_products
-_products = getattr(np, "matvec", _matmul_products)
+# of x, in one batched product (np.matvec, new in numpy 2.2)
+_products = np.matvec
 
 
 def _ratios(bs, y):

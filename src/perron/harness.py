@@ -293,7 +293,7 @@ def _gelfand_steps(xs: np.ndarray, m_max: int):
     ||x^m||_1 is the largest entry nu_m of 1^T x^m; F_1 = nu_1, and F_m
     = d_m = 0 from the first nu_m = 0.
 
-    BLAS chain.  The column sums, then one ``np.matmul`` a step for the
+    BLAS chain.  The column sums, then one ``np.vecmat`` a step for the
     stack, each vector divided by its nu_m first; F_m = exp(L_m / m),
     L_m = sum_(j<=m) log nu_j.  Round-off (Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3; gamma_k = ku / (1 - ku)):
@@ -327,16 +327,16 @@ def _gelfand_steps(xs: np.ndarray, m_max: int):
     """
     k, n = xs.shape[:2]
     ms = np.arange(1.0, m_max + 1.0)[:, None]
-    nus = np.empty((m_max, k, 1))  # nus[m - 1]: nu_m
+    nus = np.empty((m_max, k))  # nus[m - 1]: nu_m
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        v = np.add.reduce(xs, axis=1, keepdims=True)
+        v = np.add.reduce(xs, axis=1)
         low = _min(xs, axis=(1, 2), initial=math.inf, where=xs > 0.0)
-        _max(v, axis=2, out=nus[0])
+        _max(v, axis=1, out=nus[0])
         for m in range(1, m_max):
             # a zero vector turns to NaN, which fmax reads as nu = 0
-            v = np.matmul(v / nus[m - 1, :, :, None], xs)
-            _max(v, axis=2, out=nus[m])
-        nus = np.fmax(nus[:, :, 0], 0.0)
+            v = np.vecmat(v / nus[m - 1, :, None], xs)
+            _max(v, axis=1, out=nus[m])
+        nus = np.fmax(nus, 0.0)
         logs = np.log(nus)
         sums = np.add.accumulate(logs)
         f = np.exp(sums / ms)

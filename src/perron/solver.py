@@ -302,7 +302,7 @@ def residual(a, cert: PerronCertificate) -> float | None:
     if v is None:
         return None
     with np.errstate(over="ignore", invalid="ignore"):
-        image = np.matmul(np.asarray(a, dtype=np.float64)[None], v[None, :, None])[0, :, 0]
+        image = np.matvec(np.asarray(a, dtype=np.float64), v)
         r = float(np.add.reduce(np.abs(image - cert.mid * v)))
     return r if r < math.inf else None
 

@@ -227,16 +227,6 @@ def certificates(root):
 """
 
 
-def test_matmul_products_give_the_same_certificates(monkeypatch):
-    # numpy < 2.2 has no np.matvec: the kernel's products go through
-    # matmul, and every hard_spectra certificate stays bit for bit
-    namespace = {"perron": perron}
-    exec(_HARD_SPECTRA, namespace)
-    want = namespace["certificates"](str(_ROOT))
-    monkeypatch.setattr(_kernels, "_products", _kernels._matmul_products)
-    assert namespace["certificates"](str(_ROOT)) == want
-
-
 def test_without_the_private_drivers():
     # a numpy without numpy.linalg._umath_linalg: perron still imports,
     # runs np.linalg.eig and np.linalg.solve per matrix, and gives the

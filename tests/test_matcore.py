@@ -313,7 +313,10 @@ def _sparse_text(draw):
         rows[i][j] = draw(valid)
     defects = draw(st.lists(st.integers(0, 6), max_size=3))
     for kind in defects:
-        i, j = draw(cell)
+        # from the rows as they stand: an earlier defect may have popped
+        # a row or a row's last token
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
         if kind == 0:
             rows[i][j] = draw(st.sampled_from(_ODD_TOKENS + _NEAR_ZEROS))
         elif kind == 1:  # one token too many or too few

@@ -865,16 +865,6 @@ class TestOneLoop:
             assert p[2].base is x and p[2].tobytes() == x[j].tobytes()
         assert max_iter < 3 or max(p[3] for p in out) > 2
 
-    def test_matmul_products_match_matvec(self, rng):
-        # the products numpy < 2.2 takes, bit for bit, on contiguous
-        # stacks and on transposed views
-        for n in [*range(1, 70), 300, 800]:
-            bs = rng.uniform(0.0, 1.0, (2 if n > 69 else 4, n, n))
-            x = rng.uniform(0.0, 1.0, bs.shape[:2])
-            for b in (bs, bs.transpose(0, 2, 1)):
-                want = np.matvec(b, x).tobytes()
-                assert _kernels._matmul_products(b, x).tobytes() == want, n
-
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
         calls = []
         stack = solver.collatz_wielandt_stack
