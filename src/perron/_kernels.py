@@ -9,17 +9,17 @@ on, in one set of numpy calls per iteration, until each has stopped.  A
 stack whose passes all stop at the first step, the common case on the
 eig route, returns from it: the loop's state (its spreads, stall counts
 and Noda cost) exists only for passes that go on, and starts from the
-vectors and products the first step holds.  A pass's result is
-``(lo, hi, x, iterations, converged)``, x the vector that lo and hi
-certify, its largest entry exactly 1: row j of one read-only (2m, n)
-array that holds every pass's last vector, whichever route it took, the
-loop writing back those of the passes it steps.  For every x > 0 the
-Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius between
-their minimum and their maximum; lo and hi are those extremes widened
-outward for every rounding error their float computation can carry, so
-they hold the radius of the stored floats whatever method proposed x,
-and hold the exact ratios of the x returned, on b for a pass on b and
-on b.T for a transpose's.
+vectors and products the first step holds.  A pass's result is a
+``Pass(lo, hi, witness, iterations)``, the witness x the vector that lo
+and hi certify, its largest entry exactly 1: row j of one read-only
+(2m, n) array that holds every pass's last vector, whichever route it
+took, the loop writing back those of the passes it steps.  For every
+x > 0 the Collatz-Wielandt ratios (bx)_i / x_i have the spectral radius
+between their minimum and their maximum; lo and hi are those extremes
+widened outward for every rounding error their float computation can
+carry, so they hold the radius of the stored floats whatever method
+proposed x, and hold the exact ratios of the x returned, on b for a
+pass on b and on b.T for a transpose's.
 
 1. Prescaling (``_prescale``): a pass whose largest row sum lies outside
    [2^-400, 2^400] runs on b scaled by an exact power of two, which keeps
@@ -109,12 +109,13 @@ under that of its entry point, which handles these without a warning.
 
 import math
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
 from .matcore import _frobenius_norms
 
-__all__ = ["certify_vectors", "collatz_wielandt_stack"]
+__all__ = ["Pass", "certify_vectors", "collatz_wielandt_stack"]
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 2.0**-1074  # twice the absolute error of an underflowing operation
@@ -173,6 +174,18 @@ except ImportError:  # a numpy that moved its private drivers
             except np.linalg.LinAlgError:
                 pass
         return y
+
+
+class Pass(NamedTuple):
+    """What one pass certified: the interval [lo, hi] that holds the
+    radius of its matrix, the witness, the vector whose Collatz-Wielandt
+    ratios lo and hi bound (read-only, largest entry exactly 1), and the
+    number of vectors it tried."""
+
+    lo: float
+    hi: float
+    witness: np.ndarray
+    iterations: int
 
 
 class _Scratch(threading.local):
@@ -516,21 +529,19 @@ def collatz_wielandt_stack(bs, tol, max_iter):
 
     ``bs`` is an (m, n, n) stack of nonnegative irreducible matrices with
     n >= 2.  Pass j < m is the one on bs[j], pass m + j the one on
-    bs[j].T.  Returns a list of 2m results (lo, hi, x, iterations,
-    converged): the certified interval, the vector it certifies
-    (read-only, its largest entry exactly 1; ``certify_vectors`` gives
-    lo and hi again from it, on bs[j] or a contiguous copy of bs[j].T),
-    the number of vectors tried (the ones vector, a kept proposal,
-    sweeps and Noda steps) and whether hi - lo <= tol.  Every x is a row
-    of one (2m, n) array, pass j's row j, on every route.  Each pass's
-    result depends on its own matrix alone, not on the rest of the
-    stack, and the caller's bs is read only to copy it into the stack of
-    the passes' matrices.  The first step prescales
-    through ``_prescale``, each step's ratios come from ``_ratios``, and a
-    pass that stops is certified by ``_certify``, as ``certify_vectors``
-    certifies a given vector.  Overflow, zero division
-    and the NaN it makes are detected and handled, not warned about, the
-    helpers' included: they have no errstate of their own.
+    bs[j].T.  Returns a list of 2m ``Pass`` records: the certified
+    interval, the witness it certifies (``certify_vectors`` gives lo and
+    hi again from it, on bs[j] or a contiguous copy of bs[j].T) and the
+    number of vectors tried (the ones vector, a kept proposal, sweeps and
+    Noda steps).  Every witness is a row of one (2m, n) array, pass j's
+    row j, on every route.  Each pass's result depends on its own matrix
+    alone, not on the rest of the stack, and the caller's bs is read
+    only to copy it into the stack of the passes' matrices.  The first
+    step prescales through ``_prescale``, each step's ratios come from
+    ``_ratios``, and a pass that stops is certified by ``_certify``, as
+    ``certify_vectors`` certifies a given vector.  Overflow, zero
+    division and the NaN it makes are detected and handled, not warned
+    about, the helpers' included: they have no errstate of their own.
     """
     m, n = bs.shape[0], bs.shape[1]
     p = 2 * m
@@ -567,11 +578,8 @@ def collatz_wielandt_stack(bs, tol, max_iter):
     if live:
         _iterate(rows, x, z, live, rmin, rmax, it, low, ks, tol_s, max_iter)
     x.setflags(write=False)
-    res = []
-    for j, xj in enumerate(x):
-        lo, hi = _certify(rows[j], xj, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j])
-        res.append((lo, hi, xj, it[j], hi - lo <= tol))
-    return res
+    return [Pass(*_certify(rows[j], xj, rmin[j], rmax[j], low[j], ks[j], tol_s[j], e[j]),
+                 xj, it[j]) for j, xj in enumerate(x)]
 
 
 def _iterate(rows, xs, zs, live, rmin, rmax, it, low, ks, tol_s, max_iter):

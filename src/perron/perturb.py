@@ -26,8 +26,8 @@ class PerturbationBound:
 
     ``enclosure`` is a closed interval guaranteed to contain the spectral
     radius of the perturbed matrix: the bracket of the base's left
-    witness (``base.left_bracket``) widened by the bound on each side,
-    rounded outward.  ``perturbed`` is the perturbed
+    witness (the lo and hi of ``base.passes[1]``) widened by the bound
+    on each side, rounded outward.  ``perturbed`` is the perturbed
     matrix's own certificate, the one ``solver.perron_root`` gives it, so
     its interval and the enclosure must intersect; ``ok`` says whether
     they do.

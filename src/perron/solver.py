@@ -20,17 +20,18 @@ by size in one pass, for one stacked certification per size.
 Certificates report closed intervals [lo, hi] that always contain the
 spectral radius, converged or not; ``converged`` says whether the
 intersected interval is at most the requested width.  The kernel
-returns the vectors it certified, each with its largest entry 1, and
-``_certify_irreducible`` builds each certificate straight from its two
-passes, their vectors its witnesses as they are; a certificate forms
-its 1-norm vectors from them when they are first read, and
-``residual`` forms ||A v - mid v||_1 from the matrix it is given.  A
-certificate also keeps the left pass's own bracket, the interval its
-witness certifies alone.  The continuity check is formed in one place,
-``_moduli``, which ``perturb`` and ``harness`` both call: the modulus
-||E||_F / q*, q* = min z / ||z||_1 of the left witness z, rounded up,
-widens that bracket into an enclosure of the radius of the perturbed
-matrix, sound for any positive witness, converged or not.
+returns one ``_kernels.Pass`` per pass: its own bracket, the vector it
+certified, with largest entry 1, and its iteration count.
+``_certify_irreducible`` keeps a matrix's two passes on its certificate
+as they are, the witnesses, the summed iterations and each pass's
+bracket all read from them; a certificate forms its 1-norm vectors from
+the witnesses when they are first read, and ``residual`` forms
+||A v - mid v||_1 from the matrix it is given.  The continuity check is
+formed in one place, ``_moduli``, which ``perturb`` and ``harness``
+both call: the modulus ||E||_F / q*, q* = min z / ||z||_1 of the left
+witness z, rounded up, widens the left pass's bracket into an enclosure
+of the radius of the perturbed matrix, sound for any positive witness,
+converged or not.
 """
 
 import math
@@ -40,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from . import matcore, structure
-from ._kernels import _frobenius_up, collatz_wielandt_stack
+from ._kernels import Pass, _frobenius_up, collatz_wielandt_stack
 
 __all__ = [
     "DEFAULT_TOL",
@@ -63,19 +64,22 @@ _min = np.minimum.reduce
 class PerronCertificate:
     """Certified enclosure of a Perron root.
 
-    ``right_witness`` and ``left_witness`` are the vectors the kernel
-    certified on the matrix and on a contiguous copy of its transpose,
-    read-only, with largest entry exactly 1: [1.0] for a 1x1 matrix, None
-    where the certified matrix is not irreducible (strictly positive
-    otherwise, for n >= 2).  ``right_vector`` and ``left_vector`` are
-    their 1-norm copies, the nonnegative eigenvector approximations,
-    formed and frozen on first read.  ``hi`` is infinite when the radius
-    exceeds the largest float.  ``left_bracket`` is the (lo, hi) the left
-    pass certified for its witness alone, before the intersection:
-    (val, val) for a 1x1 matrix, None without a witness.  ``blocks`` are
-    the certificates of the normal-form diagonal blocks, in normal-form
-    order, for a matrix with more than one; () for a matrix certified
-    whole.  Their positions and the permutation stay on the
+    ``passes`` are the kernel's ``Pass`` records of an irreducible
+    matrix, (right, left): on the matrix and on a contiguous copy of its
+    transpose, each with its own bracket, which holds the radius, and
+    the witness that certifies it, read-only, with largest entry exactly
+    1 (strictly positive for n >= 2).  [lo, hi] is their intersection,
+    ``converged`` whether hi - lo is at most the requested width.  A 1x1
+    matrix [[v]] has two passes Pass(v, v, [1.0], 0); a matrix that is
+    not irreducible has none.  ``right_witness`` and ``left_witness``
+    read the witnesses, None without passes, and ``iterations`` sums the
+    iterations of the passes and the blocks.  ``right_vector`` and
+    ``left_vector`` are the witnesses' 1-norm copies, the nonnegative
+    eigenvector approximations, formed and frozen on first read.  ``hi``
+    is infinite when the radius exceeds the largest float.  ``blocks``
+    are the certificates of the normal-form diagonal blocks, in
+    normal-form order, for a matrix with more than one; () for a matrix
+    certified whole.  Their positions and the permutation stay on the
     :class:`~perron.structure.FrobeniusNormalForm`.  Certificates hold
     no matrix: ``residual`` takes it.  They compare and hash by
     identity: their vectors have no single truth value.
@@ -83,12 +87,21 @@ class PerronCertificate:
 
     lo: float
     hi: float
-    right_witness: np.ndarray | None
-    left_witness: np.ndarray | None
-    iterations: int
     converged: bool
-    left_bracket: tuple[float, float] | None = None
+    passes: tuple[Pass, ...] = ()
     blocks: tuple["PerronCertificate", ...] = ()
+
+    @property
+    def right_witness(self) -> np.ndarray | None:
+        return self.passes[0].witness if self.passes else None
+
+    @property
+    def left_witness(self) -> np.ndarray | None:
+        return self.passes[1].witness if self.passes else None
+
+    @property
+    def iterations(self) -> int:
+        return sum(p.iterations for p in (*self.passes, *self.blocks))
 
     @property
     def mid(self) -> float:
@@ -157,20 +170,15 @@ def _certify_irreducible(ms, tol, max_iter) -> list[PerronCertificate]:
     m, n = ms.shape[0], ms.shape[1]
     if n == 1:
         one = structure._frozen(np.ones(1))
-        return [
-            PerronCertificate(
-                lo=val, hi=val, right_witness=one, left_witness=one,
-                iterations=0, converged=True, left_bracket=(val, val),
-            )
-            for val in ms[:, 0, 0].tolist()
-        ]
+        return [PerronCertificate(val, val, True, (Pass(val, val, one, 0),) * 2)
+                for val in ms[:, 0, 0].tolist()]
     # pass j < m is on ms[j], pass m + j on its transpose
     passes = collatz_wielandt_stack(ms, tol, max_iter)
     out = []
-    for (r_lo, r_hi, x, r_it, _), (t_lo, t_hi, z, t_it, _) in zip(passes, passes[m:]):
+    for right, left in zip(passes, passes[m:]):
         # rho(A) = rho(A^T): both intervals hold it
-        lo, hi = max(r_lo, t_lo), min(r_hi, t_hi)
-        out.append(PerronCertificate(lo, hi, x, z, r_it + t_it, hi - lo <= tol, (t_lo, t_hi)))
+        lo, hi = max(right.lo, left.lo), min(right.hi, left.hi)
+        out.append(PerronCertificate(lo, hi, hi - lo <= tol, (right, left)))
     return out
 
 
@@ -185,11 +193,7 @@ def _combine(certs, tol) -> PerronCertificate:
     # the matrix carries no vector, and converged means hi - lo <= tol, as
     # for an irreducible matrix
     lo, hi = max(0.0, *(c.lo for c in certs)), max(0.0, *(c.hi for c in certs))
-    return PerronCertificate(
-        lo=lo, hi=hi, right_witness=None, left_witness=None,
-        iterations=sum(c.iterations for c in certs), converged=hi - lo <= tol,
-        blocks=tuple(certs),
-    )
+    return PerronCertificate(lo, hi, hi - lo <= tol, blocks=tuple(certs))
 
 
 def spectral_block(a, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> int:
@@ -277,14 +281,14 @@ def _moduli(cert: PerronCertificate, d):
     past the largest float or where q* is 0), and the enclosure
     [l - bound, h + bound] of the radius of base + d_j, its ends in two
     arrays, rounded outward with the low end clamped at 0, for [l, h]
-    the left pass's bracket.
+    the left pass's bracket (``cert.passes[1]``).
 
     Any z > 0 whose exact ratios (B^T z)_i / z_i lie in [l, h] will do,
     converged or not: for B' = B + E >= 0 with Perron vector x >= 0,
     z^T B' x = rho' z^T x puts rho' within |z^T E x| / z^T x <=
     ||z||_2 ||E||_2 / min z <= ||E||_F / q* of [l, h]."""
-    q = q_star(cert) if _min(cert.left_witness) > 0.0 else 0.0
-    l, h = cert.left_bracket
+    l, h, z, _ = cert.passes[1]
+    q = q_star(cert) if _min(z) > 0.0 else 0.0
     e = _frobenius_up(d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound = np.where(e > 0.0, np.nextafter(e / q, math.inf), 0.0)

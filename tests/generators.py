@@ -133,3 +133,40 @@ def near_defective(rng):
     a[0, 2:] = 10.0 ** rng.uniform(0.2, 3.0, n - 2)
     a[2:, 0] = 10.0 ** rng.uniform(-40.0, -20.0, n - 2)
     return a
+
+
+def exact_radius(rng, sizes, ks, spread, terms):
+    """A scrambled block upper triangular matrix whose spectral radius is
+    exactly 2^max(ks), or None where a draw has an entry outside the
+    normal range, whose rounding would move the radius.
+
+    Diagonal block I, of size sizes[I], is 2^ks[I] D S D^-1: S a sum of
+    1 to ``terms`` random permutation matrices with dyadic weights that
+    sum to 1, so doubly stochastic, of radius 1 with Perron vectors all
+    ones, and D = diag(2^d), each |d| <= spread.  Every entry is formed
+    exactly.  Random entries go above the block diagonal, then a random
+    symmetric permutation scrambles the blocks."""
+    n = sum(sizes)
+    a = np.zeros((n, n))
+    start, tiny, huge = 0, 2.0**-1022, np.finfo(np.float64).max
+    for size, k in zip(sizes, ks):
+        t = int(rng.integers(1, terms + 1))
+        # t dyadic weights, multiples of 2^-8, summing to 1
+        cuts = np.sort(rng.choice(np.arange(1, 256), t - 1, replace=False))
+        weights = np.diff(np.concatenate(([0], cuts, [256]))) / 256.0
+        s = np.zeros((size, size))
+        for w in weights:
+            s[np.arange(size), rng.permutation(size)] += w
+        d = rng.integers(-spread, spread + 1, size)
+        block = np.ldexp(s, k + d[:, None] - d[None, :])
+        # an entry of S that went to 0, a subnormal or inf
+        if not ((tiny <= block[s > 0.0]) & (block[s > 0.0] <= huge)).all():
+            return None
+        end = start + size
+        a[start:end, start:end] = block
+        # multiples of 2^-53 below 1: zero or normal
+        a[start:end, end:] = rng.uniform(0.0, 1.0, (size, n - end)) * (
+            rng.random((size, n - end)) < 0.5)
+        start = end
+    p = rng.permutation(n)
+    return a[np.ix_(p, p)]

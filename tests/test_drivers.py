@@ -131,8 +131,7 @@ def _cycle(weights):
 
 
 def _bits(p):
-    lo, hi, x, iterations, converged = p
-    return lo, hi, x.tobytes(), iterations, converged
+    return p.lo, p.hi, p.witness.tobytes(), p.iterations
 
 
 class TestCallersDoNotWarn:
@@ -159,7 +158,7 @@ class TestCallersDoNotWarn:
         out = _quiet(_kernels.collatz_wielandt_stack, bs, self.TOL, self.MAX_ITER)
         for i, (got, want) in enumerate(zip(out, alone)):
             assert i in moved or _bits(got) == _bits(want)
-        xs = np.stack([p[2] for p in out])
+        xs = np.stack([p.witness for p in out])
         xs[zeroed, -1] = 0.0
         rows = np.concatenate((bs, bs.transpose(0, 2, 1)))
         bounds = _quiet(_kernels.certify_vectors, rows, xs, self.TOL)
@@ -173,7 +172,7 @@ class TestCallersDoNotWarn:
         bs = np.stack([rng.uniform(0.5, 1.5, (12, 12)),
                        _cycle(np.ldexp(1.0, [-399, -1000] * 6))])
         out = self._check(bs, self._alone(bs), (), [1, 3])
-        assert [p[3] == 2 for p in out] == [True, False] * 2
+        assert [p.iterations == 2 for p in out] == [True, False] * 2
 
     def test_eig_fails_on_one_matrix(self, monkeypatch, rng):
         bs = rng.uniform(0.1, 1.0, (3, 5, 5))
@@ -188,7 +187,7 @@ class TestCallersDoNotWarn:
 
         monkeypatch.setattr(_kernels, "_dgeev", failing)
         out = self._check(bs, self._alone(bs), (), [1, 4])
-        assert [p[3] == 2 for p in out] == [True, False, True] * 2
+        assert [p.iterations == 2 for p in out] == [True, False, True] * 2
 
     def test_singular_noda_system(self, monkeypatch, rng):
         # two 12-cycles and a dense matrix: the four cycle passes take
@@ -207,7 +206,7 @@ class TestCallersDoNotWarn:
 
         monkeypatch.setattr(_kernels, "_dgesv", failing)
         out = self._check(bs, alone, (0,), [0])
-        assert calls[0] == 4 and out[0][3] < alone[0][3]
+        assert calls[0] == 4 and out[0].iterations < alone[0].iterations
 
 
 _HARD_SPECTRA = """

@@ -200,7 +200,7 @@ class TestIrreducibleTrace:
         )
         trace = harness.run_trace(spec, max_iter=1)
         assert not trace.base_cert.converged and trace.ok
-        l, h = map(Fraction, trace.base_cert.left_bracket)
+        l, h = map(Fraction, trace.base_cert.passes[1][:2])
         for row in trace.rows:
             term = spec.term(row.k)
             least, greatest = cw_exact(term, solver.perron_root(term, tol=1e-15).right_witness)
@@ -336,16 +336,18 @@ class TestEveryRowHolds:
 
 
 def _same_cert(got, want):
-    """Field for field, witnesses and vectors byte for byte."""
+    """Field for field, each pass's too, witnesses and vectors byte for
+    byte."""
     def raw(v):
         return None if v is None else v.tobytes()
 
-    return (got.lo, got.hi, got.iterations, got.converged, got.left_bracket,
-            raw(got.right_witness), raw(got.left_witness),
-            raw(got.right_vector), raw(got.left_vector)) == (
-        want.lo, want.hi, want.iterations, want.converged, want.left_bracket,
-        raw(want.right_witness), raw(want.left_witness),
-        raw(want.right_vector), raw(want.left_vector))
+    def fields(c):
+        return (c.lo, c.hi, c.iterations, c.converged,
+                [(p.lo, p.hi, raw(p.witness), p.iterations) for p in c.passes],
+                raw(c.right_witness), raw(c.left_witness),
+                raw(c.right_vector), raw(c.left_vector))
+
+    return fields(got) == fields(want)
 
 
 def _block_bound(block_k, block):

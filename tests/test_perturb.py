@@ -16,7 +16,7 @@ class TestContinuityCertificate:
         res = perturb.continuity_certificate(a, a)
         assert res.e_norm == 0.0
         assert res.bound == 0.0
-        assert res.enclosure == res.base.left_bracket
+        assert res.enclosure == res.base.passes[1][:2]
 
     def test_two_cycle_corner_bump(self):
         # bump of 0.01 at the lower right corner of the symmetric 2-cycle:
@@ -75,7 +75,7 @@ class TestContinuityCertificate:
             bound = Fraction(res.bound)
             assert Fraction(res.e_norm) ** 2 >= sq
             assert bound >= Fraction(res.e_norm) / Fraction(res.q_star)
-            l, h = map(Fraction, res.base.left_bracket)
+            l, h = map(Fraction, res.base.passes[1][:2])
             assert Fraction(res.enclosure[0]) <= max(l - bound, 0)
             assert Fraction(res.enclosure[1]) >= h + bound
 
@@ -184,7 +184,7 @@ class TestNearDefective:
                 base=a, direction=direction, rule="geom", coeff=1e-16, gamma=0.1, count=18)
             trace = harness.run_trace(spec)
             assert trace.ok
-            l, h = map(Fraction, trace.base_cert.left_bracket)
+            l, h = map(Fraction, trace.base_cert.passes[1][:2])
             for row in trace.rows:
                 a_prime = spec.term(row.k)
                 least, greatest = _exact_bracket(a_prime)

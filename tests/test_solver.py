@@ -10,12 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perron import _kernels, harness, matcore, solver, structure
 from generators import (
-    planted_block_matrix, random_irreducible, random_nonneg, reducible_base, three_block_base,
+    exact_radius, planted_block_matrix, random_irreducible, random_nonneg, reducible_base,
+    three_block_base,
 )
 from oracles import cw_exact, eig_radius, encloses_radius, rational_power
 
@@ -113,9 +114,8 @@ def _passes(a, tol=solver.DEFAULT_TOL, max_iter=solver.DEFAULT_MAX_ITER):
 
 
 def _bits(p):
-    """A pass result (lo, hi, x, iterations, converged) with its vector
-    as bytes, to compare bit for bit."""
-    return p[:2] + p[3:] + (p[2].tobytes(),)
+    """A ``Pass`` with its witness as bytes, to compare bit for bit."""
+    return p.lo, p.hi, p.witness.tobytes(), p.iterations
 
 
 def _near_reducible(eps):
@@ -263,9 +263,8 @@ class TestCertifiedBounds:
         # near-reducible 5x5 at max_iter 3: each pass stops wider than
         # tol, their intersection is within it
         a = _small_input("near_reducible", 5, 2)
-        (r_lo, r_hi, _, _, r_conv), (l_lo, l_hi, _, _, l_conv) = _passes(a, max_iter=3)
         cert = solver.perron_irreducible(a, max_iter=3)
-        assert not (r_conv and l_conv)
+        assert not all(p.hi - p.lo <= solver.DEFAULT_TOL for p in cert.passes)
         assert cert.converged and cert.width <= solver.DEFAULT_TOL
 
 
@@ -477,12 +476,12 @@ class TestPowerProposal:
                                 lambda bs, bad=bad: np.stack([bad, x[1]]))
             results.append(_passes(b, tol)[0])
             # at two iterations, one sweep from the ones vector
-            assert _passes(b, tol, 2)[0][2].tobytes() == (sweep / sweep.max()).tobytes()
-        assert results[0][3] > 2
+            assert _passes(b, tol, 2)[0].witness.tobytes() == (sweep / sweep.max()).tobytes()
+        assert results[0].iterations > 2
         for got in results[1:]:
             assert _bits(got) == _bits(results[0])
         monkeypatch.undo()
-        assert _passes(b, tol)[0][3] == 2
+        assert _passes(b, tol)[0].iterations == 2
 
     def test_powers_are_rescaled_exactly(self, rng):
         # 2^k b keeps its row sums inside [2^-400, 2^400], where it is not
@@ -556,8 +555,8 @@ def _scratch_stack(rng, m, n):
 
 
 def _pass_bytes(out):
-    """The kernel's results, the vectors as bytes."""
-    return [(lo, hi, x.tobytes(), it, conv) for lo, hi, x, it, conv in out]
+    """The kernel's results, the witnesses as bytes."""
+    return [_bits(p) for p in out]
 
 
 class TestScratch:
@@ -579,7 +578,7 @@ class TestScratch:
         scratch = list(_kernels._SCRATCH.arrays)
         assert scratch[0].size == 2 * 7 * 16 * 16 and scratch[1].size == 7 * 16 * 16
         assert 0 < scratch[2].size < 7 * 16 * 16  # the squares after the first
-        for x in [p[2] for p in out] + [c.right_witness for c in certs] + [
+        for x in [p.witness for p in out] + [c.right_witness for c in certs] + [
                 c.left_witness for c in certs]:
             assert not any(np.shares_memory(x, a) for a in scratch)
         before = _pass_bytes(out), [(c.lo, c.hi, c.right_witness.tobytes(),
@@ -693,8 +692,8 @@ class TestOneLoop:
         # tol by less than their spread and finish at one sweep, some
         # stop at the proposal
         out = _same_stacked_or_alone([_stack_input(family, n, t, 0) for t in range(20)])
-        iterations = {p[3] for p in out}
-        assert 2 in iterations and all(p[4] for p in out)
+        iterations = {p.iterations for p in out}
+        assert 2 in iterations and all(p.hi - p.lo <= solver.DEFAULT_TOL for p in out)
         if family == "moderate":
             assert 3 in iterations
 
@@ -704,8 +703,8 @@ class TestOneLoop:
         for seed, n in enumerate((3, 5, 8, 12, 16, 24, 48, 64) * 3):
             a = _small_input("near_reducible", n, seed)
             rho = eig_radius(a)
-            for lo, hi, x, iterations, converged in _same_stacked_or_alone([a]):
-                assert converged and x.max() == 1.0
+            for lo, hi, x, iterations in _same_stacked_or_alone([a]):
+                assert hi - lo <= tol and x.max() == 1.0
                 assert lo <= rho * (1 + 1e-12) and rho * (1 - 1e-12) <= hi
                 iterated += iterations > 2
         assert iterated >= 24
@@ -726,9 +725,9 @@ class TestOneLoop:
             for got, i in zip(stacked, order):
                 for field in dataclasses.fields(solver.PerronCertificate):
                     g, w = getattr(got, field.name), getattr(alone[i], field.name)
-                    if isinstance(w, np.ndarray):
-                        assert not g.flags.writeable
-                        g, w = g.tobytes(), w.tobytes()
+                    if field.name == "passes":
+                        assert not any(p.witness.flags.writeable for p in g)
+                        g, w = list(map(_bits, g)), list(map(_bits, w))
                     assert g == w, field.name
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, "coupled"])
@@ -749,7 +748,7 @@ class TestOneLoop:
             assert (cert.iterations == 4) == (n != "coupled")  # settled
             taken = products.call_count
             products.reset_mock()
-            its = [p[3] for p in _passes(a, max_iter=10_000)]
+            its = [p.iterations for p in _passes(a, max_iter=10_000)]
         assert taken == products.call_count == max(its)
 
     def test_prescaled_passes_keep_their_proposal(self, rng):
@@ -759,7 +758,7 @@ class TestOneLoop:
             a = np.ldexp(rng.uniform(0.5, 1.5, (4, n, n)), 600)
             out = _kernels.collatz_wielandt_stack(
                 a, solver.DEFAULT_TOL, solver.DEFAULT_MAX_ITER)
-            assert [p[3] for p in out] == [2] * 8
+            assert [p.iterations for p in out] == [2] * 8
             for j, b in enumerate(a):
                 rho = eig_radius(b)
                 for lo, hi, *_ in (out[j], out[4 + j]):
@@ -794,10 +793,10 @@ class TestOneLoop:
         monkeypatch.setattr(_kernels, "_eig_vectors", refusing)
         monkeypatch.setattr(_kernels, "_power_vectors", refusing)
         a = rng.uniform(0.5, 1.5, (_kernels._SQUARE_N + 1, _kernels._SQUARE_N + 1))
-        assert all(p[4] and p[3] > 2 for p in _passes(a))
+        assert all(p.hi - p.lo <= solver.DEFAULT_TOL and p.iterations > 2 for p in _passes(a))
         for n in (3, 12):
             a = rng.uniform(0.5, 1.5, (n, n))
-            for sums, (lo, hi, x, iterations, _) in zip(
+            for sums, (lo, hi, x, iterations) in zip(
                     (a.sum(axis=1), a.sum(axis=0)), _passes(a, max_iter=1)):
                 # each pass certifies the ones vector
                 assert iterations == 1 and (x == 1.0).all()
@@ -843,11 +842,10 @@ class TestOneLoop:
         for got, want in zip(out[1:], alone[1:]):
             assert _bits(got) == _bits(want)
         monkeypatch.undo()
-        lo, hi, x, iterations, converged = out[0]
+        lo, hi, x, iterations = out[0]
         earlier = _kernels.collatz_wielandt_stack(bs[:1], tol, iterations - 1)[0]
-        assert (lo, hi, iterations - 1, converged) == earlier[:2] + earlier[3:]
-        assert x.tobytes() == earlier[2].tobytes()
-        assert iterations < alone[0][3]
+        assert (lo, hi, x.tobytes(), iterations - 1) == _bits(earlier)
+        assert iterations < alone[0].iterations
 
     @pytest.mark.parametrize("n, max_iter", [(5, 10_000), (12, 10_000), (70, 10_000),
                                              (5, 1), (12, 2)])
@@ -859,11 +857,11 @@ class TestOneLoop:
         bs = np.stack([np.random.default_rng(n).uniform(0.0, 10.0, (n, n)),
                        _small_input("near_reducible", n, n)])
         out = _kernels.collatz_wielandt_stack(bs, solver.DEFAULT_TOL, max_iter)
-        x = out[0][2].base
+        x = out[0].witness.base
         assert x.shape == (4, n) and not x.flags.writeable
         for j, p in enumerate(out):
-            assert p[2].base is x and p[2].tobytes() == x[j].tobytes()
-        assert max_iter < 3 or max(p[3] for p in out) > 2
+            assert p.witness.base is x and p.witness.tobytes() == x[j].tobytes()
+        assert max_iter < 3 or max(p.iterations for p in out) > 2
 
     def test_one_stack_call_per_block_size(self, monkeypatch, rng):
         calls = []
@@ -1026,10 +1024,11 @@ class TestCertifyVectors:
 
 def _certified(route, n, seed, k, max_iter):
     """(matrix, certificate) pairs of one route, its inputs scaled by 2^k:
-    ``perron_root`` of a positive n x n matrix ("positive"), the diagonal
-    blocks of a scrambled n x n block upper triangular matrix, read off
-    its certificate ("blocks"), or the base and rows of a three-term
-    ``run_trace`` from an irreducible n x n base ("trace")."""
+    ``perron_root`` of a positive n x n matrix ("positive"), a scrambled
+    n x n block upper triangular matrix of more than one block, then its
+    diagonal blocks, read off its certificate ("blocks"), or the base and
+    rows of a three-term ``run_trace`` from an irreducible n x n base
+    ("trace")."""
     rng = np.random.default_rng(seed)
     tol = solver.DEFAULT_TOL
     if route == "positive":
@@ -1041,9 +1040,11 @@ def _certified(route, n, seed, k, max_iter):
         for start, end in zip(cuts, cuts[1:]):
             a[start:end, start:end] = random_irreducible(rng, end - start)
         p = rng.permutation(n)
-        fnf = structure.frobenius_normal_form(np.ldexp(a[np.ix_(p, p)], k))
+        b = np.ldexp(a[np.ix_(p, p)], k)
+        fnf = structure.frobenius_normal_form(b)
         cert = solver.perron_root(fnf, tol, max_iter)
-        return list(zip(fnf.block_matrices, cert.blocks or (cert,)))
+        whole = [(b, cert)] if cert.blocks else []
+        return whole + list(zip(fnf.block_matrices, cert.blocks or (cert,)))
     spec = harness.SequenceSpec(base=np.ldexp(random_irreducible(rng, n), k),
                                 direction=np.ldexp(rng.uniform(0.0, 1.0, (n, n)), k),
                                 coeff=1e-3, count=3)
@@ -1055,9 +1056,10 @@ class TestExactWitness:
     """Each pass's [lo, hi] holds the exact least and greatest ratio
     (b x)_i / x_i of the vector x it returned (``oracles.cw_exact``), a
     left pass's on b.T: the interval is about the vector the kernel
-    hands back, not only some vector near it.  A certificate's interval,
-    the intersection of its two passes', holds what its two witnesses
-    give, and its left bracket what its left witness gives."""
+    hands back, not only some vector near it.  A certificate keeps its
+    two passes: each pass's bracket holds what its witness gives, and the
+    certificate's interval is their intersection.  A 1x1 matrix has two
+    equal passes, a matrix of more than one block none."""
 
     @settings(max_examples=60, deadline=None)
     @given(**_ROUTES)
@@ -1083,13 +1085,42 @@ class TestExactWitness:
     )
     def test_every_certificate_holds_its_witnesses(self, route, n, seed, k, max_iter):
         for a, cert in _certified(route, n, seed, k, max_iter):
+            if cert.blocks:
+                assert cert.passes == () and cert.right_witness is None is cert.left_witness
+                continue
             right = cw_exact(a, cert.right_witness)
             left = cw_exact(np.ascontiguousarray(a.T), cert.left_witness)
             assert Fraction(cert.lo) <= max(right[0], left[0])
             assert cert.hi == math.inf or min(right[1], left[1]) <= Fraction(cert.hi)
-            l, h = cert.left_bracket
-            assert Fraction(l) <= left[0] and (h == math.inf or left[1] <= Fraction(h))
-            assert l <= cert.lo and cert.hi <= h
+            assert cert.lo == max(p.lo for p in cert.passes)
+            assert cert.hi == min(p.hi for p in cert.passes)
+            for p, (least, greatest) in zip(cert.passes, (right, left), strict=True):
+                assert Fraction(p.lo) <= least and (p.hi == math.inf or greatest <= Fraction(p.hi))
+            if len(a) == 1:
+                r, t = cert.passes
+                assert r is t and (r.lo, r.hi, r.witness.tolist(), r.iterations) == (
+                    a[0, 0], a[0, 0], [1.0], 0)
+
+
+class TestExactRadius:
+    """``generators.exact_radius`` matrices, whose radius is 2^max(ks)
+    exactly: every certificate holds it, with no witness or slack to
+    trust, reducible ones (``_combine`` and the normal form) included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 16), min_size=1, max_size=3),
+        ks=st.lists(st.integers(-300, 300), min_size=3, max_size=3),
+        spread=st.integers(0, 20),
+        terms=st.integers(1, 5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_every_certificate_holds_the_radius(self, sizes, ks, spread, terms, seed):
+        ks = ks[:len(sizes)]
+        a = exact_radius(np.random.default_rng(seed), sizes, ks, spread, terms)
+        assume(a is not None)
+        cert = solver.perron_root(a, max_iter=20_000)
+        assert cert.lo <= 2.0 ** max(ks) <= cert.hi
 
 
 class TestPerronRoot:
@@ -1424,36 +1455,26 @@ class TestCertificate:
         for a, cert in pairs:
             assert cert.right_vector is cert.right_vector
             assert cert.left_vector is cert.left_vector
-            held = [v for v in vars(cert).values() if isinstance(v, np.ndarray)]
+            # the cached vectors, then the fields of each pass
+            held = [v for v in (*vars(cert).values(), *(f for p in cert.passes for f in p))
+                    if isinstance(v, np.ndarray)]
             assert len(held) == 4
             assert all(v.ndim == 1 and v.size <= len(a) and not v.flags.writeable
                        for v in held)
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            solver.PerronCertificate(
-                lo=2.0, hi=1.0, right_witness=None, left_witness=None,
-                iterations=0, converged=True,
-            )
+            solver.PerronCertificate(lo=2.0, hi=1.0, converged=True)
         with pytest.raises(ValueError):
-            solver.PerronCertificate(
-                lo=-0.5, hi=1.0, right_witness=None, left_witness=None,
-                iterations=0, converged=True,
-            )
+            solver.PerronCertificate(lo=-0.5, hi=1.0, converged=True)
 
     def test_mid_and_width(self):
-        cert = solver.PerronCertificate(
-            lo=1.0, hi=3.0, right_witness=None, left_witness=None,
-            iterations=5, converged=False,
-        )
+        cert = solver.PerronCertificate(lo=1.0, hi=3.0, converged=False)
         assert cert.mid == 2.0 and cert.width == 2.0
 
     def test_mid_near_the_largest_float(self):
         # lo + hi overflows; the midpoint does not
-        cert = solver.PerronCertificate(
-            lo=1e308, hi=1.5e308, right_witness=None, left_witness=None,
-            iterations=2, converged=False,
-        )
+        cert = solver.PerronCertificate(lo=1e308, hi=1.5e308, converged=False)
         assert cert.mid == 1.25e308
 
 
@@ -1559,6 +1580,13 @@ class TestResidual:
         assert all(v.ndim == 1 for v in vars(cert).values() if isinstance(v, np.ndarray))
 
 
+def _with_left_witness(z):
+    """The certificate of [[1, 2], [3, 4]], its left witness replaced by z."""
+    cert = solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]])
+    right, left = cert.passes
+    return dataclasses.replace(cert, passes=(right, left._replace(witness=np.array(z))))
+
+
 class TestQStar:
     def test_symmetric_two_cycle(self):
         cert = solver.perron_irreducible([[0.0, 1.0], [1.0, 0.0]])
@@ -1583,15 +1611,13 @@ class TestQStar:
             solver.q_star(cert)
 
     def test_rejects_a_zero_entry(self):
-        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
-                                   left_witness=np.array([0.0, 1.0]))
+        cert = _with_left_witness([0.0, 1.0])
         with pytest.raises(ValueError, match="not strictly positive"):
             solver.q_star(cert)
 
     def test_underflow_rounds_to_zero(self):
         # min z / sum z is below the least subnormal: 0 is its rounding down
-        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
-                                   left_witness=np.array([5e-324, 1.0, 1.0]))
+        cert = _with_left_witness([5e-324, 1.0, 1.0])
         assert solver.q_star(cert) == 0.0
 
 
@@ -1600,14 +1626,13 @@ class TestModuli:
     def test_no_usable_q_star_encloses_everything(self, witness):
         # q* 0, by underflow or a zero entry: any nonzero difference gets
         # the bound inf and the enclosure [0, inf]; a zero one the bracket
-        cert = dataclasses.replace(solver.perron_irreducible([[1.0, 2.0], [3.0, 4.0]]),
-                                   left_witness=np.array(witness))
+        cert = _with_left_witness(witness)
         d = np.zeros((2, 2, 2))
         d[1, 0, 1] = 1e-300
         q, e, bound, lo, hi = solver._moduli(cert, d)
         assert q == 0.0 and e[0] == 0.0 and e[1] > 0.0
         assert bound.tolist() == [0.0, math.inf]
-        assert (lo[0], hi[0]) == cert.left_bracket
+        assert (lo[0], hi[0]) == cert.passes[1][:2]
         assert (lo[1], hi[1]) == (0.0, math.inf)
 
 

@@ -61,5 +61,5 @@ def test_kernel_name_is_one_stacked_pass():
         b = rng.uniform(0.5, 1.5, (n, n))
         got = solver.collatz_wielandt(b, 1e-12, 100)
         want = solver.collatz_wielandt_stack(b[None], 1e-12, 100)[0]
-        assert got[:2] == want[:2] and got[3:] == want[3:]
-        assert got[2].tobytes() == want[2].tobytes()
+        assert (got.lo, got.hi, got.iterations) == (want.lo, want.hi, want.iterations)
+        assert got.witness.tobytes() == want.witness.tobytes()
