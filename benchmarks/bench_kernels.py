@@ -86,7 +86,7 @@ modules that step loaded, and whether perron's bytecode was read from a
 cache (``PYTHONDONTWRITEBYTECODE`` set, or a first run, leaves none), so
 the start-up cost of a command can be re-timed on another host.
 
-Usage: python3 benchmarks/bench_kernels.py [--repeats N]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--repeats N]
 """
 
 import argparse

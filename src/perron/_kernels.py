@@ -100,11 +100,10 @@ trace chunk of 2^20 entries.  Peak memory is as without them, the same
 arrays being live at the peak.  Nothing returned is a view of them.
 
 The batched dgeev and dgesv drivers are numpy's private gufuncs behind
-``np.linalg.eig`` and ``np.linalg.solve``; where a numpy lacks them, the
-public functions run per matrix, a failure giving that matrix's NaN row.
-The drivers flag a failure as an invalid operation, and a square may
-underflow to zero: no helper has an errstate of its own, each runs
-under that of its entry point, which handles these without a warning.
+``np.linalg.eig`` and ``np.linalg.solve``.  The drivers flag a failure
+as an invalid operation, and a square may underflow to zero: no helper
+has an errstate of its own, each runs under that of its entry point,
+which handles these without a warning.
 """
 
 import math
@@ -112,6 +111,7 @@ import threading
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
 
 from .matcore import _frobenius_norms
 
@@ -149,32 +149,6 @@ _SOLVE_N = 4
 # the ufunc reductions skip ndarray.min/max's Python-level wrapper,
 # which costs as much as the rest of a sweep at small n
 _min, _max = np.minimum.reduce, np.maximum.reduce
-
-try:
-    from numpy.linalg._umath_linalg import eig as _dgeev, solve as _dgesv
-except ImportError:  # a numpy that moved its private drivers
-    def _dgeev(bs, signature=None):
-        """The batched dgeev driver, one ``np.linalg.eig`` per matrix:
-        complex eigenvalues and vectors, NaN where it fails."""
-        w, v = np.full(bs.shape[:2], math.nan, complex), np.full(bs.shape, math.nan, complex)
-        for i, b in enumerate(bs):
-            try:
-                w[i], v[i] = np.linalg.eig(b)
-            except np.linalg.LinAlgError:
-                pass
-        return w, v
-
-    def _dgesv(ms, rhs, signature=None):
-        """The batched dgesv driver, one ``np.linalg.solve`` per system:
-        NaN where it is singular."""
-        y = np.full(rhs.shape, math.nan)
-        for i, (a, b) in enumerate(zip(ms, rhs)):
-            try:
-                y[i] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                pass
-        return y
-
 
 class Pass(NamedTuple):
     """What one pass certified: the interval [lo, hi] that holds the

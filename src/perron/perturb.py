@@ -14,6 +14,7 @@ as the base's, so checking the theorem against it costs no second call.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import matcore, solver, structure
 
@@ -39,7 +40,7 @@ class PerturbationBound:
     e_norm: float
     bound: float
     enclosure: tuple[float, float]
-    norm: str = "frobenius"
+    norm: ClassVar[str] = "frobenius"  # the norm of e_norm; no other is bounded
 
     @property
     def ok(self) -> bool:

@@ -2,26 +2,17 @@
 the gufuncs of the private ``numpy.linalg._umath_linalg`` that
 ``np.linalg.eig`` and ``np.linalg.solve`` wrap, without the wrappers.
 These tests pin what the kernel relies on, so that a numpy upgrade that
-changes it fails here instead of moving certificates silently, and that
-a numpy without that module gets the same certificates from the public
-functions."""
+changes it fails here instead of moving certificates silently."""
 
-import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 import warnings
 
 import numpy as np
+import numpy.linalg._umath_linalg as umath_linalg
 import pytest
 
-import perron
 from perron import _kernels
 from generators import random_irreducible
-
-_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # numpy's default error handling, whatever the caller set
 _DEFAULT_ERR = {"divide": "warn", "over": "warn", "invalid": "warn", "under": "ignore"}
@@ -73,6 +64,12 @@ def _singular_stack(rng):
     hi = [float(((b @ xi) / xi).max()) * 1.01 for b, xi in zip(bs, x)]
     hi[1] = 3.0
     return bs, x, hi
+
+
+def test_kernel_binds_the_private_drivers():
+    # no fallback: a numpy that moves them fails at import perron
+    assert _kernels._dgeev is umath_linalg.eig
+    assert _kernels._dgesv is umath_linalg.solve
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -208,45 +205,3 @@ class TestCallersDoNotWarn:
         out = self._check(bs, alone, (0,), [0])
         assert calls[0] == 4 and out[0].iterations < alone[0].iterations
 
-
-_HARD_SPECTRA = """
-import importlib.util, json, sys
-import numpy as np
-
-def certificates(root):
-    spec = importlib.util.spec_from_file_location("cases", root + "/perfbench/cases.py")
-    cases = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cases)
-    out = []
-    for op in cases.build("hard_spectra", 29):
-        c = perron.perron_root(op.mats["a"], cases.TOL, op.max_iter)
-        out.append([op.id, c.lo.hex(), c.hi.hex(), c.iterations, c.converged] + [
-            None if w is None else w.tobytes().hex() for w in (c.right_witness, c.left_witness)])
-    return out
-"""
-
-
-def test_without_the_private_drivers():
-    # a numpy without numpy.linalg._umath_linalg: perron still imports,
-    # runs np.linalg.eig and np.linalg.solve per matrix, and gives the
-    # certificates the batched drivers give; a singular Noda system is NaN
-    script = _HARD_SPECTRA + """
-sys.modules["numpy.linalg._umath_linalg"] = None
-import perron
-from perron import _kernels
-assert _kernels._dgeev.__module__ == _kernels._dgesv.__module__ == "perron._kernels"
-bs = np.stack([np.full((3, 3), 0.75), np.ones((3, 3))])
-noda = _kernels._noda_steps(bs, np.ones((2, 3)), [3.0, 3.0])
-print(json.dumps({"nan": np.isnan(noda).all(axis=1).tolist(),
-                  "certificates": certificates(sys.argv[1])}))
-"""
-    proc = subprocess.run([sys.executable, "-c", script, str(_ROOT)], capture_output=True,
-                          text=True, check=True,
-                          env={**os.environ, "PYTHONPATH": str(_ROOT / "src")})
-    got = json.loads(proc.stdout)
-    assert got["nan"] == [False, True]
-    namespace = {"perron": perron}
-    exec(_HARD_SPECTRA, namespace)
-    want = namespace["certificates"](str(_ROOT))
-    assert len(want) > 100
-    assert got["certificates"] == json.loads(json.dumps(want))

@@ -402,6 +402,19 @@ class TestZeroRoute:
         text = _repr_text(a).replace("1000.0", "1_000", 1)
         assert self._loadtxt_calls(monkeypatch, text, a) == 0
 
+    def test_refused_token_is_worded_by_the_token_loop(self, rng):
+        # the ring entry of row 37, at token 39 of line 39, spelled 1.0.0
+        a = _sparse_ring(rng, 100)
+        rows = _repr_text(a).splitlines()
+        tokens = rows[38].split()
+        tokens[38] = "1.0.0"
+        rows[38] = " ".join(tokens)
+        text = "\n".join(rows) + "\n"
+        assert matcore._parse_zeros(text) is None
+        with pytest.raises(matcore.MatrixFormatError) as info:
+            matcore.parse_matrix(text)
+        assert str(info.value) == "line 39, column 39: invalid number '1.0.0'"
+
     def test_temporaries_stay_within_ten_blocks(self, rng):
         # the route's masks, token starts and gathers, the previous
         # block's included, beside its result and the encoded text

@@ -50,6 +50,9 @@ class TestContinuityCertificate:
         assert abs(res.e_norm - 0.002) <= 1e-15
         assert res.enclosure[0] <= eig_radius(ap) <= res.enclosure[1]
         assert res.norm == "frobenius"
+        # the bound is a Frobenius bound: no caller can name another norm
+        with pytest.raises(TypeError, match="norm"):
+            dataclasses.replace(res, norm="spectral")
 
     def test_sound_on_random_perturbations(self, rng):
         for _ in range(100):

@@ -1122,6 +1122,25 @@ class TestExactRadius:
         cert = solver.perron_root(a, max_iter=20_000)
         assert cert.lo <= 2.0 ** max(ks) <= cert.hi
 
+    # the two known width defects, each one fixed draw
+    @pytest.mark.xfail(strict=True, reason=(
+        "tol is absolute: radius 2^-50 reports converged on [4.07e-16, "
+        "1.75e-15], a relative width of 1.51 (ROADMAP items 1 and 3)"))
+    def test_tiny_radius_is_narrow(self):
+        self._assert_narrow(9, -50, 20)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "spread 100: radius 1 gets [6.5e-13, 9.69] after 398 iterations "
+        "(ROADMAP item 6)"))
+    def test_wide_spread_is_narrow(self):
+        self._assert_narrow(101, 0, 100)
+
+    @staticmethod
+    def _assert_narrow(seed, k, spread):
+        a = exact_radius(np.random.default_rng(seed), [16], [k], spread, 3)
+        cert = solver.perron_root(a, max_iter=20_000)
+        assert (cert.hi - cert.lo) / 2.0**k <= 1e-13
+
 
 class TestPerronRoot:
     def test_complex_matrix_rejected(self):
